@@ -50,6 +50,16 @@ func lab() *eval.Lab {
 	return benchLab
 }
 
+// mustAnnotate runs one table through cfg under a background context.
+func mustAnnotate(tb testing.TB, cfg annotate.Config, t *table.Table) *annotate.Result {
+	tb.Helper()
+	res, err := cfg.Annotate(context.Background(), t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkLabConstruction measures the one-off cost of building the whole
 // apparatus: universe, corpus, index, knowledge base, classifier training.
 func BenchmarkLabConstruction(b *testing.B) {
@@ -229,11 +239,11 @@ func BenchmarkAblationQueryCache(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings()}
+	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings()}
 	var queries int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		queries = a.AnnotateTable(tbl).Queries
+		queries = mustAnnotate(b, a, tbl).Queries
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(queries)/100, "queriesPerRow")
@@ -289,7 +299,7 @@ func BenchmarkKSweep(b *testing.B) {
 func BenchmarkIndexPersistence(b *testing.B) {
 	l := lab()
 	names := l.World.TableEntities(world.Museum)
-	src := search.NewIndex()
+	src := search.NewShardedIndex(1)
 	for i := 0; i < 2000; i++ {
 		e := names[i%len(names)]
 		src.Add(search.Document{URL: e.URL, Title: e.Name, Body: e.Description})
@@ -301,7 +311,7 @@ func BenchmarkIndexPersistence(b *testing.B) {
 		if _, err := src.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := search.ReadIndex(&buf); err != nil {
+		if _, err := search.ReadShardedIndex(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,9 +323,9 @@ func BenchmarkSPARQLSelect(b *testing.B) {
 	l := lab()
 	store := rdf.NewStore()
 	x := &rdf.Extractor{Gazetteer: l.World.Gaz, MinScore: 0.5}
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
+	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
 	for _, t := range l.GFT.Tables[:6] {
-		x.Extract(t, a.AnnotateTable(t), store)
+		x.Extract(t, mustAnnotate(b, a, t).Annotations, store)
 	}
 	q, err := rdf.ParseSPARQL(`SELECT ?name ?city WHERE {
 		?poi rdf:type "restaurant" .
@@ -417,8 +427,8 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 
 	for _, p := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {
-			a := &annotate.Annotator{
-				Engine:      l.Engine,
+			a := annotate.Config{
+				Searcher:    l.Engine,
 				Classifier:  l.SVM,
 				Types:       eval.TypeStrings(),
 				Postprocess: true,
@@ -426,7 +436,7 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 			}
 			var queries int
 			for i := 0; i < b.N; i++ {
-				results, err := a.AnnotateTables(context.Background(), tables, p)
+				results, err := a.AnnotateBatch(context.Background(), tables, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -447,17 +457,17 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 func BenchmarkCrossTableCache(b *testing.B) {
 	l := lab()
 	tables := l.GFT.Tables[:8]
-	newAnnotator := func(c *qcache.Cache) *annotate.Annotator {
-		return &annotate.Annotator{
-			Engine:      l.Engine,
+	newConfig := func(c *qcache.Cache) annotate.Config {
+		return annotate.Config{
+			Searcher:    l.Engine,
 			Classifier:  l.SVM,
 			Types:       eval.TypeStrings(),
 			Postprocess: true,
 			Cache:       c,
 		}
 	}
-	run := func(b *testing.B, a *annotate.Annotator) (queries int) {
-		results, err := a.AnnotateTables(context.Background(), tables, 1)
+	run := func(b *testing.B, a annotate.Config) (queries int) {
+		results, err := a.AnnotateBatch(context.Background(), tables, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -470,17 +480,17 @@ func BenchmarkCrossTableCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		var queries int
 		for i := 0; i < b.N; i++ {
-			queries = run(b, newAnnotator(qcache.New()))
+			queries = run(b, newConfig(qcache.New()))
 		}
 		b.ReportMetric(float64(queries), "queries")
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := qcache.New()
-		run(b, newAnnotator(cache)) // pre-warm
+		run(b, newConfig(cache)) // pre-warm
 		b.ResetTimer()
 		var queries int
 		for i := 0; i < b.N; i++ {
-			queries = run(b, newAnnotator(cache))
+			queries = run(b, newConfig(cache))
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(queries), "queries")
@@ -495,7 +505,7 @@ func BenchmarkRandomTableAnnotation(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pool := append([]*world.Entity{}, l.World.TableEntities(world.Museum)...)
 	pool = append(pool, l.World.TableEntities(world.Restaurant)...)
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
+	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
 	tables := make([]*table.Table, 8)
 	for ti := range tables {
 		tbl := table.New("bench", table.Column{Header: "Name", Type: table.Text})
@@ -508,7 +518,7 @@ func BenchmarkRandomTableAnnotation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.AnnotateTable(tables[i%len(tables)])
+		mustAnnotate(b, a, tables[i%len(tables)])
 	}
 }
 

@@ -18,15 +18,13 @@
 //
 //	benchgeo -label "PR5 sparse graph" [-out BENCH_geo.json]
 //	         [-seed 42] [-scales 1,8,91] [-rows 50] [-cols 4] [-cands 8]
-//	         [-repeat 3] [-workload figure7|address]
-//	         [-engine components|single] [-workers 0]
+//	         [-repeat 3] [-workload figure7|address] [-workers 0]
 //
 // -workload address switches to contextful "Street, City" geocodes whose
 // voting graph decomposes into many independent components — the huge-table
 // shape the component-parallel resolver targets (use with -rows 5000+).
-// -engine single retains the pre-decomposition whole-table engine for A/B
-// comparison; the default components engine also records components found,
-// the largest component and peak pooled-scratch bytes per point.
+// Every point also records components found, the largest component and peak
+// pooled-scratch bytes.
 package main
 
 import (
@@ -56,7 +54,9 @@ type geo interface {
 // point is one measured operating point of the sweep. The decomposition
 // fields (workload, engine, workers, components, largest_component,
 // peak_scratch_bytes) date from the component-parallel resolver and are
-// omitted on the legacy single-graph figure7 points.
+// absent from older figure7 points. Engine is always "components" now; the
+// trajectory's "single" points were recorded by the whole-table engine the
+// component resolver replaced.
 type point struct {
 	GazLocations       int     `json:"gaz_locations"`
 	Rows               int     `json:"rows"`
@@ -100,7 +100,6 @@ type options struct {
 	cands    int
 	repeat   int
 	workload string // "figure7" (ambiguous lookups) or "address" (contextful, decomposes)
-	engine   string // "components" (default) or "single" (retained whole-table engine)
 	workers  int    // component workers; 0 = min(GOMAXPROCS, 8)
 }
 
@@ -115,8 +114,7 @@ func main() {
 		cands    = flag.Int("cands", 8, "candidate interpretations per cell")
 		repeat   = flag.Int("repeat", 3, "repetitions per operating point (best is kept)")
 		workload = flag.String("workload", "figure7", "table shape: figure7 (ambiguous lookups, one giant component) | address (contextful geocodes, decomposes into many components)")
-		engine   = flag.String("engine", "components", "resolver: components (component-parallel) | single (retained whole-table engine)")
-		workers  = flag.Int("workers", 0, "component workers for -engine components (0 = one per CPU, capped at 8)")
+		workers  = flag.Int("workers", 0, "component workers (0 = one per CPU, capped at 8)")
 	)
 	flag.Parse()
 	if *label == "" {
@@ -127,10 +125,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgeo: -workload must be figure7 or address")
 		os.Exit(2)
 	}
-	if *engine != "components" && *engine != "single" {
-		fmt.Fprintln(os.Stderr, "benchgeo: -engine must be components or single")
-		os.Exit(2)
-	}
 	scaleList, err := parseScales(*scales)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgeo:", err)
@@ -138,7 +132,7 @@ func main() {
 	}
 	o := options{label: *label, out: *out, seed: *seed, scales: scaleList,
 		rows: *rows, cols: *cols, cands: *cands, repeat: *repeat,
-		workload: *workload, engine: *engine, workers: *workers}
+		workload: *workload, workers: *workers}
 	if err := benchmark(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgeo:", err)
 		os.Exit(1)
@@ -207,7 +201,7 @@ func measure(g geo, o options) (point, error) {
 	}
 	cells := float64(o.rows * o.cols)
 	p := point{Rows: o.rows, Cols: o.cols, CandsPerCell: o.cands,
-		Workload: o.workload, Engine: o.engine, Workers: o.workers}
+		Workload: o.workload, Engine: "components", Workers: o.workers}
 
 	var bestBuild, bestResolve time.Duration
 	for rep := 0; rep < o.repeat; rep++ {
@@ -220,16 +214,10 @@ func measure(g geo, o options) (point, error) {
 		p.Nodes, p.Edges = gr.NodeCount(), gr.EdgeCount()
 
 		start = time.Now()
-		var choice map[disambig.CellRef]gazetteer.LocID
-		if o.engine == "single" {
-			choice, _ = disambig.ResolveScoresSingle(interps, g)
-		} else {
-			var st disambig.Stats
-			choice, _, st = disambig.ResolveScoresOpt(interps, g, disambig.Options{Workers: o.workers})
-			p.Components, p.LargestComponent = st.Components, st.LargestComponent
-			p.PeakScratchBytes = st.PeakScratchBytes
-		}
+		choice, _, st := disambig.ResolveScoresOpt(interps, g, disambig.Options{Workers: o.workers})
 		d = time.Since(start)
+		p.Components, p.LargestComponent = st.Components, st.LargestComponent
+		p.PeakScratchBytes = st.PeakScratchBytes
 		if rep == 0 || d < bestResolve {
 			bestResolve = d
 		}

@@ -5,6 +5,12 @@
 // accumulates a before/after history across search-core changes and the
 // speedup of the latest run over the first is computed automatically.
 //
+// The measured index is a one-shard search.ShardedIndex. Runs recorded before
+// the monolithic Index lost its own query surface measured that surface
+// instead (same scoring kernel, a term-id snippet anchor the sharded
+// materializer does not use), so the first run recorded after the switch
+// should say so in its -label rather than re-record the history.
+//
 // Usage:
 //
 //	benchsearch -label "PR2 positional+heap" [-out BENCH_search.json]
@@ -68,7 +74,7 @@ func main() {
 
 	// Indexing throughput: build (and freeze) the index the pipeline queries.
 	start := time.Now()
-	ix := search.NewIndex()
+	ix := search.NewShardedIndex(1)
 	for _, d := range docs {
 		ix.Add(d)
 	}

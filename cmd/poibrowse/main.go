@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -51,13 +52,20 @@ func main() {
 		fmt.Printf("repository loaded: %d triples\n", store.Len())
 	} else {
 		fmt.Fprintln(os.Stderr, "building system and extracting POIs...")
-		sys := repro.NewSystem(repro.Options{Seed: *seed})
-		a := sys.Annotator()
+		ctx := context.Background()
+		svc, err := repro.New(ctx, repro.WithSeed(*seed))
+		if err != nil {
+			fatal(err)
+		}
 		store = rdf.NewStore()
-		x := &rdf.Extractor{Gazetteer: sys.Gazetteer(), MinScore: 0.5}
+		x := &rdf.Extractor{Gazetteer: svc.Gazetteer(), MinScore: 0.5}
 		pois := 0
-		for _, tbl := range sys.Lab().GFT.Tables {
-			pois += x.Extract(tbl, a.AnnotateTable(tbl), store)
+		for _, tbl := range svc.Lab().GFT.Tables {
+			resp, err := svc.Annotate(ctx, &repro.AnnotateRequest{Table: tbl})
+			if err != nil {
+				fatal(err)
+			}
+			pois += x.Extract(tbl, resp.Annotations, store)
 		}
 		fmt.Printf("repository ready: %d POIs, %d triples\n", pois, store.Len())
 	}

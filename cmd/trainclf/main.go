@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,9 +43,13 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "building system...")
-	sys := repro.NewSystem(repro.Options{Seed: *seed})
+	svc, err := repro.New(context.Background(), repro.WithSeed(*seed))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trainclf:", err)
+		os.Exit(1)
+	}
 	builder := &kb.TrainingBuilder{
-		KB: sys.KB(), Engine: sys.Engine(),
+		KB: svc.KB(), Engine: svc.Engine(),
 		SnippetsPerEntity: *perEntity, MaxEntities: *maxEnt, Seed: *seed,
 	}
 	train, test, stats := builder.Collect(types)

@@ -7,7 +7,7 @@ import (
 
 // OptionError reports an invalid value passed to one of the functional
 // options of New. It is returned (wrapped-compatible via errors.As) instead
-// of the silent fall-through the legacy NewSystem applies.
+// of a silent fall-through to a default.
 type OptionError struct {
 	// Option is the option name, e.g. "WithScale".
 	Option string

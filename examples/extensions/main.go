@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,8 +19,12 @@ import (
 )
 
 func main() {
-	sys := repro.NewSystem(repro.Options{Seed: 17})
-	w := sys.World()
+	ctx := context.Background()
+	svc, err := repro.New(ctx, repro.WithSeed(17))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := svc.World()
 
 	// A table mixing catalogue-known and unknown museums: table entities
 	// have ~22% KB coverage, so the catalogue recognises only some.
@@ -44,15 +49,29 @@ func main() {
 	fmt.Printf("table: %d museums (%d in the catalogue, %d unknown)\n\n",
 		tbl.NumRows(), known, unknown)
 
+	// The extensions are pipeline-configuration knobs rather than request
+	// knobs, so they drive annotate.Config over the service's components.
+	discovery := annotate.Config{
+		Searcher:    svc.Engine(),
+		Classifier:  svc.Classifier(svc.ClassifierName()),
+		Types:       repro.Types(),
+		Postprocess: true,
+	}
+	annotateTable := func(cfg annotate.Config, t *repro.Table) *annotate.Result {
+		res, err := cfg.Annotate(ctx, t)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	// Discovery-only vs hybrid: same annotations, fewer queries.
-	discovery := sys.Annotator()
-	discovery.Disambiguate = false
-	res := discovery.AnnotateTable(&tbl)
+	res := annotateTable(discovery, &tbl)
 	fmt.Printf("discovery only: %d annotations, %d search queries\n",
 		len(res.Annotations), res.Queries)
 
 	hybrid := &annotate.Hybrid{
-		Catalogue: &annotate.CatalogueAnnotator{Catalogue: sys.KB().Catalogue()},
+		Catalogue: &annotate.CatalogueAnnotator{Catalogue: svc.KB().Catalogue()},
 		Discovery: discovery,
 	}
 	hres := hybrid.AnnotateTable(&tbl)
@@ -79,9 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	flat := sys.Annotator()
-	flat.Disambiguate = false
-	report := func(label string, r *repro.Result) {
+	report := func(label string, r *annotate.Result) {
 		if len(r.Annotations) == 0 {
 			fmt.Printf("  %-14s abstained (no majority)\n", label)
 			return
@@ -89,10 +106,9 @@ func main() {
 		a := r.Annotations[0]
 		fmt.Printf("  %-14s %s (score %.2f)\n", label, a.Type, a.Score)
 	}
-	report("flat rule:", flat.AnnotateTable(&one))
+	report("flat rule:", annotateTable(discovery, &one))
 
-	clustered := sys.Annotator()
-	clustered.Disambiguate = false
+	clustered := discovery
 	clustered.ClusterThreshold = 0.4
-	report("cluster rule:", clustered.AnnotateTable(&one))
+	report("cluster rule:", annotateTable(clustered, &one))
 }

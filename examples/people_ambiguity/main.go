@@ -7,17 +7,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro"
+	"repro/internal/annotate"
 	"repro/internal/world"
 )
 
 func main() {
-	sys := repro.NewSystem(repro.Options{Seed: 3})
-	w := sys.World()
+	ctx := context.Background()
+	svc, err := repro.New(ctx, repro.WithSeed(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := svc.World()
 
 	// Pick singers whose names are shared with other entities or
 	// confuser senses — the genuinely ambiguous rows.
@@ -55,10 +61,17 @@ func main() {
 	}
 
 	for _, clf := range []string{"svm", "bayes"} {
-		a := sys.Annotator()
-		a.Classifier = sys.Classifier(clf)
-		a.Postprocess = false // show the raw majority-rule behaviour
-		res := a.AnnotateTable(&tbl)
+		// One world, two classifiers: drive the pipeline configuration
+		// directly over the service's components, post-processing off to
+		// show the raw majority-rule behaviour.
+		res, err := annotate.Config{
+			Searcher:   svc.Engine(),
+			Classifier: svc.Classifier(clf),
+			Types:      repro.Types(),
+		}.Annotate(ctx, &tbl)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n%s: %d/%d names annotated\n", strings.ToUpper(clf), len(res.Annotations), len(picked))
 		annotated := map[int]repro.Annotation{}
 		for _, ann := range res.Annotations {

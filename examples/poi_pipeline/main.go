@@ -62,9 +62,7 @@ func main() {
 		}
 		done++
 		t := candidates[ev.Index]
-		// The extractor consumes the legacy Result shape; rebuild it
-		// from the response's annotations.
-		extracted += x.Extract(t, &repro.Result{Annotations: ev.Response.Annotations}, repo)
+		extracted += x.Extract(t, ev.Response.Annotations, repo)
 		queries += ev.Response.Stats.Queries
 		hits += ev.Response.CacheStats.Hits
 		fmt.Printf("  [%d/%d] %-24s %d annotations in %v\n",

@@ -16,39 +16,34 @@ import (
 	"repro/internal/textproc"
 )
 
-// Searcher is the query interface the annotator needs from a search backend
-// (steps 1-2 of the §5 algorithm): the top-k results for a query. The
-// built-in *search.Engine implements it; any other backend (a remote API, a
-// mock, a different ranking substrate) plugs in the same way.
-// Implementations must be safe for concurrent use — the execute stage fans
-// queries out over a worker pool when Parallelism > 1.
+// Searcher is the one query interface the annotator needs from a search
+// backend (steps 1-2 of the §5 algorithm): the top-k results for each query
+// of a batch, positionally. The execute stage submits a table's deduped cell
+// queries in chunks, amortizing the backend's per-call setup; the trace and
+// baseline paths submit batches of one. A backend should return ctx.Err()
+// once ctx is done, abandoning in-flight work (a simulated or real network
+// round-trip). The built-in *search.Engine implements it; any other backend
+// (a remote API, a mock, a different ranking substrate) plugs in the same
+// way, and SearchFunc adapts a plain per-query function. Implementations
+// must be safe for concurrent use — chunks fan out over a worker pool when
+// Parallelism > 1.
 type Searcher interface {
-	Search(query string, k int) []search.Result
-}
-
-// BatchSearcher is an optional upgrade of Searcher: a backend that can
-// resolve several queries in one call. The execute stage detects it and
-// submits a table's deduped cell queries in chunks instead of one round-trip
-// per query, amortizing the backend's per-call setup; out[i] must equal
-// Search(queries[i], k). *search.Engine implements it.
-type BatchSearcher interface {
-	Searcher
-	SearchBatch(queries []string, k int) [][]search.Result
-}
-
-// ContextSearcher is an optional upgrade of Searcher: a backend whose
-// queries observe cancellation, so the execute stage can abandon in-flight
-// work (a simulated or real network round-trip) as soon as ctx is done
-// instead of only checking between queries. A legacy Searcher keeps working
-// unchanged — cancellation is then checked between queries only.
-type ContextSearcher interface {
-	SearchContext(ctx context.Context, query string, k int) ([]search.Result, error)
-}
-
-// ContextBatchSearcher combines both upgrades: batched queries that observe
-// cancellation. *search.Engine implements it.
-type ContextBatchSearcher interface {
 	SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error)
+}
+
+// SearchFunc adapts a per-query function to Searcher: a batch is the function
+// applied query by query, with cancellation checked between queries.
+type SearchFunc func(query string, k int) []search.Result
+
+func (f SearchFunc) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
+	out := make([][]search.Result, len(queries))
+	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = f(q, k)
+	}
+	return out, nil
 }
 
 // Annotation marks one cell as naming an entity of a type, with the Eq. 1
@@ -85,9 +80,8 @@ type Result struct {
 	// cache is set.
 	CacheMisses int
 	// Batches is the number of backend batch calls the execute stage
-	// issued for this table; zero when the backend does not implement
-	// BatchSearcher. Without a shared cache the count is fixed by the
-	// workload (query count and parallelism); with one, only chunks
+	// issued for this table. Without a shared cache the count is fixed by
+	// the workload (query count and parallelism); with one, only chunks
 	// containing at least one miss reach the backend, so — like
 	// CacheMisses — the count depends on what earlier tables cached.
 	Batches int
@@ -193,10 +187,10 @@ func (c Config) typeSet() map[string]struct{} {
 
 // Annotate runs pre-processing, annotation and (optionally) post-processing
 // over one table and returns every cell-level annotation. This is the
-// context-first entry point of the pipeline: the execute stage checks ctx
-// between queries (and between worker dispatches) and returns ctx.Err() once
-// the context is done — never a silently-truncated Result. A query already
-// handed to the search backend is not interrupted.
+// context-first entry point of the pipeline: the plan stage checks ctx while
+// geocoding, the execute stage between chunks (and hands it to the backend),
+// and the run returns ctx.Err() once the context is done — never a
+// silently-truncated Result.
 func (c Config) Annotate(ctx context.Context, t *table.Table) (*Result, error) {
 	return c.annotateExcluding(ctx, t, nil)
 }
@@ -276,7 +270,10 @@ func (c Config) annotateExcluding(ctx context.Context, t *table.Table, exclude m
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := c.plan(t, exclude)
+	p, err := c.plan(ctx, t, exclude)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Skipped: p.skipped}
 	verdicts, err := c.execute(ctx, p.unique, res)
 	if err != nil {
@@ -307,14 +304,15 @@ type tablePlan struct {
 // spatial augmentation, and collects the unique queries to execute. Querying
 // the engine is the dominant cost (§6.4), so identical cell contents share
 // one query; the query string includes the spatial augmentation so different
-// rows stay distinguishable.
-func (c Config) plan(t *table.Table, exclude map[CellKey]bool) tablePlan {
+// rows stay distinguishable. The error is ctx.Err() when the context cancels
+// while the Location columns geocode.
+func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bool) (tablePlan, error) {
 	p := tablePlan{skipped: map[SkipReason]int{}}
 
 	// Spatial context per row, resolved once per table (§5.2.2).
-	var cityByRow map[int]string
-	if c.Disambiguate && c.Gazetteer != nil {
-		cityByRow = c.resolveRowCities(t)
+	cityByRow, err := c.resolveRowCities(ctx, t)
+	if err != nil {
+		return p, err
 	}
 
 	seen := map[string]bool{}
@@ -343,7 +341,7 @@ func (c Config) plan(t *table.Table, exclude map[CellKey]bool) tablePlan {
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 // maxSearchBatch caps one backend batch (and one batched cache lookup): big
@@ -368,51 +366,19 @@ func chunkSize(n, workers int) int {
 	return size
 }
 
-// batchCapable reports whether the backend accepts batched queries.
-func (c Config) batchCapable() bool {
-	switch c.Searcher.(type) {
-	case BatchSearcher, ContextBatchSearcher:
-		return true
-	}
-	return false
-}
-
-// searchBatch issues one backend batch, through the context-aware interface
-// when the backend has one (so in-flight round-trips abort on cancel), and
-// behind an up-front ctx check otherwise.
-func (c Config) searchBatch(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
-	switch b := c.Searcher.(type) {
-	case ContextBatchSearcher:
-		return b.SearchBatchContext(ctx, queries, k)
-	case BatchSearcher:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return b.SearchBatch(queries, k), nil
-	}
-	panic("annotate: searchBatch on a non-batch Searcher")
-}
-
-// execute resolves every unique query to a verdict — sequentially, or over a
-// bounded worker pool when Parallelism > 1 — and updates the Queries, batch
-// and cache counters on res. Batch-capable backends receive the queries in
-// chunks (one backend call per chunk) instead of one call per query. With a
-// shared cache configured, each lookup goes through the cache's
-// singleflight, so one backend query is issued per unique key across all
-// concurrent tables; which table's Result records the miss can vary under
-// concurrency, but totals are fixed by the workload.
+// execute resolves every unique query to a verdict and updates the Queries,
+// batch and cache counters on res. The backend receives the queries in chunks
+// (one batch call per chunk), sequentially or over a bounded worker pool when
+// Parallelism > 1. With a shared cache configured, each chunk goes through
+// the cache's batched singleflight, so one backend query is issued per unique
+// key across all concurrent tables; which table's Result records the miss can
+// vary under concurrency, but totals are fixed by the workload.
 func (c Config) execute(ctx context.Context, queries []string, res *Result) (map[string]qcache.Verdict, error) {
 	verdicts := make(map[string]qcache.Verdict, len(queries))
 	gamma := c.typeSet()
 
 	if c.Cache == nil {
-		var resolved []qcache.Verdict
-		var err error
-		if c.batchCapable() && len(queries) > 0 {
-			resolved, err = c.executeBatched(ctx, queries, gamma, res)
-		} else {
-			resolved, err = c.searchAll(ctx, queries, gamma)
-		}
+		resolved, err := c.executeBatched(ctx, queries, gamma, res)
 		if err != nil {
 			return nil, err
 		}
@@ -423,30 +389,10 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) (map
 		return verdicts, nil
 	}
 
-	prefix := c.cacheKeyPrefix()
 	out := make([]qcache.Verdict, len(queries))
 	hit := make([]bool, len(queries))
-	if c.batchCapable() && len(queries) > 0 {
-		if err := c.executeCachedBatched(ctx, queries, gamma, prefix, out, hit, res); err != nil {
-			return nil, err
-		}
-	} else {
-		do := func(i int) {
-			q := queries[i]
-			out[i], hit[i] = c.Cache.GetOrCompute(prefix+q, func() qcache.Verdict {
-				return c.searchDecide(q, gamma)
-			})
-		}
-		if c.Parallelism <= 1 || len(queries) < 2 {
-			for i := range queries {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				do(i)
-			}
-		} else if err := runPool(ctx, c.Parallelism, len(queries), do); err != nil {
-			return nil, err
-		}
+	if err := c.executeCachedBatched(ctx, queries, gamma, c.cacheKeyPrefix(), out, hit, res); err != nil {
+		return nil, err
 	}
 	for i, q := range queries {
 		verdicts[q] = out[i]
@@ -494,7 +440,7 @@ func (c Config) forEachChunk(ctx context.Context, n int, work func(lo, hi int) e
 // executeBatched is the cacheless batch path: the queries are cut into
 // chunks, each chunk costs one backend batch call, and chunks fan out over
 // the worker pool when Parallelism > 1. Verdicts are positional and
-// identical to the per-query path at any chunking.
+// identical at any chunking.
 func (c Config) executeBatched(ctx context.Context, queries []string, gamma map[string]struct{}, res *Result) ([]qcache.Verdict, error) {
 	out := make([]qcache.Verdict, len(queries))
 	var batches atomic.Int64
@@ -550,7 +496,7 @@ func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamm
 // per-decision scratch state (vote counts, snippet feature extraction
 // buffers) is checked out of a pool once for the whole chunk.
 func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, out []qcache.Verdict) error {
-	lists, err := c.searchBatch(ctx, queries, c.k())
+	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
 		return err
 	}
@@ -563,58 +509,14 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 	return nil
 }
 
-// searchAll decides every query, fanning out over Parallelism workers when
-// configured. Verdicts are returned positionally. Cancellation is checked
-// between queries, and — when the backend implements ContextSearcher —
-// inside each round-trip too, so a cancelled context abandons in-flight
-// work instead of letting it complete.
-func (c Config) searchAll(ctx context.Context, queries []string, gamma map[string]struct{}) ([]qcache.Verdict, error) {
-	out := make([]qcache.Verdict, len(queries))
-	cs, hasCtx := c.Searcher.(ContextSearcher)
-	decideOne := func(i int) error {
-		if hasCtx {
-			results, err := cs.SearchContext(ctx, queries[i], c.k())
-			if err != nil {
-				return err
-			}
-			typ, score, ok := c.decide(results, gamma)
-			out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
-			return nil
-		}
-		out[i] = c.searchDecide(queries[i], gamma)
-		return nil
-	}
-	workers := c.Parallelism
-	if workers <= 1 || len(queries) < 2 {
-		for i := range queries {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := decideOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	errs := make([]error, len(queries))
-	if err := runPool(ctx, workers, len(queries), func(i int) {
-		errs[i] = decideOne(i)
-	}); err != nil {
+// searchOne is a batch of one, for the trace and baseline paths that decide
+// cell by cell.
+func (c Config) searchOne(ctx context.Context, query string) ([]search.Result, error) {
+	lists, err := c.Searcher.SearchBatchContext(ctx, []string{query}, c.k())
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// searchDecide performs one search-backend round-trip and the Eq. 1 decision.
-func (c Config) searchDecide(query string, gamma map[string]struct{}) qcache.Verdict {
-	results := c.Searcher.Search(query, c.k())
-	typ, score, ok := c.decide(results, gamma)
-	return qcache.Verdict{Type: typ, Score: score, OK: ok}
+	return lists[0], nil
 }
 
 // cacheKeyPrefix fingerprints every configuration setting a verdict depends
@@ -655,19 +557,13 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
-// decide turns a result list into an annotation verdict: Eq. 1's majority
-// rule by default, or the cluster-separated variant when ClusterThreshold is
-// set (§5.2's future-work extension, implemented in cluster.go).
-func (c Config) decide(results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return c.decideWith(sc, results, gamma)
-}
-
-// decideWith is decide against caller-owned scratch state. The cluster
-// variant needs every snippet's features alive at once, so it keeps the
-// allocating path; the flat majority rule predicts snippet by snippet
-// through the scratch extractor's reused buffers.
+// decideWith turns a result list into an annotation verdict against
+// caller-owned scratch state: Eq. 1's majority rule by default, or the
+// cluster-separated variant when ClusterThreshold is set (§5.2's future-work
+// extension, implemented in cluster.go). The cluster variant needs every
+// snippet's features alive at once, so it keeps the allocating path; the flat
+// majority rule predicts snippet by snippet through the scratch extractor's
+// reused buffers.
 func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
 	if c.ClusterThreshold > 0 {
 		return c.clusterDecide(results, gamma)
@@ -706,20 +602,28 @@ func majorityType(counts map[string]int, k int) (string, float64, bool) {
 
 // resolveRowCities geocodes every Location-column cell, resolves ambiguous
 // interpretations with the §5.2.2 voting graph across the whole table, and
-// returns the chosen city name per row. Rows without resolvable spatial data
-// are absent from the map. The resolution is reused when PrepareGeo ran for
-// this table; the stage runs to completion (plan() carries no context),
-// matching the pre-geo pipeline's semantics.
-func (c Config) resolveRowCities(t *table.Table) map[int]string {
-	res, _ := c.geoFor(nil, t) // nil ctx: resolveGeo only errors on cancellation
+// returns the chosen city name per row; nil when spatial augmentation is off
+// or nothing geocodes. Rows without resolvable spatial data are absent from
+// the map. When a row's Location columns resolve to different cities, the
+// lowest column index that resolves to a city wins (the resolution is read
+// in column-major order). The resolution is reused when PrepareGeo ran for
+// this table; the error is ctx.Err() when the context cancels mid-geocode.
+func (c Config) resolveRowCities(ctx context.Context, t *table.Table) (map[int]string, error) {
+	if !c.Disambiguate {
+		return nil, nil
+	}
+	res, err := c.geoFor(ctx, t)
 	if res == nil {
-		return nil
+		return nil, err
 	}
 	out := make(map[int]string)
-	for cell, loc := range res.choice {
-		if city := c.Gazetteer.CityOf(loc); city != gazetteer.NoLocation {
-			out[cell.Row] = c.Gazetteer.Name(city)
+	for i, it := range res.interps {
+		if _, done := out[it.Cell.Row]; done {
+			continue
+		}
+		if city := c.Gazetteer.CityOf(res.slots[i].loc); city != gazetteer.NoLocation {
+			out[it.Cell.Row] = c.Gazetteer.Name(city)
 		}
 	}
-	return out
+	return out, nil
 }

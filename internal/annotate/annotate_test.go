@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -41,7 +42,7 @@ func themed(rng *rand.Rand, name string, vocab []string, extra ...string) string
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	ix := search.NewIndex()
+	ix := search.NewShardedIndex(1)
 	add := func(title, body string) {
 		ix.Add(search.Document{URL: fmt.Sprintf("u%d", ix.Len()), Title: title, Body: body})
 	}
@@ -75,20 +76,34 @@ func newFixture(t *testing.T) *fixture {
 	clf := classify.LinearSVMTrainer{Seed: 2}.Train(train)
 
 	return &fixture{
-		engine:     search.NewEngine(ix),
+		engine:     search.NewShardedEngine(ix),
 		classifier: clf,
 		gaz:        gazetteer.Synthetic(3),
 		types:      []string{"museum", "restaurant"},
 	}
 }
 
-func (f *fixture) annotator() *Annotator {
-	return &Annotator{
-		Engine:     f.engine,
+func (f *fixture) config() Config {
+	return Config{
+		Searcher:   f.engine,
 		Classifier: f.classifier,
 		Types:      f.types,
 		K:          10,
 	}
+}
+
+// annotateTable and explainTable run the pipeline under a background context,
+// which never cancels, so the run cannot fail.
+func annotateTable(c Config, t *table.Table) *Result {
+	return mustResult(c.Annotate(context.Background(), t))
+}
+
+func explainTable(c Config, t *table.Table) []CellExplanation {
+	out, err := c.Explain(context.Background(), t)
+	if err != nil {
+		panic("annotate: background-context explain failed: " + err.Error())
+	}
+	return out
 }
 
 func poiTable(t *testing.T) *table.Table {
@@ -163,7 +178,7 @@ func TestPreprocessorColumnFilter(t *testing.T) {
 
 func TestAnnotateTableFindsEntities(t *testing.T) {
 	f := newFixture(t)
-	res := f.annotator().AnnotateTable(poiTable(t))
+	res := annotateTable(f.config(), poiTable(t))
 
 	wantTypes := map[int]string{1: "museum", 2: "museum", 3: "restaurant", 4: "restaurant"}
 	for row, wantType := range wantTypes {
@@ -225,7 +240,7 @@ func TestQueryCacheDeduplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := f.annotator().AnnotateTable(tbl)
+	res := annotateTable(f.config(), tbl)
 	if res.Queries != 1 {
 		t.Errorf("queries = %d, want 1 (cache)", res.Queries)
 	}
@@ -255,8 +270,8 @@ func TestPostprocessingKillsRepeatedTypeWords(t *testing.T) {
 		}
 	}
 
-	plain := f.annotator()
-	res := plain.AnnotateTable(tbl)
+	plain := f.config()
+	res := annotateTable(plain, tbl)
 	col2Before := 0
 	for _, a := range res.Annotations {
 		if a.Col == 2 {
@@ -264,9 +279,9 @@ func TestPostprocessingKillsRepeatedTypeWords(t *testing.T) {
 		}
 	}
 
-	post := f.annotator()
+	post := f.config()
 	post.Postprocess = true
-	resPost := post.AnnotateTable(tbl)
+	resPost := annotateTable(post, tbl)
 	for _, a := range resPost.Annotations {
 		if a.Col == 2 {
 			t.Errorf("post-processing kept spurious annotation in column 2: %+v", a)
@@ -302,14 +317,14 @@ func TestDisambiguationResolvesAmbiguousName(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := f.annotator()
-	resPlain := plain.AnnotateTable(tbl)
+	plain := f.config()
+	resPlain := annotateTable(plain, tbl)
 	plainAnn, plainOK := find(resPlain, 1, 1)
 
-	dis := f.annotator()
+	dis := f.config()
 	dis.Disambiguate = true
 	dis.Gazetteer = f.gaz
-	resDis := dis.AnnotateTable(tbl)
+	resDis := annotateTable(dis, tbl)
 	ann, ok := find(resDis, 1, 1)
 	if !ok {
 		t.Fatal("disambiguated run did not annotate Melisse")
@@ -357,7 +372,10 @@ func TestTISBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := f.annotator().TIS(tbl)
+	res, err := f.config().TIS(context.Background(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Museum pages use the word "museum" densely, so TIS should catch
 	// the museum; either way scores obey Eq. 1 bounds.
 	for _, a := range res.Annotations {
@@ -425,7 +443,7 @@ func TestCataloguePropagationFailsOnMixedTables(t *testing.T) {
 }
 
 func TestAnnotatorDefaultK(t *testing.T) {
-	a := &Annotator{}
+	a := Config{}
 	if a.k() != 10 {
 		t.Errorf("default k = %d, want 10", a.k())
 	}

@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/table"
@@ -44,8 +45,9 @@ func TIN(t *table.Table, types []string, pre Preprocessor) *Result {
 
 // TIS is the TypeInSnippet baseline of §6.2: query the engine with the cell
 // content and annotate with type t iff the majority of the retrieved
-// snippets contain the name of t; the score follows Eq. 1.
-func (c Config) TIS(t *table.Table) *Result {
+// snippets contain the name of t; the score follows Eq. 1. The error is
+// non-nil only when ctx is cancelled.
+func (c Config) TIS(ctx context.Context, t *table.Table) (*Result, error) {
 	res := &Result{Skipped: map[SkipReason]int{}}
 	stemmed := make(map[string][]string, len(c.Types))
 	for _, typ := range c.Types {
@@ -69,7 +71,10 @@ func (c Config) TIS(t *table.Table) *Result {
 			}
 			v, ok := cache[content]
 			if !ok {
-				results := c.Searcher.Search(content, c.k())
+				results, err := c.searchOne(ctx, content)
+				if err != nil {
+					return nil, err
+				}
 				res.Queries++
 				counts := map[string]int{}
 				for _, r := range results {
@@ -88,7 +93,7 @@ func (c Config) TIS(t *table.Table) *Result {
 			}
 		}
 	}
-	return res
+	return res, nil
 }
 
 // containsAll reports whether every needle token occurs in haystack.

@@ -12,16 +12,19 @@ import (
 	"repro/internal/table"
 )
 
-// scriptedBatchSearcher upgrades scriptedSearcher with SearchBatch, counting
-// batch calls and batched queries so tests can assert the execute stage
-// actually used the batch path.
-type scriptedBatchSearcher struct {
+// scriptedBatchBackend is scriptedSearcher as a native batch backend,
+// counting batch calls and batched queries so tests can assert how the
+// execute stage chunked its queries.
+type scriptedBatchBackend struct {
 	scriptedSearcher
 	batchCalls   atomic.Int64
 	batchQueries atomic.Int64
 }
 
-func (s *scriptedBatchSearcher) SearchBatch(queries []string, k int) [][]search.Result {
+func (s *scriptedBatchBackend) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.batchCalls.Add(1)
 	s.batchQueries.Add(int64(len(queries)))
 	out := make([][]search.Result, len(queries))
@@ -32,16 +35,14 @@ func (s *scriptedBatchSearcher) SearchBatch(queries []string, k int) [][]search.
 		}
 		out[i] = r
 	}
-	return out
+	return out, nil
 }
 
-// blockingCtxSearcher implements ContextSearcher with round-trips that only
-// finish when the context does — the shape of an in-flight remote call a
-// cancellation must be able to abandon.
-type blockingCtxSearcher struct{}
+// blockingBackend's round-trips only finish when the context does — the
+// shape of an in-flight remote call a cancellation must be able to abandon.
+type blockingBackend struct{}
 
-func (blockingCtxSearcher) Search(query string, k int) []search.Result { return nil }
-func (blockingCtxSearcher) SearchContext(ctx context.Context, query string, k int) ([]search.Result, error) {
+func (blockingBackend) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -58,10 +59,10 @@ func wideTable(t *testing.T, n int) *table.Table {
 	return tbl
 }
 
-// batchScript returns a batch-capable searcher answering every query of an
-// n-row wideTable with museum snippets.
-func batchScript(n int) *scriptedBatchSearcher {
-	s := &scriptedBatchSearcher{}
+// batchScript returns a batch backend answering every query of an n-row
+// wideTable with museum snippets.
+func batchScript(n int) *scriptedBatchBackend {
+	s := &scriptedBatchBackend{}
 	s.results = map[string][]search.Result{}
 	for i := 0; i < n; i++ {
 		s.results[fmt.Sprintf("Louvre Annex %d", i)] = snippets(10)
@@ -69,11 +70,10 @@ func batchScript(n int) *scriptedBatchSearcher {
 	return s
 }
 
-// TestExecuteUsesBatchSearcher: with a BatchSearcher backend the execute
-// stage submits chunks — zero single Search calls, every query carried by a
-// batch, verdicts identical to the single-query backend, and the chunk
-// count lands in Result.Batches.
-func TestExecuteUsesBatchSearcher(t *testing.T) {
+// TestExecuteBatches: the execute stage submits chunks — every query carried
+// by a batch, the chunk count in Result.Batches — and a per-query function
+// behind the SearchFunc adapter yields the identical annotation set.
+func TestExecuteBatches(t *testing.T) {
 	const rows = 70
 	s := batchScript(rows)
 	cfg := Config{
@@ -85,9 +85,6 @@ func TestExecuteUsesBatchSearcher(t *testing.T) {
 	res, err := cfg.Annotate(context.Background(), wideTable(t, rows))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := s.calls.Load(); got != 0 {
-		t.Errorf("single Search calls = %d, want 0 (batch path)", got)
 	}
 	if got := s.batchQueries.Load(); got != rows {
 		t.Errorf("batched queries = %d, want %d", got, rows)
@@ -103,7 +100,7 @@ func TestExecuteUsesBatchSearcher(t *testing.T) {
 		t.Errorf("annotations=%d queries=%d, want %d each", len(res.Annotations), res.Queries, rows)
 	}
 
-	// The single-query backend must produce the identical annotation set.
+	// The per-query backend must produce the identical annotation set.
 	plain := cfg
 	plain.Searcher = &s.scriptedSearcher
 	res2, err := plain.Annotate(context.Background(), wideTable(t, rows))
@@ -111,7 +108,7 @@ func TestExecuteUsesBatchSearcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprintf("%+v", res.Annotations) != fmt.Sprintf("%+v", res2.Annotations) {
-		t.Error("batched and single-query backends produced different annotations")
+		t.Error("batch and per-query backends produced different annotations")
 	}
 }
 
@@ -178,13 +175,12 @@ func TestBatchedExecuteParallelRace(t *testing.T) {
 	}
 }
 
-// TestSearchAllAbandonsInFlight: with a ContextSearcher backend and no
-// cache, a cancellation aborts a round-trip that is already in flight —
-// the call returns promptly with ctx.Err() instead of waiting the backend
-// out.
+// TestSearchAllAbandonsInFlight: a cancellation aborts a round-trip that is
+// already in flight — the run returns promptly with ctx.Err() instead of
+// waiting the backend out.
 func TestSearchAllAbandonsInFlight(t *testing.T) {
 	cfg := Config{
-		Searcher:   blockingCtxSearcher{},
+		Searcher:   blockingBackend{},
 		Classifier: constClassifier("museum"),
 		Types:      []string{"museum"},
 		K:          10,

@@ -1,12 +1,11 @@
 package annotate
 
 // Tests of the immutable-Config pipeline entry points: deriving per-request
-// variants from a base config without rebuilding components, equivalence
-// with the legacy Annotator facade, and cancellation on the config path.
+// variants from a base config without rebuilding components, and
+// cancellation on the config path.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/search"
@@ -22,8 +21,7 @@ func scriptedConfig(s *scriptedSearcher) Config {
 	}
 }
 
-// TestConfigAnnotate drives the pipeline through Config directly, without an
-// Annotator in sight.
+// TestConfigAnnotate drives the pipeline through Config directly.
 func TestConfigAnnotate(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{"Louvre": snippets(10)}}
 	res, err := scriptedConfig(s).Annotate(context.Background(), scriptedTable(t, "Louvre", "Unknown"))
@@ -68,36 +66,17 @@ func TestConfigDerivedVariant(t *testing.T) {
 	}
 }
 
-// TestAnnotatorDelegatesToConfig: the legacy facade must be a pure snapshot
-// — same annotations, queries and explanations as the Config it snapshots.
-func TestAnnotatorDelegatesToConfig(t *testing.T) {
+// TestConfigExplainCancelled: a cancelled context aborts the trace before it
+// reaches the backend.
+func TestConfigExplainCancelled(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{"Louvre": snippets(10)}}
-	a := scriptedAnnotator(s)
-	tbl := scriptedTable(t, "Louvre", "Unknown")
-
-	viaFacade := fmt.Sprintf("%+v", a.AnnotateTable(tbl))
-	viaConfig, err := a.Config().Annotate(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%+v", viaConfig); got != viaFacade {
-		t.Errorf("facade and config runs diverge:\nfacade: %s\nconfig: %s", viaFacade, got)
-	}
-
-	fe := fmt.Sprintf("%+v", a.ExplainTable(tbl))
-	cfgExpl, err := a.Config().Explain(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce := fmt.Sprintf("%+v", cfgExpl); fe != ce {
-		t.Errorf("facade and config explanations diverge:\nfacade: %s\nconfig: %s", fe, ce)
-	}
-
-	// A cancelled context aborts the trace before it reaches the backend.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.Config().Explain(cancelled, tbl); err == nil {
+	if _, err := scriptedConfig(s).Explain(cancelled, scriptedTable(t, "Louvre", "Unknown")); err == nil {
 		t.Error("cancelled context did not abort Explain")
+	}
+	if s.calls.Load() != 0 {
+		t.Errorf("backend saw %d queries after cancellation, want 0", s.calls.Load())
 	}
 }
 
@@ -117,8 +96,8 @@ func TestConfigBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestMustResultPanics documents the legacy facade's error routing: a failed
-// run can never be silently truncated — the impossible case panics.
+// TestMustResultPanics documents the context-free comparators' error routing:
+// a failed run can never be silently truncated — the impossible case panics.
 func TestMustResultPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

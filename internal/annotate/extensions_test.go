@@ -105,9 +105,9 @@ func TestClusterDecideRecoversAmbiguousName(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clustered := f.annotator()
+	clustered := f.config()
 	clustered.ClusterThreshold = 0.2
-	clusRes := clustered.AnnotateTable(tbl)
+	clusRes := annotateTable(clustered, tbl)
 
 	clusAnn, clusOK := find(clusRes, 1, 1)
 	if !clusOK {
@@ -128,7 +128,7 @@ func TestHybridUsesCatalogueFirst(t *testing.T) {
 			"musée lavande": "museum",
 			"chez martin":   "restaurant",
 		}},
-		Discovery: f.annotator(),
+		Discovery: f.config(),
 	}
 	tbl := table.New("names", table.Column{Header: "Name", Type: table.Text})
 	for _, name := range []string{"Musée Lavande", "National Museum of Glass", "Chez Martin", "The Golden Fig"} {
@@ -158,14 +158,14 @@ func TestHybridUsesCatalogueFirst(t *testing.T) {
 func TestHybridFewerQueriesThanDiscovery(t *testing.T) {
 	f := newFixture(t)
 	tbl := poiTable(t)
-	full := f.annotator().AnnotateTable(tbl)
+	full := annotateTable(f.config(), tbl)
 	h := &Hybrid{
 		Catalogue: &CatalogueAnnotator{Catalogue: map[string]string{
 			"musée lavande":            "museum",
 			"national museum of glass": "museum",
 			"chez martin":              "restaurant",
 		}},
-		Discovery: f.annotator(),
+		Discovery: f.config(),
 	}
 	hres := h.AnnotateTable(tbl)
 	if hres.Queries >= full.Queries {
@@ -187,7 +187,7 @@ func TestHybridPostprocessesMergedSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	disc := f.annotator()
+	disc := f.config()
 	disc.Postprocess = true
 	h := &Hybrid{
 		Catalogue: &CatalogueAnnotator{Catalogue: map[string]string{"musée lavande": "museum"}},

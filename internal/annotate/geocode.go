@@ -52,47 +52,56 @@ type GeoStageStats struct {
 	PeakScratchBytes int64
 }
 
-func stageStats(cells int, st disambig.Stats) GeoStageStats {
-	return GeoStageStats{
-		Cells:            cells,
-		Components:       st.Components,
-		LargestComponent: st.LargestComponent,
-		PeakScratchBytes: st.PeakScratchBytes,
-	}
-}
-
 // geoResolution is one table's geocode+disambiguate result — the geocoded
-// interpretations and the voting outcome — computed once and shared between
-// the §5.2.2 spatial query augmentation and the GeoAnnotate output so a
-// request wanting both never resolves the same table twice.
+// interpretations in column-major cell order and, per interpretation, the
+// voting outcome — computed once and shared between the §5.2.2 spatial query
+// augmentation and the GeoAnnotate output so a request wanting both never
+// resolves the same table twice.
 type geoResolution struct {
 	table   *table.Table
 	interps []disambig.Interpretation
-	choice  map[disambig.CellRef]gazetteer.LocID
-	detail  map[disambig.CellRef]map[gazetteer.LocID]float64
+	slots   []geoSlot // slots[i] resolves interps[i]
 	stats   GeoStageStats
 }
 
-// resolveGeo geocodes the table's Location columns and runs the voting
-// graph; nil when the config has no gazetteer or nothing geocodes. With a
-// non-nil ctx it checks cancellation every geoCancelStride geocoded cells
-// and once more before graph propagation — geocoding against a large
-// gazetteer is the stage's dominant cost, and an abandoned request should
-// release its admission slot instead of finishing work nobody reads. (The
-// Disambiguate stage inside plan() passes no ctx, preserving its historical
-// run-to-completion semantics.)
+// geoSlot is one interpretation's outcome: the chosen location and its share
+// of the cell's final score distribution.
+type geoSlot struct {
+	loc   gazetteer.LocID
+	score float64
+}
+
+// resolveGeo geocodes the table's Location columns and resolves them through
+// the voting graph; nil when the config has no gazetteer or nothing geocodes.
+// Component results stream from whichever disambiguation worker finished them
+// into one slot per interpretation — the geocode pass emits one
+// interpretation per cell, so every slot is written exactly once — and tables
+// of every size take the same path, holding only the slots plus pooled
+// per-component scratch.
+// Cancellation is checked every geoCancelStride geocoded cells and once more
+// before resolution — geocoding against a large gazetteer is the stage's
+// dominant cost, and an abandoned request should release its admission slot
+// instead of finishing work nobody reads.
 func (c Config) resolveGeo(ctx context.Context, t *table.Table) (*geoResolution, error) {
 	interps, err := c.geocodeCells(ctx, t)
 	if err != nil || len(interps) == 0 {
 		return nil, err
 	}
-	choice, detail, st := disambig.ResolveScoresOpt(interps, c.Gazetteer, c.geoOptions())
+	slots := make([]geoSlot, len(interps))
+	st := disambig.ResolveStream(interps, c.Gazetteer, disambig.Options{Workers: c.GeoWorkers},
+		func(i int, loc gazetteer.LocID, score float64) {
+			slots[i] = geoSlot{loc: loc, score: score}
+		})
 	return &geoResolution{
 		table:   t,
 		interps: interps,
-		choice:  choice,
-		detail:  detail,
-		stats:   stageStats(len(interps), st),
+		slots:   slots,
+		stats: GeoStageStats{
+			Cells:            len(interps),
+			Components:       st.Components,
+			LargestComponent: st.LargestComponent,
+			PeakScratchBytes: st.PeakScratchBytes,
+		},
 	}, nil
 }
 
@@ -108,7 +117,7 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table) ([]disambig.In
 	cells := 0
 	for _, j := range t.ColumnIndexesOfType(table.Location) {
 		for i := 1; i <= t.NumRows(); i++ {
-			if ctx != nil && cells%geoCancelStride == 0 {
+			if cells%geoCancelStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
@@ -124,16 +133,7 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table) ([]disambig.In
 			})
 		}
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return interps, nil
-}
-
-func (c Config) geoOptions() disambig.Options {
-	return disambig.Options{Workers: c.GeoWorkers}
+	return interps, ctx.Err()
 }
 
 // geoFor returns the precomputed resolution when one was prepared for THIS
@@ -179,85 +179,26 @@ func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotatio
 	return gas, err
 }
 
-// geoStreamThreshold is the interpretation count above which
-// GeoAnnotateStats switches from the shared batch resolution to the
-// streaming per-component pipeline. Variable so tests can force the
-// streaming path on small tables.
-var geoStreamThreshold = 4096
-
 // GeoAnnotateStats is GeoAnnotate plus the stage's decomposition
 // statistics (component counts and the peak pooled-scratch high-water
 // mark), for serving layers that surface them.
-//
-// Huge tables — above geoStreamThreshold geocoded cells, with no
-// resolution prepared by PrepareGeo — take a streaming path: components
-// flow straight from the disambiguation worker pool into GeoAnnotations,
-// so the full per-cell score maps are never materialized; only the
-// annotations themselves (and per-component scratch, pooled and bounded)
-// are held. The output is byte-identical to the batch path: annotations
-// are merged back into deterministic column-major (col, row) cell order,
-// and scores are bit-identical by the disambig component contract.
 func (c Config) GeoAnnotateStats(ctx context.Context, t *table.Table) ([]GeoAnnotation, GeoStageStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, GeoStageStats{}, err
 	}
-	res := c.geo
-	if res == nil || res.table != t {
-		interps, err := c.geocodeCells(ctx, t)
-		if err != nil || len(interps) == 0 {
-			return nil, GeoStageStats{}, err
-		}
-		if len(interps) >= geoStreamThreshold {
-			return c.geoAnnotateStream(interps)
-		}
-		choice, detail, st := disambig.ResolveScoresOpt(interps, c.Gazetteer, c.geoOptions())
-		res = &geoResolution{
-			table:   t,
-			interps: interps,
-			choice:  choice,
-			detail:  detail,
-			stats:   stageStats(len(interps), st),
-		}
+	res, err := c.geoFor(ctx, t)
+	if res == nil {
+		return nil, GeoStageStats{}, err
 	}
 	out := make([]GeoAnnotation, 0, len(res.interps))
-	for _, it := range res.interps {
-		loc := res.choice[it.Cell]
-		if loc == gazetteer.NoLocation {
+	for i, it := range res.interps {
+		s := res.slots[i]
+		if s.loc == gazetteer.NoLocation {
 			continue // unreachable: every interpretation has candidates
 		}
-		ga := c.geoAnnotation(it, loc, res.detail[it.Cell][loc])
-		out = append(out, ga)
+		out = append(out, c.geoAnnotation(it, s.loc, s.score))
 	}
 	return out, res.stats, nil
-}
-
-// geoAnnotateStream resolves huge tables component by component: each
-// component's cells are annotated the moment its scores converge, from
-// whichever worker finished it, into a slot per interpretation — writes
-// are disjoint because the geocode pass emits one interpretation per cell
-// — then compacted back into the deterministic column-major order the
-// batch path produces.
-func (c Config) geoAnnotateStream(interps []disambig.Interpretation) ([]GeoAnnotation, GeoStageStats, error) {
-	slot := make(map[disambig.CellRef]int, len(interps))
-	for i, it := range interps {
-		slot[it.Cell] = i
-	}
-	out := make([]GeoAnnotation, len(interps))
-	st := disambig.ResolveStream(interps, c.Gazetteer, c.geoOptions(),
-		func(cell disambig.CellRef, loc gazetteer.LocID, scores map[gazetteer.LocID]float64) {
-			if loc == gazetteer.NoLocation {
-				return // unreachable: every interpretation has candidates
-			}
-			i := slot[cell]
-			out[i] = c.geoAnnotation(interps[i], loc, scores[loc])
-		})
-	compact := out[:0]
-	for _, ga := range out {
-		if ga.Loc != gazetteer.NoLocation {
-			compact = append(compact, ga)
-		}
-	}
-	return compact, stageStats(len(interps), st), nil
 }
 
 // geoAnnotation renders one resolved cell.

@@ -186,8 +186,38 @@ func TestPrepareGeo(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("prepared GeoAnnotate diverges:\n got %+v\nwant %+v", got, want)
 	}
-	if !reflect.DeepEqual(prepared.resolveRowCities(tbl), cfg.resolveRowCities(tbl)) {
-		t.Error("prepared resolveRowCities diverges from the fresh pass")
+
+	// Row cities read the resolution in column-major order, so when a row's
+	// Location columns resolve to different cities the lowest column wins —
+	// on every run, fresh or prepared.
+	conflict := table.New("conflict",
+		table.Column{Header: "Branch", Type: table.Location},
+		table.Column{Header: "HQ", Type: table.Location},
+	)
+	if err := conflict.AppendRow("College Park", "Washington, D.C."); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Disambiguate = true
+	for _, tc := range []struct {
+		name string
+		tbl  *table.Table
+		want map[int]string
+	}{
+		{"coherent columns", tbl, map[int]string{1: "Washington", 2: "College Park", 3: "Paris"}},
+		{"conflicting columns", conflict, map[int]string{1: "College Park"}},
+	} {
+		prepared := mustPrepare(t, cfg, tc.tbl)
+		for run := 0; run < 50; run++ {
+			for _, c := range []Config{cfg, prepared} {
+				got, err := c.resolveRowCities(ctx, tc.tbl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s, run %d: row cities %v, want %v", tc.name, run, got, tc.want)
+				}
+			}
+		}
 	}
 
 	// A different table must resolve freshly, not reuse the binding.
@@ -205,24 +235,6 @@ func TestPrepareGeo(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fromPrepared, fresh) {
 		t.Errorf("prepared config leaked its binding into another table:\n got %+v\nwant %+v", fromPrepared, fresh)
-	}
-}
-
-// TestAnnotatorTypedNilGazetteer: the legacy facade's interface-typed
-// Gazetteer field must treat a typed-nil pointer — the pattern pre-split
-// callers used against the concrete field — exactly like nil.
-func TestAnnotatorTypedNilGazetteer(t *testing.T) {
-	var b *gazetteer.Builder
-	var f *gazetteer.Frozen
-	for name, g := range map[string]gazetteer.Geo{"untyped nil": nil, "nil builder": b, "nil frozen": f} {
-		a := &Annotator{Disambiguate: true, Gazetteer: g}
-		if cfg := a.Config(); cfg.Gazetteer != nil {
-			t.Errorf("%s: Config.Gazetteer = %#v, want nil interface", name, cfg.Gazetteer)
-		}
-	}
-	real := gazetteer.Synthetic(1)
-	if cfg := (&Annotator{Gazetteer: real}).Config(); cfg.Gazetteer != gazetteer.Geo(real) {
-		t.Error("real gazetteer was dropped by the nil normalisation")
 	}
 }
 

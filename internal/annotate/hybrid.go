@@ -15,12 +15,12 @@ type Hybrid struct {
 	// Catalogue handles the known entities at zero query cost.
 	Catalogue *CatalogueAnnotator
 	// Discovery handles the cells the catalogue does not know.
-	Discovery *Annotator
+	Discovery Config
 }
 
 // AnnotateTable annotates known cells from the catalogue, sends only the
 // remaining cells through the search engine, merges the two annotation sets
-// and (when the discovery annotator has post-processing enabled) applies the
+// and (when the discovery config has post-processing enabled) applies the
 // Eq. 2 column-coherence cleanup to the merged result.
 func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 	catRes := h.Catalogue.AnnotateTable(t, h.Discovery.Types)
@@ -31,8 +31,7 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 
 	// Run discovery with post-processing deferred so Eq. 2 sees the
 	// merged annotation set.
-	cfg := h.Discovery.Config()
-	post := cfg.Postprocess
+	cfg := h.Discovery
 	cfg.Postprocess = false
 	discRes := mustResult(cfg.annotateExcluding(context.Background(), t, known))
 
@@ -43,8 +42,19 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 		CacheHits:   discRes.CacheHits,
 		CacheMisses: discRes.CacheMisses,
 	}
-	if post {
-		h.Discovery.Config().postprocess(t, merged)
+	if h.Discovery.Postprocess {
+		h.Discovery.postprocess(t, merged)
 	}
 	return merged
+}
+
+// mustResult unwraps a pipeline run that cannot have failed: the only error
+// the pipeline returns is ctx.Err(), and AnnotateTable runs under
+// context.Background(), which never cancels. The panic guards the invariant
+// instead of silently returning a truncated Result.
+func mustResult(res *Result, err error) *Result {
+	if err != nil {
+		panic("annotate: background-context run failed: " + err.Error())
+	}
+	return res
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // scriptedSearcher is a Searcher backed by a fixed query→results map — the
-// pluggable-backend seam the Annotator is decoupled through. It counts calls
+// pluggable-backend seam the pipeline is decoupled through — written as a
+// per-query function behind the SearchFunc adapter. It counts queries
 // atomically so tests can assert query volume under concurrency.
 type scriptedSearcher struct {
 	results map[string][]search.Result
@@ -28,6 +29,10 @@ func (s *scriptedSearcher) Search(query string, k int) []search.Result {
 	return r
 }
 
+func (s *scriptedSearcher) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
+	return SearchFunc(s.Search).SearchBatchContext(ctx, queries, k)
+}
+
 // snippets builds k results for a query.
 func snippets(k int) []search.Result {
 	out := make([]search.Result, k)
@@ -35,15 +40,6 @@ func snippets(k int) []search.Result {
 		out[i] = search.Result{Snippet: fmt.Sprintf("snippet %d about the museum", i)}
 	}
 	return out
-}
-
-func scriptedAnnotator(s *scriptedSearcher) *Annotator {
-	return &Annotator{
-		Engine:     s,
-		Classifier: constClassifier("museum"),
-		Types:      []string{"museum", "restaurant"},
-		K:          10,
-	}
 }
 
 func scriptedTable(t *testing.T, names ...string) *table.Table {
@@ -63,8 +59,8 @@ func TestPluggableSearcher(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{
 		"Louvre": snippets(10),
 	}}
-	a := scriptedAnnotator(s)
-	res := a.AnnotateTable(scriptedTable(t, "Louvre", "Unknown Place"))
+	a := scriptedConfig(s)
+	res := annotateTable(a, scriptedTable(t, "Louvre", "Unknown Place"))
 	if len(res.Annotations) != 1 {
 		t.Fatalf("annotations = %d, want 1 (only the scripted query returns snippets)", len(res.Annotations))
 	}
@@ -90,11 +86,11 @@ func TestParallelTableIdentical(t *testing.T) {
 		res.Batches = 0
 		return fmt.Sprintf("%+v", res)
 	}
-	base := render(f.annotator().AnnotateTable(tbl))
+	base := render(annotateTable(f.config(), tbl))
 	for _, p := range []int{2, 4, 16} {
-		a := f.annotator()
+		a := f.config()
 		a.Parallelism = p
-		if got := render(a.AnnotateTable(tbl)); got != base {
+		if got := render(annotateTable(a, tbl)); got != base {
 			t.Errorf("parallelism %d produced a different result\nseq: %s\npar: %s", p, base, got)
 		}
 	}
@@ -105,13 +101,13 @@ func TestParallelTableIdentical(t *testing.T) {
 // parallel path.
 func TestAnnotateTableContextCancelled(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{"Louvre": snippets(10)}}
-	a := scriptedAnnotator(s)
+	a := scriptedConfig(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.AnnotateTableContext(ctx, scriptedTable(t, "Louvre")); err == nil {
+	if _, err := a.Annotate(ctx, scriptedTable(t, "Louvre")); err == nil {
 		t.Fatal("cancelled context did not abort annotation")
 	}
-	if _, err := a.AnnotateTables(ctx, []*table.Table{scriptedTable(t, "Louvre")}, 4); err == nil {
+	if _, err := a.AnnotateBatch(ctx, []*table.Table{scriptedTable(t, "Louvre")}, 4); err == nil {
 		t.Fatal("cancelled context did not abort the batch API")
 	}
 	if s.calls.Load() != 0 {
@@ -120,8 +116,8 @@ func TestAnnotateTableContextCancelled(t *testing.T) {
 	// Cancellation must hold even when a warm cache would answer every
 	// query without the execute stage ever blocking.
 	a.Cache = qcache.New()
-	a.AnnotateTable(scriptedTable(t, "Louvre")) // warm
-	if _, err := a.AnnotateTableContext(ctx, scriptedTable(t, "Louvre")); err == nil {
+	annotateTable(a, scriptedTable(t, "Louvre")) // warm
+	if _, err := a.Annotate(ctx, scriptedTable(t, "Louvre")); err == nil {
 		t.Fatal("cancelled context ignored on the fully-cached path")
 	}
 }
@@ -130,15 +126,15 @@ func TestAnnotateTableContextCancelled(t *testing.T) {
 // cache — the second table costs zero backend queries.
 func TestSharedCacheAcrossTables(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{"Louvre": snippets(10)}}
-	a := scriptedAnnotator(s)
+	a := scriptedConfig(s)
 	a.Cache = qcache.New()
 
-	res1 := a.AnnotateTable(scriptedTable(t, "Louvre", "Louvre"))
+	res1 := annotateTable(a, scriptedTable(t, "Louvre", "Louvre"))
 	if res1.Queries != 1 || res1.CacheMisses != 1 || res1.CacheHits != 0 {
 		t.Errorf("cold table: queries=%d hits=%d misses=%d, want 1/0/1",
 			res1.Queries, res1.CacheHits, res1.CacheMisses)
 	}
-	res2 := a.AnnotateTable(scriptedTable(t, "Louvre"))
+	res2 := annotateTable(a, scriptedTable(t, "Louvre"))
 	if res2.Queries != 0 || res2.CacheHits != 1 {
 		t.Errorf("warm table: queries=%d hits=%d, want 0/1", res2.Queries, res2.CacheHits)
 	}
@@ -151,15 +147,15 @@ func TestSharedCacheAcrossTables(t *testing.T) {
 	// A config change (k) must miss: verdicts are keyed by the full
 	// decision fingerprint.
 	a.K = 5
-	res3 := a.AnnotateTable(scriptedTable(t, "Louvre"))
+	res3 := annotateTable(a, scriptedTable(t, "Louvre"))
 	if res3.CacheHits != 0 || res3.Queries != 1 {
 		t.Errorf("changed k still hit the cache: %+v", res3)
 	}
 	// Distinct salts never exchange verdicts.
-	b := scriptedAnnotator(s)
+	b := scriptedConfig(s)
 	b.Cache = a.Cache
 	b.CacheSalt = "other"
-	if res := b.AnnotateTable(scriptedTable(t, "Louvre")); res.CacheHits != 0 {
+	if res := annotateTable(b, scriptedTable(t, "Louvre")); res.CacheHits != 0 {
 		t.Errorf("different salt got %d cache hits, want 0", res.CacheHits)
 	}
 }
@@ -173,13 +169,13 @@ func TestAnnotateTablesBatch(t *testing.T) {
 		scriptedTable(t, "Musée Lavande"),
 		scriptedTable(t, "Chez Martin", "The Golden Fig"),
 	}
-	a := f.annotator()
+	a := f.config()
 	want := make([]string, len(tables))
 	for i, tbl := range tables {
-		want[i] = fmt.Sprintf("%+v", a.AnnotateTable(tbl))
+		want[i] = fmt.Sprintf("%+v", annotateTable(a, tbl))
 	}
 	for _, p := range []int{1, 3, 8} {
-		results, err := a.AnnotateTables(context.Background(), tables, p)
+		results, err := a.AnnotateBatch(context.Background(), tables, p)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
@@ -188,7 +184,7 @@ func TestAnnotateTablesBatch(t *testing.T) {
 		}
 		for i, res := range results {
 			if got := fmt.Sprintf("%+v", res); got != want[i] {
-				t.Errorf("parallelism %d, table %d: batch result differs from AnnotateTable", p, i)
+				t.Errorf("parallelism %d, table %d: batch result differs from Annotate", p, i)
 			}
 		}
 	}

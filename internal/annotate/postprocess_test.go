@@ -41,8 +41,7 @@ func TestEq2ScoreComputation(t *testing.T) {
 		{Row: 3, Col: 2, Type: "museum", Score: 1.0},
 		{Row: 4, Col: 2, Type: "museum", Score: 1.0},
 	}}
-	a := &Annotator{}
-	a.Config().postprocess(tbl, res)
+	Config{}.postprocess(tbl, res)
 
 	// Column 1: distinct values, o=1: ln(1/1+1) + ln(0.8/1+1).
 	want1 := math.Log(2) + math.Log(1.8)
@@ -97,8 +96,7 @@ func TestPostprocessPerTypeIndependence(t *testing.T) {
 		{Row: 1, Col: 2, Type: "restaurant", Score: 0.9},
 		{Row: 3, Col: 2, Type: "restaurant", Score: 0.9},
 	}}
-	a := &Annotator{}
-	a.Config().postprocess(tbl, res)
+	Config{}.postprocess(tbl, res)
 	kept := map[string]int{}
 	for _, ann := range res.Annotations {
 		kept[ann.Type]++
@@ -112,8 +110,7 @@ func TestPostprocessPerTypeIndependence(t *testing.T) {
 func TestPostprocessEmptyResult(t *testing.T) {
 	tbl := eq2Table(t)
 	res := &Result{}
-	a := &Annotator{}
-	a.Config().postprocess(tbl, res)
+	Config{}.postprocess(tbl, res)
 	if len(res.Annotations) != 0 || len(res.ColumnScores) != 0 {
 		t.Errorf("empty result mutated: %+v", res)
 	}
@@ -136,8 +133,7 @@ func TestColumnTypes(t *testing.T) {
 		{Row: 2, Col: 1, Type: "museum", Score: 0.9},
 		{Row: 1, Col: 2, Type: "restaurant", Score: 0.9},
 	}}
-	a := &Annotator{}
-	a.Config().postprocess(tbl, res)
+	Config{}.postprocess(tbl, res)
 	types := res.ColumnTypes()
 	if types[1] != "museum" || types[2] != "restaurant" {
 		t.Errorf("ColumnTypes = %v", types)
@@ -162,8 +158,7 @@ func TestPostprocessTieKeepsLeftmost(t *testing.T) {
 		{Row: 1, Col: 1, Type: "museum", Score: 0.7},
 		{Row: 1, Col: 2, Type: "museum", Score: 0.7},
 	}}
-	a := &Annotator{}
-	a.Config().postprocess(tbl, res)
+	Config{}.postprocess(tbl, res)
 	if len(res.Annotations) != 1 || res.Annotations[0].Col != 1 {
 		t.Errorf("tie resolution = %+v, want leftmost column", res.Annotations)
 	}

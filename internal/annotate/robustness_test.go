@@ -17,7 +17,7 @@ func (c constClassifier) Predict(textproc.Features) string { return string(c) }
 func TestAnnotateEmptyTable(t *testing.T) {
 	f := newFixture(t)
 	tbl := table.New("empty", table.Column{Header: "Name", Type: table.Text})
-	res := f.annotator().AnnotateTable(tbl)
+	res := annotateTable(f.config(), tbl)
 	if len(res.Annotations) != 0 || res.Queries != 0 {
 		t.Errorf("empty table produced %d annotations, %d queries", len(res.Annotations), res.Queries)
 	}
@@ -33,7 +33,7 @@ func TestAnnotateAllColumnsSkipped(t *testing.T) {
 	if err := tbl.AppendRow("2013-03-18", "Genoa, Italy", "250"); err != nil {
 		t.Fatal(err)
 	}
-	res := f.annotator().AnnotateTable(tbl)
+	res := annotateTable(f.config(), tbl)
 	if len(res.Annotations) != 0 || res.Queries != 0 {
 		t.Errorf("fully skipped table still annotated: %+v", res)
 	}
@@ -46,11 +46,11 @@ func TestAnnotateAgainstEmptyEngine(t *testing.T) {
 	// A search engine with no corpus: every query returns nothing, so no
 	// cell can clear the majority rule — the pipeline degrades to "no
 	// annotations", never to a panic.
-	engine := search.NewEngine(search.NewIndex())
+	engine := search.NewShardedEngine(search.NewShardedIndex(1))
 	var train classify.Dataset
 	train.Add("museum gallery", "museum")
-	a := &Annotator{
-		Engine:     engine,
+	a := Config{
+		Searcher:   engine,
 		Classifier: classify.BayesTrainer{}.Train(train),
 		Types:      []string{"museum"},
 	}
@@ -58,7 +58,7 @@ func TestAnnotateAgainstEmptyEngine(t *testing.T) {
 	if err := tbl.AppendRow("Musée Lavande"); err != nil {
 		t.Fatal(err)
 	}
-	res := a.AnnotateTable(tbl)
+	res := annotateTable(a, tbl)
 	if len(res.Annotations) != 0 {
 		t.Errorf("annotations from an empty web: %+v", res.Annotations)
 	}
@@ -72,7 +72,7 @@ func TestAnnotateAgainstEmptyEngine(t *testing.T) {
 // column instead of spraying annotations across the table.
 func TestAnnotateWithDegenerateClassifier(t *testing.T) {
 	f := newFixture(t)
-	a := f.annotator()
+	a := f.config()
 	a.Classifier = constClassifier("museum")
 	a.Postprocess = true
 	tbl := table.New("deg",
@@ -88,7 +88,7 @@ func TestAnnotateWithDegenerateClassifier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := a.AnnotateTable(tbl)
+	res := annotateTable(a, tbl)
 	cols := map[int]bool{}
 	for _, ann := range res.Annotations {
 		if ann.Type != "museum" {
@@ -105,13 +105,13 @@ func TestAnnotateGammaRestriction(t *testing.T) {
 	// Predictions outside Γ are ignored even if the classifier emits
 	// them: restrict Γ to museum only and annotate a restaurant.
 	f := newFixture(t)
-	a := f.annotator()
+	a := f.config()
 	a.Types = []string{"museum"}
 	tbl := table.New("g", table.Column{Header: "Name", Type: table.Text})
 	if err := tbl.AppendRow("Chez Martin"); err != nil {
 		t.Fatal(err)
 	}
-	res := a.AnnotateTable(tbl)
+	res := annotateTable(a, tbl)
 	for _, ann := range res.Annotations {
 		if ann.Type != "museum" {
 			t.Errorf("annotation outside Γ: %+v", ann)
@@ -121,7 +121,7 @@ func TestAnnotateGammaRestriction(t *testing.T) {
 
 func TestDisambiguationWithoutGazetteerIsSafe(t *testing.T) {
 	f := newFixture(t)
-	a := f.annotator()
+	a := f.config()
 	a.Disambiguate = true
 	a.Gazetteer = nil // misconfiguration: flag on, no gazetteer
 	tbl := table.New("s",
@@ -131,7 +131,7 @@ func TestDisambiguationWithoutGazetteerIsSafe(t *testing.T) {
 	if err := tbl.AppendRow("Musée Lavande", "Ocean Drive, Santa Monica"); err != nil {
 		t.Fatal(err)
 	}
-	res := a.AnnotateTable(tbl) // must not panic
+	res := annotateTable(a, tbl) // must not panic
 	if _, ok := find(res, 1, 1); !ok {
 		t.Error("annotation lost when disambiguation is misconfigured")
 	}

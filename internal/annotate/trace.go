@@ -69,9 +69,9 @@ func sortedVoteTypes(votes map[string]int) []string {
 // returns ctx.Err() instead of finishing its remaining round-trips.
 func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation, error) {
 	gamma := c.typeSet()
-	var cityByRow map[int]string
-	if c.Disambiguate && c.Gazetteer != nil {
-		cityByRow = c.resolveRowCities(t)
+	cityByRow, err := c.resolveRowCities(ctx, t)
+	if err != nil {
+		return nil, err
 	}
 	var out []CellExplanation
 	for j := 1; j <= t.NumCols(); j++ {
@@ -96,7 +96,10 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 			if city := cityByRow[i]; city != "" && !strings.Contains(strings.ToLower(content), strings.ToLower(city)) {
 				e.Query = content + " " + city
 			}
-			results := c.Searcher.Search(e.Query, c.k())
+			results, err := c.searchOne(ctx, e.Query)
+			if err != nil {
+				return nil, err
+			}
 			e.Retrieved = len(results)
 			e.Votes = map[string]int{}
 			for _, r := range results {

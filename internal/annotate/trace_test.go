@@ -10,8 +10,8 @@ import (
 func TestExplainTable(t *testing.T) {
 	f := newFixture(t)
 	tbl := poiTable(t)
-	a := f.annotator()
-	exps := a.ExplainTable(tbl)
+	a := f.config()
+	exps := explainTable(a, tbl)
 	if len(exps) != tbl.NumRows()*tbl.NumCols() {
 		t.Fatalf("explanations = %d, want one per cell (%d)", len(exps), tbl.NumRows()*tbl.NumCols())
 	}
@@ -52,7 +52,7 @@ func TestExplainAbstention(t *testing.T) {
 	if err := tbl.AppendRow("Melisse"); err != nil {
 		t.Fatal(err)
 	}
-	exps := f.annotator().ExplainTable(tbl)
+	exps := explainTable(f.config(), tbl)
 	e := exps[0]
 	if e.Verdict == "" && !strings.Contains(e.String(), "abstained") {
 		t.Errorf("abstention not rendered: %q", e.String())
@@ -76,7 +76,7 @@ func TestExplainColumnTypeSkip(t *testing.T) {
 	if err := tbl.AppendRow("Ocean Drive, Santa Monica"); err != nil {
 		t.Fatal(err)
 	}
-	exps := f.annotator().ExplainTable(tbl)
+	exps := explainTable(f.config(), tbl)
 	if exps[0].Skipped != SkipColumnType {
 		t.Errorf("Location column not marked column-type skipped: %+v", exps[0])
 	}

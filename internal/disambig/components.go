@@ -7,13 +7,14 @@ package disambig
 // independent islands (per-cell normalisation couples every node of a cell,
 // so a cell's nodes always land in one island together). This file labels
 // the components with a union-find pass over the SAME join-group records
-// BuildGraph sorts — without materialising a single edge — then builds,
+// buildCSR sorts — without materialising a single edge — then builds,
 // propagates and decides each component independently: a bounded worker
 // pool streams components through pooled per-component scratch, so peak
 // memory is O(largest component × workers) instead of O(whole graph).
 //
-// Results are bit-identical to the whole-table loop (same choices, same
-// float64 scores). Two properties make that work:
+// Results are bit-identical (same choices, same float64 scores) to one
+// propagation loop over the whole table — the single-component case, and what
+// the seed reference runs. Two properties make that work:
 //
 //  1. Within a component, local node ids follow ascending global order, so
 //     every CSR in-list keeps the reference summation order and each
@@ -278,69 +279,8 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		}
 	}
 
-	// Local CSR: BuildGraph's edge discovery and canonicalisation,
-	// restricted to the component's nodes.
-	sc.voters = sc.voters[:0]
-	sc.targets = sc.targets[:0]
-	emit := func(v, t int32) {
-		sc.voters = append(sc.voters, localOf[v])
-		sc.targets = append(sc.targets, localOf[t])
-	}
-	for dim := 0; dim < 2; dim++ {
-		ns.walkGroups(dim, comp, &sc.walk, func(locs, pars []int32, sharedPar bool) {
-			if sharedPar {
-				for _, i := range pars {
-					for _, j := range pars {
-						if ns.nodeCell[i] != ns.nodeCell[j] {
-							emit(i, j)
-						}
-					}
-				}
-			}
-			for _, a := range locs {
-				for _, c := range pars {
-					if ns.nodeCell[a] != ns.nodeCell[c] {
-						emit(a, c)
-						emit(c, a)
-					}
-				}
-			}
-		})
-	}
-	ne := len(sc.voters)
-	r.edges = ne
-	byV, byT := growI32(sc.byV, ne), growI32(sc.byT, ne)
-	pos := growI32(sc.pos, m+1)
-	clear(pos)
-	for _, v := range sc.voters {
-		pos[v+1]++
-	}
-	for i := 0; i < m; i++ {
-		pos[i+1] += pos[i]
-	}
-	for k := 0; k < ne; k++ {
-		v := sc.voters[k]
-		byV[pos[v]] = v
-		byT[pos[v]] = sc.targets[k]
-		pos[v]++
-	}
-	inOff := growI32(sc.inOff, m+1)
-	clear(inOff)
-	for _, t := range byT {
-		inOff[t+1]++
-	}
-	for i := 0; i < m; i++ {
-		inOff[i+1] += inOff[i]
-	}
-	in := growI32(sc.in, ne)
-	fill := growI32(sc.fill, m)
-	copy(fill, inOff[:m])
-	for k := 0; k < ne; k++ {
-		t := byT[k]
-		in[fill[t]] = byV[k]
-		fill[t]++
-	}
-	sc.byV, sc.byT, sc.pos, sc.inOff, sc.in, sc.fill = byV, byT, pos, inOff, in, fill
+	inOff, in := ns.buildCSR(comp, localOf, sc)
+	r.edges = len(in)
 
 	scores := growF64(sc.scores, m)
 	next := growF64(sc.next, m)
@@ -359,8 +299,8 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		}
 	}
 
-	// Large components keep the whole-table loop's intra-graph fan-out on
-	// top of the component-level parallelism.
+	// Large components fan each iteration's vote summation out on top of
+	// the component-level parallelism.
 	workers := 1
 	if m >= propagationParallelThreshold {
 		workers = min(runtime.GOMAXPROCS(0), 8)
@@ -411,7 +351,7 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 // resolveComponents runs the full component-parallel resolution and returns
 // the global score array. When done is non-nil it is invoked exactly once
 // per component — possibly from concurrent workers — the moment that
-// component's scores are final, enabling the streaming path to emit results
+// component's scores are final, enabling ResolveStream to emit results
 // before the whole table finishes its final phase.
 func (d *decomposition) resolveComponents(opt Options, done func(ci int, global []float64)) ([]float64, Stats) {
 	n := len(d.ns.locs)
@@ -605,7 +545,7 @@ func resolveDegenerate(interps []Interpretation) (map[CellRef]gazetteer.LocID, m
 
 // ResolveScoresOpt is ResolveScores with explicit resolver options, also
 // returning the decomposition statistics. Results are bit-identical to the
-// whole-table engine (and to the seed reference) at every worker count.
+// seed reference at every worker count.
 func ResolveScoresOpt(interps []Interpretation, g gazetteer.Geo, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
 	if degenerate(interps) {
 		return resolveDegenerate(interps)
@@ -616,37 +556,42 @@ func ResolveScoresOpt(interps []Interpretation, g gazetteer.Geo, opt Options) (m
 	return choice, detail, st
 }
 
-// ResolveStream resolves like ResolveScoresOpt but delivers per-cell
-// results component by component, each the moment its component's scores
-// reach the global stop iteration — so a huge table's early components
-// surface while later ones are still propagating, and no whole-table choice
-// or detail map is ever built. yield may be called from concurrent workers;
-// calls for the cells of one component arrive consecutively from one
-// worker. Cells the graph never saw a candidate for yield NoLocation with
-// an empty score map, first. The per-cell scores map is freshly allocated
-// and owned by the callee.
-func ResolveStream(interps []Interpretation, g gazetteer.Geo, opt Options, yield func(cell CellRef, choice gazetteer.LocID, scores map[gazetteer.LocID]float64)) Stats {
+// ResolveStream resolves like ResolveScoresOpt but delivers every cell's
+// winner and its score component by component, each the moment its
+// component's scores reach the global stop iteration — so a huge table's
+// early components surface while later ones are still propagating, and no
+// whole-table choice or detail map is ever built. A cell is identified by i,
+// the index in interps of the first interpretation naming it, so a caller
+// whose interpretations name distinct cells can write results straight into
+// a slice parallel to interps. yield may be called from concurrent workers;
+// calls for the cells of one component arrive consecutively from one worker.
+// Cells the graph never saw a candidate for yield (NoLocation, 0), first.
+func ResolveStream(interps []Interpretation, g gazetteer.Geo, opt Options, yield func(i int, choice gazetteer.LocID, score float64)) Stats {
 	if degenerate(interps) {
-		choice, detail, st := resolveDegenerate(interps)
-		for cell := range choice {
-			yield(cell, gazetteer.NoLocation, detail[cell])
+		seen := make(map[CellRef]bool, len(interps))
+		for i, it := range interps {
+			if !seen[it.Cell] {
+				seen[it.Cell] = true
+				yield(i, gazetteer.NoLocation, 0)
+			}
 		}
-		return st
+		return Stats{}
 	}
 	d := decompose(interps, g)
-	for ci := range d.ns.cells {
-		if len(d.ns.cellNodes[ci]) == 0 {
-			yield(d.ns.cells[ci], gazetteer.NoLocation, map[gazetteer.LocID]float64{})
+	ns := d.ns
+	for ci, nodes := range ns.cellNodes {
+		if len(nodes) == 0 {
+			yield(int(ns.cellInterp[ci]), gazetteer.NoLocation, 0)
 		}
 	}
 	_, st := d.resolveComponents(opt, func(ci int, global []float64) {
 		for _, gi := range d.comps[ci] {
-			cidx := d.ns.nodeCell[gi]
-			if d.ns.cellNodes[cidx][0] != gi {
+			cidx := ns.nodeCell[gi]
+			if ns.cellNodes[cidx][0] != gi {
 				continue // not the cell's first node; already yielded
 			}
-			best, m := d.ns.chooseCell(cidx, global)
-			yield(d.ns.cells[cidx], best, m)
+			best, score := ns.best(cidx, global)
+			yield(int(ns.cellInterp[cidx]), best, score)
 		}
 	})
 	return st

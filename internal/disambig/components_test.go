@@ -2,9 +2,11 @@ package disambig
 
 // Differential and property tests for the component-parallel resolver: the
 // decomposition must be exactly the voting graph's connected-component
-// partition (coarsened by per-cell coupling), and resolution must stay
-// BIT-identical to the retained whole-table engine — same choices, same
-// float64 scores — at every worker count, over both gazetteer forms.
+// partition (coarsened by per-cell coupling), and the decomposed resolution
+// must stay BIT-identical to an undecomposed run of the same engine — the
+// whole table as ONE component, where the stop coordinator has nothing to
+// reconcile — same choices, same float64 scores, at every worker count, over
+// both gazetteer forms.
 
 import (
 	"math/rand"
@@ -13,23 +15,35 @@ import (
 	"repro/internal/gazetteer"
 )
 
-// checkEngines resolves through the whole-table engine and the
-// component-parallel engine at several worker counts and fails on any
-// divergence, bitwise. Returns the component engine's stats for callers
-// asserting decomposition shape.
+// resolveUndecomposed runs the component engine over a single component
+// holding every node: one graph, one propagation loop, one stop decision.
+func resolveUndecomposed(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
+	if degenerate(interps) {
+		choice, detail, _ := resolveDegenerate(interps)
+		return choice, detail
+	}
+	ns := buildNodes(interps, g)
+	d := &decomposition{ns: ns, comps: [][]int32{ns.allNodes()}}
+	scores, _ := d.resolveComponents(Options{Workers: 1}, nil)
+	return ns.choose(scores)
+}
+
+// checkEngines resolves undecomposed and decomposed at several worker counts
+// and fails on any divergence, bitwise. Returns the decomposed run's stats
+// for callers asserting decomposition shape.
 func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, workers []int) Stats {
 	t.Helper()
-	wantChoice, wantDetail := ResolveScoresSingle(interps, g)
+	wantChoice, wantDetail := resolveUndecomposed(interps, g)
 	var st Stats
 	for _, w := range workers {
 		choice, detail, s := ResolveScoresOpt(interps, g, Options{Workers: w})
 		st = s
 		if len(choice) != len(wantChoice) {
-			t.Fatalf("workers=%d: %d choices, whole-table engine has %d", w, len(choice), len(wantChoice))
+			t.Fatalf("workers=%d: %d choices, undecomposed run has %d", w, len(choice), len(wantChoice))
 		}
 		for cell, loc := range wantChoice {
 			if got := choice[cell]; got != loc {
-				t.Fatalf("workers=%d cell %v: chose %v, whole-table engine chose %v", w, cell, got, loc)
+				t.Fatalf("workers=%d cell %v: chose %v, undecomposed run chose %v", w, cell, got, loc)
 			}
 		}
 		for cell, m := range wantDetail {
@@ -39,7 +53,7 @@ func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, worke
 			}
 			for loc, s := range m {
 				if got[loc] != s {
-					t.Fatalf("workers=%d cell %v loc %v: score %v, whole-table engine %v (bitwise)", w, cell, loc, got[loc], s)
+					t.Fatalf("workers=%d cell %v loc %v: score %v, undecomposed run %v (bitwise)", w, cell, loc, got[loc], s)
 				}
 			}
 		}
@@ -49,7 +63,7 @@ func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, worke
 
 var differentialWorkers = []int{1, 2, 8}
 
-// TestComponentParallelMatchesSingleGraph drives both engines over
+// TestComponentParallelMatchesSingleGraph drives both runs over
 // randomized tables — larger than the O(n²) seed-reference suite can afford
 // — across worker counts {1, 2, 8} and both gazetteer forms.
 func TestComponentParallelMatchesSingleGraph(t *testing.T) {
@@ -94,9 +108,9 @@ func addressInterps(mg *gazetteer.Gazetteer, g gazetteer.Geo, rng *rand.Rand, ro
 	return interps
 }
 
-// TestComponentParallelMultiComponent exercises the engines on a workload
-// that genuinely decomposes (the whole point of the rewrite), asserting a
-// non-trivial component count alongside bit-identity.
+// TestComponentParallelMultiComponent exercises the differential on a
+// workload that genuinely decomposes, asserting a non-trivial component count
+// alongside bit-identity.
 func TestComponentParallelMultiComponent(t *testing.T) {
 	mg := gazetteer.SyntheticScale(42, 8)
 	rng := rand.New(rand.NewSource(7))
@@ -116,7 +130,7 @@ func TestComponentParallelMultiComponent(t *testing.T) {
 }
 
 // TestResolveStreamMatches checks the streaming delivery against the batch
-// resolver: same cells, same choices, same bitwise scores, every cell
+// resolver: same cells, same choices, the winner's bitwise score, every cell
 // yielded exactly once, at several worker counts.
 func TestResolveStreamMatches(t *testing.T) {
 	mg := gazetteer.SyntheticScale(42, 4)
@@ -129,15 +143,16 @@ func TestResolveStreamMatches(t *testing.T) {
 	for _, w := range differentialWorkers {
 		var mu chanMutex
 		gotChoice := map[CellRef]gazetteer.LocID{}
-		gotDetail := map[CellRef]map[gazetteer.LocID]float64{}
-		st := ResolveStream(interps, g, Options{Workers: w}, func(cell CellRef, loc gazetteer.LocID, scores map[gazetteer.LocID]float64) {
+		gotScore := map[CellRef]float64{}
+		st := ResolveStream(interps, g, Options{Workers: w}, func(i int, loc gazetteer.LocID, score float64) {
 			mu.Lock()
 			defer mu.Unlock()
+			cell := interps[i].Cell
 			if _, dup := gotChoice[cell]; dup {
 				t.Errorf("workers=%d: cell %v yielded twice", w, cell)
 			}
 			gotChoice[cell] = loc
-			gotDetail[cell] = scores
+			gotScore[cell] = score
 		})
 		if st.Components != wantStats.Components || st.Nodes != wantStats.Nodes || st.Edges != wantStats.Edges {
 			t.Fatalf("workers=%d: stream stats %+v, batch stats %+v", w, st, wantStats)
@@ -149,14 +164,8 @@ func TestResolveStreamMatches(t *testing.T) {
 			if gotChoice[cell] != loc {
 				t.Fatalf("workers=%d cell %v: streamed %v, batch chose %v", w, cell, gotChoice[cell], loc)
 			}
-			got, want := gotDetail[cell], wantDetail[cell]
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d cell %v: score map sizes differ", w, cell)
-			}
-			for l, s := range want {
-				if got[l] != s {
-					t.Fatalf("workers=%d cell %v loc %v: streamed score %v, batch %v", w, cell, l, got[l], s)
-				}
+			if got, want := gotScore[cell], wantDetail[cell][loc]; got != want {
+				t.Fatalf("workers=%d cell %v: streamed score %v, batch %v", w, cell, got, want)
 			}
 		}
 	}
@@ -212,10 +221,10 @@ func TestDegenerateFastPath(t *testing.T) {
 				t.Fatalf("case %d cell %v: detail %v, want empty non-nil map", i, cell, m)
 			}
 		}
-		// The graph-building engines agree on the degenerate shape.
-		grChoice, grDetail := ResolveScoresSingle(interps, g)
+		// The graph-building machinery agrees on the degenerate shape.
+		grChoice, grDetail := decompose(interps, g).ns.choose(nil)
 		if len(grChoice) != len(choice) || len(grDetail) != len(detail) {
-			t.Fatalf("case %d: fast path and whole-table engine disagree on cell counts", i)
+			t.Fatalf("case %d: fast path and graph machinery disagree on cell counts", i)
 		}
 	}
 	// And one near-miss: a single valid candidate anywhere defeats the
@@ -280,7 +289,7 @@ func FuzzComponentDecomposition(f *testing.F) {
 }
 
 // checkDecomposition asserts decompose's partition invariants against the
-// whole-table graph, and the engines' bit-identity on the same input.
+// whole-table graph, and the runs' bit-identity on the same input.
 func checkDecomposition(t *testing.T, interps []Interpretation, g gazetteer.Geo) {
 	t.Helper()
 	d := decompose(interps, g)

@@ -18,8 +18,6 @@
 package disambig
 
 import (
-	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/gazetteer"
@@ -42,20 +40,14 @@ type Interpretation struct {
 	Candidates []gazetteer.LocID
 }
 
-// Graph is the voting graph of Figure 7b in columnar form: one entry per
-// (cell, candidate) node, cells deduplicated in first-appearance order, and
-// the in-edge lists concatenated CSR-style with every list sorted by voter
-// index — the exact summation order of the reference implementation, which
-// keeps the propagated float64 scores bit-identical.
+// Graph is the voting graph of Figure 7b in columnar form: the node table
+// (one entry per (cell, candidate) node, cells deduplicated in
+// first-appearance order) plus the in-edge lists concatenated CSR-style with
+// every list sorted by voter index — the exact summation order of the
+// reference implementation, which keeps the propagated float64 scores
+// bit-identical.
 type Graph struct {
-	g  gazetteer.Geo
-	ns *nodeSet // the node table the fields below alias
-
-	cells     []CellRef // deduplicated cells, first-appearance order
-	cellNodes [][]int32 // node indexes per cell, ascending
-	nodeCell  []int32   // node -> index into cells
-	locs      []gazetteer.LocID
-	parents   []gazetteer.LocID // locs' direct containers, precomputed
+	*nodeSet
 
 	inOff []int32 // CSR: node i's voters are in[inOff[i]:inOff[i+1]]
 	in    []int32
@@ -98,11 +90,12 @@ func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max
 type nodeSet struct {
 	g gazetteer.Geo
 
-	cells     []CellRef // deduplicated cells, first-appearance order
-	cellNodes [][]int32 // node indexes per cell, ascending
-	nodeCell  []int32   // node -> index into cells
-	locs      []gazetteer.LocID
-	parents   []gazetteer.LocID // locs' direct containers, precomputed
+	cells      []CellRef // deduplicated cells, first-appearance order
+	cellInterp []int32   // cell -> index of its first interpretation
+	cellNodes  [][]int32 // node indexes per cell, ascending
+	nodeCell   []int32   // node -> index into cells
+	locs       []gazetteer.LocID
+	parents    []gazetteer.LocID // locs' direct containers, precomputed
 
 	cellRowB, cellColB []int32 // cell -> dense row / column bucket id
 	numRowB, numColB   int
@@ -124,12 +117,13 @@ func buildNodes(interps []Interpretation, g gazetteer.Geo) *nodeSet {
 	ns.nodeCell = make([]int32, 0, capHint)
 	cellIdx := map[CellRef]int32{}
 	dup := map[gazetteer.LocID]bool{}
-	for _, it := range interps {
+	for i, it := range interps {
 		ci, ok := cellIdx[it.Cell]
 		if !ok {
 			ci = int32(len(ns.cells))
 			cellIdx[it.Cell] = ci
 			ns.cells = append(ns.cells, it.Cell)
+			ns.cellInterp = append(ns.cellInterp, int32(i))
 			ns.cellNodes = append(ns.cellNodes, nil)
 		}
 		if len(it.Candidates) == 0 {
@@ -241,49 +235,61 @@ func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(lo
 	}
 }
 
-// BuildGraph constructs the voting graph. A directed edge v -> w exists iff
-// v and w belong to cells in the same row or the same column (but not the
-// same cell) and their locations share a geographic container in the paper's
-// sense: equal direct containers, or one location being the direct container
-// of the other (the street "Pennsylvania Ave, Washington" votes for the city
+// BuildGraph constructs the whole-table voting graph: the single-component
+// case of the component engine (components.go), whose per-component builder
+// it calls over every node at once. A directed edge v -> w exists iff v and w
+// belong to cells in the same row or the same column (but not the same cell)
+// and their locations share a geographic container in the paper's sense:
+// equal direct containers, or one location being the direct container of the
+// other (the street "Pennsylvania Ave, Washington" votes for the city
 // "Washington, D.C." in the same row, and vice versa).
-//
-// The relation is symmetric and its three clauses are mutually exclusive
-// (a location is never its own container and containment is acyclic), so
-// every edge is discovered exactly once via the join-group walk. This is the
-// whole-table construction; the component-parallel resolver (components.go)
-// builds the same graph one connected component at a time instead.
 func BuildGraph(interps []Interpretation, g gazetteer.Geo) *Graph {
 	ns := buildNodes(interps, g)
-	gr := &Graph{
-		g:         g,
-		ns:        ns,
-		cells:     ns.cells,
-		cellNodes: ns.cellNodes,
-		nodeCell:  ns.nodeCell,
-		locs:      ns.locs,
-		parents:   ns.parents,
-	}
+	// The identity table is both the member list and the global-to-local map.
+	all := ns.allNodes()
+	var sc compScratch
+	inOff, in := ns.buildCSR(all, all, &sc)
+	return &Graph{nodeSet: ns, inOff: inOff, in: in}
+}
 
-	// Discover edges per dimension (rows, then columns) by join groups:
-	// within one group, par×par pairs share their direct container and
-	// loc×par pairs are container-of pairs, both voting in each direction.
-	// The clauses are mutually exclusive and a pair shares at most one
-	// bucket, so each directed edge is emitted exactly once.
-	n := len(gr.locs)
-	var voters, targets []int32
-	emit := func(v, t int32) {
-		voters = append(voters, v)
-		targets = append(targets, t)
+// allNodes lists every node id in ascending order: the whole table as one
+// component.
+func (ns *nodeSet) allNodes() []int32 {
+	all := make([]int32, len(ns.locs))
+	for i := range all {
+		all[i] = int32(i)
 	}
-	var b walkBufs
+	return all
+}
+
+// buildCSR discovers the voting edges among comp's nodes (ascending global
+// ids; localOf maps them to 0..len(comp)-1) and canonicalises them into sc's
+// local CSR arrays, which it returns.
+//
+// Edges are discovered per dimension (rows, then columns) by join groups:
+// within one group, par×par pairs share their direct container and loc×par
+// pairs are container-of pairs, both voting in each direction. The relation
+// is symmetric, its clauses are mutually exclusive (a location is never its
+// own container and containment is acyclic) and a node pair shares at most
+// one bucket, so each directed edge is emitted exactly once. A two-pass
+// stable counting sort — by voter, then by target — then leaves every in-list
+// sorted by voter index: the reference implementation's float summation
+// order.
+func (ns *nodeSet) buildCSR(comp, localOf []int32, sc *compScratch) (inOff, in []int32) {
+	m := len(comp)
+	sc.voters = sc.voters[:0]
+	sc.targets = sc.targets[:0]
+	emit := func(v, t int32) {
+		sc.voters = append(sc.voters, localOf[v])
+		sc.targets = append(sc.targets, localOf[t])
+	}
 	for dim := 0; dim < 2; dim++ {
-		ns.walkGroups(dim, nil, &b, func(locs, pars []int32, sharedPar bool) {
+		ns.walkGroups(dim, comp, &sc.walk, func(locs, pars []int32, sharedPar bool) {
 			if sharedPar {
 				// Equal direct containers (the paper's base clause).
 				for _, i := range pars {
 					for _, j := range pars {
-						if gr.nodeCell[i] != gr.nodeCell[j] {
+						if ns.nodeCell[i] != ns.nodeCell[j] {
 							emit(i, j)
 						}
 					}
@@ -293,7 +299,7 @@ func BuildGraph(interps []Interpretation, g gazetteer.Geo) *Graph {
 			// votes for its containing city and vice versa.
 			for _, a := range locs {
 				for _, c := range pars {
-					if gr.nodeCell[a] != gr.nodeCell[c] {
+					if ns.nodeCell[a] != ns.nodeCell[c] {
 						emit(a, c)
 						emit(c, a)
 					}
@@ -301,42 +307,40 @@ func BuildGraph(interps []Interpretation, g gazetteer.Geo) *Graph {
 			}
 		})
 	}
-
-	// Canonicalise into CSR with every in-list sorted by voter index — the
-	// reference implementation's float summation order — via a two-pass
-	// stable counting sort: by voter, then by target.
-	ne := len(voters)
-	byVoterV := make([]int32, ne)
-	byVoterT := make([]int32, ne)
-	pos := make([]int32, n+1)
-	for _, v := range voters {
+	ne := len(sc.voters)
+	byV, byT := growI32(sc.byV, ne), growI32(sc.byT, ne)
+	pos := growI32(sc.pos, m+1)
+	clear(pos)
+	for _, v := range sc.voters {
 		pos[v+1]++
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < m; i++ {
 		pos[i+1] += pos[i]
 	}
-	for m := 0; m < ne; m++ {
-		v := voters[m]
-		byVoterV[pos[v]] = v
-		byVoterT[pos[v]] = targets[m]
+	for k := 0; k < ne; k++ {
+		v := sc.voters[k]
+		byV[pos[v]] = v
+		byT[pos[v]] = sc.targets[k]
 		pos[v]++
 	}
-	gr.inOff = make([]int32, n+1)
-	for _, t := range byVoterT {
-		gr.inOff[t+1]++
+	inOff = growI32(sc.inOff, m+1)
+	clear(inOff)
+	for _, t := range byT {
+		inOff[t+1]++
 	}
-	for i := 0; i < n; i++ {
-		gr.inOff[i+1] += gr.inOff[i]
+	for i := 0; i < m; i++ {
+		inOff[i+1] += inOff[i]
 	}
-	gr.in = make([]int32, ne)
-	fill := make([]int32, n)
-	copy(fill, gr.inOff[:n])
-	for m := 0; m < ne; m++ {
-		t := byVoterT[m]
-		gr.in[fill[t]] = byVoterV[m]
+	in = growI32(sc.in, ne)
+	fill := growI32(sc.fill, m)
+	copy(fill, inOff[:m])
+	for k := 0; k < ne; k++ {
+		t := byT[k]
+		in[fill[t]] = byV[k]
 		fill[t]++
 	}
-	return gr
+	sc.byV, sc.byT, sc.pos, sc.inOff, sc.in, sc.fill = byV, byT, pos, inOff, in, fill
+	return inOff, in
 }
 
 // EdgeCount returns the number of directed edges; exposed for tests and
@@ -371,50 +375,38 @@ func ResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazet
 	return choice, detail
 }
 
-// ResolveScoresSingle resolves over one whole-table graph — the retained
-// pre-decomposition engine, bit-identical to ResolveScores by construction.
-// It stays callable (not just a test artifact) so the differential suite and
-// cmd/benchgeo can compare the component-parallel path against it at full
-// speed on tables far beyond what the O(n²) seed reference can check.
-func ResolveScoresSingle(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
-	if degenerate(interps) {
-		choice, detail, _ := resolveDegenerate(interps)
-		return choice, detail
-	}
-	gr := BuildGraph(interps, g)
-	return gr.ns.choose(gr.propagate())
-}
-
-// choose picks every cell's winner from the final per-node scores: the
-// largest score, ties broken by the smallest LocID for determinism (the
-// paper chooses randomly). A cell whose every interpretation had an empty
-// (or all-invalid) candidate set maps to NoLocation with an empty score map
-// — present in the result, explicitly unresolved, rather than silently
-// missing.
+// choose picks every cell's winner from the final per-node scores and
+// returns it with the cell's full score distribution. A cell whose every
+// interpretation had an empty (or all-invalid) candidate set maps to
+// NoLocation with an empty score map — present in the result, explicitly
+// unresolved, rather than silently missing.
 func (ns *nodeSet) choose(scores []float64) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	choice := make(map[CellRef]gazetteer.LocID, len(ns.cells))
 	detail := make(map[CellRef]map[gazetteer.LocID]float64, len(ns.cells))
 	for ci, cell := range ns.cells {
-		best, m := ns.chooseCell(int32(ci), scores)
-		choice[cell] = best // NoLocation when the cell has no candidates
+		idxs := ns.cellNodes[ci]
+		m := make(map[gazetteer.LocID]float64, len(idxs))
+		for _, i := range idxs {
+			m[ns.locs[i]] = scores[i]
+		}
+		choice[cell], _ = ns.best(int32(ci), scores)
 		detail[cell] = m
 	}
 	return choice, detail
 }
 
-// chooseCell is choose for a single cell, shared with the streaming path.
-func (ns *nodeSet) chooseCell(ci int32, scores []float64) (gazetteer.LocID, map[gazetteer.LocID]float64) {
-	idxs := ns.cellNodes[ci]
-	best, bestScore := gazetteer.NoLocation, math.Inf(-1)
-	m := make(map[gazetteer.LocID]float64, len(idxs))
-	for _, i := range idxs {
+// best is one cell's winner and its score: the largest score, ties broken by
+// the smallest LocID for determinism (the paper chooses randomly);
+// (NoLocation, 0) for a cell without candidates.
+func (ns *nodeSet) best(ci int32, scores []float64) (gazetteer.LocID, float64) {
+	best, bestScore := gazetteer.NoLocation, 0.0
+	for _, i := range ns.cellNodes[ci] {
 		loc := ns.locs[i]
-		m[loc] = scores[i]
-		if scores[i] > bestScore || (scores[i] == bestScore && loc < best) {
+		if best == gazetteer.NoLocation || scores[i] > bestScore || (scores[i] == bestScore && loc < best) {
 			best, bestScore = loc, scores[i]
 		}
 	}
-	return best, m
+	return best, bestScore
 }
 
 // propagationParallelThreshold is the node count above which the per-
@@ -424,80 +416,18 @@ const propagationParallelThreshold = 2048
 
 // maxIter and eps are the fixed-point iteration's stopping rule: the loop
 // ends after the first iteration whose largest per-node score change drops
-// below eps, or after maxIter iterations. Shared by the whole-table loop
-// below and the component-parallel resolver, which reproduces the SAME
-// global stopping decision across independently-propagated components (see
-// components.go).
+// below eps, or after maxIter iterations — a whole-table decision, which the
+// component-parallel resolver reproduces across independently-propagated
+// components (see components.go).
 const (
 	maxIter = 100
 	eps     = 1e-9
 )
 
-// propagate runs the fixed-point iteration and returns the final scores.
-func (gr *Graph) propagate() []float64 {
-	n := len(gr.locs)
-	scores := make([]float64, n)
-	for _, idxs := range gr.cellNodes {
-		if len(idxs) == 0 {
-			continue
-		}
-		init := 1.0 / float64(len(idxs))
-		for _, i := range idxs {
-			scores[i] = init
-		}
-	}
-
-	workers := 1
-	if n >= propagationParallelThreshold {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-
-	next := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		gr.sumVotes(scores, next, workers)
-		// Per-cell normalisation; a cell whose candidates all scored 0
-		// reverts to its uniform prior.
-		for _, idxs := range gr.cellNodes {
-			if len(idxs) == 0 {
-				continue
-			}
-			var total float64
-			for _, i := range idxs {
-				total += next[i]
-			}
-			if total == 0 {
-				u := 1.0 / float64(len(idxs))
-				for _, i := range idxs {
-					next[i] = u
-				}
-				continue
-			}
-			for _, i := range idxs {
-				next[i] /= total
-			}
-		}
-		var delta float64
-		for i := range scores {
-			delta = math.Max(delta, math.Abs(next[i]-scores[i]))
-		}
-		copy(scores, next)
-		if delta < eps {
-			break
-		}
-	}
-	return scores
-}
-
-// sumVotes computes next[i] = Σ scores[voters of i] for every node, fanning
-// the node range out over workers when the graph is large. Every in-list is
-// summed in ascending voter order regardless of the worker count, so the
-// result is bitwise deterministic.
-func (gr *Graph) sumVotes(scores, next []float64, workers int) {
-	sumVotesCSR(gr.inOff, gr.in, scores, next, workers)
-}
-
-// sumVotesCSR is sumVotes over bare CSR arrays, shared with the
-// component-parallel resolver's per-component propagation.
+// sumVotesCSR computes next[i] = Σ scores[voters of i] for every node of a
+// CSR graph, fanning the node range out over workers when the graph is large.
+// Every in-list is summed in ascending voter order regardless of the worker
+// count, so the result is bitwise deterministic.
 func sumVotesCSR(inOff, in []int32, scores, next []float64, workers int) {
 	n := len(inOff) - 1
 	sumRange := func(lo, hi int) {

@@ -239,7 +239,7 @@ func (l *Lab) HybridAnalysis() HybridReport {
 	rep.DiscoveryQueries = sumQueries(discRes)
 	rep.DiscoveryF = MicroAverage(discPer, types).F1()
 
-	hybDisc := l.annotator(l.SVM, true, false)
+	hybDisc := l.config(l.SVM, true, false)
 	hybDisc.Cache = nil
 	h := &annotate.Hybrid{
 		Catalogue: &annotate.CatalogueAnnotator{Catalogue: l.KB.Catalogue()},

@@ -33,23 +33,6 @@ func (l *Lab) config(clf classify.Classifier, postprocess, disambiguate bool) an
 	}
 }
 
-// annotator is the legacy-facade variant of config, kept for the comparators
-// that take an *annotate.Annotator (the hybrid annotator's Discovery field).
-func (l *Lab) annotator(clf classify.Classifier, postprocess, disambiguate bool) *annotate.Annotator {
-	return &annotate.Annotator{
-		Engine:       l.Engine,
-		Classifier:   clf,
-		Types:        TypeStrings(),
-		K:            l.Cfg.K,
-		Postprocess:  postprocess,
-		Disambiguate: disambiguate,
-		Gazetteer:    l.Geo,
-		Parallelism:  l.Cfg.Parallelism,
-		Cache:        l.Cache,
-		CacheSalt:    l.clfName(clf),
-	}
-}
-
 // clfName identifies a lab classifier for cache namespacing and memo keys.
 func (l *Lab) clfName(clf classify.Classifier) string {
 	if clf == l.Bayes {
@@ -60,8 +43,8 @@ func (l *Lab) clfName(clf classify.Classifier) string {
 
 // runDataset annotates every table of a dataset with fn and returns the
 // results keyed by table name. Used for the function-shaped comparators
-// (TIN, TIS, catalogue, hybrid); annotator runs go through runAnnotator so
-// they pick up the configured parallelism.
+// (TIN, TIS, catalogue, hybrid); pipeline runs go through runConfig so they
+// pick up the configured parallelism.
 func runDataset(ds *dataset.Dataset, fn func(t *table.Table) *annotate.Result) map[string]*annotate.Result {
 	out := make(map[string]*annotate.Result, len(ds.Tables))
 	for _, t := range ds.Tables {
@@ -86,7 +69,7 @@ func (l *Lab) runConfig(ds *dataset.Dataset, cfg annotate.Config) map[string]*an
 	return out
 }
 
-// memoRun is runAnnotator memoized per annotator configuration over the GFT
+// memoRun is runConfig memoized per pipeline configuration over the GFT
 // dataset. The canonical pipeline (SVM + post-processing) is re-run by five
 // different analyses; the first caller pays, the rest share the result set.
 // Callers must treat the returned results as read-only.
@@ -163,7 +146,15 @@ func (l *Lab) Table1() []Table1Row {
 	tinRes := runDataset(l.GFT, func(t *table.Table) *annotate.Result {
 		return annotate.TIN(t, types, annotate.Preprocessor{})
 	})
-	tisRes := runDataset(l.GFT, l.config(l.SVM, false, false).TIS)
+	tisCfg := l.config(l.SVM, false, false)
+	tisRes := runDataset(l.GFT, func(t *table.Table) *annotate.Result {
+		res, err := tisCfg.TIS(context.Background(), t)
+		if err != nil {
+			// Unreachable: a background context never cancels.
+			panic(err)
+		}
+		return res
+	})
 
 	svm := ScoreDataset(l.GFT, svmRes)
 	bayes := ScoreDataset(l.GFT, bayesRes)

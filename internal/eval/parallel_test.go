@@ -18,9 +18,9 @@ func TestParallelCorpusMatchesSequential(t *testing.T) {
 	t.Parallel()
 
 	render := func(parallelism int) string {
-		a := l.annotator(l.SVM, true, false)
+		a := l.config(l.SVM, true, false)
 		a.Parallelism = parallelism
-		results, err := a.AnnotateTables(context.Background(), l.GFT.Tables, parallelism)
+		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables, parallelism)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -54,10 +54,10 @@ func TestCrossTableCacheWarmsAcrossRuns(t *testing.T) {
 
 	cache := qcache.New()
 	run := func() (queries, hits, misses int) {
-		a := l.annotator(l.SVM, true, false)
+		a := l.config(l.SVM, true, false)
 		a.Cache = cache
 		a.CacheSalt = "cache-test"
-		results, err := a.AnnotateTables(context.Background(), l.GFT.Tables, 4)
+		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,10 +100,10 @@ func TestCrossTableCacheWarmsAcrossRuns(t *testing.T) {
 		t.Errorf("overall hit rate = %.2f, want > 0.5 after a warm pass", r)
 	}
 	// The cache must not leak verdicts across salts.
-	salted := l.annotator(l.SVM, true, false)
+	salted := l.config(l.SVM, true, false)
 	salted.Cache = cache
 	salted.CacheSalt = "other-salt"
-	res, err := salted.AnnotateTableContext(context.Background(), l.GFT.Tables[0])
+	res, err := salted.Annotate(context.Background(), l.GFT.Tables[0])
 	if err != nil {
 		t.Fatal(err)
 	}

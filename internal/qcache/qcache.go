@@ -16,7 +16,7 @@
 // decision rule), so callers sharing one Cache between differently-configured
 // annotators must namespace their keys; internal/annotate does this with its
 // cache-key prefix plus the caller-provided salt for the parts it cannot
-// fingerprint (see Annotator.Cache).
+// fingerprint (see annotate.Config.Cache).
 package qcache
 
 import (
@@ -262,56 +262,19 @@ func (c *Cache) Put(key string, v Verdict) {
 	s.mu.Unlock()
 }
 
-// GetOrCompute returns the cached verdict for key, or runs compute to
-// produce, store and return it. Concurrent calls for the same key coalesce:
-// exactly one caller runs compute (counted as the miss), the rest block
-// until it finishes and take the result as a hit — so a shared cache issues
-// exactly one backend query per unique key no matter how many annotation
-// workers race on it. compute runs without any shard lock held.
-func (c *Cache) GetOrCompute(key string, compute func() Verdict) (v Verdict, hit bool) {
-	s := c.shardFor(key)
-	for {
-		s.mu.Lock()
-		if v, ok := c.getLocked(s, key); ok {
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return v, true
-		}
-		if cl, ok := s.pending[key]; ok {
-			s.mu.Unlock()
-			<-cl.done
-			if cl.ok {
-				c.hits.Add(1)
-				return cl.v, true
-			}
-			// The computing caller was cancelled; take over the key.
-			continue
-		}
-		cl := &call{done: make(chan struct{})}
-		s.pending[key] = cl
-		s.mu.Unlock()
-		c.misses.Add(1)
-
-		cl.v = compute()
-		cl.ok = true
-
-		s.mu.Lock()
-		c.putLocked(s, key, cl.v)
-		delete(s.pending, key)
-		s.mu.Unlock()
-		close(cl.done)
-		return cl.v, false
-	}
-}
-
-// GetOrComputeBatch is GetOrCompute over a batch of keys: cached keys
-// resolve immediately, keys another caller is already computing are waited
-// for, and only this caller's genuine misses are handed to compute — once,
-// as one batch, so a batch-capable backend pays one round of work for all of
-// them. Each returned verdict is positional; hit[i] reports whether keys[i]
-// was answered without this caller computing it. Duplicate keys within one
-// call are computed once (the first occurrence counts as the miss, the rest
-// as hits, matching a sequential GetOrCompute loop).
+// GetOrComputeBatch returns the cached verdicts for a batch of keys, running
+// compute to produce and store the ones it lacks: cached keys resolve
+// immediately, keys another caller is already computing are waited for, and
+// only this caller's genuine misses are handed to compute — once, as one
+// batch, so the backend pays one round of work for all of them. Concurrent
+// calls for the same key coalesce: exactly one caller computes it (counted
+// as the miss), the rest block until it finishes and take the result as a
+// hit — so a shared cache issues exactly one backend query per unique key no
+// matter how many annotation workers race on it. compute runs without any
+// shard lock held. Each returned verdict is positional; hit[i] reports
+// whether keys[i] was answered without this caller computing it. Duplicate
+// keys within one call are computed once (the first occurrence counts as the
+// miss, the rest as hits).
 //
 // compute receives the missed keys in input order. If it returns an error
 // (context cancellation), the pending registrations are withdrawn so other

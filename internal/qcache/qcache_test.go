@@ -96,13 +96,13 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _ := c.GetOrCompute("shared-key", func() Verdict {
+			vs, _, err := c.GetOrComputeBatch([]string{"shared-key"}, func([]string) ([]Verdict, error) {
 				computes.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
-				return Verdict{Type: "museum", Score: 0.9, OK: true}
+				return []Verdict{{Type: "museum", Score: 0.9, OK: true}}, nil
 			})
-			if v.Type != "museum" {
-				t.Errorf("verdict = %+v", v)
+			if err != nil || vs[0].Type != "museum" {
+				t.Errorf("verdict = %+v, err = %v", vs, err)
 			}
 		}()
 	}
@@ -116,7 +116,11 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss / %d hits", s, workers-1)
 	}
 	// A later call is a plain cached hit.
-	if _, hit := c.GetOrCompute("shared-key", func() Verdict { t.Error("recomputed"); return Verdict{} }); !hit {
+	_, hits, _ := c.GetOrComputeBatch([]string{"shared-key"}, func([]string) ([]Verdict, error) {
+		t.Error("recomputed")
+		return []Verdict{{}}, nil
+	})
+	if !hits[0] {
 		t.Error("cached key reported as miss")
 	}
 }
@@ -212,13 +216,7 @@ func TestTTLExpiry(t *testing.T) {
 	if st.Entries != 0 {
 		t.Errorf("entries = %d, want 0 after lazy expiry collected the entry", st.Entries)
 	}
-	// GetOrCompute recomputes an expired key instead of serving it.
-	v, hit := c.GetOrCompute("a", func() Verdict { return Verdict{Type: "fresh", OK: true} })
-	if hit || v.Type != "fresh" {
-		t.Errorf("GetOrCompute on expired key = %+v, hit=%v; want recompute", v, hit)
-	}
-	// GetOrComputeBatch likewise.
-	now = now.Add(2 * time.Minute)
+	// GetOrComputeBatch recomputes an expired key instead of serving it.
 	vs, hits, err := c.GetOrComputeBatch([]string{"a"}, func(miss []string) ([]Verdict, error) {
 		if len(miss) != 1 {
 			t.Errorf("batch miss keys = %v, want the expired key", miss)

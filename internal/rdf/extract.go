@@ -35,9 +35,9 @@ type Extractor struct {
 
 // Extract appends triples for every annotation of the table to the store and
 // returns the number of POIs extracted.
-func (x *Extractor) Extract(tbl *table.Table, res *annotate.Result, store *Store) int {
+func (x *Extractor) Extract(tbl *table.Table, anns []annotate.Annotation, store *Store) int {
 	count := 0
-	for _, ann := range res.Annotations {
+	for _, ann := range anns {
 		if ann.Score < x.MinScore {
 			continue
 		}

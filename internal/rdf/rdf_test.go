@@ -163,10 +163,10 @@ func TestExtractFromAnnotatedTable(t *testing.T) {
 	if err := tbl.AppendRow("Musée Lavande", "Clarksville Street, Paris, TX", "(410) 555-0102"); err != nil {
 		t.Fatal(err)
 	}
-	res := &annotate.Result{Annotations: []annotate.Annotation{
+	res := []annotate.Annotation{
 		{Row: 1, Col: 1, Type: "restaurant", Score: 0.9},
 		{Row: 2, Col: 1, Type: "museum", Score: 0.4},
-	}}
+	}
 	store := NewStore()
 	x := &Extractor{Gazetteer: gazetteer.Synthetic(1), MinScore: 0.5}
 	n := x.Extract(tbl, res, store)

@@ -34,9 +34,9 @@ func benchCorpus(n int) []Document {
 	return docs
 }
 
-func benchIndex(b *testing.B, n int) *Index {
+func benchIndex(b *testing.B, n int) *ShardedIndex {
 	b.Helper()
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for _, d := range benchCorpus(n) {
 		ix.Add(d)
 	}
@@ -50,7 +50,7 @@ func BenchmarkIndexAdd(b *testing.B) {
 	docs := benchCorpus(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := NewIndex()
+		ix := NewShardedIndex(1)
 		for _, d := range docs {
 			ix.Add(d)
 		}
@@ -87,7 +87,7 @@ func BenchmarkSearchPhrase(b *testing.B) {
 
 // BenchmarkSnippet isolates snippet generation from precomputed stems.
 func BenchmarkSnippet(b *testing.B) {
-	ix := benchIndex(b, 100)
+	ix := benchIndex(b, 100).shards[0]
 	qterms := []string{"museum", "galleri"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -76,10 +76,6 @@ type columns struct {
 	// costs a binary search over its positional postings — and big terms are
 	// exactly the ones whose positional lists make that search long.
 	firstPos [][]int32
-	// posLists[t] aliases term t's positional posting list, so the snippet
-	// path resolves small-term anchors by term id without hashing the term
-	// string per hit.
-	posLists [][]posPosting
 }
 
 // bigTermDF is the english document frequency at or above which a term gets
@@ -89,7 +85,7 @@ const bigTermDF = 1024
 
 // compileColumns flattens the postings map into the frozen columnar form.
 // It must run after the idf table and normK are installed — contributions
-// read both — i.e. at the end of Freeze/freezeShared. It is split into
+// read both — i.e. at the end of freezeShared. It is split into
 // buildCSR + sortOrd + scatterDense so the persistence fast path can reuse
 // the exact contribution arithmetic while installing a stored ordAll
 // permutation instead of re-sorting (see persist.go).
@@ -100,10 +96,10 @@ func (ix *Index) compileColumns() *columns {
 	return c
 }
 
-// buildCSR compiles the dictionary, the English/non-English CSR sections and
-// the positional aliases — everything except ordAll and the big-term dense
-// arrays. Contributions are computed here, and only here, so every caller
-// produces bit-identical columns.
+// buildCSR compiles the dictionary and the English/non-English CSR sections
+// — everything except ordAll and the big-term dense arrays. Contributions are
+// computed here, and only here, so every caller produces bit-identical
+// columns.
 func (ix *Index) buildCSR() *columns {
 	terms := sortedTerms(ix.postings)
 	c := &columns{
@@ -145,10 +141,6 @@ func (ix *Index) buildCSR() *columns {
 		}
 		c.engOff = append(c.engOff, int32(len(c.engDoc)))
 		c.othOff = append(c.othOff, int32(len(c.othDoc)))
-	}
-	c.posLists = make([][]posPosting, len(terms))
-	for tid, term := range terms {
-		c.posLists[tid] = ix.positions[term]
 	}
 	return c
 }

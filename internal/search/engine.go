@@ -6,18 +6,8 @@ import (
 	"time"
 )
 
-// Queryable is the index-side query surface the Engine wraps. Both the
-// monolithic *Index and the *ShardedIndex implement it with byte-identical
-// results over the same corpus.
-type Queryable interface {
-	Search(query string, k int) []Result
-	SearchBatch(queries []string, k int) [][]Result
-	SearchPhrase(query string, k int) []Result
-	Len() int
-}
-
-// Engine wraps a Queryable index behind the query interface the annotator
-// uses, and models the dominant cost the paper measures in §6.4: the latency
+// Engine wraps the index behind the query interface the annotator uses, and
+// models the dominant cost the paper measures in §6.4: the latency
 // of talking to a remote search API. Latency is accounted virtually by
 // default (no real sleeping), so experiments can report wall-clock estimates
 // without slowing the test suite; RealSleep enables actual sleeping for
@@ -29,7 +19,7 @@ type Queryable interface {
 // configuration, not synchronised; set them before sharing the engine
 // across goroutines.
 type Engine struct {
-	index Queryable
+	index *ShardedIndex
 
 	// Latency is the simulated round-trip time per query. The paper
 	// observes ~0.5 s per processed row dominated by this cost.
@@ -52,46 +42,32 @@ type Stats struct {
 	// Queries is the total number of queries issued (batched queries
 	// count individually).
 	Queries int
-	// Batches and BatchedQueries describe SearchBatch usage: the number
-	// of batch calls and the queries they carried; their ratio is the
-	// average batch size.
+	// Batches and BatchedQueries describe SearchBatchContext usage: the
+	// number of batch calls and the queries they carried; their ratio is
+	// the average batch size.
 	Batches        int
 	BatchedQueries int
 	// SimulatedTime is the total virtual round-trip latency accrued.
 	SimulatedTime time.Duration
-	// Shards is the shard count of the underlying index (1 when the
-	// engine wraps a monolithic Index).
+	// Shards is the shard count of the underlying index.
 	Shards int
-	// ShardQueries is the per-shard query count; nil for a monolithic
-	// index.
+	// ShardQueries is the per-shard query count.
 	ShardQueries []int64
 }
 
-// NewEngine builds an engine over a pre-built monolithic index. The index is
-// frozen here — deriving the cached ranking state (per-term idf, average
-// document length) up front — so engines are safe to share across goroutines
-// without any query ever hitting the lazy freeze path.
-func NewEngine(ix *Index) *Engine {
-	ix.Freeze()
-	return &Engine{index: ix}
-}
-
-// NewShardedEngine builds an engine over a sharded index, freezing it (which
-// derives the corpus-wide ranking state and installs it into every shard).
-// Results are byte-identical to NewEngine over the same corpus; only the
-// intra-query parallelism differs.
+// NewShardedEngine builds an engine over a pre-built index, freezing it (which
+// derives the corpus-wide ranking state and installs it into every shard) so
+// engines are safe to share across goroutines without any query ever hitting
+// the lazy freeze path. Results are byte-identical at every shard count; only
+// the intra-query parallelism differs.
 func NewShardedEngine(six *ShardedIndex) *Engine {
 	six.Freeze()
 	return &Engine{index: six}
 }
 
-// ShardedIndex returns the sharded index behind the engine, or nil when the
-// engine wraps a monolithic Index. Snapshot building persists the serving
-// index through it.
-func (e *Engine) ShardedIndex() *ShardedIndex {
-	six, _ := e.index.(*ShardedIndex)
-	return six
-}
+// ShardedIndex returns the index behind the engine. Snapshot building
+// persists the serving index through it.
+func (e *Engine) ShardedIndex() *ShardedIndex { return e.index }
 
 // Search returns the top-k results for query, accruing simulated latency.
 func (e *Engine) Search(query string, k int) []Result {
@@ -100,34 +76,13 @@ func (e *Engine) Search(query string, k int) []Result {
 	return e.index.Search(query, k)
 }
 
-// SearchBatch resolves a batch of queries in one call; out[i] is exactly
-// Search(queries[i], k). Accounting matches issuing each query separately —
-// the batch amortizes per-query CPU setup and, on a sharded index, fans the
-// whole batch out to the shards in one parallel pass.
-func (e *Engine) SearchBatch(queries []string, k int) [][]Result {
-	e.account(len(queries), true)
-	e.sleep(len(queries))
-	return e.index.SearchBatch(queries, k)
-}
-
-// SearchContext is Search with cancellation: it returns ctx.Err() without
-// querying when ctx is already done, and a RealSleep engine abandons the
-// simulated round-trip mid-sleep when ctx is cancelled. The query is
-// counted once it is issued, even if the caller abandons it.
-func (e *Engine) SearchContext(ctx context.Context, query string, k int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.account(1, false)
-	if err := e.sleepCtx(ctx, 1); err != nil {
-		return nil, err
-	}
-	return e.index.Search(query, k), nil
-}
-
-// SearchBatchContext is SearchBatch with cancellation, checked before the
-// batch is issued and (for RealSleep engines) during the simulated
-// round-trips, which abort mid-sleep.
+// SearchBatchContext resolves a batch of queries in one call; out[i] is
+// exactly Search(queries[i], k). Accounting matches issuing each query
+// separately — the batch amortizes per-query CPU setup and fans the whole
+// batch out to the shards in one parallel pass. Cancellation is checked
+// before the batch is issued and (for RealSleep engines) during the simulated
+// round-trips, which abort mid-sleep; the queries are counted once issued,
+// even if the caller abandons them.
 func (e *Engine) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -140,7 +95,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, queries []string, k int
 }
 
 // SearchPhrase is Search with phrase semantics for double-quoted segments
-// (see Index.SearchPhrase); the paper submits its training queries as
+// (see ShardedIndex.SearchPhrase); the paper submits its training queries as
 // phrases (§5.2.1).
 func (e *Engine) SearchPhrase(query string, k int) []Result {
 	e.account(1, false)
@@ -198,28 +153,23 @@ func (e *Engine) SimulatedTime() time.Duration {
 	return e.simulated
 }
 
-// Stats snapshots the serving counters, including the shard fan-out when
-// the engine wraps a ShardedIndex.
+// Stats snapshots the serving counters, including the shard fan-out.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	st := Stats{
+	defer e.mu.Unlock()
+	return Stats{
 		Queries:        e.queries,
 		Batches:        e.batches,
 		BatchedQueries: e.batchedQueries,
 		SimulatedTime:  e.simulated,
-		Shards:         1,
+		Shards:         e.index.NumShards(),
+		ShardQueries:   e.index.ShardQueryCounts(),
 	}
-	e.mu.Unlock()
-	if six, ok := e.index.(*ShardedIndex); ok {
-		st.Shards = six.NumShards()
-		st.ShardQueries = six.ShardQueryCounts()
-	}
-	return st
 }
 
 // ResetCounters zeroes the query and latency accounting, including the
-// per-shard counters of a sharded index, so serving-time statistics do not
-// carry construction-time (classifier training) queries.
+// per-shard counters, so serving-time statistics do not carry
+// construction-time (classifier training) queries.
 func (e *Engine) ResetCounters() {
 	e.mu.Lock()
 	e.queries = 0
@@ -227,9 +177,7 @@ func (e *Engine) ResetCounters() {
 	e.batchedQueries = 0
 	e.simulated = 0
 	e.mu.Unlock()
-	if six, ok := e.index.(*ShardedIndex); ok {
-		six.ResetQueryCounts()
-	}
+	e.index.ResetQueryCounts()
 }
 
 // IndexSize returns the number of documents behind the engine.

@@ -64,7 +64,7 @@ func FuzzSearchPhrase(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	ix.Add(Document{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu"})
 	ix.Add(Document{URL: "p2", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"})
 	ix.Add(Document{URL: "p3", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"})
@@ -100,7 +100,7 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 		{URL: "s5", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
 		{URL: "s6", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"}, // duplicate: ties
 	}
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for _, d := range docs {
 		ix.Add(d)
 	}

@@ -9,7 +9,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/textproc"
 )
@@ -48,15 +47,16 @@ type posPosting struct {
 	pos []int32
 }
 
-// Index is an in-memory inverted index with BM25 ranking, positional body
-// postings for phrase verification, and per-term idf cached at freeze time.
+// Index is one shard of a ShardedIndex: an in-memory inverted index with
+// positional body postings for phrase verification, the ranking state cached
+// at freeze time, and the scoring and snippet kernels the sharded query
+// surface drives. It has no query API of its own — a one-shard ShardedIndex
+// is the monolithic engine.
 //
-// Concurrency: Add is not safe to call concurrently. Once indexing is
-// complete, call Freeze (NewEngine does it for you); after that every query
-// method (Search, SearchPhrase, Len) only reads shared state, so an Index is
-// safe for any number of concurrent readers. A query on an unfrozen index
-// freezes it on demand under a mutex, so single-goroutine use needs no
-// explicit Freeze call. Adding a document un-freezes the index.
+// Concurrency: Add is not safe to call concurrently. The owning ShardedIndex
+// tracks the freeze state and freezes every shard before a query reaches the
+// kernels, which only read shared state — so a shard is safe for any number
+// of concurrent readers.
 type Index struct {
 	docs     []Document
 	bodyToks [][]string // raw body words per doc, for snippet windows
@@ -83,13 +83,11 @@ type Index struct {
 	totalLen     int
 	english      []bool // Lang == "en", checked in the scoring loop
 
-	// Frozen state: derived ranking constants computed once per corpus
-	// generation instead of per query. frozen publishes idf/avgLen to
-	// concurrent readers (atomic store-release after the maps are built).
-	frozen   atomic.Bool
-	freezeMu sync.Mutex
-	idf      map[string]float64
-	avgLen   float64
+	// Frozen state: derived ranking constants installed once per corpus
+	// generation by the owning ShardedIndex (freezeShared) instead of
+	// computed per query.
+	idf    map[string]float64
+	avgLen float64
 	// normK[doc] is the document's precomputed BM25 length normalizer,
 	// bm25K1*(1-bm25B+bm25B*dl/avgLen) — the per-posting denominator term
 	// that depends only on frozen state, hoisted out of the scoring loop.
@@ -124,9 +122,7 @@ func NewIndex() *Index {
 }
 
 // Add indexes a document. Title terms are indexed alongside body terms (with
-// the title counted twice, approximating field weighting). Adding to a frozen
-// index un-freezes it; the next query (or Freeze call) re-derives the cached
-// ranking state.
+// the title counted twice, approximating field weighting).
 func (ix *Index) Add(doc Document) {
 	if doc.Lang == "" {
 		doc.Lang = "en"
@@ -178,7 +174,6 @@ func (ix *Index) Add(doc Document) {
 	}
 	ix.docLen = append(ix.docLen, nTerms)
 	ix.totalLen += nTerms
-	ix.frozen.Store(false)
 }
 
 // addPosition appends one content-word position for term in doc. Documents
@@ -196,42 +191,16 @@ func (ix *Index) addPosition(term string, doc int, pos int32) {
 // Len returns the number of indexed documents.
 func (ix *Index) Len() int { return len(ix.docs) }
 
-// Freeze derives the per-term idf table and the average document length from
-// the current postings. Queries read these instead of recomputing them, and
-// concurrent readers require a frozen index (NewEngine freezes for you).
-// Freeze is idempotent; Add un-freezes.
-func (ix *Index) Freeze() {
-	ix.freezeMu.Lock()
-	defer ix.freezeMu.Unlock()
-	if ix.frozen.Load() {
-		return
-	}
-	n := float64(len(ix.docs))
-	ix.idf = make(map[string]float64, len(ix.postings))
-	for t, plist := range ix.postings {
-		df := float64(len(plist))
-		ix.idf[t] = math.Log((n-df+0.5)/(df+0.5) + 1)
-	}
-	if n > 0 {
-		ix.avgLen = float64(ix.totalLen) / n
-	}
-	ix.freezeNormK()
-	ix.col = ix.compileColumns()
-	ix.frozen.Store(true)
-}
-
 // freezeShared installs externally-derived global ranking state — the
 // corpus-wide idf table and average document length a ShardedIndex computes
-// across its shards — so every shard scores with exactly the constants the
-// monolithic index would use. The idf map is shared and read-only.
+// across its shards — so every shard scores with exactly the constants a
+// single shard holding the whole corpus would use. The idf map is shared and
+// read-only.
 func (ix *Index) freezeShared(idf map[string]float64, avgLen float64) {
-	ix.freezeMu.Lock()
-	defer ix.freezeMu.Unlock()
 	ix.idf = idf
 	ix.avgLen = avgLen
 	ix.freezeNormK()
 	ix.col = ix.compileColumns()
-	ix.frozen.Store(true)
 }
 
 // freezeNormK derives the per-doc BM25 length normalizers from docLen and
@@ -244,13 +213,6 @@ func (ix *Index) freezeNormK() {
 	ix.normK = ix.normK[:len(ix.docLen)]
 	for d, dl := range ix.docLen {
 		ix.normK[d] = bm25K1 * (1 - bm25B + bm25B*float64(dl)/ix.avgLen)
-	}
-}
-
-// ensureFrozen freezes on first query. The fast path is one atomic load.
-func (ix *Index) ensureFrozen() {
-	if !ix.frozen.Load() {
-		ix.Freeze()
 	}
 }
 
@@ -369,7 +331,6 @@ func (t *topK) drain() []hit {
 // caller actually returns. The returned slice aliases the accumulator's heap
 // storage and is valid until the accumulator's next use.
 func (ix *Index) topDocs(acc *accumulator, qterms []string, k int) []hit {
-	ix.ensureFrozen()
 	col := ix.col
 	tids := acc.tids[:0]
 	for _, t := range qterms {
@@ -604,113 +565,6 @@ func (ix *Index) selectTopDense(acc *accumulator, tid int32, k int) []hit {
 	return top.drain()
 }
 
-// materialize renders hits as Results, generating snippets only now — for
-// the hits actually returned, not for every scored candidate.
-func (ix *Index) materialize(hits []hit, qterms []string) []Result {
-	out := make([]Result, len(hits))
-	if len(hits) == 0 {
-		return out
-	}
-	for i, h := range hits {
-		d := ix.docs[h.doc]
-		out[i] = Result{
-			URL:     d.URL,
-			Title:   d.Title,
-			Snippet: ix.snippet(h.doc, qterms),
-			Score:   h.score,
-		}
-	}
-	return out
-}
-
-// Search returns the top-k English documents for the query under BM25,
-// highest score first. Ties break by document id for determinism.
-func (ix *Index) Search(query string, k int) []Result {
-	if k <= 0 || len(ix.docs) == 0 {
-		return nil
-	}
-	qterms := textproc.NormalizeTokens(query)
-	if len(qterms) == 0 {
-		return nil
-	}
-	acc := ix.getAccumulator()
-	defer ix.putAccumulator(acc)
-	hits := ix.topDocs(acc, qterms, k)
-	out := make([]Result, len(hits))
-	for i, h := range hits {
-		d := ix.docs[h.doc]
-		out[i] = Result{
-			URL:     d.URL,
-			Title:   d.Title,
-			Snippet: ix.snippetResolved(h.doc, acc.tids),
-			Score:   h.score,
-		}
-	}
-	return out
-}
-
-// SearchBatch resolves a batch of queries in one call, returning the results
-// positionally: out[i] is exactly Search(queries[i], k). The batch amortizes
-// per-query work three ways: one accumulator (and top-k heap) is checked out
-// of the pool for the whole batch; term-id resolution is shared across the
-// batch (a term appearing in many queries hits the dictionary once); and
-// duplicate queries — where batch queries fully overlap — are normalized,
-// scored and materialized once, later occurrences copying the first's
-// results.
-func (ix *Index) SearchBatch(queries []string, k int) [][]Result {
-	out := make([][]Result, len(queries))
-	if k <= 0 || len(ix.docs) == 0 {
-		return out
-	}
-	ix.ensureFrozen()
-	acc := ix.getAccumulator()
-	defer ix.putAccumulator(acc)
-	r := newTermResolver(ix.col)
-	var tids []int32
-	seen := make(map[string]int, len(queries))
-	// One Result arena serves the whole batch: total hits <= len(queries)*k,
-	// so the sub-slices below never reallocate, and the batch costs one
-	// allocation instead of one per query.
-	arena := make([]Result, 0, len(queries)*k)
-	for i, q := range queries {
-		if j, ok := seen[q]; ok {
-			out[i] = copyResults(out[j])
-			continue
-		}
-		seen[q] = i
-		qterms := textproc.NormalizeTokens(q)
-		if len(qterms) == 0 {
-			continue
-		}
-		tids = r.resolve(qterms, tids)
-		hits := ix.topDocsResolved(acc, tids, k)
-		lo := len(arena)
-		for _, h := range hits {
-			d := ix.docs[h.doc]
-			arena = append(arena, Result{
-				URL:     d.URL,
-				Title:   d.Title,
-				Snippet: ix.snippetResolved(h.doc, tids),
-				Score:   h.score,
-			})
-		}
-		out[i] = arena[lo:len(arena):len(arena)]
-	}
-	return out
-}
-
-// copyResults clones one query's results for a duplicate occurrence in a
-// batch, preserving nil-ness so a duplicate's results match byte-for-byte
-// what re-running the query would have returned.
-func copyResults(src []Result) []Result {
-	if src == nil {
-		return nil
-	}
-	dst := make([]Result, len(src))
-	copy(dst, src)
-	return dst
-}
-
 // snippet extracts a SnippetWords-word window around the first body word
 // whose stem matches a query term, or the leading window when no term
 // matches (title-only hits). The anchor comes from the positional postings
@@ -726,48 +580,6 @@ func (ix *Index) snippet(doc int, qterms []string) string {
 		}
 	}
 	return ix.snippetAt(doc, first)
-}
-
-// snippetResolved is snippet for callers that already hold the query's
-// resolved term ids (-1 absent): big terms anchor in one firstPos load, and
-// small terms binary-search their tid-indexed positional list — no per-hit
-// dictionary hashing either way. A term with positions always has postings,
-// so tid < 0 implies no content position.
-func (ix *Index) snippetResolved(doc int, tids []int32) string {
-	first := int32(-1)
-	for _, tid := range tids {
-		if tid < 0 {
-			continue
-		}
-		p := int32(-1)
-		if fp := ix.col.firstPos[tid]; fp != nil {
-			p = fp[doc] - 1
-		} else {
-			p = firstInPosList(ix.col.posLists[tid], doc)
-		}
-		if p >= 0 && (first < 0 || p < first) {
-			first = p
-		}
-	}
-	return ix.snippetAt(doc, first)
-}
-
-// firstInPosList returns doc's first content position within plist (sorted
-// by doc), or -1.
-func firstInPosList(plist []posPosting, doc int) int32 {
-	lo, hi := 0, len(plist)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if plist[mid].doc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(plist) || plist[lo].doc != doc {
-		return -1
-	}
-	return plist[lo].pos[0]
 }
 
 // snippetAt renders the snippet window anchored at content position first

@@ -5,14 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
 
 // Index persistence: a compact binary snapshot so a corpus indexed once can
 // be reloaded without re-tokenising (building the synthetic web index is the
-// slowest part of system construction). Format (little-endian):
+// slowest part of system construction). TIDX version 4, the one format
+// (little-endian):
 //
 //	magic "TIDX" | version u32 | shardCount u32
 //	docCount u32, then per doc in global Add order:
@@ -30,7 +30,7 @@ import (
 //	        permutation (per-term English posting indices sorted by
 //	        contribution desc, doc asc), concatenated in term order
 //
-// Version 4 is a direct image of the index: the reader reconstructs the
+// The stream is a direct image of the index: the reader reconstructs the
 // postings and positional maps straight from the stored lists and rebuilds
 // the remaining derived state (word offsets, content-position mapping, BM25
 // constants, the columnar scoring form) from the stored bodies, bitmaps and
@@ -38,12 +38,7 @@ import (
 // what makes loading a snapshot several times faster than rebuilding the
 // corpus. Every count and id is bounds-checked during decoding, so a corrupt
 // or adversarial stream yields an error, never a panic or a huge allocation.
-//
-// History: version 2 added the positional section, version 3 the shardCount
-// header field, both storing postings/positions only as integrity sections
-// verified against a full re-tokenisation of the stored bodies. Version
-// 2 and 3 files still load through that re-add path; version 4 is what
-// writers produce.
+// Any other version is rejected.
 
 const (
 	indexMagic   = "TIDX"
@@ -65,7 +60,7 @@ func sortedTerms[V any](m map[string]V) []string {
 	return terms
 }
 
-// persistWriter wraps the encoding helpers shared by both WriteTo variants.
+// persistWriter wraps the encoding helpers of WriteTo.
 type persistWriter struct {
 	bw *bufio.Writer
 	n  int64
@@ -198,33 +193,7 @@ func (pw *persistWriter) sections(ix *Index) error {
 	return nil
 }
 
-// WriteTo serialises the index as the shardCount=1 case of the v4 format,
-// freezing it first (the ordAll section is freeze-derived). It returns the
-// byte count written.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	ix.ensureFrozen()
-	pw := &persistWriter{bw: bufio.NewWriter(w)}
-	err := func() error {
-		if err := pw.header(1); err != nil {
-			return err
-		}
-		if err := pw.u32(uint32(len(ix.docs))); err != nil {
-			return err
-		}
-		for ld := range ix.docs {
-			if err := pw.doc(ix, ld); err != nil {
-				return err
-			}
-		}
-		return pw.sections(ix)
-	}()
-	if err != nil {
-		return pw.n, err
-	}
-	return pw.n, pw.bw.Flush()
-}
-
-// WriteTo serialises the sharded index: documents once in global order, then
+// WriteTo serialises the index: documents once in global order, then
 // each shard's sections, freezing first. It returns the byte count written.
 func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	s.Freeze()
@@ -554,8 +523,6 @@ func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
 // strictly descending (contribution, doc asc) order — which, with the length
 // check, also proves it is a permutation.
 func (ix *Index) freezeFromPersist(idf map[string]float64, avgLen float64, ord []int32) error {
-	ix.freezeMu.Lock()
-	defer ix.freezeMu.Unlock()
 	ix.idf = idf
 	ix.avgLen = avgLen
 	ix.freezeNormK()
@@ -583,7 +550,6 @@ func (ix *Index) freezeFromPersist(idf map[string]float64, avgLen float64, ord [
 	c.ordAll = ord
 	ix.scatterDense(c)
 	ix.col = c
-	ix.frozen.Store(true)
 	return nil
 }
 
@@ -615,27 +581,9 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("search: corrupt index (%d trailing bytes)", br.remaining())
 	}
 
-	// Global freeze, mirroring ShardedIndex.Freeze: corpus-wide document
-	// frequencies and average length, installed into every shard — but with
-	// each shard's stored ordAll instead of a freeze-time sort.
-	df := make(map[string]int)
-	totalLen := 0
-	for _, sh := range s.shards {
-		for t, plist := range sh.postings {
-			df[t] += len(plist)
-		}
-		totalLen += sh.totalLen
-	}
-	n := float64(s.nDocs)
-	idf := make(map[string]float64, len(df))
-	for t, d := range df {
-		dff := float64(d)
-		idf[t] = math.Log((n-dff+0.5)/(dff+0.5) + 1)
-	}
-	avgLen := 0.0
-	if n > 0 {
-		avgLen = float64(totalLen) / n
-	}
+	// Global freeze as in ShardedIndex.Freeze, but with each shard's stored
+	// ordAll instead of a freeze-time sort.
+	idf, avgLen := s.globalRanking()
 	for si, sh := range s.shards {
 		if err := sh.freezeFromPersist(idf, avgLen, ords[si]); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
@@ -645,19 +593,23 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 	return s, nil
 }
 
-// readAny decodes any supported stream version into a sharded index. The
-// whole stream is buffered in memory first (callers either hand over
-// already-buffered snapshot sections or open bounded files), which lets the
-// decoder work over flat blocks instead of per-integer reads.
-func readAny(r io.Reader) (*ShardedIndex, error) {
+// ReadShardedIndex loads an index snapshot written by WriteTo, with the
+// stored shard count. The loaded index is returned frozen and ready to serve
+// queries. The whole stream is buffered in memory first (callers open
+// bounded files), which lets the decoder work over flat blocks instead of
+// per-integer reads.
+func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("search: reading index: %w", err)
 	}
-	return readAnyBytes(data)
+	return ReadShardedIndexBytes(data)
 }
 
-func readAnyBytes(data []byte) (*ShardedIndex, error) {
+// ReadShardedIndexBytes is ReadShardedIndex over an already-buffered stream.
+// Callers that hold the encoded section in memory (the snapshot bundle
+// reader, after checksumming) use this to skip a second full-stream copy.
+func ReadShardedIndexBytes(data []byte) (*ShardedIndex, error) {
 	br := &byteReader{data: data}
 	magic, err := br.block(4)
 	if err != nil {
@@ -670,158 +622,15 @@ func readAnyBytes(data []byte) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := 1
-	if version != 2 {
-		v, err := br.u32()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 || v > 1<<16 {
-			return nil, fmt.Errorf("search: corrupt index (shard count %d)", v)
-		}
-		shards = int(v)
+	if version != indexVersion {
+		return nil, fmt.Errorf("search: unsupported index version %d", version)
 	}
-	switch version {
-	case 2, 3:
-		return readLegacy(br, shards)
-	case indexVersion:
-		return readV4(br, shards)
-	}
-	return nil, fmt.Errorf("search: unsupported index version %d", version)
-}
-
-// ReadIndex loads a monolithic index previously written with Index.WriteTo.
-// Files written by ShardedIndex.WriteTo with more than one shard must be
-// loaded with ReadShardedIndex (the shard-local doc ids in their sections
-// only make sense against the sharded layout).
-func ReadIndex(r io.Reader) (*Index, error) {
-	s, err := readAny(r)
+	shards, err := br.u32()
 	if err != nil {
 		return nil, err
 	}
-	if s.NumShards() != 1 {
-		return nil, fmt.Errorf("search: index has %d shards; use ReadShardedIndex", s.NumShards())
+	if shards == 0 || shards > 1<<16 {
+		return nil, fmt.Errorf("search: corrupt index (shard count %d)", shards)
 	}
-	return s.shards[0], nil
-}
-
-// ReadShardedIndex loads any index snapshot as a ShardedIndex with the
-// stored shard count (1 for monolithic and version-2 files). The loaded
-// index is returned frozen and ready to serve queries.
-func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {
-	return readAny(r)
-}
-
-// ReadShardedIndexBytes is ReadShardedIndex over an already-buffered stream.
-// Callers that hold the encoded section in memory (the snapshot bundle
-// reader, after checksumming) use this to skip a second full-stream copy.
-func ReadShardedIndexBytes(data []byte) (*ShardedIndex, error) {
-	return readAnyBytes(data)
-}
-
-// readLegacy loads a version 2/3 stream: documents are re-added through the
-// live tokenisation path (rebuilding all derived state), then each shard's
-// stored postings and positions are verified against the rebuilt maps.
-func readLegacy(br *byteReader, shards int) (*ShardedIndex, error) {
-	s := NewShardedIndex(shards)
-	docCount, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < docCount; i++ {
-		var fields [4]string
-		for f := range fields {
-			s, err := br.str()
-			if err != nil {
-				return nil, fmt.Errorf("search: doc %d: %w", i, err)
-			}
-			fields[f] = s
-		}
-		s.Add(Document{URL: fields[0], Title: fields[1], Body: fields[2], Lang: fields[3]})
-	}
-	for si, sh := range s.shards {
-		if err := verifyLegacySections(br, sh); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-	}
-	s.Freeze()
-	return s, nil
-}
-
-// verifyLegacySections checks one shard's stored v2/v3 postings and
-// positions against the re-tokenised state (the old formats' integrity
-// sections).
-func verifyLegacySections(br *byteReader, ix *Index) error {
-	termCount, err := br.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < termCount; i++ {
-		term, err := br.str()
-		if err != nil {
-			return err
-		}
-		n, err := br.u32()
-		if err != nil {
-			return err
-		}
-		rebuilt := ix.postings[term]
-		if uint32(len(rebuilt)) != n {
-			return fmt.Errorf("search: postings mismatch for %q: %d stored, %d rebuilt", term, n, len(rebuilt))
-		}
-		for j := uint32(0); j < n; j++ {
-			doc, err := br.u32()
-			if err != nil {
-				return err
-			}
-			tf, err := br.u32()
-			if err != nil {
-				return err
-			}
-			if rebuilt[j].doc != int(doc) || rebuilt[j].tf != int(tf) {
-				return fmt.Errorf("search: posting %d of %q differs", j, term)
-			}
-		}
-	}
-	posTermCount, err := br.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < posTermCount; i++ {
-		term, err := br.str()
-		if err != nil {
-			return err
-		}
-		n, err := br.u32()
-		if err != nil {
-			return err
-		}
-		rebuilt := ix.positions[term]
-		if uint32(len(rebuilt)) != n {
-			return fmt.Errorf("search: position lists mismatch for %q: %d stored, %d rebuilt", term, n, len(rebuilt))
-		}
-		for j := uint32(0); j < n; j++ {
-			doc, err := br.u32()
-			if err != nil {
-				return err
-			}
-			np, err := br.u32()
-			if err != nil {
-				return err
-			}
-			if rebuilt[j].doc != int(doc) || uint32(len(rebuilt[j].pos)) != np {
-				return fmt.Errorf("search: position list %d of %q differs", j, term)
-			}
-			for pj := uint32(0); pj < np; pj++ {
-				pos, err := br.u32()
-				if err != nil {
-					return err
-				}
-				if rebuilt[j].pos[pj] != int32(pos) {
-					return fmt.Errorf("search: position %d of %q in doc %d differs", pj, term, doc)
-				}
-			}
-		}
-	}
-	return nil
+	return readV4(br, int(shards))
 }

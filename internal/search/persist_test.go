@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, err := ReadShardedIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +40,10 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadIndex(bytes.NewReader([]byte("not an index at all"))); err == nil {
+	if _, err := ReadShardedIndex(bytes.NewReader([]byte("not an index at all"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadShardedIndex(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -55,7 +56,7 @@ func TestReadIndexRejectsTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{5, 9, len(data) / 2, len(data) - 3} {
-		if _, err := ReadIndex(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadShardedIndex(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -78,8 +79,8 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestWriteToPropagatesErrors sweeps the failure point across the whole
-// stream for both writers: every short write must surface an error (never a
-// silent truncated file).
+// stream at one and three shards: every short write must surface an error
+// (never a silent truncated file).
 func TestWriteToPropagatesErrors(t *testing.T) {
 	mono := smallIndex()
 	var buf bytes.Buffer
@@ -88,11 +89,11 @@ func TestWriteToPropagatesErrors(t *testing.T) {
 	}
 	for cut := 0; cut < buf.Len(); cut += 7 {
 		if _, err := mono.WriteTo(&failAfter{n: cut}); err == nil {
-			t.Fatalf("monolithic WriteTo with write failure at byte %d reported success", cut)
+			t.Fatalf("one-shard WriteTo with write failure at byte %d reported success", cut)
 		}
 	}
 
-	sharded := legacyCorpus(3)
+	sharded := buildSharded(smallDocs(), 3)
 	buf.Reset()
 	if _, err := sharded.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestWriteToPropagatesErrors(t *testing.T) {
 // TestReadV4TruncationSweep: every proper prefix of a v4 stream must be
 // rejected with an error — no prefix may load and none may panic.
 func TestReadV4TruncationSweep(t *testing.T) {
-	sharded := legacyCorpus(2)
+	sharded := buildSharded(smallDocs(), 2)
 	var buf bytes.Buffer
 	if _, err := sharded.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -120,6 +121,11 @@ func TestReadV4TruncationSweep(t *testing.T) {
 	}
 }
 
+// TestReadIndexRejectsWrongVersion: version 4 is the only format. A stream
+// whose header names any other version — including 2 and 3, which no writer
+// has produced since the direct-image format replaced them — is refused by
+// version, whatever follows; a version-4 header with nothing behind it is
+// refused as truncated.
 func TestReadIndexRejectsWrongVersion(t *testing.T) {
 	ix := smallIndex()
 	var buf bytes.Buffer
@@ -127,8 +133,17 @@ func TestReadIndexRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[4] = 99 // version byte
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("wrong version accepted")
+	for _, version := range []byte{2, 3, 99} {
+		data[4] = version
+		for _, stream := range [][]byte{data, data[:8]} {
+			_, err := ReadShardedIndex(bytes.NewReader(stream))
+			if err == nil || !strings.Contains(err.Error(), "unsupported index version") {
+				t.Errorf("version %d, %d bytes: err = %v, want unsupported index version", version, len(stream), err)
+			}
+		}
+	}
+	data[4] = indexVersion
+	if _, err := ReadShardedIndex(bytes.NewReader(data[:8])); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("bare v4 header: err = %v, want a truncation error", err)
 	}
 }

@@ -1,62 +1,10 @@
 package search
 
-import (
-	"strings"
+import "strings"
 
-	"repro/internal/textproc"
-)
-
-// Phrase queries. The paper submits training queries as phrases ("Melisse
-// restaurant", §5.2.1); SearchPhrase supports that semantics: segments
-// wrapped in double quotes must occur as adjacent stemmed tokens in the
-// document body, the rest of the query ranks as usual. Verification happens
-// on the BM25 candidate list via the positional postings built at Add time,
-// so each candidate costs a position-list intersection rather than a
-// re-tokenization of its whole body.
-//
-//	SearchPhrase(`"Chez Martin" restaurant`, 10)
-func (ix *Index) SearchPhrase(query string, k int) []Result {
-	phrases, remainder := splitPhrases(query)
-	if len(phrases) == 0 {
-		return ix.Search(query, k)
-	}
-	if k <= 0 || len(ix.docs) == 0 {
-		return nil
-	}
-	qterms := textproc.NormalizeTokens(remainder + " " + strings.Join(phrases, " "))
-	if len(qterms) == 0 {
-		return nil
-	}
-	want := make([][]string, len(phrases))
-	for i, p := range phrases {
-		want[i] = textproc.NormalizeTokens(p)
-	}
-	// Over-fetch candidates: phrase verification will discard some.
-	acc := ix.getAccumulator()
-	defer ix.putAccumulator(acc)
-	candidates := ix.topDocs(acc, qterms, k*4)
-	var keep []hit
-	for _, h := range candidates {
-		ok := true
-		for _, w := range want {
-			if !ix.containsPhrase(h.doc, w) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep = append(keep, h)
-			if len(keep) == k {
-				break
-			}
-		}
-	}
-	if len(keep) == 0 {
-		return nil
-	}
-	// Snippets are generated only for the hits that survived verification.
-	return ix.materialize(keep, qterms)
-}
+// Phrase-query support for ShardedIndex.SearchPhrase: splitting a query into
+// its quoted segments, and verifying a phrase against one shard's positional
+// postings.
 
 // splitPhrases extracts the quoted segments of a query and returns them
 // together with the unquoted remainder. A dangling unbalanced quote is

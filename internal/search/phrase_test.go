@@ -30,8 +30,8 @@ func TestSplitPhrases(t *testing.T) {
 	}
 }
 
-func phraseIndex() *Index {
-	ix := NewIndex()
+func phraseIndex() *ShardedIndex {
+	ix := NewShardedIndex(1)
 	ix.Add(Document{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu and chef specials"})
 	ix.Add(Document{URL: "p2", Title: "Martin Chez", Body: "martin chez writes about restaurant kitchens and menu design for chefs"})
 	ix.Add(Document{URL: "p3", Title: "Chez place", Body: "chez nothing here martin appears far away restaurant menu"})
@@ -64,7 +64,7 @@ func TestSearchPhraseFallsBackWithoutQuotes(t *testing.T) {
 }
 
 func TestSearchPhraseStemsInsidePhrase(t *testing.T) {
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	ix.Add(Document{URL: "p1", Title: "x", Body: "national museums collection hosts paintings"})
 	res := ix.SearchPhrase(`"national museum"`, 5)
 	if len(res) != 1 {
@@ -83,7 +83,7 @@ func TestSearchPhraseNoMatch(t *testing.T) {
 }
 
 func TestSearchPhraseRespectsK(t *testing.T) {
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for i := 0; i < 20; i++ {
 		ix.Add(Document{URL: string(rune('a' + i)), Title: "x", Body: "grand hotel lobby with rooms and suites"})
 	}

@@ -276,7 +276,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			docs := randomCorpus(rng, 20+rng.Intn(120))
-			ix := NewIndex()
+			ix := NewShardedIndex(1)
 			for _, d := range docs {
 				ix.Add(d)
 			}
@@ -309,7 +309,7 @@ func TestSearchMatchesReferenceOnLabCorpusShape(t *testing.T) {
 			Body:  subj + " " + filler + " " + subj,
 		})
 	}
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for _, d := range docs {
 		ix.Add(d)
 	}

@@ -8,15 +8,19 @@ import (
 	"time"
 )
 
-func smallIndex() *Index {
-	ix := NewIndex()
-	ix.Add(Document{URL: "u1", Title: "Louvre Museum", Body: "the louvre museum in paris hosts a famous art collection with paintings and sculpture galleries"})
-	ix.Add(Document{URL: "u2", Title: "Melisse Restaurant", Body: "melisse is a fine dining restaurant in santa monica with a seasonal tasting menu by the chef"})
-	ix.Add(Document{URL: "u3", Title: "Melisse Records", Body: "melisse is a french contemporary jazz label releasing vinyl records with saxophone quartets"})
-	ix.Add(Document{URL: "u4", Title: "Weather report", Body: "the forecast predicts rainfall and wind with dropping temperature across the region"})
-	ix.Add(Document{URL: "u5", Title: "Ristorante francese", Body: "questo ristorante serve piatti tipici della cucina francese", Lang: "it"})
-	return ix
+func smallDocs() []Document {
+	return []Document{
+		{URL: "u1", Title: "Louvre Museum", Body: "the louvre museum in paris hosts a famous art collection with paintings and sculpture galleries"},
+		{URL: "u2", Title: "Melisse Restaurant", Body: "melisse is a fine dining restaurant in santa monica with a seasonal tasting menu by the chef"},
+		{URL: "u3", Title: "Melisse Records", Body: "melisse is a french contemporary jazz label releasing vinyl records with saxophone quartets"},
+		{URL: "u4", Title: "Weather report", Body: "the forecast predicts rainfall and wind with dropping temperature across the region"},
+		{URL: "u5", Title: "Ristorante francese", Body: "questo ristorante serve piatti tipici della cucina francese", Lang: "it"},
+	}
 }
+
+// smallIndex is the five-document corpus on one shard — the monolithic
+// engine.
+func smallIndex() *ShardedIndex { return buildSharded(smallDocs(), 1) }
 
 func TestSearchRanking(t *testing.T) {
 	ix := smallIndex()
@@ -94,7 +98,7 @@ func TestSnippetContainsQueryContext(t *testing.T) {
 // TestSearchTopKBound: the engine never returns more than k results, for any
 // k and corpus size.
 func TestSearchTopKBound(t *testing.T) {
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for i := 0; i < 40; i++ {
 		ix.Add(Document{URL: fmt.Sprint(i), Title: "museum", Body: "museum gallery art"})
 	}
@@ -108,7 +112,7 @@ func TestSearchTopKBound(t *testing.T) {
 }
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for i := 0; i < 10; i++ {
 		ix.Add(Document{URL: fmt.Sprint(i), Title: "hotel", Body: "hotel rooms suites"})
 	}
@@ -122,7 +126,7 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 }
 
 func TestEngineCounters(t *testing.T) {
-	e := NewEngine(smallIndex())
+	e := NewShardedEngine(smallIndex())
 	e.Latency = 50 * time.Millisecond
 	e.Search("museum", 3)
 	e.Search("restaurant", 3)
@@ -139,7 +143,7 @@ func TestEngineCounters(t *testing.T) {
 }
 
 func TestEngineRealSleep(t *testing.T) {
-	e := NewEngine(smallIndex())
+	e := NewShardedEngine(smallIndex())
 	e.Latency = 10 * time.Millisecond
 	e.RealSleep = true
 	start := time.Now()
@@ -150,7 +154,7 @@ func TestEngineRealSleep(t *testing.T) {
 }
 
 func TestEngineConcurrentAccess(t *testing.T) {
-	e := NewEngine(smallIndex())
+	e := NewShardedEngine(smallIndex())
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		go func() {

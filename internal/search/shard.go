@@ -9,21 +9,22 @@ import (
 	"repro/internal/textproc"
 )
 
-// ShardedIndex partitions a corpus across N shard Indexes so one query's
-// scoring work can run on N cores, while staying byte-identical to the
-// monolithic Index: documents are assigned round-robin (global doc id g
-// lives in shard g%N at local id g/N — a monotonic mapping, so per-shard
-// doc order equals global order restricted to the shard), ranking constants
-// (per-term idf, average document length) are derived corpus-wide at freeze
-// time and installed into every shard, and per-shard bounded top-k results
-// merge under the exact (score desc, global doc asc) total order. Because a
-// document's BM25 score accumulates per query term in query order within
-// its one owning shard, every float operation matches the monolithic
-// engine's and scores are bit-identical, not merely close.
+// ShardedIndex is the query engine: an inverted index with BM25 ranking,
+// partitioned across N shard Indexes so one query's scoring work can run on
+// N cores, with results byte-identical at every N (N = 1 is the monolithic
+// index): documents are assigned round-robin (global doc id g lives in shard
+// g%N at local id g/N — a monotonic mapping, so per-shard doc order equals
+// global order restricted to the shard), ranking constants (per-term idf,
+// average document length) are derived corpus-wide at freeze time and
+// installed into every shard, and per-shard bounded top-k results merge under
+// the exact (score desc, global doc asc) total order. Because a document's
+// BM25 score accumulates per query term in query order within its one owning
+// shard, every float operation matches the one-shard engine's and scores are
+// bit-identical, not merely close.
 //
-// Concurrency mirrors Index: Add is single-goroutine, queries are safe for
-// any number of concurrent readers once frozen (NewShardedEngine freezes),
-// and an unfrozen query freezes on demand under a mutex.
+// Concurrency: Add is single-goroutine, queries are safe for any number of
+// concurrent readers once frozen (NewShardedEngine freezes), and an unfrozen
+// query freezes on demand under a mutex.
 type ShardedIndex struct {
 	shards []*Index
 	nDocs  int
@@ -83,16 +84,26 @@ func (s *ShardedIndex) Add(doc Document) {
 	s.frozen.Store(false)
 }
 
-// Freeze derives the corpus-wide ranking state — global per-term document
-// frequencies, the global average document length — and installs it into
-// every shard, exactly as the monolithic Index.Freeze would derive it over
-// the whole corpus. Idempotent; Add un-freezes.
+// Freeze derives the corpus-wide ranking state and installs it into every
+// shard. Idempotent; Add un-freezes.
 func (s *ShardedIndex) Freeze() {
 	s.freezeMu.Lock()
 	defer s.freezeMu.Unlock()
 	if s.frozen.Load() {
 		return
 	}
+	idf, avgLen := s.globalRanking()
+	for _, sh := range s.shards {
+		sh.freezeShared(idf, avgLen)
+	}
+	s.frozen.Store(true)
+}
+
+// globalRanking derives the corpus-wide ranking constants from the shards'
+// postings: the per-term idf table over global document frequencies (one
+// read-only map, shared by every shard) and the global average document
+// length.
+func (s *ShardedIndex) globalRanking() (idf map[string]float64, avgLen float64) {
 	df := make(map[string]int)
 	totalLen := 0
 	for _, sh := range s.shards {
@@ -102,20 +113,15 @@ func (s *ShardedIndex) Freeze() {
 		totalLen += sh.totalLen
 	}
 	n := float64(s.nDocs)
-	idf := make(map[string]float64, len(df))
+	idf = make(map[string]float64, len(df))
 	for t, d := range df {
 		dff := float64(d)
 		idf[t] = math.Log((n-dff+0.5)/(dff+0.5) + 1)
 	}
-	avgLen := 0.0
 	if n > 0 {
 		avgLen = float64(totalLen) / n
 	}
-	// Shards share the one read-only idf map.
-	for _, sh := range s.shards {
-		sh.freezeShared(idf, avgLen)
-	}
-	s.frozen.Store(true)
+	return idf, avgLen
 }
 
 func (s *ShardedIndex) ensureFrozen() {
@@ -168,7 +174,6 @@ func (s *ShardedIndex) topDocs(qterms []string, k int) []hit {
 // nil qterms[i]. Unlike topDocs the returned hits are copies, not aliases of
 // accumulator storage — a batch needs all of them alive at once.
 func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
-	ix.ensureFrozen()
 	acc := ix.getAccumulator()
 	defer ix.putAccumulator(acc)
 	r := newTermResolver(ix.col)
@@ -232,6 +237,18 @@ func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
 	return out
 }
 
+// copyResults clones one query's results for a duplicate occurrence in a
+// batch, preserving nil-ness so a duplicate's results match byte-for-byte
+// what re-running the query would have returned.
+func copyResults(src []Result) []Result {
+	if src == nil {
+		return nil
+	}
+	dst := make([]Result, len(src))
+	copy(dst, src)
+	return dst
+}
+
 // mergeHits merges per-shard hit lists (each sorted best-first under the
 // (score desc, doc asc) order) into the global top-k, preserving that exact
 // total order. Shard counts are small, so an O(k·shards) selection is used.
@@ -283,8 +300,8 @@ func (s *ShardedIndex) materialize(hits []hit, qterms []string) []Result {
 	return out
 }
 
-// Search returns the top-k English documents for the query under BM25 —
-// byte-identical to the monolithic Index.Search over the same corpus.
+// Search returns the top-k English documents for the query under BM25,
+// highest score first. Ties break by document id for determinism.
 func (s *ShardedIndex) Search(query string, k int) []Result {
 	if k <= 0 || s.nDocs == 0 {
 		return nil
@@ -336,10 +353,16 @@ func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 	return out
 }
 
-// SearchPhrase is Search with phrase semantics for double-quoted segments,
-// byte-identical to Index.SearchPhrase: the same 4k-candidate BM25 list
-// (merged globally), verified in candidate order against each owning
-// shard's positional postings, truncated to the first k survivors.
+// SearchPhrase is Search with phrase semantics for double-quoted segments
+// (the paper submits training queries as phrases, "Melisse restaurant",
+// §5.2.1): segments wrapped in double quotes must occur as adjacent stemmed
+// tokens in the document body, the rest of the query ranks as usual. The
+// 4k-candidate BM25 list (merged globally) is verified in candidate order
+// against each owning shard's positional postings — a position-list
+// intersection per candidate rather than a re-tokenization of its body —
+// and truncated to the first k survivors.
+//
+//	SearchPhrase(`"Chez Martin" restaurant`, 10)
 func (s *ShardedIndex) SearchPhrase(query string, k int) []Result {
 	phrases, remainder := splitPhrases(query)
 	if len(phrases) == 0 {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
@@ -35,20 +34,16 @@ func checkBitIdentical(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestShardedMatchesMonolithic differentially tests the sharded engine
-// against the monolithic index over randomized seeded corpora at several
-// shard counts: identical ordering and bit-identical scores, and the
-// reference implementation agrees within 1e-9.
+// TestShardedMatchesMonolithic differentially tests the engine at several
+// shard counts against the monolith — the same corpus on one shard — over
+// randomized seeded corpora: identical ordering and bit-identical scores, and
+// the reference implementation agrees within 1e-9.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			docs := randomCorpus(rng, 20+rng.Intn(120))
-			ix := NewIndex()
-			for _, d := range docs {
-				ix.Add(d)
-			}
-			ix.Freeze()
+			ix := buildSharded(docs, 1)
 			queries := randomQueries(rng, 40)
 			for _, shards := range []int{1, 2, 3, 4, 7, 16} {
 				six := buildSharded(docs, shards)
@@ -85,7 +80,7 @@ func TestShardedReFreezeAfterAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	docs := randomCorpus(rng, 60)
 	six := buildSharded(docs[:30], 3)
-	ix := NewIndex()
+	ix := NewShardedIndex(1)
 	for _, d := range docs[:30] {
 		ix.Add(d)
 	}
@@ -98,7 +93,7 @@ func TestShardedReFreezeAfterAdd(t *testing.T) {
 	checkBitIdentical(t, "after re-add", six.Search("museum restaurant", 10), ix.Search("museum restaurant", 10))
 }
 
-// TestIndexSearchBatchMatchesSearch: the monolithic batch path equals the
+// TestIndexSearchBatchMatchesSearch: the one-shard batch path equals the
 // single-query path (including nil/empty edge semantics).
 func TestIndexSearchBatchMatchesSearch(t *testing.T) {
 	ix := smallIndex()
@@ -116,9 +111,8 @@ func TestIndexSearchBatchMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestShardedPersistRoundTrip: a sharded index round-trips through the v3
-// format — same shard count, same results — and the monolithic reader
-// refuses multi-shard files instead of mis-reading them.
+// TestShardedPersistRoundTrip: a sharded index round-trips through the
+// persistence format — same shard count, same results.
 func TestShardedPersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	docs := randomCorpus(rng, 50)
@@ -143,14 +137,10 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		checkBitIdentical(t, "loaded "+q, loaded.Search(q, 10), six.Search(q, 10))
 		checkBitIdentical(t, "loaded phrase "+q, loaded.SearchPhrase(q, 10), six.SearchPhrase(q, 10))
 	}
-
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "ReadShardedIndex") {
-		t.Errorf("ReadIndex accepted a 4-shard file (err=%v), want a redirect to ReadShardedIndex", err)
-	}
 }
 
-// TestReadShardedIndexAcceptsMonolithic: a file written by Index.WriteTo
-// loads as a 1-shard ShardedIndex with identical behaviour.
+// TestReadShardedIndexAcceptsMonolithic: the monolith is the one-shard case
+// of the same format and loads with identical behaviour.
 func TestReadShardedIndexAcceptsMonolithic(t *testing.T) {
 	ix := smallIndex()
 	var buf bytes.Buffer
@@ -173,7 +163,9 @@ func TestShardedEngineCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := NewShardedEngine(buildSharded(randomCorpus(rng, 40), 4))
 	e.Search("museum", 3)
-	e.SearchBatch([]string{"museum", "restaurant", "hotel"}, 3)
+	if _, err := e.SearchBatchContext(context.Background(), []string{"museum", "restaurant", "hotel"}, 3); err != nil {
+		t.Fatal(err)
+	}
 	st := e.Stats()
 	if st.Queries != 4 {
 		t.Errorf("Queries = %d, want 4", st.Queries)
@@ -198,26 +190,23 @@ func TestShardedEngineCounters(t *testing.T) {
 	}
 }
 
-// TestEngineSearchContext: the context-aware engine calls refuse an
+// TestEngineSearchContext: the context-aware batch call refuses an
 // already-done context, and a RealSleep engine abandons the simulated
 // round-trip mid-sleep on cancellation instead of sleeping it out.
 func TestEngineSearchContext(t *testing.T) {
-	e := NewEngine(smallIndex())
+	e := NewShardedEngine(smallIndex())
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.SearchContext(done, "museum", 3); err == nil {
-		t.Error("SearchContext accepted a cancelled context")
-	}
 	if _, err := e.SearchBatchContext(done, []string{"museum"}, 3); err == nil {
 		t.Error("SearchBatchContext accepted a cancelled context")
 	}
 
 	// A live context resolves normally and matches Search.
-	res, err := e.SearchContext(context.Background(), "museum", 3)
+	res, err := e.SearchBatchContext(context.Background(), []string{"museum"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBitIdentical(t, "SearchContext", res, e.index.Search("museum", 3))
+	checkBitIdentical(t, "SearchBatchContext", res[0], e.index.Search("museum", 3))
 
 	// 10 queries x 50ms simulated latency would sleep half a second; the
 	// cancellation must cut that short.

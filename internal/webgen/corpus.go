@@ -108,25 +108,13 @@ func BuildCorpus(w *world.World, cfg Config) []search.Document {
 	return docs
 }
 
-// BuildIndex generates the corpus for a universe and returns it already
-// indexed and frozen — the form every consumer (lab construction, commands,
-// benchmarks) actually wants. Freezing here means the derived ranking state
-// (idf table, average length) is computed once at corpus-build time instead
-// of on the first query.
-func BuildIndex(w *world.World, cfg Config) *search.Index {
-	ix := search.NewIndex()
-	for _, d := range BuildCorpus(w, cfg) {
-		ix.Add(d)
-	}
-	ix.Freeze()
-	return ix
-}
-
-// BuildShardedIndex is BuildIndex over a sharded layout: the same corpus in
-// the same global order, partitioned round-robin across max(1, shards)
-// shards and frozen with corpus-wide ranking state, so queries are
-// byte-identical to the monolithic index while each one's scoring work can
-// spread over the shards.
+// BuildShardedIndex generates the corpus for a universe and returns it
+// already indexed and frozen — the form every consumer (lab construction,
+// commands, benchmarks) actually wants. Freezing here means the derived
+// ranking state (idf table, average length) is computed once at corpus-build
+// time instead of on the first query. The corpus is partitioned round-robin
+// across max(1, shards) shards in global order; queries are byte-identical at
+// every shard count while each one's scoring work can spread over the shards.
 func BuildShardedIndex(w *world.World, cfg Config, shards int) *search.ShardedIndex {
 	six := search.NewShardedIndex(shards)
 	for _, d := range BuildCorpus(w, cfg) {

@@ -132,7 +132,7 @@ func TestPOIPagesMentionCity(t *testing.T) {
 
 func TestEndToEndSearchFindsEntity(t *testing.T) {
 	w, docs := testCorpus(t)
-	ix := search.NewIndex()
+	ix := search.NewShardedIndex(1)
 	for _, d := range docs {
 		ix.Add(d)
 	}

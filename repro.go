@@ -23,9 +23,8 @@
 //
 // AnnotateBatch annotates many tables over a bounded worker pool, and
 // AnnotateStream emits per-table results as they complete. cmd/serve exposes
-// the same request/response model over HTTP/JSON (POST /v1/annotate), and
-// the pre-v1 System/Annotator facade remains available as a deprecated shim
-// with byte-identical behaviour.
+// the same request/response model over HTTP/JSON (POST /v1/annotate). New is
+// the one way to construct the pipeline.
 //
 // The service wires the full pipeline over the built-in synthetic universe
 // (see DESIGN.md for the substitution table); the underlying packages live
@@ -34,16 +33,9 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/annotate"
-	"repro/internal/classify"
 	"repro/internal/eval"
-	"repro/internal/gazetteer"
-	"repro/internal/kb"
-	"repro/internal/search"
 	"repro/internal/table"
-	"repro/internal/world"
 )
 
 // Convenient aliases so facade users work with one import.
@@ -52,21 +44,11 @@ type (
 	Table = table.Table
 	// Column is a table column with a GFT type.
 	Column = table.Column
-	// Annotator runs the paper's §5 pipeline.
-	//
-	// Deprecated: Annotator is the pre-v1 mutable-field facade; drive the
-	// pipeline through Service.Annotate with per-request knobs instead.
-	Annotator = annotate.Annotator
 	// Annotation is one annotated cell with its Eq. 1 score.
 	Annotation = annotate.Annotation
 	// GeoAnnotation is one Location-column cell resolved against the
 	// gazetteer (AnnotateRequest.Geocode / Service.Geocode).
 	GeoAnnotation = annotate.GeoAnnotation
-	// Result is the annotation output for one table.
-	//
-	// Deprecated: Result is what the pre-v1 Annotator returns; the v1 API
-	// returns AnnotateResponse.
-	Result = annotate.Result
 )
 
 // GFT column types re-exported for table construction.
@@ -76,127 +58,6 @@ const (
 	Location = table.Location
 	Date     = table.Date
 )
-
-// Options configures System construction.
-//
-// Deprecated: Options is the pre-v1 configuration struct; use the
-// functional options of New (WithSeed, WithScale, WithClassifier,
-// WithParallelism, WithSharedCache), which validate their values instead of
-// falling back silently.
-type Options struct {
-	// Seed drives every random choice; equal seeds give equal systems.
-	Seed int64
-	// Scale selects the corpus size: "small" (fast, demo quality) or
-	// "full" (paper scale). Default "small".
-	Scale string
-	// Classifier selects "svm" (default) or "bayes".
-	Classifier string
-	// Parallelism bounds the annotation worker pools (cell queries per
-	// table and tables per corpus run); <= 1 runs sequentially. Results
-	// are identical at any setting — only the wall-clock changes.
-	Parallelism int
-	// ShareCache shares query verdicts across every table the system
-	// annotates, so repeated cell values stop costing search round-trips
-	// — the cross-table cache motivated by the paper's §6.4 latency
-	// analysis.
-	ShareCache bool
-}
-
-// System is a ready-to-use annotation pipeline over the synthetic universe:
-// a populated search engine, a trained snippet classifier, a knowledge base
-// and a gazetteer.
-//
-// Deprecated: System is the pre-v1 facade, kept as a thin shim over Service
-// with behaviour (and annotation output) preserved exactly. New code should
-// construct a Service with New and use the request/response API.
-type System struct {
-	svc *Service
-}
-
-// NewSystem builds the pipeline. The first call does the expensive work
-// (corpus generation, indexing, classifier training); reuse the System for
-// every table you annotate.
-//
-// NewSystem keeps the legacy lenient behaviour: an unknown Options.Scale
-// falls back to "small" and an unknown Options.Classifier to "svm", both
-// silently. New rejects the same inputs with an *OptionError.
-//
-// Deprecated: use New.
-func NewSystem(opts Options) *System {
-	o := []Option{WithSeed(opts.Seed)}
-	if opts.Scale == ScaleFull {
-		o = append(o, WithScale(ScaleFull))
-	}
-	if opts.Classifier == ClassifierBayes {
-		o = append(o, WithClassifier(ClassifierBayes))
-	}
-	if opts.Parallelism > 0 {
-		o = append(o, WithParallelism(opts.Parallelism))
-	}
-	if opts.ShareCache {
-		o = append(o, WithSharedCache())
-	}
-	svc, err := New(context.Background(), o...)
-	if err != nil {
-		// Unreachable: every option above is normalised to a valid value
-		// and a background context never cancels.
-		panic("repro: NewSystem: " + err.Error())
-	}
-	return &System{svc: svc}
-}
-
-// Service returns the v1 service this shim wraps, easing incremental
-// migration: code holding a *System can move call sites to the
-// request/response API one at a time.
-func (s *System) Service() *Service { return s.svc }
-
-// Annotator returns the paper's annotator (post-processing and spatial
-// disambiguation on), configured with all twelve types, the classifier the
-// Options selected, and the system's parallelism and shared query cache.
-// The cache salt follows the classifier so "svm" and "bayes" annotators
-// never exchange verdicts through the shared cache.
-//
-// Deprecated: use Service.Annotate, which applies the same defaults and
-// produces byte-identical annotations.
-func (s *System) Annotator() *Annotator {
-	// Derive from the service's base config — the single source of truth
-	// for the canonical defaults — so shim and service cannot diverge.
-	b := s.svc.base
-	return &annotate.Annotator{
-		Engine:     b.Searcher,
-		Classifier: b.Classifier,
-		// Copied: legacy callers may edit the returned annotator's fields
-		// in place, which must never reach the shared base config.
-		Types:            append([]string(nil), b.Types...),
-		K:                b.K,
-		Pre:              b.Pre,
-		Postprocess:      b.Postprocess,
-		Disambiguate:     b.Disambiguate,
-		Gazetteer:        b.Gazetteer,
-		ClusterThreshold: b.ClusterThreshold,
-		Parallelism:      b.Parallelism,
-		Cache:            b.Cache,
-		CacheSalt:        b.CacheSalt,
-	}
-}
-
-// Classifier exposes the trained snippet classifiers: "svm" or "bayes".
-func (s *System) Classifier(name string) classify.Classifier { return s.svc.Classifier(name) }
-
-// Engine exposes the simulated web search engine.
-func (s *System) Engine() *search.Engine { return s.svc.Engine() }
-
-// Gazetteer exposes the geocoding substrate.
-func (s *System) Gazetteer() *gazetteer.Gazetteer { return s.svc.Gazetteer() }
-
-// KB exposes the DBpedia-like knowledge base.
-func (s *System) KB() *kb.KB { return s.svc.KB() }
-
-// World exposes the synthetic universe (entities, gold types).
-func (s *System) World() *world.World { return s.svc.World() }
-
-// Lab exposes the full experimental apparatus for benchmark harnesses.
-func (s *System) Lab() *eval.Lab { return s.svc.Lab() }
 
 // Types returns Γ, the twelve annotation types of the evaluation.
 func Types() []string { return eval.TypeStrings() }

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/annotate"
 	"repro/internal/world"
 )
 
@@ -12,9 +14,9 @@ func TestFacadeQuickstart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("facade integration test skipped in -short mode")
 	}
-	// Reuse the benchmark lab (building a second system would double the
-	// suite's setup time); the hand-wired annotator below matches what
-	// System.Annotator returns.
+	// Reuse the benchmark lab (building a second world would double the
+	// suite's setup time); the hand-wired config below is the pipeline a
+	// Service request runs, minus the spatial stage.
 	l := lab()
 	w := l.World
 
@@ -32,13 +34,12 @@ func TestFacadeQuickstart(t *testing.T) {
 		}
 	}
 
-	a := &Annotator{
-		Engine:      l.Engine,
+	res := mustAnnotate(t, annotate.Config{
+		Searcher:    l.Engine,
 		Classifier:  l.SVM,
 		Types:       Types(),
 		Postprocess: true,
-	}
-	res := a.AnnotateTable(&tbl)
+	}, &tbl)
 	if len(res.Annotations) == 0 {
 		t.Fatal("quickstart produced no annotations")
 	}
@@ -75,53 +76,28 @@ func TestTypesList(t *testing.T) {
 	}
 }
 
-// TestNewSystemSmall builds the public facade once to guarantee the exported
-// constructor path works (slower than the lab-reuse above, still bounded).
-func TestNewSystemSmall(t *testing.T) {
+// TestNewSmall builds a service through the exported constructor with
+// nothing but a seed, to guarantee the default construction path works and
+// every accessor of a built world is populated (slower than the lab-reuse
+// above, still bounded).
+func TestNewSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("facade construction test skipped in -short mode")
+		t.Skip("construction test skipped in -short mode")
 	}
-	sys := NewSystem(Options{Seed: 123})
-	if sys.Engine().IndexSize() == 0 {
+	svc, err := New(context.Background(), WithSeed(123))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.Engine().IndexSize() == 0 {
 		t.Fatal("empty engine index")
 	}
-	if sys.Classifier("svm") == nil || sys.Classifier("bayes") == nil {
+	if svc.Classifier("svm") == nil || svc.Classifier("bayes") == nil {
 		t.Fatal("classifiers missing")
 	}
-	if sys.Gazetteer() == nil || sys.KB() == nil || sys.World() == nil || sys.Lab() == nil {
-		t.Fatal("facade accessors returned nil")
+	if svc.Gazetteer() == nil || svc.Geo() == nil || svc.KB() == nil || svc.World() == nil || svc.Lab() == nil {
+		t.Fatal("accessors returned nil")
 	}
-	a := sys.Annotator()
-	if a.Engine == nil || a.Classifier == nil || len(a.Types) != 12 {
-		t.Fatalf("annotator misconfigured: %+v", a)
-	}
-}
-
-// TestNewSystemLegacyOptions exercises the deprecated constructor's lenient
-// option handling: every Options field set, including values repro.New
-// validates strictly, must still produce a working system.
-func TestNewSystemLegacyOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("facade construction test skipped in -short mode")
-	}
-	sys := NewSystem(Options{
-		Seed:        9,
-		Scale:       "galactic", // legacy behaviour: silent fallback to small
-		Classifier:  "bayes",
-		Parallelism: 2,
-		ShareCache:  true,
-	})
-	a := sys.Annotator()
-	if a.Cache == nil {
-		t.Error("ShareCache did not wire the cross-table cache")
-	}
-	if a.CacheSalt != "bayes" {
-		t.Errorf("CacheSalt = %q, want bayes", a.CacheSalt)
-	}
-	if a.Classifier != sys.Classifier("bayes") {
-		t.Error("Annotator classifier is not the bayes classifier")
-	}
-	if a.Parallelism != 2 {
-		t.Errorf("Parallelism = %d, want 2", a.Parallelism)
+	if b := svc.base; b.Searcher == nil || b.Classifier == nil || len(b.Types) != 12 {
+		t.Fatalf("base config misconfigured: %+v", b)
 	}
 }

@@ -63,8 +63,7 @@ type settings struct {
 }
 
 // Option configures New. Options validate eagerly: an invalid value makes
-// New return an *OptionError instead of silently falling back the way the
-// legacy NewSystem does.
+// New return an *OptionError instead of silently falling back.
 type Option func(*settings) error
 
 // WithSeed sets the seed that drives every random choice; equal seeds give
@@ -396,9 +395,6 @@ func newFromSnapshot(ctx context.Context, st settings) (*Service, error) {
 // bundle manifest.
 func (s *Service) WriteSnapshot(w io.Writer, tool string) (int64, error) {
 	six := s.lab.Engine.ShardedIndex()
-	if six == nil {
-		return 0, fmt.Errorf("repro: the service's engine wraps a monolithic index; only sharded services snapshot")
-	}
 	b := &snapshot.Bundle{
 		Manifest: snapshot.Manifest{
 			Seed:          s.lab.Cfg.Seed,
@@ -1004,7 +1000,3 @@ func (s *Service) World() *world.World { return s.lab.World }
 
 // Lab exposes the full experimental apparatus for benchmark harnesses.
 func (s *Service) Lab() *eval.Lab { return s.lab }
-
-// System returns the deprecated pre-v1 facade over this service, for code
-// mid-migration that still needs a *System (see System's doc).
-func (s *Service) System() *System { return &System{svc: s} }

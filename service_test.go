@@ -122,38 +122,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestShimEquivalence is the migration guarantee: the deprecated
-// System.Annotator path and the v1 request path produce byte-identical
-// annotations and identical query counts on the same service.
-func TestShimEquivalence(t *testing.T) {
-	svc := testService(t)
-	tbl := testTable(t, svc)
-
-	if svc.System().Service() != svc {
-		t.Error("System().Service() does not round-trip to the same service")
-	}
-	legacy := svc.System().Annotator().AnnotateTable(tbl)
-	resp, err := svc.Annotate(context.Background(), &AnnotateRequest{Table: tbl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Annotations) == 0 {
-		t.Fatal("legacy path produced no annotations; the equivalence check would be vacuous")
-	}
-	if !reflect.DeepEqual(resp.Annotations, legacy.Annotations) {
-		t.Errorf("annotations diverge:\n v1   = %+v\n shim = %+v", resp.Annotations, legacy.Annotations)
-	}
-	if resp.Stats.Queries != legacy.Queries {
-		t.Errorf("queries diverge: v1 %d, shim %d", resp.Stats.Queries, legacy.Queries)
-	}
-	if resp.Stats.Annotated != len(legacy.Annotations) {
-		t.Errorf("Stats.Annotated = %d, want %d", resp.Stats.Annotated, len(legacy.Annotations))
-	}
-	if resp.Stats.Rows != tbl.NumRows() || resp.Stats.Cols != tbl.NumCols() {
-		t.Errorf("Stats dims = %dx%d, want %dx%d", resp.Stats.Rows, resp.Stats.Cols, tbl.NumRows(), tbl.NumCols())
-	}
-}
-
 func TestRequestKnobs(t *testing.T) {
 	svc := testService(t)
 	tbl := testTable(t, svc)
@@ -165,6 +133,12 @@ func TestRequestKnobs(t *testing.T) {
 	}
 	if len(base.ColumnTypes) == 0 {
 		t.Error("default request (postprocess on) returned no ColumnTypes")
+	}
+	if len(base.Annotations) == 0 || base.Stats.Annotated != len(base.Annotations) {
+		t.Errorf("Stats.Annotated = %d for %d annotations, want equal and non-zero", base.Stats.Annotated, len(base.Annotations))
+	}
+	if base.Stats.Rows != tbl.NumRows() || base.Stats.Cols != tbl.NumCols() {
+		t.Errorf("Stats dims = %dx%d, want %dx%d", base.Stats.Rows, base.Stats.Cols, tbl.NumRows(), tbl.NumCols())
 	}
 
 	noPost, err := svc.Annotate(ctx, &AnnotateRequest{Table: tbl, Postprocess: ToggleOff})
