@@ -182,7 +182,7 @@ func BenchmarkEfficiencyPerRow(b *testing.B) {
 // BenchmarkDisambiguationGraph regenerates Figure 7: resolving a table's
 // worth of ambiguous partial addresses through the voting graph.
 func BenchmarkDisambiguationGraph(b *testing.B) {
-	g := gazetteer.Synthetic(1)
+	g := gazetteer.Synthetic(1).Freeze()
 	streets := []string{"Pennsylvania Avenue", "Wofford Lane", "Clarksville Street", "Main Street", "Oak Street", "High Street"}
 	cities := []string{"Washington", "Paris", "College Park", "Springfield", "Cambridge", "Richmond"}
 	var interps []disambig.Interpretation
@@ -299,11 +299,12 @@ func BenchmarkKSweep(b *testing.B) {
 func BenchmarkIndexPersistence(b *testing.B) {
 	l := lab()
 	names := l.World.TableEntities(world.Museum)
-	src := search.NewShardedIndex(1)
+	sb := search.NewBuilder(1)
 	for i := 0; i < 2000; i++ {
 		e := names[i%len(names)]
-		src.Add(search.Document{URL: e.URL, Title: e.Name, Body: e.Description})
+		sb.Add(search.Document{URL: e.URL, Title: e.Name, Body: e.Description})
 	}
+	src := sb.Freeze()
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -374,7 +375,7 @@ func BenchmarkSearchEnginePhrase(b *testing.B) {
 // BenchmarkGeocode measures ambiguous-address geocoding, the per-cell cost
 // of the §5.2.2 spatial pipeline.
 func BenchmarkGeocode(b *testing.B) {
-	g := gazetteer.Synthetic(1)
+	g := gazetteer.Synthetic(1).Freeze()
 	addrs := []string{
 		"1600 Pennsylvania Avenue",
 		"12 Clarksville Street, Paris, TX",

@@ -43,14 +43,6 @@ import (
 	"repro/internal/gazetteer"
 )
 
-// geo is what the workload builder needs from a gazetteer; both the mutable
-// builder and the frozen form satisfy it.
-type geo interface {
-	gazetteer.Geo
-	Cities() []gazetteer.LocID
-	StreetsIn(gazetteer.LocID) []gazetteer.LocID
-}
-
 // point is one measured operating point of the sweep. The decomposition
 // fields (workload, engine, workers, components, largest_component,
 // peak_scratch_bytes) date from the component-parallel resolver and are
@@ -187,7 +179,7 @@ func benchmark(o options, stdout io.Writer) error {
 }
 
 // measure times graph construction and full resolution for one gazetteer.
-func measure(g geo, o options) (point, error) {
+func measure(g *gazetteer.Frozen, o options) (point, error) {
 	rng := rand.New(rand.NewSource(o.seed + int64(o.rows)<<16))
 	var interps []disambig.Interpretation
 	var err error
@@ -236,7 +228,7 @@ func measure(g geo, o options) (point, error) {
 // the voting graph splits into many independent components — the shape the
 // component-parallel resolver exists for. Candidate set sizes come from the
 // geocoder itself (the -cands knob does not apply).
-func buildAddressInterps(g geo, rng *rand.Rand, rows, cols int) ([]disambig.Interpretation, error) {
+func buildAddressInterps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols int) ([]disambig.Interpretation, error) {
 	cities := g.Cities()
 	if len(cities) == 0 {
 		return nil, fmt.Errorf("gazetteer has no cities")
@@ -265,7 +257,7 @@ func buildAddressInterps(g geo, rng *rand.Rand, rows, cols int) ([]disambig.Inte
 // street address (same-named streets across cities, the home instance among
 // them) and the remaining columns are ambiguous city references, so correct
 // interpretations cohere along rows while wrong ones scatter.
-func buildInterps(g geo, rng *rand.Rand, rows, cols, cands int) ([]disambig.Interpretation, error) {
+func buildInterps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols, cands int) ([]disambig.Interpretation, error) {
 	cities := g.Cities()
 	if len(cities) == 0 {
 		return nil, fmt.Errorf("gazetteer has no cities")

@@ -74,11 +74,11 @@ func main() {
 
 	// Indexing throughput: build (and freeze) the index the pipeline queries.
 	start := time.Now()
-	ix := search.NewShardedIndex(1)
+	b := search.NewBuilder(1)
 	for _, d := range docs {
-		ix.Add(d)
+		b.Add(d)
 	}
-	ix.Freeze()
+	ix := b.Freeze()
 	indexSecs := time.Since(start).Seconds()
 
 	// Query workload: the annotation pipeline's two query shapes (§5.2.1) —

@@ -43,7 +43,6 @@ func main() {
 		latency    = flag.Duration("latency", 250*time.Millisecond, "simulated search latency for the efficiency analysis")
 		only       = flag.String("only", "", "run a single experiment: table1 | table2 | table3 | wiki | efficiency | coverage | ksweep | cluster | hybrid")
 		parallel   = flag.Int("parallel", 1, "annotation parallelism (tables annotated concurrently; results identical at any setting)")
-		geoWorkers = flag.Int("geo-workers", 0, "disambiguation component workers (0 = one per CPU, capped at 8; results identical at any count)")
 		shards     = flag.Int("shards", 0, "search index shards (0 = one per CPU, capped at 8; results identical at any count)")
 		shareCache = flag.Bool("share-cache", false, "share query verdicts across tables and analyses (reduces query counts, quality unchanged)")
 		scenarios  = flag.Bool("scenarios", false, "run the scenario matrix (ingestion variants x adversarial worlds) instead of the §6 report")
@@ -52,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := eval.LabConfig{Seed: *seed, Parallelism: *parallel, GeoWorkers: *geoWorkers, ShareCache: *shareCache, SearchShards: *shards}
+	cfg := eval.LabConfig{Seed: *seed, Parallelism: *parallel, ShareCache: *shareCache, SearchShards: *shards}
 	if *scale == "small" {
 		cfg.KBPerType = 60
 		cfg.SnippetsPerEntity = 5

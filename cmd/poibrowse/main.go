@@ -58,7 +58,7 @@ func main() {
 			fatal(err)
 		}
 		store = rdf.NewStore()
-		x := &rdf.Extractor{Gazetteer: svc.Gazetteer(), MinScore: 0.5}
+		x := &rdf.Extractor{Gazetteer: svc.Geo(), MinScore: 0.5}
 		pois := 0
 		for _, tbl := range svc.Lab().GFT.Tables {
 			resp, err := svc.Annotate(ctx, &repro.AnnotateRequest{Table: tbl})

@@ -10,8 +10,8 @@
 // Usage:
 //
 //	serve [-addr :8080] [-seed 42] [-scale small|full] [-classifier svm|bayes]
-//	      [-parallel 8] [-geo-workers 0] [-share-cache] [-cache-max-entries 0]
-//	      [-cache-ttl 0] [-max-inflight 64] [-max-cells 100000]
+//	      [-parallel 8] [-share-cache] [-cache-max-entries 0] [-cache-ttl 0]
+//	      [-max-inflight 64] [-max-cells 100000]
 //	      [-snapshot-file world.tsnp] [-pprof-addr localhost:6060]
 //
 // By default the server builds the full system (corpus, index, classifiers)
@@ -79,7 +79,6 @@ func main() {
 		maxCells     = flag.Int("max-cells", 100000, "reject tables larger than this many cells")
 		maxBatch     = flag.Int("max-batch", 32, "max requests per /v1/annotate:batch call")
 		snapshotFile = flag.String("snapshot-file", "", "boot from this TSNP bundle instead of building; SIGHUP reloads it")
-		geoWorkers   = flag.Int("geo-workers", 0, "disambiguation component workers (0 = one per CPU, capped at 8; results identical at any count)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 
 		routerMode    = flag.Bool("router", false, "run as a cluster router instead of a worker (requires -workers)")
@@ -117,7 +116,6 @@ func main() {
 		opts = append(opts, repro.WithSearchShards(*shards))
 	}
 	opts = append(opts, repro.WithParallelism(*parallel))
-	opts = append(opts, repro.WithGeoWorkers(*geoWorkers))
 	if *shareCache {
 		opts = append(opts, repro.WithSharedCache())
 		if *cacheMax != 0 || *cacheTTL != 0 {

@@ -17,10 +17,10 @@ import (
 // do not pay a full world build.
 func writeTinyBundle(t *testing.T) string {
 	t.Helper()
-	six := search.NewShardedIndex(1)
-	six.Add(search.Document{URL: "http://t.test/a", Title: "Museum", Body: "a museum", Lang: "en"})
-	six.Add(search.Document{URL: "http://t.test/b", Title: "Diner", Body: "a restaurant", Lang: "en"})
-	six.Freeze()
+	sb := search.NewBuilder(1)
+	sb.Add(search.Document{URL: "http://t.test/a", Title: "Museum", Body: "a museum", Lang: "en"})
+	sb.Add(search.Document{URL: "http://t.test/b", Title: "Diner", Body: "a restaurant", Lang: "en"})
+	six := sb.Freeze()
 	var d classify.Dataset
 	d.Add("museum art", "museum")
 	d.Add("restaurant menu", "restaurant")

@@ -54,7 +54,7 @@ func main() {
 		reqs[i] = &repro.AnnotateRequest{Table: t}
 	}
 	repo := rdf.NewStore()
-	x := &rdf.Extractor{Gazetteer: svc.Gazetteer(), MinScore: 0.5}
+	x := &rdf.Extractor{Gazetteer: svc.Geo(), MinScore: 0.5}
 	extracted, queries, hits, done := 0, 0, 0, 0
 	for ev := range svc.AnnotateStream(ctx, reqs) {
 		if ev.Err != nil {

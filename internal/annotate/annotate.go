@@ -126,7 +126,7 @@ type Config struct {
 	// the opt-in GeoAnnotate stage. Any read-only gazetteer works; the
 	// service wires the immutable gazetteer.Frozen, tests often use the
 	// mutable builder directly.
-	Gazetteer gazetteer.Geo
+	Gazetteer *gazetteer.Frozen
 	// ClusterThreshold, when positive, replaces the flat majority rule
 	// of Eq. 1 with the cluster-separated decision the paper leaves as
 	// future work (§5.2): snippets are clustered by cosine similarity

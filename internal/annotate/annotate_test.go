@@ -19,7 +19,7 @@ import (
 type fixture struct {
 	engine     *search.Engine
 	classifier classify.Classifier
-	gaz        *gazetteer.Gazetteer
+	gaz        *gazetteer.Frozen
 	types      []string
 }
 
@@ -42,9 +42,11 @@ func themed(rng *rand.Rand, name string, vocab []string, extra ...string) string
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	ix := search.NewShardedIndex(1)
+	ix := search.NewBuilder(1)
+	docs := 0
 	add := func(title, body string) {
-		ix.Add(search.Document{URL: fmt.Sprintf("u%d", ix.Len()), Title: title, Body: body})
+		ix.Add(search.Document{URL: fmt.Sprintf("u%d", docs), Title: title, Body: body})
+		docs++
 	}
 	museums := []string{"Musée Lavande", "National Museum of Glass", "Harbor Gallery of Art"}
 	restaurants := []string{"Chez Martin", "The Golden Fig", "Melisse"}
@@ -76,9 +78,9 @@ func newFixture(t *testing.T) *fixture {
 	clf := classify.LinearSVMTrainer{Seed: 2}.Train(train)
 
 	return &fixture{
-		engine:     search.NewShardedEngine(ix),
+		engine:     search.NewShardedEngine(ix.Freeze()),
 		classifier: clf,
-		gaz:        gazetteer.Synthetic(3),
+		gaz:        gazetteer.Synthetic(3).Freeze(),
 		types:      []string{"museum", "restaurant"},
 	}
 }

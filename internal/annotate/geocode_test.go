@@ -32,8 +32,7 @@ func geoTestTable(t *testing.T) *table.Table {
 }
 
 func TestGeoAnnotate(t *testing.T) {
-	g := gazetteer.Synthetic(1)
-	cfg := Config{Gazetteer: g.Freeze()}
+	cfg := Config{Gazetteer: gazetteer.Synthetic(1).Freeze()}
 	tbl := geoTestTable(t)
 
 	gas, err := cfg.GeoAnnotate(context.Background(), tbl)
@@ -103,22 +102,6 @@ func TestGeoAnnotateCoherence(t *testing.T) {
 		if want := cityOfRow[ga.Row]; ga.City != want {
 			t.Errorf("row %d: street resolved into city %q, city cell resolved to %q (%+v)", ga.Row, ga.City, want, ga)
 		}
-	}
-}
-
-func TestGeoAnnotateFrozenMatchesBuilder(t *testing.T) {
-	g := gazetteer.Synthetic(1)
-	tbl := geoTestTable(t)
-	builderGas, err := Config{Gazetteer: g}.GeoAnnotate(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozenGas, err := Config{Gazetteer: g.Freeze()}.GeoAnnotate(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(builderGas, frozenGas) {
-		t.Errorf("frozen gazetteer geo annotations diverge:\n builder %+v\n frozen  %+v", builderGas, frozenGas)
 	}
 }
 

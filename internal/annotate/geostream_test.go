@@ -13,22 +13,21 @@ import (
 // addressTable builds a table of "Street, City" addresses spread over many
 // distinct cities, the shape whose voting graph decomposes into many
 // components (one per city cluster, roughly).
-func addressTable(t *testing.T, mg *gazetteer.Gazetteer, rows, cols int) *table.Table {
+func addressTable(t *testing.T, g *gazetteer.Frozen, rows, cols int) *table.Table {
 	t.Helper()
-	g := gazetteer.Geo(mg)
 	specs := make([]table.Column, cols)
 	for j := range specs {
 		specs[j] = table.Column{Header: "Addr", Type: table.Location}
 	}
 	tbl := table.New("addresses", specs...)
-	cities := mg.Cities()
+	cities := g.Cities()
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < rows; i++ {
 		var home gazetteer.LocID
 		var streets []gazetteer.LocID
 		for len(streets) == 0 {
 			home = cities[rng.Intn(len(cities))]
-			streets = mg.StreetsIn(home)
+			streets = g.StreetsIn(home)
 		}
 		vals := make([]string, cols)
 		for j := range vals {
@@ -52,40 +51,37 @@ func deterministic(st GeoStageStats) GeoStageStats {
 }
 
 // TestGeoAnnotateWorkerInvariance resolves a decomposing table at several
-// worker counts over both gazetteer forms and requires byte-identical
-// annotations — same cells, same order, same bitwise scores — and identical
+// worker counts and requires byte-identical annotations — same cells, same order, same bitwise scores — and identical
 // decomposition statistics. The scratch high-water mark is only bounded:
 // positive, and within what max-workers components of the largest size can
 // hold (per worker a few arrays linear in the component's nodes and edges,
 // and L nodes carry at most L² edges).
 func TestGeoAnnotateWorkerInvariance(t *testing.T) {
-	mg := gazetteer.SyntheticScale(42, 6)
-	tbl := addressTable(t, mg, 50, 3)
+	g := gazetteer.SyntheticScale(42, 6).Freeze()
+	tbl := addressTable(t, g, 50, 3)
 	ctx := context.Background()
 	var want []GeoAnnotation
 	var wantStats GeoStageStats
-	for _, g := range []gazetteer.Geo{mg, mg.Freeze()} {
-		for _, w := range []int{0, 1, 2, 8} {
-			got, gotStats, err := Config{Gazetteer: g, GeoWorkers: w}.GeoAnnotateStats(ctx, tbl)
-			if err != nil {
-				t.Fatal(err)
+	for _, w := range []int{0, 1, 2, 8} {
+		got, gotStats, err := Config{Gazetteer: g, GeoWorkers: w}.GeoAnnotateStats(ctx, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, wantStats = got, gotStats
+			if wantStats.Components < 2 {
+				t.Fatalf("address table produced %d components; test needs a decomposing workload", wantStats.Components)
 			}
-			if want == nil {
-				want, wantStats = got, gotStats
-				if wantStats.Components < 2 {
-					t.Fatalf("address table produced %d components; test needs a decomposing workload", wantStats.Components)
-				}
-			}
-			if deterministic(gotStats) != deterministic(wantStats) {
-				t.Fatalf("workers=%d: stats %+v, want %+v", w, gotStats, wantStats)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: annotations diverge across worker counts", w)
-			}
-			l := int64(gotStats.LargestComponent)
-			if bound := 8 * (1024 + 128*l + 32*l*l); gotStats.PeakScratchBytes <= 0 || gotStats.PeakScratchBytes > bound {
-				t.Fatalf("workers=%d: peak scratch %d bytes outside (0, %d] for a largest component of %d nodes", w, gotStats.PeakScratchBytes, bound, l)
-			}
+		}
+		if deterministic(gotStats) != deterministic(wantStats) {
+			t.Fatalf("workers=%d: stats %+v, want %+v", w, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: annotations diverge across worker counts", w)
+		}
+		l := int64(gotStats.LargestComponent)
+		if bound := 8 * (1024 + 128*l + 32*l*l); gotStats.PeakScratchBytes <= 0 || gotStats.PeakScratchBytes > bound {
+			t.Fatalf("workers=%d: peak scratch %d bytes outside (0, %d] for a largest component of %d nodes", w, gotStats.PeakScratchBytes, bound, l)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestAnnotateAgainstEmptyEngine(t *testing.T) {
 	// A search engine with no corpus: every query returns nothing, so no
 	// cell can clear the majority rule — the pipeline degrades to "no
 	// annotations", never to a panic.
-	engine := search.NewShardedEngine(search.NewShardedIndex(1))
+	engine := search.NewShardedEngine(search.NewBuilder(1).Freeze())
 	var train classify.Dataset
 	train.Add("museum gallery", "museum")
 	a := Config{

@@ -122,7 +122,7 @@ type decomposition struct {
 // (location, container) pair is an edge in both directions (so bridging the
 // two chained segments unions all their cells), and same-cell pairs — the
 // only pairs the edge loops skip — are already unioned through their cell.
-func decompose(interps []Interpretation, g gazetteer.Geo) *decomposition {
+func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 	ns := buildNodes(interps, g)
 	n := len(ns.locs)
 	uf := newUnionFind(n)
@@ -546,7 +546,7 @@ func resolveDegenerate(interps []Interpretation) (map[CellRef]gazetteer.LocID, m
 // ResolveScoresOpt is ResolveScores with explicit resolver options, also
 // returning the decomposition statistics. Results are bit-identical to the
 // seed reference at every worker count.
-func ResolveScoresOpt(interps []Interpretation, g gazetteer.Geo, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
+func ResolveScoresOpt(interps []Interpretation, g *gazetteer.Frozen, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
 	if degenerate(interps) {
 		return resolveDegenerate(interps)
 	}
@@ -566,7 +566,7 @@ func ResolveScoresOpt(interps []Interpretation, g gazetteer.Geo, opt Options) (m
 // a slice parallel to interps. yield may be called from concurrent workers;
 // calls for the cells of one component arrive consecutively from one worker.
 // Cells the graph never saw a candidate for yield (NoLocation, 0), first.
-func ResolveStream(interps []Interpretation, g gazetteer.Geo, opt Options, yield func(i int, choice gazetteer.LocID, score float64)) Stats {
+func ResolveStream(interps []Interpretation, g *gazetteer.Frozen, opt Options, yield func(i int, choice gazetteer.LocID, score float64)) Stats {
 	if degenerate(interps) {
 		seen := make(map[CellRef]bool, len(interps))
 		for i, it := range interps {

@@ -17,7 +17,7 @@ import (
 
 // resolveUndecomposed runs the component engine over a single component
 // holding every node: one graph, one propagation loop, one stop decision.
-func resolveUndecomposed(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
+func resolveUndecomposed(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	if degenerate(interps) {
 		choice, detail, _ := resolveDegenerate(interps)
 		return choice, detail
@@ -31,7 +31,7 @@ func resolveUndecomposed(interps []Interpretation, g gazetteer.Geo) (map[CellRef
 // checkEngines resolves undecomposed and decomposed at several worker counts
 // and fails on any divergence, bitwise. Returns the decomposed run's stats
 // for callers asserting decomposition shape.
-func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, workers []int) Stats {
+func checkEngines(t *testing.T, interps []Interpretation, g *gazetteer.Frozen, workers []int) Stats {
 	t.Helper()
 	wantChoice, wantDetail := resolveUndecomposed(interps, g)
 	var st Stats
@@ -65,18 +65,16 @@ var differentialWorkers = []int{1, 2, 8}
 
 // TestComponentParallelMatchesSingleGraph drives both runs over
 // randomized tables — larger than the O(n²) seed-reference suite can afford
-// — across worker counts {1, 2, 8} and both gazetteer forms.
+// — across worker counts {1, 2, 8}.
 func TestComponentParallelMatchesSingleGraph(t *testing.T) {
 	for _, scale := range []int{1, 4} {
-		b := gazetteer.SyntheticScale(29, scale)
-		names := gazNames(b)
-		for _, g := range []gazetteer.Geo{b, b.Freeze()} {
-			rng := rand.New(rand.NewSource(int64(scale) * 977))
-			for trial := 0; trial < 15; trial++ {
-				rows, cols := 1+rng.Intn(40), 1+rng.Intn(6)
-				interps := randomInterps(g, rng, rows, cols, 8, names)
-				checkEngines(t, interps, g, differentialWorkers)
-			}
+		g := gazetteer.SyntheticScale(29, scale).Freeze()
+		names := gazNames(g)
+		rng := rand.New(rand.NewSource(int64(scale) * 977))
+		for trial := 0; trial < 15; trial++ {
+			rows, cols := 1+rng.Intn(40), 1+rng.Intn(6)
+			interps := randomInterps(g, rng, rows, cols, 8, names)
+			checkEngines(t, interps, g, differentialWorkers)
 		}
 	}
 }
@@ -86,15 +84,15 @@ func TestComponentParallelMatchesSingleGraph(t *testing.T) {
 // city name as context — so candidate sets only couple rows sharing a city
 // name and the graph splits into many components (one per distinct city
 // name, roughly). This is the cmd/benchgeo huge-table shape.
-func addressInterps(mg *gazetteer.Gazetteer, g gazetteer.Geo, rng *rand.Rand, rows, cols int) []Interpretation {
-	cities := mg.Cities()
+func addressInterps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols int) []Interpretation {
+	cities := g.Cities()
 	var interps []Interpretation
 	for i := 1; i <= rows; i++ {
 		var home gazetteer.LocID
 		var streets []gazetteer.LocID
 		for len(streets) == 0 {
 			home = cities[rng.Intn(len(cities))]
-			streets = mg.StreetsIn(home)
+			streets = g.StreetsIn(home)
 		}
 		for j := 1; j <= cols; j++ {
 			st := streets[rng.Intn(len(streets))]
@@ -112,20 +110,18 @@ func addressInterps(mg *gazetteer.Gazetteer, g gazetteer.Geo, rng *rand.Rand, ro
 // workload that genuinely decomposes, asserting a non-trivial component count
 // alongside bit-identity.
 func TestComponentParallelMultiComponent(t *testing.T) {
-	mg := gazetteer.SyntheticScale(42, 8)
+	g := gazetteer.SyntheticScale(42, 8).Freeze()
 	rng := rand.New(rand.NewSource(7))
-	for _, g := range []gazetteer.Geo{mg, mg.Freeze()} {
-		interps := addressInterps(mg, g, rng, 60, 3)
-		st := checkEngines(t, interps, g, differentialWorkers)
-		if st.Components < 4 {
-			t.Fatalf("address workload produced only %d components; want a real decomposition", st.Components)
-		}
-		if st.LargestComponent >= st.Nodes {
-			t.Fatalf("largest component %d spans all %d nodes", st.LargestComponent, st.Nodes)
-		}
-		if st.PeakScratchBytes == 0 {
-			t.Fatalf("peak scratch bytes not recorded")
-		}
+	interps := addressInterps(g, rng, 60, 3)
+	st := checkEngines(t, interps, g, differentialWorkers)
+	if st.Components < 4 {
+		t.Fatalf("address workload produced only %d components; want a real decomposition", st.Components)
+	}
+	if st.LargestComponent >= st.Nodes {
+		t.Fatalf("largest component %d spans all %d nodes", st.LargestComponent, st.Nodes)
+	}
+	if st.PeakScratchBytes == 0 {
+		t.Fatalf("peak scratch bytes not recorded")
 	}
 }
 
@@ -133,10 +129,9 @@ func TestComponentParallelMultiComponent(t *testing.T) {
 // resolver: same cells, same choices, the winner's bitwise score, every cell
 // yielded exactly once, at several worker counts.
 func TestResolveStreamMatches(t *testing.T) {
-	mg := gazetteer.SyntheticScale(42, 4)
-	g := mg.Freeze()
+	g := gazetteer.SyntheticScale(42, 4).Freeze()
 	rng := rand.New(rand.NewSource(11))
-	interps := addressInterps(mg, g, rng, 30, 3)
+	interps := addressInterps(g, rng, 30, 3)
 	// A geocoder-miss cell: must stream an explicit NoLocation.
 	interps = append(interps, Interpretation{Cell: CellRef{Row: 500, Col: 1}})
 	wantChoice, wantDetail, wantStats := ResolveScoresOpt(interps, g, Options{})
@@ -188,7 +183,7 @@ func (m *chanMutex) Unlock() { <-*m }
 // without graph construction, matching the full engines' output shape
 // exactly.
 func TestDegenerateFastPath(t *testing.T) {
-	g := gazetteer.Synthetic(5)
+	g := gazetteer.Synthetic(5).Freeze()
 	cases := [][]Interpretation{
 		nil,
 		{},
@@ -255,8 +250,7 @@ func FuzzComponentDecomposition(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{5, 1, 3, 100, 101, 102, 255, 5, 2, 3, 100, 110, 120, 255, 6, 1, 1, 100})
 	f.Add([]byte{9, 3, 4, 1, 2, 3, 4, 255, 2, 9, 4, 7, 7, 7, 7})
-	g := gazetteer.Synthetic(23)
-	frozen := g.Freeze()
+	g := gazetteer.Synthetic(23).Freeze()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var interps []Interpretation
 		seen := map[CellRef]map[gazetteer.LocID]bool{}
@@ -282,15 +276,13 @@ func FuzzComponentDecomposition(f *testing.F) {
 				i++
 			}
 		}
-		for _, geo := range []gazetteer.Geo{g, frozen} {
-			checkDecomposition(t, interps, geo)
-		}
+		checkDecomposition(t, interps, g)
 	})
 }
 
 // checkDecomposition asserts decompose's partition invariants against the
 // whole-table graph, and the runs' bit-identity on the same input.
-func checkDecomposition(t *testing.T, interps []Interpretation, g gazetteer.Geo) {
+func checkDecomposition(t *testing.T, interps []Interpretation, g *gazetteer.Frozen) {
 	t.Helper()
 	d := decompose(interps, g)
 	gr := BuildGraph(interps, g)

@@ -88,7 +88,7 @@ func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max
 // containers, and the dense row/column bucket ids the join-group walks key
 // on.
 type nodeSet struct {
-	g gazetteer.Geo
+	g *gazetteer.Frozen
 
 	cells      []CellRef // deduplicated cells, first-appearance order
 	cellInterp []int32   // cell -> index of its first interpretation
@@ -106,7 +106,7 @@ type nodeSet struct {
 // candidate) pair in input order, duplicates and NoLocation candidates
 // dropped, plus the per-cell bucket ids. A node pair shares at most one
 // bucket (same row and same column would mean the same cell).
-func buildNodes(interps []Interpretation, g gazetteer.Geo) *nodeSet {
+func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 	ns := &nodeSet{g: g, maxKey: int64(g.Len()) + 1}
 	capHint := 0
 	for _, it := range interps {
@@ -243,7 +243,7 @@ func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(lo
 // equal direct containers, or one location being the direct container of the
 // other (the street "Pennsylvania Ave, Washington" votes for the city
 // "Washington, D.C." in the same row, and vice versa).
-func BuildGraph(interps []Interpretation, g gazetteer.Geo) *Graph {
+func BuildGraph(interps []Interpretation, g *gazetteer.Frozen) *Graph {
 	ns := buildNodes(interps, g)
 	// The identity table is both the member list and the global-to-local map.
 	all := ns.allNodes()
@@ -362,7 +362,7 @@ func (gr *Graph) NodeCount() int { return len(gr.locs) }
 // randomly). A cell whose every interpretation had an empty (or all-invalid)
 // candidate set maps to NoLocation — present in the result, explicitly
 // unresolved, rather than silently missing.
-func Resolve(interps []Interpretation, g gazetteer.Geo) map[CellRef]gazetteer.LocID {
+func Resolve(interps []Interpretation, g *gazetteer.Frozen) map[CellRef]gazetteer.LocID {
 	choice, _ := ResolveScores(interps, g)
 	return choice
 }
@@ -370,7 +370,7 @@ func Resolve(interps []Interpretation, g gazetteer.Geo) map[CellRef]gazetteer.Lo
 // ResolveScores is Resolve but also returns the final per-node scores keyed
 // by cell and location, for diagnostics and tests. A NoLocation cell's score
 // map is empty.
-func ResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
+func ResolveScores(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	return choice, detail
 }

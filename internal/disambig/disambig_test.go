@@ -10,9 +10,9 @@ import (
 // figure7 reconstructs the exact scenario of Figure 7 in the paper: column 1
 // holds partial street addresses, column 2 holds city references; correct
 // interpretations share containers along rows.
-func figure7(t *testing.T) (*gazetteer.Gazetteer, []Interpretation, map[CellRef]string) {
+func figure7(t *testing.T) (*gazetteer.Frozen, []Interpretation, map[CellRef]string) {
 	t.Helper()
-	g := gazetteer.Synthetic(1)
+	g := gazetteer.Synthetic(1).Freeze()
 
 	find := func(street, city string) gazetteer.LocID {
 		for _, s := range g.Lookup(street, gazetteer.Street) {
@@ -115,7 +115,7 @@ func TestGraphStructure(t *testing.T) {
 }
 
 func TestUnambiguousCellKeepsItsOnlyCandidate(t *testing.T) {
-	g := gazetteer.Synthetic(2)
+	g := gazetteer.Synthetic(2).Freeze()
 	balt := g.Lookup("Baltimore", gazetteer.City)
 	if len(balt) != 1 {
 		t.Fatalf("Baltimore should be unambiguous, got %d", len(balt))
@@ -128,7 +128,7 @@ func TestUnambiguousCellKeepsItsOnlyCandidate(t *testing.T) {
 }
 
 func TestIsolatedAmbiguousCellPicksDeterministically(t *testing.T) {
-	g := gazetteer.Synthetic(3)
+	g := gazetteer.Synthetic(3).Freeze()
 	parises := g.Lookup("Paris", gazetteer.City)
 	if len(parises) < 2 {
 		t.Fatalf("need ambiguous Paris")
@@ -144,7 +144,7 @@ func TestIsolatedAmbiguousCellPicksDeterministically(t *testing.T) {
 func TestUnambiguousNeighbourDominatesVote(t *testing.T) {
 	// A row contains an unambiguous city and an ambiguous street; the
 	// street interpretation in that city must win.
-	g := gazetteer.Synthetic(4)
+	g := gazetteer.Synthetic(4).Freeze()
 	var balt gazetteer.LocID
 	for _, c := range g.Lookup("Baltimore", gazetteer.City) {
 		balt = c
@@ -165,7 +165,7 @@ func TestUnambiguousNeighbourDominatesVote(t *testing.T) {
 }
 
 func TestNoCrossCellEdgesWithinSameCell(t *testing.T) {
-	g := gazetteer.Synthetic(5)
+	g := gazetteer.Synthetic(5).Freeze()
 	streets := g.Lookup("Main Street", gazetteer.Street)
 	if len(streets) < 2 {
 		t.Fatal("need ambiguous Main Street")
@@ -180,7 +180,7 @@ func TestNoCrossCellEdgesWithinSameCell(t *testing.T) {
 }
 
 func TestDiagonalCellsDoNotVote(t *testing.T) {
-	g := gazetteer.Synthetic(6)
+	g := gazetteer.Synthetic(6).Freeze()
 	a := g.Lookup("Pennsylvania Avenue", gazetteer.Street)
 	b := g.Lookup("Washington", gazetteer.City)
 	interps := []Interpretation{
@@ -215,7 +215,7 @@ func TestScoresAreDistributions(t *testing.T) {
 // TestResolveTotal: every input cell gets exactly one interpretation, chosen
 // from its own candidate set.
 func TestResolveTotal(t *testing.T) {
-	g := gazetteer.Synthetic(7)
+	g := gazetteer.Synthetic(7).Freeze()
 	cities := g.Cities()
 	f := func(seed uint32) bool {
 		// Build a random 3x2 grid of interpretations from real

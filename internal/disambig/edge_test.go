@@ -12,7 +12,7 @@ import (
 )
 
 func TestResolveNoInterpretations(t *testing.T) {
-	g := gazetteer.Synthetic(1)
+	g := gazetteer.Synthetic(1).Freeze()
 	if choice := Resolve(nil, g); len(choice) != 0 {
 		t.Errorf("Resolve(nil) = %v, want empty", choice)
 	}
@@ -27,7 +27,7 @@ func TestResolveNoInterpretations(t *testing.T) {
 // the result as explicit NoLocation entries — callers can distinguish "the
 // geocoder could not resolve this cell" from "this cell was never submitted".
 func TestEmptyCandidateSetResolvesToNoLocation(t *testing.T) {
-	g := gazetteer.Synthetic(2)
+	g := gazetteer.Synthetic(2).Freeze()
 	balt := g.Lookup("Baltimore", gazetteer.City)
 	if len(balt) != 1 {
 		t.Fatalf("Baltimore should be unambiguous, got %d", len(balt))
@@ -65,7 +65,7 @@ func TestEmptyCandidateSetResolvesToNoLocation(t *testing.T) {
 // candidate no matter how its neighbours vote — even when the neighbour's
 // candidates share no container with it.
 func TestSingleCandidateShortCircuit(t *testing.T) {
-	g := gazetteer.Synthetic(3)
+	g := gazetteer.Synthetic(3).Freeze()
 	balt := g.Lookup("Baltimore", gazetteer.City)
 	parises := g.Lookup("Paris", gazetteer.City)
 	if len(balt) != 1 || len(parises) < 2 {
@@ -88,7 +88,7 @@ func TestSingleCandidateShortCircuit(t *testing.T) {
 // uniform prior, so every candidate ties and the smallest LocID must win
 // (the paper chooses randomly; we are deterministic).
 func TestTieBreakPicksSmallestLocID(t *testing.T) {
-	g := gazetteer.Synthetic(4)
+	g := gazetteer.Synthetic(4).Freeze()
 	parises := g.Lookup("Paris", gazetteer.City)
 	if len(parises) < 2 {
 		t.Fatal("need ambiguous Paris")
@@ -137,7 +137,7 @@ func TestTieBreakInvariantUnderCandidateOrder(t *testing.T) {
 // vote twice, so graph construction drops them. The resolution of a
 // duplicated input is identical to the deduplicated one's.
 func TestDuplicateCandidatesDeduplicated(t *testing.T) {
-	g := gazetteer.Synthetic(5)
+	g := gazetteer.Synthetic(5).Freeze()
 	parises := g.Lookup("Paris", gazetteer.City)
 	balt := g.Lookup("Baltimore", gazetteer.City)
 	if len(parises) < 2 || len(balt) != 1 {

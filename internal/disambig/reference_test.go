@@ -31,11 +31,11 @@ type refNode struct {
 // refGraph is the reference voting graph.
 type refGraph struct {
 	nodes []refNode
-	g     gazetteer.Geo
+	g     *gazetteer.Frozen
 }
 
 // refBuildGraph is the seed BuildGraph: every ordered node pair is examined.
-func refBuildGraph(interps []Interpretation, g gazetteer.Geo) *refGraph {
+func refBuildGraph(interps []Interpretation, g *gazetteer.Frozen) *refGraph {
 	gr := &refGraph{g: g}
 	for _, it := range interps {
 		for _, loc := range it.Candidates {
@@ -77,7 +77,7 @@ func (gr *refGraph) edgeCount() int {
 
 // refResolveScores is the seed ResolveScores: iterative vote propagation
 // with per-cell normalisation, smallest-LocID tie-break.
-func refResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
+func refResolveScores(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	gr := refBuildGraph(interps, g)
 	n := len(gr.nodes)
 	scores := make([]float64, n)
@@ -160,7 +160,7 @@ func refResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]ga
 // Inputs must be canonical (no duplicate candidates within a cell); empty
 // candidate sets are allowed — the production NoLocation entries are peeled
 // off before comparing against the reference's omissions.
-func checkEquivalence(t *testing.T, interps []Interpretation, g gazetteer.Geo) {
+func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Frozen) {
 	t.Helper()
 	ref := refBuildGraph(interps, g)
 	gr := BuildGraph(interps, g)
@@ -214,7 +214,7 @@ func TestSparseMatchesReferenceFigure7(t *testing.T) {
 // gazetteer's id space, occasionally empty. Drawing from LookupAny of real
 // names keeps the candidate sets realistically coherent; raw random ids keep
 // the graph shapes adversarial. Both appear.
-func randomInterps(g gazetteer.Geo, rng *rand.Rand, rows, cols, maxCands int, names []string) []Interpretation {
+func randomInterps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols, maxCands int, names []string) []Interpretation {
 	var interps []Interpretation
 	for r := 1; r <= rows; r++ {
 		for c := 1; c <= cols; c++ {
@@ -246,7 +246,7 @@ func randomInterps(g gazetteer.Geo, rng *rand.Rand, rows, cols, maxCands int, na
 }
 
 // gazNames collects the distinct names of a synthetic gazetteer.
-func gazNames(g gazetteer.Geo) []string {
+func gazNames(g *gazetteer.Frozen) []string {
 	seen := map[string]bool{}
 	var names []string
 	for i := 1; i <= g.Len(); i++ {
@@ -260,19 +260,16 @@ func gazNames(g gazetteer.Geo) []string {
 }
 
 // TestSparseMatchesReferenceRandom drives both implementations over
-// randomized tables of varying shape, against both the mutable and the
-// frozen gazetteer at two scales.
+// randomized tables of varying shape, at two gazetteer scales.
 func TestSparseMatchesReferenceRandom(t *testing.T) {
 	for _, scale := range []int{1, 3} {
-		b := gazetteer.SyntheticScale(17, scale)
-		names := gazNames(b)
-		for _, g := range []gazetteer.Geo{b, b.Freeze()} {
-			rng := rand.New(rand.NewSource(int64(scale) * 101))
-			for trial := 0; trial < 25; trial++ {
-				rows, cols := 1+rng.Intn(10), 1+rng.Intn(5)
-				interps := randomInterps(g, rng, rows, cols, 6, names)
-				checkEquivalence(t, interps, g)
-			}
+		g := gazetteer.SyntheticScale(17, scale).Freeze()
+		names := gazNames(g)
+		rng := rand.New(rand.NewSource(int64(scale) * 101))
+		for trial := 0; trial < 25; trial++ {
+			rows, cols := 1+rng.Intn(10), 1+rng.Intn(5)
+			interps := randomInterps(g, rng, rows, cols, 6, names)
+			checkEquivalence(t, interps, g)
 		}
 	}
 }
@@ -285,8 +282,7 @@ func FuzzResolveEquivalence(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 10, 20, 30, 255, 2, 2, 1, 10, 11})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{5, 1, 3, 100, 101, 102, 255, 5, 2, 3, 100, 110, 120, 255, 6, 1, 1, 100})
-	g := gazetteer.Synthetic(23)
-	frozen := g.Freeze()
+	g := gazetteer.Synthetic(23).Freeze()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var interps []Interpretation
 		seen := map[CellRef]map[gazetteer.LocID]bool{}
@@ -313,7 +309,6 @@ func FuzzResolveEquivalence(f *testing.F) {
 			}
 		}
 		checkEquivalence(t, interps, g)
-		checkEquivalence(t, interps, frozen)
 	})
 }
 
@@ -321,9 +316,8 @@ func FuzzResolveEquivalence(f *testing.F) {
 // Benchmarks: the sparse rewrite vs the all-pairs reference
 // ---------------------------------------------------------------------------
 
-func benchWorkload() ([]Interpretation, gazetteer.Geo) {
-	g := gazetteer.SyntheticScale(42, 4)
-	f := g.Freeze()
+func benchWorkload() ([]Interpretation, *gazetteer.Frozen) {
+	f := gazetteer.SyntheticScale(42, 4).Freeze()
 	rng := rand.New(rand.NewSource(9))
 	return randomInterps(f, rng, 30, 4, 8, gazNames(f)), f
 }

@@ -29,7 +29,6 @@ func (l *Lab) config(clf classify.Classifier, postprocess, disambiguate bool) an
 		Parallelism:  l.Cfg.Parallelism,
 		Cache:        l.Cache,
 		CacheSalt:    l.clfName(clf),
-		GeoWorkers:   l.Cfg.GeoWorkers,
 	}
 }
 

@@ -45,10 +45,6 @@ type LabConfig struct {
 	// run (tables are annotated concurrently; <= 1 runs sequentially).
 	// Every reported number is identical at any setting.
 	Parallelism int
-	// GeoWorkers bounds the worker pool resolving disambiguation
-	// components in parallel inside the geo stage (0 = min(GOMAXPROCS,
-	// 8)). Results are bit-identical at any setting.
-	GeoWorkers int
 	// ShareCache enables the cross-table query-verdict cache: repeated
 	// cell values across tables and across analyses stop costing
 	// search-engine round-trips. Off by default because it changes the
@@ -192,7 +188,7 @@ func NewLab(cfg LabConfig) *Lab {
 		POIHomonymRate: cfg.POIHomonymRate,
 		DiacriticRate:  cfg.DiacriticRate,
 	})
-	l.Geo = l.World.Gaz.Freeze()
+	l.Geo = l.World.Gaz
 	six := webgen.BuildShardedIndex(l.World, webgen.Config{
 		Seed:          cfg.Seed + 1,
 		ConfuserBoost: cfg.ConfuserBoost,

@@ -2,22 +2,15 @@ package gazetteer
 
 import "strings"
 
-// Both lifecycle stages serve the same read-only interface.
-var (
-	_ Geo = (*Builder)(nil)
-	_ Geo = (*Frozen)(nil)
-)
-
 // Frozen is the immutable, concurrency-safe gazetteer a Builder freezes
-// into. Storage is columnar and compact: names are interned once (exact and
-// normalized forms), every location is four small integers (name, normalized
-// name, kind, parent), container chains and the containing city are
-// precomputed per location, children are grouped per parent as CSR ranges,
-// and a candidate-lookup index maps each normalized name to its id bucket.
-// All query methods return results identical to the Builder they were frozen
-// from (differentially and fuzz tested), so the two are interchangeable
-// behind the Geo interface; Frozen additionally persists to a versioned
-// binary snapshot (see persist.go).
+// into, and the only reader. Storage is columnar and compact: names are
+// interned once (exact and normalized forms), every location is four small
+// integers (name, normalized name, kind, parent), container chains and the
+// containing city are precomputed per location, children are grouped per
+// parent as CSR ranges, and a candidate-lookup index maps each normalized
+// name to its id bucket. Every query method is differentially and fuzz
+// tested against the naive row scans of reference_test.go. Frozen persists to
+// a versioned binary snapshot (see persist.go).
 //
 // Index 0 of every per-location column is a zero entry so LocID 0 stays
 // invalid, mirroring the Builder's layout.
@@ -240,9 +233,8 @@ func (f *Frozen) Cities() []LocID {
 }
 
 // StreetsIn returns all street ids belonging to the given city, in
-// increasing order — the city's child range of the frozen layout. Like the
-// builder's version, a non-city location yields nil (its children are not
-// streets).
+// increasing order — the city's child range of the frozen layout. A non-city
+// location yields nil (its children are not streets).
 func (f *Frozen) StreetsIn(city LocID) []LocID {
 	var out []LocID
 	for _, ch := range f.children[f.childOff[city]:f.childOff[city+1]] {
@@ -264,17 +256,23 @@ func (f *Frozen) Children(id LocID) []LocID {
 	return append([]LocID(nil), ch...)
 }
 
-// Geocode resolves an address string to its candidate interpretations, with
-// the same semantics (and results) as Builder.Geocode: a partial address
-// yields every location it may refer to, later segments narrow the
-// candidates. Narrowing compares interned normalized-name ids against the
-// precomputed container chains, so no strings are normalized per candidate.
-// An unresolvable address returns nil.
+// Geocode resolves an address string to its candidate interpretations, in
+// increasing id order. Like the Google Geocoding API, a partial address yields
+// every location it may refer to: a bare street name returns one candidate
+// per city containing a street of that name; a bare city name returns every
+// city so named. Later segments narrow the candidates: "Main Street,
+// Springfield" keeps only Main Streets whose city is named Springfield.
+// Narrowing compares interned normalized-name ids against the precomputed
+// container chains, so no strings are normalized per candidate. An
+// unresolvable address returns nil.
 func (f *Frozen) Geocode(address string) []LocID {
 	a := ParseAddress(address)
 	if a.Street == "" {
 		return nil
 	}
+	// The first segment may be a street name or, for street-less addresses
+	// ("Washington, D.C., USA"), a city name. Try street first; fall back to
+	// city.
 	cands := f.Lookup(a.Street, Street)
 	qualifiers := []string{a.City, a.State, a.Country}
 	if len(cands) == 0 {

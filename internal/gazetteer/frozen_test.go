@@ -22,12 +22,12 @@ func equalIDs(a, b []LocID) bool {
 	return true
 }
 
-// checkFrozenEquivalence drives every Geo method over both forms and fails
-// on any divergence.
-func checkFrozenEquivalence(t *testing.T, g *Builder, f *Frozen) {
+// checkFrozenEquivalence drives every query method of a frozen gazetteer and
+// of the naive reference over the same rows and fails on any divergence.
+func checkFrozenEquivalence(t *testing.T, g *reference, f *Frozen) {
 	t.Helper()
 	if g.Len() != f.Len() {
-		t.Fatalf("Len: builder %d, frozen %d", g.Len(), f.Len())
+		t.Fatalf("Len: reference %d, frozen %d", g.Len(), f.Len())
 	}
 	names := map[string]bool{}
 	for i := 1; i <= g.Len(); i++ {
@@ -69,7 +69,7 @@ func checkFrozenEquivalence(t *testing.T, g *Builder, f *Frozen) {
 		t.Fatal("Cities diverges")
 	}
 	// StreetsIn must agree on EVERY id, not only cities: on a state or
-	// country both forms answer nil (children exist but are not streets).
+	// country both answer nil (children exist but are not streets).
 	for i := 1; i <= g.Len(); i++ {
 		if !equalIDs(g.StreetsIn(LocID(i)), f.StreetsIn(LocID(i))) {
 			t.Fatalf("StreetsIn(%d) (%v) diverges", i, g.Kind(LocID(i)))
@@ -80,15 +80,16 @@ func checkFrozenEquivalence(t *testing.T, g *Builder, f *Frozen) {
 func TestFrozenMatchesBuilder(t *testing.T) {
 	for _, scale := range []int{1, 3} {
 		g := SyntheticScale(7, scale)
-		checkFrozenEquivalence(t, g, g.Freeze())
+		checkFrozenEquivalence(t, newReference(g), g.Freeze())
 	}
 }
 
 // TestFrozenGeocodeMatchesBuilder throws every name in the gazetteer — and
-// randomized partial addresses built from them — at both Geocode paths.
+// randomized partial addresses built from them — at the frozen Geocode and at
+// the naive one over the builder's rows.
 func TestFrozenGeocodeMatchesBuilder(t *testing.T) {
-	g := SyntheticScale(11, 2)
-	f := g.Freeze()
+	b := SyntheticScale(11, 2)
+	g, f := newReference(b), b.Freeze()
 	rng := rand.New(rand.NewSource(13))
 
 	var streetNames, cityNames, qualNames []string
@@ -133,20 +134,21 @@ func TestFrozenGeocodeMatchesBuilder(t *testing.T) {
 	}
 	for _, addr := range addrs {
 		if !equalIDs(g.Geocode(addr), f.Geocode(addr)) {
-			t.Fatalf("Geocode(%q): builder %v, frozen %v", addr, g.Geocode(addr), f.Geocode(addr))
+			t.Fatalf("Geocode(%q): reference %v, frozen %v", addr, g.Geocode(addr), f.Geocode(addr))
 		}
 	}
 }
 
-// TestByNameListsAreSorted asserts the invariant Lookup/LookupAny rely on
-// since dropping their per-call sort: byName lists are appended in
-// increasing id order.
+// TestByNameListsAreSorted asserts the invariant Lookup/LookupAny/Geocode
+// rely on instead of sorting per call: every normalized name's id bucket is
+// strictly increasing.
 func TestByNameListsAreSorted(t *testing.T) {
-	g := SyntheticScale(3, 2)
-	for name, ids := range g.byName {
+	g := SyntheticScale(3, 2).Freeze()
+	for n, name := range g.norms {
+		ids := g.ids[g.bucketOff[n]:g.bucketOff[n+1]]
 		for i := 1; i < len(ids); i++ {
 			if ids[i-1] >= ids[i] {
-				t.Fatalf("byName[%q] not strictly increasing: %v", name, ids)
+				t.Fatalf("bucket of %q not strictly increasing: %v", name, ids)
 			}
 		}
 	}
@@ -183,8 +185,8 @@ func TestFrozenChildren(t *testing.T) {
 }
 
 func TestSyntheticScaleExtendsBase(t *testing.T) {
-	base := Synthetic(42)
-	big := SyntheticScale(42, 3)
+	base := Synthetic(42).Freeze()
+	big := SyntheticScale(42, 3).Freeze()
 	if big.Len() <= base.Len() {
 		t.Fatalf("scale 3 (%d) not larger than base (%d)", big.Len(), base.Len())
 	}
@@ -200,7 +202,7 @@ func TestSyntheticScaleExtendsBase(t *testing.T) {
 		t.Fatalf("two growth rounds added only %d locations", perRound)
 	}
 	// Determinism at scale.
-	again := SyntheticScale(42, 3)
+	again := SyntheticScale(42, 3).Freeze()
 	if again.Len() != big.Len() {
 		t.Fatalf("same-seed scale builds differ: %d vs %d", again.Len(), big.Len())
 	}
@@ -211,12 +213,12 @@ func TestSyntheticScale100k(t *testing.T) {
 		t.Skip("large gazetteer build")
 	}
 	g := SyntheticScale(42, 91)
-	if g.Len() < 100000 {
-		t.Fatalf("scale 91 gazetteer has %d locations, want >= 100k", g.Len())
-	}
 	f := g.Freeze()
-	if f.Len() != g.Len() {
-		t.Fatalf("freeze lost locations: %d vs %d", f.Len(), g.Len())
+	if f.Len() < 100000 {
+		t.Fatalf("scale 91 gazetteer has %d locations, want >= 100k", f.Len())
+	}
+	if f.Len() != len(g.locs)-1 {
+		t.Fatalf("freeze lost locations: %d vs %d", f.Len(), len(g.locs)-1)
 	}
 	// Ambiguity grows with scale: a pooled street name has many candidates.
 	if n := len(f.Lookup(scaleStreetNames[0], Street)); n < 100 {

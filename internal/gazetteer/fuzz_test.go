@@ -42,12 +42,12 @@ func FuzzParseAddress(f *testing.F) {
 	})
 }
 
-// fuzzGaz builds the shared gazetteer triple (builder, frozen,
+// fuzzGaz builds the shared gazetteer triple (naive reference, frozen,
 // persisted-and-reloaded frozen) once per process for the geocode fuzz
 // target.
-var fuzzGaz = sync.OnceValues(func() (*Builder, [2]*Frozen) {
-	g := SyntheticScale(42, 2)
-	f := g.Freeze()
+var fuzzGaz = sync.OnceValues(func() (*reference, [2]*Frozen) {
+	b := SyntheticScale(42, 2)
+	g, f := newReference(b), b.Freeze()
 	var buf strings.Builder
 	if _, err := f.WriteTo(&buf); err != nil {
 		panic(err)
@@ -59,9 +59,9 @@ var fuzzGaz = sync.OnceValues(func() (*Builder, [2]*Frozen) {
 	return g, [2]*Frozen{f, reloaded}
 })
 
-// FuzzGeocodeRoundTrip feeds arbitrary address strings through all three
-// gazetteer forms — mutable builder, frozen, and frozen reloaded from its
-// binary snapshot — and requires identical candidate lists, every candidate
+// FuzzGeocodeRoundTrip feeds arbitrary address strings through the naive
+// reference, the frozen gazetteer and one reloaded from its binary snapshot,
+// and requires identical candidate lists, every candidate
 // id valid and the list strictly increasing.
 func FuzzGeocodeRoundTrip(f *testing.F) {
 	f.Add("1600 Pennsylvania Avenue")
@@ -88,11 +88,11 @@ func FuzzGeocodeRoundTrip(f *testing.F) {
 		for which, fz := range frozen {
 			got := fz.Geocode(addr)
 			if len(got) != len(want) {
-				t.Fatalf("frozen[%d].Geocode(%q) = %v, builder = %v", which, addr, got, want)
+				t.Fatalf("frozen[%d].Geocode(%q) = %v, reference = %v", which, addr, got, want)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("frozen[%d].Geocode(%q) = %v, builder = %v", which, addr, got, want)
+					t.Fatalf("frozen[%d].Geocode(%q) = %v, reference = %v", which, addr, got, want)
 				}
 			}
 		}

@@ -5,7 +5,8 @@ import (
 	"testing/quick"
 )
 
-func buildSmall(t *testing.T) *Gazetteer {
+// buildSmall is a ten-location hand-built gazetteer; USA is location 1.
+func buildSmall(t *testing.T) *Builder {
 	t.Helper()
 	g := New()
 	usa := g.Add("USA", Country, NoLocation)
@@ -22,7 +23,7 @@ func buildSmall(t *testing.T) *Gazetteer {
 }
 
 func TestHierarchy(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	streets := g.Lookup("Pennsylvania Avenue", Street)
 	if len(streets) != 2 {
 		t.Fatalf("want 2 Pennsylvania Avenues, got %d", len(streets))
@@ -46,7 +47,7 @@ func TestHierarchy(t *testing.T) {
 }
 
 func TestCityOf(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	s := g.Lookup("Clarksville Street", Street)[0]
 	city := g.CityOf(s)
 	if g.Name(city) != "Paris" {
@@ -63,7 +64,7 @@ func TestCityOf(t *testing.T) {
 
 func TestAddPanicsOnBadHierarchy(t *testing.T) {
 	g := buildSmall(t)
-	usa := g.Lookup("USA", Country)[0]
+	usa := LocID(1)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("expected panic on street directly under country")
@@ -73,7 +74,7 @@ func TestAddPanicsOnBadHierarchy(t *testing.T) {
 }
 
 func TestFullName(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	var washAve LocID
 	for _, s := range g.Lookup("Pennsylvania Avenue", Street) {
 		if g.Name(g.CityOf(s)) == "Washington" {
@@ -126,7 +127,7 @@ func TestAddressFormatParseRoundTrip(t *testing.T) {
 }
 
 func TestGeocodeAmbiguousStreet(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	cands := g.Geocode("1600 Pennsylvania Avenue")
 	if len(cands) != 2 {
 		t.Fatalf("ambiguous street should have 2 candidates, got %d", len(cands))
@@ -141,7 +142,7 @@ func TestGeocodeAmbiguousStreet(t *testing.T) {
 }
 
 func TestGeocodeNarrowedByCity(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	cands := g.Geocode("1600 Pennsylvania Avenue, Washington")
 	if len(cands) != 1 {
 		t.Fatalf("city-qualified street should have 1 candidate, got %d", len(cands))
@@ -152,7 +153,7 @@ func TestGeocodeNarrowedByCity(t *testing.T) {
 }
 
 func TestGeocodeCityFallback(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	cands := g.Geocode("Washington, D.C.")
 	if len(cands) != 1 {
 		t.Fatalf("want 1 candidate for Washington, D.C., got %d", len(cands))
@@ -163,7 +164,7 @@ func TestGeocodeCityFallback(t *testing.T) {
 }
 
 func TestGeocodeUnknown(t *testing.T) {
-	g := buildSmall(t)
+	g := buildSmall(t).Freeze()
 	if cands := g.Geocode("99 Nowhere Boulevard, Atlantis"); cands != nil {
 		t.Errorf("unknown address should geocode to nil, got %v", cands)
 	}
@@ -173,7 +174,7 @@ func TestGeocodeUnknown(t *testing.T) {
 }
 
 func TestSyntheticGazetteer(t *testing.T) {
-	g := Synthetic(42)
+	g := Synthetic(42).Freeze()
 	if g.Len() < 100 {
 		t.Fatalf("synthetic gazetteer too small: %d locations", g.Len())
 	}
@@ -198,8 +199,8 @@ func TestSyntheticGazetteer(t *testing.T) {
 }
 
 func TestSyntheticDeterministic(t *testing.T) {
-	g1 := Synthetic(7)
-	g2 := Synthetic(7)
+	g1 := Synthetic(7).Freeze()
+	g2 := Synthetic(7).Freeze()
 	if g1.Len() != g2.Len() {
 		t.Fatalf("same seed produced different sizes: %d vs %d", g1.Len(), g2.Len())
 	}
@@ -212,7 +213,7 @@ func TestSyntheticDeterministic(t *testing.T) {
 }
 
 func TestCitiesAndStreetsIn(t *testing.T) {
-	g := Synthetic(42)
+	g := Synthetic(42).Freeze()
 	cities := g.Cities()
 	if len(cities) == 0 {
 		t.Fatal("no cities")

@@ -101,55 +101,3 @@ func allDigits(s string) bool {
 	}
 	return len(s) > 0
 }
-
-// Geocode resolves an address string to its candidate interpretations, most
-// specific first. Like the Google Geocoding API, a partial address yields
-// every location it may refer to: a bare street name returns one candidate
-// per city containing a street of that name; a bare city name returns every
-// city so named. Later segments narrow the candidates: "Main Street,
-// Springfield" keeps only Main Streets whose city is named Springfield.
-// An unresolvable address returns nil.
-func (g *Gazetteer) Geocode(address string) []LocID {
-	a := ParseAddress(address)
-	if a.Street == "" {
-		return nil
-	}
-
-	// The first segment may be a street name or, for street-less
-	// addresses ("Washington, D.C., USA"), a city name. Try street
-	// first; fall back to city.
-	cands := g.Lookup(a.Street, Street)
-	qualifiers := []string{a.City, a.State, a.Country}
-	if len(cands) == 0 {
-		cands = g.Lookup(a.Street, City)
-		qualifiers = []string{a.City, a.State} // segments shift up one level
-		if len(cands) == 0 {
-			return nil
-		}
-	}
-	for _, q := range qualifiers {
-		if q == "" {
-			continue
-		}
-		cands = g.narrow(cands, q)
-	}
-	// Candidates come from one Lookup (increasing id order) and narrow
-	// preserves order, so the result is already sorted.
-	return cands
-}
-
-// narrow keeps the candidates that have a container (at any level) whose name
-// matches the qualifier.
-func (g *Gazetteer) narrow(cands []LocID, qualifier string) []LocID {
-	q := normalizeName(qualifier)
-	out := cands[:0]
-	for _, id := range cands {
-		for _, c := range g.Containers(id) {
-			if normalizeName(g.Name(c)) == q {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -14,7 +14,7 @@ import (
 // cities and street assignments are drawn deterministically from seed.
 // Synthetic(seed) is SyntheticScale(seed, 1); the two agree exactly on the
 // base id range.
-func Synthetic(seed int64) *Gazetteer { return SyntheticScale(seed, 1) }
+func Synthetic(seed int64) *Builder { return SyntheticScale(seed, 1) }
 
 // SyntheticScale builds the synthetic gazetteer at a chosen size: scale <= 1
 // is exactly Synthetic(seed) (same locations, same ids); every additional
@@ -24,7 +24,7 @@ func Synthetic(seed int64) *Gazetteer { return SyntheticScale(seed, 1) }
 // collisions — the ambiguity the disambiguator resolves — grow linearly with
 // the gazetteer: at scale ≈ 90 the gazetteer exceeds 100k locations and a
 // bare street name geocodes to over a thousand candidates.
-func SyntheticScale(seed int64, scale int) *Gazetteer {
+func SyntheticScale(seed int64, scale int) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	g := New()
 
@@ -148,7 +148,7 @@ func crossNames(prefixes, suffixes []string) []string {
 
 // grow appends scale-1 growth rounds to the base gazetteer, continuing the
 // base construction's deterministic random stream.
-func grow(g *Gazetteer, rng *rand.Rand, scale int) {
+func grow(g *Builder, rng *rand.Rand, scale int) {
 	for r := 1; r < scale; r++ {
 		country := g.Add(fmt.Sprintf("Terra %d", r), Country, NoLocation)
 		for s := 1; s <= 10; s++ {
@@ -165,43 +165,24 @@ func grow(g *Gazetteer, rng *rand.Rand, scale int) {
 
 // ensureStreet adds the street to the named city in the given state unless it
 // already exists there.
-func ensureStreet(g *Gazetteer, street, city string, state LocID) {
-	var target LocID
-	for _, c := range g.Lookup(city, City) {
-		if g.Parent(c) == state {
-			target = c
-			break
-		}
-	}
+func ensureStreet(g *Builder, street, city string, state LocID) {
+	target := g.find(city, City, state)
 	if target == NoLocation {
 		target = g.Add(city, City, state)
 	}
-	for _, s := range g.Lookup(street, Street) {
-		if g.Parent(s) == target {
-			return
-		}
+	if g.find(street, Street, target) == NoLocation {
+		g.Add(street, Street, target)
 	}
-	g.Add(street, Street, target)
 }
 
-// Cities returns all city ids, sorted.
-func (g *Gazetteer) Cities() []LocID {
-	var out []LocID
+// find returns the first location with exactly this name, kind and parent,
+// or NoLocation. A linear scan: only ensureStreet asks, a handful of times,
+// before the growth rounds.
+func (g *Builder) find(name string, kind Kind, parent LocID) LocID {
 	for i := 1; i < len(g.locs); i++ {
-		if g.locs[i].kind == City {
-			out = append(out, LocID(i))
+		if g.locs[i] == (location{name: name, kind: kind, parent: parent}) {
+			return LocID(i)
 		}
 	}
-	return out
-}
-
-// StreetsIn returns all street ids belonging to the given city, sorted.
-func (g *Gazetteer) StreetsIn(city LocID) []LocID {
-	var out []LocID
-	for i := 1; i < len(g.locs); i++ {
-		if g.locs[i].kind == Street && g.locs[i].parent == city {
-			out = append(out, LocID(i))
-		}
-	}
-	return out
+	return NoLocation
 }

@@ -154,11 +154,11 @@ func TestDescendantsNoDuplicates(t *testing.T) {
 func TestTrainingBuilderCollect(t *testing.T) {
 	w, kb := testKB(t)
 	docs := webgen.BuildCorpus(w, webgen.Config{Seed: 11, NoiseDocs: 50})
-	ix := search.NewShardedIndex(1)
+	ib := search.NewBuilder(1)
 	for _, d := range docs {
-		ix.Add(d)
+		ib.Add(d)
 	}
-	engine := search.NewShardedEngine(ix)
+	engine := search.NewShardedEngine(ib.Freeze())
 	b := &TrainingBuilder{KB: kb, Engine: engine, SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11}
 	train, test, stats := b.Collect([]world.Type{world.Museum, world.Restaurant})
 	if train.Len() == 0 || test.Len() == 0 {
@@ -187,11 +187,11 @@ func TestTrainingBuilderCollect(t *testing.T) {
 func TestTrainingBuilderPhraseQueries(t *testing.T) {
 	w, kb := testKB(t)
 	docs := webgen.BuildCorpus(w, webgen.Config{Seed: 11, NoiseDocs: 50})
-	ix := search.NewShardedIndex(1)
+	ib := search.NewBuilder(1)
 	for _, d := range docs {
-		ix.Add(d)
+		ib.Add(d)
 	}
-	engine := search.NewShardedEngine(ix)
+	engine := search.NewShardedEngine(ib.Freeze())
 	b := &TrainingBuilder{
 		KB: kb, Engine: engine,
 		SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11,

@@ -26,7 +26,7 @@ type Extractor struct {
 	// Gazetteer, when set, geocodes address cells to attach a poi:city
 	// triple. Ambiguous addresses take the first candidate's city; run
 	// the annotator with disambiguation for better choices upstream.
-	Gazetteer *gazetteer.Gazetteer
+	Gazetteer *gazetteer.Frozen
 	// MinScore drops annotations below this Eq. 1 confidence.
 	MinScore float64
 

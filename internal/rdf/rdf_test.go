@@ -168,7 +168,7 @@ func TestExtractFromAnnotatedTable(t *testing.T) {
 		{Row: 2, Col: 1, Type: "museum", Score: 0.4},
 	}
 	store := NewStore()
-	x := &Extractor{Gazetteer: gazetteer.Synthetic(1), MinScore: 0.5}
+	x := &Extractor{Gazetteer: gazetteer.Synthetic(1).Freeze(), MinScore: 0.5}
 	n := x.Extract(tbl, res, store)
 	if n != 1 {
 		t.Fatalf("extracted %d POIs, want 1 (score filter)", n)

@@ -36,25 +36,16 @@ func benchCorpus(n int) []Document {
 
 func benchIndex(b *testing.B, n int) *ShardedIndex {
 	b.Helper()
-	ix := NewShardedIndex(1)
-	for _, d := range benchCorpus(n) {
-		ix.Add(d)
-	}
-	ix.Freeze()
-	return ix
+	return buildSharded(benchCorpus(n), 1)
 }
 
-// BenchmarkIndexAdd measures indexing throughput including positional
-// posting construction and the freeze.
+// BenchmarkIndexAdd measures indexing throughput: Add into a one-shard
+// builder (positional posting construction included) plus the Freeze.
 func BenchmarkIndexAdd(b *testing.B) {
 	docs := benchCorpus(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := NewShardedIndex(1)
-		for _, d := range docs {
-			ix.Add(d)
-		}
-		ix.Freeze()
+		buildSharded(docs, 1)
 	}
 }
 
@@ -91,6 +82,6 @@ func BenchmarkSnippet(b *testing.B) {
 	qterms := []string{"museum", "galleri"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.snippet(i%ix.Len(), qterms)
+		ix.snippet(i%len(ix.docs), qterms)
 	}
 }

@@ -1,23 +1,28 @@
 package search
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
-// Columnar scoring kernel. At Freeze time the pointer-heavy postings map is
-// compiled into a flat columnar form — a term-id dictionary, CSR posting
-// columns, and a precomputed per-posting partial-score column — so the BM25
-// hot loop the batched annotate path bottoms out in is a block-at-a-time
-// walk over contiguous arrays instead of a map lookup plus per-posting
-// floating-point pipeline.
+// Columnar scoring kernel. A frozen shard holds its postings in a flat
+// columnar form — a term-id dictionary, CSR posting columns, a precomputed
+// per-posting partial-score column and a positional CSR — so the BM25 hot
+// loop the batched annotate path bottoms out in is a block-at-a-time walk
+// over contiguous arrays instead of a map lookup plus per-posting
+// floating-point pipeline. Two producers lay the columns out, the Builder's
+// flatten and the TIDX decoder; rank, the ordAll step and scatterDense finish
+// them identically.
 //
 // Bit-identity. The scalar loop this kernel replaced computed, per posting,
 //
 //	acc.scores[p.doc] += idf * tf * (bm25K1 + 1) / (tf + normK[p.doc])
 //
 // Every operand of that expression is frozen state: idf and normK are derived
-// at Freeze time, tf is stored in the posting. The compiler therefore
-// evaluates the exact expression — same operand order, same operations — once
-// per posting at Freeze time and stores the result in the contribution
-// column; the query-time kernel only replays the additions. Because (a) the
+// from the whole corpus, tf is stored in the posting. rank therefore evaluates
+// the exact expression — same operand order, same operations — once per
+// posting and stores the result in the contribution column; the query-time
+// kernel only replays the additions. Because (a) the
 // stored contribution is the identical float64 the scalar loop would have
 // produced, (b) postings within a term stay in doc order and terms are
 // scored in query-term order, every accumulator receives the same additions
@@ -30,8 +35,8 @@ import "slices"
 // filtered them at heap-push time after paying to score them. The compiled
 // form splits each term's postings into an English section (doc + tf +
 // contribution — what the kernel scores) and a non-English section (doc +
-// tf only — never scored, kept so the columns remain a faithful round-trip
-// of the postings map; see mergePostings and the compiler property test).
+// tf only — never scored, kept because WriteTo persists every posting; see
+// eachPosting).
 // Dropping non-English docs from the accumulator is invisible in the output:
 // the top-k heap order is a strict total order (score desc, doc asc), so the
 // returned hits are a function of the scored candidate set, which loses only
@@ -76,6 +81,40 @@ type columns struct {
 	// costs a binary search over its positional postings — and big terms are
 	// exactly the ones whose positional lists make that search long.
 	firstPos [][]int32
+
+	// Positional CSR, what phrase verification and snippet anchoring read:
+	// term id t has one position list per doc at index l in
+	// posOff[t]:posOff[t+1] (empty for terms that are no body content word),
+	// posDoc[l] ascending, and list l's content positions are
+	// posArena[posStart[l]:posStart[l+1]], ascending.
+	posOff   []int32
+	posDoc   []int32
+	posStart []int32
+	posArena []int32
+}
+
+// newColumns allocates the columns at their exact sizes for a sorted
+// dictionary; the producer fills sections and offsets.
+func newColumns(terms []string, nEng, nOth, nLists, nPos int) *columns {
+	c := &columns{
+		termID:     make(map[string]int32, len(terms)),
+		terms:      terms,
+		engOff:     make([]int32, len(terms)+1),
+		engDoc:     make([]int32, nEng),
+		engTF:      make([]int32, nEng),
+		engContrib: make([]float64, nEng),
+		othOff:     make([]int32, len(terms)+1),
+		othDoc:     make([]int32, nOth),
+		othTF:      make([]int32, nOth),
+		posOff:     make([]int32, len(terms)+1),
+		posDoc:     make([]int32, nLists),
+		posStart:   make([]int32, nLists+1),
+		posArena:   make([]int32, nPos),
+	}
+	for id, term := range terms {
+		c.termID[term] = int32(id)
+	}
+	return c
 }
 
 // bigTermDF is the english document frequency at or above which a term gets
@@ -83,66 +122,47 @@ type columns struct {
 // enough that the extra freeze-time sort and memory buy nothing.
 const bigTermDF = 1024
 
-// compileColumns flattens the postings map into the frozen columnar form.
-// It must run after the idf table and normK are installed — contributions
-// read both — i.e. at the end of freezeShared. It is split into
-// buildCSR + sortOrd + scatterDense so the persistence fast path can reuse
-// the exact contribution arithmetic while installing a stored ordAll
-// permutation instead of re-sorting (see persist.go).
-func (ix *Index) compileColumns() *columns {
-	c := ix.buildCSR()
-	c.sortOrd()
-	ix.scatterDense(c)
-	return c
-}
-
-// buildCSR compiles the dictionary and the English/non-English CSR sections
-// — everything except ordAll and the big-term dense arrays. Contributions are
-// computed here, and only here, so every caller produces bit-identical
-// columns.
-func (ix *Index) buildCSR() *columns {
-	terms := sortedTerms(ix.postings)
-	c := &columns{
-		termID: make(map[string]int32, len(terms)),
-		terms:  terms,
-		engOff: make([]int32, 1, len(terms)+1),
-		othOff: make([]int32, 1, len(terms)+1),
-	}
-	nEng, nOth := 0, 0
-	for _, plist := range ix.postings {
-		for _, p := range plist {
-			if ix.english[p.doc] {
-				nEng++
-			} else {
-				nOth++
-			}
+// rank derives the corpus-wide ranking constants — per-term idf over global
+// document frequencies, average document length, per-doc BM25 length
+// normalizers — and fills every shard's contribution column from them, so each
+// shard scores with exactly the constants a single shard holding the whole
+// corpus would use. Contributions are computed here, and only here: a built
+// and a loaded index get bit-identical columns. docLen[shard][doc] is the
+// doc's length in terms.
+func rank(shards []*Index, docLen [][]int, nDocs int) {
+	df := make(map[string]int)
+	totalLen := 0
+	for si, sh := range shards {
+		c := sh.col
+		for tid, t := range c.terms {
+			df[t] += int(c.engOff[tid+1]-c.engOff[tid]) + int(c.othOff[tid+1]-c.othOff[tid])
+		}
+		for _, dl := range docLen[si] {
+			totalLen += dl
 		}
 	}
-	c.engDoc = make([]int32, 0, nEng)
-	c.engTF = make([]int32, 0, nEng)
-	c.engContrib = make([]float64, 0, nEng)
-	c.othDoc = make([]int32, 0, nOth)
-	c.othTF = make([]int32, 0, nOth)
-	for id, term := range terms {
-		c.termID[term] = int32(id)
-		idf := ix.idf[term]
-		for _, p := range ix.postings[term] {
-			if ix.english[p.doc] {
-				tf := float64(p.tf)
-				c.engDoc = append(c.engDoc, int32(p.doc))
-				c.engTF = append(c.engTF, int32(p.tf))
+	n := float64(nDocs)
+	avgLen := 0.0
+	if n > 0 {
+		avgLen = float64(totalLen) / n
+	}
+	for si, sh := range shards {
+		c := sh.col
+		normK := make([]float64, len(docLen[si]))
+		for d, dl := range docLen[si] {
+			normK[d] = bm25K1 * (1 - bm25B + bm25B*float64(dl)/avgLen)
+		}
+		for tid, t := range c.terms {
+			dff := float64(df[t])
+			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
+			for i := c.engOff[tid]; i < c.engOff[tid+1]; i++ {
+				tf := float64(c.engTF[i])
 				// The exact expression of the former scalar loop; see the
 				// bit-identity note above before changing its shape.
-				c.engContrib = append(c.engContrib, idf*tf*(bm25K1+1)/(tf+ix.normK[p.doc]))
-			} else {
-				c.othDoc = append(c.othDoc, int32(p.doc))
-				c.othTF = append(c.othTF, int32(p.tf))
+				c.engContrib[i] = idf * tf * (bm25K1 + 1) / (tf + normK[c.engDoc[i]])
 			}
 		}
-		c.engOff = append(c.engOff, int32(len(c.engDoc)))
-		c.othOff = append(c.othOff, int32(len(c.othDoc)))
 	}
-	return c
 }
 
 // sortOrd derives the ordAll permutation from the English sections: per term,
@@ -170,8 +190,9 @@ func (c *columns) sortOrd() {
 }
 
 // scatterDense materializes the big-term dense contribution and first-position
-// arrays. Pure scatter from already-built columns, no ordering dependency.
-func (ix *Index) scatterDense(c *columns) {
+// arrays of an nDocs-document shard. Pure scatter from already-built columns,
+// no ordering dependency.
+func (c *columns) scatterDense(nDocs int) {
 	c.contribDense = make([][]float64, len(c.terms))
 	c.firstPos = make([][]int32, len(c.terms))
 	for tid := range c.terms {
@@ -181,14 +202,14 @@ func (ix *Index) scatterDense(c *columns) {
 		}
 		docs := c.engDoc[lo:hi]
 		contribs := c.engContrib[lo:hi]
-		dense := make([]float64, len(ix.docs))
+		dense := make([]float64, nDocs)
 		for i, d := range docs {
 			dense[d] = contribs[i]
 		}
 		c.contribDense[tid] = dense
-		fp := make([]int32, len(ix.docs))
-		for _, pp := range ix.positions[c.terms[tid]] {
-			fp[pp.doc] = pp.pos[0] + 1
+		fp := make([]int32, nDocs)
+		for l := c.posOff[tid]; l < c.posOff[tid+1]; l++ {
+			fp[c.posDoc[l]] = c.posArena[c.posStart[l]] + 1
 		}
 		c.firstPos[tid] = fp
 	}
@@ -256,35 +277,46 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 	acc.touched = touched[:n]
 }
 
-// postingsOf reconstructs term's full posting list from the compiled
-// columns, merging the English and non-English sections back into ascending
-// doc order. It exists for the compiler's round-trip property test: columns
-// must preserve exactly the postings state they were compiled from.
-func (c *columns) postingsOf(term string) []posting {
-	tid, ok := c.termID[term]
-	if !ok {
-		return nil
-	}
-	elo, ehi := c.engOff[tid], c.engOff[tid+1]
-	olo, ohi := c.othOff[tid], c.othOff[tid+1]
-	out := make([]posting, 0, (ehi-elo)+(ohi-olo))
-	e, o := elo, olo
-	for e < ehi && o < ohi {
-		if c.engDoc[e] < c.othDoc[o] {
-			out = append(out, posting{doc: int(c.engDoc[e]), tf: int(c.engTF[e])})
+// eachPosting calls emit for every posting of term id tid, merging the English
+// and non-English sections back into ascending doc order — the order the
+// postings were added in and TIDX stores them in.
+func (c *columns) eachPosting(tid int, emit func(doc, tf int32) error) error {
+	e, eEnd := c.engOff[tid], c.engOff[tid+1]
+	o, oEnd := c.othOff[tid], c.othOff[tid+1]
+	for e < eEnd || o < oEnd {
+		var err error
+		if o == oEnd || (e < eEnd && c.engDoc[e] < c.othDoc[o]) {
+			err = emit(c.engDoc[e], c.engTF[e])
 			e++
 		} else {
-			out = append(out, posting{doc: int(c.othDoc[o]), tf: int(c.othTF[o])})
+			err = emit(c.othDoc[o], c.othTF[o])
 			o++
 		}
+		if err != nil {
+			return err
+		}
 	}
-	for ; e < ehi; e++ {
-		out = append(out, posting{doc: int(c.engDoc[e]), tf: int(c.engTF[e])})
+	return nil
+}
+
+// positionsIn returns the content positions of term id tid within doc, or
+// nil. The binary search is hand-rolled: sort.Search's per-probe closure call
+// is measurable on the snippet path, which probes once per (query term, hit).
+func (c *columns) positionsIn(tid int32, doc int) []int32 {
+	lo, hi := int(c.posOff[tid]), int(c.posOff[tid+1])
+	end := hi
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(c.posDoc[mid]) < doc {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	for ; o < ohi; o++ {
-		out = append(out, posting{doc: int(c.othDoc[o]), tf: int(c.othTF[o])})
+	if lo == end || int(c.posDoc[lo]) != doc {
+		return nil
 	}
-	return out
+	return c.posArena[c.posStart[lo]:c.posStart[lo+1]]
 }
 
 // termResolver memoizes term -> column-id lookups across one query batch, so

@@ -1,160 +1,211 @@
 package search
 
 // Tests of the columnar compiler itself (columnar.go): the flat CSR form must
-// be a lossless round-trip of the postings/normK state it was compiled from,
+// be a lossless compilation of the builder's postings and positional maps,
 // and the batch kernel built on it must stay bit-identical to the monolithic
 // reference at every shard count × batch size the serving layer uses.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
 
-// checkColumnsRoundTrip asserts ix.col is an exact compilation of ix's
-// postings, idf, normK and positions state.
-func checkColumnsRoundTrip(t *testing.T, label string, ix *Index) {
+// checkColumnsRoundTrip asserts every shard of six — frozen from b, or loaded
+// from what such an index persisted — holds an exact compilation of b's maps:
+// dictionary, postings split by language, contributions bit-equal to the
+// scalar BM25 expression over ranking constants re-derived here from the
+// maps, ordAll, dense sidecars, and the positional CSR.
+func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedIndex) {
 	t.Helper()
-	c := ix.col
-	if c == nil {
-		t.Fatalf("%s: frozen index has no columns", label)
+	if six.Len() != b.nDocs || len(six.shards) != len(b.shards) {
+		t.Fatalf("%s: index has %d docs in %d shards, builder %d in %d",
+			label, six.Len(), len(six.shards), b.nDocs, len(b.shards))
 	}
-
-	// Term dictionary: a bijection onto the postings keys, in sorted order.
-	if len(c.terms) != len(ix.postings) || len(c.termID) != len(ix.postings) {
-		t.Fatalf("%s: %d column terms / %d ids for %d postings terms",
-			label, len(c.terms), len(c.termID), len(ix.postings))
+	// The oracle's ranking constants, straight from the maps.
+	df := map[string]int{}
+	totalLen := 0
+	docLen := make([][]int, len(b.shards))
+	for si, sb := range b.shards {
+		docLen[si] = make([]int, len(sb.docs))
+		for term, plist := range sb.postings {
+			df[term] += len(plist)
+			for _, p := range plist {
+				docLen[si][p.doc] += p.tf
+				totalLen += p.tf
+			}
+		}
 	}
-	if !sort.StringsAreSorted(c.terms) {
-		t.Errorf("%s: column terms are not sorted", label)
-	}
-	for id, term := range c.terms {
-		if got, ok := c.termID[term]; !ok || got != int32(id) {
-			t.Errorf("%s: termID[%q] = %d,%v, want %d", label, term, got, ok, id)
+	n := float64(b.nDocs)
+	avgLen := float64(totalLen) / n
+
+	for si, sb := range b.shards {
+		// The exhaustive suite comes through here several hundred thousand
+		// times: the label is only put together on failure.
+		fatalf := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s shard %d: "+format, append([]any{label, si}, args...)...)
 		}
-	}
-
-	for term, want := range ix.postings {
-		tid := c.termID[term]
-
-		// CSR round-trip: merging the English and non-English sections back
-		// into doc order must reproduce the exact posting list.
-		if got := c.postingsOf(term); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: postingsOf(%q) = %v, want %v", label, term, got, want)
+		ix := six.shards[si]
+		c := ix.col
+		if c == nil {
+			fatalf("no columns")
+		}
+		if !reflect.DeepEqual(ix.docs, sb.docs) {
+			fatalf("docs differ from the builder's")
 		}
 
-		// The split itself must follow the language flags, and every stored
-		// contribution must be the bitwise-identical float the scalar loop
-		// would have computed from idf/tf/normK.
-		idf := ix.idf[term]
-		e, o := c.engOff[tid], c.othOff[tid]
-		for _, p := range want {
-			if ix.english[p.doc] {
-				if int(c.engDoc[e]) != p.doc || int(c.engTF[e]) != p.tf {
-					t.Fatalf("%s: %q eng posting %d = (%d,%d), want (%d,%d)",
-						label, term, e, c.engDoc[e], c.engTF[e], p.doc, p.tf)
+		// Term dictionary: a bijection onto the postings keys, in sorted order.
+		if len(c.terms) != len(sb.postings) || len(c.termID) != len(sb.postings) {
+			fatalf("%d column terms / %d ids for %d postings terms", len(c.terms), len(c.termID), len(sb.postings))
+		}
+		if !sort.StringsAreSorted(c.terms) {
+			fatalf("column terms are not sorted")
+		}
+		for id, term := range c.terms {
+			if got, ok := c.termID[term]; !ok || got != int32(id) {
+				fatalf("termID[%q] = %d,%v, want %d", term, got, ok, id)
+			}
+		}
+
+		for term, want := range sb.postings {
+			tid := c.termID[term]
+
+			// CSR round-trip: merging the English and non-English sections
+			// back into doc order must reproduce the exact posting list.
+			var got []posting
+			c.eachPosting(int(tid), func(doc, tf int32) error {
+				got = append(got, posting{doc: int(doc), tf: int(tf)})
+				return nil
+			})
+			if !reflect.DeepEqual(got, want) {
+				fatalf("postings of %q = %v, want %v", term, got, want)
+			}
+
+			// The split itself must follow the language flags, and every
+			// stored contribution must be the bitwise-identical float the
+			// scalar loop would have computed from idf/tf/normK.
+			dff := float64(df[term])
+			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
+			e, o := c.engOff[tid], c.othOff[tid]
+			for _, p := range want {
+				if sb.docs[p.doc].Lang == "en" {
+					if int(c.engDoc[e]) != p.doc || int(c.engTF[e]) != p.tf {
+						fatalf("%q eng posting %d = (%d,%d), want (%d,%d)", term, e, c.engDoc[e], c.engTF[e], p.doc, p.tf)
+					}
+					tf := float64(p.tf)
+					normK := bm25K1 * (1 - bm25B + bm25B*float64(docLen[si][p.doc])/avgLen)
+					if want := idf * tf * (bm25K1 + 1) / (tf + normK); c.engContrib[e] != want {
+						fatalf("%q contrib for doc %d = %v, want exactly %v", term, p.doc, c.engContrib[e], want)
+					}
+					e++
+				} else {
+					if int(c.othDoc[o]) != p.doc || int(c.othTF[o]) != p.tf {
+						fatalf("%q oth posting %d = (%d,%d), want (%d,%d)", term, o, c.othDoc[o], c.othTF[o], p.doc, p.tf)
+					}
+					o++
 				}
-				tf := float64(p.tf)
-				if want := idf * tf * (bm25K1 + 1) / (tf + ix.normK[p.doc]); c.engContrib[e] != want {
-					t.Fatalf("%s: %q contrib for doc %d = %v, want exactly %v",
-						label, term, p.doc, c.engContrib[e], want)
-				}
-				e++
-			} else {
-				if int(c.othDoc[o]) != p.doc || int(c.othTF[o]) != p.tf {
-					t.Fatalf("%s: %q oth posting %d = (%d,%d), want (%d,%d)",
-						label, term, o, c.othDoc[o], c.othTF[o], p.doc, p.tf)
-				}
-				o++
 			}
-		}
-		if e != c.engOff[tid+1] || o != c.othOff[tid+1] {
-			t.Fatalf("%s: %q section lengths eng %d/%d oth %d/%d",
-				label, term, e, c.engOff[tid+1], o, c.othOff[tid+1])
-		}
+			if e != c.engOff[tid+1] || o != c.othOff[tid+1] {
+				fatalf("%q section lengths eng %d/%d oth %d/%d", term, e, c.engOff[tid+1], o, c.othOff[tid+1])
+			}
 
-		// ordAll: a permutation of the term's English section sorted by the
-		// one-term top-k order (contribution desc, doc asc).
-		lo, hi := c.engOff[tid], c.engOff[tid+1]
-		ord := c.ordAll[lo:hi]
-		seen := make([]bool, hi-lo)
-		for i, e := range ord {
-			if e < 0 || int(e) >= len(seen) || seen[e] {
-				t.Fatalf("%s: %q ordAll is not a permutation at %d", label, term, i)
+			// ordAll: a permutation of the term's English section sorted by
+			// the one-term top-k order (contribution desc, doc asc).
+			lo, hi := c.engOff[tid], c.engOff[tid+1]
+			ord := c.ordAll[lo:hi]
+			seen := make([]bool, hi-lo)
+			for i, e := range ord {
+				if e < 0 || int(e) >= len(seen) || seen[e] {
+					fatalf("%q ordAll is not a permutation at %d", term, i)
+				}
+				seen[e] = true
+				if i > 0 {
+					prev, cur := ord[i-1], e
+					if c.engContrib[lo+prev] < c.engContrib[lo+cur] ||
+						(c.engContrib[lo+prev] == c.engContrib[lo+cur] && c.engDoc[lo+prev] > c.engDoc[lo+cur]) {
+						fatalf("%q ordAll out of order at %d", term, i)
+					}
+				}
 			}
-			seen[e] = true
-			if i > 0 {
-				prev, cur := ord[i-1], e
-				if c.engContrib[lo+prev] < c.engContrib[lo+cur] ||
-					(c.engContrib[lo+prev] == c.engContrib[lo+cur] && c.engDoc[lo+prev] > c.engDoc[lo+cur]) {
-					t.Fatalf("%s: %q ordAll out of order at %d", label, term, i)
+
+			// Positional CSR: per doc exactly the builder's position list
+			// (nil where the term has none), first position included.
+			byDoc := map[int][]int32{}
+			for _, pp := range sb.positions[term] {
+				byDoc[pp.doc] = pp.pos
+			}
+			for d := range sb.docs {
+				if got := ix.positionsIn(term, d); !reflect.DeepEqual(got, byDoc[d]) {
+					fatalf("positionsIn(%q, %d) = %v, want %v", term, d, got, byDoc[d])
+				}
+				first := int32(-1)
+				if len(byDoc[d]) > 0 {
+					first = byDoc[d][0]
+				}
+				if got := ix.firstPosIn(term, d); got != first {
+					fatalf("firstPosIn(%q, %d) = %d, want %d", term, d, got, first)
+				}
+			}
+
+			// Dense sidecars exist exactly for big terms and scatter the same
+			// contribution values the sparse form holds.
+			big := int(hi-lo) >= bigTermDF
+			if (c.contribDense[tid] != nil) != big || (c.firstPos[tid] != nil) != big {
+				fatalf("%q dense sidecars present=%v/%v, want %v (df %d)", term, c.contribDense[tid] != nil, c.firstPos[tid] != nil, big, hi-lo)
+			}
+			if big {
+				dense := make([]float64, len(ix.docs))
+				for i := lo; i < hi; i++ {
+					dense[c.engDoc[i]] = c.engContrib[i]
+				}
+				if !reflect.DeepEqual(c.contribDense[tid], dense) {
+					fatalf("%q contribDense does not match scattered contribs", term)
 				}
 			}
 		}
-
-		// Dense sidecars exist exactly for big terms and scatter the same
-		// contribution / first-position values the sparse forms hold.
-		big := int(hi-lo) >= bigTermDF
-		if (c.contribDense[tid] != nil) != big || (c.firstPos[tid] != nil) != big {
-			t.Fatalf("%s: %q dense sidecars present=%v/%v, want %v (df %d)",
-				label, term, c.contribDense[tid] != nil, c.firstPos[tid] != nil, big, hi-lo)
-		}
-		if big {
-			dense := make([]float64, len(ix.docs))
-			for i := lo; i < hi; i++ {
-				dense[c.engDoc[i]] = c.engContrib[i]
-			}
-			if !reflect.DeepEqual(c.contribDense[tid], dense) {
-				t.Fatalf("%s: %q contribDense does not match scattered contribs", label, term)
-			}
-			fp := make([]int32, len(ix.docs))
-			for _, pp := range ix.positions[term] {
-				fp[pp.doc] = pp.pos[0] + 1
-			}
-			if !reflect.DeepEqual(c.firstPos[tid], fp) {
-				t.Fatalf("%s: %q firstPos does not match positional postings", label, term)
+		for term := range sb.positions {
+			if _, ok := sb.postings[term]; !ok {
+				fatalf("positional term %q has no postings", term)
 			}
 		}
 	}
 }
 
 // TestColumnarRoundTripProperty: on randomized corpora, Freeze compiles
-// columns that round-trip to the exact postings/normK state — and adding a
-// document un-freezes, after which the next freeze rebuilds the columns for
-// the grown state rather than serving stale ones.
+// columns that round-trip to the exact builder state — and after more
+// documents are added, a second Freeze compiles the grown state into new
+// columns while the first index keeps the ones it was frozen with.
 func TestColumnarRoundTripProperty(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			docs := randomCorpus(rng, 20+rng.Intn(150))
 			split := len(docs) * 2 / 3
-			six := NewShardedIndex(1)
-			ix := six.shards[0]
+			b := NewBuilder(1)
 			for _, d := range docs[:split] {
-				six.Add(d)
+				b.Add(d)
 			}
-			six.Freeze()
-			checkColumnsRoundTrip(t, "first freeze", ix)
+			first := b.Freeze()
+			checkColumnsRoundTrip(t, "first freeze", b, first)
+			old := first.shards[0].col
+			want := first.Search("museum restaurant", 3)
 
-			// Un-freeze by growing the corpus; a query must re-freeze on
-			// demand and the rebuilt columns must reflect the new postings.
-			old := ix.col
 			for _, d := range docs[split:] {
-				six.Add(d)
+				b.Add(d)
 			}
-			if six.frozen.Load() {
-				t.Fatal("Add left the index frozen")
+			second := b.Freeze()
+			if second.shards[0].col == old || first.shards[0].col != old {
+				t.Fatal("the second freeze shares columns with the first index")
 			}
-			six.Search("museum restaurant", 3)
-			if !six.frozen.Load() {
-				t.Fatal("query did not re-freeze the index")
+			checkColumnsRoundTrip(t, "second freeze", b, second)
+			if first.Len() != split {
+				t.Fatalf("first index grew to %d docs, frozen with %d", first.Len(), split)
 			}
-			if ix.col == old {
-				t.Fatal("re-freeze served the stale columns")
-			}
-			checkColumnsRoundTrip(t, "re-freeze after re-add", ix)
+			checkBitIdentical(t, "first index after the second freeze", first.Search("museum restaurant", 3), want)
 		})
 	}
 
@@ -162,22 +213,22 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 	// first-position sidecars (nil on the small seeds above) round-trip too.
 	t.Run("big-terms", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
-		six := NewShardedIndex(1)
+		b := NewBuilder(1)
 		for _, d := range randomCorpus(rng, bigTermDF*4) {
-			six.Add(d)
+			b.Add(d)
 		}
-		six.Freeze()
-		ix := six.shards[0]
+		six := b.Freeze()
+		col := six.shards[0].col
 		big := 0
-		for tid := range ix.col.terms {
-			if ix.col.contribDense[tid] != nil {
+		for tid := range col.terms {
+			if col.contribDense[tid] != nil {
 				big++
 			}
 		}
 		if big == 0 {
 			t.Fatal("no term crossed bigTermDF; the corpus no longer exercises the dense sidecars")
 		}
-		checkColumnsRoundTrip(t, "big-term corpus", ix)
+		checkColumnsRoundTrip(t, "big-term corpus", b, six)
 	})
 }
 
@@ -188,11 +239,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 func TestKernelVsReferenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	docs := randomCorpus(rng, 160)
-	ix := NewShardedIndex(1)
-	for _, d := range docs {
-		ix.Add(d)
-	}
-	ix.Freeze()
+	ix := buildSharded(docs, 1)
 	queries := randomQueries(rng, 48)
 	// Mix in the edge shapes the batch path special-cases: empty and
 	// unknown-term queries (nil results) and within-batch duplicates.
@@ -226,11 +273,7 @@ func TestKernelVsReferenceMatrix(t *testing.T) {
 func TestKernelVsReferenceMatrixBigTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	docs := randomCorpus(rng, bigTermDF*4)
-	ix := NewShardedIndex(1)
-	for _, d := range docs {
-		ix.Add(d)
-	}
-	ix.Freeze()
+	ix := buildSharded(docs, 1)
 	if col := ix.shards[0].col; col.contribDense[col.termID["museum"]] == nil {
 		t.Fatal("'museum' did not cross bigTermDF; the corpus no longer exercises sparse selection")
 	}

@@ -13,9 +13,8 @@ import (
 // without slowing the test suite; RealSleep enables actual sleeping for
 // demos.
 //
-// Concurrency: every query and counter method is safe for concurrent use
-// once the underlying index is fully built — accounting is mutex-protected
-// and the index is read-only at query time. Latency and RealSleep are
+// Concurrency: every query and counter method is safe for concurrent use —
+// accounting is mutex-protected and the index is immutable. Latency and RealSleep are
 // configuration, not synchronised; set them before sharing the engine
 // across goroutines.
 type Engine struct {
@@ -55,13 +54,10 @@ type Stats struct {
 	ShardQueries []int64
 }
 
-// NewShardedEngine builds an engine over a pre-built index, freezing it (which
-// derives the corpus-wide ranking state and installs it into every shard) so
-// engines are safe to share across goroutines without any query ever hitting
-// the lazy freeze path. Results are byte-identical at every shard count; only
-// the intra-query parallelism differs.
+// NewShardedEngine builds an engine over a frozen or loaded index. Results are
+// byte-identical at every shard count; only the intra-query parallelism
+// differs.
 func NewShardedEngine(six *ShardedIndex) *Engine {
-	six.Freeze()
 	return &Engine{index: six}
 }
 

@@ -1,0 +1,152 @@
+package search
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/textproc"
+)
+
+// TestExhaustiveSmallScope checks the frozen index over a complete small
+// space instead of a random sample of a large one: every corpus of at most 3
+// documents whose bodies are at most 3 words over a 3-word vocabulary (one of
+// them a stopword, one stemming to something other than itself), all English
+// or with one document non-English, at 1, 2 and 3 shards. For each, the
+// columns — positions and first positions included — must equal the builder's
+// maps, every phrase verdict must equal the reference adjacency scan, and
+// Search/SearchPhrase must equal refSearch/refSearchPhrase; all of it both on
+// the freshly frozen index and on one loaded from its persisted bytes, which
+// must in turn persist to the same bytes.
+func TestExhaustiveSmallScope(t *testing.T) {
+	vocab := []string{"museum", "paintings", "the"}
+	maxDocs := 3
+	if testing.Short() || raceEnabled {
+		maxDocs = 2
+	}
+
+	bodies := []string{""}
+	for lo, n := 0, 0; n < 3; n++ {
+		hi := len(bodies)
+		for _, b := range bodies[lo:hi] {
+			for _, w := range vocab {
+				bodies = append(bodies, strings.TrimSpace(b+" "+w))
+			}
+		}
+		lo = hi
+	}
+	// The phrases to look for: every one- and two-word body, and the
+	// three-word ones without the stopword. refContainsPhrase depends on the
+	// body alone: decide each (body, phrase) pair once, not once per corpus
+	// containing the body.
+	var phrases []string
+	for _, b := range bodies[1:] {
+		if strings.Count(b, " ") < 2 || !strings.Contains(b, "the") {
+			phrases = append(phrases, b)
+		}
+	}
+	stems := make(map[string][]string, len(phrases))
+	verdict := make(map[[2]string]bool, len(bodies)*len(phrases))
+	for _, p := range phrases {
+		stems[p] = textproc.NormalizeTokens(p)
+		for _, b := range bodies {
+			verdict[[2]string{b, p}] = refContainsPhrase(Document{Body: b}, p)
+		}
+	}
+	// SearchPhrase without quotes is Search, so one entry point covers both.
+	queries := []string{
+		"museum", "paintings museum the",
+		`"museum paintings"`, `"paintings museum" museum`, `"museum museum"`,
+	}
+	ks := []int{1, 3}
+
+	// checkSameResults without the label and t.Helper: the hot comparison.
+	same := func(got, want []Result) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].URL != want[i].URL || got[i].Snippet != want[i].Snippet || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(t *testing.T, docs []Document) {
+		corpus := fmt.Sprint(docs)
+		want := make([][]Result, 0, len(queries)*len(ks))
+		for _, q := range queries {
+			for _, k := range ks {
+				want = append(want, refSearchPhrase(docs, q, k))
+			}
+		}
+		for shards := 1; shards <= 3; shards++ {
+			b := NewBuilder(shards)
+			for _, d := range docs {
+				b.Add(d)
+			}
+			fresh := b.Freeze()
+			data := tidx(t, fresh)
+			loaded, err := ReadShardedIndexBytes(data)
+			if err != nil {
+				t.Fatalf("%s x%d: persisted index rejected: %v", corpus, shards, err)
+			}
+			if !bytes.Equal(tidx(t, loaded), data) {
+				t.Fatalf("%s x%d: loaded index persists to different bytes", corpus, shards)
+			}
+			for which, six := range []*ShardedIndex{fresh, loaded} {
+				label := corpus + [2]string{" fresh x", " loaded x"}[which] + strconv.Itoa(shards)
+				checkColumnsRoundTrip(t, label, b, six)
+				for g, d := range docs {
+					sh, local := six.shards[g%shards], g/shards
+					for _, p := range phrases {
+						if got, want := sh.containsPhrase(local, stems[p]), verdict[[2]string{d.Body, p}]; got != want {
+							t.Fatalf("%s: doc %d contains %q = %v, reference %v", label, g, p, got, want)
+						}
+					}
+				}
+				for qi, q := range queries {
+					for ki, k := range ks {
+						if got := six.SearchPhrase(q, k); !same(got, want[qi*len(ks)+ki]) {
+							checkSameResults(t, fmt.Sprintf("%s SearchPhrase(%q, %d)", label, q, k), got, want[qi*len(ks)+ki])
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Enumerate corpora depth-first; the first document's body partitions the
+	// space into parallel subtests.
+	var extend func(t *testing.T, docs []Document)
+	extend = func(t *testing.T, docs []Document) {
+		// The second document (the only one, of one) is the one that may be
+		// non-English: in a three-document shard that puts English postings on
+		// both sides of it, at two shards it has a shard to itself.
+		check(t, docs)
+		variant := append([]Document(nil), docs...)
+		variant[min(1, len(docs)-1)].Lang = "fr"
+		check(t, variant)
+		if len(docs) == maxDocs {
+			return
+		}
+		for _, body := range bodies {
+			d := Document{URL: fmt.Sprint("u", len(docs)), Body: body}
+			if len(docs) == 0 {
+				d.Title = "paintings" // one title-only term source
+			}
+			extend(t, append(docs[:len(docs):len(docs)], d))
+		}
+	}
+	check(t, nil)
+	for _, body := range bodies {
+		first := Document{URL: "u0", Title: "paintings", Body: body}
+		t.Run(fmt.Sprintf("first=%q", body), func(t *testing.T) {
+			t.Parallel()
+			extend(t, []Document{first})
+		})
+	}
+}

@@ -1,6 +1,10 @@
 package search
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,11 +68,11 @@ func FuzzSearchPhrase(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	ix := NewShardedIndex(1)
-	ix.Add(Document{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu"})
-	ix.Add(Document{URL: "p2", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"})
-	ix.Add(Document{URL: "p3", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"})
-	ix.Freeze()
+	ix := buildSharded([]Document{
+		{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu"},
+		{URL: "p2", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"},
+		{URL: "p3", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
+	}, 1)
 	f.Fuzz(func(t *testing.T, query string) {
 		const k = 3
 		if res := ix.SearchPhrase(query, k); len(res) > k {
@@ -100,11 +104,7 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 		{URL: "s5", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
 		{URL: "s6", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"}, // duplicate: ties
 	}
-	ix := NewShardedIndex(1)
-	for _, d := range docs {
-		ix.Add(d)
-	}
-	ix.Freeze()
+	ix := buildSharded(docs, 1)
 	sharded := []*ShardedIndex{buildSharded(docs, 2), buildSharded(docs, 3), buildSharded(docs, 5)}
 	f.Fuzz(func(t *testing.T, query string) {
 		const k = 4
@@ -131,4 +131,75 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// indexStreamSeeds are FuzzReadShardedIndex's starting points, checked in under
+// testdata/fuzz by name: valid one- and two-shard streams, the term-count lie,
+// and one-shard streams with a single count, doc, tf, position or ordAll
+// field flipped.
+func indexStreamSeeds(t testing.TB) map[string][]byte {
+	one := tidx(t, smallIndex())
+	f := locateFields(t, one)
+	return map[string][]byte{
+		"valid-1-shard":      one,
+		"valid-2-shards":     tidx(t, buildSharded(smallDocs(), 2)),
+		"term-count-lie":     patched(one, f.termCount, 1<<22),
+		"pos-term-count-lie": patched(one, f.posTermCount, 1<<22),
+		"term-count-short":   patched(one, f.termCount, 3),
+		"posting-doc":        patched(one, f.doc, 4),
+		"posting-tf-zero":    patched(one, f.tf, 0),
+		"posting-tf-huge":    patched(one, f.tf, 1<<31),
+		"position-list-doc":  patched(one, f.posDoc, 1<<30),
+		"position-past-end":  patched(one, f.position, 1000),
+		"ord-out-of-range":   patched(one, f.ord, 7),
+		"ord-swapped":        patched(one, f.ord, 1),
+	}
+}
+
+// FuzzReadShardedIndex feeds arbitrary bytes to the TIDX reader. It must
+// reject with an error — never panic, never size anything from an unchecked
+// count — or accept; an accepted index must answer term, batch and phrase
+// queries without panicking and persist to bytes that load and persist to
+// themselves.
+func FuzzReadShardedIndex(f *testing.F) {
+	queries := []string{"melisse restaurant", `"santa monica" menu`, "museum", `"fine dining"`, ""}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		six, err := ReadShardedIndexBytes(data)
+		if err != nil {
+			return
+		}
+		for _, q := range queries {
+			six.Search(q, 3)
+			six.SearchPhrase(q, 3)
+		}
+		six.SearchBatch(queries, 3)
+		first := tidx(t, six)
+		again, err := ReadShardedIndexBytes(first)
+		if err != nil {
+			t.Fatalf("an accepted index persisted to a stream the reader rejects: %v", err)
+		}
+		if !bytes.Equal(tidx(t, again), first) {
+			t.Fatal("WriteTo -> Read -> WriteTo is not a byte fixed point")
+		}
+	})
+}
+
+// TestIndexStreamCorpusCheckedIn: the checked-in corpus is exactly what
+// indexStreamSeeds produces — so the valid streams, written before the columns
+// became the only state, also pin the writer — and the reader accepts the
+// valid streams and rejects every patched one.
+func TestIndexStreamCorpusCheckedIn(t *testing.T) {
+	for name, data := range indexStreamSeeds(t) {
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadShardedIndex", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(file) != want {
+			t.Errorf("%s: checked-in corpus file differs from the generated seed", name)
+		}
+		_, err = ReadShardedIndexBytes(data)
+		if valid := strings.HasPrefix(name, "valid-"); valid != (err == nil) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
 }

@@ -3,14 +3,17 @@
 // web corpus, returning for each query the top-k results as (URL, title,
 // snippet) triples, with per-query latency accounting so the efficiency
 // analysis of §6.4 can be reproduced without real network calls.
+//
+// The lifecycle has two types. A Builder is written: Add tokenises documents
+// into postings and positional maps, Freeze compiles them. A ShardedIndex is
+// read: immutable, columnar, safe for concurrent queries, and the only form
+// that persists (WriteTo / ReadShardedIndex) — a loaded index never had a
+// Builder.
 package search
 
 import (
 	"math"
-	"strings"
 	"sync"
-
-	"repro/internal/textproc"
 )
 
 // Document is one synthetic web page.
@@ -32,70 +35,67 @@ type Result struct {
 	Score   float64
 }
 
-// posting records one document containing a term.
-type posting struct {
-	doc int // index into docs
-	tf  int
-}
-
-// posPosting records the body positions of a term within one document. The
-// positions count content words only: body words whose normalization yields
-// exactly one stem, in body order — the same sequence phrase adjacency is
-// defined over (see containsPhrase).
-type posPosting struct {
-	doc int
-	pos []int32
-}
-
-// Index is one shard of a ShardedIndex: an in-memory inverted index with
-// positional body postings for phrase verification, the ranking state cached
-// at freeze time, and the scoring and snippet kernels the sharded query
-// surface drives. It has no query API of its own — a one-shard ShardedIndex
-// is the monolithic engine.
-//
-// Concurrency: Add is not safe to call concurrently. The owning ShardedIndex
-// tracks the freeze state and freezes every shard before a query reaches the
-// kernels, which only read shared state — so a shard is safe for any number
-// of concurrent readers.
-type Index struct {
-	docs     []Document
-	bodyToks [][]string // raw body words per doc, for snippet windows
-	// wordStem[doc][i] is the stem of bodyToks[doc][i] when that word
-	// normalizes to exactly one content token, "" otherwise. Snippet
-	// selection and phrase positions both read this instead of re-running
-	// the tokenizer+stemmer per candidate at query time.
-	wordStem [][]string
-	// bodyJoined[doc] is strings.Join(bodyToks[doc], " ") — the string every
-	// snippet of the doc is a substring of — and wordOff[doc][i] is the byte
-	// offset of word i within it, so snippet windows are zero-copy slices
-	// instead of per-query joins. When the body already is its own
-	// single-space join (the common case), bodyJoined shares its memory.
+// docTable is the per-document state of one shard, appended to by the
+// Builder and the TIDX decoder and read by snippets and WriteTo: the stored
+// fields and the snippet windows.
+type docTable struct {
+	docs []Document
+	// bodyJoined[doc] is the body's words joined by single spaces — the
+	// string every snippet of the doc is a substring of — and wordOff[doc][i]
+	// is the byte offset of word i within it, so snippet windows are
+	// zero-copy slices instead of per-query joins. When the body already is
+	// its own single-space join (the common case), bodyJoined shares its
+	// memory.
 	bodyJoined []string
 	wordOff    [][]int32
-	// contentToRaw[doc][p] is the raw word index (into bodyToks[doc]) of
-	// content position p — the inverse of the stems->positions mapping, so
-	// snippet selection can translate a positional-postings hit back to a
-	// window anchor without scanning wordStem.
+	// contentToRaw[doc][p] is the raw word index of content position p, so
+	// snippet selection can translate a positional hit back to a window
+	// anchor.
 	contentToRaw [][]int32
-	postings     map[string][]posting
-	positions    map[string][]posPosting // sorted by doc (Add order)
-	docLen       []int
-	totalLen     int
-	english      []bool // Lang == "en", checked in the scoring loop
+}
 
-	// Frozen state: derived ranking constants installed once per corpus
-	// generation by the owning ShardedIndex (freezeShared) instead of
-	// computed per query.
-	idf    map[string]float64
-	avgLen float64
-	// normK[doc] is the document's precomputed BM25 length normalizer,
-	// bm25K1*(1-bm25B+bm25B*dl/avgLen) — the per-posting denominator term
-	// that depends only on frozen state, hoisted out of the scoring loop.
-	normK []float64
-	// col is the columnar compilation of the postings (see columnar.go):
-	// term-id dictionary, CSR doc/tf columns and the precomputed
-	// per-posting contribution column the scoring kernel reads. Rebuilt by
-	// every freeze, so Add + re-freeze can never serve stale columns.
+// appendDoc adds one document whose body splits into words (joined is their
+// single-space join) with content positions c2r.
+func (t *docTable) appendDoc(doc Document, joined string, words []string, c2r []int32) {
+	off := make([]int32, len(words))
+	b := int32(0)
+	for i, w := range words {
+		off[i] = b
+		b += int32(len(w)) + 1
+	}
+	t.docs = append(t.docs, doc)
+	t.bodyJoined = append(t.bodyJoined, joined)
+	t.wordOff = append(t.wordOff, off)
+	t.contentToRaw = append(t.contentToRaw, c2r)
+}
+
+// clip returns a view of the table that later appends cannot grow into.
+func (t *docTable) clip() docTable {
+	n := len(t.docs)
+	return docTable{
+		docs:         t.docs[:n:n],
+		bodyJoined:   t.bodyJoined[:n:n],
+		wordOff:      t.wordOff[:n:n],
+		contentToRaw: t.contentToRaw[:n:n],
+	}
+}
+
+// english reports per doc whether it can surface in results (Lang "en").
+func (t *docTable) english() []bool {
+	out := make([]bool, len(t.docs))
+	for i, d := range t.docs {
+		out[i] = d.Lang == "en"
+	}
+	return out
+}
+
+// Index is one frozen shard of a ShardedIndex: the document table, the
+// columnar compilation of its postings and positions (see columnar.go), and
+// the scoring and snippet kernels the sharded query surface drives. Nothing
+// in it changes after construction, so it is safe for any number of
+// concurrent readers.
+type Index struct {
+	docTable
 	col *columns
 
 	// accPool recycles per-query dense score accumulators across queries
@@ -112,109 +112,6 @@ const (
 // SnippetWords is the window length of generated snippets; the paper notes
 // most snippets are under 20 words.
 const SnippetWords = 11
-
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		postings:  map[string][]posting{},
-		positions: map[string][]posPosting{},
-	}
-}
-
-// Add indexes a document. Title terms are indexed alongside body terms (with
-// the title counted twice, approximating field weighting).
-func (ix *Index) Add(doc Document) {
-	if doc.Lang == "" {
-		doc.Lang = "en"
-	}
-	id := len(ix.docs)
-	doc.ID = id
-	ix.docs = append(ix.docs, doc)
-	words := strings.Fields(doc.Body)
-	ix.bodyToks = append(ix.bodyToks, words)
-	ix.english = append(ix.english, doc.Lang == "en")
-
-	// Normalize the body word by word: the concatenation equals
-	// NormalizeTokens(doc.Body) (whitespace always separates tokens), and
-	// the per-word view additionally yields the stem-per-raw-word table
-	// and the content-word positions that phrase search matches against.
-	bodyTerms, stems := textproc.NormalizeWords(words)
-	tf := map[string]int{}
-	titleTerms := textproc.NormalizeTokens(doc.Title)
-	for _, t := range titleTerms {
-		tf[t] += 2
-	}
-	nTerms := 2*len(titleTerms) + len(bodyTerms)
-	for _, t := range bodyTerms {
-		tf[t]++
-	}
-	var c2r []int32
-	for i, s := range stems {
-		if s != "" {
-			ix.addPosition(s, id, int32(len(c2r)))
-			c2r = append(c2r, int32(i))
-		}
-	}
-	ix.wordStem = append(ix.wordStem, stems)
-	ix.contentToRaw = append(ix.contentToRaw, c2r)
-	joined := strings.Join(words, " ")
-	if joined == doc.Body {
-		joined = doc.Body // drop the duplicate allocation, share the body
-	}
-	off := make([]int32, len(words))
-	b := int32(0)
-	for i, w := range words {
-		off[i] = b
-		b += int32(len(w)) + 1
-	}
-	ix.bodyJoined = append(ix.bodyJoined, joined)
-	ix.wordOff = append(ix.wordOff, off)
-	for t, n := range tf {
-		ix.postings[t] = append(ix.postings[t], posting{doc: id, tf: n})
-	}
-	ix.docLen = append(ix.docLen, nTerms)
-	ix.totalLen += nTerms
-}
-
-// addPosition appends one content-word position for term in doc. Documents
-// are added in increasing id order, so each term's posting list stays sorted
-// by doc and the last entry is the only one that can belong to doc.
-func (ix *Index) addPosition(term string, doc int, pos int32) {
-	plist := ix.positions[term]
-	if n := len(plist); n > 0 && plist[n-1].doc == doc {
-		plist[n-1].pos = append(plist[n-1].pos, pos)
-		return
-	}
-	ix.positions[term] = append(plist, posPosting{doc: doc, pos: []int32{pos}})
-}
-
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.docs) }
-
-// freezeShared installs externally-derived global ranking state — the
-// corpus-wide idf table and average document length a ShardedIndex computes
-// across its shards — so every shard scores with exactly the constants a
-// single shard holding the whole corpus would use. The idf map is shared and
-// read-only.
-func (ix *Index) freezeShared(idf map[string]float64, avgLen float64) {
-	ix.idf = idf
-	ix.avgLen = avgLen
-	ix.freezeNormK()
-	ix.col = ix.compileColumns()
-}
-
-// freezeNormK derives the per-doc BM25 length normalizers from docLen and
-// avgLen. The expression matches the former inline scoring term exactly, so
-// cached and inline scores are bit-identical.
-func (ix *Index) freezeNormK() {
-	if cap(ix.normK) < len(ix.docLen) {
-		ix.normK = make([]float64, len(ix.docLen))
-	}
-	ix.normK = ix.normK[:len(ix.docLen)]
-	for d, dl := range ix.docLen {
-		ix.normK[d] = bm25K1 * (1 - bm25B + bm25B*float64(dl)/ix.avgLen)
-	}
-}
 
 // accumulator is the per-query dense scoring state: a score per document,
 // plus the list of docs the pre-final terms touched — the sparse partials
@@ -346,7 +243,7 @@ func (ix *Index) topDocs(acc *accumulator, qterms []string, k int) []hit {
 
 // topDocsResolved is topDocs for pre-resolved term ids (-1 = absent term) —
 // the batch path resolves a whole batch's terms once and scores through
-// here. The index must already be frozen.
+// here.
 //
 // All but the last present term are accumulated through the branch-free
 // kernel; the last term's pass is merged with top-k selection, where each of
@@ -567,10 +464,9 @@ func (ix *Index) selectTopDense(acc *accumulator, tid int32, k int) []hit {
 
 // snippet extracts a SnippetWords-word window around the first body word
 // whose stem matches a query term, or the leading window when no term
-// matches (title-only hits). The anchor comes from the positional postings
+// matches (title-only hits). The anchor comes from the positional columns
 // (the first content position of any query term, translated back to a raw
-// word index), which matches what a scan of the precomputed wordStem table
-// would find; the window itself is a zero-copy slice of the precomputed
+// word index); the window itself is a zero-copy slice of the precomputed
 // joined body — byte-identical to joining the window's words with spaces.
 func (ix *Index) snippet(doc int, qterms []string) string {
 	first := int32(-1)
@@ -585,8 +481,8 @@ func (ix *Index) snippet(doc int, qterms []string) string {
 // snippetAt renders the snippet window anchored at content position first
 // (-1: no query term in the body, use the leading window).
 func (ix *Index) snippetAt(doc int, first int32) string {
-	words := ix.bodyToks[doc]
-	if len(words) == 0 {
+	off := ix.wordOff[doc]
+	if len(off) == 0 {
 		return ix.docs[doc].Title
 	}
 	at := 0
@@ -598,48 +494,43 @@ func (ix *Index) snippetAt(doc int, first int32) string {
 		start = 0
 	}
 	end := start + SnippetWords
-	if end > len(words) {
-		end = len(words)
+	if end > len(off) {
+		end = len(off)
 		if start = end - SnippetWords; start < 0 {
 			start = 0
 		}
 	}
-	off := ix.wordOff[doc]
-	return ix.bodyJoined[doc][off[start] : off[end-1]+int32(len(words[end-1]))]
+	joined := ix.bodyJoined[doc]
+	stop := len(joined)
+	if end < len(off) {
+		stop = int(off[end]) - 1 // the space before word end
+	}
+	return joined[off[start]:stop]
 }
 
 // firstPosIn returns term's first content position within doc, or -1. Big
-// terms resolve in one load from the columnar firstPos array; small terms —
-// whose positional lists are short — fall back to the positionsIn binary
-// search. Either way the answer equals positionsIn(term, doc)[0].
+// terms resolve in one load from the firstPos array; small terms — whose
+// positional lists are short — binary-search the positional columns. Either
+// way the answer equals positionsIn(term, doc)[0].
 func (ix *Index) firstPosIn(term string, doc int) int32 {
-	if tid, ok := ix.col.termID[term]; ok {
-		if fp := ix.col.firstPos[tid]; fp != nil {
-			return fp[doc] - 1
-		}
+	tid, ok := ix.col.termID[term]
+	if !ok {
+		return -1
 	}
-	if pos := ix.positionsIn(term, doc); len(pos) > 0 {
+	if fp := ix.col.firstPos[tid]; fp != nil {
+		return fp[doc] - 1
+	}
+	if pos := ix.col.positionsIn(tid, doc); len(pos) > 0 {
 		return pos[0]
 	}
 	return -1
 }
 
-// positionsIn returns the content positions of term within doc, or nil. The
-// binary search is hand-rolled: sort.Search's per-probe closure call is
-// measurable on the snippet path, which probes once per (query term, hit).
+// positionsIn returns the content positions of term within doc, or nil.
 func (ix *Index) positionsIn(term string, doc int) []int32 {
-	plist := ix.positions[term]
-	lo, hi := 0, len(plist)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if plist[mid].doc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(plist) || plist[lo].doc != doc {
+	tid, ok := ix.col.termID[term]
+	if !ok {
 		return nil
 	}
-	return plist[lo].pos
+	return ix.col.positionsIn(tid, doc)
 }

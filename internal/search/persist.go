@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strings"
 )
 
@@ -30,15 +30,17 @@ import (
 //	        permutation (per-term English posting indices sorted by
 //	        contribution desc, doc asc), concatenated in term order
 //
-// The stream is a direct image of the index: the reader reconstructs the
-// postings and positional maps straight from the stored lists and rebuilds
-// the remaining derived state (word offsets, content-position mapping, BM25
-// constants, the columnar scoring form) from the stored bodies, bitmaps and
-// ordAll — no tokenisation, no stemming and no freeze-time sorting, which is
-// what makes loading a snapshot several times faster than rebuilding the
-// corpus. Every count and id is bounds-checked during decoding, so a corrupt
-// or adversarial stream yields an error, never a panic or a huge allocation.
-// Any other version is rejected.
+// The stream is a direct image of the frozen index: its sections are already
+// term-sorted and doc-sorted, so the reader decodes them straight into the
+// columns (count, allocate exactly, fill) and rebuilds only the derived state
+// (word offsets, content-position mapping, BM25 contributions, dense
+// sidecars) from the stored bodies, bitmaps and ordAll — no tokenisation, no
+// stemming, no term maps and no sorting, which is what makes loading a
+// snapshot several times faster than rebuilding the corpus. Every count is
+// bounded by the bytes that remain and every id is range-checked before
+// anything is allocated for it, so a corrupt or adversarial stream yields an
+// error, never a panic or an allocation beyond a small multiple of the stream
+// length. Any other version is rejected.
 
 const (
 	indexMagic   = "TIDX"
@@ -46,19 +48,11 @@ const (
 
 	// maxStr caps any length-prefixed string in the stream.
 	maxStr = 1 << 26
-	// maxTermHint caps the pre-sized term-map hint taken from the stream.
-	maxTermHint = 1 << 22
+	// minTermRecord is the least a term record of either section occupies
+	// (string length, list count, one 8-byte list entry), bounding a claimed
+	// term count by the bytes that remain.
+	minTermRecord = 16
 )
-
-// sortedTerms returns m's keys sorted, so snapshots are byte-reproducible.
-func sortedTerms[V any](m map[string]V) []string {
-	terms := make([]string, 0, len(m))
-	for t := range m {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	return terms
-}
 
 // persistWriter wraps the encoding helpers of WriteTo.
 type persistWriter struct {
@@ -120,11 +114,11 @@ func (pw *persistWriter) doc(ix *Index, ld int) error {
 	if err := pw.u8(flags); err != nil {
 		return err
 	}
-	words := ix.bodyToks[ld]
-	if err := pw.u32(uint32(len(words))); err != nil {
+	nWords := len(ix.wordOff[ld])
+	if err := pw.u32(uint32(nWords)); err != nil {
 		return err
 	}
-	bitmap := make([]byte, (len(words)+7)/8)
+	bitmap := make([]byte, (nWords+7)/8)
 	for _, raw := range ix.contentToRaw[ld] {
 		bitmap[raw/8] |= 1 << (raw % 8)
 	}
@@ -132,60 +126,63 @@ func (pw *persistWriter) doc(ix *Index, ld int) error {
 	return err
 }
 
-// sections writes one shard's postings, positions and ordAll sections.
-// The index must be frozen (ordAll is freeze-derived state).
-func (pw *persistWriter) sections(ix *Index) error {
-	if err := pw.u32(uint32(len(ix.postings))); err != nil {
+// sections writes one shard's postings, positions and ordAll sections from
+// its columns.
+func (pw *persistWriter) sections(c *columns) error {
+	if err := pw.u32(uint32(len(c.terms))); err != nil {
 		return err
 	}
-	for _, term := range ix.col.terms {
-		plist := ix.postings[term]
+	pair := func(doc, n int32) error { // (doc, tf) or (doc, position count)
+		if err := pw.u32(uint32(doc)); err != nil {
+			return err
+		}
+		return pw.u32(uint32(n))
+	}
+	posTerms := 0
+	for tid, term := range c.terms {
 		if err := pw.str(term); err != nil {
 			return err
 		}
-		if err := pw.u32(uint32(len(plist))); err != nil {
+		n := (c.engOff[tid+1] - c.engOff[tid]) + (c.othOff[tid+1] - c.othOff[tid])
+		if err := pw.u32(uint32(n)); err != nil {
 			return err
 		}
-		for _, p := range plist {
-			if err := pw.u32(uint32(p.doc)); err != nil {
-				return err
-			}
-			if err := pw.u32(uint32(p.tf)); err != nil {
-				return err
-			}
+		if err := c.eachPosting(tid, pair); err != nil {
+			return err
+		}
+		if c.posOff[tid+1] > c.posOff[tid] {
+			posTerms++
 		}
 	}
-	if err := pw.u32(uint32(len(ix.positions))); err != nil {
+	if err := pw.u32(uint32(posTerms)); err != nil {
 		return err
 	}
-	for _, term := range sortedTerms(ix.positions) {
-		plist := ix.positions[term]
+	for tid, term := range c.terms {
+		lo, hi := c.posOff[tid], c.posOff[tid+1]
+		if lo == hi {
+			continue
+		}
 		if err := pw.str(term); err != nil {
 			return err
 		}
-		if err := pw.u32(uint32(len(plist))); err != nil {
+		if err := pw.u32(uint32(hi - lo)); err != nil {
 			return err
 		}
-		for _, p := range plist {
-			if err := pw.u32(uint32(p.doc)); err != nil {
-				return err
-			}
-			if err := pw.u32(uint32(len(p.pos))); err != nil {
+		for l := lo; l < hi; l++ {
+			if err := pair(c.posDoc[l], c.posStart[l+1]-c.posStart[l]); err != nil {
 				return err
 			}
 		}
-		for _, p := range plist {
-			for _, pos := range p.pos {
-				if err := pw.u32(uint32(pos)); err != nil {
-					return err
-				}
+		for _, pos := range c.posArena[c.posStart[lo]:c.posStart[hi]] {
+			if err := pw.u32(uint32(pos)); err != nil {
+				return err
 			}
 		}
 	}
-	if err := pw.u32(uint32(len(ix.col.ordAll))); err != nil {
+	if err := pw.u32(uint32(len(c.ordAll))); err != nil {
 		return err
 	}
-	for _, e := range ix.col.ordAll {
+	for _, e := range c.ordAll {
 		if err := pw.u32(uint32(e)); err != nil {
 			return err
 		}
@@ -194,9 +191,8 @@ func (pw *persistWriter) sections(ix *Index) error {
 }
 
 // WriteTo serialises the index: documents once in global order, then
-// each shard's sections, freezing first. It returns the byte count written.
+// each shard's sections. It returns the byte count written.
 func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
-	s.Freeze()
 	pw := &persistWriter{bw: bufio.NewWriter(w)}
 	n := len(s.shards)
 	err := func() error {
@@ -212,7 +208,7 @@ func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 		for _, sh := range s.shards {
-			if err := pw.sections(sh); err != nil {
+			if err := pw.sections(sh.col); err != nil {
 				return err
 			}
 		}
@@ -299,11 +295,10 @@ func splitCanonical(body string) (words []string, ok bool) {
 	return append(words, body[start:]), true
 }
 
-// readDocV4 decodes one document record into shard ix, deriving the
+// readDoc decodes one document record into shard ix, deriving the
 // snippet-serving state (word offsets, joined body, content-to-raw mapping)
-// from the stored body and bitmap. wordStem stays nil: it is only written
-// during live tokenisation and never read afterwards.
-func (br *byteReader) readDocV4(ix *Index) error {
+// from the stored body and bitmap.
+func (br *byteReader) readDoc(ix *Index) error {
 	var fields [4]string
 	for f := range fields {
 		s, err := br.str()
@@ -329,6 +324,7 @@ func (br *byteReader) readDocV4(ix *Index) error {
 		return err
 	}
 	var words []string
+	joined := body
 	if flags&1 != 0 {
 		var ok bool
 		if words, ok = splitCanonical(body); !ok {
@@ -336,19 +332,10 @@ func (br *byteReader) readDocV4(ix *Index) error {
 		}
 	} else {
 		words = strings.Fields(body)
+		joined = strings.Join(words, " ")
 	}
 	if len(words) != int(nWords) {
 		return fmt.Errorf("search: corrupt index (doc stores %d words, body has %d)", nWords, len(words))
-	}
-	joined := body
-	if flags&1 == 0 {
-		joined = strings.Join(words, " ")
-	}
-	off := make([]int32, len(words))
-	b := int32(0)
-	for i, w := range words {
-		off[i] = b
-		b += int32(len(w)) + 1
 	}
 	var c2r []int32
 	for i := 0; i < int(nWords); i++ {
@@ -365,44 +352,51 @@ func (br *byteReader) readDocV4(ix *Index) error {
 	if lang == "" {
 		lang = "en"
 	}
-	ix.docs = append(ix.docs, Document{
+	ix.appendDoc(Document{
 		ID: len(ix.docs), URL: fields[0], Title: fields[1], Body: body, Lang: lang,
-	})
-	ix.bodyToks = append(ix.bodyToks, words)
-	ix.wordStem = append(ix.wordStem, nil)
-	ix.english = append(ix.english, lang == "en")
-	ix.bodyJoined = append(ix.bodyJoined, joined)
-	ix.wordOff = append(ix.wordOff, off)
-	ix.contentToRaw = append(ix.contentToRaw, c2r)
-	ix.docLen = append(ix.docLen, 0)
+	}, joined, words, c2r)
 	return nil
 }
 
-// readShardV4 decodes one shard's postings, positions and ordAll sections
-// directly into ix's maps, accumulating document lengths from the stored
-// term frequencies (a doc's length is exactly the sum of its tf mass). The
-// returned ord permutation is installed during the freeze step.
-func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
-	nDocs := len(ix.docs)
+// termCount reads a section's term count, bounded by the bytes that remain.
+func (br *byteReader) termCount(section string) (int, error) {
+	n, err := br.u32()
+	if err != nil {
+		return 0, err
+	}
+	if int64(n)*minTermRecord > int64(br.remaining()) {
+		return 0, fmt.Errorf("search: corrupt index (%s term count %d)", section, n)
+	}
+	return int(n), nil
+}
 
-	termCount, err := br.u32()
+// readShard decodes one shard's postings, positions and ordAll sections
+// straight into ix.col. Each section is walked twice: the first walk checks
+// every count, id and order and sizes the columns, the second fills them
+// from the bytes just checked. It returns the shard's document lengths,
+// accumulated from the stored term frequencies (a doc's length is exactly
+// the sum of its tf mass), for rank.
+func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
+	nDocs := len(ix.docs)
+	english := ix.english()
+
+	nTerms, err := br.termCount("postings")
 	if err != nil {
 		return nil, err
 	}
-	if termCount > maxTermHint {
-		return nil, fmt.Errorf("search: corrupt index (term count %d)", termCount)
-	}
-	ix.postings = make(map[string][]posting, termCount)
-	prevTerm := ""
-	for t := uint32(0); t < termCount; t++ {
+	terms := make([]string, nTerms)
+	counts := make([][2]int32, nTerms) // per term: English, other postings
+	nEng, nOth := 0, 0
+	postingsAt := br.off
+	for t := range terms {
 		term, err := br.str()
 		if err != nil {
 			return nil, err
 		}
-		if t > 0 && term <= prevTerm {
+		if t > 0 && term <= terms[t-1] {
 			return nil, fmt.Errorf("search: corrupt index (postings terms out of order at %q)", term)
 		}
-		prevTerm = term
+		terms[t] = term
 		n, err := br.u32()
 		if err != nil {
 			return nil, err
@@ -414,34 +408,35 @@ func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
 		if err != nil {
 			return nil, err
 		}
-		plist := make([]posting, n)
 		prevDoc := -1
-		for j := range plist {
+		for j := 0; j < int(n); j++ {
 			doc := int(binary.LittleEndian.Uint32(blk[8*j:]))
-			tf := int(binary.LittleEndian.Uint32(blk[8*j+4:]))
-			if doc <= prevDoc || doc >= nDocs || tf == 0 {
+			tf := binary.LittleEndian.Uint32(blk[8*j+4:])
+			// A term cannot occur more often than a maxStr-bounded document
+			// has words, so a tf past int32 is a lie, not a big document.
+			if doc <= prevDoc || doc >= nDocs || tf == 0 || tf > math.MaxInt32 {
 				return nil, fmt.Errorf("search: corrupt index (posting %d of %q: doc %d, tf %d)", j, term, doc, tf)
 			}
-			plist[j] = posting{doc: doc, tf: tf}
-			ix.docLen[doc] += tf
 			prevDoc = doc
+			if english[doc] {
+				counts[t][0]++
+			} else {
+				counts[t][1]++
+			}
 		}
-		ix.postings[term] = plist
-	}
-	for _, dl := range ix.docLen {
-		ix.totalLen += dl
+		nEng += int(counts[t][0])
+		nOth += int(counts[t][1])
 	}
 
-	posTermCount, err := br.u32()
+	nPosTerms, err := br.termCount("positional")
 	if err != nil {
 		return nil, err
 	}
-	if posTermCount > maxTermHint {
-		return nil, fmt.Errorf("search: corrupt index (positional term count %d)", posTermCount)
-	}
-	ix.positions = make(map[string][]posPosting, posTermCount)
-	prevTerm = ""
-	for t := uint32(0); t < posTermCount; t++ {
+	lists := make([]int32, nTerms) // per term: docs with a position list
+	nLists, nPos := 0, 0
+	positionsAt := br.off
+	prevTerm, tid := "", 0
+	for t := 0; t < nPosTerms; t++ {
 		term, err := br.str()
 		if err != nil {
 			return nil, err
@@ -450,6 +445,12 @@ func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
 			return nil, fmt.Errorf("search: corrupt index (positional terms out of order at %q)", term)
 		}
 		prevTerm = term
+		for tid < nTerms && terms[tid] < term {
+			tid++
+		}
+		if tid == nTerms || terms[tid] != term {
+			return nil, fmt.Errorf("search: corrupt index (positional term %q has no postings)", term)
+		}
 		nd, err := br.u32()
 		if err != nil {
 			return nil, err
@@ -461,7 +462,8 @@ func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
 		if err != nil {
 			return nil, err
 		}
-		total := 0
+		// The term's positions follow its header, doc-major: one block per
+		// list, read in step.
 		prevDoc := -1
 		for j := 0; j < int(nd); j++ {
 			doc := int(binary.LittleEndian.Uint32(hdr[8*j:]))
@@ -469,93 +471,119 @@ func (br *byteReader) readShardV4(ix *Index) (ord []int32, err error) {
 			if doc <= prevDoc || doc >= nDocs {
 				return nil, fmt.Errorf("search: corrupt index (position list %d of %q: doc %d)", j, term, doc)
 			}
-			if np == 0 || np > len(ix.contentToRaw[doc]) {
-				return nil, fmt.Errorf("search: corrupt index (doc %d claims %d positions of %d content words)", doc, np, len(ix.contentToRaw[doc]))
+			limit := len(ix.contentToRaw[doc])
+			if np == 0 || np > limit {
+				return nil, fmt.Errorf("search: corrupt index (doc %d claims %d positions of %d content words)", doc, np, limit)
 			}
-			prevDoc = doc
-			total += np
-		}
-		blk, err := br.block(4 * total)
-		if err != nil {
-			return nil, err
-		}
-		arena := make([]int32, total)
-		plist := make([]posPosting, nd)
-		k := 0
-		for j := 0; j < int(nd); j++ {
-			doc := int(binary.LittleEndian.Uint32(hdr[8*j:]))
-			np := int(binary.LittleEndian.Uint32(hdr[8*j+4:]))
-			sub := arena[k : k+np : k+np]
+			blk, err := br.block(4 * np)
+			if err != nil {
+				return nil, err
+			}
 			prev := int32(-1)
-			limit := int32(len(ix.contentToRaw[doc]))
 			for p := 0; p < np; p++ {
-				v := int32(binary.LittleEndian.Uint32(blk[4*(k+p):]))
-				if v <= prev || v >= limit {
+				v := int32(binary.LittleEndian.Uint32(blk[4*p:]))
+				if v <= prev || v >= int32(limit) {
 					return nil, fmt.Errorf("search: corrupt index (position %d of %q in doc %d: %d)", p, term, doc, v)
 				}
-				sub[p] = v
 				prev = v
 			}
-			plist[j] = posPosting{doc: doc, pos: sub}
-			k += np
+			prevDoc = doc
+			nPos += np
 		}
-		ix.positions[term] = plist
+		lists[tid] = int32(nd)
+		nLists += int(nd)
 	}
 
 	ordLen, err := br.u32()
 	if err != nil {
 		return nil, err
 	}
-	blk, err := br.block(4 * int(ordLen))
+	if int(ordLen) != nEng {
+		return nil, fmt.Errorf("search: corrupt index (ordAll has %d entries, English postings %d)", ordLen, nEng)
+	}
+	ordBlk, err := br.block(4 * nEng)
 	if err != nil {
 		return nil, err
 	}
-	ord = make([]int32, ordLen)
-	for i := range ord {
-		ord[i] = int32(binary.LittleEndian.Uint32(blk[4*i:]))
+
+	// Fill. Everything below re-reads bytes the walks above accepted, so it
+	// indexes the stream directly.
+	c := newColumns(terms, nEng, nOth, nLists, nPos)
+	docLen = make([]int, nDocs)
+	data := br.data
+	at := postingsAt
+	for t, term := range terms {
+		e, o := c.engOff[t], c.othOff[t]
+		at += 4 + len(term) + 4
+		for n := counts[t][0] + counts[t][1]; n > 0; n-- {
+			doc := int32(binary.LittleEndian.Uint32(data[at:]))
+			tf := int32(binary.LittleEndian.Uint32(data[at+4:]))
+			at += 8
+			docLen[doc] += int(tf)
+			if english[doc] {
+				c.engDoc[e], c.engTF[e] = doc, tf
+				e++
+			} else {
+				c.othDoc[o], c.othTF[o] = doc, tf
+				o++
+			}
+		}
+		c.engOff[t+1], c.othOff[t+1] = e, o
 	}
-	return ord, nil
+	at = positionsAt
+	l, p := int32(0), int32(0)
+	for t, term := range terms {
+		if lists[t] > 0 {
+			at += 4 + len(term) + 4
+			first := p
+			for end := l + lists[t]; l < end; l++ {
+				c.posDoc[l] = int32(binary.LittleEndian.Uint32(data[at:]))
+				p += int32(binary.LittleEndian.Uint32(data[at+4:]))
+				c.posStart[l+1] = p
+				at += 8
+			}
+			for i := first; i < p; i++ {
+				c.posArena[i] = int32(binary.LittleEndian.Uint32(data[at:]))
+				at += 4
+			}
+		}
+		c.posOff[t+1] = l
+	}
+	c.ordAll = make([]int32, nEng)
+	for i := range c.ordAll {
+		c.ordAll[i] = int32(binary.LittleEndian.Uint32(ordBlk[4*i:]))
+	}
+	ix.col = c
+	return docLen, nil
 }
 
-// freezeFromPersist installs the global ranking state and compiles the
-// columnar form with a stored ordAll permutation instead of re-sorting.
-// The permutation is validated per term section: entries in bounds and in
-// strictly descending (contribution, doc asc) order — which, with the length
-// check, also proves it is a permutation.
-func (ix *Index) freezeFromPersist(idf map[string]float64, avgLen float64, ord []int32) error {
-	ix.idf = idf
-	ix.avgLen = avgLen
-	ix.freezeNormK()
-	c := ix.buildCSR()
-	if len(ord) != len(c.engDoc) {
-		return fmt.Errorf("search: corrupt index (ordAll has %d entries, English postings %d)", len(ord), len(c.engDoc))
-	}
-	for tid := range c.terms {
+// checkOrd validates a stored ordAll permutation against the ranked columns,
+// per term section: entries in bounds and in strictly descending
+// (contribution, doc asc) order — which, with the length check at decode,
+// also proves it is a permutation.
+func (c *columns) checkOrd() error {
+	for tid, term := range c.terms {
 		lo, hi := c.engOff[tid], c.engOff[tid+1]
-		sec := ord[lo:hi]
+		sec := c.ordAll[lo:hi]
 		docs := c.engDoc[lo:hi]
 		contribs := c.engContrib[lo:hi]
 		for i, e := range sec {
 			if e < 0 || int(e) >= len(docs) {
-				return fmt.Errorf("search: corrupt index (ordAll entry %d of term %q out of range)", e, c.terms[tid])
+				return fmt.Errorf("search: corrupt index (ordAll entry %d of term %q out of range)", e, term)
 			}
 			if i > 0 {
 				a := sec[i-1]
 				if !(contribs[a] > contribs[e] || (contribs[a] == contribs[e] && docs[a] < docs[e])) {
-					return fmt.Errorf("search: corrupt index (ordAll of term %q not in contribution order)", c.terms[tid])
+					return fmt.Errorf("search: corrupt index (ordAll of term %q not in contribution order)", term)
 				}
 			}
 		}
 	}
-	c.ordAll = ord
-	ix.scatterDense(c)
-	ix.col = c
 	return nil
 }
 
 // readV4 reconstructs a sharded index directly from a v4 stream.
 func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
-	s := NewShardedIndex(shards)
 	docCount, err := br.u32()
 	if err != nil {
 		return nil, err
@@ -565,15 +593,15 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 	if int64(docCount)*21 > int64(br.remaining()) {
 		return nil, fmt.Errorf("search: corrupt index (doc count %d)", docCount)
 	}
+	s := newShardedIndex(shards, int(docCount))
 	for g := 0; g < int(docCount); g++ {
-		if err := br.readDocV4(s.shards[g%shards]); err != nil {
+		if err := br.readDoc(s.shards[g%shards]); err != nil {
 			return nil, fmt.Errorf("search: doc %d: %w", g, err)
 		}
 	}
-	s.nDocs = int(docCount)
-	ords := make([][]int32, shards)
+	docLen := make([][]int, shards)
 	for si, sh := range s.shards {
-		if ords[si], err = br.readShardV4(sh); err != nil {
+		if docLen[si], err = br.readShard(sh); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
@@ -581,21 +609,20 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("search: corrupt index (%d trailing bytes)", br.remaining())
 	}
 
-	// Global freeze as in ShardedIndex.Freeze, but with each shard's stored
-	// ordAll instead of a freeze-time sort.
-	idf, avgLen := s.globalRanking()
+	// Finish as Builder.Freeze does, but with each shard's stored ordAll
+	// checked instead of sorted.
+	rank(s.shards, docLen, s.nDocs)
 	for si, sh := range s.shards {
-		if err := sh.freezeFromPersist(idf, avgLen, ords[si]); err != nil {
+		if err := sh.col.checkOrd(); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
+		sh.col.scatterDense(len(sh.docs))
 	}
-	s.frozen.Store(true)
 	return s, nil
 }
 
 // ReadShardedIndex loads an index snapshot written by WriteTo, with the
-// stored shard count. The loaded index is returned frozen and ready to serve
-// queries. The whole stream is buffered in memory first (callers open
+// stored shard count, ready to serve queries. The whole stream is buffered in memory first (callers open
 // bounded files), which lets the decoder work over flat blocks instead of
 // per-integer reads.
 func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {

@@ -2,10 +2,123 @@ package search
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// tidx serialises an index, failing the test on a write error.
+func tidx(t testing.TB, six *ShardedIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := six.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTIDXBytesLocked pins the format: the sha256 of WriteTo over three fixed
+// corpora, recorded from the writer that emitted from the postings maps
+// (commit 8ba8cf8) before the columns became the only state.
+func TestTIDXBytesLocked(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		six  *ShardedIndex
+		want string
+	}{
+		{"smallDocs x1", buildSharded(smallDocs(), 1), "15625ba8aec355d8ab488f4baf69a8872cffae0274ce3eef095bb9706efff6d5"},
+		{"smallDocs x2", buildSharded(smallDocs(), 2), "d81a69c7705cc6ba10323dc38e9550ce5b7201c3ffcaaf167d1a1b89c59de210"},
+		{"randomCorpus(11, 50) x4", buildSharded(randomCorpus(rand.New(rand.NewSource(11)), 50), 4), "abdf68ff12df328b9ea7d21819f2bdf6c0f531f47513d82caa3ead84cfdbe109"},
+	} {
+		sum := sha256.Sum256(tidx(t, c.six))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: sha256 %s, recorded %s", c.name, got, c.want)
+		}
+	}
+}
+
+// tidxFields walks a valid one-shard stream and returns the byte offsets of
+// the fields the corruption tests and the fuzz corpus patch: the two term
+// counts, the first posting's doc and tf, the first position list's doc, the
+// first stored position, and the first ordAll entry.
+type tidxFields struct {
+	termCount, doc, tf, posTermCount, posDoc, position, ord int
+}
+
+func locateFields(t testing.TB, data []byte) tidxFields {
+	t.Helper()
+	br := &byteReader{data: data, off: 12}
+	must := func(v uint32, err error) int {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(v)
+	}
+	scratch := newShardedIndex(1, 0)
+	for n := must(br.u32()); n > 0; n-- {
+		if err := br.readDoc(scratch.shards[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var f tidxFields
+	f.termCount = br.off
+	for n := must(br.u32()); n > 0; n-- {
+		br.str()
+		np := must(br.u32())
+		if f.doc == 0 {
+			f.doc, f.tf = br.off, br.off+4
+		}
+		br.block(8 * np)
+	}
+	f.posTermCount = br.off
+	for n := must(br.u32()); n > 0; n-- {
+		br.str()
+		nd := must(br.u32())
+		hdr, _ := br.block(8 * nd)
+		if f.posDoc == 0 {
+			f.posDoc, f.position = br.off-8*nd, br.off
+		}
+		for j := 0; j < nd; j++ {
+			br.block(4 * int(binary.LittleEndian.Uint32(hdr[8*j+4:])))
+		}
+	}
+	f.ord = br.off + 4
+	return f
+}
+
+// patched returns a copy of data with the u32 at off replaced.
+func patched(data []byte, off int, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[off:], v)
+	return out
+}
+
+// TestReadRejectsCountLieCheaply: a term count the remaining bytes cannot
+// hold is refused before anything is sized from it. 1<<22 is the largest
+// value the former pre-sized-map cap let through; on this 3 KB stream it cost
+// 384 MB and 300 ms before the rejection.
+func TestReadRejectsCountLieCheaply(t *testing.T) {
+	data := tidx(t, smallIndex())
+	f := locateFields(t, data)
+	for name, off := range map[string]int{"postings": f.termCount, "positional": f.posTermCount} {
+		lie := patched(data, off, 1<<22)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadShardedIndexBytes(lie)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), name+" term count") {
+			t.Fatalf("%s: err = %v, want a term count rejection", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(lie), got)
+		}
+	}
+}
 
 func TestIndexRoundTrip(t *testing.T) {
 	ix := smallIndex()

@@ -31,11 +31,11 @@ func TestSplitPhrases(t *testing.T) {
 }
 
 func phraseIndex() *ShardedIndex {
-	ix := NewShardedIndex(1)
-	ix.Add(Document{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu and chef specials"})
-	ix.Add(Document{URL: "p2", Title: "Martin Chez", Body: "martin chez writes about restaurant kitchens and menu design for chefs"})
-	ix.Add(Document{URL: "p3", Title: "Chez place", Body: "chez nothing here martin appears far away restaurant menu"})
-	return ix
+	return buildSharded([]Document{
+		{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu and chef specials"},
+		{URL: "p2", Title: "Martin Chez", Body: "martin chez writes about restaurant kitchens and menu design for chefs"},
+		{URL: "p3", Title: "Chez place", Body: "chez nothing here martin appears far away restaurant menu"},
+	}, 1)
 }
 
 func TestSearchPhraseRequiresAdjacency(t *testing.T) {
@@ -64,8 +64,7 @@ func TestSearchPhraseFallsBackWithoutQuotes(t *testing.T) {
 }
 
 func TestSearchPhraseStemsInsidePhrase(t *testing.T) {
-	ix := NewShardedIndex(1)
-	ix.Add(Document{URL: "p1", Title: "x", Body: "national museums collection hosts paintings"})
+	ix := buildSharded([]Document{{URL: "p1", Title: "x", Body: "national museums collection hosts paintings"}}, 1)
 	res := ix.SearchPhrase(`"national museum"`, 5)
 	if len(res) != 1 {
 		t.Errorf("stemmed phrase match failed: %d results", len(res))
@@ -83,10 +82,11 @@ func TestSearchPhraseNoMatch(t *testing.T) {
 }
 
 func TestSearchPhraseRespectsK(t *testing.T) {
-	ix := NewShardedIndex(1)
+	b := NewBuilder(1)
 	for i := 0; i < 20; i++ {
-		ix.Add(Document{URL: string(rune('a' + i)), Title: "x", Body: "grand hotel lobby with rooms and suites"})
+		b.Add(Document{URL: string(rune('a' + i)), Title: "x", Body: "grand hotel lobby with rooms and suites"})
 	}
+	ix := b.Freeze()
 	if res := ix.SearchPhrase(`"grand hotel"`, 3); len(res) != 3 {
 		t.Errorf("k ignored: %d results", len(res))
 	}

@@ -276,11 +276,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			docs := randomCorpus(rng, 20+rng.Intn(120))
-			ix := NewShardedIndex(1)
-			for _, d := range docs {
-				ix.Add(d)
-			}
-			ix.Freeze()
+			ix := buildSharded(docs, 1)
 			for _, q := range randomQueries(rng, 60) {
 				for _, k := range []int{1, 3, 10, 1000} {
 					checkSameResults(t, fmt.Sprintf("Search(%q, %d)", q, k),
@@ -309,10 +305,7 @@ func TestSearchMatchesReferenceOnLabCorpusShape(t *testing.T) {
 			Body:  subj + " " + filler + " " + subj,
 		})
 	}
-	ix := NewShardedIndex(1)
-	for _, d := range docs {
-		ix.Add(d)
-	}
+	ix := buildSharded(docs, 1)
 	for _, q := range []string{
 		`"Chez Martin" restaurant`, `"Louvre Museum"`, `"Grand Hotel" suites`,
 		"melisse restaurant", `"melisse"`, `"chez martin" "grand hotel"`,

@@ -98,10 +98,11 @@ func TestSnippetContainsQueryContext(t *testing.T) {
 // TestSearchTopKBound: the engine never returns more than k results, for any
 // k and corpus size.
 func TestSearchTopKBound(t *testing.T) {
-	ix := NewShardedIndex(1)
+	b := NewBuilder(1)
 	for i := 0; i < 40; i++ {
-		ix.Add(Document{URL: fmt.Sprint(i), Title: "museum", Body: "museum gallery art"})
+		b.Add(Document{URL: fmt.Sprint(i), Title: "museum", Body: "museum gallery art"})
 	}
+	ix := b.Freeze()
 	f := func(k uint8) bool {
 		res := ix.Search("museum", int(k%20))
 		return len(res) <= int(k%20)
@@ -112,10 +113,11 @@ func TestSearchTopKBound(t *testing.T) {
 }
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
-	ix := NewShardedIndex(1)
+	b := NewBuilder(1)
 	for i := 0; i < 10; i++ {
-		ix.Add(Document{URL: fmt.Sprint(i), Title: "hotel", Body: "hotel rooms suites"})
+		b.Add(Document{URL: fmt.Sprint(i), Title: "hotel", Body: "hotel rooms suites"})
 	}
+	ix := b.Freeze()
 	r1 := ix.Search("hotel", 5)
 	r2 := ix.Search("hotel", 5)
 	for i := range r1 {

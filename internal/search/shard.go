@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,28 +8,25 @@ import (
 	"repro/internal/textproc"
 )
 
-// ShardedIndex is the query engine: an inverted index with BM25 ranking,
-// partitioned across N shard Indexes so one query's scoring work can run on
-// N cores, with results byte-identical at every N (N = 1 is the monolithic
-// index): documents are assigned round-robin (global doc id g lives in shard
-// g%N at local id g/N — a monotonic mapping, so per-shard doc order equals
-// global order restricted to the shard), ranking constants (per-term idf,
-// average document length) are derived corpus-wide at freeze time and
-// installed into every shard, and per-shard bounded top-k results merge under
-// the exact (score desc, global doc asc) total order. Because a document's
-// BM25 score accumulates per query term in query order within its one owning
+// ShardedIndex is the query engine, the read side of the index: an immutable
+// inverted index with BM25 ranking, obtained from Builder.Freeze or
+// ReadShardedIndex, partitioned across N shard Indexes so one query's scoring
+// work can run on N cores, with results byte-identical at every N (N = 1 is
+// the monolithic index): documents are assigned round-robin (global doc id g
+// lives in shard g%N at local id g/N — a monotonic mapping, so per-shard doc
+// order equals global order restricted to the shard), ranking constants
+// (per-term idf, average document length) are derived corpus-wide when the
+// index is compiled, and per-shard bounded top-k results merge under the
+// exact (score desc, global doc asc) total order. Because a document's BM25
+// score accumulates per query term in query order within its one owning
 // shard, every float operation matches the one-shard engine's and scores are
 // bit-identical, not merely close.
 //
-// Concurrency: Add is single-goroutine, queries are safe for any number of
-// concurrent readers once frozen (NewShardedEngine freezes), and an unfrozen
-// query freezes on demand under a mutex.
+// Concurrency: queries are safe for any number of concurrent readers; only
+// the per-shard query counters change.
 type ShardedIndex struct {
 	shards []*Index
 	nDocs  int
-
-	frozen   atomic.Bool
-	freezeMu sync.Mutex
 
 	// queries[s] counts queries scored by shard s (every query fans out to
 	// all shards, so the counts advance together; they are exposed on
@@ -38,17 +34,15 @@ type ShardedIndex struct {
 	queries []atomic.Int64
 }
 
-// NewShardedIndex returns an empty index over max(1, shards) shards.
-func NewShardedIndex(shards int) *ShardedIndex {
-	if shards < 1 {
-		shards = 1
-	}
+// newShardedIndex returns the shell the Builder and the TIDX decoder fill.
+func newShardedIndex(shards, nDocs int) *ShardedIndex {
 	s := &ShardedIndex{
 		shards:  make([]*Index, shards),
+		nDocs:   nDocs,
 		queries: make([]atomic.Int64, shards),
 	}
 	for i := range s.shards {
-		s.shards[i] = NewIndex()
+		s.shards[i] = &Index{}
 	}
 	return s
 }
@@ -75,61 +69,6 @@ func (s *ShardedIndex) ResetQueryCounts() {
 	}
 }
 
-// Add indexes a document into its round-robin shard. Adding un-freezes the
-// sharded index; the next query (or Freeze call) re-derives the global
-// ranking state.
-func (s *ShardedIndex) Add(doc Document) {
-	s.shards[s.nDocs%len(s.shards)].Add(doc)
-	s.nDocs++
-	s.frozen.Store(false)
-}
-
-// Freeze derives the corpus-wide ranking state and installs it into every
-// shard. Idempotent; Add un-freezes.
-func (s *ShardedIndex) Freeze() {
-	s.freezeMu.Lock()
-	defer s.freezeMu.Unlock()
-	if s.frozen.Load() {
-		return
-	}
-	idf, avgLen := s.globalRanking()
-	for _, sh := range s.shards {
-		sh.freezeShared(idf, avgLen)
-	}
-	s.frozen.Store(true)
-}
-
-// globalRanking derives the corpus-wide ranking constants from the shards'
-// postings: the per-term idf table over global document frequencies (one
-// read-only map, shared by every shard) and the global average document
-// length.
-func (s *ShardedIndex) globalRanking() (idf map[string]float64, avgLen float64) {
-	df := make(map[string]int)
-	totalLen := 0
-	for _, sh := range s.shards {
-		for t, plist := range sh.postings {
-			df[t] += len(plist)
-		}
-		totalLen += sh.totalLen
-	}
-	n := float64(s.nDocs)
-	idf = make(map[string]float64, len(df))
-	for t, d := range df {
-		dff := float64(d)
-		idf[t] = math.Log((n-dff+0.5)/(dff+0.5) + 1)
-	}
-	if n > 0 {
-		avgLen = float64(totalLen) / n
-	}
-	return idf, avgLen
-}
-
-func (s *ShardedIndex) ensureFrozen() {
-	if !s.frozen.Load() {
-		s.Freeze()
-	}
-}
-
 // global converts a shard-local hit list to global doc ids in place.
 func global(hits []hit, shard, n int) []hit {
 	for i := range hits {
@@ -142,7 +81,6 @@ func global(hits []hit, shard, n int) []hit {
 // more than one — and merges the per-shard lists into the global top-k under
 // the exact monolithic order. The returned hits carry global doc ids.
 func (s *ShardedIndex) topDocs(qterms []string, k int) []hit {
-	s.ensureFrozen()
 	n := len(s.shards)
 	if n == 1 {
 		s.queries[0].Add(1)
@@ -195,7 +133,6 @@ func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
 // batch within each shard), then the per-shard lists merge per query. out[i]
 // is exactly topDocs(qterms[i], k).
 func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
-	s.ensureFrozen()
 	n := len(s.shards)
 	scored := 0
 	for _, terms := range qterms {
@@ -279,7 +216,7 @@ func mergeHits(lists [][]hit, k int) []hit {
 }
 
 // materialize renders globally-merged hits, generating each snippet in the
-// document's owning shard (the stems and body tokens live there).
+// document's owning shard (its snippet windows and positions live there).
 func (s *ShardedIndex) materialize(hits []hit, qterms []string) []Result {
 	out := make([]Result, len(hits))
 	if len(hits) == 0 {

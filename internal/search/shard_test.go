@@ -11,12 +11,11 @@ import (
 
 // buildSharded indexes docs across n shards and freezes.
 func buildSharded(docs []Document, n int) *ShardedIndex {
-	six := NewShardedIndex(n)
+	b := NewBuilder(n)
 	for _, d := range docs {
-		six.Add(d)
+		b.Add(d)
 	}
-	six.Freeze()
-	return six
+	return b.Freeze()
 }
 
 // checkBitIdentical asserts got matches want exactly — including score
@@ -73,24 +72,36 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestShardedReFreezeAfterAdd: adding documents to a frozen sharded index
-// un-freezes it, and the next query re-derives the global ranking state —
-// never shard-local statistics.
+// TestShardedReFreezeAfterAdd: a builder that has been frozen keeps
+// building. Add more and Freeze again yields a new independent index over the
+// grown corpus, ranked with its global state — never shard-local statistics —
+// while the index frozen earlier still answers exactly as before.
 func TestShardedReFreezeAfterAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	docs := randomCorpus(rng, 60)
-	six := buildSharded(docs[:30], 3)
-	ix := NewShardedIndex(1)
+	queries := randomQueries(rng, 20)
+	b := NewBuilder(3)
 	for _, d := range docs[:30] {
-		ix.Add(d)
+		b.Add(d)
 	}
-	checkBitIdentical(t, "before re-add", six.Search("museum restaurant", 10), ix.Search("museum restaurant", 10))
+	early := b.Freeze()
+	before := make([][]Result, len(queries))
+	for i, q := range queries {
+		before[i] = early.SearchPhrase(q, 10)
+		checkBitIdentical(t, "before re-add "+q, before[i], buildSharded(docs[:30], 1).SearchPhrase(q, 10))
+	}
 	for _, d := range docs[30:] {
-		six.Add(d)
-		ix.Add(d)
+		b.Add(d)
 	}
-	// No explicit Freeze: the query path must re-freeze on demand.
-	checkBitIdentical(t, "after re-add", six.Search("museum restaurant", 10), ix.Search("museum restaurant", 10))
+	late := b.Freeze()
+	if early.Len() != 30 || late.Len() != 60 {
+		t.Fatalf("Len: early %d, late %d, want 30 and 60", early.Len(), late.Len())
+	}
+	mono := buildSharded(docs, 1)
+	for i, q := range queries {
+		checkBitIdentical(t, "after re-add "+q, late.SearchPhrase(q, 10), mono.SearchPhrase(q, 10))
+		checkBitIdentical(t, "earlier index after re-add "+q, early.SearchPhrase(q, 10), before[i])
+	}
 }
 
 // TestIndexSearchBatchMatchesSearch: the one-shard batch path equals the
@@ -136,6 +147,10 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	for _, q := range randomQueries(rng, 30) {
 		checkBitIdentical(t, "loaded "+q, loaded.Search(q, 10), six.Search(q, 10))
 		checkBitIdentical(t, "loaded phrase "+q, loaded.SearchPhrase(q, 10), six.SearchPhrase(q, 10))
+	}
+	// The loaded index writes from its decoded columns: the same bytes.
+	if !bytes.Equal(tidx(t, loaded), data) {
+		t.Error("loaded.WriteTo does not reproduce the bytes it was loaded from")
 	}
 }
 

@@ -103,9 +103,9 @@ func appendNormalized(dst []string, s string) []string {
 // token and "" otherwise (the per-word view the indexer's snippet and phrase
 // structures are built from). One scratch buffer is reused across words, so
 // indexing a document costs two allocations instead of two per word.
-func NormalizeWords(words []string) (tokens []string, wordStem []string) {
+func NormalizeWords(words []string) (tokens []string, stems []string) {
 	tokens = make([]string, 0, len(words))
-	wordStem = make([]string, len(words))
+	stems = make([]string, len(words))
 	var scratch [8]string
 	for i, w := range words {
 		raw := appendTokens(scratch[:0], w)
@@ -118,8 +118,8 @@ func NormalizeWords(words []string) (tokens []string, wordStem []string) {
 			n++
 		}
 		if n == 1 {
-			wordStem[i] = tokens[len(tokens)-1]
+			stems[i] = tokens[len(tokens)-1]
 		}
 	}
-	return tokens, wordStem
+	return tokens, stems
 }

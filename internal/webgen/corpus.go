@@ -109,19 +109,16 @@ func BuildCorpus(w *world.World, cfg Config) []search.Document {
 }
 
 // BuildShardedIndex generates the corpus for a universe and returns it
-// already indexed and frozen — the form every consumer (lab construction,
-// commands, benchmarks) actually wants. Freezing here means the derived
-// ranking state (idf table, average length) is computed once at corpus-build
-// time instead of on the first query. The corpus is partitioned round-robin
+// indexed and frozen — the form every consumer (lab construction, commands,
+// benchmarks) actually wants. The corpus is partitioned round-robin
 // across max(1, shards) shards in global order; queries are byte-identical at
 // every shard count while each one's scoring work can spread over the shards.
 func BuildShardedIndex(w *world.World, cfg Config, shards int) *search.ShardedIndex {
-	six := search.NewShardedIndex(shards)
+	b := search.NewBuilder(shards)
 	for _, d := range BuildCorpus(w, cfg) {
-		six.Add(d)
+		b.Add(d)
 	}
-	six.Freeze()
-	return six
+	return b.Freeze()
 }
 
 // entityTitle renders a page title; a fraction of titles carry the type word
@@ -142,7 +139,7 @@ func entityTitle(e *world.Entity, rng *rand.Rand) string {
 // type vocabulary blended with a related type's vocabulary (see
 // contaminants), shared filler, and — crucially for spatial disambiguation —
 // its city and street when it has them.
-func entityBody(e *world.Entity, city string, gaz *gazetteer.Gazetteer, rng *rand.Rand) string {
+func entityBody(e *world.Entity, city string, gaz *gazetteer.Frozen, rng *rand.Rand) string {
 	vocab := typeVocab[e.Type]
 	if sibling, ok := contaminants[e.Type]; ok {
 		sv := typeVocab[sibling]

@@ -132,10 +132,11 @@ func TestPOIPagesMentionCity(t *testing.T) {
 
 func TestEndToEndSearchFindsEntity(t *testing.T) {
 	w, docs := testCorpus(t)
-	ix := search.NewShardedIndex(1)
+	b := search.NewBuilder(1)
 	for _, d := range docs {
-		ix.Add(d)
+		b.Add(d)
 	}
+	ix := b.Freeze()
 	e := w.OfType(world.Museum)[0]
 	res := ix.Search(e.Name, 10)
 	if len(res) == 0 {

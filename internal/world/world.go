@@ -50,7 +50,7 @@ type Entity struct {
 
 // Address returns the entity's structured postal address; the zero Address
 // for non-spatial entities.
-func (e *Entity) Address(g *gazetteer.Gazetteer) gazetteer.Address {
+func (e *Entity) Address(g *gazetteer.Frozen) gazetteer.Address {
 	if e.Street == gazetteer.NoLocation {
 		return gazetteer.Address{}
 	}
@@ -139,7 +139,7 @@ func (c Config) withDefaults() Config {
 // World is the generated universe.
 type World struct {
 	Config    Config
-	Gaz       *gazetteer.Gazetteer
+	Gaz       *gazetteer.Frozen
 	Entities  []*Entity
 	Confusers []Confuser
 
@@ -156,7 +156,7 @@ func Generate(cfg Config) *World {
 	if gazScale < 1 {
 		gazScale = 1
 	}
-	gaz := gazetteer.SyntheticScale(cfg.Seed^0x6761_7a65, gazScale)
+	gaz := gazetteer.SyntheticScale(cfg.Seed^0x6761_7a65, gazScale).Freeze()
 	w := &World{
 		Config: cfg,
 		Gaz:    gaz,

@@ -94,7 +94,7 @@ func TestNewSmall(t *testing.T) {
 	if svc.Classifier("svm") == nil || svc.Classifier("bayes") == nil {
 		t.Fatal("classifiers missing")
 	}
-	if svc.Gazetteer() == nil || svc.Geo() == nil || svc.KB() == nil || svc.World() == nil || svc.Lab() == nil {
+	if svc.Geo() == nil || svc.KB() == nil || svc.World() == nil || svc.Lab() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if b := svc.base; b.Searcher == nil || b.Classifier == nil || len(b.Types) != 12 {

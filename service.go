@@ -54,7 +54,6 @@ type settings struct {
 	cacheTTL        time.Duration
 	searchShards    int
 	snapshotPath    string
-	geoWorkers      int
 
 	seedSet       bool
 	scaleSet      bool
@@ -114,21 +113,6 @@ func WithParallelism(n int) Option {
 			return &OptionError{Option: "WithParallelism", Value: fmt.Sprint(n)}
 		}
 		s.parallelism = n
-		return nil
-	}
-}
-
-// WithGeoWorkers bounds the worker pool that resolves disambiguation
-// components in parallel inside the geocode stage. Components are
-// independent, so results are bit-identical at any setting — only latency
-// and peak scratch memory (O(largest component × workers)) change. 0 (the
-// default) selects min(GOMAXPROCS, 8); negative values are rejected.
-func WithGeoWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return &OptionError{Option: "WithGeoWorkers", Value: fmt.Sprint(n)}
-		}
-		s.geoWorkers = n
 		return nil
 	}
 }
@@ -309,7 +293,6 @@ func (s *Service) finish(st settings) {
 		Parallelism:  st.parallelism,
 		Cache:        s.lab.Cache,
 		CacheSalt:    s.clf,
-		GeoWorkers:   st.geoWorkers,
 	}
 }
 
@@ -978,18 +961,8 @@ func (s *Service) BuildDuration() time.Duration { return s.buildDur }
 // was built from scratch.
 func (s *Service) Snapshot() *SnapshotInfo { return s.snap }
 
-// Gazetteer exposes the mutable geocoding substrate the universe was built
-// with; the pipeline itself serves from the frozen form (see Geo). It is nil
-// for a snapshot-booted service, which carries only the frozen form.
-func (s *Service) Gazetteer() *gazetteer.Gazetteer {
-	if s.lab.World == nil {
-		return nil
-	}
-	return s.lab.World.Gaz
-}
-
-// Geo exposes the immutable gazetteer the annotation pipeline and the
-// geocode endpoint serve from.
+// Geo exposes the gazetteer the annotation pipeline and the geocode endpoint
+// serve from, built with the universe or loaded from the snapshot.
 func (s *Service) Geo() *gazetteer.Frozen { return s.lab.Geo }
 
 // KB exposes the DBpedia-like knowledge base.

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // writeTestSnapshot snapshots the shared test service into dir and returns
@@ -29,7 +32,8 @@ func writeTestSnapshot(t *testing.T, svc *Service) string {
 
 // TestServiceSnapshotRoundTrip is the package-level differential: a service
 // booted from a snapshot answers Annotate, Geocode and Explain identically
-// to the service the snapshot was written from.
+// to the service the snapshot was written from, and POI extraction over its
+// gazetteer yields the same triples.
 func TestServiceSnapshotRoundTrip(t *testing.T) {
 	svc := testService(t)
 	path := writeTestSnapshot(t, svc)
@@ -69,6 +73,21 @@ func TestServiceSnapshotRoundTrip(t *testing.T) {
 	want.Timing, got.Timing = Timing{}, Timing{}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot-booted Annotate diverged:\n got %+v\nwant %+v", got, want)
+	}
+
+	// POI extraction reads the gazetteer through Geo(), which a
+	// snapshot-booted service has too: same triples, poi:city included.
+	triples := func(s *Service, resp *AnnotateResponse) string {
+		store := rdf.NewStore()
+		(&rdf.Extractor{Gazetteer: s.Geo()}).Extract(tbl, resp.Annotations, store)
+		return store.WriteNTriples()
+	}
+	wantTriples := triples(svc, want)
+	if !strings.Contains(wantTriples, rdf.PredCity) {
+		t.Fatal("the built service extracted no poi:city triple; the comparison below would be vacuous")
+	}
+	if gotTriples := triples(loaded, got); gotTriples != wantTriples {
+		t.Errorf("snapshot-booted extraction diverged:\n got %s\nwant %s", gotTriples, wantTriples)
 	}
 
 	gw, err := svc.Geocode(ctx, &GeocodeRequest{Table: tbl})

@@ -65,7 +65,6 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown scale", WithScale("huge"), "WithScale"},
 		{"unknown classifier", WithClassifier("forest"), "WithClassifier"},
 		{"negative parallelism", WithParallelism(-1), "WithParallelism"},
-		{"negative geo workers", WithGeoWorkers(-1), "WithGeoWorkers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
