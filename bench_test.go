@@ -312,7 +312,7 @@ func BenchmarkIndexPersistence(b *testing.B) {
 		if _, err := src.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := search.ReadShardedIndex(&buf); err != nil {
+		if _, err := search.ReadShardedIndex(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,9 +123,8 @@ type Config struct {
 	// requires Gazetteer.
 	Disambiguate bool
 	// Gazetteer geocodes Location-column cells for disambiguation and for
-	// the opt-in GeoAnnotate stage. Any read-only gazetteer works; the
-	// service wires the immutable gazetteer.Frozen, tests often use the
-	// mutable builder directly.
+	// the opt-in GeoAnnotate stage: the immutable gazetteer.Frozen a
+	// gazetteer.Builder freezes into, or one loaded from a snapshot.
 	Gazetteer *gazetteer.Frozen
 	// ClusterThreshold, when positive, replaces the flat majority rule
 	// of Eq. 1 with the cluster-separated decision the paper leaves as

@@ -34,7 +34,10 @@ func (t BayesTrainer) Train(d Dataset) Classifier {
 			tc = map[string]float64{}
 			nb.termCount[ex.Label] = tc
 		}
-		for term, v := range ex.Features {
+		// Sorted order: classTotal is one float sum across terms, and equal
+		// datasets must train to bit-equal models.
+		for _, term := range ex.Features.Terms() {
+			v := ex.Features[term]
 			tc[term] += v
 			nb.classTotal[ex.Label] += v
 			nb.vocab[term] = struct{}{}
@@ -55,16 +58,18 @@ type NaiveBayes struct {
 	total      float64
 }
 
-// Scores returns the per-class log-probability scores for f.
+// Scores returns the per-class log-probability scores for f, summing its
+// terms in sorted order so equal inputs score bit-equally.
 func (nb *NaiveBayes) Scores(f textproc.Features) map[string]float64 {
+	terms := f.Terms()
 	v := float64(len(nb.vocab))
 	scores := make(map[string]float64, len(nb.classCount))
 	for class, count := range nb.classCount {
 		score := math.Log(count / nb.total)
 		tc := nb.termCount[class]
 		denom := nb.classTotal[class] + nb.Alpha*v
-		for term, freq := range f {
-			score += freq * math.Log((tc[term]+nb.Alpha)/denom)
+		for _, term := range terms {
+			score += f[term] * math.Log((tc[term]+nb.Alpha)/denom)
 		}
 		scores[class] = score
 	}

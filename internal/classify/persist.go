@@ -1,12 +1,11 @@
 package classify
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
+
+	"repro/internal/codec"
 )
 
 // Classifier persistence: a compact versioned binary snapshot of a trained
@@ -24,9 +23,9 @@ import (
 //
 // Every map is written in sorted key order, so snapshots of the same model
 // are byte-reproducible. Floats round-trip exactly via their IEEE 754 bits.
-// The reader validates counts and string lengths so a truncated or corrupt
-// stream returns an error instead of panicking or allocating unboundedly,
-// mirroring internal/gazetteer/persist.go.
+// The reader bounds every count by the bytes that remain, so a truncated or
+// corrupt stream returns an error instead of panicking or allocating
+// unboundedly.
 
 const (
 	clfMagic   = "TCLF"
@@ -36,308 +35,154 @@ const (
 	clfKindSVM   = "svm"
 	clfKindBayes = "bayes"
 
-	// Reader bounds: far above any real model, they only reject obviously
-	// corrupt headers before the reader allocates for them.
-	maxClfLabels   = 1 << 12
-	maxClfTerms    = 1 << 24
-	maxClfStrBytes = 1 << 16
+	// Least bytes per record, for the codec's count rule: a term is its
+	// string length and an f64; an SVM label adds bias and term count to its
+	// string length, a Bayes class two f64s and the term count.
+	minTermRecord  = 4 + 8
+	minLabelRecord = 4 + 8 + 4
+	minClassRecord = 4 + 8 + 8 + 4
 )
 
-// clfWriter wraps the little-endian encoding helpers.
-type clfWriter struct {
-	bw *bufio.Writer
-	n  int64
+// appendHeader appends magic, version and the model kind.
+func appendHeader(b []byte, kind string) []byte {
+	return codec.AppendStr(codec.AppendHeader(b, clfMagic, clfVersion), kind)
 }
 
-func (cw *clfWriter) Write(p []byte) (int, error) {
-	n, err := cw.bw.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-func (cw *clfWriter) u32(v uint32) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-func (cw *clfWriter) f64(v float64) error {
-	return binary.Write(cw, binary.LittleEndian, math.Float64bits(v))
-}
-
-func (cw *clfWriter) str(s string) error {
-	if err := cw.u32(uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := cw.Write([]byte(s))
-	return err
-}
-
-// header writes magic, version and the model kind.
-func (cw *clfWriter) header(kind string) error {
-	if _, err := cw.Write([]byte(clfMagic)); err != nil {
-		return err
-	}
-	if err := cw.u32(clfVersion); err != nil {
-		return err
-	}
-	return cw.str(kind)
-}
-
-// floatMap writes m as termCount followed by sorted (term, value) pairs.
-func (cw *clfWriter) floatMap(m map[string]float64) error {
+// appendFloatMap appends m as termCount followed by sorted (term, value)
+// pairs.
+func appendFloatMap(b []byte, m map[string]float64) []byte {
 	terms := make([]string, 0, len(m))
 	for t := range m {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
-	if err := cw.u32(uint32(len(terms))); err != nil {
-		return err
-	}
+	b = codec.AppendU32(b, uint32(len(terms)))
 	for _, t := range terms {
-		if err := cw.str(t); err != nil {
-			return err
-		}
-		if err := cw.f64(m[t]); err != nil {
-			return err
-		}
+		b = codec.AppendF64(codec.AppendStr(b, t), m[t])
 	}
-	return nil
+	return b
 }
 
-// WriteTo serialises the trained SVM as a version-1 TCLF stream. It returns
-// the byte count written (flushed bytes, per the io.WriterTo contract).
-func (m *LinearSVM) WriteTo(w io.Writer) (int64, error) {
-	cw := &clfWriter{bw: bufio.NewWriter(w)}
-	err := func() error {
-		if err := cw.header(clfKindSVM); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(len(m.labels))); err != nil {
-			return err
-		}
-		// m.labels is already sorted (Dataset.Labels); keep its order so
-		// the written stream matches prediction tie-break order exactly.
-		for _, label := range m.labels {
-			if err := cw.str(label); err != nil {
-				return err
-			}
-			if err := cw.f64(m.bias[label]); err != nil {
-				return err
-			}
-			if err := cw.floatMap(m.weights[label]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if err != nil {
-		return cw.n, err
+// AppendTo appends the trained SVM's version-1 TCLF stream to b.
+func (m *LinearSVM) AppendTo(b []byte) []byte {
+	b = appendHeader(b, clfKindSVM)
+	b = codec.AppendU32(b, uint32(len(m.labels)))
+	// m.labels is already sorted (Dataset.Labels); keep its order so the
+	// written stream matches prediction tie-break order exactly.
+	for _, label := range m.labels {
+		b = codec.AppendF64(codec.AppendStr(b, label), m.bias[label])
+		b = appendFloatMap(b, m.weights[label])
 	}
-	return cw.n, cw.bw.Flush()
+	return b
 }
 
-// WriteTo serialises the trained Naive Bayes model as a version-1 TCLF
-// stream. It returns the byte count written.
-func (nb *NaiveBayes) WriteTo(w io.Writer) (int64, error) {
+// AppendTo appends the trained Naive Bayes model's version-1 TCLF stream to
+// b.
+func (nb *NaiveBayes) AppendTo(b []byte) []byte {
 	classes := make([]string, 0, len(nb.classCount))
 	for c := range nb.classCount {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	cw := &clfWriter{bw: bufio.NewWriter(w)}
-	err := func() error {
-		if err := cw.header(clfKindBayes); err != nil {
-			return err
-		}
-		if err := cw.f64(nb.Alpha); err != nil {
-			return err
-		}
-		if err := cw.f64(nb.total); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(len(classes))); err != nil {
-			return err
-		}
-		for _, class := range classes {
-			if err := cw.str(class); err != nil {
-				return err
-			}
-			if err := cw.f64(nb.classCount[class]); err != nil {
-				return err
-			}
-			if err := cw.f64(nb.classTotal[class]); err != nil {
-				return err
-			}
-			if err := cw.floatMap(nb.termCount[class]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if err != nil {
-		return cw.n, err
+	b = appendHeader(b, clfKindBayes)
+	b = codec.AppendF64(b, nb.Alpha)
+	b = codec.AppendF64(b, nb.total)
+	b = codec.AppendU32(b, uint32(len(classes)))
+	for _, class := range classes {
+		b = codec.AppendStr(b, class)
+		b = codec.AppendF64(b, nb.classCount[class])
+		b = codec.AppendF64(b, nb.classTotal[class])
+		b = appendFloatMap(b, nb.termCount[class])
 	}
-	return cw.n, cw.bw.Flush()
+	return b
 }
 
-// WriteClassifier dispatches on the concrete model behind the Classifier
-// interface; it fails for models without a persistence format (the kernel
-// SVM and logistic baselines are experiment-only).
-func WriteClassifier(w io.Writer, c Classifier) (int64, error) {
+// AppendClassifier appends c's TCLF stream to b, dispatching on the concrete
+// model behind the Classifier interface; it fails for models without a
+// persistence format (the kernel SVM and logistic baselines are
+// experiment-only).
+func AppendClassifier(b []byte, c Classifier) ([]byte, error) {
 	switch m := c.(type) {
 	case *LinearSVM:
-		return m.WriteTo(w)
+		return m.AppendTo(b), nil
 	case *NaiveBayes:
-		return m.WriteTo(w)
+		return m.AppendTo(b), nil
 	}
-	return 0, fmt.Errorf("classify: %T has no persistence format", c)
+	return b, fmt.Errorf("classify: %T has no persistence format", c)
 }
 
-// clfReader wraps the bounded decoding helpers.
-type clfReader struct {
-	br *bufio.Reader
-}
-
-func (cr *clfReader) u32() (uint32, error) {
-	var v uint32
-	err := binary.Read(cr.br, binary.LittleEndian, &v)
-	return v, err
-}
-
-func (cr *clfReader) f64() (float64, error) {
-	var bits uint64
-	if err := binary.Read(cr.br, binary.LittleEndian, &bits); err != nil {
+// WriteClassifier writes c's TCLF stream to w in one Write and returns the
+// byte count w accepted.
+func WriteClassifier(w io.Writer, c Classifier) (int64, error) {
+	b, err := AppendClassifier(nil, c)
+	if err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(bits), nil
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-func (cr *clfReader) str() (string, error) {
-	n, err := cr.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxClfStrBytes {
-		return "", fmt.Errorf("classify: corrupt model (string length %d)", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(cr.br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// floatMap reads a termCount-prefixed (term, value) map.
-func (cr *clfReader) floatMap() (map[string]float64, error) {
-	n, err := cr.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxClfTerms {
-		return nil, fmt.Errorf("classify: corrupt model (%d terms)", n)
-	}
+// readFloatMap reads a termCount-prefixed (term, value) map.
+func readFloatMap(br *codec.Reader) map[string]float64 {
+	n := br.Count("term", minTermRecord)
 	m := make(map[string]float64, n)
-	for i := uint32(0); i < n; i++ {
-		term, err := cr.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := cr.f64()
-		if err != nil {
-			return nil, err
-		}
-		m[term] = v
+	for i := 0; i < n && br.Err() == nil; i++ {
+		term := br.Str()
+		m[term] = br.F64()
 	}
-	return m, nil
+	return m
 }
 
-// ReadClassifier loads a model previously written with WriteClassifier (or
-// the WriteTo of either model). The result predicts identically to the model
-// that was written. A truncated or corrupt stream returns an error, never a
-// panic.
-func ReadClassifier(r io.Reader) (Classifier, error) {
-	cr := &clfReader{br: bufio.NewReader(r)}
-	magic := make([]byte, len(clfMagic))
-	if _, err := io.ReadFull(cr.br, magic); err != nil {
-		return nil, fmt.Errorf("classify: reading magic: %w", err)
-	}
-	if string(magic) != clfMagic {
-		return nil, fmt.Errorf("classify: bad magic %q", magic)
-	}
-	version, err := cr.u32()
-	if err != nil {
+// ReadClassifier loads the TCLF stream data (written by WriteClassifier, held
+// in memory by the caller). The result predicts identically to the model that
+// was written. A truncated or corrupt stream returns an error, never a panic.
+func ReadClassifier(data []byte) (Classifier, error) {
+	br := codec.NewReader("classify: corrupt model", data)
+	if err := br.Header(clfMagic, clfVersion); err != nil {
 		return nil, err
 	}
-	if version != clfVersion {
-		return nil, fmt.Errorf("classify: unsupported model version %d", version)
-	}
-	kind, err := cr.str()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
+	var c Classifier
+	switch kind := br.Str(); kind {
 	case clfKindSVM:
-		return readSVM(cr)
+		c = readSVM(br)
 	case clfKindBayes:
-		return readBayes(cr)
+		c = readBayes(br)
+	default:
+		br.Corrupt("unknown model kind %q", kind)
 	}
-	return nil, fmt.Errorf("classify: unknown model kind %q", kind)
-}
-
-func readSVM(cr *clfReader) (*LinearSVM, error) {
-	n, err := cr.u32()
-	if err != nil {
+	if err := br.Done(); err != nil {
 		return nil, err
 	}
-	if n > maxClfLabels {
-		return nil, fmt.Errorf("classify: corrupt model (%d labels)", n)
-	}
+	return c, nil
+}
+
+func readSVM(br *codec.Reader) *LinearSVM {
+	n := br.Count("label", minLabelRecord)
 	m := &LinearSVM{
 		weights: make(map[string]map[string]float64, n),
 		bias:    make(map[string]float64, n),
 		labels:  make([]string, 0, n),
 	}
-	for i := uint32(0); i < n; i++ {
-		label, err := cr.str()
-		if err != nil {
-			return nil, fmt.Errorf("classify: label %d: %w", i, err)
-		}
+	for i := 0; i < n && br.Err() == nil; i++ {
+		label := br.Str()
 		if _, dup := m.bias[label]; dup {
-			return nil, fmt.Errorf("classify: corrupt model (duplicate label %q)", label)
-		}
-		bias, err := cr.f64()
-		if err != nil {
-			return nil, fmt.Errorf("classify: label %q: %w", label, err)
-		}
-		w, err := cr.floatMap()
-		if err != nil {
-			return nil, fmt.Errorf("classify: label %q: %w", label, err)
+			br.Corrupt("duplicate label %q", label)
 		}
 		m.labels = append(m.labels, label)
-		m.bias[label] = bias
-		m.weights[label] = w
+		m.bias[label] = br.F64()
+		m.weights[label] = readFloatMap(br)
 	}
 	// Prediction tie-breaks assume sorted label order; a stream that lost
 	// it is corrupt.
 	if !sort.StringsAreSorted(m.labels) {
-		return nil, fmt.Errorf("classify: corrupt model (labels out of order)")
+		br.Corrupt("labels out of order")
 	}
-	return m, nil
+	return m
 }
 
-func readBayes(cr *clfReader) (*NaiveBayes, error) {
-	alpha, err := cr.f64()
-	if err != nil {
-		return nil, err
-	}
-	total, err := cr.f64()
-	if err != nil {
-		return nil, err
-	}
-	n, err := cr.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxClfLabels {
-		return nil, fmt.Errorf("classify: corrupt model (%d classes)", n)
-	}
+func readBayes(br *codec.Reader) *NaiveBayes {
+	alpha, total := br.F64(), br.F64()
+	n := br.Count("class", minClassRecord)
 	nb := &NaiveBayes{
 		Alpha:      alpha,
 		total:      total,
@@ -346,28 +191,14 @@ func readBayes(cr *clfReader) (*NaiveBayes, error) {
 		classTotal: make(map[string]float64, n),
 		vocab:      map[string]struct{}{},
 	}
-	for i := uint32(0); i < n; i++ {
-		class, err := cr.str()
-		if err != nil {
-			return nil, fmt.Errorf("classify: class %d: %w", i, err)
-		}
+	for i := 0; i < n && br.Err() == nil; i++ {
+		class := br.Str()
 		if _, dup := nb.classCount[class]; dup {
-			return nil, fmt.Errorf("classify: corrupt model (duplicate class %q)", class)
+			br.Corrupt("duplicate class %q", class)
 		}
-		count, err := cr.f64()
-		if err != nil {
-			return nil, fmt.Errorf("classify: class %q: %w", class, err)
-		}
-		classTotal, err := cr.f64()
-		if err != nil {
-			return nil, fmt.Errorf("classify: class %q: %w", class, err)
-		}
-		tc, err := cr.floatMap()
-		if err != nil {
-			return nil, fmt.Errorf("classify: class %q: %w", class, err)
-		}
-		nb.classCount[class] = count
-		nb.classTotal[class] = classTotal
+		nb.classCount[class] = br.F64()
+		nb.classTotal[class] = br.F64()
+		tc := readFloatMap(br)
 		nb.termCount[class] = tc
 		// The training loop only ever adds a term to the vocabulary when
 		// it lands in some class's term counts, so the union reconstructs
@@ -376,5 +207,5 @@ func readBayes(cr *clfReader) (*NaiveBayes, error) {
 			nb.vocab[term] = struct{}{}
 		}
 	}
-	return nb, nil
+	return nb
 }

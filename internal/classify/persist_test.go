@@ -2,12 +2,17 @@ package classify
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/textproc"
 )
 
@@ -69,7 +74,7 @@ func TestClassifierRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Errorf("WriteClassifier reported %d bytes, wrote %d", n, buf.Len())
 			}
-			got, err := ReadClassifier(bytes.NewReader(buf.Bytes()))
+			got, err := ReadClassifier(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +163,7 @@ func TestReadClassifierTruncationSweep(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := ReadClassifier(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadClassifier(data[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", cut, len(data))
 		}
 	}
@@ -190,7 +195,7 @@ func TestReadClassifierCorrupt(t *testing.T) {
 			// Every prefix of the header region plus a spread of payload
 			// truncations must error.
 			for cut := 0; cut < len(valid); cut += 1 + cut/16 {
-				if _, err := ReadClassifier(bytes.NewReader(valid[:cut])); err == nil {
+				if _, err := ReadClassifier(valid[:cut]); err == nil {
 					t.Errorf("truncation at %d/%d bytes read successfully", cut, len(valid))
 				}
 			}
@@ -218,7 +223,7 @@ func TestReadClassifierCorrupt(t *testing.T) {
 				t.Run(m.name, func(t *testing.T) {
 					mutated := append([]byte(nil), valid...)
 					m.mutate(mutated)
-					if _, err := ReadClassifier(bytes.NewReader(mutated)); err == nil {
+					if _, err := ReadClassifier(mutated); err == nil {
 						t.Error("corrupt stream read successfully")
 					}
 				})
@@ -244,13 +249,103 @@ func FuzzReadClassifier(f *testing.F) {
 	}
 	f.Add([]byte("TCLF"))
 	f.Add([]byte{})
+	for _, lie := range termCountLies() {
+		f.Add(lie)
+	}
 	features := textproc.Extract("museum dinner campus")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadClassifier(bytes.NewReader(data))
+		c, err := ReadClassifier(data)
 		if err != nil {
 			return
 		}
 		// Accepted models must be usable.
 		_ = c.Predict(features)
 	})
+}
+
+// TestTCLFBytesLocked pins the format: the sha256 of one SVM's TCLF stream,
+// recorded from the bufio + binary.Write writer (commit 2fd69de) before the
+// shared codec replaced it.
+func TestTCLFBytesLocked(t *testing.T) {
+	model := LinearSVMTrainer{Epochs: 1, Seed: 5}.Train(persistDataset()).(*LinearSVM)
+	sum := sha256.Sum256(model.AppendTo(nil))
+	const want = "aa72eefc35df819e34fea824b5af48f5298dab445cadd376589eb7ad15135e43"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("sha256 %s, recorded %s", got, want)
+	}
+}
+
+// termCountLies are the smallest streams of each kind whose one label or
+// class claims 1<<22 terms and ends there (36 and 62 bytes).
+func termCountLies() map[string][]byte {
+	svm := codec.AppendU32(appendHeader(nil, clfKindSVM), 1)
+	svm = codec.AppendF64(codec.AppendStr(svm, "a"), 0)
+	bayes := codec.AppendF64(codec.AppendF64(appendHeader(nil, clfKindBayes), 1), 1)
+	bayes = codec.AppendStr(codec.AppendU32(bayes, 1), "a")
+	bayes = codec.AppendF64(codec.AppendF64(bayes, 1), 1)
+	return map[string][]byte{
+		"svm":   codec.AppendU32(svm, 1<<22),
+		"bayes": codec.AppendU32(bayes, 1<<22),
+	}
+}
+
+// TestReadClassifierRejectsCountLieCheaply: a term count the remaining bytes
+// cannot hold is refused before the term map is sized from it. 1<<22 passed
+// the former fixed cap and cost 213 MB on the 36-byte SVM stream.
+func TestReadClassifierRejectsCountLieCheaply(t *testing.T) {
+	for name, lie := range termCountLies() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadClassifier(lie)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "term count") {
+			t.Fatalf("%s: err = %v, want a term count rejection", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(lie), got)
+		}
+	}
+}
+
+// TestBayesDeterministic: training twice on one dataset serialises to equal
+// bytes, and repeated Scores calls on one model and input are bit-equal —
+// neither may depend on map iteration order.
+func TestBayesDeterministic(t *testing.T) {
+	d := bayesDataset()
+	first := BayesTrainer{}.Train(d).(*NaiveBayes)
+	want := first.AppendTo(nil)
+	for i := 0; i < 9; i++ {
+		if got := (BayesTrainer{}).Train(d).(*NaiveBayes).AppendTo(nil); !bytes.Equal(got, want) {
+			t.Fatalf("retrain %d serialised to different bytes", i)
+		}
+	}
+	f := d.Examples[0].Features
+	ref := first.Scores(f)
+	for i := 0; i < 50; i++ {
+		for class, s := range first.Scores(f) {
+			if math.Float64bits(s) != math.Float64bits(ref[class]) {
+				t.Fatalf("Scores call %d: class %q scored %v, first call %v", i, class, s, ref[class])
+			}
+		}
+	}
+}
+
+// bayesDataset is a corpus whose snippets draw 7 to 13 words from a small
+// vocabulary, so a snippet's normalized frequencies are unequal and not
+// dyadic and a sum over them depends on the order of its terms
+// (persistDataset's sums happen to be exact).
+func bayesDataset() Dataset {
+	var d Dataset
+	rng := rand.New(rand.NewSource(3))
+	words := []string{"museum", "art", "exhibit", "menu", "chef", "dinner", "school", "campus", "students"}
+	labels := []string{"museum", "restaurant", "school"}
+	for i := 0; i < 60; i++ {
+		var sb strings.Builder
+		for j, n := 0, 7+rng.Intn(7); j < n; j++ {
+			sb.WriteByte(' ')
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		d.Add(sb.String(), labels[i%len(labels)])
+	}
+	return d
 }

@@ -5,8 +5,7 @@ package disambig
 // partition (coarsened by per-cell coupling), and the decomposed resolution
 // must stay BIT-identical to an undecomposed run of the same engine — the
 // whole table as ONE component, where the stop coordinator has nothing to
-// reconcile — same choices, same float64 scores, at every worker count, over
-// both gazetteer forms.
+// reconcile — same choices, same float64 scores, at every worker count.
 
 import (
 	"math/rand"

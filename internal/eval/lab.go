@@ -98,10 +98,9 @@ type Lab struct {
 	KB     *kb.KB
 	Engine *search.Engine
 
-	// Geo is the immutable gazetteer frozen from the universe's mutable
-	// one; the annotation pipeline and the serving layer work against it
-	// (results are identical to the builder — differentially enforced in
-	// internal/gazetteer).
+	// Geo is the universe's frozen gazetteer (World.Gaz), or the one
+	// loaded from a snapshot; the annotation pipeline and the serving
+	// layer work against it.
 	Geo *gazetteer.Frozen
 
 	SVM   classify.Classifier

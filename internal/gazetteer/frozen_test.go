@@ -237,7 +237,7 @@ func TestFrozenPersistRoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 		}
-		got, err := ReadFrozen(bytes.NewReader(buf.Bytes()))
+		got, err := ReadFrozen(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestReadFrozenRejectsCorruption(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			mutated := c.mutate(append([]byte(nil), good...))
-			if _, err := ReadFrozen(bytes.NewReader(mutated)); err == nil {
+			if _, err := ReadFrozen(mutated); err == nil {
 				t.Error("corrupt snapshot loaded without error")
 			}
 		})

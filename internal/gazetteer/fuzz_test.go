@@ -48,11 +48,7 @@ func FuzzParseAddress(f *testing.F) {
 var fuzzGaz = sync.OnceValues(func() (*reference, [2]*Frozen) {
 	b := SyntheticScale(42, 2)
 	g, f := newReference(b), b.Freeze()
-	var buf strings.Builder
-	if _, err := f.WriteTo(&buf); err != nil {
-		panic(err)
-	}
-	reloaded, err := ReadFrozen(strings.NewReader(buf.String()))
+	reloaded, err := ReadFrozen(f.AppendTo(nil))
 	if err != nil {
 		panic(err)
 	}

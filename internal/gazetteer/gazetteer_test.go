@@ -6,7 +6,7 @@ import (
 )
 
 // buildSmall is a ten-location hand-built gazetteer; USA is location 1.
-func buildSmall(t *testing.T) *Builder {
+func buildSmall(t testing.TB) *Builder {
 	t.Helper()
 	g := New()
 	usa := g.Add("USA", Country, NoLocation)

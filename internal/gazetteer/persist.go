@@ -1,10 +1,10 @@
 package gazetteer
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/codec"
 )
 
 // Frozen gazetteer persistence: a compact binary snapshot so a gazetteer
@@ -21,163 +21,68 @@ import (
 // names, container chains, child ranges, lookup buckets, cityOf) are rebuilt
 // on load and checked against the stored integrity section, keeping the file
 // small at the cost of a cheap re-derivation — the same trade the search
-// index makes. The reader validates the hierarchy (kind/parent agreement,
-// parents preceding children) so a corrupt file returns an error instead of
-// panicking dataset-construction invariants.
+// index makes. The reader bounds both counts by the bytes that remain and
+// validates the hierarchy (kind/parent agreement, parents preceding children)
+// so a corrupt file returns an error instead of allocating for a count it
+// cannot hold or panicking dataset-construction invariants.
 
 const (
 	gazMagic   = "TGAZ"
 	gazVersion = 1
-
-	// maxGazLocations bounds the location count a reader accepts; far
-	// above any real dataset, it only rejects obviously corrupt headers.
-	maxGazLocations = 1 << 26
 )
 
-// countWriter counts the bytes that actually reach the underlying writer,
-// so WriteTo's reported n stays honest when a write (or the final flush)
-// fails partway.
-type countWriter struct {
-	w io.Writer
-	n int64
+// AppendTo appends the frozen gazetteer's TGAZ stream to b.
+func (f *Frozen) AppendTo(b []byte) []byte {
+	b = codec.AppendHeader(b, gazMagic, gazVersion)
+	b = codec.AppendU32(b, uint32(f.Len()))
+	b = codec.AppendU32(b, uint32(len(f.names)))
+	for _, name := range f.names {
+		b = codec.AppendStr(b, name)
+	}
+	for i := 1; i <= f.Len(); i++ {
+		b = codec.AppendU32(b, uint32(f.nameID[i]))
+		b = codec.AppendU32(b, uint32(f.kinds[i]))
+		b = codec.AppendU32(b, uint32(f.parents[i]))
+	}
+	// Integrity section: derived-structure sizes the reader verifies after
+	// rebuilding.
+	b = codec.AppendU32(b, uint32(len(f.chains)))
+	b = codec.AppendU32(b, uint32(len(f.children)))
+	return codec.AppendU32(b, uint32(len(f.norms)))
 }
 
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// WriteTo serialises the frozen gazetteer. It returns the byte count written
-// to w (buffered internally; the count reflects flushed bytes, per the
-// io.WriterTo contract).
+// WriteTo writes the TGAZ stream to w in one Write and returns the byte
+// count w accepted.
 func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	u32 := func(v uint32) error {
-		return binary.Write(bw, binary.LittleEndian, v)
-	}
-	str := func(s string) error {
-		if err := u32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	err := func() error {
-		if _, err := bw.WriteString(gazMagic); err != nil {
-			return err
-		}
-		if err := u32(gazVersion); err != nil {
-			return err
-		}
-		if err := u32(uint32(f.Len())); err != nil {
-			return err
-		}
-		if err := u32(uint32(len(f.names))); err != nil {
-			return err
-		}
-		for _, name := range f.names {
-			if err := str(name); err != nil {
-				return err
-			}
-		}
-		for i := 1; i <= f.Len(); i++ {
-			if err := u32(uint32(f.nameID[i])); err != nil {
-				return err
-			}
-			if err := u32(uint32(f.kinds[i])); err != nil {
-				return err
-			}
-			if err := u32(uint32(f.parents[i])); err != nil {
-				return err
-			}
-		}
-		// Integrity section: derived-structure sizes the reader verifies
-		// after rebuilding.
-		if err := u32(uint32(len(f.chains))); err != nil {
-			return err
-		}
-		if err := u32(uint32(len(f.children))); err != nil {
-			return err
-		}
-		return u32(uint32(len(f.norms)))
-	}()
-	if err != nil {
-		return cw.n, err
-	}
-	return cw.n, bw.Flush()
+	n, err := w.Write(f.AppendTo(nil))
+	return int64(n), err
 }
 
-// ReadFrozen loads a gazetteer snapshot previously written with WriteTo,
-// validating the header, the hierarchy and the derived-structure integrity
-// section. The result behaves identically to the Frozen that was written.
-func ReadFrozen(r io.Reader) (*Frozen, error) {
-	br := bufio.NewReader(r)
-	u32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	str := func() (string, error) {
-		n, err := u32()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("gazetteer: corrupt snapshot (name length %d)", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	magic := make([]byte, len(gazMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("gazetteer: reading magic: %w", err)
-	}
-	if string(magic) != gazMagic {
-		return nil, fmt.Errorf("gazetteer: bad magic %q", magic)
-	}
-	version, err := u32()
-	if err != nil {
+// ReadFrozen loads the TGAZ stream data (written by WriteTo, held in memory
+// by the caller), validating the header, the hierarchy and the
+// derived-structure integrity section. The result behaves identically to the
+// Frozen that was written.
+func ReadFrozen(data []byte) (*Frozen, error) {
+	br := codec.NewReader("gazetteer: corrupt snapshot", data)
+	if err := br.Header(gazMagic, gazVersion); err != nil {
 		return nil, err
 	}
-	if version != gazVersion {
-		return nil, fmt.Errorf("gazetteer: unsupported snapshot version %d", version)
-	}
-	locCount, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	nameCount, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if locCount > maxGazLocations || nameCount > locCount {
-		return nil, fmt.Errorf("gazetteer: corrupt snapshot (%d locations, %d names)", locCount, nameCount)
+	// Both counts precede both tables: a location record is 12 bytes, a name
+	// at least its 4-byte length.
+	locCount := br.Count("location", 12)
+	nameCount := br.Count("name", 4)
+	if nameCount > locCount {
+		return nil, br.Corrupt("%d locations, %d names", locCount, nameCount)
 	}
 	names := make([]string, nameCount)
 	for i := range names {
-		if names[i], err = str(); err != nil {
-			return nil, fmt.Errorf("gazetteer: name %d: %w", i, err)
-		}
+		names[i] = br.Str()
 	}
 	locs := make([]location, 1, locCount+1)
-	for id := uint32(1); id <= locCount; id++ {
-		nameID, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("gazetteer: location %d: %w", id, err)
-		}
-		kind, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("gazetteer: location %d: %w", id, err)
-		}
-		parent, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("gazetteer: location %d: %w", id, err)
+	for id := uint32(1); id <= uint32(locCount); id++ {
+		nameID, kind, parent := br.U32(), br.U32(), br.U32()
+		if err := br.Err(); err != nil {
+			return nil, err
 		}
 		if nameID >= uint32(len(names)) {
 			return nil, fmt.Errorf("gazetteer: location %d: name id %d out of range", id, nameID)
@@ -205,13 +110,12 @@ func ReadFrozen(r io.Reader) (*Frozen, error) {
 		{"child count", len(f.children)},
 		{"normalized name count", len(f.norms)},
 	} {
-		got, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("gazetteer: integrity section: %w", err)
+		if got := int(br.U32()); got != check.want {
+			return nil, br.Corrupt("%s mismatch: %d stored, %d rebuilt", check.name, got, check.want)
 		}
-		if int(got) != check.want {
-			return nil, fmt.Errorf("gazetteer: %s mismatch: %d stored, %d rebuilt", check.name, got, check.want)
-		}
+	}
+	if err := br.Done(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

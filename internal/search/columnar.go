@@ -280,23 +280,18 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 // eachPosting calls emit for every posting of term id tid, merging the English
 // and non-English sections back into ascending doc order — the order the
 // postings were added in and TIDX stores them in.
-func (c *columns) eachPosting(tid int, emit func(doc, tf int32) error) error {
+func (c *columns) eachPosting(tid int, emit func(doc, tf int32)) {
 	e, eEnd := c.engOff[tid], c.engOff[tid+1]
 	o, oEnd := c.othOff[tid], c.othOff[tid+1]
 	for e < eEnd || o < oEnd {
-		var err error
 		if o == oEnd || (e < eEnd && c.engDoc[e] < c.othDoc[o]) {
-			err = emit(c.engDoc[e], c.engTF[e])
+			emit(c.engDoc[e], c.engTF[e])
 			e++
 		} else {
-			err = emit(c.othDoc[o], c.othTF[o])
+			emit(c.othDoc[o], c.othTF[o])
 			o++
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // positionsIn returns the content positions of term id tid within doc, or

@@ -77,9 +77,8 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 			// CSR round-trip: merging the English and non-English sections
 			// back into doc order must reproduce the exact posting list.
 			var got []posting
-			c.eachPosting(int(tid), func(doc, tf int32) error {
+			c.eachPosting(int(tid), func(doc, tf int32) {
 				got = append(got, posting{doc: int(doc), tf: int(tf)})
-				return nil
 			})
 			if !reflect.DeepEqual(got, want) {
 				fatalf("postings of %q = %v, want %v", term, got, want)

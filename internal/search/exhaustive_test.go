@@ -90,7 +90,7 @@ func TestExhaustiveSmallScope(t *testing.T) {
 			}
 			fresh := b.Freeze()
 			data := tidx(t, fresh)
-			loaded, err := ReadShardedIndexBytes(data)
+			loaded, err := ReadShardedIndex(data)
 			if err != nil {
 				t.Fatalf("%s x%d: persisted index rejected: %v", corpus, shards, err)
 			}

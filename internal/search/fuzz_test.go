@@ -164,7 +164,7 @@ func indexStreamSeeds(t testing.TB) map[string][]byte {
 func FuzzReadShardedIndex(f *testing.F) {
 	queries := []string{"melisse restaurant", `"santa monica" menu`, "museum", `"fine dining"`, ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		six, err := ReadShardedIndexBytes(data)
+		six, err := ReadShardedIndex(data)
 		if err != nil {
 			return
 		}
@@ -174,7 +174,7 @@ func FuzzReadShardedIndex(f *testing.F) {
 		}
 		six.SearchBatch(queries, 3)
 		first := tidx(t, six)
-		again, err := ReadShardedIndexBytes(first)
+		again, err := ReadShardedIndex(first)
 		if err != nil {
 			t.Fatalf("an accepted index persisted to a stream the reader rejects: %v", err)
 		}
@@ -197,7 +197,7 @@ func TestIndexStreamCorpusCheckedIn(t *testing.T) {
 		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(file) != want {
 			t.Errorf("%s: checked-in corpus file differs from the generated seed", name)
 		}
-		_, err = ReadShardedIndexBytes(data)
+		_, err = ReadShardedIndex(data)
 		if valid := strings.HasPrefix(name, "valid-"); valid != (err == nil) {
 			t.Errorf("%s: err = %v", name, err)
 		}

@@ -1,12 +1,13 @@
 package search
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strings"
+
+	"repro/internal/codec"
 )
 
 // Index persistence: a compact binary snapshot so a corpus indexed once can
@@ -46,228 +47,97 @@ const (
 	indexMagic   = "TIDX"
 	indexVersion = 4
 
-	// maxStr caps any length-prefixed string in the stream.
-	maxStr = 1 << 26
-	// minTermRecord is the least a term record of either section occupies
-	// (string length, list count, one 8-byte list entry), bounding a claimed
-	// term count by the bytes that remain.
+	// minDocRecord is the least a doc record occupies (four string lengths,
+	// flags, word count) and minTermRecord the least a term record of either
+	// section does (string length, list count, one 8-byte list entry): the
+	// codec refuses a doc or term count the bytes that remain cannot hold.
+	minDocRecord  = 21
 	minTermRecord = 16
 )
 
-// persistWriter wraps the encoding helpers of WriteTo.
-type persistWriter struct {
-	bw *bufio.Writer
-	n  int64
-}
-
-func (pw *persistWriter) Write(p []byte) (int, error) {
-	n, err := pw.bw.Write(p)
-	pw.n += int64(n)
-	return n, err
-}
-
-func (pw *persistWriter) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := pw.Write(b[:])
-	return err
-}
-
-func (pw *persistWriter) u8(v byte) error {
-	_, err := pw.Write([]byte{v})
-	return err
-}
-
-func (pw *persistWriter) str(s string) error {
-	if err := pw.u32(uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(pw, s)
-	return err
-}
-
-// header writes magic, version and the shard count.
-func (pw *persistWriter) header(shards int) error {
-	if _, err := pw.Write([]byte(indexMagic)); err != nil {
-		return err
-	}
-	if err := pw.u32(indexVersion); err != nil {
-		return err
-	}
-	return pw.u32(uint32(shards))
-}
-
-// doc writes one document record: the stored fields plus the derived-state
-// hints (canonical-join flag, content-word bitmap) the fast reader needs to
-// reconstruct snippets without re-tokenising. ld is the doc's shard-local id.
-func (pw *persistWriter) doc(ix *Index, ld int) error {
+// appendDoc appends one document record: the stored fields plus the
+// derived-state hints (canonical-join flag, content-word bitmap) the reader
+// needs to reconstruct snippets without re-tokenising. ld is the doc's
+// shard-local id.
+func appendDoc(b []byte, ix *Index, ld int) []byte {
 	d := ix.docs[ld]
 	for _, s := range []string{d.URL, d.Title, d.Body, d.Lang} {
-		if err := pw.str(s); err != nil {
-			return err
-		}
+		b = codec.AppendStr(b, s)
 	}
 	var flags byte
 	if ix.bodyJoined[ld] == d.Body {
 		flags |= 1
 	}
-	if err := pw.u8(flags); err != nil {
-		return err
-	}
+	b = append(b, flags)
 	nWords := len(ix.wordOff[ld])
-	if err := pw.u32(uint32(nWords)); err != nil {
-		return err
-	}
-	bitmap := make([]byte, (nWords+7)/8)
+	b = codec.AppendU32(b, uint32(nWords))
+	bitmap := len(b)
+	b = append(b, make([]byte, (nWords+7)/8)...)
 	for _, raw := range ix.contentToRaw[ld] {
-		bitmap[raw/8] |= 1 << (raw % 8)
+		b[bitmap+int(raw/8)] |= 1 << (raw % 8)
 	}
-	_, err := pw.Write(bitmap)
-	return err
+	return b
 }
 
-// sections writes one shard's postings, positions and ordAll sections from
-// its columns.
-func (pw *persistWriter) sections(c *columns) error {
-	if err := pw.u32(uint32(len(c.terms))); err != nil {
-		return err
-	}
-	pair := func(doc, n int32) error { // (doc, tf) or (doc, position count)
-		if err := pw.u32(uint32(doc)); err != nil {
-			return err
-		}
-		return pw.u32(uint32(n))
-	}
+// appendSections appends one shard's postings, positions and ordAll sections
+// from its columns.
+func appendSections(b []byte, c *columns) []byte {
+	b = codec.AppendU32(b, uint32(len(c.terms)))
 	posTerms := 0
 	for tid, term := range c.terms {
-		if err := pw.str(term); err != nil {
-			return err
-		}
+		b = codec.AppendStr(b, term)
 		n := (c.engOff[tid+1] - c.engOff[tid]) + (c.othOff[tid+1] - c.othOff[tid])
-		if err := pw.u32(uint32(n)); err != nil {
-			return err
-		}
-		if err := c.eachPosting(tid, pair); err != nil {
-			return err
-		}
+		b = codec.AppendU32(b, uint32(n))
+		c.eachPosting(tid, func(doc, tf int32) {
+			b = codec.AppendU32(codec.AppendU32(b, uint32(doc)), uint32(tf))
+		})
 		if c.posOff[tid+1] > c.posOff[tid] {
 			posTerms++
 		}
 	}
-	if err := pw.u32(uint32(posTerms)); err != nil {
-		return err
-	}
+	b = codec.AppendU32(b, uint32(posTerms))
 	for tid, term := range c.terms {
 		lo, hi := c.posOff[tid], c.posOff[tid+1]
 		if lo == hi {
 			continue
 		}
-		if err := pw.str(term); err != nil {
-			return err
-		}
-		if err := pw.u32(uint32(hi - lo)); err != nil {
-			return err
-		}
+		b = codec.AppendStr(b, term)
+		b = codec.AppendU32(b, uint32(hi-lo))
 		for l := lo; l < hi; l++ {
-			if err := pair(c.posDoc[l], c.posStart[l+1]-c.posStart[l]); err != nil {
-				return err
-			}
+			b = codec.AppendU32(codec.AppendU32(b, uint32(c.posDoc[l])), uint32(c.posStart[l+1]-c.posStart[l]))
 		}
 		for _, pos := range c.posArena[c.posStart[lo]:c.posStart[hi]] {
-			if err := pw.u32(uint32(pos)); err != nil {
-				return err
-			}
+			b = codec.AppendU32(b, uint32(pos))
 		}
 	}
-	if err := pw.u32(uint32(len(c.ordAll))); err != nil {
-		return err
-	}
+	b = codec.AppendU32(b, uint32(len(c.ordAll)))
 	for _, e := range c.ordAll {
-		if err := pw.u32(uint32(e)); err != nil {
-			return err
-		}
+		b = codec.AppendU32(b, uint32(e))
 	}
-	return nil
+	return b
 }
 
-// WriteTo serialises the index: documents once in global order, then
-// each shard's sections. It returns the byte count written.
-func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
-	pw := &persistWriter{bw: bufio.NewWriter(w)}
+// AppendTo appends the index's TIDX stream to b: documents once in global
+// order, then each shard's sections.
+func (s *ShardedIndex) AppendTo(b []byte) []byte {
 	n := len(s.shards)
-	err := func() error {
-		if err := pw.header(n); err != nil {
-			return err
-		}
-		if err := pw.u32(uint32(s.nDocs)); err != nil {
-			return err
-		}
-		for g := 0; g < s.nDocs; g++ {
-			if err := pw.doc(s.shards[g%n], g/n); err != nil {
-				return err
-			}
-		}
-		for _, sh := range s.shards {
-			if err := pw.sections(sh.col); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if err != nil {
-		return pw.n, err
+	b = codec.AppendHeader(b, indexMagic, indexVersion)
+	b = codec.AppendU32(b, uint32(n))
+	b = codec.AppendU32(b, uint32(s.nDocs))
+	for g := 0; g < s.nDocs; g++ {
+		b = appendDoc(b, s.shards[g%n], g/n)
 	}
-	return pw.n, pw.bw.Flush()
+	for _, sh := range s.shards {
+		b = appendSections(b, sh.col)
+	}
+	return b
 }
 
-// byteReader decodes the in-memory stream with explicit bounds checks: every
-// helper returns an error instead of slicing past the data, so corrupt
-// counts surface as format errors rather than panics.
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (br *byteReader) remaining() int { return len(br.data) - br.off }
-
-func (br *byteReader) block(n int) ([]byte, error) {
-	if n < 0 || n > br.remaining() {
-		return nil, fmt.Errorf("search: corrupt index (truncated at byte %d)", br.off)
-	}
-	b := br.data[br.off : br.off+n]
-	br.off += n
-	return b, nil
-}
-
-func (br *byteReader) u32() (uint32, error) {
-	b, err := br.block(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (br *byteReader) u8() (byte, error) {
-	b, err := br.block(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (br *byteReader) str() (string, error) {
-	n, err := br.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStr {
-		return "", fmt.Errorf("search: corrupt index (string length %d)", n)
-	}
-	b, err := br.block(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+// WriteTo writes the TIDX stream to w in one Write and returns the byte count
+// w accepted.
+func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(s.AppendTo(nil))
+	return int64(n), err
 }
 
 // splitCanonical splits a body that is its own single-space join into its
@@ -298,29 +168,15 @@ func splitCanonical(body string) (words []string, ok bool) {
 // readDoc decodes one document record into shard ix, deriving the
 // snippet-serving state (word offsets, joined body, content-to-raw mapping)
 // from the stored body and bitmap.
-func (br *byteReader) readDoc(ix *Index) error {
-	var fields [4]string
-	for f := range fields {
-		s, err := br.str()
-		if err != nil {
-			return err
-		}
-		fields[f] = s
+func readDoc(br *codec.Reader, ix *Index) error {
+	url, title, body, lang := br.Str(), br.Str(), br.Str(), br.Str()
+	flags := br.U8()
+	nWords := int(br.U32())
+	if nWords > (len(body)+2)/2 {
+		return br.Corrupt("doc claims %d words in a %d-byte body", nWords, len(body))
 	}
-	flags, err := br.u8()
-	if err != nil {
-		return err
-	}
-	nWords, err := br.u32()
-	if err != nil {
-		return err
-	}
-	body := fields[2]
-	if int64(nWords) > (int64(len(body))+1+1)/2 {
-		return fmt.Errorf("search: corrupt index (doc claims %d words in a %d-byte body)", nWords, len(body))
-	}
-	bitmap, err := br.block((int(nWords) + 7) / 8)
-	if err != nil {
+	bitmap := br.Bytes((nWords + 7) / 8)
+	if err := br.Err(); err != nil {
 		return err
 	}
 	var words []string
@@ -328,46 +184,31 @@ func (br *byteReader) readDoc(ix *Index) error {
 	if flags&1 != 0 {
 		var ok bool
 		if words, ok = splitCanonical(body); !ok {
-			return fmt.Errorf("search: corrupt index (body is not its own single-space join)")
+			return br.Corrupt("body is not its own single-space join")
 		}
 	} else {
 		words = strings.Fields(body)
 		joined = strings.Join(words, " ")
 	}
-	if len(words) != int(nWords) {
-		return fmt.Errorf("search: corrupt index (doc stores %d words, body has %d)", nWords, len(words))
+	if len(words) != nWords {
+		return br.Corrupt("doc stores %d words, body has %d", nWords, len(words))
 	}
 	var c2r []int32
-	for i := 0; i < int(nWords); i++ {
+	for i := 0; i < nWords; i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			c2r = append(c2r, int32(i))
 		}
 	}
-	for i := int(nWords); i < 8*len(bitmap); i++ {
+	for i := nWords; i < 8*len(bitmap); i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			return fmt.Errorf("search: corrupt index (content bitmap has stray bits)")
+			return br.Corrupt("content bitmap has stray bits")
 		}
 	}
-	lang := fields[3]
 	if lang == "" {
 		lang = "en"
 	}
-	ix.appendDoc(Document{
-		ID: len(ix.docs), URL: fields[0], Title: fields[1], Body: body, Lang: lang,
-	}, joined, words, c2r)
+	ix.appendDoc(Document{ID: len(ix.docs), URL: url, Title: title, Body: body, Lang: lang}, joined, words, c2r)
 	return nil
-}
-
-// termCount reads a section's term count, bounded by the bytes that remain.
-func (br *byteReader) termCount(section string) (int, error) {
-	n, err := br.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*minTermRecord > int64(br.remaining()) {
-		return 0, fmt.Errorf("search: corrupt index (%s term count %d)", section, n)
-	}
-	return int(n), nil
 }
 
 // readShard decodes one shard's postings, positions and ordAll sections
@@ -376,46 +217,36 @@ func (br *byteReader) termCount(section string) (int, error) {
 // from the bytes just checked. It returns the shard's document lengths,
 // accumulated from the stored term frequencies (a doc's length is exactly
 // the sum of its tf mass), for rank.
-func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
+func readShard(br *codec.Reader, data []byte, ix *Index) (docLen []int, err error) {
 	nDocs := len(ix.docs)
 	english := ix.english()
+	le := binary.LittleEndian
 
-	nTerms, err := br.termCount("postings")
-	if err != nil {
-		return nil, err
-	}
+	nTerms := br.Count("postings term", minTermRecord)
 	terms := make([]string, nTerms)
 	counts := make([][2]int32, nTerms) // per term: English, other postings
 	nEng, nOth := 0, 0
-	postingsAt := br.off
+	postingsAt := br.Offset()
 	for t := range terms {
-		term, err := br.str()
-		if err != nil {
-			return nil, err
-		}
+		term, n := br.Str(), int(br.U32())
 		if t > 0 && term <= terms[t-1] {
-			return nil, fmt.Errorf("search: corrupt index (postings terms out of order at %q)", term)
+			return nil, br.Corrupt("postings terms out of order at %q", term)
 		}
 		terms[t] = term
-		n, err := br.u32()
-		if err != nil {
-			return nil, err
+		if n == 0 || n > nDocs {
+			return nil, br.Corrupt("term %q has %d postings in a %d-doc shard", term, n, nDocs)
 		}
-		if n == 0 || int(n) > nDocs {
-			return nil, fmt.Errorf("search: corrupt index (term %q has %d postings in a %d-doc shard)", term, n, nDocs)
-		}
-		blk, err := br.block(8 * int(n))
-		if err != nil {
-			return nil, err
+		blk := br.Bytes(8 * n)
+		if blk == nil {
+			return nil, br.Err()
 		}
 		prevDoc := -1
-		for j := 0; j < int(n); j++ {
-			doc := int(binary.LittleEndian.Uint32(blk[8*j:]))
-			tf := binary.LittleEndian.Uint32(blk[8*j+4:])
-			// A term cannot occur more often than a maxStr-bounded document
-			// has words, so a tf past int32 is a lie, not a big document.
+		for j := 0; j < n; j++ {
+			doc, tf := int(le.Uint32(blk[8*j:])), le.Uint32(blk[8*j+4:])
+			// A tf counts words of one in-memory document, so one past int32
+			// is a lie, not a big document.
 			if doc <= prevDoc || doc >= nDocs || tf == 0 || tf > math.MaxInt32 {
-				return nil, fmt.Errorf("search: corrupt index (posting %d of %q: doc %d, tf %d)", j, term, doc, tf)
+				return nil, br.Corrupt("posting %d of %q: doc %d, tf %d", j, term, doc, tf)
 			}
 			prevDoc = doc
 			if english[doc] {
@@ -428,62 +259,51 @@ func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
 		nOth += int(counts[t][1])
 	}
 
-	nPosTerms, err := br.termCount("positional")
-	if err != nil {
-		return nil, err
-	}
+	nPosTerms := br.Count("positional term", minTermRecord)
 	lists := make([]int32, nTerms) // per term: docs with a position list
 	nLists, nPos := 0, 0
-	positionsAt := br.off
+	positionsAt := br.Offset()
 	prevTerm, tid := "", 0
 	for t := 0; t < nPosTerms; t++ {
-		term, err := br.str()
-		if err != nil {
-			return nil, err
-		}
+		term, nd := br.Str(), int(br.U32())
 		if t > 0 && term <= prevTerm {
-			return nil, fmt.Errorf("search: corrupt index (positional terms out of order at %q)", term)
+			return nil, br.Corrupt("positional terms out of order at %q", term)
 		}
 		prevTerm = term
 		for tid < nTerms && terms[tid] < term {
 			tid++
 		}
 		if tid == nTerms || terms[tid] != term {
-			return nil, fmt.Errorf("search: corrupt index (positional term %q has no postings)", term)
+			return nil, br.Corrupt("positional term %q has no postings", term)
 		}
-		nd, err := br.u32()
-		if err != nil {
-			return nil, err
+		if nd == 0 || nd > nDocs {
+			return nil, br.Corrupt("term %q has position lists for %d of %d docs", term, nd, nDocs)
 		}
-		if nd == 0 || int(nd) > nDocs {
-			return nil, fmt.Errorf("search: corrupt index (term %q has position lists for %d of %d docs)", term, nd, nDocs)
-		}
-		hdr, err := br.block(8 * int(nd))
-		if err != nil {
-			return nil, err
+		hdr := br.Bytes(8 * nd)
+		if hdr == nil {
+			return nil, br.Err()
 		}
 		// The term's positions follow its header, doc-major: one block per
 		// list, read in step.
 		prevDoc := -1
-		for j := 0; j < int(nd); j++ {
-			doc := int(binary.LittleEndian.Uint32(hdr[8*j:]))
-			np := int(binary.LittleEndian.Uint32(hdr[8*j+4:]))
+		for j := 0; j < nd; j++ {
+			doc, np := int(le.Uint32(hdr[8*j:])), int(le.Uint32(hdr[8*j+4:]))
 			if doc <= prevDoc || doc >= nDocs {
-				return nil, fmt.Errorf("search: corrupt index (position list %d of %q: doc %d)", j, term, doc)
+				return nil, br.Corrupt("position list %d of %q: doc %d", j, term, doc)
 			}
 			limit := len(ix.contentToRaw[doc])
 			if np == 0 || np > limit {
-				return nil, fmt.Errorf("search: corrupt index (doc %d claims %d positions of %d content words)", doc, np, limit)
+				return nil, br.Corrupt("doc %d claims %d positions of %d content words", doc, np, limit)
 			}
-			blk, err := br.block(4 * np)
-			if err != nil {
-				return nil, err
+			blk := br.Bytes(4 * np)
+			if blk == nil {
+				return nil, br.Err()
 			}
 			prev := int32(-1)
 			for p := 0; p < np; p++ {
-				v := int32(binary.LittleEndian.Uint32(blk[4*p:]))
+				v := int32(le.Uint32(blk[4*p:]))
 				if v <= prev || v >= int32(limit) {
-					return nil, fmt.Errorf("search: corrupt index (position %d of %q in doc %d: %d)", p, term, doc, v)
+					return nil, br.Corrupt("position %d of %q in doc %d: %d", p, term, doc, v)
 				}
 				prev = v
 			}
@@ -491,18 +311,14 @@ func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
 			nPos += np
 		}
 		lists[tid] = int32(nd)
-		nLists += int(nd)
+		nLists += nd
 	}
 
-	ordLen, err := br.u32()
-	if err != nil {
-		return nil, err
+	if ordLen := int(br.U32()); ordLen != nEng {
+		return nil, br.Corrupt("ordAll has %d entries, English postings %d", ordLen, nEng)
 	}
-	if int(ordLen) != nEng {
-		return nil, fmt.Errorf("search: corrupt index (ordAll has %d entries, English postings %d)", ordLen, nEng)
-	}
-	ordBlk, err := br.block(4 * nEng)
-	if err != nil {
+	ordBlk := br.Bytes(4 * nEng)
+	if err := br.Err(); err != nil {
 		return nil, err
 	}
 
@@ -510,14 +326,12 @@ func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
 	// indexes the stream directly.
 	c := newColumns(terms, nEng, nOth, nLists, nPos)
 	docLen = make([]int, nDocs)
-	data := br.data
 	at := postingsAt
 	for t, term := range terms {
 		e, o := c.engOff[t], c.othOff[t]
 		at += 4 + len(term) + 4
 		for n := counts[t][0] + counts[t][1]; n > 0; n-- {
-			doc := int32(binary.LittleEndian.Uint32(data[at:]))
-			tf := int32(binary.LittleEndian.Uint32(data[at+4:]))
+			doc, tf := int32(le.Uint32(data[at:])), int32(le.Uint32(data[at+4:]))
 			at += 8
 			docLen[doc] += int(tf)
 			if english[doc] {
@@ -537,13 +351,13 @@ func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
 			at += 4 + len(term) + 4
 			first := p
 			for end := l + lists[t]; l < end; l++ {
-				c.posDoc[l] = int32(binary.LittleEndian.Uint32(data[at:]))
-				p += int32(binary.LittleEndian.Uint32(data[at+4:]))
+				c.posDoc[l] = int32(le.Uint32(data[at:]))
+				p += int32(le.Uint32(data[at+4:]))
 				c.posStart[l+1] = p
 				at += 8
 			}
 			for i := first; i < p; i++ {
-				c.posArena[i] = int32(binary.LittleEndian.Uint32(data[at:]))
+				c.posArena[i] = int32(le.Uint32(data[at:]))
 				at += 4
 			}
 		}
@@ -551,7 +365,7 @@ func (br *byteReader) readShard(ix *Index) (docLen []int, err error) {
 	}
 	c.ordAll = make([]int32, nEng)
 	for i := range c.ordAll {
-		c.ordAll[i] = int32(binary.LittleEndian.Uint32(ordBlk[4*i:]))
+		c.ordAll[i] = int32(le.Uint32(ordBlk[4*i:]))
 	}
 	ix.col = c
 	return docLen, nil
@@ -582,31 +396,36 @@ func (c *columns) checkOrd() error {
 	return nil
 }
 
-// readV4 reconstructs a sharded index directly from a v4 stream.
-func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
-	docCount, err := br.u32()
-	if err != nil {
+// ReadShardedIndex loads the TIDX stream data (written by WriteTo, held in
+// memory by the caller) with the stored shard count, ready to serve queries.
+func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
+	br := codec.NewReader("search: corrupt index", data)
+	if err := br.Header(indexMagic, indexVersion); err != nil {
 		return nil, err
 	}
-	// A doc record is at least 21 bytes (four string lengths, flags, word
-	// count), bounding the claimed count by the stream itself.
-	if int64(docCount)*21 > int64(br.remaining()) {
-		return nil, fmt.Errorf("search: corrupt index (doc count %d)", docCount)
+	shards := int(br.U32())
+	if shards == 0 || shards > 1<<16 {
+		return nil, br.Corrupt("shard count %d", shards)
 	}
-	s := newShardedIndex(shards, int(docCount))
-	for g := 0; g < int(docCount); g++ {
-		if err := br.readDoc(s.shards[g%shards]); err != nil {
+	docCount := br.Count("doc", minDocRecord)
+	if err := br.Err(); err != nil {
+		return nil, err
+	}
+	s := newShardedIndex(shards, docCount)
+	for g := 0; g < docCount; g++ {
+		if err := readDoc(br, s.shards[g%shards]); err != nil {
 			return nil, fmt.Errorf("search: doc %d: %w", g, err)
 		}
 	}
 	docLen := make([][]int, shards)
 	for si, sh := range s.shards {
-		if docLen[si], err = br.readShard(sh); err != nil {
+		var err error
+		if docLen[si], err = readShard(br, data, sh); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
-	if br.remaining() != 0 {
-		return nil, fmt.Errorf("search: corrupt index (%d trailing bytes)", br.remaining())
+	if err := br.Done(); err != nil {
+		return nil, err
 	}
 
 	// Finish as Builder.Freeze does, but with each shard's stored ordAll
@@ -619,45 +438,4 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 		sh.col.scatterDense(len(sh.docs))
 	}
 	return s, nil
-}
-
-// ReadShardedIndex loads an index snapshot written by WriteTo, with the
-// stored shard count, ready to serve queries. The whole stream is buffered in memory first (callers open
-// bounded files), which lets the decoder work over flat blocks instead of
-// per-integer reads.
-func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("search: reading index: %w", err)
-	}
-	return ReadShardedIndexBytes(data)
-}
-
-// ReadShardedIndexBytes is ReadShardedIndex over an already-buffered stream.
-// Callers that hold the encoded section in memory (the snapshot bundle
-// reader, after checksumming) use this to skip a second full-stream copy.
-func ReadShardedIndexBytes(data []byte) (*ShardedIndex, error) {
-	br := &byteReader{data: data}
-	magic, err := br.block(4)
-	if err != nil {
-		return nil, fmt.Errorf("search: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("search: bad magic %q", magic)
-	}
-	version, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != indexVersion {
-		return nil, fmt.Errorf("search: unsupported index version %d", version)
-	}
-	shards, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	if shards == 0 || shards > 1<<16 {
-		return nil, fmt.Errorf("search: corrupt index (shard count %d)", shards)
-	}
-	return readV4(br, int(shards))
 }

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // tidx serialises an index, failing the test on a write error.
@@ -52,42 +54,40 @@ type tidxFields struct {
 
 func locateFields(t testing.TB, data []byte) tidxFields {
 	t.Helper()
-	br := &byteReader{data: data, off: 12}
-	must := func(v uint32, err error) int {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int(v)
-	}
+	br := codec.NewReader("locateFields", data)
+	br.Bytes(12)
 	scratch := newShardedIndex(1, 0)
-	for n := must(br.u32()); n > 0; n-- {
-		if err := br.readDoc(scratch.shards[0]); err != nil {
+	for n := br.U32(); n > 0; n-- {
+		if err := readDoc(br, scratch.shards[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var f tidxFields
-	f.termCount = br.off
-	for n := must(br.u32()); n > 0; n-- {
-		br.str()
-		np := must(br.u32())
+	f.termCount = br.Offset()
+	for n := br.U32(); n > 0; n-- {
+		br.Str()
+		np := int(br.U32())
 		if f.doc == 0 {
-			f.doc, f.tf = br.off, br.off+4
+			f.doc, f.tf = br.Offset(), br.Offset()+4
 		}
-		br.block(8 * np)
+		br.Bytes(8 * np)
 	}
-	f.posTermCount = br.off
-	for n := must(br.u32()); n > 0; n-- {
-		br.str()
-		nd := must(br.u32())
-		hdr, _ := br.block(8 * nd)
+	f.posTermCount = br.Offset()
+	for n := br.U32(); n > 0; n-- {
+		br.Str()
+		nd := int(br.U32())
+		hdr := br.Bytes(8 * nd)
 		if f.posDoc == 0 {
-			f.posDoc, f.position = br.off-8*nd, br.off
+			f.posDoc, f.position = br.Offset()-8*nd, br.Offset()
 		}
 		for j := 0; j < nd; j++ {
-			br.block(4 * int(binary.LittleEndian.Uint32(hdr[8*j+4:])))
+			br.Bytes(4 * int(binary.LittleEndian.Uint32(hdr[8*j+4:])))
 		}
 	}
-	f.ord = br.off + 4
+	f.ord = br.Offset() + 4
+	if err := br.Err(); err != nil {
+		t.Fatal(err)
+	}
 	return f
 }
 
@@ -109,7 +109,7 @@ func TestReadRejectsCountLieCheaply(t *testing.T) {
 		lie := patched(data, off, 1<<22)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadShardedIndexBytes(lie)
+		_, err := ReadShardedIndex(lie)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), name+" term count") {
 			t.Fatalf("%s: err = %v, want a term count rejection", name, err)
@@ -130,7 +130,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	loaded, err := ReadShardedIndex(&buf)
+	loaded, err := ReadShardedIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadShardedIndex(bytes.NewReader([]byte("not an index at all"))); err == nil {
+	if _, err := ReadShardedIndex([]byte("not an index at all")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadShardedIndex(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadShardedIndex(nil); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestReadIndexRejectsTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{5, 9, len(data) / 2, len(data) - 3} {
-		if _, err := ReadShardedIndex(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadShardedIndex(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -228,7 +228,7 @@ func TestReadV4TruncationSweep(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := ReadShardedIndexBytes(data[:cut]); err == nil {
+		if _, err := ReadShardedIndex(data[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", cut, len(data))
 		}
 	}
@@ -249,14 +249,14 @@ func TestReadIndexRejectsWrongVersion(t *testing.T) {
 	for _, version := range []byte{2, 3, 99} {
 		data[4] = version
 		for _, stream := range [][]byte{data, data[:8]} {
-			_, err := ReadShardedIndex(bytes.NewReader(stream))
-			if err == nil || !strings.Contains(err.Error(), "unsupported index version") {
-				t.Errorf("version %d, %d bytes: err = %v, want unsupported index version", version, len(stream), err)
+			_, err := ReadShardedIndex(stream)
+			if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+				t.Errorf("version %d, %d bytes: err = %v, want unsupported version", version, len(stream), err)
 			}
 		}
 	}
 	data[4] = indexVersion
-	if _, err := ReadShardedIndex(bytes.NewReader(data[:8])); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := ReadShardedIndex(data[:8]); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("bare v4 header: err = %v, want a truncation error", err)
 	}
 }

@@ -137,7 +137,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 
 	// The bytes-based entry is the one the snapshot bundle reader uses;
 	// exercise it here so both spellings stay equivalent.
-	loaded, err := ReadShardedIndexBytes(data)
+	loaded, err := ReadShardedIndex(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReadShardedIndexAcceptsMonolithic(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadShardedIndex(bytes.NewReader(buf.Bytes()))
+	loaded, err := ReadShardedIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package snapshot implements the TSNP v1 bundle: one file carrying every
-// heavy serving artifact — the sharded search index (TIDX v3), the frozen
+// heavy serving artifact — the sharded search index (TIDX v4), the frozen
 // gazetteer (TGAZ v1) and both trained snippet classifiers (TCLF v1) — so a
 // fleet of replicas loads one prebuilt artifact instead of performing N full
 // world rebuilds at boot. Layout (little-endian):
@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/classify"
+	"repro/internal/codec"
 	"repro/internal/gazetteer"
 	"repro/internal/search"
 )
@@ -54,7 +55,7 @@ const (
 
 // Canonical section names, in file order.
 const (
-	SectionSearch    = "search"    // TIDX v3 sharded index stream
+	SectionSearch    = "search"    // TIDX v4 sharded index stream
 	SectionGazetteer = "gazetteer" // TGAZ v1 frozen gazetteer stream
 	SectionSVM       = "svm"       // TCLF v1 linear SVM stream
 	SectionBayes     = "bayes"     // TCLF v1 Naive Bayes stream
@@ -138,107 +139,54 @@ type Bundle struct {
 	Bayes     classify.Classifier
 }
 
-// headerWriter accumulates the header bytes (manifest + section table).
-type headerWriter struct {
-	buf bytes.Buffer
-}
-
-func (hw *headerWriter) u32(v uint32) { _ = binary.Write(&hw.buf, binary.LittleEndian, v) }
-func (hw *headerWriter) i64(v int64)  { _ = binary.Write(&hw.buf, binary.LittleEndian, v) }
-func (hw *headerWriter) str(s string) {
-	hw.u32(uint32(len(s)))
-	hw.buf.WriteString(s)
-}
-
 // WriteTo serialises the bundle as a TSNP v1 stream: each component is
 // encoded, the header (manifest + checksummed section table) is emitted, then
 // the payloads follow sequentially. It returns the byte count written.
 func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
-	type section struct {
-		name   string
-		encode func(io.Writer) (int64, error)
-	}
-	sections := []section{
-		{SectionSearch, func(w io.Writer) (int64, error) { return b.Index.WriteTo(w) }},
-		{SectionGazetteer, func(w io.Writer) (int64, error) { return b.Gazetteer.WriteTo(w) }},
-		{SectionSVM, func(w io.Writer) (int64, error) { return classify.WriteClassifier(w, b.SVM) }},
-		{SectionBayes, func(w io.Writer) (int64, error) { return classify.WriteClassifier(w, b.Bayes) }},
-	}
-
-	// Encode every payload first: the section table needs each length and
-	// checksum before the first payload byte can be written.
-	payloads := make([]*bytes.Buffer, len(sections))
-	infos := make([]SectionInfo, len(sections))
-	for i, s := range sections {
-		payloads[i] = &bytes.Buffer{}
-		if _, err := s.encode(payloads[i]); err != nil {
-			return 0, fmt.Errorf("snapshot: encoding %s section: %w", s.name, err)
-		}
-		infos[i] = SectionInfo{
-			Name:   s.name,
-			Length: int64(payloads[i].Len()),
-			CRC:    crc32.ChecksumIEEE(payloads[i].Bytes()),
-		}
-	}
-
-	var hw headerWriter
-	m := b.Manifest
-	hw.i64(m.Seed)
-	hw.str(m.Scale)
-	hw.str(m.Classifier)
-	hw.u32(uint32(m.SearchShards))
-	hw.u32(uint32(m.Docs))
-	hw.u32(uint32(m.Locations))
-	hw.i64(m.CreatedAtUnix)
-	hw.i64(m.BuildMillis)
-	hw.str(m.Tool)
-	hw.u32(uint32(len(infos)))
-	for _, info := range infos {
-		hw.str(info.Name)
-		hw.i64(info.Length)
-		hw.u32(info.CRC)
-	}
-	header := hw.buf.Bytes()
-
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(p []byte) error {
-		wn, err := bw.Write(p)
-		n += int64(wn)
-		return err
-	}
-	u32 := func(v uint32) error {
-		var tmp [4]byte
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		return write(tmp[:])
-	}
-	err := func() error {
-		if err := write([]byte(Magic)); err != nil {
-			return err
-		}
-		if err := u32(Version); err != nil {
-			return err
-		}
-		if err := u32(uint32(len(header))); err != nil {
-			return err
-		}
-		if err := write(header); err != nil {
-			return err
-		}
-		if err := u32(crc32.ChecksumIEEE(header)); err != nil {
-			return err
-		}
-		for _, p := range payloads {
-			if err := write(p.Bytes()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
+	svm, err := classify.AppendClassifier(nil, b.SVM)
 	if err != nil {
-		return n, err
+		return 0, fmt.Errorf("snapshot: encoding %s section: %w", SectionSVM, err)
 	}
-	return n, bw.Flush()
+	bayes, err := classify.AppendClassifier(nil, b.Bayes)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: encoding %s section: %w", SectionBayes, err)
+	}
+	// Every payload is encoded first: the section table needs each length
+	// and checksum before the first payload byte can be written.
+	names := []string{SectionSearch, SectionGazetteer, SectionSVM, SectionBayes}
+	payloads := [][]byte{b.Index.AppendTo(nil), b.Gazetteer.AppendTo(nil), svm, bayes}
+
+	m := b.Manifest
+	h := codec.AppendI64(nil, m.Seed)
+	h = codec.AppendStr(h, m.Scale)
+	h = codec.AppendStr(h, m.Classifier)
+	h = codec.AppendU32(h, uint32(m.SearchShards))
+	h = codec.AppendU32(h, uint32(m.Docs))
+	h = codec.AppendU32(h, uint32(m.Locations))
+	h = codec.AppendI64(h, m.CreatedAtUnix)
+	h = codec.AppendI64(h, m.BuildMillis)
+	h = codec.AppendStr(h, m.Tool)
+	h = codec.AppendU32(h, uint32(len(payloads)))
+	for i, p := range payloads {
+		h = codec.AppendStr(h, names[i])
+		h = codec.AppendI64(h, int64(len(p)))
+		h = codec.AppendU32(h, crc32.ChecksumIEEE(p))
+	}
+
+	frame := codec.AppendHeader(nil, Magic, Version)
+	frame = codec.AppendU32(frame, uint32(len(h)))
+	frame = append(frame, h...)
+	frame = codec.AppendU32(frame, crc32.ChecksumIEEE(h))
+
+	var n int64
+	for _, p := range append([][]byte{frame}, payloads...) {
+		wn, err := w.Write(p)
+		n += int64(wn)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // WriteFile writes the bundle to path atomically: a same-directory temp file
@@ -260,132 +208,60 @@ func (b *Bundle) WriteFile(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// headerReader decodes the checksummed header bytes with bounds checks.
-type headerReader struct {
-	b   []byte
-	off int
-}
-
-func (hr *headerReader) u32() (uint32, error) {
-	if hr.off+4 > len(hr.b) {
-		return 0, &FormatError{Reason: "header truncated"}
-	}
-	v := binary.LittleEndian.Uint32(hr.b[hr.off:])
-	hr.off += 4
-	return v, nil
-}
-
-func (hr *headerReader) i64() (int64, error) {
-	if hr.off+8 > len(hr.b) {
-		return 0, &FormatError{Reason: "header truncated"}
-	}
-	v := int64(binary.LittleEndian.Uint64(hr.b[hr.off:]))
-	hr.off += 8
-	return v, nil
-}
-
-func (hr *headerReader) str() (string, error) {
-	n, err := hr.u32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > len(hr.b)-hr.off {
-		return "", &FormatError{Reason: fmt.Sprintf("header string of %d bytes overruns the header", n)}
-	}
-	s := string(hr.b[hr.off : hr.off+int(n)])
-	hr.off += int(n)
-	return s, nil
-}
-
 // readHeader reads and verifies magic, version and the checksummed header,
 // returning the parsed manifest and section table.
 func readHeader(br *bufio.Reader) (Manifest, []SectionInfo, error) {
 	var m Manifest
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var frame [12]byte // magic, version, headerLen
+	if _, err := io.ReadFull(br, frame[:4]); err != nil {
 		return m, nil, &FormatError{Reason: "reading magic", Err: err}
 	}
-	if string(magic) != Magic {
-		return m, nil, &FormatError{Reason: fmt.Sprintf("bad magic %q", magic)}
+	if string(frame[:4]) != Magic {
+		return m, nil, &FormatError{Reason: fmt.Sprintf("bad magic %q", frame[:4])}
 	}
-	var fixed [8]byte
-	if _, err := io.ReadFull(br, fixed[:]); err != nil {
+	if _, err := io.ReadFull(br, frame[4:]); err != nil {
 		return m, nil, &FormatError{Reason: "reading header frame", Err: err}
 	}
-	version := binary.LittleEndian.Uint32(fixed[:4])
-	if version != Version {
+	if version := binary.LittleEndian.Uint32(frame[4:]); version != Version {
 		return m, nil, &FormatError{Reason: fmt.Sprintf("unsupported bundle version %d", version)}
 	}
-	headerLen := binary.LittleEndian.Uint32(fixed[4:])
+	headerLen := binary.LittleEndian.Uint32(frame[8:])
 	if headerLen > maxHeaderLen {
 		return m, nil, &FormatError{Reason: fmt.Sprintf("header of %d bytes exceeds the %d limit", headerLen, maxHeaderLen)}
 	}
-	header := make([]byte, headerLen)
+	header := make([]byte, headerLen+4) // the header, then its CRC
 	if _, err := io.ReadFull(br, header); err != nil {
 		return m, nil, &FormatError{Reason: "reading header", Err: err}
 	}
-	var storedCRC [4]byte
-	if _, err := io.ReadFull(br, storedCRC[:]); err != nil {
-		return m, nil, &FormatError{Reason: "reading header checksum", Err: err}
-	}
-	want := binary.LittleEndian.Uint32(storedCRC[:])
+	header, want := header[:headerLen], binary.LittleEndian.Uint32(header[headerLen:])
 	if got := crc32.ChecksumIEEE(header); got != want {
 		return m, nil, &ChecksumError{Region: "header", Want: want, Got: got}
 	}
 
-	hr := &headerReader{b: header}
-	var err error
-	var count uint32
-	if m.Seed, err = hr.i64(); err != nil {
-		return m, nil, err
-	}
-	if m.Scale, err = hr.str(); err != nil {
-		return m, nil, err
-	}
-	if m.Classifier, err = hr.str(); err != nil {
-		return m, nil, err
-	}
-	for _, dst := range []*int{&m.SearchShards, &m.Docs, &m.Locations} {
-		u, uerr := hr.u32()
-		if uerr != nil {
-			return m, nil, uerr
-		}
-		*dst = int(u)
-	}
-	if m.CreatedAtUnix, err = hr.i64(); err != nil {
-		return m, nil, err
-	}
-	if m.BuildMillis, err = hr.i64(); err != nil {
-		return m, nil, err
-	}
-	if m.Tool, err = hr.str(); err != nil {
-		return m, nil, err
-	}
-	if count, err = hr.u32(); err != nil {
-		return m, nil, err
-	}
+	hr := codec.NewReader("header", header)
+	m.Seed = hr.I64()
+	m.Scale = hr.Str()
+	m.Classifier = hr.Str()
+	m.SearchShards = int(hr.U32())
+	m.Docs = int(hr.U32())
+	m.Locations = int(hr.U32())
+	m.CreatedAtUnix = hr.I64()
+	m.BuildMillis = hr.I64()
+	m.Tool = hr.Str()
+	// A table entry is at least its name length, payload length and CRC.
+	count := hr.Count("section", 4+8+4)
 	if count > maxSections {
 		return m, nil, &FormatError{Reason: fmt.Sprintf("section table of %d entries exceeds the %d limit", count, maxSections)}
 	}
 	infos := make([]SectionInfo, count)
 	for i := range infos {
-		if infos[i].Name, err = hr.str(); err != nil {
-			return m, nil, err
-		}
-		if infos[i].Length, err = hr.i64(); err != nil {
-			return m, nil, err
-		}
+		infos[i] = SectionInfo{Name: hr.Str(), Length: hr.I64(), CRC: hr.U32()}
 		if infos[i].Length < 0 || infos[i].Length > maxSectionLen {
 			return m, nil, &FormatError{Reason: fmt.Sprintf("section %q length %d out of bounds", infos[i].Name, infos[i].Length)}
 		}
-		var crc uint32
-		if crc, err = hr.u32(); err != nil {
-			return m, nil, err
-		}
-		infos[i].CRC = crc
 	}
-	if hr.off != len(header) {
-		return m, nil, &FormatError{Reason: fmt.Sprintf("%d trailing bytes in header", len(header)-hr.off)}
+	if err := hr.Done(); err != nil {
+		return m, nil, &FormatError{Reason: err.Error()}
 	}
 	return m, infos, nil
 }
@@ -438,19 +314,19 @@ func Read(r io.Reader) (*Bundle, error) {
 		}
 		switch info.Name {
 		case SectionSearch:
-			if b.Index, err = search.ReadShardedIndexBytes(payload); err != nil {
+			if b.Index, err = search.ReadShardedIndex(payload); err != nil {
 				return nil, &FormatError{Reason: "search section", Err: err}
 			}
 		case SectionGazetteer:
-			if b.Gazetteer, err = gazetteer.ReadFrozen(bytes.NewReader(payload)); err != nil {
+			if b.Gazetteer, err = gazetteer.ReadFrozen(payload); err != nil {
 				return nil, &FormatError{Reason: "gazetteer section", Err: err}
 			}
 		case SectionSVM:
-			if b.SVM, err = classify.ReadClassifier(bytes.NewReader(payload)); err != nil {
+			if b.SVM, err = classify.ReadClassifier(payload); err != nil {
 				return nil, &FormatError{Reason: "svm section", Err: err}
 			}
 		case SectionBayes:
-			if b.Bayes, err = classify.ReadClassifier(bytes.NewReader(payload)); err != nil {
+			if b.Bayes, err = classify.ReadClassifier(payload); err != nil {
 				return nil, &FormatError{Reason: "bayes section", Err: err}
 			}
 		default:

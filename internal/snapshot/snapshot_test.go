@@ -2,6 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -63,6 +66,21 @@ var tinyBundleBytes = sync.OnceValue(func() []byte {
 	}
 	return buf.Bytes()
 })
+
+// TestTSNPHeaderBytesLocked pins the bundle framing: the sha256 of the tiny
+// bundle's magic, version, header length, header (fixed manifest + section
+// table, so every component stream's length and CRC) and header CRC,
+// recorded from the headerWriter + bufio writer (commit 2fd69de) before the
+// shared codec replaced them.
+func TestTSNPHeaderBytesLocked(t *testing.T) {
+	data := tinyBundleBytes()
+	frame := 12 + int(binary.LittleEndian.Uint32(data[8:])) + 4
+	sum := sha256.Sum256(data[:frame])
+	const want = "5b43c6c34ad860100ddbf2f577dde31c3936fabc31f757b155278bd18d635e74"
+	if got := hex.EncodeToString(sum[:]); frame != 176 || got != want {
+		t.Errorf("%d-byte frame, sha256 %s; recorded 176 bytes, %s", frame, got, want)
+	}
+}
 
 func TestBundleRoundTrip(t *testing.T) {
 	want := tinyBundle()

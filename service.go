@@ -726,66 +726,19 @@ func geoStats(t *Table, gas []GeoAnnotation, stage annotate.GeoStageStats) GeoSt
 // starts; the first invalid request fails the whole batch with its index, and
 // the lowest-indexed runtime error (or the context error) fails it
 // mid-flight. Safe for concurrent use.
-func (s *Service) GeocodeBatch(parent context.Context, reqs []*GeocodeRequest) ([]*GeocodeResponse, error) {
+func (s *Service) GeocodeBatch(ctx context.Context, reqs []*GeocodeRequest) ([]*GeocodeResponse, error) {
 	for i, req := range reqs {
 		if err := validateGeocode(req); err != nil {
 			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
 	out := make([]*GeocodeResponse, len(reqs))
-	errs := make([]error, len(reqs))
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	workers := s.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				resp, err := s.Geocode(ctx, reqs[i])
-				if err != nil {
-					errs[i] = err
-					cancel() // abandon the rest of the batch
-					continue
-				}
-				out[i] = resp
-			}
-		}()
-	}
-	for i := range reqs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	// The cancel() above aborts the batch's other requests once one fails,
-	// so their context.Canceled errors are collateral — report the
-	// lowest-indexed REAL error, and fall back to the parent's own error
-	// when the batch died because the caller cancelled.
-	firstIdx, firstErr := -1, error(nil)
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstIdx == -1 {
-			firstIdx, firstErr = i, err
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	if firstErr != nil {
-		if perr := parent.Err(); perr != nil {
-			return nil, perr
-		}
-		return nil, fmt.Errorf("request %d: %w", firstIdx, firstErr)
+	err := s.batch(ctx, len(reqs), func(ctx context.Context, i int) (err error) {
+		out[i], err = s.Geocode(ctx, reqs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -813,9 +766,10 @@ func (s *Service) Explain(ctx context.Context, req *AnnotateRequest) ([]string, 
 
 // AnnotateBatch annotates the requests over the service's worker pool and
 // returns the responses in request order. Every request is validated before
-// any work starts; the first invalid request (or the first context error)
-// fails the whole batch.
-func (s *Service) AnnotateBatch(parent context.Context, reqs []*AnnotateRequest) ([]*AnnotateResponse, error) {
+// any work starts; the first invalid request fails the whole batch with its
+// index, and the lowest-indexed runtime error (or the context error) fails it
+// mid-flight.
+func (s *Service) AnnotateBatch(ctx context.Context, reqs []*AnnotateRequest) ([]*AnnotateResponse, error) {
 	cfgs := make([]annotate.Config, len(reqs))
 	for i, req := range reqs {
 		cfg, err := s.requestConfig(req)
@@ -825,32 +779,12 @@ func (s *Service) AnnotateBatch(parent context.Context, reqs []*AnnotateRequest)
 		cfgs[i] = cfg
 	}
 	out := make([]*AnnotateResponse, len(reqs))
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	var firstErr error
-	for ev := range s.stream(ctx, reqs, cfgs) {
-		if ev.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("request %d: %w", ev.Index, ev.Err)
-				cancel()
-			}
-			continue
-		}
-		out[ev.Index] = ev.Response
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// A cancellation racing the stream's sends can drop a completed
-	// event instead of delivering an error for its index; a batch must
-	// never surface that as a success with nil responses inside.
-	for _, resp := range out {
-		if resp == nil {
-			if err := parent.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled // unreachable: slots only stay empty after cancellation
-		}
+	err := s.batch(ctx, len(reqs), func(ctx context.Context, i int) (err error) {
+		out[i], err = s.run(ctx, cfgs[i], reqs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -875,59 +809,81 @@ type StreamEvent struct {
 // the last event. The caller must drain the channel or cancel ctx;
 // cancellation aborts unstarted requests and drops their events.
 func (s *Service) AnnotateStream(ctx context.Context, reqs []*AnnotateRequest) <-chan StreamEvent {
-	return s.stream(ctx, reqs, nil)
-}
-
-// stream is the shared fan-out behind AnnotateStream and AnnotateBatch.
-// When cfgs is non-nil it carries one pre-validated config per request, so
-// the batch path validates exactly once; with cfgs nil each request is
-// validated as its worker picks it up and failures surface as per-event
-// errors.
-func (s *Service) stream(ctx context.Context, reqs []*AnnotateRequest, cfgs []annotate.Config) <-chan StreamEvent {
 	out := make(chan StreamEvent)
 	go func() {
 		defer close(out)
-		workers := s.parallelism
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > len(reqs) {
-			workers = len(reqs)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					var resp *AnnotateResponse
-					var err error
-					if cfgs != nil {
-						resp, err = s.run(ctx, cfgs[i], reqs[i])
-					} else {
-						resp, err = s.Annotate(ctx, reqs[i])
-					}
-					select {
-					case out <- StreamEvent{Index: i, Response: resp, Err: err}:
-					case <-ctx.Done():
-						// Receiver cancelled; drop the event.
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range reqs {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feed
+		s.fanOut(len(reqs), func(i int) {
+			if ctx.Err() != nil {
+				return // cancelled before this request started
 			}
-		}
-		close(jobs)
-		wg.Wait()
+			resp, err := s.Annotate(ctx, reqs[i])
+			select {
+			case out <- StreamEvent{Index: i, Response: resp, Err: err}:
+			case <-ctx.Done():
+				// Receiver cancelled; drop the event.
+			}
+		})
 	}()
 	return out
+}
+
+// fanOut runs work(i) for every i in [0, n) over the service's worker pool
+// and returns once every call has. It is the one fan-out behind
+// AnnotateStream, AnnotateBatch and GeocodeBatch; work ends early by checking
+// its own context.
+func (s *Service) fanOut(n int, work func(i int)) {
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(max(s.parallelism, 1), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				work(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+}
+
+// batch runs one(ctx, i) for every i in [0, n) over fanOut, abandoning the
+// rest once one fails. That abandonment makes the other requests'
+// cancellation errors collateral, so the batch reports the lowest-indexed
+// error that is not a cancellation, with its index; when there is none the
+// batch died because the caller cancelled, and it reports the parent's own
+// error.
+func (s *Service) batch(parent context.Context, n int, one func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	errs := make([]error, n)
+	s.fanOut(n, func(i int) {
+		if errs[i] = one(ctx, i); errs[i] != nil {
+			cancel()
+		}
+	})
+	first := -1
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("request %d: %w", i, err)
+		}
+		if first < 0 {
+			first = i
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	if err := parent.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("request %d: %w", first, errs[first])
 }
 
 // Classifier exposes the trained snippet classifiers: ClassifierSVM or

@@ -3,9 +3,12 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/world"
 )
@@ -275,6 +278,7 @@ func TestAnnotateStream(t *testing.T) {
 func TestAnnotateStreamCancelled(t *testing.T) {
 	svc := testService(t)
 	tbl := testTable(t, svc)
+	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// With a pre-cancelled context the stream must still terminate: the
@@ -285,6 +289,56 @@ func TestAnnotateStreamCancelled(t *testing.T) {
 	}
 	if events > 2 {
 		t.Fatalf("cancelled stream emitted %d events, want <= 2", events)
+	}
+	// The channel closes after the workers exit; only the goroutine that
+	// closed it may still be returning.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled stream, %d before it", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBatchesCancelledAlike: the two batch calls share one fan-out and one
+// error rule, so a batch whose caller gave up returns the caller's own
+// context error from both — bare, with no request index, whichever request a
+// worker happened to reach first.
+func TestBatchesCancelledAlike(t *testing.T) {
+	svc := testService(t)
+	tbl := testTable(t, svc)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, annErr := svc.AnnotateBatch(ctx, []*AnnotateRequest{{Table: tbl}, {Table: tbl, Geocode: true}, {Table: tbl}})
+	_, geoErr := svc.GeocodeBatch(ctx, []*GeocodeRequest{{Table: tbl}, {Table: tbl}, {Table: tbl}})
+	if annErr != context.Canceled || geoErr != context.Canceled {
+		t.Errorf("AnnotateBatch error = %v, GeocodeBatch error = %v, want the bare context.Canceled from both", annErr, geoErr)
+	}
+}
+
+// TestBatchErrorRule: when a request fails, the cancellation errors of the
+// requests abandoned for it are collateral — the batch reports the
+// lowest-indexed real failure with its index, however the workers were
+// scheduled.
+func TestBatchErrorRule(t *testing.T) {
+	svc := testService(t) // four workers
+	boom := errors.New("boom")
+	err := svc.batch(context.Background(), 4, func(ctx context.Context, i int) error {
+		switch i {
+		case 3: // fails first and cancels the rest
+			return boom
+		case 1: // a real failure that surfaces only after the cancellation
+			<-ctx.Done()
+			return fmt.Errorf("late: %w", boom)
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, boom) || err.Error() != "request 1: late: boom" {
+		t.Errorf("batch error = %v, want request 1's", err)
+	}
+	if err := svc.batch(context.Background(), 0, nil); err != nil {
+		t.Errorf("empty batch: %v", err)
 	}
 }
 
