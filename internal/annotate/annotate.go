@@ -492,8 +492,8 @@ func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamm
 
 // resolveChunk resolves one chunk of queries with a single backend batch
 // call and applies the Eq. 1 decision per query into out (positional). The
-// per-decision scratch state (vote counts, snippet feature extraction
-// buffers) is checked out of a pool once for the whole chunk.
+// per-decision scratch state (see scratch) is checked out of a pool once for
+// the whole chunk.
 func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, out []qcache.Verdict) error {
 	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
@@ -541,9 +541,10 @@ func (c Config) merge(t *table.Table, p tablePlan, verdicts map[string]qcache.Ve
 	}
 }
 
-// scratch is the pooled per-worker decision state: the Eq. 1 vote counts and
-// the snippet feature-extraction buffers, reused across the queries of a
-// chunk so the steady-state decide path allocates only what it returns.
+// scratch is the pooled per-worker decision state: the Eq. 1 vote counts and,
+// for snippets that have to be classified from their text, the
+// feature-extraction buffers — reused across the queries of a chunk so the
+// steady-state decide path allocates only what it returns.
 type scratch struct {
 	counts map[string]int
 	ex     textproc.Extractor
@@ -556,20 +557,48 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
+// snippetPredictor labels one search result with the configured classifier —
+// the single step 3 of the algorithm, shared by the decide loop and Explain so
+// a trace's votes are the votes the verdict counted. A hit of the built-in
+// engine carries its snippet's token ids and a vocabulary-bound classifier
+// scores those directly; a result without ids (a SearchFunc, a mock, a
+// title-only hit) or a classifier without a bound form (Naive Bayes) goes
+// through the snippet text, the adapter the open Searcher and Classifier
+// interfaces need.
+type snippetPredictor struct {
+	clf   classify.Classifier
+	terms classify.TermClassifier // clf when it is bound to a vocabulary, else nil
+	ex    *textproc.Extractor
+}
+
+func (c Config) predictor(sc *scratch) snippetPredictor {
+	terms, _ := c.Classifier.(classify.TermClassifier)
+	return snippetPredictor{clf: c.Classifier, terms: terms, ex: &sc.ex}
+}
+
+func (p snippetPredictor) predict(r search.Result) string {
+	if p.terms != nil && r.Terms != nil {
+		return p.terms.PredictTerms(r.Terms)
+	}
+	return p.clf.Predict(p.ex.Extract(r.Snippet))
+}
+
 // decideWith turns a result list into an annotation verdict against
 // caller-owned scratch state: Eq. 1's majority rule by default, or the
 // cluster-separated variant when ClusterThreshold is set (§5.2's future-work
-// extension, implemented in cluster.go). The cluster variant needs every
-// snippet's features alive at once, so it keeps the allocating path; the flat
-// majority rule predicts snippet by snippet through the scratch extractor's
-// reused buffers.
+// extension, implemented in cluster.go). The cluster variant compares
+// snippets as feature vectors and needs every one alive at once, so it
+// extracts them from the text; the flat majority rule predicts result by
+// result through snippetPredictor, which for the built-in engine and a bound
+// classifier touches neither the snippet text nor the heap.
 func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
 	if c.ClusterThreshold > 0 {
 		return c.clusterDecide(results, gamma)
 	}
 	clear(sc.counts)
+	p := c.predictor(sc)
 	for _, r := range results {
-		pred := c.Classifier.Predict(sc.ex.Extract(r.Snippet))
+		pred := p.predict(r)
 		if _, inGamma := gamma[pred]; inGamma {
 			sc.counts[pred]++
 		}

@@ -19,6 +19,7 @@ import (
 type fixture struct {
 	engine     *search.Engine
 	classifier classify.Classifier
+	svm        classify.Classifier // classifier before binding
 	gaz        *gazetteer.Frozen
 	types      []string
 }
@@ -39,7 +40,7 @@ func themed(rng *rand.Rand, name string, vocab []string, extra ...string) string
 	return strings.Join(words, " ")
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	ix := search.NewBuilder(1)
@@ -76,10 +77,14 @@ func newFixture(t *testing.T) *fixture {
 		train.Add(themed(rng, "", restVocab), "restaurant")
 	}
 	clf := classify.LinearSVMTrainer{Seed: 2}.Train(train)
+	six := ix.Freeze()
 
 	return &fixture{
-		engine:     search.NewShardedEngine(ix.Freeze()),
-		classifier: clf,
+		engine: search.NewShardedEngine(six),
+		// Bound to the engine's vocabulary, as the service and the lab bind
+		// theirs: the fixture's pipeline runs decide on the hits' token ids.
+		classifier: classify.Bind(clf, six.Vocab()),
+		svm:        clf,
 		gaz:        gazetteer.Synthetic(3).Freeze(),
 		types:      []string{"museum", "restaurant"},
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/table"
-	"repro/internal/textproc"
 )
 
 // CellExplanation records why one cell was or was not annotated — the
@@ -73,6 +72,9 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 	if err != nil {
 		return nil, err
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	p := c.predictor(sc)
 	var out []CellExplanation
 	for j := 1; j <= t.NumCols(); j++ {
 		colSkipped := c.Pre.SkipColumn(t.Columns[j-1].Type)
@@ -103,7 +105,7 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 			e.Retrieved = len(results)
 			e.Votes = map[string]int{}
 			for _, r := range results {
-				pred := c.Classifier.Predict(textproc.Extract(r.Snippet))
+				pred := p.predict(r)
 				if _, in := gamma[pred]; in {
 					e.Votes[pred]++
 				}

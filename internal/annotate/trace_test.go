@@ -81,3 +81,27 @@ func TestExplainColumnTypeSkip(t *testing.T) {
 		t.Errorf("Location column not marked column-type skipped: %+v", exps[0])
 	}
 }
+
+// TestExplainAgreesWithAnnotate: Explain and the decide loop label snippets
+// through one helper, so with post-processing off every annotation is exactly
+// an explanation's verdict and score, and every verdict is an annotation.
+func TestExplainAgreesWithAnnotate(t *testing.T) {
+	f := newFixture(t)
+	tbl := poiTable(t)
+	c := f.config()
+	explained := map[Annotation]bool{}
+	for _, e := range explainTable(c, tbl) {
+		if e.Verdict != "" {
+			explained[Annotation{Row: e.Row, Col: e.Col, Type: e.Verdict, Score: e.Score}] = true
+		}
+	}
+	res := annotateTable(c, tbl)
+	if len(res.Annotations) == 0 || len(res.Annotations) != len(explained) {
+		t.Fatalf("%d annotations, %d explained verdicts", len(res.Annotations), len(explained))
+	}
+	for _, a := range res.Annotations {
+		if !explained[a] {
+			t.Errorf("annotation %+v has no matching explanation", a)
+		}
+	}
+}

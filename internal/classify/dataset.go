@@ -102,11 +102,15 @@ type Classifier interface {
 	Predict(f textproc.Features) string
 }
 
-// ScoringClassifier additionally exposes per-label decision scores; higher
-// means more confident. Used by diagnostics and ablation benches.
-type ScoringClassifier interface {
+// TermClassifier is a Classifier bound to a vocabulary: it also labels a
+// snippet given as its normalised tokens' ids in that vocabulary, in snippet
+// order (negative ids are words without a token and are skipped) — the form a
+// search hit carries as search.Result.Terms — and returns the label
+// Predict(textproc.Extract(snippet)) would, without the text. The ids must
+// come from the index whose vocabulary the classifier was bound to.
+type TermClassifier interface {
 	Classifier
-	Scores(f textproc.Features) map[string]float64
+	PredictTerms(ids []int32) string
 }
 
 // Trainer builds a classifier from a dataset.

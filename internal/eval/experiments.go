@@ -16,11 +16,13 @@ import (
 // components, wired to the lab's parallelism and (when enabled) its
 // cross-table verdict cache. Analyses that need a variant (different k,
 // cluster threshold, no cache) adjust the returned value before running it —
-// the immutable-config pattern of internal/annotate.
+// the immutable-config pattern of internal/annotate. The classifier is bound
+// to the engine's vocabulary, as the service binds its own, so the analyses
+// measure the decide path the service runs.
 func (l *Lab) config(clf classify.Classifier, postprocess, disambiguate bool) annotate.Config {
 	return annotate.Config{
 		Searcher:     l.Engine,
-		Classifier:   clf,
+		Classifier:   classify.Bind(clf, l.Engine.ShardedIndex().Vocab()),
 		Types:        TypeStrings(),
 		K:            l.Cfg.K,
 		Postprocess:  postprocess,

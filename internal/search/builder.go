@@ -129,6 +129,9 @@ func (b *Builder) Freeze() *ShardedIndex {
 		sh.col.sortOrd()
 		sh.col.scatterDense(len(sh.docs))
 	}
+	if err := s.deriveTerms(); err != nil {
+		panic(err) // a Builder's positions claim every content word exactly once
+	}
 	return s
 }
 

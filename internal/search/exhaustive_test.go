@@ -20,7 +20,8 @@ import (
 // maps, every phrase verdict must equal the reference adjacency scan, and
 // Search/SearchPhrase must equal refSearch/refSearchPhrase; all of it both on
 // the freshly frozen index and on one loaded from its persisted bytes, which
-// must in turn persist to the same bytes.
+// must in turn persist to the same bytes. Every hit's Terms must decode to its
+// snippet's normalised tokens.
 func TestExhaustiveSmallScope(t *testing.T) {
 	vocab := []string{"museum", "paintings", "the"}
 	maxDocs := 3
@@ -110,9 +111,11 @@ func TestExhaustiveSmallScope(t *testing.T) {
 				}
 				for qi, q := range queries {
 					for ki, k := range ks {
-						if got := six.SearchPhrase(q, k); !same(got, want[qi*len(ks)+ki]) {
+						got := six.SearchPhrase(q, k)
+						if !same(got, want[qi*len(ks)+ki]) {
 							checkSameResults(t, fmt.Sprintf("%s SearchPhrase(%q, %d)", label, q, k), got, want[qi*len(ks)+ki])
 						}
+						checkTerms(t, label, six, docs, got)
 					}
 				}
 			}

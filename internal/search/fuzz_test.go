@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,7 +117,7 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 				t.Fatalf("shards=%d Search(%q): %d results, monolithic %d", six.NumShards(), query, len(got), len(wantTerm))
 			}
 			for i := range got {
-				if got[i] != wantTerm[i] {
+				if !reflect.DeepEqual(got[i], wantTerm[i]) {
 					t.Fatalf("shards=%d Search(%q) result %d: %+v vs %+v", six.NumShards(), query, i, got[i], wantTerm[i])
 				}
 			}
@@ -125,7 +126,7 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 				t.Fatalf("shards=%d SearchPhrase(%q): %d results, monolithic %d", six.NumShards(), query, len(gotP), len(wantPhrase))
 			}
 			for i := range gotP {
-				if gotP[i] != wantPhrase[i] {
+				if !reflect.DeepEqual(gotP[i], wantPhrase[i]) {
 					t.Fatalf("shards=%d SearchPhrase(%q) result %d: %+v vs %+v", six.NumShards(), query, i, gotP[i], wantPhrase[i])
 				}
 			}
@@ -135,24 +136,37 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 
 // indexStreamSeeds are FuzzReadShardedIndex's starting points, checked in under
 // testdata/fuzz by name: valid one- and two-shard streams, the term-count lie,
-// and one-shard streams with a single count, doc, tf, position or ordAll
-// field flipped.
+// one-shard streams with a single count, doc, tf, position or ordAll
+// field flipped, and the three ways stored positions can fail to tile a
+// document's content words, which only the term-id scatter sees: the first
+// term's position moved onto another term's word, the first document's leading
+// stop-word flagged as a content word (every position stays in range, the last
+// content word is left over), and that stop-word respelled into a word no
+// postings list knows.
 func indexStreamSeeds(t testing.TB) map[string][]byte {
 	one := tidx(t, smallIndex())
 	f := locateFields(t, one)
+	le := binary.LittleEndian
+	elsewhere := uint32(0)
+	if le.Uint32(one[f.position:]) == 0 {
+		elsewhere = 1
+	}
 	return map[string][]byte{
-		"valid-1-shard":      one,
-		"valid-2-shards":     tidx(t, buildSharded(smallDocs(), 2)),
-		"term-count-lie":     patched(one, f.termCount, 1<<22),
-		"pos-term-count-lie": patched(one, f.posTermCount, 1<<22),
-		"term-count-short":   patched(one, f.termCount, 3),
-		"posting-doc":        patched(one, f.doc, 4),
-		"posting-tf-zero":    patched(one, f.tf, 0),
-		"posting-tf-huge":    patched(one, f.tf, 1<<31),
-		"position-list-doc":  patched(one, f.posDoc, 1<<30),
-		"position-past-end":  patched(one, f.position, 1000),
-		"ord-out-of-range":   patched(one, f.ord, 7),
-		"ord-swapped":        patched(one, f.ord, 1),
+		"position-claimed-twice": patched(one, f.position, elsewhere),
+		"position-unclaimed":     patched(one, f.bitmap, le.Uint32(one[f.bitmap:])|1),
+		"token-without-postings": patched(one, f.body, le.Uint32([]byte("thx "))),
+		"valid-1-shard":          one,
+		"valid-2-shards":         tidx(t, buildSharded(smallDocs(), 2)),
+		"term-count-lie":         patched(one, f.termCount, 1<<22),
+		"pos-term-count-lie":     patched(one, f.posTermCount, 1<<22),
+		"term-count-short":       patched(one, f.termCount, 3),
+		"posting-doc":            patched(one, f.doc, 4),
+		"posting-tf-zero":        patched(one, f.tf, 0),
+		"posting-tf-huge":        patched(one, f.tf, 1<<31),
+		"position-list-doc":      patched(one, f.posDoc, 1<<30),
+		"position-past-end":      patched(one, f.position, 1000),
+		"ord-out-of-range":       patched(one, f.ord, 7),
+		"ord-swapped":            patched(one, f.ord, 1),
 	}
 }
 

@@ -32,7 +32,15 @@ type Result struct {
 	URL     string
 	Title   string
 	Snippet string
-	Score   float64
+	// Terms is the snippet's normalised tokens — what
+	// textproc.NormalizeTokens(Snippet) returns — as ids into the serving
+	// index's Vocab(), one entry per snippet word in order; a negative entry
+	// is a word that normalises to nothing and is to be skipped. It aliases
+	// immutable index memory (duplicate queries of a batch share it): read it,
+	// never write it. Nil when the hit has no body (the snippet is the title)
+	// and on results no ShardedIndex produced.
+	Terms []int32
+	Score float64
 }
 
 // docTable is the per-document state of one shard, appended to by the
@@ -97,6 +105,9 @@ func (t *docTable) english() []bool {
 type Index struct {
 	docTable
 	col *columns
+	// terms is the per-raw-word token table snippets hand out as
+	// Result.Terms, derived from col and docTable (see termcol.go).
+	terms termColumn
 
 	// accPool recycles per-query dense score accumulators across queries
 	// and across concurrent readers.
@@ -467,8 +478,9 @@ func (ix *Index) selectTopDense(acc *accumulator, tid int32, k int) []hit {
 // matches (title-only hits). The anchor comes from the positional columns
 // (the first content position of any query term, translated back to a raw
 // word index); the window itself is a zero-copy slice of the precomputed
-// joined body — byte-identical to joining the window's words with spaces.
-func (ix *Index) snippet(doc int, qterms []string) string {
+// joined body — byte-identical to joining the window's words with spaces. It
+// returns the window's raw word range [start, end) alongside.
+func (ix *Index) snippet(doc int, qterms []string) (s string, start, end int) {
 	first := int32(-1)
 	for _, t := range qterms {
 		if p := ix.firstPosIn(t, doc); p >= 0 && (first < 0 || p < first) {
@@ -479,21 +491,22 @@ func (ix *Index) snippet(doc int, qterms []string) string {
 }
 
 // snippetAt renders the snippet window anchored at content position first
-// (-1: no query term in the body, use the leading window).
-func (ix *Index) snippetAt(doc int, first int32) string {
+// (-1: no query term in the body, use the leading window) and returns its raw
+// word range; a document without a body yields its title and the empty range.
+func (ix *Index) snippetAt(doc int, first int32) (s string, start, end int) {
 	off := ix.wordOff[doc]
 	if len(off) == 0 {
-		return ix.docs[doc].Title
+		return ix.docs[doc].Title, 0, 0
 	}
 	at := 0
 	if first >= 0 {
 		at = int(ix.contentToRaw[doc][first])
 	}
-	start := at - SnippetWords/3
+	start = at - SnippetWords/3
 	if start < 0 {
 		start = 0
 	}
-	end := start + SnippetWords
+	end = start + SnippetWords
 	if end > len(off) {
 		end = len(off)
 		if start = end - SnippetWords; start < 0 {
@@ -505,7 +518,7 @@ func (ix *Index) snippetAt(doc int, first int32) string {
 	if end < len(off) {
 		stop = int(off[end]) - 1 // the space before word end
 	}
-	return joined[off[start]:stop]
+	return joined[off[start]:stop], start, end
 }
 
 // firstPosIn returns term's first content position within doc, or -1. Big

@@ -429,13 +429,17 @@ func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 	}
 
 	// Finish as Builder.Freeze does, but with each shard's stored ordAll
-	// checked instead of sorted.
+	// checked instead of sorted, and with the term-id column's scatter as the
+	// check that the positions tile the content words.
 	rank(s.shards, docLen, s.nDocs)
 	for si, sh := range s.shards {
 		if err := sh.col.checkOrd(); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
 		sh.col.scatterDense(len(sh.docs))
+	}
+	if err := s.deriveTerms(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -45,11 +46,12 @@ func TestTIDXBytesLocked(t *testing.T) {
 }
 
 // tidxFields walks a valid one-shard stream and returns the byte offsets of
-// the fields the corruption tests and the fuzz corpus patch: the two term
-// counts, the first posting's doc and tf, the first position list's doc, the
-// first stored position, and the first ordAll entry.
+// the fields the corruption tests and the fuzz corpus patch: the first doc's
+// body text and content-word bitmap, the two term counts, the first posting's
+// doc and tf, the first position list's doc, the first stored position, and
+// the first ordAll entry.
 type tidxFields struct {
-	termCount, doc, tf, posTermCount, posDoc, position, ord int
+	body, bitmap, termCount, doc, tf, posTermCount, posDoc, position, ord int
 }
 
 func locateFields(t testing.TB, data []byte) tidxFields {
@@ -57,12 +59,18 @@ func locateFields(t testing.TB, data []byte) tidxFields {
 	br := codec.NewReader("locateFields", data)
 	br.Bytes(12)
 	scratch := newShardedIndex(1, 0)
+	var f tidxFields
 	for n := br.U32(); n > 0; n-- {
+		first := br.Offset()
 		if err := readDoc(br, scratch.shards[0]); err != nil {
 			t.Fatal(err)
 		}
+		if f.body == 0 {
+			d := scratch.shards[0].docs[0]
+			f.body = first + 4 + len(d.URL) + 4 + len(d.Title) + 4
+			f.bitmap = br.Offset() - (len(scratch.shards[0].wordOff[0])+7)/8
+		}
 	}
-	var f tidxFields
 	f.termCount = br.Offset()
 	for n := br.U32(); n > 0; n-- {
 		br.Str()
@@ -145,7 +153,7 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatalf("query %q: %d vs %d results", q, len(a), len(b))
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if !reflect.DeepEqual(a[i], b[i]) {
 				t.Errorf("query %q result %d differs: %+v vs %+v", q, i, a[i], b[i])
 			}
 		}

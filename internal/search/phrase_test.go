@@ -57,7 +57,7 @@ func TestSearchPhraseFallsBackWithoutQuotes(t *testing.T) {
 		t.Fatalf("unquoted SearchPhrase diverges from Search: %d vs %d", len(viaPhrase), len(plain))
 	}
 	for i := range plain {
-		if plain[i] != viaPhrase[i] {
+		if !reflect.DeepEqual(plain[i], viaPhrase[i]) {
 			t.Errorf("result %d differs", i)
 		}
 	}

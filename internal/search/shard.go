@@ -27,6 +27,9 @@ import (
 type ShardedIndex struct {
 	shards []*Index
 	nDocs  int
+	// vocab is every shard's dictionary merged and sorted: the id space of
+	// Result.Terms.
+	vocab []string
 
 	// queries[s] counts queries scored by shard s (every query fans out to
 	// all shards, so the counts advance together; they are exposed on
@@ -52,6 +55,10 @@ func (s *ShardedIndex) NumShards() int { return len(s.shards) }
 
 // Len returns the number of indexed documents across all shards.
 func (s *ShardedIndex) Len() int { return s.nDocs }
+
+// Vocab returns the index-wide sorted vocabulary Result.Terms index into. The
+// slice is shared with the index: read-only.
+func (s *ShardedIndex) Vocab() []string { return s.vocab }
 
 // ShardQueryCounts returns a snapshot of per-shard query counts.
 func (s *ShardedIndex) ShardQueryCounts() []int64 {
@@ -227,10 +234,12 @@ func (s *ShardedIndex) materialize(hits []hit, qterms []string) []Result {
 		sh := s.shards[h.doc%n]
 		local := h.doc / n
 		d := sh.docs[local]
+		snippet, start, end := sh.snippet(local, qterms)
 		out[i] = Result{
 			URL:     d.URL,
 			Title:   d.Title,
-			Snippet: sh.snippet(local, qterms),
+			Snippet: snippet,
+			Terms:   sh.terms.window(local, start, end),
 			Score:   h.score,
 		}
 	}

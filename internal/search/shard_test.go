@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -27,7 +28,7 @@ func checkBitIdentical(t *testing.T, label string, got, want []Result) {
 		t.Fatalf("%s: %d results, monolithic has %d\n got: %+v\nwant: %+v", label, len(got), len(want), got, want)
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("%s: result %d differs:\n got: %+v\nwant: %+v", label, i, got[i], want[i])
 		}
 	}

@@ -1,0 +1,172 @@
+package search
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/textproc"
+)
+
+// Term-id column. A snippet is a window of a document's raw words, and the
+// classifier wants that window's normalised tokens. The index already knows
+// them: the positional CSR records, per term, the content positions it
+// occupies in each document — the per-document token table, transposed. The
+// column transposes it back once, after the index is compiled or loaded, so a
+// hit can hand out its tokens as a slice of vocabulary ids instead of a string
+// to be tokenised, stop-worded and stemmed again.
+//
+// The column is derived state, like the BM25 contributions and the dense
+// sidecars: nothing of it is persisted, Builder.Freeze and ReadShardedIndex
+// call the same deriveTerms, and the ids are index-wide (the shard
+// dictionaries merged and sorted), so a hit's Terms are the same numbers at
+// every shard count and after a write → read round trip.
+
+const (
+	// noToken marks a raw word that normalises to nothing (a stop-word, a
+	// number, bare punctuation). Consumers of Result.Terms skip it.
+	noToken = -1
+	// unclaimed is the scatter's transient "no term has claimed this word
+	// yet"; no finished column contains it.
+	unclaimed = math.MinInt32
+)
+
+// termColumn is one shard's per-raw-word token table: ids[base[doc]+i]
+// describes word i of doc's body — a vocabulary id when the word normalises to
+// one token (a content word), noToken when to none, and -(m+2) otherwise: the
+// word's tokens are then multiIDs[multiOff[m]:multiOff[m+1]] (hyphenated and
+// slash-joined words: rare, hence the side list rather than a second arena).
+type termColumn struct {
+	base     []int
+	ids      []int32
+	multiOff []int32
+	multiIDs []int32
+}
+
+// window returns the normalised tokens of doc's raw words [start, end) as
+// vocabulary ids, noToken entries included; nil for an empty window. Unless a
+// multi-token word falls inside it the result is a capacity-clipped slice of
+// the column itself.
+func (tc *termColumn) window(doc, start, end int) []int32 {
+	if start == end {
+		return nil
+	}
+	hi := tc.base[doc] + end
+	w := tc.ids[tc.base[doc]+start : hi : hi]
+	for _, id := range w {
+		if id < noToken {
+			return tc.expand(w)
+		}
+	}
+	return w
+}
+
+// expand copies window w with every multi-token word replaced by its tokens.
+func (tc *termColumn) expand(w []int32) []int32 {
+	out := make([]int32, 0, len(w)+4)
+	for _, id := range w {
+		if id >= noToken {
+			out = append(out, id)
+			continue
+		}
+		m := -int(id) - 2
+		out = append(out, tc.multiIDs[tc.multiOff[m]:tc.multiOff[m+1]]...)
+	}
+	return out
+}
+
+// deriveTerms builds the index-wide vocabulary and every shard's term-id
+// column from the compiled columns. It is the last step of Builder.Freeze and
+// of ReadShardedIndex; only the latter can see it fail.
+func (s *ShardedIndex) deriveTerms() error {
+	var vocab []string
+	for _, sh := range s.shards {
+		vocab = append(vocab, sh.col.terms...)
+	}
+	slices.Sort(vocab)
+	s.vocab = slices.Clip(slices.Compact(vocab))
+	for si, sh := range s.shards {
+		if err := sh.deriveTerms(s.vocab); err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
+	}
+	return nil
+}
+
+// deriveTerms fills ix.terms. Content words — the words the positional CSR
+// addresses through contentToRaw — are scattered from posArena: each must be
+// claimed by exactly one term, which a Builder guarantees and a loaded stream
+// has to prove. The remaining words are the ones normalisation dropped or
+// split; only they are normalised again, and every token they yield must be a
+// term of the vocabulary (a body token always has a posting).
+func (ix *Index) deriveTerms(vocab []string) error {
+	c := ix.col
+	// Both dictionaries are sorted and vocab contains c.terms: one merge walk
+	// maps shard-local term ids to vocabulary ids.
+	global := make([]int32, len(c.terms))
+	g := 0
+	for t, term := range c.terms {
+		for vocab[g] != term {
+			g++
+		}
+		global[t] = int32(g)
+	}
+
+	tc := termColumn{base: make([]int, len(ix.docs)+1), multiOff: []int32{0}}
+	for d, off := range ix.wordOff {
+		tc.base[d+1] = tc.base[d] + len(off)
+	}
+	tc.ids = make([]int32, tc.base[len(ix.docs)])
+	for i := range tc.ids {
+		tc.ids[i] = unclaimed
+	}
+	for t, term := range c.terms {
+		for l := c.posOff[t]; l < c.posOff[t+1]; l++ {
+			doc := c.posDoc[l]
+			c2r := ix.contentToRaw[doc]
+			for _, p := range c.posArena[c.posStart[l]:c.posStart[l+1]] {
+				w := tc.base[doc] + int(c2r[p])
+				if tc.ids[w] != unclaimed {
+					return fmt.Errorf("search: corrupt index (content position %d of doc %d claimed by %q and %q)", p, doc, vocab[tc.ids[w]], term)
+				}
+				tc.ids[w] = global[t]
+			}
+		}
+	}
+
+	for d, off := range ix.wordOff {
+		c2r := ix.contentToRaw[d]
+		joined := ix.bodyJoined[d]
+		p := 0
+		for raw := range off {
+			w := tc.base[d] + raw
+			if p < len(c2r) && int(c2r[p]) == raw {
+				if tc.ids[w] == unclaimed {
+					return fmt.Errorf("search: corrupt index (content position %d of doc %d claimed by no term)", p, d)
+				}
+				p++
+				continue
+			}
+			end := len(joined)
+			if raw+1 < len(off) {
+				end = int(off[raw+1]) - 1 // the space before the next word
+			}
+			toks := textproc.NormalizeTokens(joined[off[raw]:end])
+			if len(toks) == 0 {
+				tc.ids[w] = noToken
+				continue
+			}
+			for _, tok := range toks {
+				id, ok := slices.BinarySearch(vocab, tok)
+				if !ok {
+					return fmt.Errorf("search: corrupt index (token %q of word %d of doc %d has no postings)", tok, raw, d)
+				}
+				tc.multiIDs = append(tc.multiIDs, int32(id))
+			}
+			tc.ids[w] = -int32(len(tc.multiOff)-1) - 2
+			tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))
+		}
+	}
+	ix.terms = tc
+	return nil
+}

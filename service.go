@@ -281,11 +281,14 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 	}
 }
 
-// finish derives the shared base config once the lab is in place.
+// finish derives the shared base config once the lab is in place. The
+// classifier is bound to the engine's vocabulary here, once, so the decide
+// loop scores the token ids search hits carry (Naive Bayes has no bound form
+// and classifies from snippet text).
 func (s *Service) finish(st settings) {
 	s.base = annotate.Config{
 		Searcher:     s.lab.Engine,
-		Classifier:   s.Classifier(s.clf),
+		Classifier:   classify.Bind(s.Classifier(s.clf), s.lab.Engine.ShardedIndex().Vocab()),
 		Types:        eval.TypeStrings(),
 		Postprocess:  true,
 		Disambiguate: true,
