@@ -314,6 +314,13 @@ func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bo
 		return p, err
 	}
 
+	// The augmentation below compares case-insensitively: lower-case each
+	// row's city once, not once per cell of the row.
+	lowerCity := make([]string, t.NumRows()+1)
+	for i, city := range cityByRow {
+		lowerCity[i] = strings.ToLower(city)
+	}
+
 	seen := map[string]bool{}
 	for j := 1; j <= t.NumCols(); j++ {
 		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
@@ -325,13 +332,13 @@ func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bo
 				continue
 			}
 			content := strings.TrimSpace(t.Cell(i, j))
-			if reason := c.Pre.Check(content); reason != SkipNone {
+			if reason := c.Pre.check(content); reason != SkipNone {
 				p.skipped[reason]++
 				continue
 			}
 			query := content
-			if city := cityByRow[i]; city != "" && !strings.Contains(strings.ToLower(content), strings.ToLower(city)) {
-				query = content + " " + city
+			if city := lowerCity[i]; city != "" && !strings.Contains(strings.ToLower(content), city) {
+				query = content + " " + cityByRow[i]
 			}
 			p.cells = append(p.cells, cellQuery{cell: CellKey{Row: i, Col: j}, query: query})
 			if !seen[query] {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/table"
+	"repro/internal/textproc"
 )
 
 // postprocess implements §5.3: for every type t, compute the global column
@@ -17,14 +18,9 @@ import (
 // 1/o_ij), and keep only the annotations of t that sit in the
 // highest-scoring column.
 func (c Config) postprocess(t *table.Table, res *Result) {
-	// Occurrence counts per column.
+	// Occurrence counts per column, built at a column's first annotation:
+	// a column no annotation sits in is never read.
 	occ := make([]map[string]int, t.NumCols()+1)
-	for j := 1; j <= t.NumCols(); j++ {
-		occ[j] = map[string]int{}
-		for i := 1; i <= t.NumRows(); i++ {
-			occ[j][normCell(t.Cell(i, j))]++
-		}
-	}
 
 	colScores := map[string]map[int]float64{}
 	for _, ann := range res.Annotations {
@@ -32,6 +28,12 @@ func (c Config) postprocess(t *table.Table, res *Result) {
 		if cols == nil {
 			cols = map[int]float64{}
 			colScores[ann.Type] = cols
+		}
+		if occ[ann.Col] == nil {
+			occ[ann.Col] = make(map[string]int, t.NumRows())
+			for i := 1; i <= t.NumRows(); i++ {
+				occ[ann.Col][normCell(t.Cell(i, ann.Col))]++
+			}
 		}
 		o := occ[ann.Col][normCell(t.Cell(ann.Row, ann.Col))]
 		if o < 1 {
@@ -41,19 +43,7 @@ func (c Config) postprocess(t *table.Table, res *Result) {
 	}
 	res.ColumnScores = colScores
 
-	// Best column per type; ties keep the leftmost column for
-	// determinism.
-	bestCol := map[string]int{}
-	for typ, cols := range colScores {
-		best, bestScore := 0, math.Inf(-1)
-		for j, s := range cols {
-			if s > bestScore || (s == bestScore && j < best) {
-				best, bestScore = j, s
-			}
-		}
-		bestCol[typ] = best
-	}
-
+	bestCol := bestColumns(colScores)
 	kept := res.Annotations[:0]
 	for _, ann := range res.Annotations {
 		if bestCol[ann.Type] == ann.Col {
@@ -63,9 +53,36 @@ func (c Config) postprocess(t *table.Table, res *Result) {
 	res.Annotations = kept
 }
 
-// normCell normalises cell content for occurrence counting.
+// bestColumns picks every type's highest-scoring column; ties keep the
+// leftmost column for determinism.
+func bestColumns(colScores map[string]map[int]float64) map[string]int {
+	bestCol := make(map[string]int, len(colScores))
+	for typ, cols := range colScores {
+		best, bestScore := 0, math.Inf(-1)
+		for j, s := range cols {
+			if s > bestScore || (s == bestScore && j < best) {
+				best, bestScore = j, s
+			}
+		}
+		bestCol[typ] = best
+	}
+	return bestCol
+}
+
+// normCell normalises cell content for occurrence counting: lower-cased,
+// whitespace runs collapsed. One pass over an ASCII cell, which comes back
+// itself when it is already in that form (the common case — no allocation);
+// any other cell takes the defining expression.
 func normCell(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+	var stack [64]byte
+	buf, ascii := textproc.AppendNormASCII(stack[:0], s)
+	switch {
+	case !ascii:
+		return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+	case string(buf) == s:
+		return s
+	}
+	return string(buf)
 }
 
 // ColumnTypes derives a semantic type per column from the Eq. 2 scores: the
@@ -78,17 +95,7 @@ func (r *Result) ColumnTypes() map[int]string {
 	if r.ColumnScores == nil {
 		return nil
 	}
-	// Best column per type (recomputing the postprocess choice).
-	bestCol := map[string]int{}
-	for typ, cols := range r.ColumnScores {
-		best, bestScore := 0, math.Inf(-1)
-		for j, s := range cols {
-			if s > bestScore || (s == bestScore && j < best) {
-				best, bestScore = j, s
-			}
-		}
-		bestCol[typ] = best
-	}
+	bestCol := bestColumns(r.ColumnScores)
 	out := map[int]string{}
 	outScore := map[int]float64{}
 	for typ, j := range bestCol {

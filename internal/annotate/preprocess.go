@@ -11,6 +11,7 @@ package annotate
 import (
 	"regexp"
 	"strings"
+	"unicode"
 
 	"repro/internal/table"
 )
@@ -32,7 +33,6 @@ const (
 )
 
 var (
-	phoneRe = regexp.MustCompile(`^\+?[\d() .-]{7,20}$`)
 	urlRe   = regexp.MustCompile(`^(https?://|www\.)\S+$`)
 	emailRe = regexp.MustCompile(`^[^@\s]+@[^@\s]+\.[^@\s]+$`)
 	numRe   = regexp.MustCompile(`^-?[\d.,]+%?$`)
@@ -83,22 +83,69 @@ func (p Preprocessor) SkipColumn(ct table.ColumnType) bool {
 // an entity name, or SkipNone when the cell must be sent to the search
 // engine.
 func (p Preprocessor) Check(content string) SkipReason {
-	c := strings.TrimSpace(content)
-	switch {
-	case c == "":
+	return p.check(strings.TrimSpace(content))
+}
+
+// check is Check on already-trimmed content. Each regexp runs only behind a
+// necessary condition for it to match — its literal prefix, a byte it
+// requires, or the class of its first byte — so the cascade's outcome is the
+// unguarded one's while an ordinary entity name costs no regexp at all.
+func (p Preprocessor) check(c string) SkipReason {
+	if c == "" {
 		return SkipEmpty
-	case urlRe.MatchString(c):
+	}
+	b := c[0]
+	signedDigit := b == '-' || ('0' <= b && b <= '9') // coordRe's first byte, and numRe's
+	switch {
+	case (strings.HasPrefix(c, "http") || strings.HasPrefix(c, "www.")) && urlRe.MatchString(c):
 		return SkipURL
-	case emailRe.MatchString(c):
+	case strings.IndexByte(c, '@') >= 0 && emailRe.MatchString(c):
 		return SkipEmail
-	case coordRe.MatchString(c):
+	case signedDigit && coordRe.MatchString(c):
 		return SkipCoords
-	case numRe.MatchString(c):
+	case (signedDigit || b == '.' || b == ',') && numRe.MatchString(c):
 		return SkipNumeric
-	case phoneRe.MatchString(c) && strings.ContainsAny(c, "0123456789"):
+	case isPhone(c):
 		return SkipPhone
-	case len(strings.Fields(c)) > p.maxWords():
+	case moreWordsThan(c, p.maxWords()):
 		return SkipLong
 	}
 	return SkipNone
+}
+
+// isPhone is the phone rule, ^\+?[\d() .-]{7,20}$ with at least one digit,
+// written out as one pass: its matches are whole phone columns, cells no
+// guard could spare a regexp.
+func isPhone(c string) bool {
+	c = strings.TrimPrefix(c, "+")
+	if len(c) < 7 || len(c) > 20 {
+		return false
+	}
+	digit := false
+	for i := 0; i < len(c); i++ {
+		switch b := c[i]; {
+		case '0' <= b && b <= '9':
+			digit = true
+		case strings.IndexByte("() .-", b) < 0:
+			return false
+		}
+	}
+	return digit
+}
+
+// moreWordsThan reports len(strings.Fields(s)) > n without building the
+// fields, stopping at word n+1.
+func moreWordsThan(s string, n int) bool {
+	words, inWord := 0, false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			inWord = false
+		} else if !inWord {
+			inWord = true
+			if words++; words > n {
+				return true
+			}
+		}
+	}
+	return false
 }

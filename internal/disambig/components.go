@@ -326,7 +326,11 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		}
 		var delta float64
 		for i := 0; i < m; i++ {
-			delta = math.Max(delta, math.Abs(next[i]-scores[i]))
+			// Scores are finite and non-negative, so the compare is
+			// math.Max without its NaN/±0 handling (an assembly call).
+			if d := math.Abs(next[i] - scores[i]); d > delta {
+				delta = d
+			}
 		}
 		copy(scores, next)
 		r.frontier = t

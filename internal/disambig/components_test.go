@@ -8,7 +8,12 @@ package disambig
 // reconcile — same choices, same float64 scores, at every worker count.
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/gazetteer"
@@ -242,8 +247,8 @@ func refCells(interps []Interpretation) (map[CellRef]bool, map[CellRef]bool) {
 // component, every directed edge stays inside its voter's component, a
 // cell's nodes share one component, and the partition is exactly the one a
 // union-find over the materialised edges (plus per-cell coupling) produces
-// — no over- or under-merging. The derivation mirrors
-// FuzzResolveEquivalence so the two corpora stress the same shapes.
+// — no over- or under-merging. The derivation is FuzzResolveEquivalence's
+// (fuzzInterps).
 func FuzzComponentDecomposition(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 10, 20, 30, 255, 2, 2, 1, 10, 11})
 	f.Add([]byte{0, 0, 0})
@@ -251,31 +256,7 @@ func FuzzComponentDecomposition(f *testing.F) {
 	f.Add([]byte{9, 3, 4, 1, 2, 3, 4, 255, 2, 9, 4, 7, 7, 7, 7})
 	g := gazetteer.Synthetic(23).Freeze()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var interps []Interpretation
-		seen := map[CellRef]map[gazetteer.LocID]bool{}
-		i := 0
-		for i+3 <= len(data) && len(interps) < 40 {
-			cell := CellRef{Row: 1 + int(data[i])%12, Col: 1 + int(data[i+1])%6}
-			n := int(data[i+2]) % 8
-			i += 3
-			if seen[cell] == nil {
-				seen[cell] = map[gazetteer.LocID]bool{}
-			}
-			var cands []gazetteer.LocID
-			for k := 0; k < n && i < len(data); k++ {
-				id := gazetteer.LocID(1 + (int(data[i])*7+k*31)%g.Len())
-				i++
-				if !seen[cell][id] {
-					seen[cell][id] = true
-					cands = append(cands, id)
-				}
-			}
-			interps = append(interps, Interpretation{Cell: cell, Candidates: cands})
-			if i < len(data) && data[i] == 255 {
-				i++
-			}
-		}
-		checkDecomposition(t, interps, g)
+		checkDecomposition(t, fuzzInterps(data, g), g)
 	})
 }
 
@@ -359,4 +340,56 @@ func checkDecomposition(t *testing.T, interps []Interpretation, g *gazetteer.Fro
 	}
 
 	checkEngines(t, interps, g, []int{1, 3})
+	checkScoresFinite(t, d)
+}
+
+// checkScoresFinite steps every component one iteration at a time — through
+// the resume path the stop coordinator uses, so each state is bitwise a state
+// a real resolution passes through — and requires every score finite and
+// non-negative after each. That is the invariant under which runComp's
+// delta reduction by plain compare equals math.Max (no NaN to propagate, no
+// -0 to order).
+func checkScoresFinite(t *testing.T, d *decomposition) {
+	t.Helper()
+	n := len(d.ns.locs)
+	global, localOf := make([]float64, n), make([]int32, n)
+	var sc compScratch
+	for ci, comp := range d.comps {
+		var r compRun
+		for it := 1; it <= maxIter && r.fixedAt == 0; it++ {
+			d.runComp(comp, &r, &sc, localOf, global, it > 1, false, it)
+			for _, gi := range comp {
+				if s := global[gi]; math.IsNaN(s) || math.IsInf(s, 0) || math.Signbit(s) {
+					t.Fatalf("component %d, iteration %d: node %d scores %v", ci, it, gi, s)
+				}
+			}
+		}
+	}
+}
+
+// TestScoresFinite runs the invariant over the checked-in decomposition
+// corpus and over decomposing address tables.
+func TestScoresFinite(t *testing.T) {
+	g := gazetteer.Synthetic(23).Freeze()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzComponentDecomposition", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no decomposition corpus: %v", err)
+	}
+	for _, name := range files {
+		file, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := bytes.CutPrefix(bytes.TrimSpace(file), []byte("go test fuzz v1\n[]byte("))
+		data, err := strconv.Unquote(string(bytes.TrimSuffix(quoted, []byte(")"))))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus file: %v", name, err)
+		}
+		checkScoresFinite(t, decompose(fuzzInterps([]byte(data), g), g))
+	}
+	big := gazetteer.SyntheticScale(42, 4).Freeze()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4; trial++ {
+		checkScoresFinite(t, decompose(addressInterps(big, rng, 30, 3), big))
+	}
 }

@@ -115,7 +115,7 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 	ns.locs = make([]gazetteer.LocID, 0, capHint)
 	ns.parents = make([]gazetteer.LocID, 0, capHint)
 	ns.nodeCell = make([]int32, 0, capHint)
-	cellIdx := map[CellRef]int32{}
+	cellIdx := make(map[CellRef]int32, len(interps))
 	dup := map[gazetteer.LocID]bool{}
 	for i, it := range interps {
 		ci, ok := cellIdx[it.Cell]
@@ -146,7 +146,7 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 		}
 	}
 
-	rowIdx := map[int]int32{}
+	rowIdx := make(map[int]int32, len(ns.cells))
 	colIdx := map[int]int32{}
 	ns.cellRowB = make([]int32, len(ns.cells))
 	ns.cellColB = make([]int32, len(ns.cells))

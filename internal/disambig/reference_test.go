@@ -274,41 +274,48 @@ func TestSparseMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// fuzzInterps derives an interpretation grid from a fuzz byte stream: the
+// bytes pick cell positions and candidate ids inside g's id space, and
+// duplicates within a cell are dropped so the input is canonical for every
+// implementation. Shared by the fuzz targets, so their corpora stress the same
+// shapes.
+func fuzzInterps(data []byte, g *gazetteer.Frozen) []Interpretation {
+	var interps []Interpretation
+	seen := map[CellRef]map[gazetteer.LocID]bool{}
+	i := 0
+	for i+3 <= len(data) && len(interps) < 40 {
+		cell := CellRef{Row: 1 + int(data[i])%12, Col: 1 + int(data[i+1])%6}
+		n := int(data[i+2]) % 8
+		i += 3
+		if seen[cell] == nil {
+			seen[cell] = map[gazetteer.LocID]bool{}
+		}
+		var cands []gazetteer.LocID
+		for k := 0; k < n && i < len(data); k++ {
+			id := gazetteer.LocID(1 + (int(data[i])*7+k*31)%g.Len())
+			i++
+			if !seen[cell][id] {
+				seen[cell][id] = true
+				cands = append(cands, id)
+			}
+		}
+		interps = append(interps, Interpretation{Cell: cell, Candidates: cands})
+		if i < len(data) && data[i] == 255 {
+			i++
+		}
+	}
+	return interps
+}
+
 // FuzzResolveEquivalence feeds byte-stream-derived interpretation grids to
-// both implementations. The byte stream picks cell positions and candidate
-// ids inside the fixed gazetteer's id space; duplicates within a cell are
-// dropped during derivation so the input is canonical for both sides.
+// both implementations (see fuzzInterps for the derivation).
 func FuzzResolveEquivalence(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 10, 20, 30, 255, 2, 2, 1, 10, 11})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{5, 1, 3, 100, 101, 102, 255, 5, 2, 3, 100, 110, 120, 255, 6, 1, 1, 100})
 	g := gazetteer.Synthetic(23).Freeze()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var interps []Interpretation
-		seen := map[CellRef]map[gazetteer.LocID]bool{}
-		i := 0
-		for i+3 <= len(data) && len(interps) < 40 {
-			cell := CellRef{Row: 1 + int(data[i])%12, Col: 1 + int(data[i+1])%6}
-			n := int(data[i+2]) % 8
-			i += 3
-			if seen[cell] == nil {
-				seen[cell] = map[gazetteer.LocID]bool{}
-			}
-			var cands []gazetteer.LocID
-			for k := 0; k < n && i < len(data); k++ {
-				id := gazetteer.LocID(1 + (int(data[i])*7+k*31)%g.Len())
-				i++
-				if !seen[cell][id] {
-					seen[cell][id] = true
-					cands = append(cands, id)
-				}
-			}
-			interps = append(interps, Interpretation{Cell: cell, Candidates: cands})
-			if i < len(data) && data[i] == 255 {
-				i++
-			}
-		}
-		checkEquivalence(t, interps, g)
+		checkEquivalence(t, fuzzInterps(data, g), g)
 	})
 }
 

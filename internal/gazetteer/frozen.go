@@ -1,6 +1,10 @@
 package gazetteer
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/textproc"
+)
 
 // Frozen is the immutable, concurrency-safe gazetteer a Builder freezes
 // into, and the only reader. Storage is columnar and compact: names are
@@ -209,11 +213,26 @@ func (f *Frozen) LookupAny(name string) []LocID {
 // bucket returns the internal id bucket for a name; callers must not modify
 // or retain it.
 func (f *Frozen) bucket(name string) []LocID {
-	ni, ok := f.byNorm[normalizeName(name)]
+	ni, ok := f.normIndex(name)
 	if !ok {
 		return nil
 	}
 	return f.ids[f.bucketOff[ni]:f.bucketOff[ni+1]]
+}
+
+// normIndex is byNorm[normalizeName(name)] without building the key on the
+// heap: an ASCII name — nothing in it folds — is lower-cased and
+// space-collapsed into a stack buffer the map is probed with directly; any
+// other name takes normalizeName.
+func (f *Frozen) normIndex(name string) (int32, bool) {
+	var stack [64]byte
+	buf, ascii := textproc.AppendNormASCII(stack[:0], name)
+	if !ascii {
+		ni, ok := f.byNorm[normalizeName(name)]
+		return ni, ok
+	}
+	ni, ok := f.byNorm[string(buf)]
+	return ni, ok
 }
 
 // FullName renders the location with its full container chain, e.g.
@@ -295,7 +314,7 @@ func (f *Frozen) Geocode(address string) []LocID {
 // normalized name matches the qualifier's.
 func (f *Frozen) narrow(cands []LocID, qualifier string) []LocID {
 	out := cands[:0]
-	qn, ok := f.byNorm[normalizeName(qualifier)]
+	qn, ok := f.normIndex(qualifier)
 	if !ok {
 		return out
 	}

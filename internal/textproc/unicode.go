@@ -1,6 +1,9 @@
 package textproc
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // Unicode normalization for ingested cell text. Real-world tables arrive in
 // a mix of precomposed (NFC) and decomposed (NFD) encodings — macOS file
@@ -123,6 +126,9 @@ func DecomposeNFD(s string) string {
 // spellings of a place name all geocode to the same locations.
 func FoldDiacritics(s string) string {
 	changed := strings.ContainsFunc(s, func(r rune) bool {
+		if r < utf8.RuneSelf {
+			return false // no ASCII rune folds; skip the two map probes
+		}
 		_, pre := latinDecomp[r]
 		_, ex := extraFolds[r]
 		return pre || ex || isCombiningMark(r)
@@ -145,4 +151,35 @@ func FoldDiacritics(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// AppendNormASCII appends the key form of an all-ASCII s to dst — lower-cased,
+// every whitespace run collapsed to one space, none leading or trailing:
+// strings.Join(strings.Fields(strings.ToLower(s)), " ") — and reports true.
+// At the first byte >= 0x80 it gives up and reports false (dst's new content
+// is then meaningless): Unicode case mapping, spaces and diacritic folds are
+// the caller's slow path. Cell and place-name keys are built through it into
+// a stack buffer, so looking an ASCII key up allocates nothing.
+func AppendNormASCII(dst []byte, s string) ([]byte, bool) {
+	start := len(dst)
+	pending := false // a whitespace run is waiting for the next word
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		switch {
+		case b >= utf8.RuneSelf:
+			return dst, false
+		case b == ' ' || ('\t' <= b && b <= '\r'):
+			pending = len(dst) > start
+		default:
+			if pending {
+				dst = append(dst, ' ')
+				pending = false
+			}
+			if 'A' <= b && b <= 'Z' {
+				b += 'a' - 'A'
+			}
+			dst = append(dst, b)
+		}
+	}
+	return dst, true
 }

@@ -121,3 +121,20 @@ func TestTokenizeNFCvsNFD(t *testing.T) {
 		t.Fatalf("Tokenize(ComposeNFC(NFD)) = %v, want %v", composed, nfc)
 	}
 }
+
+// TestAppendNormASCII: the ASCII key pass equals its defining expression,
+// appends after whatever dst already holds, and gives up on any other byte.
+func TestAppendNormASCII(t *testing.T) {
+	for _, s := range []string{"", " ", "Cedar Lane", "  CEDAR \t\r\n lane\v\f", "a", " a", "a ", "A  b   C", "\x00\x1c\x7f"} {
+		want := strings.Join(strings.Fields(strings.ToLower(s)), " ")
+		got, ok := AppendNormASCII([]byte("key "), s)
+		if !ok || string(got) != "key "+want {
+			t.Errorf("AppendNormASCII(%q) = %q, %v; want %q", s, got, ok, "key "+want)
+		}
+	}
+	for _, s := range []string{nfcMusee, "caf\u00e9", "a\u00a0b", "\xff", "\u212a"} {
+		if _, ok := AppendNormASCII(nil, s); ok {
+			t.Errorf("AppendNormASCII(%q) claims an ASCII key", s)
+		}
+	}
+}
