@@ -437,7 +437,7 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 			}
 			var queries int
 			for i := 0; i < b.N; i++ {
-				results, err := a.AnnotateBatch(context.Background(), tables, p)
+				results, err := a.AnnotateBatch(context.Background(), tables)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,7 +468,7 @@ func BenchmarkCrossTableCache(b *testing.B) {
 		}
 	}
 	run := func(b *testing.B, a annotate.Config) (queries int) {
-		results, err := a.AnnotateBatch(context.Background(), tables, 1)
+		results, err := a.AnnotateBatch(context.Background(), tables)
 		if err != nil {
 			b.Fatal(err)
 		}

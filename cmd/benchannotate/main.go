@@ -160,7 +160,7 @@ func benchmark(o options, stdout io.Writer) error {
 		for rep := 0; rep < o.repeat; rep++ {
 			cfg.Cache = qcache.New()
 			start := time.Now()
-			results, err := cfg.AnnotateBatch(ctx, tables, p)
+			results, err := cfg.AnnotateBatch(ctx, tables)
 			if err != nil {
 				return err
 			}
@@ -186,13 +186,13 @@ func benchmark(o options, stdout io.Writer) error {
 
 		// Warm: one populating pass, then measure with a full-hit cache.
 		cfg.Cache = qcache.New()
-		if _, err := cfg.AnnotateBatch(ctx, tables, p); err != nil {
+		if _, err := cfg.AnnotateBatch(ctx, tables); err != nil {
 			return err
 		}
 		best = 0.0
 		for rep := 0; rep < o.repeat; rep++ {
 			start := time.Now()
-			if _, err := cfg.AnnotateBatch(ctx, tables, p); err != nil {
+			if _, err := cfg.AnnotateBatch(ctx, tables); err != nil {
 				return err
 			}
 			secs := time.Since(start).Seconds()

@@ -195,27 +195,17 @@ func (c Config) Annotate(ctx context.Context, t *table.Table) (*Result, error) {
 }
 
 // AnnotateBatch annotates a batch of tables, fanning whole tables out over
-// a bounded worker pool of the given parallelism (values <= 1 run
-// sequentially). Results are returned in input order; annotations and
-// scores are identical to annotating each table sequentially. With a shared
-// Cache, the cache's singleflight guarantees one backend query per unique
-// key, so batch-wide query and hit/miss totals are fixed too — though which
-// table's Result records a given miss can vary under concurrency. The first
-// context error aborts the batch.
-func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table, parallelism int) ([]*Result, error) {
+// the Parallelism-bounded worker pool. Results are returned in input order;
+// annotations and scores are identical to annotating each table alone. With a
+// shared Cache, the cache's singleflight guarantees one backend query per
+// unique key, so batch-wide query and hit/miss totals are fixed too — though
+// which table's Result records a given miss can vary under concurrency. A
+// context error aborts the batch; otherwise the lowest-indexed table's error
+// fails it.
+func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table) ([]*Result, error) {
 	out := make([]*Result, len(tables))
-	if parallelism <= 1 {
-		for i, t := range tables {
-			res, err := c.annotateExcluding(ctx, t, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
 	errs := make([]error, len(tables))
-	if err := runPool(ctx, parallelism, len(tables), func(i int) {
+	if err := RunPool(ctx, c.Parallelism, len(tables), func(i int) {
 		out[i], errs[i] = c.annotateExcluding(ctx, tables[i], nil)
 	}); err != nil {
 		return nil, err
@@ -228,33 +218,32 @@ func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table, parall
 	return out, nil
 }
 
-// runPool runs work(0..n-1) over a bounded pool of workers, dispatching
-// until ctx is done. In-flight work completes; the first context error is
-// returned after the pool drains.
-func runPool(ctx context.Context, workers, n int, work func(int)) error {
-	if workers > n {
-		workers = n
+// RunPool runs work(0..n-1) over a bounded pool of workers — the one fan-out
+// of table batches, a table's query chunks and the service's batches and
+// streams. Every worker takes the next index while ctx is live, and the
+// calling goroutine is the last worker, so one worker or fewer (or a single
+// item) is a loop that starts no goroutine. Work taken completes; the context
+// error, if any, is returned once it has.
+func RunPool(ctx context.Context, workers, n int, work func(int)) error {
+	var next atomic.Int64
+	worker := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			work(i)
+		}
 	}
-	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				work(i)
-			}
+			worker()
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
+	worker()
 	wg.Wait()
 	return ctx.Err()
 }
@@ -282,11 +271,12 @@ func (c Config) annotateExcluding(ctx context.Context, t *table.Table, exclude m
 	return res, nil
 }
 
-// cellQuery is one annotatable cell paired with its (possibly spatially
-// augmented) search query — the unit of work the plan stage emits.
+// cellQuery is one annotatable cell paired with the index, in the plan's
+// unique list, of its (possibly spatially augmented) search query — the unit
+// of work the plan stage emits.
 type cellQuery struct {
 	cell  CellKey
-	query string
+	query int
 }
 
 // tablePlan is the plan stage's output: the annotatable cells in column-major
@@ -297,6 +287,29 @@ type tablePlan struct {
 	cells   []cellQuery
 	unique  []string
 	skipped map[SkipReason]int
+}
+
+// lowerCities returns each row's city lower-cased, indexed by 1-based row: the
+// augmentation compares case-insensitively, once per row, not once per cell.
+func lowerCities(cityByRow map[int]string, rows int) []string {
+	lower := make([]string, rows+1)
+	for i, city := range cityByRow {
+		lower[i] = strings.ToLower(city)
+	}
+	return lower
+}
+
+// queryFor is the per-cell step of plan and Explain: the §5.1 verdict on a
+// cell's trimmed content and, when the cell survives, its query — the content,
+// followed by the row's city unless the content already names it.
+func (c Config) queryFor(content, city, lowerCity string) (string, SkipReason) {
+	if reason := c.Pre.check(content); reason != SkipNone {
+		return "", reason
+	}
+	if lowerCity != "" && !strings.Contains(strings.ToLower(content), lowerCity) {
+		return content + " " + city, SkipNone
+	}
+	return content, SkipNone
 }
 
 // plan walks the table once, applying the §5.1 pre-processing and the §5.2.2
@@ -313,15 +326,9 @@ func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bo
 	if err != nil {
 		return p, err
 	}
+	lowerCity := lowerCities(cityByRow, t.NumRows())
 
-	// The augmentation below compares case-insensitively: lower-case each
-	// row's city once, not once per cell of the row.
-	lowerCity := make([]string, t.NumRows()+1)
-	for i, city := range cityByRow {
-		lowerCity[i] = strings.ToLower(city)
-	}
-
-	seen := map[string]bool{}
+	seen := map[string]int{}
 	for j := 1; j <= t.NumCols(); j++ {
 		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
 			p.skipped[SkipColumnType] += t.NumRows()
@@ -331,20 +338,18 @@ func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bo
 			if exclude[CellKey{Row: i, Col: j}] {
 				continue
 			}
-			content := strings.TrimSpace(t.Cell(i, j))
-			if reason := c.Pre.check(content); reason != SkipNone {
+			query, reason := c.queryFor(strings.TrimSpace(t.Cell(i, j)), cityByRow[i], lowerCity[i])
+			if reason != SkipNone {
 				p.skipped[reason]++
 				continue
 			}
-			query := content
-			if city := lowerCity[i]; city != "" && !strings.Contains(strings.ToLower(content), city) {
-				query = content + " " + cityByRow[i]
-			}
-			p.cells = append(p.cells, cellQuery{cell: CellKey{Row: i, Col: j}, query: query})
-			if !seen[query] {
-				seen[query] = true
+			qi, ok := seen[query]
+			if !ok {
+				qi = len(p.unique)
+				seen[query] = qi
 				p.unique = append(p.unique, query)
 			}
+			p.cells = append(p.cells, cellQuery{cell: CellKey{Row: i, Col: j}, query: qi})
 		}
 	}
 	return p, nil
@@ -372,147 +377,88 @@ func chunkSize(n, workers int) int {
 	return size
 }
 
-// execute resolves every unique query to a verdict and updates the Queries,
-// batch and cache counters on res. The backend receives the queries in chunks
-// (one batch call per chunk), sequentially or over a bounded worker pool when
-// Parallelism > 1. With a shared cache configured, each chunk goes through
-// the cache's batched singleflight, so one backend query is issued per unique
-// key across all concurrent tables; which table's Result records the miss can
-// vary under concurrency, but totals are fixed by the workload.
-func (c Config) execute(ctx context.Context, queries []string, res *Result) (map[string]qcache.Verdict, error) {
-	verdicts := make(map[string]qcache.Verdict, len(queries))
+// execute resolves every unique query to a verdict, positionally, and sets
+// the Queries, batch and cache counters on res. The queries are cut into
+// chunks sized for the worker count, run over the Parallelism-bounded pool. A
+// chunk costs one backend batch call; with a shared cache it goes through the
+// cache's batched singleflight first, whose compute callback — invoked with
+// only the chunk's genuine misses — is that same call, so one backend query is
+// issued per unique key across all concurrent tables (which table's Result
+// records the miss can vary; totals are fixed by the workload). Verdicts are
+// identical at any chunking.
+func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]qcache.Verdict, error) {
 	gamma := c.typeSet()
-
-	if c.Cache == nil {
-		resolved, err := c.executeBatched(ctx, queries, gamma, res)
-		if err != nil {
-			return nil, err
-		}
-		res.Queries = len(queries)
-		for i, q := range queries {
-			verdicts[q] = resolved[i]
-		}
-		return verdicts, nil
+	var batches, hits atomic.Int64
+	chunk := func(queries []string) ([]qcache.Verdict, error) {
+		batches.Add(1)
+		return c.resolveChunk(ctx, queries, gamma)
 	}
-
-	out := make([]qcache.Verdict, len(queries))
-	hit := make([]bool, len(queries))
-	if err := c.executeCachedBatched(ctx, queries, gamma, c.cacheKeyPrefix(), out, hit, res); err != nil {
-		return nil, err
-	}
-	for i, q := range queries {
-		verdicts[q] = out[i]
-		if hit[i] {
-			res.CacheHits++
-		} else {
-			res.CacheMisses++
-			res.Queries++
-		}
-	}
-	return verdicts, nil
-}
-
-// forEachChunk cuts n queries into chunks sized for the worker count and
-// runs work(lo, hi) for each — sequentially (with a ctx check between
-// chunks) or over the bounded pool — returning the first error. Both batch
-// paths share this dispatch skeleton so its ctx and error semantics cannot
-// diverge between them.
-func (c Config) forEachChunk(ctx context.Context, n int, work func(lo, hi int) error) error {
-	size := chunkSize(n, c.Parallelism)
-	nChunks := (n + size - 1) / size
-	errs := make([]error, nChunks)
-	do := func(ci int) {
-		lo := ci * size
-		errs[ci] = work(lo, min(lo+size, n))
-	}
-	if c.Parallelism <= 1 || nChunks < 2 {
-		for ci := 0; ci < nChunks; ci++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	if c.Cache != nil {
+		resolve, prefix := chunk, c.cacheKeyPrefix()
+		chunk = func(queries []string) ([]qcache.Verdict, error) {
+			keys := make([]string, len(queries))
+			for i, q := range queries {
+				keys[i] = prefix + q
 			}
-			do(ci)
+			vs, hit, err := c.Cache.GetOrComputeBatch(keys, func(missKeys []string) ([]qcache.Verdict, error) {
+				miss := make([]string, len(missKeys))
+				for i, k := range missKeys {
+					miss[i] = k[len(prefix):]
+				}
+				return resolve(miss)
+			})
+			for _, h := range hit {
+				if h {
+					hits.Add(1)
+				}
+			}
+			return vs, err
 		}
-	} else if err := runPool(ctx, c.Parallelism, nChunks, do); err != nil {
-		return err
+	}
+
+	n := len(queries)
+	out := make([]qcache.Verdict, n)
+	size := chunkSize(n, c.Parallelism)
+	errs := make([]error, (n+size-1)/size)
+	if err := RunPool(ctx, c.Parallelism, len(errs), func(ci int) {
+		lo := ci * size
+		var vs []qcache.Verdict
+		vs, errs[ci] = chunk(queries[lo:min(lo+size, n)])
+		copy(out[lo:], vs)
+	}); err != nil {
+		return nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// executeBatched is the cacheless batch path: the queries are cut into
-// chunks, each chunk costs one backend batch call, and chunks fan out over
-// the worker pool when Parallelism > 1. Verdicts are positional and
-// identical at any chunking.
-func (c Config) executeBatched(ctx context.Context, queries []string, gamma map[string]struct{}, res *Result) ([]qcache.Verdict, error) {
-	out := make([]qcache.Verdict, len(queries))
-	var batches atomic.Int64
-	err := c.forEachChunk(ctx, len(queries), func(lo, hi int) error {
-		batches.Add(1)
-		return c.resolveChunk(ctx, queries[lo:hi], gamma, out[lo:hi])
-	})
-	if err != nil {
-		return nil, err
-	}
 	res.Batches = int(batches.Load())
+	res.CacheHits = int(hits.Load())
+	res.Queries = n - res.CacheHits
+	if c.Cache != nil {
+		res.CacheMisses = res.Queries
+	}
 	return out, nil
 }
 
-// executeCachedBatched is the cached batch path: each chunk resolves through
-// one batched cache lookup whose compute callback — invoked with only the
-// chunk's genuine misses — costs one backend batch call.
-func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamma map[string]struct{}, prefix string, out []qcache.Verdict, hit []bool, res *Result) error {
-	var batches atomic.Int64
-	err := c.forEachChunk(ctx, len(queries), func(lo, hi int) error {
-		keys := make([]string, hi-lo)
-		for i := range keys {
-			keys[i] = prefix + queries[lo+i]
-		}
-		vs, hits, err := c.Cache.GetOrComputeBatch(keys, func(missKeys []string) ([]qcache.Verdict, error) {
-			miss := make([]string, len(missKeys))
-			for i, k := range missKeys {
-				miss[i] = k[len(prefix):]
-			}
-			batches.Add(1)
-			mout := make([]qcache.Verdict, len(miss))
-			if err := c.resolveChunk(ctx, miss, gamma, mout); err != nil {
-				return nil, err
-			}
-			return mout, nil
-		})
-		if err != nil {
-			return err
-		}
-		copy(out[lo:hi], vs)
-		copy(hit[lo:hi], hits)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	res.Batches = int(batches.Load())
-	return nil
-}
-
 // resolveChunk resolves one chunk of queries with a single backend batch
-// call and applies the Eq. 1 decision per query into out (positional). The
+// call and applies the Eq. 1 decision per query (positional). The
 // per-decision scratch state (see scratch) is checked out of a pool once for
 // the whole chunk.
-func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, out []qcache.Verdict) error {
+func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}) ([]qcache.Verdict, error) {
 	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
+	out := make([]qcache.Verdict, len(lists))
 	for i, results := range lists {
 		typ, score, ok := c.decideWith(sc, results, gamma)
 		out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
 	}
-	return nil
+	return out, nil
 }
 
 // searchOne is a batch of one, for the trace and baseline paths that decide
@@ -534,10 +480,10 @@ func (c Config) cacheKeyPrefix() string {
 	return fmt.Sprintf("%s\x00k=%d\x00ct=%g\x00%s\x00", c.CacheSalt, c.k(), c.ClusterThreshold, strings.Join(types, ","))
 }
 
-// merge applies the verdicts back to the planned cells — column-major, the
-// order the original sequential pipeline produced — and then runs the §5.3
-// post-processing when enabled.
-func (c Config) merge(t *table.Table, p tablePlan, verdicts map[string]qcache.Verdict, res *Result) {
+// merge applies the positional verdicts back to the planned cells —
+// column-major, the order the original sequential pipeline produced — and then
+// runs the §5.3 post-processing when enabled.
+func (c Config) merge(t *table.Table, p tablePlan, verdicts []qcache.Verdict, res *Result) {
 	for _, cq := range p.cells {
 		if v := verdicts[cq.query]; v.OK {
 			res.Annotations = append(res.Annotations, Annotation{Row: cq.cell.Row, Col: cq.cell.Col, Type: v.Type, Score: v.Score})
@@ -565,8 +511,7 @@ func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // snippetPredictor labels one search result with the configured classifier —
-// the single step 3 of the algorithm, shared by the decide loop and Explain so
-// a trace's votes are the votes the verdict counted. A hit of the built-in
+// the single step 3 of the algorithm. A hit of the built-in
 // engine carries its snippet's token ids and a vocabulary-bound classifier
 // scores those directly; a result without ids (a SearchFunc, a mock, a
 // title-only hit) or a classifier without a bound form (Naive Bayes) goes
@@ -602,6 +547,13 @@ func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[strin
 	if c.ClusterThreshold > 0 {
 		return c.clusterDecide(results, gamma)
 	}
+	c.countVotes(sc, results, gamma)
+	return majorityType(sc.counts, len(results))
+}
+
+// countVotes tallies step 3 into sc.counts, one vote per result predicted in
+// Γ: what the flat rule decides on and what Explain displays.
+func (c Config) countVotes(sc *scratch, results []search.Result, gamma map[string]struct{}) {
 	clear(sc.counts)
 	p := c.predictor(sc)
 	for _, r := range results {
@@ -610,7 +562,6 @@ func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[strin
 			sc.counts[pred]++
 		}
 	}
-	return majorityType(sc.counts, len(results))
 }
 
 // majorityType applies the Eq. 1 decision rule: the unique type with the

@@ -1,12 +1,16 @@
 package annotate
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/qcache"
 	"repro/internal/search"
 	"repro/internal/table"
@@ -70,53 +74,118 @@ func batchScript(n int) *scriptedBatchBackend {
 	return s
 }
 
+// The one execute body's input space: no cache, a fresh one, a pre-warmed one,
+// each sequential (Parallelism 0 and 1 run the pool inline) and pooled.
+var (
+	matrixCaches      = []string{"nil", "fresh", "warm"}
+	matrixParallelism = []int{0, 1, 4}
+)
+
+// matrixCache returns the cache of one matrix cell: nil, empty, or holding
+// every verdict base's table needs (warmed through base with that cache).
+func matrixCache(t *testing.T, kind string, base Config, tbl *table.Table) *qcache.Cache {
+	t.Helper()
+	if kind == "nil" {
+		return nil
+	}
+	c := qcache.New()
+	if kind == "warm" {
+		base.Cache = c
+		if _, err := base.Annotate(context.Background(), tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 // TestExecuteBatches: the execute stage submits chunks — every query carried
-// by a batch, the chunk count in Result.Batches — and a per-query function
-// behind the SearchFunc adapter yields the identical annotation set.
+// by a batch, the chunk count in Result.Batches — with the documented
+// counters in every cell of the cache × parallelism matrix, and a per-query
+// function behind the SearchFunc adapter yields the identical annotation set.
 func TestExecuteBatches(t *testing.T) {
 	const rows = 70
+	tbl := wideTable(t, rows)
+	var want string
+	for _, kind := range matrixCaches {
+		for _, p := range matrixParallelism {
+			label := fmt.Sprintf("cache=%s parallelism=%d", kind, p)
+			cfg := Config{
+				Searcher:    batchScript(rows),
+				Classifier:  constClassifier("museum"),
+				Types:       []string{"museum", "restaurant"},
+				K:           10,
+				Parallelism: p,
+			}
+			cfg.Cache = matrixCache(t, kind, cfg, tbl)
+			s := batchScript(rows) // a backend that has seen only the measured run
+			cfg.Searcher = s
+			res, err := cfg.Annotate(context.Background(), tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only a miss reaches the backend: all of them without a cache or
+			// with an empty one — in ceil(70/32) chunks sequentially, and in
+			// four chunks of ceil(70/4) over four workers — none with a warm one.
+			wantQueries, wantChunks := rows, (rows+maxSearchBatch-1)/maxSearchBatch
+			if p == 4 {
+				wantChunks = 4
+			}
+			if kind == "warm" {
+				wantQueries, wantChunks = 0, 0
+			}
+			if got := s.batchQueries.Load(); got != int64(wantQueries) {
+				t.Errorf("%s: batched queries = %d, want %d", label, got, wantQueries)
+			}
+			if got := s.batchCalls.Load(); got != int64(wantChunks) {
+				t.Errorf("%s: batch calls = %d, want %d", label, got, wantChunks)
+			}
+			if res.Batches != wantChunks {
+				t.Errorf("%s: Result.Batches = %d, want %d", label, res.Batches, wantChunks)
+			}
+			if len(res.Annotations) != rows || res.Queries != wantQueries {
+				t.Errorf("%s: annotations=%d queries=%d, want %d and %d", label, len(res.Annotations), res.Queries, rows, wantQueries)
+			}
+			wantHits, wantMisses := 0, 0
+			switch kind {
+			case "fresh":
+				wantMisses = rows
+			case "warm":
+				wantHits = rows
+			}
+			if res.CacheHits != wantHits || res.CacheMisses != wantMisses {
+				t.Errorf("%s: cache hits=%d misses=%d, want %d and %d", label, res.CacheHits, res.CacheMisses, wantHits, wantMisses)
+			}
+			got := fmt.Sprintf("%+v", res.Annotations)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: annotations differ from the first cell's", label)
+			}
+		}
+	}
+
+	// The per-query backend must produce the identical annotation set.
 	s := batchScript(rows)
-	cfg := Config{
-		Searcher:   s,
+	plain := Config{
+		Searcher:   &s.scriptedSearcher,
 		Classifier: constClassifier("museum"),
 		Types:      []string{"museum", "restaurant"},
 		K:          10,
 	}
-	res, err := cfg.Annotate(context.Background(), wideTable(t, rows))
+	res2, err := plain.Annotate(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.batchQueries.Load(); got != rows {
-		t.Errorf("batched queries = %d, want %d", got, rows)
-	}
-	wantChunks := (rows + maxSearchBatch - 1) / maxSearchBatch
-	if got := s.batchCalls.Load(); got != int64(wantChunks) {
-		t.Errorf("batch calls = %d, want %d (sequential chunking)", got, wantChunks)
-	}
-	if res.Batches != wantChunks {
-		t.Errorf("Result.Batches = %d, want %d", res.Batches, wantChunks)
-	}
-	if len(res.Annotations) != rows || res.Queries != rows {
-		t.Errorf("annotations=%d queries=%d, want %d each", len(res.Annotations), res.Queries, rows)
-	}
-
-	// The per-query backend must produce the identical annotation set.
-	plain := cfg
-	plain.Searcher = &s.scriptedSearcher
-	res2, err := plain.Annotate(context.Background(), wideTable(t, rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", res.Annotations) != fmt.Sprintf("%+v", res2.Annotations) {
+	if want != fmt.Sprintf("%+v", res2.Annotations) {
 		t.Error("batch and per-query backends produced different annotations")
 	}
 }
 
-// TestBatchedExecuteParallelRace runs the batched execute path at
-// parallelism >= 4 — without and with a shared cache, plus concurrent
-// whole-table fan-out — and asserts outputs match the sequential run.
-// Under -race this is the data-race check for the chunked worker pool,
-// the batched cache lookups and the singleflight publication.
+// TestBatchedExecuteParallelRace runs the execute stage from six concurrent
+// whole-table runs in every cell of the cache × parallelism matrix and asserts
+// outputs match the sequential run. Under -race this is the data-race check
+// for the chunked worker pool, the batched cache lookups and the singleflight
+// publication.
 func TestBatchedExecuteParallelRace(t *testing.T) {
 	const rows = 90
 	tbl := wideTable(t, rows)
@@ -132,46 +201,124 @@ func TestBatchedExecuteParallelRace(t *testing.T) {
 	}
 	seq := fmt.Sprintf("%+v", seqRes.Annotations)
 
-	for _, withCache := range []bool{false, true} {
-		cfg := base
-		cfg.Parallelism = 8
-		if withCache {
-			cfg.Cache = qcache.New()
+	for _, kind := range matrixCaches {
+		for _, p := range matrixParallelism {
+			label := fmt.Sprintf("cache=%s parallelism=%d", kind, p)
+			cfg := base
+			cfg.Parallelism = p
+			cfg.Cache = matrixCache(t, kind, cfg, tbl)
+			var wg sync.WaitGroup
+			results := make([]*Result, 6)
+			errs := make([]error, 6)
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					results[g], errs[g] = cfg.Annotate(context.Background(), tbl)
+				}(g)
+			}
+			wg.Wait()
+			totalQ, totalHits := 0, 0
+			for g := range results {
+				if errs[g] != nil {
+					t.Fatalf("%s goroutine %d: %v", label, g, errs[g])
+				}
+				if got := fmt.Sprintf("%+v", results[g].Annotations); got != seq {
+					t.Errorf("%s goroutine %d: annotations differ from sequential run", label, g)
+				}
+				totalQ += results[g].Queries
+				totalHits += results[g].CacheHits
+			}
+			switch kind {
+			case "nil":
+				if totalQ != 6*rows || totalHits != 0 {
+					t.Errorf("%s: total queries = %d, hits = %d, want %d and 0", label, totalQ, totalHits, 6*rows)
+				}
+			case "fresh":
+				// Singleflight across the six concurrent tables: one backend
+				// query per unique cell value, total.
+				if misses := cfg.Cache.Stats().Misses; misses != rows {
+					t.Errorf("%s: cache misses = %d, want %d (one per unique query)", label, misses, rows)
+				}
+				if totalQ != rows || totalHits != 5*rows {
+					t.Errorf("%s: total queries = %d, hits = %d across tables, want %d and %d", label, totalQ, totalHits, rows, 5*rows)
+				}
+			case "warm":
+				if totalQ != 0 || totalHits != 6*rows {
+					t.Errorf("%s: total queries = %d, hits = %d, want 0 and %d", label, totalQ, totalHits, 6*rows)
+				}
+			}
 		}
-		var wg sync.WaitGroup
-		results := make([]*Result, 6)
-		errs := make([]error, 6)
-		for g := 0; g < 6; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				results[g], errs[g] = cfg.Annotate(context.Background(), tbl)
-			}(g)
+	}
+}
+
+// goid is the running goroutine's id, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestRunPoolInline: the calling goroutine is the pool's last worker, so with
+// one worker or fewer — zero and negative counts included — the pool is a loop
+// on that goroutine, in index order, that checks ctx before each item.
+func TestRunPoolInline(t *testing.T) {
+	leakcheck.Goroutines(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	caller := goid()
+	for _, workers := range []int{-1, 0, 1} {
+		var order []int
+		before := runtime.NumGoroutine()
+		err := RunPool(context.Background(), workers, 5, func(i int) {
+			if id := goid(); id != caller || runtime.NumGoroutine() != before {
+				t.Errorf("workers=%d: item %d ran on goroutine %s of %d, want the caller's %s of %d",
+					workers, i, id, runtime.NumGoroutine(), caller, before)
+			}
+			order = append(order, i)
+		})
+		if err != nil || !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("workers=%d, live ctx: ran %v with error %v, want every item in order", workers, order, err)
 		}
-		wg.Wait()
-		for g := range results {
-			if errs[g] != nil {
-				t.Fatalf("cache=%v goroutine %d: %v", withCache, g, errs[g])
-			}
-			if got := fmt.Sprintf("%+v", results[g].Annotations); got != seq {
-				t.Errorf("cache=%v goroutine %d: annotations differ from sequential run", withCache, g)
-			}
+
+		err = RunPool(cancelled, workers, 5, func(i int) { t.Errorf("workers=%d: item %d ran under a cancelled ctx", workers, i) })
+		if err != context.Canceled {
+			t.Errorf("workers=%d, cancelled ctx: error = %v, want context.Canceled", workers, err)
 		}
-		if withCache {
-			// Singleflight across the six concurrent tables: one backend
-			// query per unique cell value, total.
-			st := cfg.Cache.Stats()
-			if st.Misses != rows {
-				t.Errorf("cache misses = %d, want %d (one per unique query)", st.Misses, rows)
+
+		// Cancelled mid-run: the item in hand completes, the next is not started.
+		ctx, stop := context.WithCancel(context.Background())
+		order = order[:0]
+		err = RunPool(ctx, workers, 5, func(i int) {
+			order = append(order, i)
+			if i == 1 {
+				stop()
 			}
-			totalQ := 0
-			for _, r := range results {
-				totalQ += r.Queries
-			}
-			if totalQ != rows {
-				t.Errorf("total queries across tables = %d, want %d", totalQ, rows)
-			}
+		})
+		if err != context.Canceled || !slices.Equal(order, []int{0, 1}) {
+			t.Errorf("workers=%d, cancelled at item 1: ran %v with error %v, want [0 1] and context.Canceled", workers, order, err)
 		}
+	}
+
+	// The pooled form runs every item exactly once, and also hands nothing
+	// out under a cancelled ctx; a single item never needs a second goroutine.
+	var ran [64]atomic.Int32
+	if err := RunPool(context.Background(), 4, len(ran), func(i int) { ran[i].Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ran {
+		if n := ran[i].Load(); n != 1 {
+			t.Errorf("pooled: item %d ran %d times", i, n)
+		}
+	}
+	if err := RunPool(cancelled, 4, 8, func(i int) { t.Errorf("pooled: item %d ran under a cancelled ctx", i) }); err != context.Canceled {
+		t.Errorf("pooled, cancelled ctx: error = %v, want context.Canceled", err)
+	}
+	if err := RunPool(context.Background(), 4, 1, func(int) {
+		if id := goid(); id != caller {
+			t.Errorf("a single item ran on goroutine %s, want the caller's %s", id, caller)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

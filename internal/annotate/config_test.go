@@ -88,7 +88,8 @@ func TestConfigBatchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tables := []*table.Table{scriptedTable(t, "Louvre"), scriptedTable(t, "Louvre")}
-	if _, err := cfg.AnnotateBatch(ctx, tables, 2); err == nil {
+	cfg.Parallelism = 2
+	if _, err := cfg.AnnotateBatch(ctx, tables); err == nil {
 		t.Fatal("cancelled context did not abort AnnotateBatch")
 	}
 	if s.calls.Load() != 0 {

@@ -107,7 +107,8 @@ func TestAnnotateTableContextCancelled(t *testing.T) {
 	if _, err := a.Annotate(ctx, scriptedTable(t, "Louvre")); err == nil {
 		t.Fatal("cancelled context did not abort annotation")
 	}
-	if _, err := a.AnnotateBatch(ctx, []*table.Table{scriptedTable(t, "Louvre")}, 4); err == nil {
+	a.Parallelism = 4
+	if _, err := a.AnnotateBatch(ctx, []*table.Table{scriptedTable(t, "Louvre")}); err == nil {
 		t.Fatal("cancelled context did not abort the batch API")
 	}
 	if s.calls.Load() != 0 {
@@ -172,10 +173,13 @@ func TestAnnotateTablesBatch(t *testing.T) {
 	a := f.config()
 	want := make([]string, len(tables))
 	for i, tbl := range tables {
-		want[i] = fmt.Sprintf("%+v", annotateTable(a, tbl))
+		res := annotateTable(a, tbl)
+		res.Batches = 0
+		want[i] = fmt.Sprintf("%+v", res)
 	}
-	for _, p := range []int{1, 3, 8} {
-		results, err := a.AnnotateBatch(context.Background(), tables, p)
+	for _, p := range []int{-1, 0, 1, 3, 8} {
+		a.Parallelism = p
+		results, err := a.AnnotateBatch(context.Background(), tables)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
@@ -183,6 +187,7 @@ func TestAnnotateTablesBatch(t *testing.T) {
 			t.Fatalf("parallelism %d: %d results, want %d", p, len(results), len(tables))
 		}
 		for i, res := range results {
+			res.Batches = 0 // the one statistic that follows the worker count
 			if got := fmt.Sprintf("%+v", res); got != want[i] {
 				t.Errorf("parallelism %d, table %d: batch result differs from Annotate", p, i)
 			}

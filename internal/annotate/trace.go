@@ -3,6 +3,7 @@ package annotate
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -72,9 +73,9 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 	if err != nil {
 		return nil, err
 	}
+	lowerCity := lowerCities(cityByRow, t.NumRows())
 	sc := getScratch()
 	defer putScratch(sc)
-	p := c.predictor(sc)
 	var out []CellExplanation
 	for j := 1; j <= t.NumCols(); j++ {
 		colSkipped := c.Pre.SkipColumn(t.Columns[j-1].Type)
@@ -82,37 +83,24 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			content := strings.TrimSpace(t.Cell(i, j))
-			e := CellExplanation{Row: i, Col: j, Content: content}
-			switch {
-			case colSkipped:
-				e.Skipped = SkipColumnType
-			default:
-				e.Skipped = c.Pre.Check(content)
+			e := CellExplanation{Row: i, Col: j, Content: strings.TrimSpace(t.Cell(i, j)), Skipped: SkipColumnType}
+			if !colSkipped {
+				e.Query, e.Skipped = c.queryFor(e.Content, cityByRow[i], lowerCity[i])
 			}
 			if e.Skipped != SkipNone {
 				out = append(out, e)
 				continue
-			}
-			e.Query = content
-			if city := cityByRow[i]; city != "" && !strings.Contains(strings.ToLower(content), strings.ToLower(city)) {
-				e.Query = content + " " + city
 			}
 			results, err := c.searchOne(ctx, e.Query)
 			if err != nil {
 				return nil, err
 			}
 			e.Retrieved = len(results)
-			e.Votes = map[string]int{}
-			for _, r := range results {
-				pred := p.predict(r)
-				if _, in := gamma[pred]; in {
-					e.Votes[pred]++
-				}
-			}
-			if typ, score, ok := majorityType(e.Votes, e.Retrieved); ok {
-				e.Verdict, e.Score = typ, score
-			}
+			// Votes are the flat counts, for display; the verdict is the
+			// configured decision rule's own.
+			c.countVotes(sc, results, gamma)
+			e.Votes = maps.Clone(sc.counts)
+			e.Verdict, e.Score, _ = c.decideWith(sc, results, gamma)
 			out = append(out, e)
 		}
 	}

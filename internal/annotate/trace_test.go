@@ -82,26 +82,42 @@ func TestExplainColumnTypeSkip(t *testing.T) {
 	}
 }
 
-// TestExplainAgreesWithAnnotate: Explain and the decide loop label snippets
-// through one helper, so with post-processing off every annotation is exactly
-// an explanation's verdict and score, and every verdict is an annotation.
+// TestExplainAgreesWithAnnotate: Explain takes its verdict from the decide
+// function the pipeline runs — the flat majority or, with ClusterThreshold
+// set, the cluster rule — so with post-processing off every annotation is
+// exactly an explanation's verdict and score, and every verdict is an
+// annotation. The ambiguous name is where the two rules part: its flat votes
+// abstain, its dominant cluster does not.
 func TestExplainAgreesWithAnnotate(t *testing.T) {
 	f := newFixture(t)
-	tbl := poiTable(t)
-	c := f.config()
-	explained := map[Annotation]bool{}
-	for _, e := range explainTable(c, tbl) {
-		if e.Verdict != "" {
-			explained[Annotation{Row: e.Row, Col: e.Col, Type: e.Verdict, Score: e.Score}] = true
+	amb := table.New("amb", table.Column{Header: "Name", Type: table.Text})
+	if err := amb.AppendRow("Melisse"); err != nil {
+		t.Fatal(err)
+	}
+	for _, threshold := range []float64{0, 0.4} {
+		c := f.config()
+		c.ClusterThreshold = threshold
+		verdicts := 0
+		for _, tbl := range []*table.Table{poiTable(t), amb} {
+			explained := map[Annotation]bool{}
+			for _, e := range explainTable(c, tbl) {
+				if e.Verdict != "" {
+					explained[Annotation{Row: e.Row, Col: e.Col, Type: e.Verdict, Score: e.Score}] = true
+				}
+			}
+			res := annotateTable(c, tbl)
+			if len(res.Annotations) != len(explained) {
+				t.Fatalf("threshold %v, table %s: %d annotations, %d explained verdicts", threshold, tbl.Name, len(res.Annotations), len(explained))
+			}
+			for _, a := range res.Annotations {
+				if !explained[a] {
+					t.Errorf("threshold %v, table %s: annotation %+v has no matching explanation", threshold, tbl.Name, a)
+				}
+			}
+			verdicts += len(explained)
 		}
-	}
-	res := annotateTable(c, tbl)
-	if len(res.Annotations) == 0 || len(res.Annotations) != len(explained) {
-		t.Fatalf("%d annotations, %d explained verdicts", len(res.Annotations), len(explained))
-	}
-	for _, a := range res.Annotations {
-		if !explained[a] {
-			t.Errorf("annotation %+v has no matching explanation", a)
+		if verdicts == 0 {
+			t.Errorf("threshold %v: nothing was annotated", threshold)
 		}
 	}
 }

@@ -358,6 +358,11 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 // component's scores are final, enabling ResolveStream to emit results
 // before the whole table finishes its final phase.
 func (d *decomposition) resolveComponents(opt Options, done func(ci int, global []float64)) ([]float64, Stats) {
+	if len(d.comps) == 0 {
+		// No interpretation carries a candidate: there is nothing to score,
+		// and no scratch to check out of the pool for it.
+		return nil, Stats{}
+	}
 	n := len(d.ns.locs)
 	global := make([]float64, n)
 	localOf := make([]int32, n)
@@ -517,43 +522,10 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 	return global, st
 }
 
-// degenerate reports whether no interpretation carries a usable candidate,
-// in which case resolution needs no graph at all.
-func degenerate(interps []Interpretation) bool {
-	for _, it := range interps {
-		for _, loc := range it.Candidates {
-			if loc != gazetteer.NoLocation {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// resolveDegenerate is the NoLocation-only fast path: every cell maps to an
-// explicit NoLocation choice with an empty score map, with no graph build,
-// scratch checkout or propagation — matching what the full machinery
-// produces for candidate-free cells, at O(cells) cost.
-func resolveDegenerate(interps []Interpretation) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
-	choice := map[CellRef]gazetteer.LocID{}
-	detail := map[CellRef]map[gazetteer.LocID]float64{}
-	for _, it := range interps {
-		if _, ok := choice[it.Cell]; ok {
-			continue
-		}
-		choice[it.Cell] = gazetteer.NoLocation
-		detail[it.Cell] = map[gazetteer.LocID]float64{}
-	}
-	return choice, detail, Stats{}
-}
-
 // ResolveScoresOpt is ResolveScores with explicit resolver options, also
 // returning the decomposition statistics. Results are bit-identical to the
 // seed reference at every worker count.
 func ResolveScoresOpt(interps []Interpretation, g *gazetteer.Frozen, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
-	if degenerate(interps) {
-		return resolveDegenerate(interps)
-	}
 	d := decompose(interps, g)
 	scores, st := d.resolveComponents(opt, nil)
 	choice, detail := d.ns.choose(scores)
@@ -571,16 +543,6 @@ func ResolveScoresOpt(interps []Interpretation, g *gazetteer.Frozen, opt Options
 // calls for the cells of one component arrive consecutively from one worker.
 // Cells the graph never saw a candidate for yield (NoLocation, 0), first.
 func ResolveStream(interps []Interpretation, g *gazetteer.Frozen, opt Options, yield func(i int, choice gazetteer.LocID, score float64)) Stats {
-	if degenerate(interps) {
-		seen := make(map[CellRef]bool, len(interps))
-		for i, it := range interps {
-			if !seen[it.Cell] {
-				seen[it.Cell] = true
-				yield(i, gazetteer.NoLocation, 0)
-			}
-		}
-		return Stats{}
-	}
 	d := decompose(interps, g)
 	ns := d.ns
 	for ci, nodes := range ns.cellNodes {

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -22,10 +23,6 @@ import (
 // resolveUndecomposed runs the component engine over a single component
 // holding every node: one graph, one propagation loop, one stop decision.
 func resolveUndecomposed(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
-	if degenerate(interps) {
-		choice, detail, _ := resolveDegenerate(interps)
-		return choice, detail
-	}
 	ns := buildNodes(interps, g)
 	d := &decomposition{ns: ns, comps: [][]int32{ns.allNodes()}}
 	scores, _ := d.resolveComponents(Options{Workers: 1}, nil)
@@ -182,11 +179,12 @@ func (m *chanMutex) Lock() {
 }
 func (m *chanMutex) Unlock() { <-*m }
 
-// TestDegenerateFastPath pins the NoLocation-only short-circuit: empty
-// inputs, empty candidate sets and all-NoLocation candidate sets resolve
-// without graph construction, matching the full engines' output shape
-// exactly.
-func TestDegenerateFastPath(t *testing.T) {
+// TestCandidateFreeInput pins what the general path makes of input without a
+// usable candidate — empty inputs, empty candidate sets and all-NoLocation
+// candidate sets: every cell an explicit NoLocation with an empty score map,
+// zero Stats (no component, so no scratch is checked out), and the stream
+// yielding each cell once, at its first interpretation, in input order.
+func TestCandidateFreeInput(t *testing.T) {
 	g := gazetteer.Synthetic(5).Freeze()
 	cases := [][]Interpretation{
 		nil,
@@ -200,12 +198,9 @@ func TestDegenerateFastPath(t *testing.T) {
 		},
 	}
 	for i, interps := range cases {
-		if !degenerate(interps) {
-			t.Fatalf("case %d: not detected as degenerate", i)
-		}
 		choice, detail, st := ResolveScoresOpt(interps, g, Options{})
 		if st != (Stats{}) {
-			t.Fatalf("case %d: degenerate stats %+v, want zero", i, st)
+			t.Fatalf("case %d: stats %+v, want zero", i, st)
 		}
 		wantChoice, wantDetail := refCells(interps)
 		if len(choice) != len(wantChoice) || len(detail) != len(wantDetail) {
@@ -220,16 +215,32 @@ func TestDegenerateFastPath(t *testing.T) {
 				t.Fatalf("case %d cell %v: detail %v, want empty non-nil map", i, cell, m)
 			}
 		}
-		// The graph-building machinery agrees on the degenerate shape.
-		grChoice, grDetail := decompose(interps, g).ns.choose(nil)
-		if len(grChoice) != len(choice) || len(grDetail) != len(detail) {
-			t.Fatalf("case %d: fast path and graph machinery disagree on cell counts", i)
+		// The undecomposed reference agrees on the shape.
+		refChoice, refDetail := resolveUndecomposed(interps, g)
+		if len(refChoice) != len(choice) || len(refDetail) != len(detail) {
+			t.Fatalf("case %d: decomposed and undecomposed runs disagree on cell counts", i)
 		}
-	}
-	// And one near-miss: a single valid candidate anywhere defeats the
-	// short-circuit.
-	if degenerate([]Interpretation{{Cell: CellRef{Row: 1, Col: 1}, Candidates: []gazetteer.LocID{gazetteer.NoLocation, 3}}}) {
-		t.Fatal("a valid candidate was treated as degenerate")
+
+		var wantYield, gotYield []int
+		seen := map[CellRef]bool{}
+		for ii, it := range interps {
+			if !seen[it.Cell] {
+				seen[it.Cell] = true
+				wantYield = append(wantYield, ii)
+			}
+		}
+		st = ResolveStream(interps, g, Options{}, func(ii int, loc gazetteer.LocID, score float64) {
+			if loc != gazetteer.NoLocation || score != 0 {
+				t.Errorf("case %d: stream yielded (%d, %v, %v), want (NoLocation, 0)", i, ii, loc, score)
+			}
+			gotYield = append(gotYield, ii)
+		})
+		if st != (Stats{}) {
+			t.Fatalf("case %d: stream stats %+v, want zero", i, st)
+		}
+		if !slices.Equal(gotYield, wantYield) {
+			t.Fatalf("case %d: stream yielded cells %v, want first appearances in input order %v", i, gotYield, wantYield)
+		}
 	}
 }
 

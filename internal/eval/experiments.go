@@ -58,7 +58,7 @@ func runDataset(ds *dataset.Dataset, fn func(t *table.Table) *annotate.Result) m
 // lab's configured parallelism; results are keyed by table name and
 // identical to a sequential run.
 func (l *Lab) runConfig(ds *dataset.Dataset, cfg annotate.Config) map[string]*annotate.Result {
-	results, err := cfg.AnnotateBatch(context.Background(), ds.Tables, l.Cfg.Parallelism)
+	results, err := cfg.AnnotateBatch(context.Background(), ds.Tables)
 	if err != nil {
 		// Unreachable: a background context never cancels.
 		panic(err)

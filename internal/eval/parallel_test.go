@@ -20,7 +20,7 @@ func TestParallelCorpusMatchesSequential(t *testing.T) {
 	render := func(parallelism int) string {
 		a := l.config(l.SVM, true, false)
 		a.Parallelism = parallelism
-		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables, parallelism)
+		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -57,7 +57,8 @@ func TestCrossTableCacheWarmsAcrossRuns(t *testing.T) {
 		a := l.config(l.SVM, true, false)
 		a.Cache = cache
 		a.CacheSalt = "cache-test"
-		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables, 4)
+		a.Parallelism = 4
+		results, err := a.AnnotateBatch(context.Background(), l.GFT.Tables)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,9 @@ func TestMessyIngestionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("variant %s: %v", v, err)
 		}
-		batch, err := acfg.AnnotateBatch(context.Background(), ids.Tables, parallelism)
+		acfg := acfg
+		acfg.Parallelism = parallelism
+		batch, err := acfg.AnnotateBatch(context.Background(), ids.Tables)
 		if err != nil {
 			t.Fatalf("variant %s, parallelism %d: %v", v, parallelism, err)
 		}

@@ -323,8 +323,10 @@ type termResolver struct {
 	memo map[string]int32 // -1: term not in the index
 }
 
-func newTermResolver(col *columns) termResolver {
-	return termResolver{col: col, memo: make(map[string]int32, 64)}
+// newTermResolver sizes the memo for a batch of n queries — about two terms
+// each, suffixes shared.
+func newTermResolver(col *columns, n int) termResolver {
+	return termResolver{col: col, memo: make(map[string]int32, 2*n)}
 }
 
 // resolve maps qterms to column ids (absent terms -1), appending into tids'

@@ -113,9 +113,7 @@ func (e *Engine) account(n int, batch bool) {
 
 // sleep blocks for n simulated round-trips when RealSleep is enabled.
 func (e *Engine) sleep(n int) {
-	if e.RealSleep && e.Latency > 0 {
-		time.Sleep(time.Duration(n) * e.Latency)
-	}
+	_ = e.sleepCtx(context.Background(), n) // Background is never done
 }
 
 // sleepCtx is sleep with cancellation: it returns ctx.Err() as soon as ctx

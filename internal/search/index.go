@@ -127,7 +127,7 @@ const SnippetWords = 11
 // accumulator is the per-query dense scoring state: a score per document,
 // plus the list of docs the pre-final terms touched — the sparse partials
 // selection combines with the final term's column. The top-k heap storage
-// and the term-id scratch ride along so batch queries recycle them too.
+// rides along so batch queries recycle it too.
 type accumulator struct {
 	scores []float64
 	// touched is a window over storage preallocated to one entry per doc (a
@@ -137,7 +137,6 @@ type accumulator struct {
 	// kernel loop.
 	touched []int32
 	heap    []hit
-	tids    []int32
 }
 
 func (ix *Index) getAccumulator() *accumulator {
@@ -233,28 +232,12 @@ func (t *topK) drain() []hit {
 	return t.h
 }
 
-// topDocs scores the query terms through the columnar kernel into a dense
-// accumulator and returns the k best English documents (score desc, doc asc).
-// Snippets are not generated here — materialize is called only for the hits a
-// caller actually returns. The returned slice aliases the accumulator's heap
-// storage and is valid until the accumulator's next use.
-func (ix *Index) topDocs(acc *accumulator, qterms []string, k int) []hit {
-	col := ix.col
-	tids := acc.tids[:0]
-	for _, t := range qterms {
-		tid, ok := col.termID[t]
-		if !ok {
-			tid = -1
-		}
-		tids = append(tids, tid)
-	}
-	acc.tids = tids
-	return ix.topDocsResolved(acc, tids, k)
-}
-
-// topDocsResolved is topDocs for pre-resolved term ids (-1 = absent term) —
-// the batch path resolves a whole batch's terms once and scores through
-// here.
+// topDocsResolved scores a query given as term ids (-1 = absent term)
+// through the columnar kernel into a dense accumulator and returns the k best
+// English documents (score desc, doc asc). Snippets are not generated here —
+// materialize is called only for the hits a caller actually returns. The
+// returned slice aliases the accumulator's heap storage and is valid until the
+// accumulator's next use.
 //
 // All but the last present term are accumulated through the branch-free
 // kernel; the last term's pass is merged with top-k selection, where each of

@@ -84,44 +84,15 @@ func global(hits []hit, shard, n int) []hit {
 	return hits
 }
 
-// topDocs runs the bounded top-k on every shard — in parallel when there is
-// more than one — and merges the per-shard lists into the global top-k under
-// the exact monolithic order. The returned hits carry global doc ids.
-func (s *ShardedIndex) topDocs(qterms []string, k int) []hit {
-	n := len(s.shards)
-	if n == 1 {
-		s.queries[0].Add(1)
-		sh := s.shards[0]
-		acc := sh.getAccumulator()
-		hits := append([]hit(nil), sh.topDocs(acc, qterms, k)...)
-		sh.putAccumulator(acc)
-		return hits
-	}
-	lists := make([][]hit, n)
-	var wg sync.WaitGroup
-	for si, sh := range s.shards {
-		wg.Add(1)
-		go func(si int, sh *Index) {
-			defer wg.Done()
-			s.queries[si].Add(1)
-			acc := sh.getAccumulator()
-			lists[si] = global(append([]hit(nil), sh.topDocs(acc, qterms, k)...), si, n)
-			sh.putAccumulator(acc)
-		}(si, sh)
-	}
-	wg.Wait()
-	return mergeHits(lists, k)
-}
-
 // topDocsBatchLocal scores a whole batch of pre-normalized queries against
 // this one index: term ids are resolved once per batch through a shared
 // resolver, one pooled accumulator serves every query, and out[i] is nil for
-// nil qterms[i]. Unlike topDocs the returned hits are copies, not aliases of
-// accumulator storage — a batch needs all of them alive at once.
+// nil qterms[i]. The returned hits are copies, not aliases of accumulator
+// storage — a batch needs all of them alive at once.
 func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
 	acc := ix.getAccumulator()
 	defer ix.putAccumulator(acc)
-	r := newTermResolver(ix.col)
+	r := newTermResolver(ix.col, len(qterms))
 	var tids []int32
 	out := make([][]hit, len(qterms))
 	for i, terms := range qterms {
@@ -134,11 +105,13 @@ func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
 	return out
 }
 
-// topDocsBatch is the batch form of topDocs: each shard scores the whole
-// query batch in one goroutine through its columnar kernel (normalized query
-// terms are shared across shards, term-id resolution is shared across the
-// batch within each shard), then the per-shard lists merge per query. out[i]
-// is exactly topDocs(qterms[i], k).
+// topDocsBatch is the only shard fan-out: each shard scores the whole query
+// batch through its columnar kernel (normalized query terms are shared across
+// shards, term-id resolution is shared across the batch within each shard) and
+// the per-shard lists merge per query into the global top-k under the exact
+// monolithic order. The last shard runs on the calling goroutine, so a
+// one-shard index starts none. The returned hits carry global doc ids; out[i]
+// is nil for nil qterms[i].
 func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
 	n := len(s.shards)
 	scored := 0
@@ -147,25 +120,24 @@ func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
 			scored++
 		}
 	}
-	if n == 1 {
-		s.queries[0].Add(int64(scored))
-		// Global ids equal local ids in the one-shard layout.
-		return s.shards[0].topDocsBatchLocal(qterms, k)
-	}
 	lists := make([][][]hit, n) // lists[shard][query]
-	var wg sync.WaitGroup
-	for si, sh := range s.shards {
-		wg.Add(1)
-		go func(si int, sh *Index) {
-			defer wg.Done()
-			s.queries[si].Add(int64(scored))
-			perQuery := sh.topDocsBatchLocal(qterms, k)
-			for i := range perQuery {
-				perQuery[i] = global(perQuery[i], si, n)
-			}
-			lists[si] = perQuery
-		}(si, sh)
+	scoreShard := func(si int) {
+		s.queries[si].Add(int64(scored))
+		perQuery := s.shards[si].topDocsBatchLocal(qterms, k)
+		for i := range perQuery {
+			perQuery[i] = global(perQuery[i], si, n)
+		}
+		lists[si] = perQuery
 	}
+	var wg sync.WaitGroup
+	for si := 0; si < n-1; si++ {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			scoreShard(si)
+		}(si)
+	}
+	scoreShard(n - 1)
 	wg.Wait()
 	out := make([][]hit, len(qterms))
 	scratch := make([][]hit, n)
@@ -247,25 +219,20 @@ func (s *ShardedIndex) materialize(hits []hit, qterms []string) []Result {
 }
 
 // Search returns the top-k English documents for the query under BM25,
-// highest score first. Ties break by document id for determinism.
+// highest score first. Ties break by document id for determinism. It is a
+// batch of one.
 func (s *ShardedIndex) Search(query string, k int) []Result {
-	if k <= 0 || s.nDocs == 0 {
-		return nil
-	}
-	qterms := textproc.NormalizeTokens(query)
-	if len(qterms) == 0 {
-		return nil
-	}
-	return s.materialize(s.topDocs(qterms, k), qterms)
+	return s.SearchBatch([]string{query}, k)[0]
 }
 
-// SearchBatch resolves a batch of queries: out[i] is exactly
-// Search(queries[i], k). Queries are normalized once, duplicate queries are
-// scored and materialized once (later occurrences copy the first's results),
-// and every shard scores the deduplicated batch in a single parallel pass
-// with batch-shared term-id resolution, so the per-query fan-out and setup
-// cost is amortized across the batch. Per-shard query counters count scored
-// (unique) queries.
+// SearchBatch resolves a batch of queries: out[i] is the top-k of queries[i]
+// alone, nil when k <= 0, the index is empty or the query normalizes to
+// nothing. Queries are normalized once, duplicate queries are scored and
+// materialized once (later occurrences copy the first's results), and every
+// shard scores the deduplicated batch in a single parallel pass with
+// batch-shared term-id resolution, so the per-query fan-out and setup cost is
+// amortized across the batch. Per-shard query counters count scored (unique)
+// queries.
 func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 	out := make([][]Result, len(queries))
 	if k <= 0 || s.nDocs == 0 {
@@ -325,7 +292,7 @@ func (s *ShardedIndex) SearchPhrase(query string, k int) []Result {
 	for i, p := range phrases {
 		want[i] = textproc.NormalizeTokens(p)
 	}
-	candidates := s.topDocs(qterms, k*4)
+	candidates := s.topDocsBatch([][]string{qterms}, k*4)[0]
 	n := len(s.shards)
 	var keep []hit
 	for _, h := range candidates {

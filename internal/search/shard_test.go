@@ -105,21 +105,34 @@ func TestShardedReFreezeAfterAdd(t *testing.T) {
 	}
 }
 
-// TestIndexSearchBatchMatchesSearch: the one-shard batch path equals the
-// single-query path (including nil/empty edge semantics).
+// TestIndexSearchBatchMatchesSearch: a multi-query batch with duplicates
+// equals each query issued alone (including nil/empty edge semantics). Search
+// is itself a batch of one, so the single form's oracle is refSearch.
 func TestIndexSearchBatchMatchesSearch(t *testing.T) {
-	ix := smallIndex()
-	queries := []string{"museum", "", "melisse restaurant", "zzzzqqqq", "the of", "tasting menu"}
-	batched := ix.SearchBatch(queries, 3)
-	for i, q := range queries {
-		single := ix.Search(q, 3)
-		checkBitIdentical(t, fmt.Sprintf("SearchBatch[%d](%q)", i, q), batched[i], single)
-		if (single == nil) != (batched[i] == nil) {
-			t.Errorf("SearchBatch[%d](%q): nil-ness differs (single %v, batched %v)", i, q, single == nil, batched[i] == nil)
+	docs := smallDocs()
+	queries := []string{"museum", "", "melisse restaurant", "zzzzqqqq", "the of", "tasting menu", "museum", "melisse restaurant", ""}
+	for _, shards := range []int{1, 2} {
+		ix := buildSharded(docs, shards)
+		batched := ix.SearchBatch(queries, 3)
+		for i, q := range queries {
+			single := ix.Search(q, 3)
+			label := fmt.Sprintf("shards=%d SearchBatch[%d](%q)", shards, i, q)
+			checkBitIdentical(t, label, batched[i], single)
+			if (single == nil) != (batched[i] == nil) {
+				t.Errorf("%s: nil-ness differs (single %v, batched %v)", label, single == nil, batched[i] == nil)
+			}
+			ref := refSearch(docs, q, 3)
+			checkSameResults(t, fmt.Sprintf("shards=%d Search(%q)", shards, q), single, ref)
+			if (single == nil) != (ref == nil) {
+				t.Errorf("shards=%d Search(%q): nil-ness differs from the reference (single %v, reference %v)", shards, q, single == nil, ref == nil)
+			}
 		}
-	}
-	if out := ix.SearchBatch(queries, 0); len(out) != len(queries) {
-		t.Errorf("SearchBatch k=0 returned %d slots, want %d", len(out), len(queries))
+		if out := ix.SearchBatch(queries, 0); len(out) != len(queries) {
+			t.Errorf("shards=%d: SearchBatch k=0 returned %d slots, want %d", shards, len(out), len(queries))
+		}
+		if got := ix.Search("museum", 0); got != nil {
+			t.Errorf("shards=%d: Search k=0 = %v, want nil", shards, got)
+		}
 	}
 }
 

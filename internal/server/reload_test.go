@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/leakcheck"
 )
 
 // One snapshot-booted twin of testService for the whole package: the bundle
@@ -130,6 +131,7 @@ func TestSnapshotDifferentialWire(t *testing.T) {
 func TestReloadZeroDropUnderLoad(t *testing.T) {
 	built := testService(t)
 	snap := snapshotService(t)
+	leakcheck.Goroutines(t)
 	s := testServer(t, Config{MaxInFlight: 1024})
 	h := s.Handler()
 	tbl := tableJSON(t)
@@ -226,6 +228,7 @@ func TestReloadZeroDropUnderLoad(t *testing.T) {
 // build window, an overlapping Reload is rejected, a failed build keeps the
 // old service serving, and the epoch only counts completed swaps.
 func TestReloadWindowAndFailure(t *testing.T) {
+	noLeaks(t)
 	s := testServer(t, Config{})
 	h := s.Handler()
 	old := s.Service()

@@ -19,7 +19,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+// noLeaks asserts the test leaves no goroutine behind. The shared service is
+// built first: it outlives the test, so its construction is not the test's.
+func noLeaks(t *testing.T) {
+	t.Helper()
+	testService(t)
+	leakcheck.Goroutines(t)
+}
 
 // newTestRouter builds a router over the given worker URLs with fast probe
 // cadence, registering cleanup.
@@ -114,6 +124,7 @@ func TestTableKeyCanonical(t *testing.T) {
 // through the router is byte-identical (timing masked) to the same request
 // against a single worker, on every proxied route.
 func TestRouterParity(t *testing.T) {
+	noLeaks(t)
 	urls := startWorkers(t, 2, Config{})
 	direct := testServer(t, Config{}).Handler()
 	router := newTestRouter(t, RouterConfig{Workers: urls})
@@ -159,6 +170,7 @@ func TestRouterParity(t *testing.T) {
 // TestRouterValidation covers the errors the router must produce itself —
 // everything it needs to reject before it can pick an owner.
 func TestRouterValidation(t *testing.T) {
+	noLeaks(t)
 	urls := startWorkers(t, 1, Config{})
 	rh := newTestRouter(t, RouterConfig{Workers: urls, MaxBatch: 2}).Handler()
 	tbl := tableJSON(t)
@@ -208,6 +220,7 @@ func TestRouterValidation(t *testing.T) {
 // out: the hedge fires, then the PRIMARY answers first. The hedge must be
 // cancelled and the outcome counted once.
 func TestHedgePrimaryWins(t *testing.T) {
+	leakcheck.Goroutines(t)
 	primaryDone := make(chan struct{})
 	hedgeCancelled := make(chan struct{})
 	var outcomes atomic.Int64
@@ -252,6 +265,7 @@ func TestHedgePrimaryWins(t *testing.T) {
 // TestHedgeWins is the complementary race: the primary is stuck, the hedge
 // answers, the stuck primary is cancelled.
 func TestHedgeWins(t *testing.T) {
+	leakcheck.Goroutines(t)
 	want := &upstreamResponse{status: 200, body: []byte("hedge")}
 	res, hedgeFired, hedgeWon, _, err := hedgedDo(context.Background(), []int{0, 1}, time.Millisecond, true,
 		func(ctx context.Context, owner int) (*upstreamResponse, error) {
@@ -273,6 +287,7 @@ func TestHedgeWins(t *testing.T) {
 // response body; the router must retry the next ring owner exactly once and
 // still serve the request.
 func TestWorkerDiesMidBody(t *testing.T) {
+	leakcheck.Goroutines(t)
 	var dyingHits, healthyHits atomic.Int64
 	wantBody := `{"ok": true}`
 	// Ring ownership hashes worker URLs, so which of the two random-port
@@ -341,6 +356,7 @@ func TestWorkerDiesMidBody(t *testing.T) {
 // its health probes, traffic gets the typed 503, and a recovered worker is
 // readmitted by the backoff prober.
 func TestAllWorkersEjected(t *testing.T) {
+	leakcheck.Goroutines(t)
 	var down atomic.Bool
 	down.Store(true)
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -416,6 +432,7 @@ func TestAllWorkersEjected(t *testing.T) {
 // TestRouterStatz checks the merged fleet view: summed counters, per-worker
 // detail, and the router's own section.
 func TestRouterStatz(t *testing.T) {
+	noLeaks(t)
 	urls := startWorkers(t, 2, Config{})
 	router := newTestRouter(t, RouterConfig{Workers: urls})
 	rh := router.Handler()
@@ -471,6 +488,7 @@ func TestRouterStatz(t *testing.T) {
 // TestRouterAdmission fills the edge semaphore and checks the jittered
 // Retry-After 429, without any worker involvement.
 func TestRouterAdmission(t *testing.T) {
+	noLeaks(t)
 	urls := startWorkers(t, 1, Config{})
 	router := newTestRouter(t, RouterConfig{Workers: urls, MaxInFlight: 2})
 	rh := router.Handler()
@@ -603,6 +621,7 @@ func TestNewRouterValidation(t *testing.T) {
 // instant 429; it must not beat a slow-but-succeeding primary, but it is
 // still the answer when every attempt sheds.
 func TestHedgeShedDemotion(t *testing.T) {
+	leakcheck.Goroutines(t)
 	want := &upstreamResponse{status: http.StatusOK, body: []byte("slow but fine")}
 	shed := &upstreamResponse{status: http.StatusTooManyRequests}
 	res, _, hedgeWon, _, err := hedgedDo(context.Background(), []int{0, 1}, time.Millisecond, true,

@@ -230,12 +230,8 @@ func (s *Server) handleGeocode(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &wire) {
 		return
 	}
-	req, err := wire.toRequest()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	if status, code, msg, bad := s.tooLarge(req.Table); bad {
+	req, status, code, msg := s.prepareGeocode(&wire)
+	if req == nil {
 		s.writeError(w, status, code, msg)
 		return
 	}
@@ -253,98 +249,89 @@ func (s *Server) handleGeocode(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, geocodeToWire(resp))
 }
 
-// handleGeocodeBatch serves POST /v1/geocode:batch with annotate's batch
-// semantics: every table validates before any work starts, responses come
-// back in request order, and admission is weighted one slot per table — the
-// uniform surface the router proxies.
-func (s *Server) handleGeocodeBatch(w http.ResponseWriter, r *http.Request) {
-	var wire GeocodeBatchRequestJSON
-	if !s.decodeBody(w, r, &wire) {
+// serveBatch is the one batch endpoint behind POST /v1/annotate:batch and
+// /v1/geocode:batch — the uniform surface the router proxies: every item
+// validates before any work starts (a failure names its index), admission is
+// weighted one slot per table, and responses come back in request order. The
+// two instantiations differ in types only: B is the wire body (decoded as
+// itself, so a malformed body's message names it), prepare converts one wire
+// item (a nil request comes with the error triple), table is the item's
+// routing bytes, run is the service's batch call, and toWire renders one
+// response and records its counters.
+func serveBatch[B ~struct {
+	Requests []W `json:"requests"`
+}, W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
+	prepare func(*W) (req *Q, status int, code, msg string), table func(*W) []byte,
+	run func(context.Context, []*Q) ([]*R, error), toWire func(*R) O) {
+	var body B
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	if len(wire.Requests) == 0 {
+	items := (struct {
+		Requests []W `json:"requests"`
+	})(body).Requests
+	if len(items) == 0 {
 		s.writeError(w, http.StatusBadRequest, "invalid_request", "requests is empty")
 		return
 	}
-	if len(wire.Requests) > s.cfg.MaxBatch {
+	if len(items) > s.cfg.MaxBatch {
 		s.writeError(w, http.StatusBadRequest, "invalid_request",
-			fmt.Sprintf("batch of %d requests exceeds the limit of %d", len(wire.Requests), s.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d requests exceeds the limit of %d", len(items), s.cfg.MaxBatch))
 		return
 	}
-	reqs := make([]*repro.GeocodeRequest, len(wire.Requests))
-	tables := make([][]byte, len(wire.Requests))
-	for i := range wire.Requests {
-		req, err := wire.Requests[i].toRequest()
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid_request", fmt.Sprintf("request %d: %s", i, err))
-			return
-		}
-		if status, code, msg, bad := s.tooLarge(req.Table); bad {
-			s.writeError(w, status, code, fmt.Sprintf("request %d: %s", i, msg))
-			return
-		}
-		reqs[i] = req
-		tables[i] = wire.Requests[i].Table
-	}
-	if !s.admit(w, len(reqs), hashBytes(tables...)) {
-		return
-	}
-	defer s.release(len(reqs))
-	resps, err := s.Service().GeocodeBatch(r.Context(), reqs)
-	if err != nil {
-		s.writeServiceError(w, err)
-		return
-	}
-	out := GeocodeBatchResponseJSON{Responses: make([]GeocodeResponseJSON, len(resps))}
-	for i, resp := range resps {
-		out.Responses[i] = geocodeToWire(resp)
-		s.recordGeoStats(resp.Stats)
-	}
-	s.geoRequests.Add(int64(len(resps)))
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var wire BatchRequestJSON
-	if !s.decodeBody(w, r, &wire) {
-		return
-	}
-	if len(wire.Requests) == 0 {
-		s.writeError(w, http.StatusBadRequest, "invalid_request", "requests is empty")
-		return
-	}
-	if len(wire.Requests) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "invalid_request",
-			fmt.Sprintf("batch of %d requests exceeds the limit of %d", len(wire.Requests), s.cfg.MaxBatch))
-		return
-	}
-	reqs := make([]*repro.AnnotateRequest, len(wire.Requests))
-	tables := make([][]byte, len(wire.Requests))
-	for i := range wire.Requests {
-		req, status, code, msg := s.prepare(&wire.Requests[i])
+	reqs := make([]*Q, len(items))
+	tables := make([][]byte, len(items))
+	for i := range items {
+		req, status, code, msg := prepare(&items[i])
 		if req == nil {
 			s.writeError(w, status, code, fmt.Sprintf("request %d: %s", i, msg))
 			return
 		}
-		reqs[i] = req
-		tables[i] = wire.Requests[i].Table
+		reqs[i], tables[i] = req, table(&items[i])
 	}
 	if !s.admit(w, len(reqs), hashBytes(tables...)) {
 		return
 	}
 	defer s.release(len(reqs))
-	resps, err := s.Service().AnnotateBatch(r.Context(), reqs)
+	resps, err := run(r.Context(), reqs)
 	if err != nil {
 		s.writeServiceError(w, err)
 		return
 	}
-	out := BatchResponseJSON{Responses: make([]AnnotateResponseJSON, len(resps))}
+	var out struct {
+		Responses []O `json:"responses"`
+	}
+	out.Responses = make([]O, len(resps))
 	for i, resp := range resps {
 		out.Responses[i] = toWire(resp)
-		s.geoResolved.Add(int64(len(resp.GeoAnnotations)))
 	}
-	s.served.Add(int64(len(resps)))
 	writeJSON(w, http.StatusOK, out)
+}
+
+func (s *Server) handleGeocodeBatch(w http.ResponseWriter, r *http.Request) {
+	serveBatch[GeocodeBatchRequestJSON](s, w, r, s.prepareGeocode,
+		func(wire *GeocodeRequestJSON) []byte { return wire.Table },
+		func(ctx context.Context, reqs []*repro.GeocodeRequest) ([]*repro.GeocodeResponse, error) {
+			return s.Service().GeocodeBatch(ctx, reqs) // the service serving at admission, not at arrival
+		},
+		func(resp *repro.GeocodeResponse) GeocodeResponseJSON {
+			s.geoRequests.Add(1)
+			s.recordGeoStats(resp.Stats)
+			return geocodeToWire(resp)
+		})
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	serveBatch[BatchRequestJSON](s, w, r, s.prepare,
+		func(wire *AnnotateRequestJSON) []byte { return wire.Table },
+		func(ctx context.Context, reqs []*repro.AnnotateRequest) ([]*repro.AnnotateResponse, error) {
+			return s.Service().AnnotateBatch(ctx, reqs)
+		},
+		func(resp *repro.AnnotateResponse) AnnotateResponseJSON {
+			s.served.Add(1)
+			s.geoResolved.Add(int64(len(resp.GeoAnnotations)))
+			return toWire(resp)
+		})
 }
 
 // handleHealthz is the readiness signal: "ok" while serving steadily, 503
@@ -447,6 +434,18 @@ func (s *Server) tooLarge(t *repro.Table) (status int, code, msg string, bad boo
 // prepare converts one wire request, enforcing the server-side table size
 // limit. On failure it returns a nil request plus the error triple.
 func (s *Server) prepare(wire *AnnotateRequestJSON) (req *repro.AnnotateRequest, status int, code, msg string) {
+	req, err := wire.toRequest()
+	if err != nil {
+		return nil, http.StatusBadRequest, "invalid_request", err.Error()
+	}
+	if status, code, msg, bad := s.tooLarge(req.Table); bad {
+		return nil, status, code, msg
+	}
+	return req, 0, "", ""
+}
+
+// prepareGeocode is prepare for a geocode request.
+func (s *Server) prepareGeocode(wire *GeocodeRequestJSON) (req *repro.GeocodeRequest, status int, code, msg string) {
 	req, err := wire.toRequest()
 	if err != nil {
 		return nil, http.StatusBadRequest, "invalid_request", err.Error()

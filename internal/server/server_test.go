@@ -549,7 +549,12 @@ func statzService(t *testing.T) *repro.Service {
 // statz wire format, including the cache section's eviction and expiration
 // counters, cannot drift unreviewed.
 func TestStatzGoldenWire(t *testing.T) {
-	srv := New(Config{Service: statzService(t)})
+	svc := statzService(t)
+	// The service outlives the test: under -count or -cpu lists every run
+	// starts from the cache and the engine counters New left.
+	svc.Lab().Cache.Reset()
+	svc.Engine().ResetCounters()
+	srv := New(Config{Service: svc})
 	h := srv.Handler()
 	rec := post(h, "/v1/annotate", mustMarshal(t, AnnotateRequestJSON{Table: tableJSON(t)}))
 	if rec.Code != http.StatusOK {

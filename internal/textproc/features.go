@@ -7,18 +7,10 @@ import "sort"
 // the feature representation of §5.2.1.
 type Features map[string]float64
 
-// Extract computes the feature map for a snippet.
+// Extract computes the feature map for a snippet, in storage of its own: a
+// fresh Extractor's Extract.
 func Extract(snippet string) Features {
-	toks := NormalizeTokens(snippet)
-	if len(toks) == 0 {
-		return Features{}
-	}
-	f := make(Features, len(toks))
-	inv := 1.0 / float64(len(toks))
-	for _, t := range toks {
-		f[t] += inv
-	}
-	return f
+	return new(Extractor).Extract(snippet)
 }
 
 // Extractor computes snippet feature maps while reusing its token and map

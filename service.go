@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/annotate"
@@ -815,10 +814,8 @@ func (s *Service) AnnotateStream(ctx context.Context, reqs []*AnnotateRequest) <
 	out := make(chan StreamEvent)
 	go func() {
 		defer close(out)
-		s.fanOut(len(reqs), func(i int) {
-			if ctx.Err() != nil {
-				return // cancelled before this request started
-			}
+		// The pool's error says only that ctx is done; so does the close.
+		_ = annotate.RunPool(ctx, s.parallelism, len(reqs), func(i int) {
 			resp, err := s.Annotate(ctx, reqs[i])
 			select {
 			case out <- StreamEvent{Index: i, Response: resp, Err: err}:
@@ -830,40 +827,19 @@ func (s *Service) AnnotateStream(ctx context.Context, reqs []*AnnotateRequest) <
 	return out
 }
 
-// fanOut runs work(i) for every i in [0, n) over the service's worker pool
-// and returns once every call has. It is the one fan-out behind
-// AnnotateStream, AnnotateBatch and GeocodeBatch; work ends early by checking
-// its own context.
-func (s *Service) fanOut(n int, work func(i int)) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := min(max(s.parallelism, 1), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				work(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// batch runs one(ctx, i) for every i in [0, n) over fanOut, abandoning the
-// rest once one fails. That abandonment makes the other requests'
-// cancellation errors collateral, so the batch reports the lowest-indexed
-// error that is not a cancellation, with its index; when there is none the
-// batch died because the caller cancelled, and it reports the parent's own
-// error.
+// batch runs one(ctx, i) for every i in [0, n) over the service's worker pool
+// — the one fan-out behind AnnotateStream, AnnotateBatch and GeocodeBatch —
+// abandoning the rest once one fails. That abandonment makes the other
+// requests' cancellation errors collateral, so the batch reports the
+// lowest-indexed error that is not a cancellation, with its index; when there
+// is none the batch died because the caller cancelled, and it reports the
+// parent's own error.
 func (s *Service) batch(parent context.Context, n int, one func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	errs := make([]error, n)
-	s.fanOut(n, func(i int) {
+	// The pool's error is ctx's, which the rule below reads off the parent.
+	_ = annotate.RunPool(ctx, s.parallelism, n, func(i int) {
 		if errs[i] = one(ctx, i); errs[i] != nil {
 			cancel()
 		}
@@ -880,10 +856,9 @@ func (s *Service) batch(parent context.Context, n int, one func(ctx context.Cont
 			first = i
 		}
 	}
-	if first < 0 {
-		return nil
-	}
-	if err := parent.Err(); err != nil {
+	// A parent that is done fails the batch even when no request recorded it:
+	// the pool hands nothing out under a done context.
+	if err := parent.Err(); err != nil || first < 0 {
 		return err
 	}
 	return fmt.Errorf("request %d: %w", first, errs[first])

@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/world"
 )
 
@@ -238,6 +239,7 @@ func TestAnnotateBatchMatchesSingles(t *testing.T) {
 
 func TestAnnotateStream(t *testing.T) {
 	svc := testService(t)
+	leakcheck.Goroutines(t)
 	tbl := testTable(t, svc)
 	ctx := context.Background()
 
@@ -278,7 +280,9 @@ func TestAnnotateStream(t *testing.T) {
 func TestAnnotateStreamCancelled(t *testing.T) {
 	svc := testService(t)
 	tbl := testTable(t, svc)
-	baseline := runtime.NumGoroutine()
+	// The channel closes after the workers exit; only the goroutine that
+	// closed it may still be returning.
+	leakcheck.Goroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// With a pre-cancelled context the stream must still terminate: the
@@ -289,14 +293,6 @@ func TestAnnotateStreamCancelled(t *testing.T) {
 	}
 	if events > 2 {
 		t.Fatalf("cancelled stream emitted %d events, want <= 2", events)
-	}
-	// The channel closes after the workers exit; only the goroutine that
-	// closed it may still be returning.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the cancelled stream, %d before it", runtime.NumGoroutine(), baseline)
-		}
-		runtime.Gosched()
 	}
 }
 
@@ -322,6 +318,7 @@ func TestBatchesCancelledAlike(t *testing.T) {
 // scheduled.
 func TestBatchErrorRule(t *testing.T) {
 	svc := testService(t) // four workers
+	leakcheck.Goroutines(t)
 	boom := errors.New("boom")
 	err := svc.batch(context.Background(), 4, func(ctx context.Context, i int) error {
 		switch i {
@@ -339,6 +336,35 @@ func TestBatchErrorRule(t *testing.T) {
 	}
 	if err := svc.batch(context.Background(), 0, nil); err != nil {
 		t.Errorf("empty batch: %v", err)
+	}
+}
+
+// TestBatchCancelledBeforeDispatch: the pool hands out nothing once its
+// context is done, so a batch whose caller had already given up runs no
+// request and records no request error — and must still fail, with the
+// caller's own bare context error, inline and pooled alike.
+func TestBatchCancelledBeforeDispatch(t *testing.T) {
+	leakcheck.Goroutines(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, workers := range []int{0, 1, 4} {
+		svc := &Service{parallelism: workers}
+		for _, tc := range []struct {
+			ctx  context.Context
+			want error
+		}{{cancelled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+			var ran atomic.Int64
+			err := svc.batch(tc.ctx, 3, func(context.Context, int) error {
+				ran.Add(1)
+				return nil
+			})
+			if err != tc.want || ran.Load() != 0 {
+				t.Errorf("workers=%d: batch under a done context ran %d requests and returned %v, want 0 and the bare %v",
+					workers, ran.Load(), err, tc.want)
+			}
+		}
 	}
 }
 
