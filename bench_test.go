@@ -198,7 +198,7 @@ func BenchmarkDisambiguationGraph(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disambig.Resolve(interps, g)
+		disambig.ResolveScoresOpt(interps, g, disambig.Options{})
 	}
 }
 

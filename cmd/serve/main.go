@@ -4,14 +4,15 @@
 //	POST /v1/annotate        annotate one table
 //	POST /v1/annotate:batch  annotate several tables over the worker pool
 //	POST /v1/geocode         geocode + disambiguate one table's Location columns
+//	POST /v1/geocode:batch   geocode several tables over the worker pool
 //	GET  /healthz            readiness (503 "reloading" during a hot reload)
 //	GET  /statz              serving, snapshot, cache and geo statistics
 //
 // Usage:
 //
 //	serve [-addr :8080] [-seed 42] [-scale small|full] [-classifier svm|bayes]
-//	      [-parallel 8] [-share-cache] [-cache-max-entries 0] [-cache-ttl 0]
-//	      [-max-inflight 64] [-max-cells 100000]
+//	      [-parallel 8] [-shards 0] [-share-cache] [-cache-max-entries 0]
+//	      [-cache-ttl 0] [-max-inflight 64] [-max-cells 100000] [-max-batch 32]
 //	      [-snapshot-file world.tsnp] [-pprof-addr localhost:6060]
 //
 // By default the server builds the full system (corpus, index, classifiers)
@@ -77,7 +78,7 @@ func main() {
 		cacheTTL     = flag.Duration("cache-ttl", 0, "expire shared-cache verdicts after this long (0 = never)")
 		maxInflight  = flag.Int("max-inflight", 64, "admission control: max concurrently-served annotation requests")
 		maxCells     = flag.Int("max-cells", 100000, "reject tables larger than this many cells")
-		maxBatch     = flag.Int("max-batch", 32, "max requests per /v1/annotate:batch call")
+		maxBatch     = flag.Int("max-batch", 32, "max requests per /v1/annotate:batch or /v1/geocode:batch call")
 		snapshotFile = flag.String("snapshot-file", "", "boot from this TSNP bundle instead of building; SIGHUP reloads it")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 
@@ -149,12 +150,6 @@ func main() {
 		MaxCells:    *maxCells,
 		MaxBatch:    *maxBatch,
 	})
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	// SIGHUP hot reload: re-load the bundle in the background and swap it
 	// in atomically; the old world serves every request that arrives in
 	// the meantime. Without -snapshot-file a SIGHUP is logged and ignored.
@@ -179,29 +174,43 @@ func main() {
 		}
 	}()
 
+	serve(ctx, *addr, srv.Handler(), "serve: ")
+}
+
+// serve is how either mode serves: listen on addr, wait for ctx to end
+// (SIGINT/SIGTERM), drain in-flight requests for up to 15 s, exit. A listener
+// or shutdown failure exits the process with status 1. Every log line starts
+// with prefix.
+func serve(ctx context.Context, addr string, h http.Handler, prefix string) {
+	fail := func(what string, err error) {
+		fmt.Fprintln(os.Stderr, prefix+what, err)
+		os.Exit(1)
+	}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "serve: listening on %s\n", *addr)
+	fmt.Fprintf(os.Stderr, "%slistening on %s\n", prefix, addr)
 
 	select {
 	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		fail("listen:", err)
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintln(os.Stderr, "serve: shutting down (draining in-flight requests)...")
+	fmt.Fprintf(os.Stderr, "%sshutting down (draining in-flight requests)...\n", prefix)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "serve: shutdown:", err)
-		os.Exit(1)
+		fail("shutdown:", err)
 	}
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		fail("listen:", err)
 	}
-	fmt.Fprintln(os.Stderr, "serve: bye")
+	fmt.Fprintf(os.Stderr, "%sbye\n", prefix)
 }
 
 // startPprof serves net/http/pprof on its own listener when addr is
@@ -257,32 +266,6 @@ func runRouter(addr, workers string, replication int, noHedge bool, hedgeInitial
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           router.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "serve: router listening on %s (%d workers, replication %d)\n", addr, len(urls), replication)
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "serve: router shutting down (draining in-flight requests)...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "serve: shutdown:", err)
-		os.Exit(1)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "serve: bye")
+	fmt.Fprintf(os.Stderr, "serve: router over %d workers, replication %d\n", len(urls), replication)
+	serve(ctx, addr, router.Handler(), "serve: router ")
 }

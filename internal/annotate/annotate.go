@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/gazetteer"
+	"repro/internal/pool"
 	"repro/internal/qcache"
 	"repro/internal/search"
 	"repro/internal/table"
@@ -152,20 +153,6 @@ type Config struct {
 	// Cache (e.g. "svm" vs "bayes", or per search backend). Ignored
 	// when Cache is nil.
 	CacheSalt string
-
-	// GeoWorkers bounds the worker pool resolving disambiguation
-	// components in parallel inside the geo stage (GeoAnnotate /
-	// PrepareGeo). 0 means min(GOMAXPROCS, 8). The count has no effect
-	// on results — components are independent and scored bit-identically
-	// at any worker count — only on latency and peak scratch memory,
-	// which grows O(largest component × workers).
-	GeoWorkers int
-
-	// geo optionally carries one table's precomputed geocode+disambiguate
-	// resolution (set via PrepareGeo) so the Disambiguate stage and
-	// GeoAnnotate share a single voting pass. Bound to its table: runs
-	// over any other table ignore it.
-	geo *geoResolution
 }
 
 func (c Config) k() int {
@@ -184,14 +171,35 @@ func (c Config) typeSet() map[string]struct{} {
 	return s
 }
 
+// Run is one table's pass through the pipeline under one Config: what
+// Config.For returns. Its Annotate, Explain and GeoAnnotate share a single
+// geocode+vote resolution of the table, computed by whichever of them needs it
+// first and handed to the rest, so a request wanting several of them resolves
+// its table's geography once. The resolution belongs to this table because the
+// Run holds both. A Run serves one request: unlike the Config it is not safe
+// for concurrent use.
+type Run struct {
+	cfg Config
+	t   *table.Table
+	geo *geoResolution // nil until first needed, then never nil
+}
+
+// For starts a run of the pipeline over one table.
+func (c Config) For(t *table.Table) *Run { return &Run{cfg: c, t: t} }
+
 // Annotate runs pre-processing, annotation and (optionally) post-processing
 // over one table and returns every cell-level annotation. This is the
 // context-first entry point of the pipeline: the plan stage checks ctx while
-// geocoding, the execute stage between chunks (and hands it to the backend),
-// and the run returns ctx.Err() once the context is done — never a
+// geocoding and voting, the execute stage between chunks (and hands it to the
+// backend), and the run returns ctx.Err() once the context is done — never a
 // silently-truncated Result.
 func (c Config) Annotate(ctx context.Context, t *table.Table) (*Result, error) {
-	return c.annotateExcluding(ctx, t, nil)
+	return c.For(t).Annotate(ctx)
+}
+
+// Annotate is Config.Annotate over the run's table.
+func (r *Run) Annotate(ctx context.Context) (*Result, error) {
+	return r.annotateExcluding(ctx, nil)
 }
 
 // AnnotateBatch annotates a batch of tables, fanning whole tables out over
@@ -205,8 +213,8 @@ func (c Config) Annotate(ctx context.Context, t *table.Table) (*Result, error) {
 func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table) ([]*Result, error) {
 	out := make([]*Result, len(tables))
 	errs := make([]error, len(tables))
-	if err := RunPool(ctx, c.Parallelism, len(tables), func(i int) {
-		out[i], errs[i] = c.annotateExcluding(ctx, tables[i], nil)
+	if err := pool.Run(ctx, c.Parallelism, len(tables), func(i int) {
+		out[i], errs[i] = c.Annotate(ctx, tables[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -218,56 +226,26 @@ func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table) ([]*Re
 	return out, nil
 }
 
-// RunPool runs work(0..n-1) over a bounded pool of workers — the one fan-out
-// of table batches, a table's query chunks and the service's batches and
-// streams. Every worker takes the next index while ctx is live, and the
-// calling goroutine is the last worker, so one worker or fewer (or a single
-// item) is a loop that starts no goroutine. Work taken completes; the context
-// error, if any, is returned once it has.
-func RunPool(ctx context.Context, workers, n int, work func(int)) error {
-	var next atomic.Int64
-	worker := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			work(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
-	return ctx.Err()
-}
-
-// annotateExcluding runs the three pipeline stages over one table, leaving
-// the given cells untouched (the hybrid annotator uses the exclusion to send
-// only catalogue-unknown cells to the search engine). The error is non-nil
+// annotateExcluding runs the three pipeline stages over the run's table,
+// leaving the given cells untouched (the hybrid annotator uses the exclusion to
+// send only catalogue-unknown cells to the search engine). The error is non-nil
 // only when ctx is cancelled, in which case the partial result is discarded.
-func (c Config) annotateExcluding(ctx context.Context, t *table.Table, exclude map[CellKey]bool) (*Result, error) {
+func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool) (*Result, error) {
 	// Check up front so cancellation holds even when every query would
 	// be answered by a warm cache and the execute stage never blocks.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := c.plan(ctx, t, exclude)
+	p, err := r.plan(ctx, exclude)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Skipped: p.skipped}
-	verdicts, err := c.execute(ctx, p.unique, res)
+	verdicts, err := r.cfg.execute(ctx, p.unique, res)
 	if err != nil {
 		return nil, err
 	}
-	c.merge(t, p, verdicts, res)
+	r.cfg.merge(r.t, p, verdicts, res)
 	return res, nil
 }
 
@@ -317,12 +295,13 @@ func (c Config) queryFor(content, city, lowerCity string) (string, SkipReason) {
 // the engine is the dominant cost (§6.4), so identical cell contents share
 // one query; the query string includes the spatial augmentation so different
 // rows stay distinguishable. The error is ctx.Err() when the context cancels
-// while the Location columns geocode.
-func (c Config) plan(ctx context.Context, t *table.Table, exclude map[CellKey]bool) (tablePlan, error) {
+// while the Location columns geocode and vote.
+func (r *Run) plan(ctx context.Context, exclude map[CellKey]bool) (tablePlan, error) {
+	c, t := r.cfg, r.t
 	p := tablePlan{skipped: map[SkipReason]int{}}
 
 	// Spatial context per row, resolved once per table (§5.2.2).
-	cityByRow, err := c.resolveRowCities(ctx, t)
+	cityByRow, err := r.rowCities(ctx)
 	if err != nil {
 		return p, err
 	}
@@ -420,7 +399,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]q
 	out := make([]qcache.Verdict, n)
 	size := chunkSize(n, c.Parallelism)
 	errs := make([]error, (n+size-1)/size)
-	if err := RunPool(ctx, c.Parallelism, len(errs), func(ci int) {
+	if err := pool.Run(ctx, c.Parallelism, len(errs), func(ci int) {
 		lo := ci * size
 		var vs []qcache.Verdict
 		vs, errs[ci] = chunk(queries[lo:min(lo+size, n)])
@@ -586,29 +565,29 @@ func majorityType(counts map[string]int, k int) (string, float64, bool) {
 	return best, float64(bestCount) / float64(k), true
 }
 
-// resolveRowCities geocodes every Location-column cell, resolves ambiguous
+// rowCities geocodes every Location-column cell, resolves ambiguous
 // interpretations with the §5.2.2 voting graph across the whole table, and
-// returns the chosen city name per row; nil when spatial augmentation is off
-// or nothing geocodes. Rows without resolvable spatial data are absent from
-// the map. When a row's Location columns resolve to different cities, the
-// lowest column index that resolves to a city wins (the resolution is read
-// in column-major order). The resolution is reused when PrepareGeo ran for
-// this table; the error is ctx.Err() when the context cancels mid-geocode.
-func (c Config) resolveRowCities(ctx context.Context, t *table.Table) (map[int]string, error) {
-	if !c.Disambiguate {
+// returns the chosen city name per row; nil when spatial augmentation is off.
+// Rows without resolvable spatial data are absent from the map. When a row's
+// Location columns resolve to different cities, the lowest column index that
+// resolves to a city wins (the resolution is read in column-major order). The
+// error is ctx.Err() when the context cancels mid-resolution.
+func (r *Run) rowCities(ctx context.Context) (map[int]string, error) {
+	if !r.cfg.Disambiguate {
 		return nil, nil
 	}
-	res, err := c.geoFor(ctx, t)
-	if res == nil {
+	res, err := r.resolution(ctx)
+	if err != nil {
 		return nil, err
 	}
+	gaz := r.cfg.Gazetteer
 	out := make(map[int]string)
 	for i, it := range res.interps {
 		if _, done := out[it.Cell.Row]; done {
 			continue
 		}
-		if city := c.Gazetteer.CityOf(res.slots[i].loc); city != gazetteer.NoLocation {
-			out[it.Cell.Row] = c.Gazetteer.Name(city)
+		if city := gaz.CityOf(res.choices[i].Loc); city != gazetteer.NoLocation {
+			out[it.Cell.Row] = gaz.Name(city)
 		}
 	}
 	return out, nil

@@ -35,74 +35,46 @@ type GeoAnnotation struct {
 	Loc gazetteer.LocID
 }
 
-// GeoStageStats describes one geo-stage run: how many cells geocoded and
-// how the disambiguation graph decomposed. Zero when the table had nothing
-// to geocode.
-type GeoStageStats struct {
-	// Cells is the number of cells that geocoded to at least one
-	// candidate (= the interpretations fed to disambiguation).
-	Cells int
-	// Components, LargestComponent and Edges describe the voting graph's
-	// connected-component decomposition (see disambig.Stats).
-	Components       int
-	LargestComponent int
-	// PeakScratchBytes is the high-water mark of pooled per-component
-	// scratch held concurrently during resolution — the O(largest
-	// component × workers) memory bound made observable.
-	PeakScratchBytes int64
-}
-
 // geoResolution is one table's geocode+disambiguate result — the geocoded
-// interpretations in column-major cell order and, per interpretation, the
-// voting outcome — computed once and shared between the §5.2.2 spatial query
-// augmentation and the GeoAnnotate output so a request wanting both never
-// resolves the same table twice.
+// interpretations in column-major cell order, the voting outcome of each, and
+// the voting graph's decomposition statistics. Immutable once built, and
+// non-nil even when nothing geocoded (both slices are then empty), so "resolved,
+// nothing there" is a value a Run can hold instead of resolving again.
 type geoResolution struct {
-	table   *table.Table
 	interps []disambig.Interpretation
-	slots   []geoSlot // slots[i] resolves interps[i]
-	stats   GeoStageStats
+	choices []disambig.Choice // choices[i] resolves interps[i]
+	stats   disambig.Stats
 }
 
-// geoSlot is one interpretation's outcome: the chosen location and its share
-// of the cell's final score distribution.
-type geoSlot struct {
-	loc   gazetteer.LocID
-	score float64
-}
-
-// resolveGeo geocodes the table's Location columns and resolves them through
-// the voting graph; nil when the config has no gazetteer or nothing geocodes.
-// Component results stream from whichever disambiguation worker finished them
-// into one slot per interpretation — the geocode pass emits one
-// interpretation per cell, so every slot is written exactly once — and tables
-// of every size take the same path, holding only the slots plus pooled
-// per-component scratch.
-// Cancellation is checked every geoCancelStride geocoded cells and once more
-// before resolution — geocoding against a large gazetteer is the stage's
-// dominant cost, and an abandoned request should release its admission slot
-// instead of finishing work nobody reads.
-func (c Config) resolveGeo(ctx context.Context, t *table.Table) (*geoResolution, error) {
-	interps, err := c.geocodeCells(ctx, t)
-	if err != nil || len(interps) == 0 {
+// resolution returns the run's geocode+vote pass, making it on first use: the
+// §5.2.2 spatial query augmentation, Explain and the GeoAnnotate output all
+// read this one value, so a request wanting several of them never resolves its
+// table twice. The Location columns geocode, then vote through the graph,
+// whose components run over the request's one pool on min(GOMAXPROCS, 8)
+// workers — tables of every size take the same path, holding one choice per
+// interpretation plus pooled per-component scratch. Without a gazetteer, or
+// when nothing geocodes, the resolution is empty. Cancellation is checked every
+// geoCancelStride geocoded cells, between components and between propagation
+// iterations — an abandoned request should release its admission slot instead
+// of finishing work nobody reads — and the error is then ctx.Err(), with
+// nothing kept: a table is resolved whole or not at all.
+func (r *Run) resolution(ctx context.Context) (*geoResolution, error) {
+	if r.geo != nil {
+		return r.geo, nil
+	}
+	interps, err := r.cfg.geocodeCells(ctx, r.t)
+	if err != nil {
 		return nil, err
 	}
-	slots := make([]geoSlot, len(interps))
-	st := disambig.ResolveStream(interps, c.Gazetteer, disambig.Options{Workers: c.GeoWorkers},
-		func(i int, loc gazetteer.LocID, score float64) {
-			slots[i] = geoSlot{loc: loc, score: score}
-		})
-	return &geoResolution{
-		table:   t,
-		interps: interps,
-		slots:   slots,
-		stats: GeoStageStats{
-			Cells:            len(interps),
-			Components:       st.Components,
-			LargestComponent: st.LargestComponent,
-			PeakScratchBytes: st.PeakScratchBytes,
-		},
-	}, nil
+	res := &geoResolution{interps: interps}
+	if len(interps) > 0 {
+		res.choices, res.stats, err = disambig.ResolvePositional(ctx, interps, r.cfg.Gazetteer, disambig.Options{})
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.geo = res
+	return res, nil
 }
 
 // geocodeCells geocodes the table's Location columns into the
@@ -136,31 +108,6 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table) ([]disambig.In
 	return interps, ctx.Err()
 }
 
-// geoFor returns the precomputed resolution when one was prepared for THIS
-// table (see PrepareGeo), resolving freshly otherwise.
-func (c Config) geoFor(ctx context.Context, t *table.Table) (*geoResolution, error) {
-	if c.geo != nil && c.geo.table == t {
-		return c.geo, nil
-	}
-	return c.resolveGeo(ctx, t)
-}
-
-// PrepareGeo returns a copy of the config carrying the table's resolved
-// geography, so a subsequent Annotate (whose Disambiguate stage needs the
-// per-row cities) and GeoAnnotate (whose output is the resolution itself)
-// on the SAME table share one geocode+vote pass. The precomputation is
-// bound to the given table; runs over any other table resolve freshly, so a
-// prepared config is never wrong, only warmer. The error is ctx.Err() when
-// the context cancels mid-resolution.
-func (c Config) PrepareGeo(ctx context.Context, t *table.Table) (Config, error) {
-	res, err := c.resolveGeo(ctx, t)
-	if err != nil {
-		return c, err
-	}
-	c.geo = res
-	return c, nil
-}
-
 // GeoAnnotate runs the opt-in geocode+disambiguate stage over one table:
 // every Location-column cell is geocoded to its candidate interpretations,
 // the §5.2.2 voting graph resolves the ambiguity table-wide, and each
@@ -171,49 +118,44 @@ func (c Config) PrepareGeo(ctx context.Context, t *table.Table) (Config, error) 
 // The stage executes from the immutable Config like every other pipeline
 // stage: it mutates nothing, so one Config may run any number of concurrent
 // GeoAnnotate calls, and it costs no search-engine queries — only gazetteer
-// lookups and graph propagation (or neither, after PrepareGeo).
-// Cancellation is observed between geocoded cells and before propagation;
-// the error is then ctx.Err(), never a truncated result.
+// lookups and graph propagation. Cancellation is observed between geocoded
+// cells and throughout propagation; the error is then ctx.Err(), never a
+// truncated result.
 func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotation, error) {
-	gas, _, err := c.GeoAnnotateStats(ctx, t)
+	gas, _, err := c.For(t).GeoAnnotate(ctx)
 	return gas, err
 }
 
-// GeoAnnotateStats is GeoAnnotate plus the stage's decomposition
-// statistics (component counts and the peak pooled-scratch high-water
-// mark), for serving layers that surface them.
-func (c Config) GeoAnnotateStats(ctx context.Context, t *table.Table) ([]GeoAnnotation, GeoStageStats, error) {
+// GeoAnnotate is Config.GeoAnnotate over the run's table, plus the voting
+// graph's decomposition statistics (component counts and the peak
+// pooled-scratch high-water mark) for serving layers that surface them. It
+// costs neither lookups nor propagation when the run's Annotate or Explain
+// already resolved the table.
+func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, GeoStageStats{}, err
+		return nil, disambig.Stats{}, err
 	}
-	res, err := c.geoFor(ctx, t)
-	if res == nil {
-		return nil, GeoStageStats{}, err
+	res, err := r.resolution(ctx)
+	if err != nil || len(res.interps) == 0 {
+		return nil, disambig.Stats{}, err
 	}
-	out := make([]GeoAnnotation, 0, len(res.interps))
+	gaz := r.cfg.Gazetteer
+	out := make([]GeoAnnotation, len(res.interps))
 	for i, it := range res.interps {
-		s := res.slots[i]
-		if s.loc == gazetteer.NoLocation {
-			continue // unreachable: every interpretation has candidates
+		// Every interpretation has candidates, so every choice is a location.
+		loc := res.choices[i].Loc
+		out[i] = GeoAnnotation{
+			Row:        it.Cell.Row,
+			Col:        it.Cell.Col,
+			Location:   gaz.FullName(loc),
+			Kind:       gaz.Kind(loc).String(),
+			Candidates: len(it.Candidates),
+			Score:      res.choices[i].Score,
+			Loc:        loc,
 		}
-		out = append(out, c.geoAnnotation(it, s.loc, s.score))
+		if city := gaz.CityOf(loc); city != gazetteer.NoLocation {
+			out[i].City = gaz.Name(city)
+		}
 	}
 	return out, res.stats, nil
-}
-
-// geoAnnotation renders one resolved cell.
-func (c Config) geoAnnotation(it disambig.Interpretation, loc gazetteer.LocID, score float64) GeoAnnotation {
-	ga := GeoAnnotation{
-		Row:        it.Cell.Row,
-		Col:        it.Cell.Col,
-		Location:   c.Gazetteer.FullName(loc),
-		Kind:       c.Gazetteer.Kind(loc).String(),
-		Candidates: len(it.Candidates),
-		Score:      score,
-		Loc:        loc,
-	}
-	if city := c.Gazetteer.CityOf(loc); city != gazetteer.NoLocation {
-		ga.City = c.Gazetteer.Name(city)
-	}
-	return ga
 }

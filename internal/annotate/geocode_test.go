@@ -146,33 +146,55 @@ func TestGeoAnnotateEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPrepareGeo: a prepared config shares one resolution between
-// resolveRowCities and GeoAnnotate without changing either's output, and a
-// precomputation bound to one table never leaks into runs over another.
-func TestPrepareGeo(t *testing.T) {
-	cfg := Config{Gazetteer: gazetteer.Synthetic(1).Freeze()}
+// TestRunSharesResolution: a run's row cities and GeoAnnotate read one
+// resolution without changing either's output — also when nothing geocodes,
+// which is a resolution like any other — and a run over one table knows
+// nothing of another.
+func TestRunSharesResolution(t *testing.T) {
+	cfg := Config{Gazetteer: gazetteer.Synthetic(1).Freeze(), Disambiguate: true}
 	tbl := geoTestTable(t)
 	ctx := context.Background()
 
-	prepared := mustPrepare(t, cfg, tbl)
-	if prepared.geo == nil || prepared.geo.table != tbl {
-		t.Fatal("PrepareGeo did not bind a resolution to the table")
+	run := cfg.For(tbl)
+	if _, err := run.rowCities(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := run.geo
+	if first == nil || len(first.interps) != 6 {
+		t.Fatalf("rowCities left the run's resolution %+v, want the table's 6 geocoded cells", first)
 	}
 	want, err := cfg.GeoAnnotate(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prepared.GeoAnnotate(ctx, tbl)
+	got, _, err := run.GeoAnnotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if run.geo != first {
+		t.Error("GeoAnnotate resolved the table again instead of reading the run's resolution")
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("prepared GeoAnnotate diverges:\n got %+v\nwant %+v", got, want)
+		t.Errorf("shared-resolution GeoAnnotate diverges:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Nothing geocodes: the empty resolution is kept too.
+	barren := table.New("barren", table.Column{Header: "Where", Type: table.Location})
+	if err := barren.AppendRow("no such place anywhere"); err != nil {
+		t.Fatal(err)
+	}
+	run = cfg.For(barren)
+	if cities, err := run.rowCities(ctx); err != nil || len(cities) != 0 {
+		t.Fatalf("barren table: row cities %v, error %v", cities, err)
+	}
+	first = run.geo
+	if gas, _, err := run.GeoAnnotate(ctx); err != nil || gas != nil || first == nil || run.geo != first {
+		t.Errorf("barren table: annotations %v, error %v, resolution kept = %v", gas, err, first != nil && run.geo == first)
 	}
 
 	// Row cities read the resolution in column-major order, so when a row's
 	// Location columns resolve to different cities the lowest column wins —
-	// on every run, fresh or prepared.
+	// on every run.
 	conflict := table.New("conflict",
 		table.Column{Header: "Branch", Type: table.Location},
 		table.Column{Header: "HQ", Type: table.Location},
@@ -180,7 +202,6 @@ func TestPrepareGeo(t *testing.T) {
 	if err := conflict.AppendRow("College Park", "Washington, D.C."); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Disambiguate = true
 	for _, tc := range []struct {
 		name string
 		tbl  *table.Table
@@ -189,55 +210,30 @@ func TestPrepareGeo(t *testing.T) {
 		{"coherent columns", tbl, map[int]string{1: "Washington", 2: "College Park", 3: "Paris"}},
 		{"conflicting columns", conflict, map[int]string{1: "College Park"}},
 	} {
-		prepared := mustPrepare(t, cfg, tc.tbl)
-		for run := 0; run < 50; run++ {
-			for _, c := range []Config{cfg, prepared} {
-				got, err := c.resolveRowCities(ctx, tc.tbl)
+		shared := cfg.For(tc.tbl)
+		for i := 0; i < 50; i++ {
+			for _, r := range []*Run{cfg.For(tc.tbl), shared} {
+				got, err := r.rowCities(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, tc.want) {
-					t.Fatalf("%s, run %d: row cities %v, want %v", tc.name, run, got, tc.want)
+					t.Fatalf("%s, run %d: row cities %v, want %v", tc.name, i, got, tc.want)
 				}
 			}
 		}
 	}
-
-	// A different table must resolve freshly, not reuse the binding.
-	other := table.New("other", table.Column{Header: "Where", Type: table.Location})
-	if err := other.AppendRow("Washington, D.C."); err != nil {
-		t.Fatal(err)
-	}
-	fromPrepared, err := prepared.GeoAnnotate(ctx, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := cfg.GeoAnnotate(ctx, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromPrepared, fresh) {
-		t.Errorf("prepared config leaked its binding into another table:\n got %+v\nwant %+v", fromPrepared, fresh)
-	}
-}
-
-// mustPrepare is PrepareGeo under a background context for tests.
-func mustPrepare(t *testing.T, c Config, tbl *table.Table) Config {
-	t.Helper()
-	prepared, err := c.PrepareGeo(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prepared
 }
 
 // TestGeoAnnotateCancelledMidResolution: cancellation between geocoded
-// cells aborts the stage with ctx.Err(), not a truncated result.
+// cells aborts the stage with ctx.Err(), not a truncated result, and the run
+// keeps nothing of the failed pass.
 func TestGeoAnnotateCancelledMidResolution(t *testing.T) {
 	cfg := Config{Gazetteer: gazetteer.Synthetic(1).Freeze()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cfg.PrepareGeo(ctx, geoTestTable(t)); err != context.Canceled {
-		t.Errorf("cancelled PrepareGeo error = %v, want context.Canceled", err)
+	run := cfg.For(geoTestTable(t))
+	if res, err := run.resolution(ctx); err != context.Canceled || res != nil || run.geo != nil {
+		t.Errorf("cancelled resolution = %v, error %v, kept %v; want nil, context.Canceled, nil", res, err, run.geo)
 	}
 }

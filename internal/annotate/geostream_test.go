@@ -4,8 +4,10 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/disambig"
 	"repro/internal/gazetteer"
 	"repro/internal/table"
 )
@@ -45,14 +47,15 @@ func addressTable(t *testing.T, g *gazetteer.Frozen, rows, cols int) *table.Tabl
 // PeakScratchBytes is a high-water mark over concurrently held pooled
 // scratch, so it depends on the worker count and the goroutine schedule —
 // leaving what a test may compare exactly.
-func deterministic(st GeoStageStats) GeoStageStats {
+func deterministic(st disambig.Stats) disambig.Stats {
 	st.PeakScratchBytes = 0
 	return st
 }
 
 // TestGeoAnnotateWorkerInvariance resolves a decomposing table at several
 // worker counts and requires byte-identical annotations — same cells, same order, same bitwise scores — and identical
-// decomposition statistics. The scratch high-water mark is only bounded:
+// decomposition statistics. The stage sizes its pool from GOMAXPROCS, so that
+// is the seam the test varies. The scratch high-water mark is only bounded:
 // positive, and within what max-workers components of the largest size can
 // hold (per worker a few arrays linear in the component's nodes and edges,
 // and L nodes carry at most L² edges).
@@ -60,10 +63,12 @@ func TestGeoAnnotateWorkerInvariance(t *testing.T) {
 	g := gazetteer.SyntheticScale(42, 6).Freeze()
 	tbl := addressTable(t, g, 50, 3)
 	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []GeoAnnotation
-	var wantStats GeoStageStats
-	for _, w := range []int{0, 1, 2, 8} {
-		got, gotStats, err := Config{Gazetteer: g, GeoWorkers: w}.GeoAnnotateStats(ctx, tbl)
+	var wantStats disambig.Stats
+	for _, w := range []int{runtime.GOMAXPROCS(0), 1, 2, 8} {
+		runtime.GOMAXPROCS(w)
+		got, gotStats, err := Config{Gazetteer: g}.For(tbl).GeoAnnotate(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,34 +91,35 @@ func TestGeoAnnotateWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestGeoAnnotateStatsSmallPath checks the stats surface on a small table
-// too, and that PrepareGeo carries them through.
-func TestGeoAnnotateStatsSmallPath(t *testing.T) {
+// TestRunGeoStatsSmallTable checks the stats surface on a small table
+// too, and that a run which already resolved its table for Annotate carries
+// them through.
+func TestRunGeoStatsSmallTable(t *testing.T) {
 	cfg := Config{Gazetteer: gazetteer.Synthetic(1).Freeze()}
 	ctx := context.Background()
 	tbl := geoTestTable(t)
-	gas, st, err := cfg.GeoAnnotateStats(ctx, tbl)
+	gas, st, err := cfg.For(tbl).GeoAnnotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gas) == 0 || st.Cells == 0 || st.Components == 0 || st.LargestComponent == 0 {
+	if len(gas) == 0 || st.Nodes == 0 || st.Components == 0 || st.LargestComponent == 0 {
 		t.Fatalf("stats not populated: %+v (%d annotations)", st, len(gas))
 	}
-	if st.LargestComponent > st.Cells*10 {
-		t.Fatalf("implausible largest component %d for %d cells", st.LargestComponent, st.Cells)
+	if st.LargestComponent > len(gas)*10 {
+		t.Fatalf("implausible largest component %d for %d cells", st.LargestComponent, len(gas))
 	}
-	prepared, err := cfg.PrepareGeo(ctx, tbl)
-	if err != nil {
+	resolved := cfg.For(tbl)
+	if _, err := resolved.resolution(ctx); err != nil {
 		t.Fatal(err)
 	}
-	gas2, st2, err := prepared.GeoAnnotateStats(ctx, tbl)
+	gas2, st2, err := resolved.GeoAnnotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deterministic(st2) != deterministic(st) {
-		t.Fatalf("prepared stats %+v, fresh stats %+v", st2, st)
+		t.Fatalf("resolved run's stats %+v, fresh stats %+v", st2, st)
 	}
 	if !reflect.DeepEqual(gas2, gas) {
-		t.Fatal("prepared annotations diverge from fresh resolution")
+		t.Fatal("resolved run's annotations diverge from a fresh resolution")
 	}
 }

@@ -33,7 +33,7 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 	// merged annotation set.
 	cfg := h.Discovery
 	cfg.Postprocess = false
-	discRes := mustResult(cfg.annotateExcluding(context.Background(), t, known))
+	discRes := mustResult(cfg.For(t).annotateExcluding(context.Background(), known))
 
 	merged := &Result{
 		Annotations: append(append([]Annotation(nil), catRes.Annotations...), discRes.Annotations...),

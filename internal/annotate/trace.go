@@ -68,8 +68,14 @@ func sortedVoteTypes(votes map[string]int) []string {
 // Like Annotate, ctx is checked between cell queries: a cancelled trace
 // returns ctx.Err() instead of finishing its remaining round-trips.
 func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation, error) {
+	return c.For(t).Explain(ctx)
+}
+
+// Explain is Config.Explain over the run's table.
+func (r *Run) Explain(ctx context.Context) ([]CellExplanation, error) {
+	c, t := r.cfg, r.t
 	gamma := c.typeSet()
-	cityByRow, err := c.resolveRowCities(ctx, t)
+	cityByRow, err := r.rowCities(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -8,9 +8,9 @@ package disambig
 // so a cell's nodes always land in one island together). This file labels
 // the components with a union-find pass over the SAME join-group records
 // buildCSR sorts — without materialising a single edge — then builds,
-// propagates and decides each component independently: a bounded worker
-// pool streams components through pooled per-component scratch, so peak
-// memory is O(largest component × workers) instead of O(whole graph).
+// propagates and decides each component independently: the request's worker
+// pool (internal/pool) takes components through pooled per-component scratch,
+// so peak memory is O(largest component × workers) instead of O(whole graph).
 //
 // Results are bit-identical (same choices, same float64 scores) to one
 // propagation loop over the whole table — the single-component case, and what
@@ -38,12 +38,14 @@ package disambig
 // resumed component in the common case.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/gazetteer"
+	"repro/internal/pool"
 )
 
 // Options tunes the component-parallel resolver.
@@ -180,12 +182,11 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 	return &decomposition{ns: ns, comps: comps}
 }
 
-// compScratch is one worker's reusable component workspace: join-group
-// record buffers, edge staging, the local CSR and the score buffers. A
-// worker holds exactly one, checked out of scratchPool for the phase and
-// regrown to each component it processes, so a resolve's peak scratch is
-// bounded by the largest component times the worker count — never by the
-// table.
+// compScratch is one reusable component workspace: join-group record
+// buffers, edge staging, the local CSR and the score buffers. A worker checks
+// one out of scratchPool per component and regrows it to that component, so a
+// resolve's peak scratch is bounded by the largest component times the worker
+// count — never by the table.
 type compScratch struct {
 	walk     walkBufs
 	voters   []int32
@@ -261,8 +262,9 @@ func (r *compRun) convAt(t int) bool {
 // counting sorts produce in-lists in the reference summation order and each
 // iteration is bitwise identical to the whole-table loop restricted to this
 // component. localOf is the shared global-to-local index table; components
-// are disjoint, so concurrent workers touch disjoint entries.
-func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, localOf []int32, global []float64, resume, stopAtConv bool, until int) {
+// are disjoint, so concurrent workers touch disjoint entries. A done ctx stops
+// the run between iterations, its saved state whole but short of until.
+func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, sc *compScratch, localOf []int32, global []float64, resume, stopAtConv bool, until int) {
 	ns := d.ns
 	m := len(comp)
 	for li, gi := range comp {
@@ -306,7 +308,9 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	for t := r.frontier + 1; t <= until; t++ {
-		sumVotesCSR(inOff, in, scores, next, workers)
+		if sumVotesCSR(ctx, inOff, in, scores, next, workers) != nil {
+			break
+		}
 		for _, ci := range sc.cells {
 			idxs := ns.cellNodes[ci]
 			var total float64
@@ -353,15 +357,19 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 }
 
 // resolveComponents runs the full component-parallel resolution and returns
-// the global score array. When done is non-nil it is invoked exactly once
-// per component — possibly from concurrent workers — the moment that
-// component's scores are final, enabling ResolveStream to emit results
-// before the whole table finishes its final phase.
-func (d *decomposition) resolveComponents(opt Options, done func(ci int, global []float64)) ([]float64, Stats) {
+// the global score array, one score per node. Every phase hands its selected
+// components to the request's one pool (pool.Run): a worker checks one pooled
+// scratch out per component, so at most `workers` components are materialised
+// at any moment, and an empty phase, a single component or Workers: 1 starts
+// no goroutine. Once ctx is done the pool hands out nothing more and runComp
+// stops between iterations, which turns the remaining phases into no-ops; the
+// scores are then partial, and the one check at the end returns ctx.Err()
+// instead of them.
+func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]float64, Stats, error) {
 	if len(d.comps) == 0 {
 		// No interpretation carries a candidate: there is nothing to score,
 		// and no scratch to check out of the pool for it.
-		return nil, Stats{}
+		return nil, Stats{}, ctx.Err()
 	}
 	n := len(d.ns.locs)
 	global := make([]float64, n)
@@ -371,7 +379,6 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
-	workers = max(1, min(workers, len(d.comps)))
 	var curBytes, peakBytes atomic.Int64
 	raise := func(v int64) {
 		for {
@@ -381,49 +388,34 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 			}
 		}
 	}
-
-	// runPhase streams the selected components through the bounded worker
-	// pool. Each worker checks out one pooled scratch for the whole phase,
-	// so at most `workers` components are materialised at any moment.
-	runPhase := func(sel func(ci int) bool, resume, stopAtConv bool, until int, notify func(ci int)) {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := scratchPool.Get().(*compScratch)
-				held := sc.bytes()
-				raise(curBytes.Add(held))
-				defer func() {
-					curBytes.Add(-held)
-					scratchPool.Put(sc)
-				}()
-				for ci := range jobs {
-					d.runComp(d.comps[ci], &runs[ci], sc, localOf, global, resume, stopAtConv, until)
-					if grew := sc.bytes() - held; grew > 0 {
-						held += grew
-						raise(curBytes.Add(grew))
-					}
-					if notify != nil {
-						notify(ci)
-					}
-				}
-			}()
-		}
-		for ci := range d.comps {
-			if sel(ci) {
-				jobs <- ci
+	runPhase := func(sel []int, resume, stopAtConv bool, until int) {
+		// The pool's error is ctx's, read once after the last phase.
+		_ = pool.Run(ctx, workers, len(sel), func(k int) {
+			sc := scratchPool.Get().(*compScratch)
+			held := sc.bytes()
+			raise(curBytes.Add(held))
+			d.runComp(ctx, d.comps[sel[k]], &runs[sel[k]], sc, localOf, global, resume, stopAtConv, until)
+			grown := sc.bytes()
+			raise(curBytes.Add(grown - held))
+			curBytes.Add(-grown)
+			scratchPool.Put(sc)
+		})
+	}
+	// selected lists, ascending, the components a phase has to advance.
+	selected := func(keep func(r *compRun) bool) []int {
+		var sel []int
+		for ci := range runs {
+			if keep(&runs[ci]) {
+				sel = append(sel, ci)
 			}
 		}
-		close(jobs)
-		wg.Wait()
+		return sel
 	}
 
 	// Phase 1: every component propagates until its first sub-eps
 	// iteration (or an exact fixed point, or maxIter), recording which
 	// iterations were sub-eps.
-	runPhase(func(int) bool { return true }, false, true, maxIter, nil)
+	runPhase(selected(func(*compRun) bool { return true }), false, true, maxIter)
 
 	// Coordinator: the whole-table loop stops after the FIRST iteration
 	// whose global max delta is sub-eps — equivalently, the first t at
@@ -442,7 +434,7 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 	}
 	T := maxIter
 	for {
-		runPhase(func(ci int) bool { return runs[ci].fixedAt == 0 && runs[ci].frontier < target }, true, false, target, nil)
+		runPhase(selected(func(r *compRun) bool { return r.fixedAt == 0 && r.frontier < target }), true, false, target)
 		found := -1
 		for t := 1; t <= target && found < 0; t++ {
 			ok := true
@@ -476,42 +468,21 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 	// component whose record ran PAST T — possible only when the stop
 	// search extended past a non-monotone delta dip — reruns from its
 	// prior.
-	finalDone := func(ci int) {
-		if done != nil {
-			done(ci, global)
-		}
-	}
-	var rerun []int
-	for ci := range runs {
-		r := &runs[ci]
+	rerun := selected(func(r *compRun) bool {
 		if r.fixedAt > 0 {
-			if T < r.fixedAt-1 {
-				rerun = append(rerun, ci)
-			}
-		} else if r.frontier > T {
-			rerun = append(rerun, ci)
+			return T < r.fixedAt-1
 		}
-	}
-	needsRerun := make(map[int]bool, len(rerun))
+		return r.frontier > T
+	})
 	for _, ci := range rerun {
-		needsRerun[ci] = true
 		runs[ci] = compRun{edges: runs[ci].edges}
 	}
-	if done != nil {
-		// Components already holding their T-state are final now.
-		for ci := range runs {
-			r := &runs[ci]
-			atT := r.frontier == T || (r.fixedAt > 0 && T >= r.fixedAt-1)
-			if !needsRerun[ci] && atT {
-				finalDone(ci)
-			}
-		}
-	}
-	runPhase(func(ci int) bool {
-		return !needsRerun[ci] && runs[ci].fixedAt == 0 && runs[ci].frontier < T
-	}, true, false, T, finalDone)
-	if len(rerun) > 0 {
-		runPhase(func(ci int) bool { return needsRerun[ci] }, false, false, T, finalDone)
+	runPhase(rerun, false, false, T)
+	// A rerun component now sits at T (or froze on the way), so it is not
+	// selected again.
+	runPhase(selected(func(r *compRun) bool { return r.fixedAt == 0 && r.frontier < T }), true, false, T)
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, err
 	}
 
 	st := Stats{Nodes: n, Components: len(d.comps), PeakScratchBytes: peakBytes.Load()}
@@ -519,46 +490,56 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 		st.LargestComponent = max(st.LargestComponent, len(d.comps[i]))
 		st.Edges += runs[i].edges
 	}
-	return global, st
+	return global, st, nil
 }
 
-// ResolveScoresOpt is ResolveScores with explicit resolver options, also
-// returning the decomposition statistics. Results are bit-identical to the
+// ResolveScoresOpt runs the iterative vote propagation and picks, for every
+// cell, the candidate whose node accumulated the largest score; it returns the
+// winners, the final per-node scores keyed by cell and location, and the
+// decomposition statistics — the diagnostic and benchmark form of
+// ResolvePositional, run under context.Background(). Scores start at 1/|L_ij|
+// (an unambiguous cell casts a full-weight vote). Each iteration recomputes
+// S(n) = Σ_{v∈IN(n)} S(v); scores are then re-normalised within every cell's
+// candidate set so the iteration reaches a fixed point — the raw update of the
+// paper grows without bound on cyclic graphs, and per-cell normalisation
+// preserves the ranking while guaranteeing convergence (see DESIGN.md). Cells
+// whose candidates receive no votes keep their uniform prior. Ties select the
+// smallest LocID for determinism (the paper chooses randomly). A cell whose
+// every interpretation had an empty (or all-invalid) candidate set maps to
+// NoLocation with an empty score map — present in the result, explicitly
+// unresolved, rather than silently missing. Results are bit-identical to the
 // seed reference at every worker count.
 func ResolveScoresOpt(interps []Interpretation, g *gazetteer.Frozen, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
 	d := decompose(interps, g)
-	scores, st := d.resolveComponents(opt, nil)
+	// A background context is never done, so the error is always nil.
+	scores, st, _ := d.resolveComponents(context.Background(), opt)
 	choice, detail := d.ns.choose(scores)
 	return choice, detail, st
 }
 
-// ResolveStream resolves like ResolveScoresOpt but delivers every cell's
-// winner and its score component by component, each the moment its
-// component's scores reach the global stop iteration — so a huge table's
-// early components surface while later ones are still propagating, and no
-// whole-table choice or detail map is ever built. A cell is identified by i,
-// the index in interps of the first interpretation naming it, so a caller
-// whose interpretations name distinct cells can write results straight into
-// a slice parallel to interps. yield may be called from concurrent workers;
-// calls for the cells of one component arrive consecutively from one worker.
-// Cells the graph never saw a candidate for yield (NoLocation, 0), first.
-func ResolveStream(interps []Interpretation, g *gazetteer.Frozen, opt Options, yield func(i int, choice gazetteer.LocID, score float64)) Stats {
+// Choice is one interpretation's outcome: the chosen location and its share of
+// the cell's final score distribution; (NoLocation, 0) for a cell the graph
+// never saw a candidate for.
+type Choice struct {
+	Loc   gazetteer.LocID
+	Score float64
+}
+
+// ResolvePositional resolves like ResolveScoresOpt but returns each cell's
+// winner and its score positionally — out[i] is the outcome of interps[i]'s
+// cell — so a caller rendering one result per interpretation builds no map.
+// Components are independent; the request's ctx is checked between them and
+// between propagation iterations, and once it is done the error is ctx.Err()
+// and no choice is returned: a table is scored whole or not at all.
+func ResolvePositional(ctx context.Context, interps []Interpretation, g *gazetteer.Frozen, opt Options) ([]Choice, Stats, error) {
 	d := decompose(interps, g)
-	ns := d.ns
-	for ci, nodes := range ns.cellNodes {
-		if len(nodes) == 0 {
-			yield(int(ns.cellInterp[ci]), gazetteer.NoLocation, 0)
-		}
+	scores, st, err := d.resolveComponents(ctx, opt)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	_, st := d.resolveComponents(opt, func(ci int, global []float64) {
-		for _, gi := range d.comps[ci] {
-			cidx := ns.nodeCell[gi]
-			if ns.cellNodes[cidx][0] != gi {
-				continue // not the cell's first node; already yielded
-			}
-			best, score := ns.best(cidx, global)
-			yield(int(ns.cellInterp[cidx]), best, score)
-		}
-	})
-	return st
+	out := make([]Choice, len(interps))
+	for i, ci := range d.ns.interpCell {
+		out[i].Loc, out[i].Score = d.ns.best(ci, scores)
+	}
+	return out, st, nil
 }

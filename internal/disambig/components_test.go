@@ -9,11 +9,11 @@ package disambig
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"testing"
 
@@ -25,7 +25,7 @@ import (
 func resolveUndecomposed(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	ns := buildNodes(interps, g)
 	d := &decomposition{ns: ns, comps: [][]int32{ns.allNodes()}}
-	scores, _ := d.resolveComponents(Options{Workers: 1}, nil)
+	scores, _, _ := d.resolveComponents(context.Background(), Options{Workers: 1})
 	return ns.choose(scores)
 }
 
@@ -126,64 +126,51 @@ func TestComponentParallelMultiComponent(t *testing.T) {
 	}
 }
 
-// TestResolveStreamMatches checks the streaming delivery against the batch
-// resolver: same cells, same choices, the winner's bitwise score, every cell
-// yielded exactly once, at several worker counts.
-func TestResolveStreamMatches(t *testing.T) {
+// checkPositional requires the positional results to equal the map form:
+// every interpretation carries its cell's choice and the winner's bitwise
+// score, (NoLocation, 0) for a cell without candidates.
+func checkPositional(t *testing.T, interps []Interpretation, got []Choice, choice map[CellRef]gazetteer.LocID, detail map[CellRef]map[gazetteer.LocID]float64) {
+	t.Helper()
+	if len(got) != len(interps) {
+		t.Fatalf("%d positional results for %d interpretations", len(got), len(interps))
+	}
+	for i, it := range interps {
+		want := Choice{Loc: choice[it.Cell], Score: detail[it.Cell][choice[it.Cell]]}
+		if got[i] != want {
+			t.Fatalf("interpretation %d (cell %v): positional %+v, map form %+v", i, it.Cell, got[i], want)
+		}
+	}
+}
+
+// TestResolvePositionalMatches checks the positional delivery against the
+// map-building resolver: one result per interpretation, same choices, the
+// winner's bitwise score, the same stats, at several worker counts.
+func TestResolvePositionalMatches(t *testing.T) {
 	g := gazetteer.SyntheticScale(42, 4).Freeze()
 	rng := rand.New(rand.NewSource(11))
 	interps := addressInterps(g, rng, 30, 3)
-	// A geocoder-miss cell: must stream an explicit NoLocation.
+	// A geocoder-miss cell: an explicit NoLocation.
 	interps = append(interps, Interpretation{Cell: CellRef{Row: 500, Col: 1}})
+	// A second interpretation of an already-seen cell: the cell's outcome again.
+	interps = append(interps, Interpretation{Cell: interps[0].Cell, Candidates: interps[1].Candidates})
 	wantChoice, wantDetail, wantStats := ResolveScoresOpt(interps, g, Options{})
 	for _, w := range differentialWorkers {
-		var mu chanMutex
-		gotChoice := map[CellRef]gazetteer.LocID{}
-		gotScore := map[CellRef]float64{}
-		st := ResolveStream(interps, g, Options{Workers: w}, func(i int, loc gazetteer.LocID, score float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			cell := interps[i].Cell
-			if _, dup := gotChoice[cell]; dup {
-				t.Errorf("workers=%d: cell %v yielded twice", w, cell)
-			}
-			gotChoice[cell] = loc
-			gotScore[cell] = score
-		})
+		got, st, err := ResolvePositional(context.Background(), interps, g, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st.Components != wantStats.Components || st.Nodes != wantStats.Nodes || st.Edges != wantStats.Edges {
-			t.Fatalf("workers=%d: stream stats %+v, batch stats %+v", w, st, wantStats)
+			t.Fatalf("workers=%d: positional stats %+v, map-form stats %+v", w, st, wantStats)
 		}
-		if len(gotChoice) != len(wantChoice) {
-			t.Fatalf("workers=%d: streamed %d cells, batch resolved %d", w, len(gotChoice), len(wantChoice))
-		}
-		for cell, loc := range wantChoice {
-			if gotChoice[cell] != loc {
-				t.Fatalf("workers=%d cell %v: streamed %v, batch chose %v", w, cell, gotChoice[cell], loc)
-			}
-			if got, want := gotScore[cell], wantDetail[cell][loc]; got != want {
-				t.Fatalf("workers=%d cell %v: streamed score %v, batch %v", w, cell, got, want)
-			}
-		}
+		checkPositional(t, interps, got, wantChoice, wantDetail)
 	}
 }
-
-// chanMutex is a tiny mutex built on a 1-buffered channel, avoiding a sync
-// import for one test.
-type chanMutex chan struct{}
-
-func (m *chanMutex) Lock() {
-	if *m == nil {
-		*m = make(chanMutex, 1)
-	}
-	*m <- struct{}{}
-}
-func (m *chanMutex) Unlock() { <-*m }
 
 // TestCandidateFreeInput pins what the general path makes of input without a
 // usable candidate — empty inputs, empty candidate sets and all-NoLocation
 // candidate sets: every cell an explicit NoLocation with an empty score map,
-// zero Stats (no component, so no scratch is checked out), and the stream
-// yielding each cell once, at its first interpretation, in input order.
+// zero Stats (no component, so no scratch is checked out), and the positional
+// form (NoLocation, 0) at every interpretation.
 func TestCandidateFreeInput(t *testing.T) {
 	g := gazetteer.Synthetic(5).Freeze()
 	cases := [][]Interpretation{
@@ -221,25 +208,15 @@ func TestCandidateFreeInput(t *testing.T) {
 			t.Fatalf("case %d: decomposed and undecomposed runs disagree on cell counts", i)
 		}
 
-		var wantYield, gotYield []int
-		seen := map[CellRef]bool{}
-		for ii, it := range interps {
-			if !seen[it.Cell] {
-				seen[it.Cell] = true
-				wantYield = append(wantYield, ii)
-			}
+		got, st, err := ResolvePositional(context.Background(), interps, g, Options{})
+		if err != nil || st != (Stats{}) {
+			t.Fatalf("case %d: positional stats %+v, error %v, want zero and nil", i, st, err)
 		}
-		st = ResolveStream(interps, g, Options{}, func(ii int, loc gazetteer.LocID, score float64) {
-			if loc != gazetteer.NoLocation || score != 0 {
-				t.Errorf("case %d: stream yielded (%d, %v, %v), want (NoLocation, 0)", i, ii, loc, score)
+		checkPositional(t, interps, got, choice, detail)
+		for ii, c := range got {
+			if c != (Choice{}) {
+				t.Fatalf("case %d: positional result %d = %+v, want (NoLocation, 0)", i, ii, c)
 			}
-			gotYield = append(gotYield, ii)
-		})
-		if st != (Stats{}) {
-			t.Fatalf("case %d: stream stats %+v, want zero", i, st)
-		}
-		if !slices.Equal(gotYield, wantYield) {
-			t.Fatalf("case %d: stream yielded cells %v, want first appearances in input order %v", i, gotYield, wantYield)
 		}
 	}
 }
@@ -368,7 +345,7 @@ func checkScoresFinite(t *testing.T, d *decomposition) {
 	for ci, comp := range d.comps {
 		var r compRun
 		for it := 1; it <= maxIter && r.fixedAt == 0; it++ {
-			d.runComp(comp, &r, &sc, localOf, global, it > 1, false, it)
+			d.runComp(context.Background(), comp, &r, &sc, localOf, global, it > 1, false, it)
 			for _, gi := range comp {
 				if s := global[gi]; math.IsNaN(s) || math.IsInf(s, 0) || math.Signbit(s) {
 					t.Fatalf("component %d, iteration %d: node %d scores %v", ci, it, gi, s)

@@ -75,7 +75,7 @@ func figure7(t *testing.T) (*gazetteer.Frozen, []Interpretation, map[CellRef]str
 
 func TestFigure7Resolution(t *testing.T) {
 	g, interps, want := figure7(t)
-	choice := Resolve(interps, g)
+	choice, _, _ := ResolveScoresOpt(interps, g, Options{})
 	if len(choice) != len(interps) {
 		t.Fatalf("resolved %d cells, want %d", len(choice), len(interps))
 	}
@@ -121,7 +121,7 @@ func TestUnambiguousCellKeepsItsOnlyCandidate(t *testing.T) {
 		t.Fatalf("Baltimore should be unambiguous, got %d", len(balt))
 	}
 	interps := []Interpretation{{Cell: CellRef{1, 1}, Candidates: balt}}
-	choice := Resolve(interps, g)
+	choice, _, _ := ResolveScoresOpt(interps, g, Options{})
 	if choice[CellRef{1, 1}] != balt[0] {
 		t.Errorf("single candidate was not selected")
 	}
@@ -134,8 +134,8 @@ func TestIsolatedAmbiguousCellPicksDeterministically(t *testing.T) {
 		t.Fatalf("need ambiguous Paris")
 	}
 	interps := []Interpretation{{Cell: CellRef{5, 5}, Candidates: parises}}
-	c1 := Resolve(interps, g)
-	c2 := Resolve(interps, g)
+	c1, _, _ := ResolveScoresOpt(interps, g, Options{})
+	c2, _, _ := ResolveScoresOpt(interps, g, Options{})
 	if c1[CellRef{5, 5}] != c2[CellRef{5, 5}] {
 		t.Errorf("isolated ambiguous cell resolution is nondeterministic")
 	}
@@ -157,7 +157,7 @@ func TestUnambiguousNeighbourDominatesVote(t *testing.T) {
 		{Cell: CellRef{1, 1}, Candidates: streets},
 		{Cell: CellRef{1, 2}, Candidates: []gazetteer.LocID{balt}},
 	}
-	choice := Resolve(interps, g)
+	choice, _, _ := ResolveScoresOpt(interps, g, Options{})
 	if g.CityOf(choice[CellRef{1, 1}]) != balt {
 		t.Errorf("street resolved to %q, want the Baltimore street",
 			g.FullName(choice[CellRef{1, 1}]))
@@ -197,7 +197,7 @@ func TestDiagonalCellsDoNotVote(t *testing.T) {
 // form a probability distribution.
 func TestScoresAreDistributions(t *testing.T) {
 	g, interps, _ := figure7(t)
-	_, detail := ResolveScores(interps, g)
+	_, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	for cell, m := range detail {
 		var sum float64
 		for _, s := range m {
@@ -235,7 +235,7 @@ func TestResolveTotal(t *testing.T) {
 				})
 			}
 		}
-		choice := Resolve(interps, g)
+		choice, _, _ := ResolveScoresOpt(interps, g, Options{})
 		for _, it := range interps {
 			sel, ok := choice[it.Cell]
 			if !ok {

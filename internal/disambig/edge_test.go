@@ -13,11 +13,11 @@ import (
 
 func TestResolveNoInterpretations(t *testing.T) {
 	g := gazetteer.Synthetic(1).Freeze()
-	if choice := Resolve(nil, g); len(choice) != 0 {
-		t.Errorf("Resolve(nil) = %v, want empty", choice)
+	if choice, _, _ := ResolveScoresOpt(nil, g, Options{}); len(choice) != 0 {
+		t.Errorf("ResolveScoresOpt(nil) = %v, want empty", choice)
 	}
-	if choice := Resolve([]Interpretation{}, g); len(choice) != 0 {
-		t.Errorf("Resolve([]) = %v, want empty", choice)
+	if choice, _, _ := ResolveScoresOpt([]Interpretation{}, g, Options{}); len(choice) != 0 {
+		t.Errorf("ResolveScoresOpt([]) = %v, want empty", choice)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestEmptyCandidateSetResolvesToNoLocation(t *testing.T) {
 		{Cell: CellRef{1, 2}, Candidates: balt},
 		{Cell: CellRef{2, 1}, Candidates: []gazetteer.LocID{}},
 	}
-	choice, detail := ResolveScores(interps, g)
+	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	if len(choice) != 3 {
 		t.Fatalf("resolved %d cells, want all 3 submitted cells: %v", len(choice), choice)
 	}
@@ -56,7 +56,8 @@ func TestEmptyCandidateSetResolvesToNoLocation(t *testing.T) {
 	// A cell that is unresolvable in one interpretation but has candidates
 	// in another is resolved normally.
 	merged := append(interps, Interpretation{Cell: CellRef{1, 1}, Candidates: balt})
-	if got := Resolve(merged, g)[CellRef{1, 1}]; got != balt[0] {
+	mergedChoice, _, _ := ResolveScoresOpt(merged, g, Options{})
+	if got := mergedChoice[CellRef{1, 1}]; got != balt[0] {
 		t.Errorf("cell with a later non-empty interpretation resolved to %v, want %v", got, balt[0])
 	}
 }
@@ -75,7 +76,7 @@ func TestSingleCandidateShortCircuit(t *testing.T) {
 		{Cell: CellRef{1, 1}, Candidates: balt},
 		{Cell: CellRef{1, 2}, Candidates: parises},
 	}
-	choice, detail := ResolveScores(interps, g)
+	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	if choice[CellRef{1, 1}] != balt[0] {
 		t.Errorf("single candidate not selected: %v", choice[CellRef{1, 1}])
 	}
@@ -100,7 +101,7 @@ func TestTieBreakPicksSmallestLocID(t *testing.T) {
 		}
 	}
 	interps := []Interpretation{{Cell: CellRef{3, 3}, Candidates: parises}}
-	choice, detail := ResolveScores(interps, g)
+	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	if choice[CellRef{3, 3}] != min {
 		t.Errorf("tie resolved to %v, want smallest LocID %v (scores %v)", choice[CellRef{3, 3}], min, detail[CellRef{3, 3}])
 	}
@@ -116,7 +117,7 @@ func TestTieBreakPicksSmallestLocID(t *testing.T) {
 // list (and the interpretation list itself) never changes the resolution.
 func TestTieBreakInvariantUnderCandidateOrder(t *testing.T) {
 	g, interps, _ := figure7(t)
-	want := Resolve(interps, g)
+	want, _, _ := ResolveScoresOpt(interps, g, Options{})
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		shuffled := make([]Interpretation, len(interps))
@@ -126,7 +127,7 @@ func TestTieBreakInvariantUnderCandidateOrder(t *testing.T) {
 			shuffled[i] = Interpretation{Cell: it.Cell, Candidates: cands}
 		}
 		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		if got := Resolve(shuffled, g); !reflect.DeepEqual(got, want) {
+		if got, _, _ := ResolveScoresOpt(shuffled, g, Options{}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: resolution depends on input order:\n got: %v\nwant: %v", trial, got, want)
 		}
 	}
@@ -155,8 +156,8 @@ func TestDuplicateCandidatesDeduplicated(t *testing.T) {
 	if got, want := BuildGraph(dirty, g).NodeCount(), BuildGraph(clean, g).NodeCount(); got != want {
 		t.Fatalf("duplicated candidates created %d nodes, want %d", got, want)
 	}
-	wantChoice, wantDetail := ResolveScores(clean, g)
-	gotChoice, gotDetail := ResolveScores(dirty, g)
+	wantChoice, wantDetail, _ := ResolveScoresOpt(clean, g, Options{})
+	gotChoice, gotDetail, _ := ResolveScoresOpt(dirty, g, Options{})
 	if !reflect.DeepEqual(gotChoice, wantChoice) {
 		t.Errorf("duplicated input resolves differently:\n got %v\nwant %v", gotChoice, wantChoice)
 	}

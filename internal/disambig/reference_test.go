@@ -172,7 +172,7 @@ func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Froze
 	}
 
 	refChoice, refDetail := refResolveScores(interps, g)
-	choice, detail := ResolveScores(interps, g)
+	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	for cell, loc := range choice {
 		if loc == gazetteer.NoLocation {
 			if _, ok := refChoice[cell]; ok {
@@ -349,6 +349,6 @@ func BenchmarkResolve(b *testing.B) {
 	interps, g := benchWorkload()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Resolve(interps, g)
+		ResolveScoresOpt(interps, g, Options{})
 	}
 }

@@ -78,25 +78,26 @@ func ScenarioMatrix(base LabConfig, worlds []WorldScenario, ingests []ingest.Var
 		})
 		acfg := lab.config(lab.SVM, true, true)
 
-		run := func(v ingest.Variant) (*dataset.Dataset, map[string]*annotate.Result, string, error) {
+		run := func(v ingest.Variant) (ScenarioCell, string, error) {
 			ids, err := reingest(ds, v)
 			if err != nil {
-				return nil, nil, "", fmt.Errorf("world %s, variant %s: %w", ws.Name, v, err)
+				return ScenarioCell{}, "", fmt.Errorf("world %s, variant %s: %w", ws.Name, v, err)
 			}
 			res := lab.runConfig(ids, acfg)
-			return ids, res, renderResults(ids, res, acfg), nil
+			// One geo pass per table feeds both the score and the rendering.
+			geo := geoAnnotations(ids, acfg)
+			return scoreCell(ids, res, geo), renderResults(ids, res, geo), nil
 		}
 
-		_, _, cleanRendered, err := run(ingest.CleanCSV)
+		_, cleanRendered, err := run(ingest.CleanCSV)
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range ingests {
-			ids, res, rendered, err := run(v)
+			cell, rendered, err := run(v)
 			if err != nil {
 				return nil, err
 			}
-			cell := scoreCell(ids, res, acfg)
 			cell.World = ws.Name
 			cell.Ingest = v
 			cell.MatchesClean = rendered == cleanRendered
@@ -126,8 +127,22 @@ func reingest(ds *dataset.Dataset, v ingest.Variant) (*dataset.Dataset, error) {
 	return out, nil
 }
 
+// geoAnnotations runs the geo stage once over every table of the dataset,
+// keyed by table name.
+func geoAnnotations(ds *dataset.Dataset, acfg annotate.Config) map[string][]annotate.GeoAnnotation {
+	out := make(map[string][]annotate.GeoAnnotation, len(ds.Tables))
+	for _, t := range ds.Tables {
+		gas, err := acfg.GeoAnnotate(context.Background(), t)
+		if err != nil {
+			panic(err) // unreachable: background context never cancels
+		}
+		out[t.Name] = gas
+	}
+	return out
+}
+
 // scoreCell computes a cell's annotation micro metrics and geo accuracy.
-func scoreCell(ds *dataset.Dataset, results map[string]*annotate.Result, acfg annotate.Config) ScenarioCell {
+func scoreCell(ds *dataset.Dataset, results map[string]*annotate.Result, geo map[string][]annotate.GeoAnnotation) ScenarioCell {
 	per := ScoreDataset(ds, results)
 	micro := MicroAverage(per, TypeStrings())
 	cell := ScenarioCell{
@@ -143,12 +158,8 @@ func scoreCell(ds *dataset.Dataset, results map[string]*annotate.Result, acfg an
 			continue
 		}
 		cell.GeoCells += len(gold)
-		gas, err := acfg.GeoAnnotate(context.Background(), t)
-		if err != nil {
-			panic(err) // unreachable: background context never cancels
-		}
 		chosen := map[dataset.CellKey]gazetteer.LocID{}
-		for _, ga := range gas {
+		for _, ga := range geo[t.Name] {
 			chosen[dataset.CellKey{Row: ga.Row, Col: ga.Col}] = ga.Loc
 		}
 		for key, want := range gold {
@@ -166,29 +177,20 @@ func scoreCell(ds *dataset.Dataset, results map[string]*annotate.Result, acfg an
 // renderResults serializes a run's full annotation output (type annotations
 // and geo annotations, in deterministic order) for the byte-comparison
 // against the clean twin.
-func renderResults(ds *dataset.Dataset, results map[string]*annotate.Result, acfg annotate.Config) string {
+func renderResults(ds *dataset.Dataset, results map[string]*annotate.Result, geo map[string][]annotate.GeoAnnotation) string {
 	var b strings.Builder
 	names := make([]string, 0, len(ds.Tables))
 	for _, t := range ds.Tables {
 		names = append(names, t.Name)
 	}
 	sort.Strings(names)
-	tables := map[string]int{}
-	for i, t := range ds.Tables {
-		tables[t.Name] = i
-	}
 	for _, name := range names {
-		t := ds.Tables[tables[name]]
 		res := results[name]
 		fmt.Fprintf(&b, "table %s\n", name)
 		for _, a := range res.Annotations {
 			fmt.Fprintf(&b, "  ann %d %d %s %.6f\n", a.Row, a.Col, a.Type, a.Score)
 		}
-		gas, err := acfg.GeoAnnotate(context.Background(), t)
-		if err != nil {
-			panic(err) // unreachable: background context never cancels
-		}
-		for _, ga := range gas {
+		for _, ga := range geo[name] {
 			fmt.Fprintf(&b, "  geo %d %d %d %s %.6f\n", ga.Row, ga.Col, ga.Loc, ga.Kind, ga.Score)
 		}
 	}

@@ -36,7 +36,7 @@ func TestMessyIngestionDifferential(t *testing.T) {
 		for i, tbl := range ids.Tables {
 			res[tbl.Name] = batch[i]
 		}
-		return renderResults(ids, res, acfg)
+		return renderResults(ids, res, geoAnnotations(ids, acfg))
 	}
 
 	for _, parallelism := range []int{1, 4} {
@@ -71,7 +71,7 @@ func TestScenarioMatrixSingleCell(t *testing.T) {
 	}
 	acfg := l.config(l.SVM, true, true)
 	res := l.runConfig(ds, acfg)
-	cell := scoreCell(ds, res, acfg)
+	cell := scoreCell(ds, res, geoAnnotations(ds, acfg))
 	if cell.Gold == 0 || cell.Annotated == 0 {
 		t.Fatalf("degenerate annotation counters: %+v", cell)
 	}

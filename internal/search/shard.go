@@ -1,10 +1,11 @@
 package search
 
 import (
+	"context"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/pool"
 	"repro/internal/textproc"
 )
 
@@ -109,9 +110,9 @@ func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
 // batch through its columnar kernel (normalized query terms are shared across
 // shards, term-id resolution is shared across the batch within each shard) and
 // the per-shard lists merge per query into the global top-k under the exact
-// monolithic order. The last shard runs on the calling goroutine, so a
-// one-shard index starts none. The returned hits carry global doc ids; out[i]
-// is nil for nil qterms[i].
+// monolithic order. The shards are the items of one pool.Run with a worker
+// each, the calling goroutine among them, so a one-shard index starts none.
+// The returned hits carry global doc ids; out[i] is nil for nil qterms[i].
 func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
 	n := len(s.shards)
 	scored := 0
@@ -129,16 +130,9 @@ func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
 		}
 		lists[si] = perQuery
 	}
-	var wg sync.WaitGroup
-	for si := 0; si < n-1; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			scoreShard(si)
-		}(si)
-	}
-	scoreShard(n - 1)
-	wg.Wait()
+	// Scoring cannot be abandoned half way — the merge below reads every
+	// shard's lists — so the pool runs under a context that is never done.
+	_ = pool.Run(context.Background(), n, n, scoreShard)
 	out := make([][]hit, len(qterms))
 	scratch := make([][]hit, n)
 	for i := range qterms {

@@ -13,11 +13,11 @@ import (
 // transport errors (a connection refused mid-proxy is better evidence than
 // waiting for the next poll). Transitions:
 //
-//	healthy --(FailThreshold consecutive failures)--> ejected
+//	healthy --(ProbeFailThreshold consecutive failures)--> ejected
 //	ejected --(one successful probe)--> healthy
 //
 // While ejected the worker takes no traffic and is probed with exponential
-// backoff (doubling from the probe interval up to BackoffMax), so a dead
+// backoff (doubling from the probe interval up to ProbeBackoffMax), so a dead
 // worker costs a bounded trickle of probes; the first success readmits it
 // immediately and resets the backoff.
 type workerState struct {
@@ -35,46 +35,13 @@ type workerState struct {
 	inflight atomic.Int64 // router-side attempts currently proxied to this worker
 }
 
-// healthConfig configures the prober; the zero value of every field selects
-// a sensible default.
-type healthConfig struct {
-	// Interval between /healthz polls of a healthy worker. Default 1s.
-	Interval time.Duration
-	// Timeout of one probe request. Default: Interval, at least 100ms.
-	Timeout time.Duration
-	// FailThreshold is the consecutive-failure count that ejects a
-	// worker. Default 3.
-	FailThreshold int
-	// BackoffMax caps the exponential probe backoff of an ejected
-	// worker. Default 30s.
-	BackoffMax time.Duration
-}
-
-func (c *healthConfig) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Interval
-		if c.Timeout < 100*time.Millisecond {
-			c.Timeout = 100 * time.Millisecond
-		}
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 30 * time.Second
-	}
-}
-
 // prober owns the health state of every worker and polls them in one
 // background goroutine (started by start, stopped by stop). Workers begin
 // healthy — a router must be able to serve before its first poll completes —
 // and the first failed probe window ejects them soon after boot if they were
 // never really there.
 type prober struct {
-	cfg     healthConfig
+	cfg     RouterConfig // the router's, defaults resolved
 	client  *http.Client
 	workers []*workerState
 
@@ -82,17 +49,18 @@ type prober struct {
 	done chan struct{}
 }
 
-func newProber(urls []string, cfg healthConfig, client *http.Client) *prober {
-	cfg.defaults()
+// newProber reads the probe cadence off the router's config, which NewRouter
+// has already resolved: the prober has no defaults of its own.
+func newProber(cfg RouterConfig, client *http.Client) *prober {
 	p := &prober{
 		cfg:     cfg,
 		client:  client,
-		workers: make([]*workerState, len(urls)),
+		workers: make([]*workerState, len(cfg.Workers)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	for i, url := range urls {
-		p.workers[i] = &workerState{url: url, healthy: true, backoff: cfg.Interval}
+	for i, url := range cfg.Workers {
+		p.workers[i] = &workerState{url: url, healthy: true, backoff: cfg.ProbeInterval}
 	}
 	return p
 }
@@ -100,7 +68,7 @@ func newProber(urls []string, cfg healthConfig, client *http.Client) *prober {
 func (p *prober) start() {
 	go func() {
 		defer close(p.done)
-		ticker := time.NewTicker(p.cfg.Interval)
+		ticker := time.NewTicker(p.cfg.ProbeInterval)
 		defer ticker.Stop()
 		p.pollAll() // immediate first pass so a dead worker ejects quickly
 		for {
@@ -137,7 +105,7 @@ func (p *prober) pollAll() {
 // machine. Any 2xx is healthy; a transport error, timeout or non-2xx
 // (including the 503 a worker reports mid-reload) counts as a failure.
 func (p *prober) probe(w *workerState) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), max(p.cfg.ProbeInterval, probeTimeoutMin))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/healthz", nil)
 	if err != nil {
@@ -166,17 +134,17 @@ func (p *prober) observeFailure(w *workerState, reason string) {
 	w.consecFails++
 	w.lastErr = reason
 	if w.healthy {
-		if w.consecFails >= p.cfg.FailThreshold {
+		if w.consecFails >= p.cfg.ProbeFailThreshold {
 			w.healthy = false
 			w.ejections++
-			w.backoff = p.cfg.Interval
+			w.backoff = p.cfg.ProbeInterval
 			w.nextProbe = time.Now().Add(w.backoff)
 		}
 		return
 	}
 	w.backoff *= 2
-	if w.backoff > p.cfg.BackoffMax {
-		w.backoff = p.cfg.BackoffMax
+	if w.backoff > p.cfg.ProbeBackoffMax {
+		w.backoff = p.cfg.ProbeBackoffMax
 	}
 	w.nextProbe = time.Now().Add(w.backoff)
 }

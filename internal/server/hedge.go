@@ -32,13 +32,13 @@ type latencyTracker struct {
 // its p95 and keeps serving Initial.
 const minSamples = 20
 
-func newLatencyTracker(window int, initial, min time.Duration) *latencyTracker {
-	if window <= 0 {
-		window = 512
-	}
+// latencyWindow is the number of recent samples the p95 ranks.
+const latencyWindow = 512
+
+func newLatencyTracker(initial, min time.Duration) *latencyTracker {
 	return &latencyTracker{
-		window:  make([]time.Duration, window),
-		scratch: make([]time.Duration, 0, window),
+		window:  make([]time.Duration, latencyWindow),
+		scratch: make([]time.Duration, 0, latencyWindow),
 		Initial: initial,
 		Min:     min,
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // ring is the consistent-hash layout the Router places tables with: each
-// worker owns VirtualNodes points on a 64-bit circle, and a request key —
+// worker owns ringVirtualNodes points on a 64-bit circle, and a request key —
 // the FNV-1a hash of the table's CANONICAL bytes, so two clients sending the
 // same table with different JSON formatting land on the same replica — is
 // served by the first distinct workers clockwise from it. Virtual nodes keep

@@ -62,40 +62,44 @@ type RouterConfig struct {
 	// Replication is the number of ring owners per key — the replica set a
 	// hedge or retry can fall to. Default 2, clamped to len(Workers).
 	Replication int
-	// VirtualNodes is the number of ring points per worker. Default 64.
-	VirtualNodes int
 	// MaxInFlight bounds concurrently-proxied table requests at the edge
 	// (weighted: a batch costs one slot per table). Default 256.
 	MaxInFlight int
 	// MaxBatch bounds the requests per batch call. Default 32, clamped to
 	// MaxInFlight.
 	MaxBatch int
-	// MaxBodyBytes bounds a request body. Default 8 MiB.
-	MaxBodyBytes int64
 	// DisableHedging turns tail-latency hedging off; the ring still
 	// provides the retry owner for dead workers.
 	DisableHedging bool
 	// HedgeInitial is the hedge delay served before the latency tracker
 	// has enough samples for a p95. Default 100ms.
 	HedgeInitial time.Duration
-	// HedgeMin floors the p95-tracked hedge delay. Default 2ms.
-	HedgeMin time.Duration
-	// ProbeInterval, ProbeTimeout, ProbeFailThreshold and ProbeBackoffMax
-	// drive the health prober: /healthz is polled every ProbeInterval
-	// (default 1s), ProbeFailThreshold consecutive failures (default 3)
-	// eject a worker, and an ejected worker is re-probed with exponential
-	// backoff capped at ProbeBackoffMax (default 30s) until a success
-	// readmits it.
+	// ProbeInterval, ProbeFailThreshold and ProbeBackoffMax drive the
+	// health prober: /healthz is polled every ProbeInterval (default 1s;
+	// one probe may take that long, and at least probeTimeoutMin),
+	// ProbeFailThreshold consecutive failures (default 3) eject a worker,
+	// and an ejected worker is re-probed with exponential backoff capped at
+	// ProbeBackoffMax (default 30s) until a success readmits it. No command
+	// sets the threshold or the cap; they stay settable because the router
+	// tests need a dead worker ejected and readmitted within milliseconds.
 	ProbeInterval      time.Duration
-	ProbeTimeout       time.Duration
 	ProbeFailThreshold int
 	ProbeBackoffMax    time.Duration
-	// Client overrides the HTTP client used for proxying and probing;
-	// tests inject one. The default client keeps a generous connection
-	// pool per worker and no global timeout (proxied requests inherit the
-	// caller's context, probes carry their own).
-	Client *http.Client
 }
+
+// The router's fixed parameters: no deployment or test needs another value.
+const (
+	// ringVirtualNodes is the number of ring points per worker.
+	ringVirtualNodes = 64
+	// maxBodyBytes bounds a request body at the router, and is a worker's
+	// default (Config.MaxBodyBytes): 8 MiB.
+	maxBodyBytes = 8 << 20
+	// hedgeMin floors the p95-tracked hedge delay.
+	hedgeMin = 2 * time.Millisecond
+	// probeTimeoutMin floors one probe's timeout, which is otherwise the
+	// probe interval.
+	probeTimeoutMin = 100 * time.Millisecond
+)
 
 // errNoOwners is hedgedDo's "nothing to try" failure; the handler maps it to
 // the typed 503 no_workers error.
@@ -112,9 +116,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Replication > len(cfg.Workers) {
 		cfg.Replication = len(cfg.Workers)
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
 	}
@@ -124,35 +125,33 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBatch > cfg.MaxInFlight {
 		cfg.MaxBatch = cfg.MaxInFlight
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
 	if cfg.HedgeInitial <= 0 {
 		cfg.HedgeInitial = 100 * time.Millisecond
 	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 2 * time.Millisecond
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 64
-		client = &http.Client{Transport: tr}
+	if cfg.ProbeFailThreshold <= 0 {
+		cfg.ProbeFailThreshold = 3
 	}
+	if cfg.ProbeBackoffMax <= 0 {
+		cfg.ProbeBackoffMax = 30 * time.Second
+	}
+	// One client proxies and probes: a generous connection pool per worker
+	// and no global timeout (proxied requests inherit the caller's context,
+	// probes carry their own).
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 64
+	client := &http.Client{Transport: tr}
 	r := &Router{
 		cfg:     cfg,
-		ring:    newRing(cfg.Workers, cfg.VirtualNodes),
+		ring:    newRing(cfg.Workers, ringVirtualNodes),
+		prober:  newProber(cfg, client),
 		client:  client,
 		sem:     newSemaphore(cfg.MaxInFlight),
-		tracker: newLatencyTracker(512, cfg.HedgeInitial, cfg.HedgeMin),
+		tracker: newLatencyTracker(cfg.HedgeInitial, hedgeMin),
 		start:   time.Now(),
 	}
-	r.prober = newProber(cfg.Workers, healthConfig{
-		Interval:      cfg.ProbeInterval,
-		Timeout:       cfg.ProbeTimeout,
-		FailThreshold: cfg.ProbeFailThreshold,
-		BackoffMax:    cfg.ProbeBackoffMax,
-	}, client)
 	r.prober.start()
 	return r, nil
 }
@@ -201,7 +200,7 @@ type upstreamResponse struct {
 // readBody buffers the request body within the size limit, writing the typed
 // error response itself on failure.
 func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
+	req.Body = http.MaxBytesReader(w, req.Body, maxBodyBytes)
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError

@@ -528,7 +528,7 @@ func TestRouterAdmission(t *testing.T) {
 // TestLatencyTracker pins the hedge-delay policy: Initial until the window
 // has enough samples, then the window's p95 floored at Min.
 func TestLatencyTracker(t *testing.T) {
-	tr := newLatencyTracker(100, 250*time.Millisecond, 5*time.Millisecond)
+	tr := newLatencyTracker(250*time.Millisecond, 5*time.Millisecond)
 	if got := tr.delay(); got != 250*time.Millisecond {
 		t.Fatalf("empty tracker delay = %v, want Initial", got)
 	}
@@ -543,21 +543,21 @@ func TestLatencyTracker(t *testing.T) {
 		t.Fatalf("delay over all-fast window = %v, want the Min floor", got)
 	}
 	// 100 samples 1..100ms: p95 lands in the mid-90s.
-	tr2 := newLatencyTracker(100, 250*time.Millisecond, time.Millisecond)
+	tr2 := newLatencyTracker(250*time.Millisecond, time.Millisecond)
 	for i := 1; i <= 100; i++ {
 		tr2.observe(time.Duration(i) * time.Millisecond)
 	}
 	if got := tr2.delay(); got < 90*time.Millisecond || got > 100*time.Millisecond {
 		t.Fatalf("p95 of 1..100ms = %v, want ~95ms", got)
 	}
-	// The window slides: 100 fresh 2ms samples push the old tail out.
-	for i := 0; i < 100; i++ {
+	// The window slides: a window of fresh 2ms samples pushes the old tail out.
+	for i := 0; i < latencyWindow; i++ {
 		tr2.observe(2 * time.Millisecond)
 	}
 	if got := tr2.delay(); got != 2*time.Millisecond {
 		t.Fatalf("delay after window turnover = %v, want 2ms", got)
 	}
-	if got := tr2.samples(); got != 100 {
+	if got := tr2.samples(); got != latencyWindow {
 		t.Fatalf("samples = %d, want the window size", got)
 	}
 }
@@ -565,10 +565,11 @@ func TestLatencyTracker(t *testing.T) {
 // TestProberBackoff pins the ejected-worker probe schedule: exponential
 // doubling capped at BackoffMax, reset on readmission.
 func TestProberBackoff(t *testing.T) {
-	p := newProber([]string{"http://x:1"}, healthConfig{
-		Interval:      10 * time.Millisecond,
-		FailThreshold: 2,
-		BackoffMax:    40 * time.Millisecond,
+	p := newProber(RouterConfig{
+		Workers:            []string{"http://x:1"},
+		ProbeInterval:      10 * time.Millisecond,
+		ProbeFailThreshold: 2,
+		ProbeBackoffMax:    40 * time.Millisecond,
 	}, http.DefaultClient)
 	w := p.workers[0]
 	p.observeFailure(w, "boom")

@@ -107,7 +107,7 @@ func New(cfg Config) *Server {
 		cfg.MaxBatch = cfg.MaxInFlight
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
+		cfg.MaxBodyBytes = maxBodyBytes
 	}
 	s := &Server{
 		cfg:   cfg,

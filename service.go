@@ -10,9 +10,11 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/classify"
+	"repro/internal/disambig"
 	"repro/internal/eval"
 	"repro/internal/gazetteer"
 	"repro/internal/kb"
+	"repro/internal/pool"
 	"repro/internal/search"
 	"repro/internal/snapshot"
 	"repro/internal/table"
@@ -577,15 +579,10 @@ func (s *Service) Annotate(ctx context.Context, req *AnnotateRequest) (*Annotate
 // run executes an already-validated request with its derived config.
 func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateRequest) (*AnnotateResponse, error) {
 	start := time.Now()
-	if req.Geocode {
-		// One geocode+vote pass serves both the Disambiguate stage and
-		// the GeoAnnotations output.
-		var err error
-		if cfg, err = cfg.PrepareGeo(ctx, req.Table); err != nil {
-			return nil, err
-		}
-	}
-	res, err := cfg.Annotate(ctx, req.Table)
+	// One run, so one geocode+vote pass serves the Disambiguate stage, the
+	// trace and the GeoAnnotations output.
+	run := cfg.For(req.Table)
+	res, err := run.Annotate(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -608,17 +605,12 @@ func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateReq
 		}
 	}
 	if req.Trace {
-		explanations, err := cfg.Explain(ctx, req.Table)
-		if err != nil {
+		if resp.Trace, err = traceLines(run.Explain(ctx)); err != nil {
 			return nil, err
-		}
-		resp.Trace = make([]string, len(explanations))
-		for i, e := range explanations {
-			resp.Trace[i] = e.String()
 		}
 	}
 	if req.Geocode {
-		gas, err := cfg.GeoAnnotate(ctx, req.Table)
+		gas, _, err := run.GeoAnnotate(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -689,7 +681,7 @@ func (s *Service) Geocode(ctx context.Context, req *GeocodeRequest) (*GeocodeRes
 		return nil, err
 	}
 	start := time.Now()
-	gas, stage, err := s.base.GeoAnnotateStats(ctx, req.Table)
+	gas, stage, err := s.base.For(req.Table).GeoAnnotate(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -700,7 +692,7 @@ func (s *Service) Geocode(ctx context.Context, req *GeocodeRequest) (*GeocodeRes
 
 // geoStats derives the run summary from the table, its annotations and the
 // stage's decomposition statistics.
-func geoStats(t *Table, gas []GeoAnnotation, stage annotate.GeoStageStats) GeoStats {
+func geoStats(t *Table, gas []GeoAnnotation, stage disambig.Stats) GeoStats {
 	st := GeoStats{
 		Resolved:         len(gas),
 		Components:       stage.Components,
@@ -755,7 +747,11 @@ func (s *Service) Explain(ctx context.Context, req *AnnotateRequest) ([]string, 
 	if err != nil {
 		return nil, err
 	}
-	explanations, err := cfg.Explain(ctx, req.Table)
+	return traceLines(cfg.Explain(ctx, req.Table))
+}
+
+// traceLines renders a trace pass, one line per cell.
+func traceLines(explanations []annotate.CellExplanation, err error) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +811,7 @@ func (s *Service) AnnotateStream(ctx context.Context, reqs []*AnnotateRequest) <
 	go func() {
 		defer close(out)
 		// The pool's error says only that ctx is done; so does the close.
-		_ = annotate.RunPool(ctx, s.parallelism, len(reqs), func(i int) {
+		_ = pool.Run(ctx, s.parallelism, len(reqs), func(i int) {
 			resp, err := s.Annotate(ctx, reqs[i])
 			select {
 			case out <- StreamEvent{Index: i, Response: resp, Err: err}:
@@ -839,7 +835,7 @@ func (s *Service) batch(parent context.Context, n int, one func(ctx context.Cont
 	defer cancel()
 	errs := make([]error, n)
 	// The pool's error is ctx's, which the rule below reads off the parent.
-	_ = annotate.RunPool(ctx, s.parallelism, n, func(i int) {
+	_ = pool.Run(ctx, s.parallelism, n, func(i int) {
 		if errs[i] = one(ctx, i); errs[i] != nil {
 			cancel()
 		}
