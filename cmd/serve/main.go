@@ -15,6 +15,9 @@
 //	      [-cache-ttl 0] [-max-inflight 64] [-max-cells 100000] [-max-batch 32]
 //	      [-snapshot-file world.tsnp] [-pprof-addr localhost:6060]
 //
+// The limits shown are internal/server's defaults (server.Config here,
+// server.RouterConfig in router mode); a limit flag left at 0 selects them.
+//
 // By default the server builds the full system (corpus, index, classifiers)
 // before it starts listening; with -snapshot-file it boots from a prebuilt
 // TSNP bundle (written by cmd/snapshot) instead, turning the cold start into
@@ -23,10 +26,11 @@
 //
 // With -snapshot-file, SIGHUP hot-reloads the bundle: the new file is loaded
 // in the background while the old world keeps serving, then swapped in
-// atomically between requests — zero dropped requests, with the shared query
-// cache invalidated so no stale verdict survives the swap. /healthz reports
-// 503 "reloading" for the load window (so balancers drain politely) and
-// /statz counts completed swaps in snapshot.reload_epoch.
+// atomically between requests — zero dropped requests. The new world brings
+// its own, empty shared query cache; requests still running on the old world
+// keep the old one. /healthz reports 503 "reloading" for the load window (so
+// balancers drain politely) and /statz counts completed swaps in
+// snapshot.reload_epoch.
 //
 // SIGINT/SIGTERM drain in-flight requests and shut down gracefully.
 // cmd/loadgen generates load against a running server.
@@ -76,25 +80,34 @@ func main() {
 		shareCache   = flag.Bool("share-cache", true, "share query verdicts across requests (cross-table cache)")
 		cacheMax     = flag.Int("cache-max-entries", 0, "cap the shared cache's entries, evicting oldest first (0 = unbounded)")
 		cacheTTL     = flag.Duration("cache-ttl", 0, "expire shared-cache verdicts after this long (0 = never)")
-		maxInflight  = flag.Int("max-inflight", 64, "admission control: max concurrently-served annotation requests")
-		maxCells     = flag.Int("max-cells", 100000, "reject tables larger than this many cells")
-		maxBatch     = flag.Int("max-batch", 32, "max requests per /v1/annotate:batch or /v1/geocode:batch call")
+		maxInflight  = flag.Int("max-inflight", 0, "admission control: max concurrently-served table requests (0 = internal/server's default: 64, as a router 256)")
+		maxCells     = flag.Int("max-cells", 0, "reject tables larger than this many cells (0 = internal/server's default: 100000)")
+		maxBatch     = flag.Int("max-batch", 0, "max requests per /v1/annotate:batch or /v1/geocode:batch call (0 = internal/server's default: 32)")
 		snapshotFile = flag.String("snapshot-file", "", "boot from this TSNP bundle instead of building; SIGHUP reloads it")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 
 		routerMode    = flag.Bool("router", false, "run as a cluster router instead of a worker (requires -workers)")
 		workers       = flag.String("workers", "", "router mode: comma-separated worker base URLs (e.g. http://h1:8080,http://h2:8080)")
-		replication   = flag.Int("replication", 2, "router mode: ring owners per table (hedge/retry replica set)")
+		replication   = flag.Int("replication", 0, "router mode: ring owners per table, the hedge/retry replica set (0 = internal/server's default: 2)")
 		noHedge       = flag.Bool("no-hedge", false, "router mode: disable tail-latency request hedging")
-		hedgeInitial  = flag.Duration("hedge-initial", 100*time.Millisecond, "router mode: hedge delay before the p95 tracker has samples")
-		probeInterval = flag.Duration("probe-interval", time.Second, "router mode: worker /healthz poll interval")
+		hedgeInitial  = flag.Duration("hedge-initial", 0, "router mode: hedge delay before the p95 tracker has samples (0 = internal/server's default: 100ms)")
+		probeInterval = flag.Duration("probe-interval", 0, "router mode: worker /healthz poll interval (0 = internal/server's default: 1s)")
 	)
 	flag.Parse()
 
 	startPprof(*pprofAddr)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *routerMode {
-		runRouter(*addr, *workers, *replication, *noHedge, *hedgeInitial, *probeInterval, *maxInflight, *maxBatch)
+		runRouter(ctx, *addr, *workers, server.RouterConfig{
+			Replication:    *replication,
+			MaxInFlight:    *maxInflight,
+			MaxBatch:       *maxBatch,
+			DisableHedging: *noHedge,
+			HedgeInitial:   *hedgeInitial,
+			ProbeInterval:  *probeInterval,
+		})
 		return
 	}
 
@@ -126,9 +139,6 @@ func main() {
 	if *snapshotFile != "" {
 		opts = append(opts, repro.WithSnapshot(*snapshotFile))
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *snapshotFile != "" {
 		fmt.Fprintf(os.Stderr, "serve: loading snapshot %s...\n", *snapshotFile)
@@ -236,36 +246,25 @@ func startPprof(addr string) {
 }
 
 // runRouter runs the distributed-serving edge: a consistent-hash router over
-// the worker replicas, with hedging, health probing and edge admission.
-func runRouter(addr, workers string, replication int, noHedge bool, hedgeInitial, probeInterval time.Duration, maxInflight, maxBatch int) {
-	var urls []string
+// the comma-separated worker replicas, with hedging, health probing and edge
+// admission as cfg sets them.
+func runRouter(ctx context.Context, addr, workers string, cfg server.RouterConfig) {
 	for _, w := range strings.Split(workers, ",") {
 		if w = strings.TrimSpace(w); w != "" {
-			urls = append(urls, strings.TrimRight(w, "/"))
+			cfg.Workers = append(cfg.Workers, strings.TrimRight(w, "/"))
 		}
 	}
-	if len(urls) == 0 {
+	if len(cfg.Workers) == 0 {
 		fmt.Fprintln(os.Stderr, "serve: -router requires -workers with at least one worker URL")
 		os.Exit(2)
 	}
-	router, err := server.NewRouter(server.RouterConfig{
-		Workers:        urls,
-		Replication:    replication,
-		MaxInFlight:    maxInflight,
-		MaxBatch:       maxBatch,
-		DisableHedging: noHedge,
-		HedgeInitial:   hedgeInitial,
-		ProbeInterval:  probeInterval,
-	})
+	router, err := server.NewRouter(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 	defer router.Close()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Fprintf(os.Stderr, "serve: router over %d workers, replication %d\n", len(urls), replication)
+	fmt.Fprintf(os.Stderr, "serve: router over %d workers\n", len(cfg.Workers))
 	serve(ctx, addr, router.Handler(), "serve: router ")
 }

@@ -49,7 +49,7 @@ func main() {
 		os.Exit(1)
 	}
 	builder := &kb.TrainingBuilder{
-		KB: svc.KB(), Engine: svc.Engine(),
+		KB: svc.Lab().KB, Engine: svc.Engine(),
 		SnippetsPerEntity: *perEntity, MaxEntities: *maxEnt, Seed: *seed,
 	}
 	train, test, stats := builder.Collect(types)

@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := svc.World()
+	w := svc.Lab().World
 
 	// A table mixing catalogue-known and unknown museums: table entities
 	// have ~22% KB coverage, so the catalogue recognises only some.
@@ -71,7 +71,7 @@ func main() {
 		len(res.Annotations), res.Queries)
 
 	hybrid := &annotate.Hybrid{
-		Catalogue: &annotate.CatalogueAnnotator{Catalogue: svc.KB().Catalogue()},
+		Catalogue: &annotate.CatalogueAnnotator{Catalogue: svc.Lab().KB.Catalogue()},
 		Discovery: discovery,
 	}
 	hres := hybrid.AnnotateTable(&tbl)

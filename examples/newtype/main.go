@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := svc.KB()
+	base := svc.Lab().KB
 
 	// Step 1: the one manual step of the whole pipeline (§6.4) — pick
 	// the root category for the target type.

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := svc.World()
+	w := svc.Lab().World
 
 	// Pick singers whose names are shared with other entities or
 	// confuser senses — the genuinely ambiguous rows.

@@ -1,7 +1,7 @@
 // POI pipeline: the paper's motivating application (§1) end to end —
 // retrieve tables from the GFT-style store, discover and annotate their
-// entities through the streaming service API, extract the points of
-// interest into an RDF repository and run faceted queries over it.
+// entities through the batch service API, extract the points of interest
+// into an RDF repository and run faceted queries over it.
 //
 //	go run ./examples/poi_pipeline
 package main
@@ -20,7 +20,7 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// WithParallelism fans cell queries and streamed tables out over
+	// WithParallelism fans cell queries and batched tables out over
 	// worker pools; WithSharedCache lets tables that repeat cell values
 	// share verdicts — both attack the per-row search latency the paper
 	// measures in §6.4.
@@ -46,27 +46,26 @@ func main() {
 	fmt.Printf("store holds %d tables; %d match keyword 'restaurant'\n",
 		store.Len(), len(candidates))
 
-	// Annotate the candidates through the streaming API — results arrive
-	// per table as each completes — and extract POIs into the RDF
-	// repository as they land.
+	// Annotate the candidates through the batch API — responses come back
+	// in request order — and extract POIs into the RDF repository.
 	reqs := make([]*repro.AnnotateRequest, len(candidates))
 	for i, t := range candidates {
 		reqs[i] = &repro.AnnotateRequest{Table: t}
 	}
+	resps, err := svc.AnnotateBatch(ctx, reqs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	repo := rdf.NewStore()
 	x := &rdf.Extractor{Gazetteer: svc.Geo(), MinScore: 0.5}
-	extracted, queries, hits, done := 0, 0, 0, 0
-	for ev := range svc.AnnotateStream(ctx, reqs) {
-		if ev.Err != nil {
-			log.Fatal(ev.Err)
-		}
-		done++
-		t := candidates[ev.Index]
-		extracted += x.Extract(t, ev.Response.Annotations, repo)
-		queries += ev.Response.Stats.Queries
-		hits += ev.Response.CacheStats.Hits
+	extracted, queries, hits := 0, 0, 0
+	for i, resp := range resps {
+		t := candidates[i]
+		extracted += x.Extract(t, resp.Annotations, repo)
+		queries += resp.Stats.Queries
+		hits += resp.CacheStats.Hits
 		fmt.Printf("  [%d/%d] %-24s %d annotations in %v\n",
-			done, len(reqs), t.Name, ev.Response.Stats.Annotated, ev.Response.Timing.Total.Round(time.Millisecond))
+			i+1, len(reqs), t.Name, resp.Stats.Annotated, resp.Timing.Total.Round(time.Millisecond))
 	}
 	fmt.Printf("extracted %d POIs (%d triples) with %d queries, %d cache hits\n",
 		extracted, repo.Len(), queries, hits)

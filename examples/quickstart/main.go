@@ -35,7 +35,7 @@ func main() {
 		{Header: "Address", Type: repro.Location},
 		{Header: "Phone", Type: repro.Text},
 	}
-	w := svc.World()
+	w := svc.Lab().World
 	for _, e := range []*world.Entity{
 		w.OfType(world.Museum)[0],
 		w.OfType(world.Restaurant)[0],

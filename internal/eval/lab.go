@@ -98,9 +98,8 @@ type Lab struct {
 	KB     *kb.KB
 	Engine *search.Engine
 
-	// Geo is the universe's frozen gazetteer (World.Gaz), or the one
-	// loaded from a snapshot; the annotation pipeline and the serving
-	// layer work against it.
+	// Geo is the universe's frozen gazetteer (World.Gaz); the annotation
+	// pipeline and the serving layer work against it.
 	Geo *gazetteer.Frozen
 
 	SVM   classify.Classifier
@@ -133,29 +132,6 @@ type Lab struct {
 type memoEntry struct {
 	once sync.Once
 	res  map[string]*annotate.Result
-}
-
-// NewServedLab assembles a Lab from prebuilt serving components — the form a
-// snapshot bundle restores. The universe, knowledge base and evaluation
-// datasets are absent (nil): a served lab annotates and geocodes, it does not
-// re-run the paper's analyses or retrain anything.
-func NewServedLab(cfg LabConfig, engine *search.Engine, geo *gazetteer.Frozen, svm, bayes classify.Classifier) *Lab {
-	cfg = cfg.withDefaults()
-	l := &Lab{
-		Cfg:     cfg,
-		Engine:  engine,
-		Geo:     geo,
-		SVM:     svm,
-		Bayes:   bayes,
-		runMemo: map[string]*memoEntry{},
-	}
-	if cfg.ShareCache {
-		l.Cache = qcache.NewWithOptions(qcache.Options{
-			MaxEntries: cfg.CacheMaxEntries,
-			TTL:        cfg.CacheTTL,
-		})
-	}
-	return l
 }
 
 // TypeStrings returns Γ as strings in evaluation order.

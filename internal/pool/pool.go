@@ -1,12 +1,14 @@
-// Package pool is the one bounded fan-out of a request: table batches, a
-// table's query chunks, the service's batches and streams, the search shards
-// of a query batch and the geo stage's components and vote chunks all run
-// through Run. It is a leaf package so every layer below the service can
-// call it.
+// Package pool is the one bounded fan-out of a request. Run serves the work
+// that cannot fail: table batches and a table's query chunks (annotate), the
+// search shards of a query batch (search), the geo stage's components and vote
+// chunks (disambig) and the router's /statz fetch (server). RunErr serves the
+// work that can: the service's AnnotateBatch and GeocodeBatch and the router's
+// batch fan-out. It is a leaf package so every layer can call it.
 package pool
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -38,4 +40,43 @@ func Run(ctx context.Context, workers, n int, work func(int)) error {
 	worker()
 	wg.Wait()
 	return ctx.Err()
+}
+
+// RunErr is Run for work that can fail. work runs under a context the first
+// failure cancels, so the rest is abandoned: items in hand see it done, items
+// not yet handed out never start. That abandonment makes the other items'
+// cancellation errors collateral, so RunErr reports the lowest-indexed error
+// that is not a cancellation, with its index, however the workers were
+// scheduled. When there is none the run died because the caller gave up, and
+// RunErr reports the parent's own bare error at index -1 — or, under a live
+// parent, the first item that reported a cancellation of its own. (-1, nil)
+// means every item succeeded.
+func RunErr(parent context.Context, workers, n int, work func(ctx context.Context, i int) error) (int, error) {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	errs := make([]error, n)
+	// Run's error is ctx's, which the rule below reads off the parent.
+	_ = Run(ctx, workers, n, func(i int) {
+		if errs[i] = work(ctx, i); errs[i] != nil {
+			cancel()
+		}
+	})
+	first := -1
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			return i, err
+		}
+		if first < 0 {
+			first = i
+		}
+	}
+	// A parent that is done fails the run even when no item recorded it: Run
+	// hands nothing out under a done context.
+	if err := parent.Err(); err != nil || first < 0 {
+		return -1, err
+	}
+	return first, errs[first]
 }

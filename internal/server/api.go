@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
 
 	"repro"
-	"repro/internal/table"
 )
 
 // Wire format of the v1 HTTP API. The JSON schema is versioned with the
@@ -248,17 +246,12 @@ type HealthJSON struct {
 	Status string `json:"status"`
 }
 
-// toRequest parses and validates the wire request into the service request.
-// Table parsing reuses the internal/table JSON reader, so column-type and
-// row-width validation match the rest of the system.
-func (w *AnnotateRequestJSON) toRequest() (*repro.AnnotateRequest, error) {
-	if len(w.Table) == 0 {
-		return nil, &repro.RequestError{Field: "table", Reason: "missing"}
-	}
-	tbl, err := table.ReadJSON(bytes.NewReader(w.Table))
-	if err != nil {
-		return nil, &repro.RequestError{Field: "table", Reason: err.Error()}
-	}
+// table is the wire request's table, as sent; request joins the wire request
+// to that table, parsed.
+func (w *AnnotateRequestJSON) table() json.RawMessage { return w.Table }
+func (w *GeocodeRequestJSON) table() json.RawMessage  { return w.Table }
+
+func (w *AnnotateRequestJSON) request(tbl *repro.Table) *repro.AnnotateRequest {
 	return &repro.AnnotateRequest{
 		Table:        tbl,
 		Types:        w.Types,
@@ -267,19 +260,11 @@ func (w *AnnotateRequestJSON) toRequest() (*repro.AnnotateRequest, error) {
 		Disambiguate: repro.ToggleOf(w.Disambiguate),
 		Trace:        w.Trace,
 		Geocode:      w.Geocode,
-	}, nil
+	}
 }
 
-// toGeocodeRequest parses the wire request into the service request.
-func (w *GeocodeRequestJSON) toRequest() (*repro.GeocodeRequest, error) {
-	if len(w.Table) == 0 {
-		return nil, &repro.RequestError{Field: "table", Reason: "missing"}
-	}
-	tbl, err := table.ReadJSON(bytes.NewReader(w.Table))
-	if err != nil {
-		return nil, &repro.RequestError{Field: "table", Reason: err.Error()}
-	}
-	return &repro.GeocodeRequest{Table: tbl}, nil
+func (w *GeocodeRequestJSON) request(tbl *repro.Table) *repro.GeocodeRequest {
+	return &repro.GeocodeRequest{Table: tbl}
 }
 
 // geoToWire converts the service geo annotations to their wire form.

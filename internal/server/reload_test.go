@@ -6,6 +6,7 @@ package server
 // zero requests while responses stay byte-identical across the swap.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +21,8 @@ import (
 
 	"repro"
 	"repro/internal/leakcheck"
+	"repro/internal/qcache"
+	"repro/internal/table"
 )
 
 // One snapshot-booted twin of testService for the whole package: the bundle
@@ -38,25 +41,31 @@ func snapshotService(t *testing.T) *repro.Service {
 		if err != nil {
 			panic(err)
 		}
-		path := filepath.Join(dir, "world.tsnp")
-		f, err := os.Create(path)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := built.WriteSnapshot(f, "server_test"); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-		svc, err := repro.New(context.Background(), repro.WithSnapshot(path), repro.WithParallelism(4))
-		os.RemoveAll(dir)
-		if err != nil {
-			panic(err)
-		}
-		snapSvcVal = svc
+		defer os.RemoveAll(dir)
+		snapSvcVal = bootSnapshot(built, dir)
 	})
 	return snapSvcVal
+}
+
+// bootSnapshot writes built's bundle into dir and boots a service from it, at
+// built's parallelism.
+func bootSnapshot(built *repro.Service, dir string, opts ...repro.Option) *repro.Service {
+	path := filepath.Join(dir, "world.tsnp")
+	f, err := os.Create(path)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := built.WriteSnapshot(f, "server_test"); err != nil {
+		panic(err)
+	}
+	if err := f.Close(); err != nil {
+		panic(err)
+	}
+	svc, err := repro.New(context.Background(), append(opts, repro.WithSnapshot(path), repro.WithParallelism(4))...)
+	if err != nil {
+		panic(err)
+	}
+	return svc
 }
 
 // maskTiming hides the only legitimately run-dependent bytes of a response.
@@ -294,5 +303,90 @@ func TestReloadWindowAndFailure(t *testing.T) {
 	}
 	if s.Service() != current || s.reloadEpoch.Load() != epoch+1 {
 		t.Error("failed reload disturbed the serving service or the epoch")
+	}
+}
+
+// TestReloadKeepsCachesApart: every service owns its shared cache, so a swap
+// invalidates nothing and leaks nothing. The serving cache after a Reload is
+// the new service's own, empty; the old service's still holds what it held,
+// so a request running on it across the swap keeps its hits; and /statz's
+// cache section restarts from zero.
+func TestReloadKeepsCachesApart(t *testing.T) {
+	built := testService(t)
+	dir := t.TempDir()
+	old := bootSnapshot(built, dir, repro.WithSharedCache())
+	next := bootSnapshot(built, dir, repro.WithSharedCache())
+	leakcheck.Goroutines(t)
+	s := New(Config{Service: old})
+	h := s.Handler()
+	body := mustMarshal(t, AnnotateRequestJSON{Table: tableJSON(t)})
+	annotate := func() CacheJSON {
+		t.Helper()
+		rec := post(h, "/v1/annotate", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("annotate status = %d\n%s", rec.Code, rec.Body.String())
+		}
+		var resp AnnotateResponseJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Cache
+	}
+	statzCache := func() CacheFull {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+		var statz StatzJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &statz); err != nil || statz.Cache == nil {
+			t.Fatalf("statz has no cache section (%v)\n%s", err, rec.Body.String())
+		}
+		return *statz.Cache
+	}
+
+	cold, warm := annotate(), annotate()
+	if cold.Misses == 0 || warm.Misses != 0 || warm.Hits != cold.Misses {
+		t.Fatalf("cache never warmed: first request %+v, second %+v", cold, warm)
+	}
+	held := old.Cache().Stats()
+	if c := statzCache(); held.Entries == 0 || c.Entries != held.Entries || c.Hits != held.Hits || c.Misses != held.Misses {
+		t.Fatalf("before the swap /statz reports %+v, the serving cache holds %+v", c, held)
+	}
+
+	if err := s.Reload(func() (*repro.Service, error) { return next, nil }); err != nil {
+		t.Fatal(err)
+	}
+	serving := s.Service().Cache()
+	if serving == nil || serving == old.Cache() {
+		t.Fatalf("after the swap the serving cache (%p) is not the new service's own (old %p)", serving, old.Cache())
+	}
+	if st := serving.Stats(); st != (qcache.Stats{}) {
+		t.Errorf("the new service's cache starts at %+v, want empty", st)
+	}
+	if c := statzCache(); c != (CacheFull{}) {
+		t.Errorf("after the swap /statz's cache section reads %+v, want a restart from zero", c)
+	}
+	if st := old.Cache().Stats(); st != held {
+		t.Errorf("the swap changed the old service's cache: %+v, held %+v", st, held)
+	}
+
+	// A request still running on the old service finds every verdict it had,
+	// and teaches the new service's cache nothing.
+	tbl, err := table.ReadJSON(bytes.NewReader(tableJSON(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := old.Annotate(context.Background(), &repro.AnnotateRequest{Table: tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.CacheStats.Misses != 0 || resp.CacheStats.Hits != warm.Hits {
+		t.Errorf("a request on the old service after the swap: %+v, want the %d hits it had before", resp.CacheStats, warm.Hits)
+	}
+	if st := serving.Stats(); st != (qcache.Stats{}) {
+		t.Errorf("the old service's request reached the new cache: %+v", st)
+	}
+	// The first request after the swap pays its misses again.
+	if first := annotate(); first != cold {
+		t.Errorf("first request on the new service: cache %+v, want the cold %+v", first, cold)
 	}
 }

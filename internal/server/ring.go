@@ -75,19 +75,12 @@ func (r *ring) owners(key uint64, n int) []int {
 	return out
 }
 
-// tableKey parses the wire table and hashes its canonical rendering — the
-// bytes table.WriteJSON emits — so ring placement is a pure function of the
-// table's content, not of the client's JSON formatting. A table that does
-// not parse cannot be routed; the caller turns the error into the same 400
-// a worker would have produced.
-func tableKey(raw []byte) (uint64, error) {
-	tbl, err := table.ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		return 0, err
-	}
+// tableKey hashes the table's canonical rendering — the bytes table.WriteJSON
+// emits — so ring placement is a pure function of the table's content, not of
+// the client's JSON formatting.
+func tableKey(tbl *table.Table) uint64 {
 	var buf bytes.Buffer
-	if err := table.WriteJSON(&buf, tbl); err != nil {
-		return 0, err
-	}
-	return hashBytes(buf.Bytes()), nil
+	// Strings encoded into a buffer: neither step can fail.
+	_ = table.WriteJSON(&buf, tbl)
+	return hashBytes(buf.Bytes())
 }

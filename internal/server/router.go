@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // Router is the distributed serving tier's edge: it consistent-hashes each
@@ -32,19 +34,18 @@ import (
 // cancelled). Because annotation is a pure function of the request and the
 // shared snapshot, a hedged duplicate can never diverge — the winning
 // response is byte-identical either way. Worker health is probed in the
-// background with ejection and exponential-backoff readmission; admission at
-// the edge reuses the same weighted semaphore the workers run.
+// background with ejection and exponential-backoff readmission; what the
+// router does around the proxying is the edge the workers run.
 type Router struct {
+	*edge
 	cfg     RouterConfig
 	ring    *ring
 	prober  *prober
 	client  *http.Client
-	sem     semaphore
 	tracker *latencyTracker
 	start   time.Time
 
 	served         atomic.Int64 // proxied requests answered with an upstream response
-	rejected       atomic.Int64 // shed at the router's admission gate
 	hedgesFired    atomic.Int64
 	hedgesWon      atomic.Int64
 	retries        atomic.Int64
@@ -91,9 +92,6 @@ type RouterConfig struct {
 const (
 	// ringVirtualNodes is the number of ring points per worker.
 	ringVirtualNodes = 64
-	// maxBodyBytes bounds a request body at the router, and is a worker's
-	// default (Config.MaxBodyBytes): 8 MiB.
-	maxBodyBytes = 8 << 20
 	// hedgeMin floors the p95-tracked hedge delay.
 	hedgeMin = 2 * time.Millisecond
 	// probeTimeoutMin floors one probe's timeout, which is otherwise the
@@ -119,12 +117,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
-	if cfg.MaxBatch > cfg.MaxInFlight {
-		cfg.MaxBatch = cfg.MaxInFlight
-	}
 	if cfg.HedgeInitial <= 0 {
 		cfg.HedgeInitial = 100 * time.Millisecond
 	}
@@ -144,11 +136,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	tr.MaxIdleConnsPerHost = 64
 	client := &http.Client{Transport: tr}
 	r := &Router{
+		// No cell bound: a table's size is its owning worker's call.
+		edge:    newEdge("router is at its in-flight limit of %d table requests", cfg.MaxInFlight, cfg.MaxBatch, 0),
 		cfg:     cfg,
 		ring:    newRing(cfg.Workers, ringVirtualNodes),
 		prober:  newProber(cfg, client),
 		client:  client,
-		sem:     newSemaphore(cfg.MaxInFlight),
 		tracker: newLatencyTracker(cfg.HedgeInitial, hedgeMin),
 		start:   time.Now(),
 	}
@@ -169,18 +162,10 @@ func (r *Router) HedgeCounters() (fired, won int64) {
 // Handler returns the router's route table (see the Router doc).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/annotate", func(w http.ResponseWriter, req *http.Request) {
-		r.handleSingle(w, req, "/v1/annotate")
-	})
-	mux.HandleFunc("POST /v1/geocode", func(w http.ResponseWriter, req *http.Request) {
-		r.handleSingle(w, req, "/v1/geocode")
-	})
-	mux.HandleFunc("POST /v1/annotate:batch", func(w http.ResponseWriter, req *http.Request) {
-		r.handleBatch(w, req, "/v1/annotate")
-	})
-	mux.HandleFunc("POST /v1/geocode:batch", func(w http.ResponseWriter, req *http.Request) {
-		r.handleBatch(w, req, "/v1/geocode")
-	})
+	mux.HandleFunc("POST /v1/annotate", r.handleSingle)
+	mux.HandleFunc("POST /v1/geocode", r.handleSingle)
+	mux.HandleFunc("POST /v1/annotate:batch", r.handleBatch)
+	mux.HandleFunc("POST /v1/geocode:batch", r.handleBatch)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /statz", r.handleStatz)
 	return mux
@@ -197,65 +182,54 @@ type upstreamResponse struct {
 	body        []byte
 }
 
-// readBody buffers the request body within the size limit, writing the typed
-// error response itself on failure.
+// readBody buffers the bounded request body, writing the typed error response
+// itself on failure.
 func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	req.Body = http.MaxBytesReader(w, req.Body, maxBodyBytes)
-	body, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(limitBody(w, req))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			r.writeError(w, http.StatusRequestEntityTooLarge, "table_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-		} else {
-			r.writeError(w, http.StatusBadRequest, "invalid_json", err.Error())
-		}
+		r.writeBodyError(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
-// routeKey extracts the table from one single-request body and derives its
-// ring key. The router validates only what routing needs — body parses,
-// table parses canonically; everything else (unknown fields, bad types,
-// size) is the owning worker's call, so validation semantics live in exactly
-// one place.
-func routeKey(body []byte) (uint64, int, string, string) {
+// routeKey takes the table off one single-request body and derives its ring
+// key. The router validates only what routing needs — body parses, table
+// passes the edge's table step; everything else (unknown fields, bad types,
+// size) is the owning worker's call.
+func (r *Router) routeKey(body []byte) (uint64, *apiError) {
 	var wire struct {
 		Table json.RawMessage `json:"table"`
 	}
 	if err := json.Unmarshal(body, &wire); err != nil {
-		return 0, http.StatusBadRequest, "invalid_json", err.Error()
+		return 0, &apiError{status: http.StatusBadRequest, code: "invalid_json", msg: err.Error()}
 	}
-	if len(wire.Table) == 0 {
-		return 0, http.StatusBadRequest, "invalid_request", "table: missing"
+	tbl, bad := r.table(wire.Table)
+	if bad != nil {
+		return 0, bad
 	}
-	key, err := tableKey(wire.Table)
-	if err != nil {
-		return 0, http.StatusBadRequest, "invalid_request", "table: " + err.Error()
-	}
-	return key, 0, "", ""
+	return tableKey(tbl), nil
 }
 
-// handleSingle proxies one single-table request: route by the table's key,
-// hedge, relay the winning response verbatim.
-func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request, path string) {
+// handleSingle proxies one single-table request to the path it came in on:
+// route by the table's key, hedge, relay the winning response verbatim.
+func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 	body, ok := r.readBody(w, req)
 	if !ok {
 		return
 	}
-	key, status, code, msg := routeKey(body)
-	if code != "" {
-		r.writeError(w, status, code, msg)
+	key, bad := r.routeKey(body)
+	if bad != nil {
+		r.reject(w, -1, bad)
 		return
 	}
 	if !r.admit(w, 1, key) {
 		return
 	}
-	defer r.sem.release(1)
-	res, err := r.route(req.Context(), key, path, body)
+	defer r.release(1)
+	res, err := r.route(req.Context(), key, req.URL.Path, body)
 	if err != nil {
-		r.writeRouteError(w, req.Context(), err)
+		r.reject(w, -1, routeFailure(req.Context(), err))
 		return
 	}
 	r.served.Add(1)
@@ -264,11 +238,11 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request, path str
 
 // handleBatch splits a batch body into its per-table sub-requests, routes
 // each to its own ring owners concurrently (each sub-request body is exactly
-// a single-request body for path), and merges the responses in request
-// order. The first failed sub-request — lowest index wins, for determinism —
-// fails the whole batch with its index, mirroring the worker-side batch
-// semantics; the remaining sub-requests are cancelled.
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request, path string) {
+// a single-request body for the path without its ":batch"), and merges the
+// responses in request order. A failed sub-request fails the whole batch under
+// the pool's rule, the one a worker-side batch runs under, with its index and
+// its own status.
+func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	body, ok := r.readBody(w, req)
 	if !ok {
 		return
@@ -277,65 +251,40 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request, path stri
 		Requests []json.RawMessage `json:"requests"`
 	}
 	if err := json.Unmarshal(body, &wire); err != nil {
-		r.writeError(w, http.StatusBadRequest, "invalid_json", err.Error())
+		r.writeBodyError(w, err)
 		return
 	}
-	if len(wire.Requests) == 0 {
-		r.writeError(w, http.StatusBadRequest, "invalid_request", "requests is empty")
+	n := len(wire.Requests)
+	if !r.checkBatch(w, n) {
 		return
 	}
-	if len(wire.Requests) > r.cfg.MaxBatch {
-		r.writeError(w, http.StatusBadRequest, "invalid_request",
-			fmt.Sprintf("batch of %d requests exceeds the limit of %d", len(wire.Requests), r.cfg.MaxBatch))
-		return
-	}
-	keys := make([]uint64, len(wire.Requests))
+	keys := make([]uint64, n)
 	for i, sub := range wire.Requests {
-		key, status, code, msg := routeKey(sub)
-		if code != "" {
-			r.writeError(w, status, code, fmt.Sprintf("request %d: %s", i, msg))
+		key, bad := r.routeKey(sub)
+		if bad != nil {
+			r.reject(w, i, bad)
 			return
 		}
 		keys[i] = key
 	}
-	if !r.admit(w, len(wire.Requests), hashBytes(body)) {
+	if !r.admit(w, n, hashBytes(body)) {
 		return
 	}
-	defer r.sem.release(len(wire.Requests))
+	defer r.release(n)
 
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
-	results := make([]*upstreamResponse, len(wire.Requests))
-	errs := make([]error, len(wire.Requests))
-	var wg sync.WaitGroup
-	for i := range wire.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := r.route(ctx, keys[i], path, wire.Requests[i])
-			if err == nil && res.status != http.StatusOK {
-				err = &upstreamStatusError{res: res}
-			}
-			if err != nil {
-				errs[i] = err
-				cancel() // first failure aborts the rest of the fan-out
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil && !isCancellation(err) {
-			r.writeBatchItemError(w, req.Context(), i, err)
-			return
+	// Every sub-request is in flight at once: the workers' admission, not the
+	// router's pool width, bounds the work.
+	path := strings.TrimSuffix(req.URL.Path, ":batch")
+	results := make([]*upstreamResponse, n)
+	if i, err := pool.RunErr(req.Context(), n, n, func(ctx context.Context, i int) (err error) {
+		results[i], err = r.route(ctx, keys[i], path, wire.Requests[i])
+		if err == nil && results[i].status != http.StatusOK {
+			err = upstreamFailure(results[i])
 		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			r.writeBatchItemError(w, req.Context(), i, err)
-			return
-		}
+		return err
+	}); err != nil {
+		r.reject(w, i, routeFailure(req.Context(), err))
+		return
 	}
 
 	// Reassemble the batch wire shape from the sub-response bodies. The
@@ -351,42 +300,21 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request, path stri
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// upstreamStatusError carries a worker's non-200 response through the batch
-// fan-out so the batch can fail with the sub-request's own status and error
-// body.
-type upstreamStatusError struct{ res *upstreamResponse }
-
-func (e *upstreamStatusError) Error() string {
+// upstreamFailure is a worker's non-200 answer to a batch's sub-request,
+// which fails the batch with the sub-request's own status, Retry-After and,
+// where its body carried them, code and message.
+func upstreamFailure(res *upstreamResponse) *apiError {
+	bad := &apiError{res.status, "upstream_error", fmt.Sprintf("worker returned status %d", res.status), res.retryAfter}
 	var wire ErrorJSON
-	if json.Unmarshal(e.res.body, &wire) == nil && wire.Error.Message != "" {
-		return wire.Error.Message
-	}
-	return fmt.Sprintf("worker returned status %d", e.res.status)
-}
-
-// isCancellation reports whether err is a context cancellation — either the
-// caller's or the batch's own first-failure cancel.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// writeBatchItemError maps one failed sub-request onto the batch response,
-// keeping the sub-request's status and code where it carried one.
-func (r *Router) writeBatchItemError(w http.ResponseWriter, ctx context.Context, i int, err error) {
-	var ue *upstreamStatusError
-	if errors.As(err, &ue) {
-		code := "upstream_error"
-		var wire ErrorJSON
-		if json.Unmarshal(ue.res.body, &wire) == nil && wire.Error.Code != "" {
-			code = wire.Error.Code
+	if json.Unmarshal(res.body, &wire) == nil {
+		if wire.Error.Code != "" {
+			bad.code = wire.Error.Code
 		}
-		if ue.res.retryAfter != "" {
-			w.Header().Set("Retry-After", ue.res.retryAfter)
+		if wire.Error.Message != "" {
+			bad.msg = wire.Error.Message
 		}
-		r.writeError(w, ue.res.status, code, fmt.Sprintf("request %d: %s", i, ue.Error()))
-		return
 	}
-	r.writeRouteErrorPrefixed(w, ctx, err, fmt.Sprintf("request %d: ", i))
+	return bad
 }
 
 // route proxies one single-request body to the key's replica set with
@@ -482,40 +410,21 @@ func (r *Router) relay(w http.ResponseWriter, res *upstreamResponse) {
 	_, _ = w.Write(res.body)
 }
 
-// admit mirrors Server.admit at the edge: weighted, non-blocking, 429 with
-// the jittered Retry-After on a full router.
-func (r *Router) admit(w http.ResponseWriter, n int, key uint64) bool {
-	if !r.sem.tryAcquire(n) {
-		r.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(key))
-		r.writeError(w, http.StatusTooManyRequests, "over_capacity",
-			fmt.Sprintf("router is at its in-flight limit of %d table requests", r.cfg.MaxInFlight))
-		return false
-	}
-	return true
-}
-
-// writeRouteError maps a routing failure onto the wire: all workers ejected
-// -> typed 503 no_workers, caller cancelled -> 499, transport exhausted ->
-// 502 upstream_error.
-func (r *Router) writeRouteError(w http.ResponseWriter, ctx context.Context, err error) {
-	r.writeRouteErrorPrefixed(w, ctx, err, "")
-}
-
-func (r *Router) writeRouteErrorPrefixed(w http.ResponseWriter, ctx context.Context, err error, prefix string) {
+// routeFailure maps a routing failure onto the wire: a worker's own refusal
+// (upstreamFailure) as it came, all workers ejected -> typed 503 no_workers,
+// caller cancelled -> 499, transport exhausted -> 502 upstream_error.
+func routeFailure(ctx context.Context, err error) *apiError {
+	var bad *apiError
 	switch {
+	case errors.As(err, &bad):
+		return bad
 	case errors.Is(err, errNoOwners):
-		r.writeError(w, http.StatusServiceUnavailable, "no_workers",
-			prefix+"no healthy workers: every replica owning this key is ejected")
+		return &apiError{status: http.StatusServiceUnavailable, code: "no_workers", msg: "no healthy workers: every replica owning this key is ejected"}
 	case isCancellation(err) && ctx.Err() != nil:
-		r.writeError(w, statusClientClosedRequest, "cancelled", prefix+err.Error())
+		return &apiError{status: statusClientClosedRequest, code: "cancelled", msg: err.Error()}
 	default:
-		r.writeError(w, http.StatusBadGateway, "upstream_error", prefix+err.Error())
+		return &apiError{status: http.StatusBadGateway, code: "upstream_error", msg: err.Error()}
 	}
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorJSON{Error: ErrorBodyJSON{Code: code, Message: msg}})
 }
 
 // handleHealthz reports the tier's readiness: ok while at least one worker
@@ -529,46 +438,47 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthJSON{Status: "ok"})
 }
 
+// fetchStatz reads one worker's /statz within two seconds; ok is false when
+// the worker could not be reached or did not answer 200 with a statz body.
+func (r *Router) fetchStatz(ctx context.Context, ws *workerState) (statz StatzJSON, ok bool) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ws.url+"/statz", nil)
+	if err != nil {
+		return statz, false
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return statz, false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return statz, false
+	}
+	ok = json.NewDecoder(resp.Body).Decode(&statz) == nil
+	return statz, ok
+}
+
 // handleStatz merges the fleet's /statz into one view: per-worker snapshots
 // fetched concurrently, counters summed, plus the router's own section
 // (hedges fired/won, retries, per-worker inflight, ejections). A worker that
 // cannot be reached contributes its router-side state only.
 func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
-	type fetched struct {
+	workers := r.prober.workers
+	snapshots := make([]struct {
 		statz StatzJSON
 		ok    bool
-	}
-	snapshots := make([]fetched, len(r.prober.workers))
-	var wg sync.WaitGroup
-	for i, ws := range r.prober.workers {
-		wg.Add(1)
-		go func(i int, ws *workerState) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), 2*time.Second)
-			defer cancel()
-			sreq, err := http.NewRequestWithContext(ctx, http.MethodGet, ws.url+"/statz", nil)
-			if err != nil {
-				return
-			}
-			resp, err := r.client.Do(sreq)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			if json.NewDecoder(resp.Body).Decode(&snapshots[i].statz) == nil {
-				snapshots[i].ok = true
-			}
-		}(i, ws)
-	}
-	wg.Wait()
+	}, len(workers))
+	// A caller that gave up leaves the rest of the fleet unasked, which reads
+	// as unreachable in a response nobody receives.
+	_ = pool.Run(req.Context(), len(workers), len(workers), func(i int) {
+		snapshots[i].statz, snapshots[i].ok = r.fetchStatz(req.Context(), workers[i])
+	})
 
 	out := StatzJSON{
 		UptimeMs:    float64(time.Since(r.start)) / float64(time.Millisecond),
-		InFlight:    r.sem.inFlight(),
-		MaxInFlight: r.cfg.MaxInFlight,
+		InFlight:    len(r.sem),
+		MaxInFlight: r.maxInFlight,
 	}
 	rf := &RouterFull{
 		WorkersTotal:   len(r.prober.workers),

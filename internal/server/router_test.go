@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,12 +91,19 @@ func TestRingPlacement(t *testing.T) {
 	}
 }
 
+// ringKey is the key the router places a wire table by.
+func ringKey(t *testing.T, raw []byte) uint64 {
+	t.Helper()
+	tbl, bad := new(edge).table(raw)
+	if bad != nil {
+		t.Fatal(bad.msg)
+	}
+	return tableKey(tbl)
+}
+
 func TestTableKeyCanonical(t *testing.T) {
 	tbl := tableJSON(t)
-	k1, err := tableKey(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := ringKey(t, tbl)
 	// Re-marshal through a generic map: same table, different formatting
 	// (indentation collapsed, key order per Go's sorted map marshaling).
 	var m map[string]any
@@ -108,14 +117,10 @@ func TestTableKeyCanonical(t *testing.T) {
 	if bytes.Equal(alt, tbl) {
 		t.Fatal("test needs a distinct formatting of the same table")
 	}
-	k2, err := tableKey(alt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
+	if k2 := ringKey(t, alt); k1 != k2 {
 		t.Errorf("same table, different formatting hashed to different keys: %x vs %x", k1, k2)
 	}
-	if _, err := tableKey([]byte(`{"name": 3}`)); err == nil {
+	if _, bad := new(edge).table([]byte(`{"name": 3}`)); bad == nil {
 		t.Error("unparseable table should not produce a key")
 	}
 }
@@ -322,12 +327,8 @@ func TestWorkerDiesMidBody(t *testing.T) {
 	defer srvB.Close()
 
 	body := mustMarshal(t, AnnotateRequestJSON{Table: tableJSON(t)})
-	key, status, code, msg := routeKey(body)
-	if code != "" {
-		t.Fatalf("routeKey: %d %s %s", status, code, msg)
-	}
 	workers := []string{srvA.URL, srvB.URL}
-	primary := newRing(workers, 64).owners(key, 2)[0]
+	primary := newRing(workers, 64).owners(ringKey(t, tableJSON(t)), 2)[0]
 	dyingHost = strings.TrimPrefix(workers[primary], "http://")
 	router := newTestRouter(t, RouterConfig{
 		Workers:       workers,
@@ -520,7 +521,7 @@ func TestRouterAdmission(t *testing.T) {
 		t.Fatalf("batch status = %d, want 429 (weighted admission)\n%s", brec.Code, brec.Body.String())
 	}
 	<-router.sem
-	if got := router.sem.inFlight(); got != 0 {
+	if got := len(router.sem); got != 0 {
 		t.Fatalf("in flight = %d after draining, want 0 (failed admissions must not leak slots)", got)
 	}
 }
@@ -613,8 +614,8 @@ func TestNewRouterValidation(t *testing.T) {
 	if r.cfg.Replication != 1 {
 		t.Errorf("replication = %d, want clamped to the worker count", r.cfg.Replication)
 	}
-	if r.cfg.MaxInFlight != 256 || r.cfg.MaxBatch != 32 {
-		t.Errorf("defaults = (%d, %d), want (256, 32)", r.cfg.MaxInFlight, r.cfg.MaxBatch)
+	if r.maxInFlight != 256 || cap(r.sem) != 256 || r.maxBatch != 32 {
+		t.Errorf("defaults = (%d over a semaphore of %d, %d), want (256, 256, 32)", r.maxInFlight, cap(r.sem), r.maxBatch)
 	}
 }
 
@@ -668,5 +669,151 @@ func TestHedgedDoErrors(t *testing.T) {
 	}
 	if retries != 1 {
 		t.Fatalf("retries = %d, want exactly 1", retries)
+	}
+}
+
+// scriptedTable is a one-cell wire table a scripted worker tells apart by name.
+func scriptedTable(name string) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"name":%q,"columns":[{"header":"A","type":"Text"}],"rows":[["a"]]}`, name))
+}
+
+// scriptedWorker starts a worker whose v1 routes run script with the name of
+// the posted table; /healthz answers ok and /statz runs script("statz").
+// script returns false once it has answered (or abandoned) the request itself.
+func scriptedWorker(t *testing.T, next http.Handler, script func(name string, r *http.Request) bool) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		name := "statz"
+		switch r.URL.Path {
+		case "/healthz":
+			writeJSON(w, http.StatusOK, HealthJSON{Status: "ok"})
+			return
+		case "/statz":
+		default:
+			var wire struct {
+				Table struct {
+					Name string `json:"name"`
+				} `json:"table"`
+			}
+			body, err := io.ReadAll(r.Body)
+			if err != nil || json.Unmarshal(body, &wire) != nil {
+				t.Errorf("scripted worker: unreadable body (%v): %s", err, body)
+				return
+			}
+			name = wire.Table.Name
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		if script(name, r) {
+			next.ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestRouterBatchFailureRule: the router's batch fan-out runs under the pool's
+// failure rule, the one a worker-side batch runs under. Sub-requests 0 and 2
+// hang until the fan-out abandons them, 1 succeeds, and only then does 3 fail:
+// the cancellations the failure caused sit at lower indices and must not mask
+// it, so the router names request 3 with the status, code and message the
+// worker's own batch endpoint gives for the same body. (The other half of the
+// rule — a late real failure at a lower index beating the early one that
+// cancelled the fan-out — cannot be scripted here: hedgedDo answers a done
+// context before any late result, so an abandoned sub-request only ever
+// reports its cancellation. TestBatchErrorRule pins it on pool.RunErr.)
+func TestRouterBatchFailureRule(t *testing.T) {
+	noLeaks(t)
+	worker := testServer(t, Config{}).Handler()
+	var hung sync.WaitGroup
+	hung.Add(2)
+	answered := make(chan struct{})
+	var abandoned atomic.Int64
+	url := scriptedWorker(t, worker, func(name string, r *http.Request) bool {
+		switch name {
+		case "t0", "t2":
+			hung.Done()
+			<-r.Context().Done()
+			abandoned.Add(1)
+			return false
+		case "t1":
+			defer close(answered)
+		case "t3":
+			hung.Wait()
+			<-answered
+		}
+		return true
+	})
+	router := newTestRouter(t, RouterConfig{Workers: []string{url}, DisableHedging: true, ProbeInterval: time.Hour})
+
+	body := mustMarshal(t, BatchRequestJSON{Requests: []AnnotateRequestJSON{
+		{Table: scriptedTable("t0")}, {Table: scriptedTable("t1")}, {Table: scriptedTable("t2")}, {Table: scriptedTable("t3"), K: -1},
+	}})
+	want := post(worker, "/v1/annotate:batch", body)
+	got := post(router.Handler(), "/v1/annotate:batch", body)
+	we, ge := decodeError(t, want), decodeError(t, got)
+	if want.Code != http.StatusBadRequest || we.Code != "invalid_request" || !strings.HasPrefix(we.Message, "request 3: ") {
+		t.Fatalf("worker-side batch answered %d %s %q, want a 400 naming request 3", want.Code, we.Code, we.Message)
+	}
+	if got.Code != want.Code || ge != we {
+		t.Errorf("routed batch answered %d %+v\n worker-side batch %d %+v", got.Code, ge, want.Code, we)
+	}
+	// The hung sub-requests were cancelled, not waited out.
+	for deadline := time.Now().Add(5 * time.Second); abandoned.Load() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the 2 hung sub-requests were abandoned", abandoned.Load())
+		}
+	}
+}
+
+// TestRouterClientCancels: a client that gives up mid-batch gets the answer a
+// worker-side batch gives — the bare cancellation, no request index — and one
+// that gives up mid-/statz gets the fleet it had reached; neither leaves a
+// goroutine behind.
+func TestRouterClientCancels(t *testing.T) {
+	noLeaks(t)
+	entered := make(chan struct{}, 2)
+	url := scriptedWorker(t, nil, func(_ string, r *http.Request) bool {
+		entered <- struct{}{}
+		<-r.Context().Done()
+		return false
+	})
+	rh := newTestRouter(t, RouterConfig{Workers: []string{url}, DisableHedging: true, ProbeInterval: time.Hour}).Handler()
+	// serve runs req until n worker calls hang, then has the client give up.
+	serve := func(req *http.Request, n int) *httptest.ResponseRecorder {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rh.ServeHTTP(rec, req.WithContext(ctx))
+		}()
+		for i := 0; i < n; i++ {
+			<-entered
+		}
+		cancel()
+		<-done
+		return rec
+	}
+
+	body := mustMarshal(t, GeocodeBatchRequestJSON{Requests: []GeocodeRequestJSON{{Table: scriptedTable("t0")}, {Table: scriptedTable("t1")}}})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	want := httptest.NewRecorder()
+	testServer(t, Config{}).Handler().ServeHTTP(want,
+		httptest.NewRequest(http.MethodPost, "/v1/geocode:batch", bytes.NewReader(body)).WithContext(cancelled))
+	got := serve(httptest.NewRequest(http.MethodPost, "/v1/geocode:batch", bytes.NewReader(body)), 2)
+	if we, ge := decodeError(t, want), decodeError(t, got); got.Code != statusClientClosedRequest || got.Code != want.Code || ge != we {
+		t.Errorf("cancelled routed batch answered %d %+v\n cancelled worker-side batch %d %+v", got.Code, ge, want.Code, we)
+	}
+
+	rec := serve(httptest.NewRequest(http.MethodGet, "/statz", nil), 1)
+	var st StatzJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("statz after the client gave up: status %d, %v\n%s", rec.Code, err, rec.Body.String())
+	}
+	if st.Router == nil || len(st.Router.Workers) != 1 || st.Router.Workers[0].Reachable {
+		t.Errorf("statz after the client gave up: router section %+v, want the one worker unreachable", st.Router)
 	}
 }

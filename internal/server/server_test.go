@@ -65,7 +65,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 func tableJSON(t *testing.T) []byte {
 	t.Helper()
 	svc := testService(t)
-	w := svc.World()
+	w := svc.Lab().World
 	tbl := table.New("city-guide",
 		table.Column{Header: "Name", Type: table.Text},
 		table.Column{Header: "Address", Type: table.Location},
@@ -419,8 +419,8 @@ func TestBatchAdmissionWeighted(t *testing.T) {
 // never be admitted, so New clamps the limit.
 func TestMaxBatchClampedToMaxInFlight(t *testing.T) {
 	s := testServer(t, Config{MaxInFlight: 4, MaxBatch: 32})
-	if s.cfg.MaxBatch != 4 {
-		t.Errorf("MaxBatch = %d, want clamped to MaxInFlight (4)", s.cfg.MaxBatch)
+	if s.maxBatch != 4 {
+		t.Errorf("MaxBatch = %d, want clamped to MaxInFlight (4)", s.maxBatch)
 	}
 }
 
@@ -505,8 +505,9 @@ func TestGoldenWire(t *testing.T) {
 // TestDefaultsApplied sanity-checks the config defaulting in New.
 func TestDefaultsApplied(t *testing.T) {
 	s := testServer(t, Config{})
-	if s.cfg.MaxInFlight != 64 || s.cfg.MaxCells != 100000 || s.cfg.MaxBatch != 32 || s.cfg.MaxBodyBytes != 8<<20 {
-		t.Errorf("defaults not applied: %+v", s.cfg)
+	if s.maxInFlight != 64 || cap(s.sem) != 64 || s.maxCells != 100000 || s.maxBatch != 32 {
+		t.Errorf("defaults not applied: in flight %d (semaphore %d), cells %d, batch %d",
+			s.maxInFlight, cap(s.sem), s.maxCells, s.maxBatch)
 	}
 	defer func() {
 		if recover() == nil {
@@ -552,7 +553,7 @@ func TestStatzGoldenWire(t *testing.T) {
 	svc := statzService(t)
 	// The service outlives the test: under -count or -cpu lists every run
 	// starts from the cache and the engine counters New left.
-	svc.Lab().Cache.Reset()
+	svc.Cache().Reset()
 	svc.Engine().ResetCounters()
 	srv := New(Config{Service: svc})
 	h := srv.Handler()

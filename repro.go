@@ -21,10 +21,9 @@
 //		fmt.Printf("T(%d,%d) -> %s (%.2f)\n", ann.Row, ann.Col, ann.Type, ann.Score)
 //	}
 //
-// AnnotateBatch annotates many tables over a bounded worker pool, and
-// AnnotateStream emits per-table results as they complete. cmd/serve exposes
-// the same request/response model over HTTP/JSON (POST /v1/annotate). New is
-// the one way to construct the pipeline.
+// AnnotateBatch annotates many tables over a bounded worker pool. cmd/serve
+// exposes the same request/response model over HTTP/JSON (POST /v1/annotate).
+// New is the one way to construct the pipeline.
 //
 // The service wires the full pipeline over the built-in synthetic universe
 // (see DESIGN.md for the substitution table); the underlying packages live

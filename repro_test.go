@@ -94,7 +94,7 @@ func TestNewSmall(t *testing.T) {
 	if svc.Classifier("svm") == nil || svc.Classifier("bayes") == nil {
 		t.Fatal("classifiers missing")
 	}
-	if svc.Geo() == nil || svc.KB() == nil || svc.World() == nil || svc.Lab() == nil {
+	if lab := svc.Lab(); svc.Geo() == nil || lab == nil || lab.KB == nil || lab.World == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if b := svc.base; b.Searcher == nil || b.Classifier == nil || len(b.Types) != 12 {

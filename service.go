@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -13,12 +12,11 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/eval"
 	"repro/internal/gazetteer"
-	"repro/internal/kb"
 	"repro/internal/pool"
+	"repro/internal/qcache"
 	"repro/internal/search"
 	"repro/internal/snapshot"
 	"repro/internal/table"
-	"repro/internal/world"
 )
 
 // APIVersion identifies the request/response schema of this package (and of
@@ -105,7 +103,7 @@ func WithClassifier(name string) Option {
 }
 
 // WithParallelism bounds the annotation worker pools: cell queries within a
-// table, and tables within AnnotateBatch/AnnotateStream. Values <= 1 run
+// table, and tables within AnnotateBatch/GeocodeBatch. Values <= 1 run
 // sequentially (the default); negative values are rejected. Results are
 // identical at any setting — only the wall-clock changes.
 func WithParallelism(n int) Option {
@@ -143,9 +141,7 @@ func WithSearchShards(n int) Option {
 // and disagree with the manifest, New refuses with a *SnapshotMismatchError
 // rather than serving results the flags did not ask for. WithClassifier
 // still selects freely — both classifiers travel in every bundle. A
-// snapshot-booted service has no synthetic universe attached: World, KB and
-// Lab dataset fields are nil, and only the serving surface (Annotate,
-// Geocode, Explain and friends) is available.
+// snapshot-booted service is made of the bundle alone: Lab() is nil.
 func WithSnapshot(path string) Option {
 	return func(s *settings) error {
 		if path == "" {
@@ -189,22 +185,25 @@ func WithCacheLimits(maxEntries int, ttl time.Duration) Option {
 }
 
 // Service is the annotation pipeline as a request/response service: one
-// expensive construction (corpus generation, indexing, classifier training)
-// via New, then any number of concurrent Annotate/AnnotateBatch/
-// AnnotateStream calls. A Service is immutable after New; per-request knobs
-// travel in the AnnotateRequest and are applied to a copied pipeline
+// expensive construction (corpus generation, indexing, classifier training —
+// or a bundle load) via New, then any number of concurrent Annotate/
+// AnnotateBatch/Geocode calls. A Service is immutable after New; per-request
+// knobs travel in the AnnotateRequest and are applied to a copied pipeline
 // configuration, never to shared state.
 type Service struct {
-	lab         *eval.Lab
-	clf         string
-	scale       string
-	parallelism int
-	// buildDur is the wall-clock cost of New: the full world build, or the
-	// snapshot load. Surfaced on /statz and recorded into manifests this
-	// service writes.
+	// bundle is the value the service is made of — index, gazetteer, both
+	// classifiers and their manifest — read from a file or assembled from a
+	// fresh lab; WriteSnapshot writes it back out.
+	bundle snapshot.Bundle
+	// engine searches bundle.Index.
+	engine *search.Engine
+	// lab is what a build leaves beside the bundle; nil on a snapshot boot.
+	lab *eval.Lab
+	// clf names the classifier that annotates, the manifest's or not.
+	clf string
+	// buildDur is the wall-clock cost of New: the world build or the load.
 	buildDur time.Duration
-	// snap describes the bundle the service was booted from; nil when the
-	// world was built from scratch.
+	// snap says which file the bundle was read from; nil after a build.
 	snap *SnapshotInfo
 	// base is the immutable pipeline configuration every request derives
 	// from; the expensive components (classifier, engine, gazetteer) are
@@ -212,35 +211,23 @@ type Service struct {
 	base annotate.Config
 }
 
-// SnapshotInfo describes the bundle a snapshot-booted service loaded,
-// flattened from the bundle manifest plus the observed load cost.
+// SnapshotInfo describes the bundle a snapshot-booted service loaded.
 type SnapshotInfo struct {
 	// Path is the bundle file the service booted from.
 	Path string
-	// Seed, Scale, Classifier, SearchShards, Docs and Locations mirror the
-	// bundle manifest (Classifier is the kind the writing service served
-	// with, not necessarily this one — see WithClassifier).
-	Seed         int64
-	Scale        string
-	Classifier   string
-	SearchShards int
-	Docs         int
-	Locations    int
-	// CreatedAtUnix, BuildMillis and Tool are the manifest's build
-	// metadata: when the bundle was written, how long the build that
-	// produced it took, and by which tool.
-	CreatedAtUnix int64
-	BuildMillis   int64
-	Tool          string
 	// LoadDuration is how long this service took to load the bundle.
 	LoadDuration time.Duration
+	// Manifest is the bundle's own (Classifier is the kind the writing
+	// service served with, not necessarily this one — see WithClassifier).
+	Manifest snapshot.Manifest
 }
 
 // New builds the service. Construction is the expensive step (it generates
 // the synthetic universe, indexes its web corpus and trains the snippet
-// classifiers); reuse the Service for every request. If ctx is cancelled
-// before the build finishes, New returns ctx.Err() — the abandoned build
-// completes in a background goroutine and is discarded.
+// classifiers, or loads the bundle WithSnapshot names); reuse the Service for
+// every request. If ctx is cancelled before that finishes, New returns
+// ctx.Err() — the abandoned build or load completes in a background goroutine
+// and is discarded.
 func New(ctx context.Context, opts ...Option) (*Service, error) {
 	st := settings{scale: ScaleSmall, classifier: ClassifierSVM}
 	for _, opt := range opts {
@@ -268,64 +255,89 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		cfg.SnippetsPerEntity = 5
 		cfg.MaxTrainEntities = 60
 	}
-
 	start := time.Now()
-	built := make(chan *eval.Lab, 1)
-	go func() { built <- eval.NewLab(cfg) }()
+	lab, err := await(ctx, func() (*eval.Lab, error) { return eval.NewLab(cfg), nil })
+	if err != nil {
+		return nil, err
+	}
+	dur := time.Since(start)
+	six := lab.Engine.ShardedIndex()
+	s := newService(st, &snapshot.Bundle{
+		Manifest: snapshot.Manifest{
+			Seed:         st.seed,
+			Scale:        st.scale,
+			Classifier:   st.classifier,
+			SearchShards: six.NumShards(),
+			Docs:         six.Len(),
+			Locations:    lab.Geo.Len(),
+			BuildMillis:  dur.Milliseconds(),
+		},
+		Index:     six,
+		Gazetteer: lab.Geo,
+		SVM:       lab.SVM,
+		Bayes:     lab.Bayes,
+	}, lab.Engine, lab.Cache, dur)
+	s.lab = lab
+	return s, nil
+}
+
+// await runs f on a background goroutine and returns its result, or ctx's
+// error as soon as ctx is done — f then runs to completion unobserved.
+func await[T any](ctx context.Context, f func() (T, error)) (T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		v, err := f()
+		ch <- result{v, err}
+	}()
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
-	case lab := <-built:
-		s := &Service{lab: lab, clf: st.classifier, scale: st.scale, parallelism: st.parallelism, buildDur: time.Since(start)}
-		s.finish(st)
-		return s, nil
+		var zero T
+		return zero, ctx.Err()
+	case r := <-ch:
+		return r.v, r.err
 	}
 }
 
-// finish derives the shared base config once the lab is in place. The
-// classifier is bound to the engine's vocabulary here, once, so the decide
-// loop scores the token ids search hits carry (Naive Bayes has no bound form
-// and classifies from snippet text).
-func (s *Service) finish(st settings) {
+// newService makes the service from the value a bundle carries, the engine
+// over its index and the cache: the one constructor behind both boots. The
+// classifier is bound to the index's vocabulary here, once, so the decide loop
+// scores the token ids search hits carry (Naive Bayes classifies from text).
+func newService(st settings, b *snapshot.Bundle, engine *search.Engine, cache *qcache.Cache, dur time.Duration) *Service {
+	s := &Service{bundle: *b, engine: engine, clf: st.classifier, buildDur: dur}
 	s.base = annotate.Config{
-		Searcher:     s.lab.Engine,
-		Classifier:   classify.Bind(s.Classifier(s.clf), s.lab.Engine.ShardedIndex().Vocab()),
+		Searcher:     engine,
+		Classifier:   classify.Bind(s.Classifier(s.clf), b.Index.Vocab()),
 		Types:        eval.TypeStrings(),
 		Postprocess:  true,
 		Disambiguate: true,
-		Gazetteer:    s.lab.Geo,
+		Gazetteer:    b.Gazetteer,
 		Parallelism:  st.parallelism,
-		Cache:        s.lab.Cache,
+		Cache:        cache,
 		CacheSalt:    s.clf,
 	}
+	return s
 }
 
 // newFromSnapshot assembles the service from a TSNP bundle: sequential
-// section reads off one file, no corpus generation, no training. The load
-// runs in a background goroutine so ctx cancellation returns promptly (the
-// abandoned load completes and is discarded, mirroring New's build path).
+// section reads off one file, no corpus generation, no training.
 func newFromSnapshot(ctx context.Context, st settings) (*Service, error) {
-	type loaded struct {
-		bundle *snapshot.Bundle
-		dur    time.Duration
-		err    error
-	}
-	ch := make(chan loaded, 1)
-	go func() {
-		start := time.Now()
+	start := time.Now()
+	b, err := await(ctx, func() (*snapshot.Bundle, error) {
 		b, err := snapshot.ReadFile(st.snapshotPath)
-		ch <- loaded{b, time.Since(start), err}
-	}()
-	var l loaded
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case l = <-ch:
+		if err != nil {
+			return nil, fmt.Errorf("repro: loading snapshot %s: %w", st.snapshotPath, err)
+		}
+		return b, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if l.err != nil {
-		return nil, fmt.Errorf("repro: loading snapshot %s: %w", st.snapshotPath, l.err)
-	}
-	m := l.bundle.Manifest
+	dur := time.Since(start)
+	m := b.Manifest
 
 	// Identity options that were set explicitly must agree with the
 	// manifest; unset ones inherit its values.
@@ -338,67 +350,28 @@ func newFromSnapshot(ctx context.Context, st settings) (*Service, error) {
 	if st.shardsSet && st.searchShards != m.SearchShards {
 		return nil, &SnapshotMismatchError{Option: "WithSearchShards", Want: fmt.Sprint(st.searchShards), Have: fmt.Sprint(m.SearchShards)}
 	}
-
-	cfg := eval.LabConfig{
-		Seed:            m.Seed,
-		Parallelism:     st.parallelism,
-		ShareCache:      st.shareCache,
-		CacheMaxEntries: st.cacheMaxEntries,
-		CacheTTL:        st.cacheTTL,
-		SearchShards:    m.SearchShards,
-	}
-	clf := st.classifier
 	if !st.classifierSet && (m.Classifier == ClassifierSVM || m.Classifier == ClassifierBayes) {
-		clf = m.Classifier
+		st.classifier = m.Classifier
 	}
-	lab := eval.NewServedLab(cfg, search.NewShardedEngine(l.bundle.Index), l.bundle.Gazetteer, l.bundle.SVM, l.bundle.Bayes)
-	s := &Service{
-		lab:         lab,
-		clf:         clf,
-		scale:       m.Scale,
-		parallelism: st.parallelism,
-		buildDur:    l.dur,
-		snap: &SnapshotInfo{
-			Path:          st.snapshotPath,
-			Seed:          m.Seed,
-			Scale:         m.Scale,
-			Classifier:    m.Classifier,
-			SearchShards:  m.SearchShards,
-			Docs:          m.Docs,
-			Locations:     m.Locations,
-			CreatedAtUnix: m.CreatedAtUnix,
-			BuildMillis:   m.BuildMillis,
-			Tool:          m.Tool,
-			LoadDuration:  l.dur,
-		},
+	var cache *qcache.Cache
+	if st.shareCache {
+		cache = qcache.NewWithOptions(qcache.Options{MaxEntries: st.cacheMaxEntries, TTL: st.cacheTTL})
 	}
-	s.finish(st)
+	s := newService(st, b, search.NewShardedEngine(b.Index), cache, dur)
+	s.snap = &SnapshotInfo{Path: st.snapshotPath, LoadDuration: dur, Manifest: m}
 	return s, nil
 }
 
 // WriteSnapshot serialises the service's serving artifacts — search index,
 // gazetteer, both classifiers — as a TSNP v1 bundle that WithSnapshot (and
-// cmd/serve -snapshot-file) can boot from. tool names the writer in the
-// bundle manifest.
+// cmd/serve -snapshot-file) can boot from. The manifest is the service's own,
+// stamped with the classifier it serves with, the time and tool, which names
+// the writer.
 func (s *Service) WriteSnapshot(w io.Writer, tool string) (int64, error) {
-	six := s.lab.Engine.ShardedIndex()
-	b := &snapshot.Bundle{
-		Manifest: snapshot.Manifest{
-			Seed:          s.lab.Cfg.Seed,
-			Scale:         s.scale,
-			Classifier:    s.clf,
-			SearchShards:  six.NumShards(),
-			Docs:          six.Len(),
-			Locations:     s.lab.Geo.Len(),
-			CreatedAtUnix: time.Now().Unix(),
-			BuildMillis:   s.buildDur.Milliseconds(),
-			Tool:          tool,
-		},
-		Index:     six,
-		Gazetteer: s.lab.Geo,
-		SVM:       s.lab.SVM,
-		Bayes:     s.lab.Bayes,
-	}
+	b := s.bundle
+	b.Manifest.Classifier = s.clf
+	b.Manifest.CreatedAtUnix = time.Now().Unix()
+	b.Manifest.Tool = tool
 	return b.WriteTo(w)
 }
 
@@ -726,15 +699,9 @@ func (s *Service) GeocodeBatch(ctx context.Context, reqs []*GeocodeRequest) ([]*
 			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
-	out := make([]*GeocodeResponse, len(reqs))
-	err := s.batch(ctx, len(reqs), func(ctx context.Context, i int) (err error) {
-		out[i], err = s.Geocode(ctx, reqs[i])
-		return err
+	return batch(ctx, s, len(reqs), func(ctx context.Context, i int) (*GeocodeResponse, error) {
+		return s.Geocode(ctx, reqs[i])
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Explain runs the request in tracing mode ONLY: one human-readable
@@ -776,108 +743,51 @@ func (s *Service) AnnotateBatch(ctx context.Context, reqs []*AnnotateRequest) ([
 		}
 		cfgs[i] = cfg
 	}
-	out := make([]*AnnotateResponse, len(reqs))
-	err := s.batch(ctx, len(reqs), func(ctx context.Context, i int) (err error) {
-		out[i], err = s.run(ctx, cfgs[i], reqs[i])
+	return batch(ctx, s, len(reqs), func(ctx context.Context, i int) (*AnnotateResponse, error) {
+		return s.run(ctx, cfgs[i], reqs[i])
+	})
+}
+
+// batch runs one(ctx, i) for every i in [0, n) over s's worker pool under the
+// pool's failure rule: the responses in request order, or the failure with the
+// request it belongs to (the caller's own cancellation bare).
+func batch[R any](ctx context.Context, s *Service, n int, one func(ctx context.Context, i int) (*R, error)) ([]*R, error) {
+	out := make([]*R, n)
+	i, err := pool.RunErr(ctx, s.base.Parallelism, n, func(ctx context.Context, i int) (err error) {
+		out[i], err = one(ctx, i)
 		return err
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		return out, nil
 	}
-	return out, nil
-}
-
-// StreamEvent is one completed request of an AnnotateStream call: the
-// request's index in the input slice plus either its response or its error.
-type StreamEvent struct {
-	// Index is the position of the originating request in the reqs slice.
-	Index int
-	// Response is the completed response; nil when Err is set.
-	Response *AnnotateResponse
-	// Err is the request's failure: a *RequestError for invalid
-	// requests, or ctx.Err() for requests overtaken by cancellation.
-	Err error
-}
-
-// AnnotateStream annotates the requests over the service's worker pool and
-// emits one StreamEvent per request as it completes — completion order, not
-// request order; the Index field maps events back to requests. Response
-// payloads are deterministic: the same request yields the same annotations
-// at any parallelism, only the event order varies. The channel closes after
-// the last event. The caller must drain the channel or cancel ctx;
-// cancellation aborts unstarted requests and drops their events.
-func (s *Service) AnnotateStream(ctx context.Context, reqs []*AnnotateRequest) <-chan StreamEvent {
-	out := make(chan StreamEvent)
-	go func() {
-		defer close(out)
-		// The pool's error says only that ctx is done; so does the close.
-		_ = pool.Run(ctx, s.parallelism, len(reqs), func(i int) {
-			resp, err := s.Annotate(ctx, reqs[i])
-			select {
-			case out <- StreamEvent{Index: i, Response: resp, Err: err}:
-			case <-ctx.Done():
-				// Receiver cancelled; drop the event.
-			}
-		})
-	}()
-	return out
-}
-
-// batch runs one(ctx, i) for every i in [0, n) over the service's worker pool
-// — the one fan-out behind AnnotateStream, AnnotateBatch and GeocodeBatch —
-// abandoning the rest once one fails. That abandonment makes the other
-// requests' cancellation errors collateral, so the batch reports the
-// lowest-indexed error that is not a cancellation, with its index; when there
-// is none the batch died because the caller cancelled, and it reports the
-// parent's own error.
-func (s *Service) batch(parent context.Context, n int, one func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	errs := make([]error, n)
-	// The pool's error is ctx's, which the rule below reads off the parent.
-	_ = pool.Run(ctx, s.parallelism, n, func(i int) {
-		if errs[i] = one(ctx, i); errs[i] != nil {
-			cancel()
-		}
-	})
-	first := -1
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("request %d: %w", i, err)
-		}
-		if first < 0 {
-			first = i
-		}
+	if i >= 0 {
+		err = fmt.Errorf("request %d: %w", i, err)
 	}
-	// A parent that is done fails the batch even when no request recorded it:
-	// the pool hands nothing out under a done context.
-	if err := parent.Err(); err != nil || first < 0 {
-		return err
-	}
-	return fmt.Errorf("request %d: %w", first, errs[first])
+	return nil, err
 }
 
 // Classifier exposes the trained snippet classifiers: ClassifierSVM or
 // ClassifierBayes (any other name returns the SVM).
 func (s *Service) Classifier(name string) classify.Classifier {
 	if name == ClassifierBayes {
-		return s.lab.Bayes
+		return s.bundle.Bayes
 	}
-	return s.lab.SVM
+	return s.bundle.SVM
 }
 
 // Engine exposes the simulated web search engine.
-func (s *Service) Engine() *search.Engine { return s.lab.Engine }
+func (s *Service) Engine() *search.Engine { return s.engine }
+
+// Cache exposes the shared cross-table verdict cache; nil when the service was
+// built without WithSharedCache. Every New makes its own.
+func (s *Service) Cache() *qcache.Cache { return s.base.Cache }
 
 // Seed is the seed the service's world was built from (for a snapshot boot,
 // the seed recorded in the bundle manifest).
-func (s *Service) Seed() int64 { return s.lab.Cfg.Seed }
+func (s *Service) Seed() int64 { return s.bundle.Manifest.Seed }
 
 // Scale is the corpus scale: ScaleSmall or ScaleFull.
-func (s *Service) Scale() string { return s.scale }
+func (s *Service) Scale() string { return s.bundle.Manifest.Scale }
 
 // ClassifierName is the snippet classifier the service annotates with:
 // ClassifierSVM or ClassifierBayes.
@@ -893,13 +803,9 @@ func (s *Service) Snapshot() *SnapshotInfo { return s.snap }
 
 // Geo exposes the gazetteer the annotation pipeline and the geocode endpoint
 // serve from, built with the universe or loaded from the snapshot.
-func (s *Service) Geo() *gazetteer.Frozen { return s.lab.Geo }
+func (s *Service) Geo() *gazetteer.Frozen { return s.bundle.Gazetteer }
 
-// KB exposes the DBpedia-like knowledge base.
-func (s *Service) KB() *kb.KB { return s.lab.KB }
-
-// World exposes the synthetic universe (entities, gold types).
-func (s *Service) World() *world.World { return s.lab.World }
-
-// Lab exposes the full experimental apparatus for benchmark harnesses.
+// Lab is the harness's door onto what a build leaves beside the serving
+// artifacts — the synthetic universe, the knowledge base, the evaluation
+// datasets. Nil on a snapshot boot, which builds none of them.
 func (s *Service) Lab() *eval.Lab { return s.lab }

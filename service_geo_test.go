@@ -194,7 +194,7 @@ func locationTable(t *testing.T, name string, cells []string) *Table {
 // which none geocodes.
 func geoTables(t *testing.T, svc *Service) (addresses, barren *Table) {
 	t.Helper()
-	w := svc.World()
+	w := svc.Lab().World
 	var addrs, junk []string
 	for _, typ := range []world.Type{world.Museum, world.Restaurant} {
 		for _, e := range w.OfType(typ) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/snapshot"
 )
 
 // writeTestSnapshot snapshots the shared test service into dir and returns
@@ -52,11 +53,37 @@ func TestServiceSnapshotRoundTrip(t *testing.T) {
 	if snap == nil {
 		t.Fatal("snapshot-booted service reports Snapshot() == nil")
 	}
-	if snap.Path != path || snap.Seed != svc.Seed() || snap.Tool != "service_snapshot_test" {
-		t.Errorf("SnapshotInfo = %+v", snap)
+	// The manifest it holds is the one the writer stamped: the writer's own
+	// identity and sizes, plus the tool and time of the write.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, _, err := snapshot.Inspect(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := snapshot.Manifest{
+		Seed:          svc.Seed(),
+		Scale:         svc.Scale(),
+		Classifier:    svc.ClassifierName(),
+		SearchShards:  svc.Engine().ShardedIndex().NumShards(),
+		Docs:          svc.Engine().IndexSize(),
+		Locations:     svc.Geo().Len(),
+		CreatedAtUnix: written.CreatedAtUnix,
+		BuildMillis:   svc.BuildDuration().Milliseconds(),
+		Tool:          "service_snapshot_test",
+	}
+	if snap.Path != path || snap.LoadDuration <= 0 || snap.Manifest != written || written != stamped || written.CreatedAtUnix == 0 {
+		t.Errorf("SnapshotInfo = %+v\n written %+v\n    want %+v", snap, written, stamped)
 	}
 	if svc.Snapshot() != nil {
 		t.Error("built-from-scratch service reports a SnapshotInfo")
+	}
+	// A snapshot boot is made of the bundle alone; a build keeps its lab.
+	if loaded.Lab() != nil || svc.Lab() == nil {
+		t.Errorf("Lab(): snapshot-booted %v, built %v, want nil and non-nil", loaded.Lab(), svc.Lab())
 	}
 
 	tbl := testTable(t, svc)

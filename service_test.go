@@ -3,14 +3,10 @@ package repro
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/leakcheck"
 	"repro/internal/world"
 )
 
@@ -41,7 +37,7 @@ func testService(t *testing.T) *Service {
 // and Phone columns the pre-processor must handle.
 func testTable(t *testing.T, svc *Service) *Table {
 	t.Helper()
-	w := svc.World()
+	w := svc.Lab().World
 	tbl := &Table{Name: "service-test"}
 	tbl.Columns = []Column{
 		{Header: "Name", Type: Text},
@@ -237,69 +233,10 @@ func TestAnnotateBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-func TestAnnotateStream(t *testing.T) {
-	svc := testService(t)
-	leakcheck.Goroutines(t)
-	tbl := testTable(t, svc)
-	ctx := context.Background()
-
-	reqs := []*AnnotateRequest{
-		{Table: tbl},
-		{Table: tbl, Types: []string{"museum"}},
-		{Table: nil}, // invalid: must surface as a per-event error
-		{Table: tbl, Postprocess: ToggleOff},
-	}
-	got := make(map[int]StreamEvent)
-	for ev := range svc.AnnotateStream(ctx, reqs) {
-		if _, dup := got[ev.Index]; dup {
-			t.Fatalf("duplicate event for index %d", ev.Index)
-		}
-		got[ev.Index] = ev
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("stream emitted %d events, want %d", len(got), len(reqs))
-	}
-	var reqErr *RequestError
-	if !errors.As(got[2].Err, &reqErr) {
-		t.Errorf("invalid request event: Err = %v, want *RequestError", got[2].Err)
-	}
-	for _, i := range []int{0, 1, 3} {
-		if got[i].Err != nil {
-			t.Fatalf("request %d: unexpected error %v", i, got[i].Err)
-		}
-		single, err := svc.Annotate(ctx, reqs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i].Response.Annotations, single.Annotations) {
-			t.Errorf("request %d: stream annotations diverge from single-call annotations", i)
-		}
-	}
-}
-
-func TestAnnotateStreamCancelled(t *testing.T) {
-	svc := testService(t)
-	tbl := testTable(t, svc)
-	// The channel closes after the workers exit; only the goroutine that
-	// closed it may still be returning.
-	leakcheck.Goroutines(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// With a pre-cancelled context the stream must still terminate: the
-	// channel closes after at most len(reqs) (possibly dropped) events.
-	events := 0
-	for range svc.AnnotateStream(ctx, []*AnnotateRequest{{Table: tbl}, {Table: tbl}}) {
-		events++
-	}
-	if events > 2 {
-		t.Fatalf("cancelled stream emitted %d events, want <= 2", events)
-	}
-}
-
 // TestBatchesCancelledAlike: the two batch calls share one fan-out and one
-// error rule, so a batch whose caller gave up returns the caller's own
-// context error from both — bare, with no request index, whichever request a
-// worker happened to reach first.
+// error rule (pool.RunErr), so a batch whose caller gave up returns the
+// caller's own context error from both — bare, with no request index,
+// whichever request a worker happened to reach first.
 func TestBatchesCancelledAlike(t *testing.T) {
 	svc := testService(t)
 	tbl := testTable(t, svc)
@@ -309,62 +246,6 @@ func TestBatchesCancelledAlike(t *testing.T) {
 	_, geoErr := svc.GeocodeBatch(ctx, []*GeocodeRequest{{Table: tbl}, {Table: tbl}, {Table: tbl}})
 	if annErr != context.Canceled || geoErr != context.Canceled {
 		t.Errorf("AnnotateBatch error = %v, GeocodeBatch error = %v, want the bare context.Canceled from both", annErr, geoErr)
-	}
-}
-
-// TestBatchErrorRule: when a request fails, the cancellation errors of the
-// requests abandoned for it are collateral — the batch reports the
-// lowest-indexed real failure with its index, however the workers were
-// scheduled.
-func TestBatchErrorRule(t *testing.T) {
-	svc := testService(t) // four workers
-	leakcheck.Goroutines(t)
-	boom := errors.New("boom")
-	err := svc.batch(context.Background(), 4, func(ctx context.Context, i int) error {
-		switch i {
-		case 3: // fails first and cancels the rest
-			return boom
-		case 1: // a real failure that surfaces only after the cancellation
-			<-ctx.Done()
-			return fmt.Errorf("late: %w", boom)
-		}
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	if !errors.Is(err, boom) || err.Error() != "request 1: late: boom" {
-		t.Errorf("batch error = %v, want request 1's", err)
-	}
-	if err := svc.batch(context.Background(), 0, nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-}
-
-// TestBatchCancelledBeforeDispatch: the pool hands out nothing once its
-// context is done, so a batch whose caller had already given up runs no
-// request and records no request error — and must still fail, with the
-// caller's own bare context error, inline and pooled alike.
-func TestBatchCancelledBeforeDispatch(t *testing.T) {
-	leakcheck.Goroutines(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-	defer cancel()
-	for _, workers := range []int{0, 1, 4} {
-		svc := &Service{parallelism: workers}
-		for _, tc := range []struct {
-			ctx  context.Context
-			want error
-		}{{cancelled, context.Canceled}, {expired, context.DeadlineExceeded}} {
-			var ran atomic.Int64
-			err := svc.batch(tc.ctx, 3, func(context.Context, int) error {
-				ran.Add(1)
-				return nil
-			})
-			if err != tc.want || ran.Load() != 0 {
-				t.Errorf("workers=%d: batch under a done context ran %d requests and returned %v, want 0 and the bare %v",
-					workers, ran.Load(), err, tc.want)
-			}
-		}
 	}
 }
 
