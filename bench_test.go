@@ -202,6 +202,56 @@ func BenchmarkDisambiguationGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkGeoAnnotateHuge is one geocode_huge request without the harness:
+// a 2 000 × 4 table of "Street, City" addresses — each row draws a home city
+// and each cell one of its streets, the way bench/gen.go builds its pool —
+// over the seed-42 world's gazetteer, through the geo stage a POST /v1/geocode
+// runs (geocode, decompose, resolve, render). In the root module so that
+// `go test -bench GeoAnnotateHuge -cpuprofile` reaches the stage's shares.
+func BenchmarkGeoAnnotateHuge(b *testing.B) {
+	g := gazetteer.SyntheticScale(42^0x6761_7a65, 1).Freeze()
+	var cities []string
+	var streets [][]string
+	for _, c := range g.Cities() {
+		ids := g.StreetsIn(c)
+		if len(ids) == 0 {
+			continue
+		}
+		names := make([]string, len(ids))
+		for i, id := range ids {
+			names[i] = g.Name(id)
+		}
+		cities, streets = append(cities, g.Name(c)), append(streets, names)
+	}
+	const rows, cols = 2000, 4
+	columns := make([]table.Column, cols)
+	for j := range columns {
+		columns[j] = table.Column{Header: fmt.Sprintf("Address %d", j+1), Type: table.Location}
+	}
+	tbl := table.New("huge", columns...)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < rows; i++ {
+		home := rng.Intn(len(cities))
+		cells := make([]string, cols)
+		for j := range cells {
+			cells[j] = streets[home][rng.Intn(len(streets[home]))] + ", " + cities[home]
+		}
+		if err := tbl.AppendRow(cells...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := annotate.Config{Gazetteer: g}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gas, _, err := cfg.For(tbl).GeoAnnotate(ctx)
+		if err != nil || len(gas) != rows*cols {
+			b.Fatalf("%d annotations, error %v; want every one of the %d cells", len(gas), err, rows*cols)
+		}
+	}
+}
+
 // BenchmarkAblationKernelVsLinearSVM compares the paper's LibSVM-style RBF
 // C-SVC (trained with SMO plus the grid search of §6.1) against the linear
 // Pegasos SVM used for the large corpora — the classifier substitution

@@ -2,9 +2,11 @@ package annotate
 
 import (
 	"context"
+	"runtime"
 
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
+	"repro/internal/pool"
 	"repro/internal/table"
 )
 
@@ -46,29 +48,35 @@ type geoResolution struct {
 	stats   disambig.Stats
 }
 
+// geoRangeCells is how many Location cells one item of the geocoding fan-out
+// holds, and so how often geocoding observes the request's context.
+const geoRangeCells = 64
+
 // resolution returns the run's geocode+vote pass, making it on first use: the
 // §5.2.2 spatial query augmentation, Explain and the GeoAnnotate output all
 // read this one value, so a request wanting several of them never resolves its
-// table twice. The Location columns geocode, then vote through the graph,
-// whose components run over the request's one pool on min(GOMAXPROCS, 8)
-// workers — tables of every size take the same path, holding one choice per
-// interpretation plus pooled per-component scratch. Without a gazetteer, or
-// when nothing geocodes, the resolution is empty. Cancellation is checked every
-// geoCancelStride geocoded cells, between components and between propagation
-// iterations — an abandoned request should release its admission slot instead
-// of finishing work nobody reads — and the error is then ctx.Err(), with
-// nothing kept: a table is resolved whole or not at all.
+// table twice. The Location columns geocode, then vote through the graph; both
+// steps run over the request's one pool on the same min(GOMAXPROCS, 8)
+// workers, cell ranges first and the graph's components after — tables of
+// every size take the same path, holding one choice per interpretation plus
+// pooled per-component scratch. Without a gazetteer, or when nothing geocodes,
+// the resolution is empty. Cancellation is checked before every range of
+// geoRangeCells cells, between components and between propagation iterations
+// — an abandoned request should release its admission slot instead of
+// finishing work nobody reads — and the error is then ctx.Err(), with nothing
+// kept: a table is resolved whole or not at all.
 func (r *Run) resolution(ctx context.Context) (*geoResolution, error) {
 	if r.geo != nil {
 		return r.geo, nil
 	}
-	interps, err := r.cfg.geocodeCells(ctx, r.t)
+	workers := min(runtime.GOMAXPROCS(0), 8)
+	interps, err := r.cfg.geocodeCells(ctx, r.t, workers)
 	if err != nil {
 		return nil, err
 	}
 	res := &geoResolution{interps: interps}
 	if len(interps) > 0 {
-		res.choices, res.stats, err = disambig.ResolvePositional(ctx, interps, r.cfg.Gazetteer, disambig.Options{})
+		res.choices, res.stats, err = disambig.ResolvePositional(ctx, interps, r.cfg.Gazetteer, disambig.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -79,33 +87,39 @@ func (r *Run) resolution(ctx context.Context) (*geoResolution, error) {
 
 // geocodeCells geocodes the table's Location columns into the
 // interpretation list disambiguation consumes, in column-major cell order.
-// Nil when the config has no gazetteer or nothing geocodes.
-func (c Config) geocodeCells(ctx context.Context, t *table.Table) ([]disambig.Interpretation, error) {
+// Every cell has a slot at its column-major position, ranges of cells fan out
+// over the pool, each filling its own slots, and the slots that geocoded are
+// then closed up in place: order and bytes are those of the sequential loop
+// whatever the schedule, and a table of one range starts no goroutine. Nil
+// when the config has no gazetteer or nothing geocodes.
+func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) ([]disambig.Interpretation, error) {
 	if c.Gazetteer == nil {
 		return nil, nil
 	}
-	const geoCancelStride = 64
-	var interps []disambig.Interpretation
-	cells := 0
-	for _, j := range t.ColumnIndexesOfType(table.Location) {
-		for i := 1; i <= t.NumRows(); i++ {
-			if cells%geoCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+	cols, rows := t.ColumnIndexesOfType(table.Location), t.NumRows()
+	slots := make([]disambig.Interpretation, len(cols)*rows)
+	ranges := (len(slots) + geoRangeCells - 1) / geoRangeCells
+	if err := pool.Run(ctx, workers, ranges, func(r int) {
+		for k := r * geoRangeCells; k < min((r+1)*geoRangeCells, len(slots)); k++ {
+			i, j := k%rows+1, cols[k/rows]
+			if cands := c.Gazetteer.Geocode(t.Cell(i, j)); len(cands) > 0 {
+				slots[k] = disambig.Interpretation{Cell: disambig.CellRef{Row: i, Col: j}, Candidates: cands}
 			}
-			cells++
-			cands := c.Gazetteer.Geocode(t.Cell(i, j))
-			if len(cands) == 0 {
-				continue
-			}
-			interps = append(interps, disambig.Interpretation{
-				Cell:       disambig.CellRef{Row: i, Col: j},
-				Candidates: cands,
-			})
+		}
+	}); err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, it := range slots {
+		if it.Candidates != nil {
+			slots[n] = it
+			n++
 		}
 	}
-	return interps, ctx.Err()
+	if n == 0 {
+		return nil, nil
+	}
+	return slots[:n], nil
 }
 
 // GeoAnnotate runs the opt-in geocode+disambiguate stage over one table:
@@ -118,9 +132,9 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table) ([]disambig.In
 // The stage executes from the immutable Config like every other pipeline
 // stage: it mutates nothing, so one Config may run any number of concurrent
 // GeoAnnotate calls, and it costs no search-engine queries — only gazetteer
-// lookups and graph propagation. Cancellation is observed between geocoded
-// cells and throughout propagation; the error is then ctx.Err(), never a
-// truncated result.
+// lookups and graph propagation. Cancellation is observed between ranges of
+// geocoded cells and throughout propagation; the error is then ctx.Err(),
+// never a truncated result.
 func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotation, error) {
 	gas, _, err := c.For(t).GeoAnnotate(ctx)
 	return gas, err
@@ -141,13 +155,20 @@ func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats,
 	}
 	gaz := r.cfg.Gazetteer
 	out := make([]GeoAnnotation, len(res.interps))
+	// A table names few places many times: each is rendered once.
+	names := map[gazetteer.LocID]string{}
 	for i, it := range res.interps {
 		// Every interpretation has candidates, so every choice is a location.
 		loc := res.choices[i].Loc
+		name, ok := names[loc]
+		if !ok {
+			name = gaz.FullName(loc)
+			names[loc] = name
+		}
 		out[i] = GeoAnnotation{
 			Row:        it.Cell.Row,
 			Col:        it.Cell.Col,
-			Location:   gaz.FullName(loc),
+			Location:   name,
 			Kind:       gaz.Kind(loc).String(),
 			Candidates: len(it.Candidates),
 			Score:      res.choices[i].Score,

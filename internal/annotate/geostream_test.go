@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
+	"repro/internal/leakcheck"
 	"repro/internal/table"
 )
 
@@ -87,6 +88,63 @@ func TestGeoAnnotateWorkerInvariance(t *testing.T) {
 		l := int64(gotStats.LargestComponent)
 		if bound := 8 * (1024 + 128*l + 32*l*l); gotStats.PeakScratchBytes <= 0 || gotStats.PeakScratchBytes > bound {
 			t.Fatalf("workers=%d: peak scratch %d bytes outside (0, %d] for a largest component of %d nodes", w, gotStats.PeakScratchBytes, bound, l)
+		}
+	}
+}
+
+// TestGeocodeCellsWorkerInvariance: geocoding fans cell ranges out over the
+// pool into positional slots, so whatever the worker count the interpretations
+// are the sequential loop's — same cells, same order, same candidates — also
+// when cells fail to geocode inside and at the edges of ranges, when there is
+// no Location column and when the table is one row. A context that expires
+// mid-table yields its error and nothing else, and no goroutine outlives it.
+func TestGeocodeCellsWorkerInvariance(t *testing.T) {
+	g := gazetteer.SyntheticScale(42, 6).Freeze()
+	cfg := Config{Gazetteer: g}
+	leakcheck.Goroutines(t)
+
+	holes := addressTable(t, g, 2000, 4)
+	for k := 0; k < holes.NumRows()*holes.NumCols(); k += 7 {
+		holes.Rows[k%holes.NumRows()][k/holes.NumRows()] = "99 Nowhere Boulevard, Atlantis"
+	}
+	plain := table.New("plain", table.Column{Header: "Name", Type: table.Text})
+	if err := plain.AppendRow("Paris"); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tbl := range []*table.Table{holes, plain, addressTable(t, g, 1, 4)} {
+		var want []disambig.Interpretation
+		for _, j := range tbl.ColumnIndexesOfType(table.Location) {
+			for i := 1; i <= tbl.NumRows(); i++ {
+				if cands := g.Geocode(tbl.Cell(i, j)); len(cands) > 0 {
+					want = append(want, disambig.Interpretation{Cell: disambig.CellRef{Row: i, Col: j}, Candidates: cands})
+				}
+			}
+		}
+		if cells := len(tbl.ColumnIndexesOfType(table.Location)) * tbl.NumRows(); len(want) > cells-cells/7 {
+			t.Fatalf("%s: %d of %d cells geocode; the holes are not in it", tbl.Name, len(want), cells)
+		}
+		for _, w := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(w)
+			got, err := cfg.geocodeCells(context.Background(), tbl, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d workers: %d interpretations diverge from the sequential loop's %d", tbl.Name, w, len(got), len(want))
+			}
+		}
+	}
+
+	ranges := (holes.NumRows()*holes.NumCols() + geoRangeCells - 1) / geoRangeCells
+	for _, w := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(w)
+		ctx := leakcheck.NewPollContext(ranges / 2)
+		if got, err := cfg.geocodeCells(ctx, holes, w); err != context.DeadlineExceeded || got != nil {
+			t.Fatalf("%d workers: %d interpretations, error %v under a context expiring mid-table; want none and its error", w, len(got), err)
+		}
+		if polls := ctx.Polls(); polls >= ranges {
+			t.Errorf("%d workers: the context was polled %d times after expiring at poll %d of %d ranges", w, polls, ranges/2, ranges)
 		}
 	}
 }

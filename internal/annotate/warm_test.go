@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gazetteer"
 	"repro/internal/qcache"
 	"repro/internal/table"
 )
@@ -126,9 +127,10 @@ func FuzzNormCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) { requireNormCellMatches(t, s) })
 }
 
-// TestAllocsWarm pins what the rewrite bought: an ordinary entity name passes
+// TestAllocsWarm pins what the rewrites bought: an ordinary entity name passes
 // pre-processing, and a cell already in key form yields its key, without
-// touching the heap.
+// touching the heap; and the geo stage allocates by the cell only where its
+// output does — a candidate list per cell, a rendered name per distinct place.
 func TestAllocsWarm(t *testing.T) {
 	var p Preprocessor
 	if n := testing.AllocsPerRun(100, func() {
@@ -144,6 +146,22 @@ func TestAllocsWarm(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("normCell on normal-form input: %v allocs/op, want 0", n)
+	}
+	if raceEnabled {
+		return
+	}
+	// AllocsPerRun runs at GOMAXPROCS 1: one pooled component scratch grows to
+	// this table, which TestGeoAnnotateWorkerInvariance's bound has room for.
+	g := gazetteer.SyntheticScale(42, 6).Freeze()
+	tbl := addressTable(t, g, 200, 4)
+	cells := float64(tbl.NumRows() * tbl.NumCols())
+	if n := testing.AllocsPerRun(5, func() {
+		gas, err := Config{Gazetteer: g}.GeoAnnotate(context.Background(), tbl)
+		if err != nil || float64(len(gas)) != cells {
+			t.Fatalf("%d annotations, error %v; want one per cell", len(gas), err)
+		}
+	}); n >= 3*cells {
+		t.Errorf("GeoAnnotate over %v address cells: %v allocs/op, want fewer than 3 per cell", cells, n)
 	}
 }
 

@@ -69,7 +69,7 @@ type Stats struct {
 	Components       int
 	LargestComponent int
 	// PeakScratchBytes is the high-water mark of per-component scratch
-	// (record buffers, edge staging, local CSR, score buffers) held
+	// (record buffers, voting spans, local CSR, score buffers) held
 	// concurrently across the resolve's workers — the O(largest component
 	// × workers) bound made observable.
 	PeakScratchBytes int64
@@ -135,9 +135,12 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 			uf.union(idxs[0], idxs[k])
 		}
 	}
-	var b walkBufs
+	var b joinBufs
 	for dim := 0; dim < 2; dim++ {
-		ns.walkGroups(dim, nil, &b, func(locs, pars []int32, sharedPar bool) {
+		recKey, recNode := ns.joinGroups(dim, nil, &b)
+		for lo := 0; lo < len(recKey); {
+			split, hi, sharedPar := ns.group(recKey, lo)
+			locs, pars := recNode[lo:split], recNode[split:hi]
 			if sharedPar {
 				for k := 1; k < len(pars); k++ {
 					uf.union(pars[0], pars[k])
@@ -149,7 +152,8 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 				}
 				uf.union(locs[0], pars[0])
 			}
-		})
+			lo = hi
+		}
 	}
 
 	// Number components by smallest member and gather ascending member
@@ -182,30 +186,28 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 	return &decomposition{ns: ns, comps: comps}
 }
 
-// compScratch is one reusable component workspace: join-group record
-// buffers, edge staging, the local CSR and the score buffers. A worker checks
-// one out of scratchPool per component and regrows it to that component, so a
-// resolve's peak scratch is bounded by the largest component times the worker
-// count — never by the table.
+// compScratch is one reusable component workspace: the join-group record
+// buffers, the nodes' cells and voting spans, the local CSR and the score
+// buffers. A worker checks one out of scratchPool per component and regrows it
+// to that component, so a resolve's peak scratch is bounded by the largest
+// component times the worker count — never by the table.
 type compScratch struct {
-	walk     walkBufs
-	voters   []int32
-	targets  []int32
-	byV, byT []int32
-	pos      []int32
-	inOff    []int32
-	in       []int32
-	fill     []int32
-	cells    []int32 // the component's cell indexes
-	scores   []float64
-	next     []float64
+	join    joinBufs
+	recCell []int32 // the cell of every sorted join record
+	spans   []int32 // per local node, the four record spans it votes into
+	inOff   []int32
+	in      []int32
+	fill    []int32
+	cells   []int32 // the component's cell indexes
+	scores  []float64
+	next    []float64
 }
 
 // bytes is the workspace's current footprint, by slice capacity.
 func (sc *compScratch) bytes() int64 {
-	i32 := cap(sc.walk.recNode) + cap(sc.walk.tmpNode) + cap(sc.voters) + cap(sc.targets) +
-		cap(sc.byV) + cap(sc.byT) + cap(sc.pos) + cap(sc.inOff) + cap(sc.in) + cap(sc.fill) + cap(sc.cells)
-	i64 := cap(sc.walk.recKey) + cap(sc.walk.tmpKey)
+	i32 := cap(sc.join.recNode) + cap(sc.join.tmpNode) + cap(sc.recCell) + cap(sc.spans) +
+		cap(sc.inOff) + cap(sc.in) + cap(sc.fill) + cap(sc.cells)
+	i64 := cap(sc.join.recKey) + cap(sc.join.tmpKey)
 	f64 := cap(sc.scores) + cap(sc.next)
 	return int64(i32)*4 + int64(i64)*8 + int64(f64)*8
 }
@@ -258,10 +260,10 @@ func (r *compRun) convAt(t int) bool {
 // run freezes at an exact fixed point. Delta bits are recorded into r and
 // the final local scores are scattered back to global.
 //
-// Local node ids are assigned in ascending global-node order, so the local
-// counting sorts produce in-lists in the reference summation order and each
-// iteration is bitwise identical to the whole-table loop restricted to this
-// component. localOf is the shared global-to-local index table; components
+// Local node ids are assigned in ascending global-node order, so buildCSR's
+// voter-ascending fill leaves in-lists in the reference summation order and
+// each iteration is bitwise identical to the whole-table loop restricted to
+// this component. localOf is the shared global-to-local index table; components
 // are disjoint, so concurrent workers touch disjoint entries. A done ctx stops
 // the run between iterations, its saved state whole but short of until.
 func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, sc *compScratch, localOf []int32, global []float64, resume, stopAtConv bool, until int) {
@@ -281,7 +283,7 @@ func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, s
 		}
 	}
 
-	inOff, in := ns.buildCSR(comp, localOf, sc)
+	inOff, in := ns.buildCSR(comp, sc)
 	r.edges = len(in)
 
 	scores := growF64(sc.scores, m)

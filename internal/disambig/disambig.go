@@ -66,6 +66,9 @@ func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max
 		for _, k := range keys {
 			cnt[(k>>shift)&0xff]++
 		}
+		if len(keys) > 0 && cnt[(keys[0]>>shift)&0xff] == int32(len(keys)) {
+			continue // every key holds the same byte here: the pass would move nothing
+		}
 		s := int32(0)
 		for b := 0; b < 256; b++ {
 			c := cnt[b]
@@ -118,34 +121,56 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 	ns.nodeCell = make([]int32, 0, capHint)
 	ns.interpCell = make([]int32, len(interps))
 	cellIdx := make(map[CellRef]int32, len(interps))
-	dup := map[gazetteer.LocID]bool{}
+	ns.cells = make([]CellRef, 0, len(interps))
+	room := make([]int32, 0, len(interps)) // per cell: its candidates over all its interpretations, a bound on its nodes
 	for i, it := range interps {
 		ci, ok := cellIdx[it.Cell]
 		if !ok {
 			ci = int32(len(ns.cells))
 			cellIdx[it.Cell] = ci
 			ns.cells = append(ns.cells, it.Cell)
-			ns.cellNodes = append(ns.cellNodes, nil)
+			room = append(room, 0)
 		}
 		ns.interpCell[i] = ci
-		if len(it.Candidates) == 0 {
-			continue
+		room[ci] += int32(len(it.Candidates))
+	}
+	// Every cell's node list is a window of one flat array, filled below.
+	flat := make([]int32, capHint)
+	ns.cellNodes = make([][]int32, len(ns.cells))
+	off := int32(0)
+	for ci, r := range room {
+		ns.cellNodes[ci] = flat[off : off : off+r]
+		off += r
+	}
+	for i, it := range interps {
+		ci := ns.interpCell[i]
+		nodes := ns.cellNodes[ci]
+		// A geocoder lists candidates in ascending order, so a candidate above
+		// the cell's largest so far is new without looking; any other is looked
+		// for among the cell's own nodes.
+		largest := gazetteer.NoLocation
+		for _, ni := range nodes {
+			largest = max(largest, ns.locs[ni])
 		}
-		clear(dup)
-		for _, ni := range ns.cellNodes[ci] {
-			dup[ns.locs[ni]] = true
-		}
+	candidates:
 		for _, loc := range it.Candidates {
-			if loc == gazetteer.NoLocation || dup[loc] {
+			if loc == gazetteer.NoLocation {
 				continue
 			}
-			dup[loc] = true
-			ni := int32(len(ns.locs))
+			if loc <= largest {
+				for _, ni := range nodes {
+					if ns.locs[ni] == loc {
+						continue candidates
+					}
+				}
+			}
+			largest = max(largest, loc)
+			nodes = append(nodes, int32(len(ns.locs)))
 			ns.locs = append(ns.locs, loc)
 			ns.parents = append(ns.parents, g.Parent(loc))
 			ns.nodeCell = append(ns.nodeCell, ci)
-			ns.cellNodes[ci] = append(ns.cellNodes[ci], ni)
 		}
+		ns.cellNodes[ci] = nodes
 	}
 
 	rowIdx := make(map[int]int32, len(ns.cells))
@@ -170,42 +195,40 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 	return ns
 }
 
-// walkBufs holds the reusable record arrays of one walkGroups call; sized to
-// twice the visited node count.
-type walkBufs struct {
+// joinBufs holds the reusable record arrays of the join-group sorts: the keys
+// and the sort's other halves serve one dimension at a time, the sorted node
+// records of both dimensions stay side by side in recNode.
+type joinBufs struct {
 	recKey, tmpKey   []int64
 	recNode, tmpNode []int32
 }
 
-func (b *walkBufs) ensure(n int) {
-	if cap(b.recKey) < n {
-		b.recKey = make([]int64, n)
-		b.tmpKey = make([]int64, n)
-		b.recNode = make([]int32, n)
-		b.tmpNode = make([]int32, n)
+func (b *joinBufs) ensure(n int) {
+	if cap(b.recKey) < 2*n {
+		b.recKey = make([]int64, 2*n)
+		b.tmpKey = make([]int64, 2*n)
+		b.recNode = make([]int32, 4*n)
+		b.tmpNode = make([]int32, 2*n)
 	}
 }
 
-// walkGroups visits the join groups of one dimension (0 = rows, 1 = columns)
-// over the given global node indexes (nil visits every node): every node
-// contributes two records keyed by (bucket, location id) — one for its own
-// location, one for its direct container, the role in the key's low bit.
-// Radix-sorting the flat record arrays groups the bucket's nodes around each
-// location id with zero hash lookups; the sort puts each group's role-0
-// (location) records before its role-1 (container) records, and visit
-// receives the two segments. sharedPar reports whether the group's location
-// id is a real location — NoLocation as a shared "container" does not count,
-// so equal-container voting applies only when it is set.
-func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(locs, pars []int32, sharedPar bool)) {
+// joinGroups sorts the join records of one dimension (0 = rows, 1 = columns)
+// over the given ascending global node indexes (nil takes every node): every
+// node contributes two records keyed by (bucket, location id) — one for its
+// own location, one for its direct container, the role in the key's low bit —
+// and is named in them by its position in nodes, its local id. Radix-sorting
+// the flat record arrays groups the bucket's nodes around each location id with
+// zero hash lookups; a group's role-0 (location) records come before its role-1
+// (container) records. It returns the sorted keys, for group to cut, and the
+// sorted records, which are recNode's window for dim and survive the other
+// dimension's sort.
+func (ns *nodeSet) joinGroups(dim int, nodes []int32, b *joinBufs) (recKey []int64, recNode []int32) {
 	n := len(ns.locs)
 	if nodes != nil {
 		n = len(nodes)
 	}
-	if n == 0 {
-		return
-	}
-	b.ensure(2 * n)
-	recKey, recNode := b.recKey[:2*n], b.recNode[:2*n]
+	b.ensure(n)
+	recKey, recNode = b.recKey[:2*n], b.recNode[2*n*dim:2*n*(dim+1)]
 	bucketOf, numBuckets := ns.cellRowB, ns.numRowB
 	if dim == 1 {
 		bucketOf, numBuckets = ns.cellColB, ns.numColB
@@ -217,24 +240,30 @@ func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(lo
 		}
 		base := int64(bucketOf[ns.nodeCell[gi]]) * ns.maxKey
 		recKey[2*k] = (base + int64(ns.locs[gi])) << 1 // role 0: own location
-		recNode[2*k] = gi
+		recNode[2*k] = int32(k)
 		recKey[2*k+1] = (base+int64(ns.parents[gi]))<<1 | 1 // role 1: container
-		recNode[2*k+1] = gi
+		recNode[2*k+1] = int32(k)
 	}
 	radixSortByKey(recKey, recNode, b.tmpKey[:2*n], b.tmpNode[:2*n], (int64(numBuckets)*ns.maxKey)<<1)
-	for lo := 0; lo < len(recKey); {
-		gid := recKey[lo] >> 1
-		hi := lo + 1
-		for hi < len(recKey) && recKey[hi]>>1 == gid {
-			hi++
-		}
-		split := lo
-		for split < hi && recKey[split]&1 == 0 {
-			split++
-		}
-		visit(recNode[lo:split], recNode[split:hi], gid%ns.maxKey != 0)
-		lo = hi
+	return recKey, recNode
+}
+
+// group cuts the join group that starts at lo out of the sorted keys: its
+// location records are [lo, split), its container records [split, hi).
+// sharedPar reports whether the group's location id is a real location —
+// NoLocation as a shared "container" does not count, so equal-container voting
+// applies only when it is set.
+func (ns *nodeSet) group(recKey []int64, lo int) (split, hi int, sharedPar bool) {
+	gid := recKey[lo] >> 1
+	hi = lo + 1
+	for hi < len(recKey) && recKey[hi]>>1 == gid {
+		hi++
 	}
+	split = lo
+	for split < hi && recKey[split]&1 == 0 {
+		split++
+	}
+	return split, hi, gid%ns.maxKey != 0
 }
 
 // BuildGraph constructs the whole-table voting graph: the single-component
@@ -247,10 +276,8 @@ func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(lo
 // "Washington, D.C." in the same row, and vice versa).
 func BuildGraph(interps []Interpretation, g *gazetteer.Frozen) *Graph {
 	ns := buildNodes(interps, g)
-	// The identity table is both the member list and the global-to-local map.
-	all := ns.allNodes()
 	var sc compScratch
-	inOff, in := ns.buildCSR(all, all, &sc)
+	inOff, in := ns.buildCSR(ns.allNodes(), &sc)
 	return &Graph{nodeSet: ns, inOff: inOff, in: in}
 }
 
@@ -264,84 +291,83 @@ func (ns *nodeSet) allNodes() []int32 {
 	return all
 }
 
-// buildCSR discovers the voting edges among comp's nodes (ascending global
-// ids; localOf maps them to 0..len(comp)-1) and canonicalises them into sc's
-// local CSR arrays, which it returns.
+// buildCSR builds the voting graph among comp's nodes (ascending global ids,
+// so a node's position in comp is its local id) as sc's local CSR arrays,
+// which it returns. No edge is staged or sorted.
 //
-// Edges are discovered per dimension (rows, then columns) by join groups:
-// within one group, par×par pairs share their direct container and loc×par
-// pairs are container-of pairs, both voting in each direction. The relation
-// is symmetric, its clauses are mutually exclusive (a location is never its
-// own container and containment is acyclic) and a node pair shares at most
-// one bucket, so each directed edge is emitted exactly once. A two-pass
-// stable counting sort — by voter, then by target — then leaves every in-list
-// sorted by voter index: the reference implementation's float summation
-// order.
-func (ns *nodeSet) buildCSR(comp, localOf []int32, sc *compScratch) (inOff, in []int32) {
+// Both dimensions' sorted join records stay live, and every node notes the
+// four record spans it votes into — per dimension, the container records of
+// the group keyed by its own location (it is their direct container), and of
+// the group keyed by its container the location records plus, when the
+// container is a real location, the container records (its siblings). Spans
+// name nodes of the voter's own cell too; those are skipped wherever a span is
+// read. The relation is symmetric, its clauses are mutually exclusive (a
+// location is never its own container and containment is acyclic) and a node
+// pair shares at most one bucket, so the spans of v hold each target of v
+// exactly once and v's in-degree is its out-degree: one pass over the voters
+// counts the degrees that size the in-lists, and a second, in ascending voter
+// order, writes v at the tail of each of its targets' lists. Every in-list is
+// therefore in ascending voter order because the loop is — the reference
+// implementation's float summation order.
+func (ns *nodeSet) buildCSR(comp []int32, sc *compScratch) (inOff, in []int32) {
 	m := len(comp)
-	sc.voters = sc.voters[:0]
-	sc.targets = sc.targets[:0]
-	emit := func(v, t int32) {
-		sc.voters = append(sc.voters, localOf[v])
-		sc.targets = append(sc.targets, localOf[t])
-	}
+	spans := growI32(sc.spans, 8*m) // per node: (lo, hi) into rec × {own location, container} × dimension
 	for dim := 0; dim < 2; dim++ {
-		ns.walkGroups(dim, comp, &sc.walk, func(locs, pars []int32, sharedPar bool) {
+		recKey, recNode := ns.joinGroups(dim, comp, &sc.join)
+		base, at := int32(2*m*dim), int32(4*dim)
+		for lo := 0; lo < len(recKey); {
+			split, hi, sharedPar := ns.group(recKey, lo)
+			for _, v := range recNode[lo:split] {
+				s := spans[8*v+at:]
+				s[0], s[1] = base+int32(split), base+int32(hi)
+			}
+			// Without a shared container only the container-of pairs vote.
+			end := split
 			if sharedPar {
-				// Equal direct containers (the paper's base clause).
-				for _, i := range pars {
-					for _, j := range pars {
-						if ns.nodeCell[i] != ns.nodeCell[j] {
-							emit(i, j)
-						}
-					}
-				}
+				end = hi
 			}
-			// One location is the other's direct container: the street
-			// votes for its containing city and vice versa.
-			for _, a := range locs {
-				for _, c := range pars {
-					if ns.nodeCell[a] != ns.nodeCell[c] {
-						emit(a, c)
-						emit(c, a)
-					}
-				}
+			for _, v := range recNode[split:hi] {
+				s := spans[8*v+at:]
+				s[2], s[3] = base+int32(lo), base+int32(end)
 			}
-		})
+			lo = hi
+		}
 	}
-	ne := len(sc.voters)
-	byV, byT := growI32(sc.byV, ne), growI32(sc.byT, ne)
-	pos := growI32(sc.pos, m+1)
-	clear(pos)
-	for _, v := range sc.voters {
-		pos[v+1]++
+	rec := sc.join.recNode[:4*m]
+	recCell := growI32(sc.recCell, 4*m) // the records' cells, read in step with rec
+	for p, t := range rec {
+		recCell[p] = ns.nodeCell[comp[t]]
 	}
-	for i := 0; i < m; i++ {
-		pos[i+1] += pos[i]
-	}
-	for k := 0; k < ne; k++ {
-		v := sc.voters[k]
-		byV[pos[v]] = v
-		byT[pos[v]] = sc.targets[k]
-		pos[v]++
-	}
+
 	inOff = growI32(sc.inOff, m+1)
-	clear(inOff)
-	for _, t := range byT {
-		inOff[t+1]++
+	inOff[0] = 0
+	for v, gi := range comp {
+		own, deg := ns.nodeCell[gi], int32(0)
+		for s := 8 * v; s < 8*v+8; s += 2 {
+			for _, c := range recCell[spans[s]:spans[s+1]] {
+				if c != own {
+					deg++
+				}
+			}
+		}
+		inOff[v+1] = inOff[v] + deg
 	}
-	for i := 0; i < m; i++ {
-		inOff[i+1] += inOff[i]
-	}
-	in = growI32(sc.in, ne)
+	in = growI32(sc.in, int(inOff[m]))
 	fill := growI32(sc.fill, m)
 	copy(fill, inOff[:m])
-	for k := 0; k < ne; k++ {
-		t := byT[k]
-		in[fill[t]] = byV[k]
-		fill[t]++
+	for v, gi := range comp {
+		own := ns.nodeCell[gi]
+		for s := 8 * v; s < 8*v+8; s += 2 {
+			cells := recCell[spans[s]:spans[s+1]]
+			for p, t := range rec[spans[s]:spans[s+1]] {
+				if cells[p] != own {
+					in[fill[t]] = int32(v)
+					fill[t]++
+				}
+			}
+		}
 	}
-	sc.byV, sc.byT, sc.pos, sc.inOff, sc.in, sc.fill = byV, byT, pos, inOff, in, fill
+	sc.spans, sc.recCell, sc.inOff, sc.in, sc.fill = spans, recCell, inOff, in, fill
 	return inOff, in
 }
 
@@ -414,24 +440,27 @@ const (
 // each.
 func sumVotesCSR(ctx context.Context, inOff, in []int32, scores, next []float64, workers int) error {
 	n := len(inOff) - 1
-	sumRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for _, v := range in[inOff[i]:inOff[i+1]] {
-				sum += scores[v]
-			}
-			next[i] = sum
-		}
-	}
 	if workers <= 1 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sumRange(0, n)
+		sumVotesRange(inOff, in, scores, next, 0, n)
 		return nil
 	}
 	chunk := (n + workers - 1) / workers
 	return pool.Run(ctx, workers, workers, func(k int) {
-		sumRange(min(k*chunk, n), min((k+1)*chunk, n))
+		sumVotesRange(inOff, in, scores, next, min(k*chunk, n), min((k+1)*chunk, n))
 	})
+}
+
+// sumVotesRange is sumVotesCSR over the nodes [lo, hi) — a function, not a
+// closure, so that the one-worker call allocates nothing.
+func sumVotesRange(inOff, in []int32, scores, next []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var sum float64
+		for _, v := range in[inOff[i]:inOff[i+1]] {
+			sum += scores[v]
+		}
+		next[i] = sum
+	}
 }

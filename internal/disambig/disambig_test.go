@@ -114,6 +114,59 @@ func TestGraphStructure(t *testing.T) {
 	}
 }
 
+// TestInListsAscendSymmetric states what the sort-free build rests on: filling
+// the in-lists in voter order leaves each strictly ascending — the reference
+// summation order — with no voter from the target's own cell, the relation is
+// symmetric (so a node's out-degree sizes its in-list), and the edges are the
+// all-pairs reference's, list for list.
+func TestInListsAscendSymmetric(t *testing.T) {
+	g7, figure, _ := figure7(t)
+	fuzzGaz := gazetteer.Synthetic(23).Freeze()
+	type input struct {
+		g       *gazetteer.Frozen
+		interps []Interpretation
+	}
+	inputs := []input{{g7, figure}}
+	for _, seed := range resolveSeeds {
+		inputs = append(inputs, input{fuzzGaz, fuzzInterps(seed, fuzzGaz)})
+	}
+	edges := 0
+	for k, in := range inputs {
+		gr, ref := BuildGraph(in.interps, in.g), refBuildGraph(in.interps, in.g)
+		if gr.NodeCount() != len(ref.nodes) {
+			t.Fatalf("input %d: %d nodes, reference %d", k, gr.NodeCount(), len(ref.nodes))
+		}
+		votes := map[[2]int32]bool{}
+		for v := 0; v < gr.NodeCount(); v++ {
+			list := gr.in[gr.inOff[v]:gr.inOff[v+1]]
+			if len(list) != len(ref.nodes[v].in) {
+				t.Fatalf("input %d, node %d: voters %v, reference %v", k, v, list, ref.nodes[v].in)
+			}
+			for i, w := range list {
+				if i > 0 && list[i-1] >= w {
+					t.Fatalf("input %d, node %d: in-list %v not strictly ascending", k, v, list)
+				}
+				if gr.nodeCell[w] == gr.nodeCell[v] {
+					t.Fatalf("input %d, node %d: voter %d sits in the same cell", k, v, w)
+				}
+				if int(w) != ref.nodes[v].in[i] {
+					t.Fatalf("input %d, node %d: voters %v, reference %v", k, v, list, ref.nodes[v].in)
+				}
+				votes[[2]int32{w, int32(v)}] = true
+			}
+		}
+		for e := range votes {
+			if !votes[[2]int32{e[1], e[0]}] {
+				t.Fatalf("input %d: %d votes for %d but not the reverse", k, e[0], e[1])
+			}
+		}
+		edges += len(votes)
+	}
+	if edges == 0 {
+		t.Fatal("no input has an edge")
+	}
+}
+
 func TestUnambiguousCellKeepsItsOnlyCandidate(t *testing.T) {
 	g := gazetteer.Synthetic(2).Freeze()
 	balt := g.Lookup("Baltimore", gazetteer.City)

@@ -307,12 +307,20 @@ func fuzzInterps(data []byte, g *gazetteer.Frozen) []Interpretation {
 	return interps
 }
 
+// resolveSeeds are FuzzResolveEquivalence's seed streams, which
+// TestInListsAscendSymmetric reads too.
+var resolveSeeds = [][]byte{
+	{1, 1, 2, 10, 20, 30, 255, 2, 2, 1, 10, 11},
+	{0, 0, 0},
+	{5, 1, 3, 100, 101, 102, 255, 5, 2, 3, 100, 110, 120, 255, 6, 1, 1, 100},
+}
+
 // FuzzResolveEquivalence feeds byte-stream-derived interpretation grids to
 // both implementations (see fuzzInterps for the derivation).
 func FuzzResolveEquivalence(f *testing.F) {
-	f.Add([]byte{1, 1, 2, 10, 20, 30, 255, 2, 2, 1, 10, 11})
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{5, 1, 3, 100, 101, 102, 255, 5, 2, 3, 100, 110, 120, 255, 6, 1, 1, 100})
+	for _, seed := range resolveSeeds {
+		f.Add(seed)
+	}
 	g := gazetteer.Synthetic(23).Freeze()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEquivalence(t, fuzzInterps(data, g), g)

@@ -162,8 +162,14 @@ func freeze(locs []location) *Frozen {
 // Len returns the number of locations stored.
 func (f *Frozen) Len() int { return len(f.kinds) - 1 }
 
-// Name returns the bare name of a location.
-func (f *Frozen) Name(id LocID) string { return f.names[f.nameID[id]] }
+// Name returns the bare name of a location; NoLocation has none. (Its column
+// entry is the zero one, which would read as the first interned name.)
+func (f *Frozen) Name(id LocID) string {
+	if id == NoLocation {
+		return ""
+	}
+	return f.names[f.nameID[id]]
+}
 
 // Kind returns the hierarchy level of a location.
 func (f *Frozen) Kind(id LocID) Kind { return Kind(f.kinds[id]) }
@@ -191,13 +197,38 @@ func (f *Frozen) CityOf(id LocID) LocID { return LocID(f.cityOf[id]) }
 // Lookup returns all locations of the given kind with the given name, in
 // increasing id order. Name matching is case-insensitive.
 func (f *Frozen) Lookup(name string, kind Kind) []LocID {
-	var out []LocID
-	for _, id := range f.bucket(name) {
-		if Kind(f.kinds[id]) == kind {
-			out = append(out, id)
+	return f.filter(f.bucket(name), kind, nil)
+}
+
+// filter is the one pass behind Lookup and Geocode: the bucket's locations of
+// the given kind that have, for every qualifier (an index into norms), a
+// container so named at some level — compared as interned ids against the
+// precomputed chains, in bucket order, which is ascending. Nil when none
+// survives.
+func (f *Frozen) filter(bucket []LocID, kind Kind, quals []int32) []LocID {
+	var few [16]LocID // the usual result fits, and is then copied out at its size
+	out := few[:0]
+next:
+	for _, id := range bucket {
+		if Kind(f.kinds[id]) != kind {
+			continue
 		}
+		chain := f.chains[f.chainOff[id]:f.chainOff[id+1]]
+	qualifier:
+		for _, q := range quals {
+			for _, c := range chain {
+				if f.normID[c] == q {
+					continue qualifier
+				}
+			}
+			continue next
+		}
+		out = append(out, id)
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append([]LocID(nil), out...)
 }
 
 // LookupAny returns all locations with the given name regardless of kind, in
@@ -238,11 +269,19 @@ func (f *Frozen) normIndex(name string) (int32, bool) {
 // FullName renders the location with its full container chain, e.g.
 // "Pennsylvania Avenue, Washington, D.C., USA".
 func (f *Frozen) FullName(id LocID) string {
-	parts := []string{f.Name(id)}
-	for _, c := range f.chains[f.chainOff[id]:f.chainOff[id+1]] {
-		parts = append(parts, f.Name(c))
+	chain := f.chains[f.chainOff[id]:f.chainOff[id+1]]
+	n := len(f.Name(id))
+	for _, c := range chain {
+		n += len(", ") + len(f.Name(c))
 	}
-	return strings.Join(parts, ", ")
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(f.Name(id))
+	for _, c := range chain {
+		b.WriteString(", ")
+		b.WriteString(f.Name(c))
+	}
+	return b.String()
 }
 
 // Cities returns all city ids, in increasing order. The returned slice is a
@@ -280,51 +319,39 @@ func (f *Frozen) Children(id LocID) []LocID {
 // every location it may refer to: a bare street name returns one candidate
 // per city containing a street of that name; a bare city name returns every
 // city so named. Later segments narrow the candidates: "Main Street,
-// Springfield" keeps only Main Streets whose city is named Springfield.
-// Narrowing compares interned normalized-name ids against the precomputed
-// container chains, so no strings are normalized per candidate. An
-// unresolvable address returns nil.
+// Springfield" keeps only Main Streets whose city is named Springfield. The
+// qualifiers are resolved to interned normalized-name ids once, and the name's
+// id bucket is then filtered in one pass, so no string is normalized per
+// candidate. An unresolvable address returns nil.
 func (f *Frozen) Geocode(address string) []LocID {
 	a := ParseAddress(address)
 	if a.Street == "" {
 		return nil
 	}
 	// The first segment may be a street name or, for street-less addresses
-	// ("Washington, D.C., USA"), a city name. Try street first; fall back to
-	// city.
-	cands := f.Lookup(a.Street, Street)
-	qualifiers := []string{a.City, a.State, a.Country}
-	if len(cands) == 0 {
-		cands = f.Lookup(a.Street, City)
-		qualifiers = []string{a.City, a.State} // segments shift up one level
-		if len(cands) == 0 {
-			return nil
+	// ("Washington, D.C., USA"), a city name, whose qualifiers then sit one
+	// segment earlier. A street of that name anywhere makes it a street,
+	// whatever the qualifiers go on to keep.
+	bucket := f.bucket(a.Street)
+	qualifiers := [...]string{a.City, a.State, a.Country}
+	kind, given := City, 2
+	for _, id := range bucket {
+		if Kind(f.kinds[id]) == Street {
+			kind, given = Street, 3
+			break
 		}
 	}
-	for _, q := range qualifiers {
+	var ids [len(qualifiers)]int32
+	quals := ids[:0]
+	for _, q := range qualifiers[:given] {
 		if q == "" {
 			continue
 		}
-		cands = f.narrow(cands, q)
-	}
-	return cands
-}
-
-// narrow keeps the candidates that have a container (at any level) whose
-// normalized name matches the qualifier's.
-func (f *Frozen) narrow(cands []LocID, qualifier string) []LocID {
-	out := cands[:0]
-	qn, ok := f.normIndex(qualifier)
-	if !ok {
-		return out
-	}
-	for _, id := range cands {
-		for _, c := range f.chains[f.chainOff[id]:f.chainOff[id+1]] {
-			if f.normID[c] == qn {
-				out = append(out, id)
-				break
-			}
+		qi, ok := f.normIndex(q)
+		if !ok {
+			return nil
 		}
+		quals = append(quals, qi)
 	}
-	return out
+	return f.filter(bucket, kind, quals)
 }

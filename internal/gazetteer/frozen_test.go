@@ -30,7 +30,8 @@ func checkFrozenEquivalence(t *testing.T, g *reference, f *Frozen) {
 		t.Fatalf("Len: reference %d, frozen %d", g.Len(), f.Len())
 	}
 	names := map[string]bool{}
-	for i := 1; i <= g.Len(); i++ {
+	// From NoLocation: the invalid id answers like the rows' zero entry.
+	for i := 0; i <= g.Len(); i++ {
 		id := LocID(i)
 		names[g.Name(id)] = true
 		if g.Name(id) != f.Name(id) {

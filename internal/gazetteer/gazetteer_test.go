@@ -85,6 +85,11 @@ func TestFullName(t *testing.T) {
 	if got := g.FullName(washAve); got != want {
 		t.Errorf("FullName = %q, want %q", got, want)
 	}
+	// The invalid id has no name: its column entries are the zero ones, not
+	// location 1's.
+	if name, full := g.Name(NoLocation), g.FullName(NoLocation); name != "" || full != "" {
+		t.Errorf("NoLocation is named %q, in full %q; want neither", name, full)
+	}
 }
 
 func TestParseAddress(t *testing.T) {
@@ -170,6 +175,14 @@ func TestGeocodeUnknown(t *testing.T) {
 	}
 	if cands := g.Geocode(""); cands != nil {
 		t.Errorf("empty address should geocode to nil, got %v", cands)
+	}
+	// Nothing surviving the qualifiers is nil too, not an empty list: a known
+	// street under an unknown city, under a known city and an unknown state,
+	// and a city (the street-less fallback) under an unknown state.
+	for _, addr := range []string{"Pennsylvania Avenue, Atlantis", "Pennsylvania Avenue, Washington, ZZ", "Washington, ZZ"} {
+		if cands := g.Geocode(addr); cands != nil {
+			t.Errorf("Geocode(%q) = %#v, want nil", addr, cands)
+		}
 	}
 }
 

@@ -48,20 +48,23 @@ func (a Address) Format() string {
 // all-digit segments as zip codes.
 func ParseAddress(s string) Address {
 	var a Address
-	segs := strings.Split(s, ",")
-	rest := segs[:0]
-	for _, seg := range segs {
+	// Street, city, state, country; what follows a fourth segment is dropped.
+	var rest [4]string
+	kept := 0
+	for more := true; more; {
+		var seg string
+		seg, s, more = strings.Cut(s, ",")
 		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if isZip(seg) {
+		switch {
+		case seg == "":
+		case isZip(seg):
 			a.Zip = seg
-			continue
+		case kept < len(rest):
+			rest[kept] = seg
+			kept++
 		}
-		rest = append(rest, seg)
 	}
-	if len(rest) == 0 {
+	if kept == 0 {
 		return a
 	}
 	first := rest[0]
@@ -76,16 +79,7 @@ func ParseAddress(s string) Address {
 			first = strings.TrimSpace(first[i+1:])
 		}
 	}
-	a.Street = first
-	if len(rest) > 1 {
-		a.City = rest[1]
-	}
-	if len(rest) > 2 {
-		a.State = rest[2]
-	}
-	if len(rest) > 3 {
-		a.Country = rest[3]
-	}
+	a.Street, a.City, a.State, a.Country = first, rest[1], rest[2], rest[3]
 	return a
 }
 

@@ -76,7 +76,9 @@ func FuzzNormIndex(f *testing.F) {
 }
 
 // TestAllocsWarm: looking an ASCII place name up — whatever its casing and
-// spacing — builds no heap key.
+// spacing — builds no heap key, splitting an address builds no segment list,
+// geocoding one allocates its result and nothing else, and a full name is one
+// string.
 func TestAllocsWarm(t *testing.T) {
 	f := normIndexGaz()
 	if n := testing.AllocsPerRun(100, func() {
@@ -85,5 +87,39 @@ func TestAllocsWarm(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("normIndex on an ASCII name: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if a := ParseAddress("12 Cedar Court, Aberdale, MD, 20740, USA"); a.StreetNumber != 12 || a.Country != "USA" {
+			t.Fatalf("parsed %+v", a)
+		}
+	}); n != 0 {
+		t.Errorf("ParseAddress: %v allocs/op, want 0", n)
+	}
+	// A "Street, City" address only one location answers to.
+	var street LocID
+	var addr string
+	for _, c := range f.Cities() {
+		for _, s := range f.StreetsIn(c) {
+			if a := f.Name(s) + ", " + f.Name(c); street == NoLocation && len(f.Geocode(a)) == 1 {
+				street, addr = s, a
+			}
+		}
+	}
+	if street == NoLocation {
+		t.Fatal("no unambiguous street address in the gazetteer")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if cands := f.Geocode(addr); len(cands) != 1 || cands[0] != street {
+			t.Fatalf("Geocode(%q) = %v, want [%d]", addr, cands, street)
+		}
+	}); n > 1 {
+		t.Errorf("Geocode(%q): %v allocs/op, want the result alone", addr, n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if f.FullName(street) == "" {
+			t.Fatal("street without a name")
+		}
+	}); n != 1 {
+		t.Errorf("FullName of a street: %v allocs/op, want 1", n)
 	}
 }
