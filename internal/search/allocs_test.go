@@ -1,0 +1,23 @@
+package search
+
+import "testing"
+
+// TestAllocsSearchBatch bounds the batch bookkeeping: a batch allocates its
+// scored (lists, offsets, ids) and one hit arena, whatever the shard count, and
+// a query adds its normalised terms and its results. At the parent commit the
+// batch below made 218 allocations (6.8 a query) and the lone Search 23; now
+// 84 and 13.
+func TestAllocsSearchBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ix := buildSharded(augmentedCorpus(6000), 2)
+	queries := augmentedQueries(32)
+	ix.SearchBatch(queries, 10) // fill the accumulator pools
+	if per := testing.AllocsPerRun(50, func() { ix.SearchBatch(queries, 10) }) / float64(len(queries)); per > 5 {
+		t.Errorf("a 32-query SearchBatch allocates %.1f times a query, want at most 5", per)
+	}
+	if lone := testing.AllocsPerRun(50, func() { ix.Search(queries[0], 10) }); lone > 14 {
+		t.Errorf("a lone Search allocates %.0f times, want at most 14", lone)
+	}
+}

@@ -34,6 +34,52 @@ func benchCorpus(n int) []Document {
 	return docs
 }
 
+// augmentedCorpus is benchCorpus's sibling for the query the pipeline sends
+// (§5.2.2: a cell's content plus its city): every document is a two-word name
+// nobody shares, one of five type words (a fifth of the corpus each, so they
+// cross bigTermDF from 5 120 documents a shard), one of sixty cities (medium:
+// a sixtieth each) and filler. augmentedQueries asks for its first documents
+// as "<rare> <big> <rare> <medium>".
+func augmentedCorpus(n int) []Document {
+	rng := rand.New(rand.NewSource(11))
+	filler := strings.Fields("fine dining seasonal menu lobby suites collection painting sculpture " +
+		"harbor garden terrace historic modern family visitors opening hours tickets rooms")
+	docs := make([]Document, n)
+	for i := range docs {
+		first, second, kind, city := augmentedWords(i)
+		words := []string{first, second, kind, "in", city}
+		for j := 0; j < 20; j++ {
+			words = append(words, filler[rng.Intn(len(filler))])
+		}
+		docs[i] = Document{URL: fmt.Sprintf("a%d", i), Title: first + " " + second, Body: strings.Join(words, " ")}
+	}
+	return docs
+}
+
+// augmentedWords spells document i's name, type and city. Names are digits
+// written as syllables, so no two documents share one and the stemmer has
+// nothing to strip.
+func augmentedWords(i int) (first, second, kind, city string) {
+	syllables := []string{"ka", "vo", "mi", "zu", "re", "lo", "ti", "da", "bo", "ne"}
+	spell := func(prefix string, v int) string {
+		for ; v > 0; v /= 10 {
+			prefix += syllables[v%10]
+		}
+		return prefix + "x"
+	}
+	kinds := []string{"restaurant", "hotel", "museum", "street", "gallery"}
+	return spell("qa", i+1), spell("qo", i+1), kinds[i%len(kinds)], spell("ci", i%60+1)
+}
+
+func augmentedQueries(n int) []string {
+	qs := make([]string, n)
+	for i := range qs {
+		first, second, kind, city := augmentedWords(i)
+		qs[i] = first + " " + kind + " " + second + " " + city
+	}
+	return qs
+}
+
 func benchIndex(b *testing.B, n int) *ShardedIndex {
 	b.Helper()
 	return buildSharded(benchCorpus(n), 1)
@@ -60,6 +106,22 @@ func BenchmarkSearchTerm(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchAugmented measures the shape the pipeline sends, a batch of 32
+// "<rare> <big> <rare> <medium>" queries: the long type column sits in the
+// middle of the name, where only deferral keeps it from being walked.
+func BenchmarkSearchAugmented(b *testing.B) {
+	ix := buildSharded(augmentedCorpus(6000), 1)
+	if col := ix.shards[0].col; col.contribDense[col.termID["restaur"]] == nil {
+		b.Fatal("'restaurant' did not cross bigTermDF")
+	}
+	queries := augmentedQueries(32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.SearchBatch(queries, 10)
+	}
+}
+
 // BenchmarkSearchPhrase measures phrase queries — candidate scoring plus
 // positional verification.
 func BenchmarkSearchPhrase(b *testing.B) {
@@ -79,9 +141,10 @@ func BenchmarkSearchPhrase(b *testing.B) {
 // BenchmarkSnippet isolates snippet generation from precomputed stems.
 func BenchmarkSnippet(b *testing.B) {
 	ix := benchIndex(b, 100).shards[0]
-	qterms := []string{"museum", "galleri"}
+	tids := []int32{ix.col.termID["museum"], ix.col.termID["galleri"]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.snippet(i%len(ix.docs), qterms)
+		doc := i % len(ix.docs)
+		ix.snippetAt(doc, ix.col.firstPosOf(tids, doc))
 	}
 }

@@ -117,9 +117,10 @@ func newColumns(terms []string, nEng, nOth, nLists, nPos int) *columns {
 	return c
 }
 
-// bigTermDF is the english document frequency at or above which a term gets
-// a precomputed topOrder permutation. Below it, a dense column walk is cheap
-// enough that the extra freeze-time sort and memory buy nothing.
+// bigTermDF is the english document frequency at or above which a term is big:
+// it gets the dense contribution and first-position sidecars, and a query may
+// defer it (deferredTerms). Below it, walking the column is cheap enough that
+// the extra memory buys nothing.
 const bigTermDF = 1024
 
 // rank derives the corpus-wide ranking constants — per-term idf over global
@@ -217,10 +218,12 @@ func (c *columns) scatterDense(nDocs int) {
 
 // scoreTerm adds term id tid's precomputed posting contributions into the
 // dense accumulator, recording each first-touched doc so selection can
-// enumerate and reset the sparse partials. Only a query's pre-final terms
-// come through here (the final term's pass is merged into selection) — for
-// the annotate workload those are usually the rare high-idf name terms with
-// short posting lists. The block body is hand-unrolled 4 wide: a term's
+// enumerate and reset the sparse partials. Only a query's essential terms come
+// through here (see deferredTerms; the final term's pass is usually fused with
+// selection) — for a served "<cell> <city>" query the rare name terms and the
+// city, not the long type column among them; a training "<name> <type>" query
+// ends in its long column, which selection completes from the dense sidecar.
+// The block body is hand-unrolled 4 wide: a term's
 // postings are distinct docs, so the four loads never alias the four stores
 // and the additions (plus the dependent scores[] bounds checks, the only
 // ones the compiler cannot eliminate) overlap instead of serialising.
@@ -314,17 +317,41 @@ func (c *columns) positionsIn(tid int32, doc int) []int32 {
 	return c.posArena[c.posStart[lo]:c.posStart[lo+1]]
 }
 
+// firstPosOf returns the first content position any of the query's terms
+// (ids as the shard resolved them, -1 = absent) occupies in doc, or -1: the
+// snippet anchor. Big terms answer in one load from firstPos; small terms —
+// whose positional lists are short — binary-search the positional columns.
+func (c *columns) firstPosOf(tids []int32, doc int) int32 {
+	first := int32(-1)
+	for _, tid := range tids {
+		if tid < 0 {
+			continue
+		}
+		p := int32(-1)
+		if fp := c.firstPos[tid]; fp != nil {
+			p = fp[doc] - 1
+		} else if pos := c.positionsIn(tid, doc); len(pos) > 0 {
+			p = pos[0]
+		}
+		if p >= 0 && (first < 0 || p < first) {
+			first = p
+		}
+	}
+	return first
+}
+
 // termResolver memoizes term -> column-id lookups across one query batch, so
-// a term shared by many queries in the batch (the annotate workload's
-// "<name> <type>" queries share their type suffixes) resolves against the
-// dictionary once per batch instead of once per query.
+// a term shared by many queries in the batch (a table's cells share their
+// type words and, augmented per §5.2.2, their few cities) resolves against
+// the dictionary once per batch instead of once per query. The ids outlive the
+// scoring: materialize anchors snippets through them.
 type termResolver struct {
 	col  *columns
 	memo map[string]int32 // -1: term not in the index
 }
 
-// newTermResolver sizes the memo for a batch of n queries — about two terms
-// each, suffixes shared.
+// newTermResolver sizes the memo for a batch of n queries — about two new
+// terms each, the rest shared.
 func newTermResolver(col *columns, n int) termResolver {
 	return termResolver{col: col, memo: make(map[string]int32, 2*n)}
 }

@@ -145,8 +145,8 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 				if len(byDoc[d]) > 0 {
 					first = byDoc[d][0]
 				}
-				if got := ix.firstPosIn(term, d); got != first {
-					fatalf("firstPosIn(%q, %d) = %d, want %d", term, d, got, first)
+				if got := c.firstPosOf([]int32{tid}, d); got != first {
+					fatalf("firstPosOf(%q, %d) = %d, want %d", term, d, got, first)
 				}
 			}
 

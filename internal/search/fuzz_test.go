@@ -83,9 +83,10 @@ func FuzzSearchPhrase(f *testing.F) {
 }
 
 // FuzzShardedSearchEquivalence drives the sharded and monolithic engines
-// with arbitrary query strings over one corpus: every query — term or
-// phrase — must produce identical results (order, bytes and score bits) at
-// every shard count.
+// with arbitrary query strings over two corpora — six documents, and
+// deferralCorpus, whose common words are long enough columns in every shard
+// for the kernel to defer them: every query — term or phrase — must produce
+// identical results (order, bytes and score bits) at every shard count.
 func FuzzShardedSearchEquivalence(f *testing.F) {
 	for _, seed := range []string{
 		`melisse restaurant`,
@@ -97,38 +98,30 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	docs := []Document{
+	type engines struct {
+		ix      *ShardedIndex
+		sharded []*ShardedIndex
+	}
+	var corpora []engines
+	for _, docs := range [][]Document{{
 		{URL: "s1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu"},
 		{URL: "s2", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"},
 		{URL: "s3", Title: "Louvre Museum", Body: "the louvre museum in paris hosts a famous art collection"},
 		{URL: "s4", Title: "Harbor Gallery", Body: "the harbor gallery shows paintings sculpture and a museum shop"},
 		{URL: "s5", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
 		{URL: "s6", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"}, // duplicate: ties
+	}, deferralCorpus()} {
+		corpora = append(corpora, engines{buildSharded(docs, 1),
+			[]*ShardedIndex{buildSharded(docs, 2), buildSharded(docs, 3), buildSharded(docs, 5)}})
 	}
-	ix := buildSharded(docs, 1)
-	sharded := []*ShardedIndex{buildSharded(docs, 2), buildSharded(docs, 3), buildSharded(docs, 5)}
 	f.Fuzz(func(t *testing.T, query string) {
 		const k = 4
-		wantTerm := ix.Search(query, k)
-		wantPhrase := ix.SearchPhrase(query, k)
-		for _, six := range sharded {
-			got := six.Search(query, k)
-			if len(got) != len(wantTerm) {
-				t.Fatalf("shards=%d Search(%q): %d results, monolithic %d", six.NumShards(), query, len(got), len(wantTerm))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], wantTerm[i]) {
-					t.Fatalf("shards=%d Search(%q) result %d: %+v vs %+v", six.NumShards(), query, i, got[i], wantTerm[i])
-				}
-			}
-			gotP := six.SearchPhrase(query, k)
-			if len(gotP) != len(wantPhrase) {
-				t.Fatalf("shards=%d SearchPhrase(%q): %d results, monolithic %d", six.NumShards(), query, len(gotP), len(wantPhrase))
-			}
-			for i := range gotP {
-				if !reflect.DeepEqual(gotP[i], wantPhrase[i]) {
-					t.Fatalf("shards=%d SearchPhrase(%q) result %d: %+v vs %+v", six.NumShards(), query, i, gotP[i], wantPhrase[i])
-				}
+		for _, c := range corpora {
+			wantTerm := c.ix.Search(query, k)
+			wantPhrase := c.ix.SearchPhrase(query, k)
+			for _, six := range c.sharded {
+				checkBitIdentical(t, fmt.Sprintf("%d docs shards=%d Search(%q)", c.ix.Len(), six.NumShards(), query), six.Search(query, k), wantTerm)
+				checkBitIdentical(t, fmt.Sprintf("%d docs shards=%d SearchPhrase(%q)", c.ix.Len(), six.NumShards(), query), six.SearchPhrase(query, k), wantPhrase)
 			}
 		}
 	})

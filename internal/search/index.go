@@ -13,6 +13,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -239,25 +240,33 @@ func (t *topK) drain() []hit {
 // returned slice aliases the accumulator's heap storage and is valid until the
 // accumulator's next use.
 //
-// All but the last present term are accumulated through the branch-free
-// kernel; the last term's pass is merged with top-k selection, where each of
-// its postings reaches its final sum (earlier contributions landed already,
-// the final term's lands last). Two selection bodies share that step — a
-// sparse one for the workload's dominant query shape, a dense walk otherwise
-// — and both leave the accumulator clean (scores all zero, touched empty)
-// and produce the identical result: per surviving doc the additions happen
-// in query-term order (bit-identical sums), and the heap order is a strict
-// total order (score desc, doc asc), so candidate enumeration order cannot
-// affect the output. Every accumulated score is strictly positive (idf > 0
-// for any present term, tf >= 1), which is what lets "score == 0" mean "not
-// scored or already consumed".
+// The served query is "<cell> <city>" (§5.2.2): a long column — restaurant,
+// hotel, street — sits among the rare name terms and a medium city ends the
+// query, so cost has to follow the short posting lists. deferredTerms picks
+// the big terms whose docs cannot place on their own; only the other,
+// essential terms enumerate docs (scoreTerm), and a deferred term is one
+// dense load per doc touched so far. Every surviving doc still receives its
+// terms' contributions in query-term order: a doc a later essential term
+// touches first starts from the in-order sum of the earlier deferred terms'
+// dense entries, and adding the 0.0 of a term the doc lacks is bitwise
+// identity — so sums are bit-identical to the scalar loop's. The heap order is
+// a strict total order (score desc, doc asc), so which candidates are
+// enumerated, and in what order, cannot affect the output as long as every
+// doc that can place is offered. Every accumulated score is strictly positive
+// (idf > 0 for any present term, tf >= 1), which is what lets "score == 0"
+// mean "not scored or already consumed".
 //
-// Routing: the sparse body applies whenever the final present term is big (has
-// contribDense) — the annotate workload's "<name> <type>" queries, whose type
-// suffix is always a long column. Pre-final terms of any size are fine: the
-// kernel records every doc they touch, so the sparse completion pass sees all
-// of them. A small final term means a short final column, where the dense
-// walk is already cheap.
+// Routing of the final present term, whose pass is fused with selection (each
+// body leaves the accumulator clean: scores all zero, touched empty):
+//   - deferred: complete every touched doc with one load from its dense
+//     column; docs it alone holds are never seen.
+//   - essential and big, nothing deferred: the docs no earlier term touched
+//     come best-first from ordAll, the touched ones complete as above.
+//   - essential, nothing deferred: walk its column in doc order, then offer
+//     the touched docs it did not cover.
+//   - essential after a deferred term: it accumulates like any earlier
+//     essential term (its fresh docs need their deferred start), then the
+//     touched docs are offered as they stand.
 func (ix *Index) topDocsResolved(acc *accumulator, tids []int32, k int) []hit {
 	col := ix.col
 	last := -1
@@ -269,29 +278,55 @@ func (ix *Index) topDocsResolved(acc *accumulator, tids []int32, k int) []hit {
 	if last < 0 {
 		return acc.heap[:0]
 	}
-	for _, tid := range tids[:last] {
-		if tid >= 0 {
+	theta, deferred := col.deferredTerms(tids, k)
+	isDeferred := func(i int) bool { return deferred>>uint(i)&1 != 0 }
+	fused := last // the slot selection consumes; past the end when none is
+	if deferred != 0 && !isDeferred(last) {
+		fused = last + 1
+	}
+	for i, tid := range tids[:fused] {
+		switch {
+		case tid < 0:
+		case isDeferred(i):
+			dense := col.contribDense[tid]
+			for _, d := range acc.touched {
+				acc.scores[d] += dense[d]
+			}
+		default:
+			n := len(acc.touched)
 			col.scoreTerm(acc, tid)
+			if deferred&(1<<uint(i)-1) != 0 {
+				col.startDeferred(acc.scores, acc.touched[n:], tids[:i], deferred)
+			}
 		}
 	}
-	var hits []hit
-	if col.contribDense[tids[last]] != nil {
-		hits = ix.selectTopSparse(acc, tids[last], k)
-	} else {
-		hits = ix.selectTopDense(acc, tids[last], k)
+	sel := selector{top: topK{k: k, h: acc.heap[:0]}, floor: theta, rootScore: math.Inf(-1)}
+	if k <= 0 {
+		sel.floor = math.Inf(1) // nothing is kept, every score is still consumed
 	}
+	switch {
+	case fused > last:
+		sel.complete(acc.scores, acc.touched, nil)
+	case deferred != 0:
+		sel.complete(acc.scores, acc.touched, col.contribDense[tids[last]])
+	case col.contribDense[tids[last]] != nil:
+		sel.seed(col, acc.scores, tids[last])
+		sel.complete(acc.scores, acc.touched, col.contribDense[tids[last]])
+	default:
+		sel.walk(col, acc.scores, tids[last])
+		sel.complete(acc.scores, acc.touched, nil)
+	}
+	hits := sel.top.drain()
 	acc.heap = hits[:0]
 	acc.touched = acc.touched[:0]
 	return hits
 }
 
-// kthContrib returns the final term's k-th best single-posting contribution,
-// a free lower bound on the query's k-th best score: that term's k best
+// kthContrib returns term tid's k-th best single-posting contribution, a free
+// lower bound on the k-th best score of any query holding the term: its k best
 // postings alone already give k docs whose final scores are at least this
-// value (additions only increase a score — contributions are positive). Any
-// candidate strictly below it can never reach the top-k, so both selection
-// bodies reject on one float compare before any heap work. Returns -Inf when
-// the column is shorter than k (no bound).
+// value (additions only increase a score — contributions are positive).
+// Returns -Inf when the column is shorter than k (no bound).
 func (c *columns) kthContrib(tid int32, k int) float64 {
 	lo, hi := c.engOff[tid], c.engOff[tid+1]
 	if k < 1 || int(hi-lo) < k {
@@ -302,68 +337,149 @@ func (c *columns) kthContrib(tid int32, k int) float64 {
 	return c.engContrib[lo+c.ordAll[lo+int32(k-1)]]
 }
 
-// selectTopSparse finishes a query whose final term is big, without walking
-// that term's long column in doc order. The exact top-k candidates split
-// into (a) docs no pre-final term touched, whose whole score is one
-// final-term contribution — the precomputed ordAll permutation ranks those —
-// and (b) the touched docs, each completed with one O(1) load from the final
-// term's contribDense array (zero when the term misses the doc, and adding
-// 0.0 is bitwise identity on the positive partial). Cost scales with the
-// pre-final posting lists plus k, not with the final term's document
-// frequency.
-func (ix *Index) selectTopSparse(acc *accumulator, tid int32, k int) []hit {
-	col := ix.col
-	top := topK{k: k, h: acc.heap[:0]}
-	scores := acc.scores
-	full := k <= 0
-	rootScore := math.Inf(1)
-	rootDoc := 0
-	lo, hi := col.engOff[tid], col.engOff[tid+1]
-	docs := col.engDoc[lo:hi]
-	contribs := col.engContrib[lo:hi][:len(docs)]
-	ord := col.ordAll[lo:hi]
-	pre := col.kthContrib(tid, k)
-	if k > 0 {
-		// Phase (a): the first k untouched ord entries. They arrive already
-		// sorted in the list's total order (contrib desc, doc asc), so the
-		// rest of the untouched docs are dominated by them — and written in
-		// reverse they are sorted worst-first, hence a valid min-heap.
-		n := 0
-		for _, e := range ord {
-			d := int(docs[e])
-			if scores[d] != 0 {
-				continue // touched: pass (b) below computes its full score
-			}
-			top.h = append(top.h, hit{doc: d, score: contribs[e]})
-			if n++; n == k {
-				break
-			}
+// deferredTerms is a query's scoring plan, a function of the query and the
+// frozen columns alone. theta, the largest kthContrib over the present terms,
+// is a lower bound on the k-th best final score, so a candidate strictly below
+// it can never place: every selection body rejects on that one compare before
+// any heap work. deferred has bit i set when slot i of tids is a term whose
+// docs need not be enumerated: the big terms (the ones with a contribDense
+// column), when the query-order floating-point sum of their best postings is
+// strictly below theta. IEEE addition is monotone in each operand, so that sum
+// bounds the score of any doc holding only deferred terms — such a doc cannot
+// place. Strictly: a tie at the k-th score is decided by doc id, and a doc
+// holding only deferred terms could win it. The term theta comes from cannot
+// be under the bound (its best posting alone reaches theta), so some term
+// always stays essential; theta = -Inf (k <= 0, or no column as long as k)
+// defers nothing. All big terms or none: a deferred term costs a dense load per
+// doc the essential terms touch, which under a big essential term is no
+// cheaper than walking the deferred column, so deferral pays only when the
+// terms left to enumerate are short. A query of more than 64 terms defers
+// nothing.
+func (c *columns) deferredTerms(tids []int32, k int) (theta float64, deferred uint64) {
+	theta = math.Inf(-1)
+	sum := 0.0
+	for i, tid := range tids {
+		if tid < 0 {
+			continue
 		}
-		for i, j := 0, len(top.h)-1; i < j; i, j = i+1, j-1 {
-			top.h[i], top.h[j] = top.h[j], top.h[i]
-		}
-		if len(top.h) == k {
-			full = true
-			rootScore, rootDoc = top.h[0].score, top.h[0].doc
+		theta = max(theta, c.kthContrib(tid, k))
+		if c.contribDense[tid] != nil {
+			lo := c.engOff[tid]
+			sum += c.engContrib[lo+c.ordAll[lo]] // the term's best posting
+			deferred |= 1 << uint(i)
 		}
 	}
-	dense := col.contribDense[tid]
-	consider := func(d int32, s float64) {
-		if full && (s < rootScore || (s == rootScore && int(d) > rootDoc)) {
-			return
+	if len(tids) > 64 || !(sum < theta) {
+		deferred = 0
+	}
+	return theta, deferred
+}
+
+// startDeferred gives the docs an essential term touched first — fresh, each
+// holding exactly that term's contribution — the start the scalar loop would
+// have given them: the in-order sum of the dense entries of the deferred terms
+// among earlier, the slots before the essential one. Addition commutes
+// bitwise, so start + contribution is the sum in query-term order.
+func (c *columns) startDeferred(scores []float64, fresh []int32, earlier []int32, deferred uint64) {
+	for _, d := range fresh {
+		start := 0.0
+		for i, tid := range earlier {
+			if deferred>>uint(i)&1 != 0 {
+				start += c.contribDense[tid][d]
+			}
 		}
-		top.push(hit{doc: int(d), score: s})
-		if len(top.h) == k {
-			full = true
-			rootScore, rootDoc = top.h[0].score, top.h[0].doc
+		scores[d] = start + scores[d]
+	}
+}
+
+// selector is top-k selection over final scores: a bounded heap behind two
+// inline compares. floor rejects what can never place: it starts at the
+// query's threshold (see deferredTerms; +Inf when k <= 0, so nothing is kept)
+// and follows a full heap's root upward; (rootScore, rootDoc) is a cached copy
+// of that root for the tie rule, -Inf while the heap fills. Every body
+// consumes (zeroes) each score it reads.
+type selector struct {
+	top       topK
+	floor     float64
+	rootScore float64
+	rootDoc   int
+}
+
+func (s *selector) offer(d int, score float64) {
+	if score < s.floor || (score == s.rootScore && d > s.rootDoc) {
+		return
+	}
+	s.keep(d, score)
+}
+
+// keep is offer's out-of-line half, so that the rejection inlines into the
+// selection loops.
+func (s *selector) keep(d int, score float64) {
+	s.top.push(hit{doc: d, score: score})
+	s.cacheRoot()
+}
+
+// cacheRoot copies a full heap's root and raises floor to it.
+func (s *selector) cacheRoot() {
+	if h := s.top.h; len(h) > 0 && len(h) == s.top.k {
+		s.rootScore, s.rootDoc = h[0].score, h[0].doc
+		s.floor = max(s.floor, s.rootScore)
+	}
+}
+
+// seed starts the heap from big final term tid's ordAll permutation: the first
+// k entries no earlier term touched. Their whole score is that one
+// contribution and they arrive already sorted in the total order (contrib
+// desc, doc asc), so the rest of the untouched docs are dominated by them —
+// and written in reverse they are sorted worst-first, hence a valid min-heap.
+func (s *selector) seed(c *columns, scores []float64, tid int32) {
+	lo, hi := c.engOff[tid], c.engOff[tid+1]
+	docs := c.engDoc[lo:hi]
+	contribs := c.engContrib[lo:hi][:len(docs)]
+	h := s.top.h
+	for _, e := range c.ordAll[lo:hi] {
+		if len(h) >= s.top.k || contribs[e] < s.floor {
+			break
+		}
+		if d := int(docs[e]); scores[d] == 0 { // touched docs: complete computes their full score
+			h = append(h, hit{doc: d, score: contribs[e]})
 		}
 	}
-	// Phase (b): complete every touched doc. Touched docs are unique and
-	// nothing has consumed them yet, so the 4-wide block's loads and zeroing
-	// stores never alias and the (usually missing) cache lines overlap. The
-	// s >= pre guard is the kthContrib prefilter: candidates below the final
-	// term's own k-th best posting can never place.
-	touched := acc.touched
+	slices.Reverse(h)
+	s.top.h = h
+	s.cacheRoot()
+}
+
+// walk offers every doc of final term tid's column, in doc order: after the
+// earlier terms have been accumulated, a doc reaches its final sum the moment
+// this term's contribution lands, so each posting is computed, consumed and
+// offered in one step.
+func (s *selector) walk(c *columns, scores []float64, tid int32) {
+	lo, hi := c.engOff[tid], c.engOff[tid+1]
+	docs := c.engDoc[lo:hi]
+	contribs := c.engContrib[lo:hi][:len(docs)]
+	for i, d := range docs {
+		score := scores[d] + contribs[i]
+		scores[d] = 0
+		s.offer(int(d), score)
+	}
+}
+
+// complete offers every touched doc not consumed yet, first adding the final
+// term's dense column when there is one (zero when the term misses the doc,
+// and adding 0.0 is bitwise identity on the positive partial). Touched docs
+// are unique, so the 4-wide block's loads and zeroing stores never alias and
+// the (usually missing) cache lines overlap.
+func (s *selector) complete(scores []float64, touched []int32, dense []float64) {
+	if dense == nil {
+		for _, d := range touched {
+			if score := scores[d]; score != 0 { // zero: walk consumed it
+				scores[d] = 0
+				s.offer(int(d), score)
+			}
+		}
+		return
+	}
 	j := 0
 	for ; j+3 < len(touched); j += 4 {
 		d0, d1, d2, d3 := touched[j], touched[j+1], touched[j+2], touched[j+3]
@@ -371,111 +487,25 @@ func (ix *Index) selectTopSparse(acc *accumulator, tid int32, k int) []hit {
 		s1 := scores[d1] + dense[d1]
 		s2 := scores[d2] + dense[d2]
 		s3 := scores[d3] + dense[d3]
-		scores[d0] = 0
-		scores[d1] = 0
-		scores[d2] = 0
-		scores[d3] = 0
-		if s0 >= pre {
-			consider(d0, s0)
-		}
-		if s1 >= pre {
-			consider(d1, s1)
-		}
-		if s2 >= pre {
-			consider(d2, s2)
-		}
-		if s3 >= pre {
-			consider(d3, s3)
-		}
+		scores[d0], scores[d1], scores[d2], scores[d3] = 0, 0, 0, 0
+		s.offer(int(d0), s0)
+		s.offer(int(d1), s1)
+		s.offer(int(d2), s2)
+		s.offer(int(d3), s3)
 	}
-	for ; j < len(touched); j++ {
-		d := touched[j]
-		s := scores[d] + dense[d]
+	for _, d := range touched[j:] {
+		score := scores[d] + dense[d]
 		scores[d] = 0
-		if s >= pre {
-			consider(d, s)
-		}
+		s.offer(int(d), score)
 	}
-	return top.drain()
 }
 
-// selectTopDense walks the final term's whole column once: after the earlier
-// terms have been accumulated, a doc in the final term's postings reaches its
-// final sum the moment that term's contribution lands, so each posting is
-// computed, considered and consumed (zeroed) in one step. A cleanup pass over
-// the touched list then consumes the docs the final term didn't cover. The
-// kthContrib prefilter and a cached copy of a full heap's root reject
-// candidates with inline compares; k <= 0 keeps the heap empty but still
-// consumes every score (the +Inf root rejects all candidates).
-func (ix *Index) selectTopDense(acc *accumulator, tid int32, k int) []hit {
-	col := ix.col
-	top := topK{k: k, h: acc.heap[:0]}
-	scores := acc.scores
-	full := k <= 0
-	rootScore := math.Inf(1)
-	rootDoc := 0
-	lo, hi := col.engOff[tid], col.engOff[tid+1]
-	docs := col.engDoc[lo:hi]
-	contribs := col.engContrib[lo:hi][:len(docs)]
-	pre := col.kthContrib(tid, k)
-	for i, d32 := range docs {
-		d := int(d32)
-		s := scores[d] + contribs[i]
-		scores[d] = 0
-		if s < pre {
-			continue // below the final term's own k-th best posting
-		}
-		if full && (s < rootScore || (s == rootScore && d > rootDoc)) {
-			continue
-		}
-		top.push(hit{doc: d, score: s})
-		if len(top.h) == k {
-			full = true
-			rootScore, rootDoc = top.h[0].score, top.h[0].doc
-		}
-	}
-	for _, d32 := range acc.touched {
-		d := int(d32)
-		s := scores[d]
-		if s == 0 {
-			continue // covered (and consumed) by the final term's walk
-		}
-		scores[d] = 0
-		if s < pre {
-			continue
-		}
-		if full && (s < rootScore || (s == rootScore && d > rootDoc)) {
-			continue
-		}
-		top.push(hit{doc: d, score: s})
-		if len(top.h) == k {
-			full = true
-			rootScore, rootDoc = top.h[0].score, top.h[0].doc
-		}
-	}
-	return top.drain()
-}
-
-// snippet extracts a SnippetWords-word window around the first body word
-// whose stem matches a query term, or the leading window when no term
-// matches (title-only hits). The anchor comes from the positional columns
-// (the first content position of any query term, translated back to a raw
-// word index); the window itself is a zero-copy slice of the precomputed
-// joined body — byte-identical to joining the window's words with spaces. It
-// returns the window's raw word range [start, end) alongside.
-func (ix *Index) snippet(doc int, qterms []string) (s string, start, end int) {
-	first := int32(-1)
-	for _, t := range qterms {
-		if p := ix.firstPosIn(t, doc); p >= 0 && (first < 0 || p < first) {
-			first = p
-		}
-	}
-	return ix.snippetAt(doc, first)
-}
-
-// snippetAt renders the snippet window anchored at content position first
-// (-1: no query term in the body, use the leading window) and returns its raw
-// word range; a document without a body yields its title and the empty range.
+// snippetAt renders the SnippetWords-word window anchored at content position
+// first — columns.firstPosOf of the query's term ids; -1: no query term in the
+// body (a title-only hit), use the leading window — and returns its raw word
+// range; a document without a body yields its title and the empty range. The
+// window is a zero-copy slice of the precomputed joined body, byte-identical
+// to joining the window's words with spaces.
 func (ix *Index) snippetAt(doc int, first int32) (s string, start, end int) {
 	off := ix.wordOff[doc]
 	if len(off) == 0 {
@@ -502,24 +532,6 @@ func (ix *Index) snippetAt(doc int, first int32) (s string, start, end int) {
 		stop = int(off[end]) - 1 // the space before word end
 	}
 	return joined[off[start]:stop], start, end
-}
-
-// firstPosIn returns term's first content position within doc, or -1. Big
-// terms resolve in one load from the firstPos array; small terms — whose
-// positional lists are short — binary-search the positional columns. Either
-// way the answer equals positionsIn(term, doc)[0].
-func (ix *Index) firstPosIn(term string, doc int) int32 {
-	tid, ok := ix.col.termID[term]
-	if !ok {
-		return -1
-	}
-	if fp := ix.col.firstPos[tid]; fp != nil {
-		return fp[doc] - 1
-	}
-	if pos := ix.col.positionsIn(tid, doc); len(pos) > 0 {
-		return pos[0]
-	}
-	return -1
 }
 
 // positionsIn returns the content positions of term within doc, or nil.

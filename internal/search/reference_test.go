@@ -25,14 +25,22 @@ func refSearch(docs []Document, query string, k int) []Result {
 	if k <= 0 || len(docs) == 0 {
 		return nil
 	}
-	qterms := textproc.NormalizeTokens(query)
-	if len(qterms) == 0 {
-		return nil
-	}
+	return newRefCorpus(docs).search(query, k)
+}
 
-	// Per-document term frequencies and lengths, recomputed from raw text.
-	tfs := make([]map[string]int, len(docs))
-	docLen := make([]int, len(docs))
+// refCorpus is the reference's view of a corpus — per-document term
+// frequencies and lengths, recomputed from raw text — split from the scoring
+// so a test asking many queries of one large corpus tokenises it once.
+type refCorpus struct {
+	docs   []Document
+	tfs    []map[string]int
+	docLen []int
+	avgLen float64
+	df     map[string]int
+}
+
+func newRefCorpus(docs []Document) *refCorpus {
+	rc := &refCorpus{docs: docs, tfs: make([]map[string]int, len(docs)), docLen: make([]int, len(docs)), df: map[string]int{}}
 	totalLen := 0
 	for i, d := range docs {
 		terms := textproc.NormalizeTokens(d.Title)
@@ -42,18 +50,25 @@ func refSearch(docs []Document, query string, k int) []Result {
 		for _, t := range terms {
 			tf[t]++
 		}
-		tfs[i] = tf
-		docLen[i] = len(terms)
+		rc.tfs[i] = tf
+		rc.docLen[i] = len(terms)
 		totalLen += len(terms)
-	}
-	n := float64(len(docs))
-	avgLen := float64(totalLen) / n
-	df := map[string]int{}
-	for _, tf := range tfs {
 		for t := range tf {
-			df[t]++
+			rc.df[t]++
 		}
 	}
+	rc.avgLen = float64(totalLen) / float64(len(docs))
+	return rc
+}
+
+// search scores every document of a non-empty corpus for k > 0.
+func (rc *refCorpus) search(query string, k int) []Result {
+	docs, tfs, docLen, avgLen, df := rc.docs, rc.tfs, rc.docLen, rc.avgLen, rc.df
+	qterms := textproc.NormalizeTokens(query)
+	if len(qterms) == 0 {
+		return nil
+	}
+	n := float64(len(docs))
 
 	type hit struct {
 		doc   int

@@ -85,66 +85,97 @@ func global(hits []hit, shard, n int) []hit {
 	return hits
 }
 
-// topDocsBatchLocal scores a whole batch of pre-normalized queries against
-// this one index: term ids are resolved once per batch through a shared
-// resolver, one pooled accumulator serves every query, and out[i] is nil for
-// nil qterms[i]. The returned hits are copies, not aliases of accumulator
+// scored is what one topDocsBatch call hands to materialize, in three flat
+// allocations a batch: per shard and query the shard's top-k, and the ids each
+// shard resolved the queries' terms to — so snippet anchoring reads the
+// positional columns without hashing a term string again.
+type scored struct {
+	shards, queries int
+	// lists has one row of queries hit lists per shard: global doc ids, best
+	// first, nil for a nil query.
+	lists [][]hit
+	// tids has one row of off[queries] column ids per shard (-1: term not in
+	// the shard); query q's terms are slots off[q]:off[q+1] of a row.
+	off  []int
+	tids []int32
+}
+
+// row returns shard si's hit lists.
+func (b scored) row(si int) [][]hit { return b.lists[si*b.queries:][:b.queries] }
+
+// termIDs returns query q's term ids in shard si.
+func (b scored) termIDs(si, q int) []int32 {
+	return b.tids[si*b.off[b.queries]:][b.off[q]:b.off[q+1]]
+}
+
+// scoreShard scores a whole batch of pre-normalized queries against shard si
+// into its row of b: term ids are resolved once per batch through a shared
+// resolver, one pooled accumulator serves every query, and the list of a nil
+// query stays nil. The lists are windows of arena, not aliases of accumulator
 // storage — a batch needs all of them alive at once.
-func (ix *Index) topDocsBatchLocal(qterms [][]string, k int) [][]hit {
+func (b scored) scoreShard(ix *Index, si int, qterms [][]string, k int, arena []hit) {
 	acc := ix.getAccumulator()
 	defer ix.putAccumulator(acc)
 	r := newTermResolver(ix.col, len(qterms))
-	var tids []int32
-	out := make([][]hit, len(qterms))
-	for i, terms := range qterms {
+	lists := b.row(si)
+	for q, terms := range qterms {
 		if terms == nil {
 			continue
 		}
-		tids = r.resolve(terms, tids)
-		out[i] = append([]hit(nil), ix.topDocsResolved(acc, tids, k)...)
+		n := len(arena)
+		arena = append(arena, ix.topDocsResolved(acc, r.resolve(terms, b.termIDs(si, q)[:0]), k)...)
+		lists[q] = global(arena[n:len(arena):len(arena)], si, b.shards)
 	}
-	return out
+}
+
+// next removes and returns the best hit left for query q: the head of one of
+// its per-shard lists, each sorted best-first under the (score desc, doc asc)
+// order, so successive calls yield the global ranking in that exact order.
+func (b scored) next(q int) (hit, bool) {
+	var best *[]hit
+	for si := 0; si < b.shards; si++ {
+		if l := &b.row(si)[q]; len(*l) > 0 && (best == nil || worseHit((*best)[0], (*l)[0])) {
+			best = l
+		}
+	}
+	if best == nil {
+		return hit{}, false
+	}
+	h := (*best)[0]
+	*best = (*best)[1:]
+	return h, true
 }
 
 // topDocsBatch is the only shard fan-out: each shard scores the whole query
 // batch through its columnar kernel (normalized query terms are shared across
-// shards, term-id resolution is shared across the batch within each shard) and
-// the per-shard lists merge per query into the global top-k under the exact
-// monolithic order. The shards are the items of one pool.Run with a worker
-// each, the calling goroutine among them, so a one-shard index starts none.
-// The returned hits carry global doc ids; out[i] is nil for nil qterms[i].
-func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) [][]hit {
+// shards, term-id resolution is shared across the batch within each shard)
+// into its own top-k per query; scored.next merges them under the exact
+// monolithic order. A batch allocates its bookkeeping once — the scored and one
+// hit arena the shards share a window each of — and the shards are the items
+// of one pool.Run with a worker each, the calling goroutine among them, so a
+// one-shard index starts none.
+func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) scored {
 	n := len(s.shards)
-	scored := 0
-	for _, terms := range qterms {
+	off := make([]int, len(qterms)+1)
+	queries := 0
+	for q, terms := range qterms {
+		off[q+1] = off[q] + len(terms)
 		if terms != nil {
-			scored++
+			queries++
 		}
 	}
-	lists := make([][][]hit, n) // lists[shard][query]
-	scoreShard := func(si int) {
-		s.queries[si].Add(int64(scored))
-		perQuery := s.shards[si].topDocsBatchLocal(qterms, k)
-		for i := range perQuery {
-			perQuery[i] = global(perQuery[i], si, n)
-		}
-		lists[si] = perQuery
-	}
-	// Scoring cannot be abandoned half way — the merge below reads every
-	// shard's lists — so the pool runs under a context that is never done.
-	_ = pool.Run(context.Background(), n, n, scoreShard)
-	out := make([][]hit, len(qterms))
-	scratch := make([][]hit, n)
-	for i := range qterms {
-		if qterms[i] == nil {
-			continue
-		}
-		for si := range lists {
-			scratch[si] = lists[si][i]
-		}
-		out[i] = mergeHits(scratch, k)
-	}
-	return out
+	b := scored{shards: n, queries: len(qterms), lists: make([][]hit, n*len(qterms)), off: off, tids: make([]int32, n*off[len(qterms)])}
+	// Shard 0 is the largest (documents go round-robin), so no shard returns
+	// more than window hits for the batch.
+	window := queries * min(k, len(s.shards[0].docs))
+	arena := make([]hit, n*window)
+	// Scoring cannot be abandoned half way — the merge reads every shard's
+	// lists — so the pool runs under a context that is never done.
+	_ = pool.Run(context.Background(), n, n, func(si int) {
+		s.queries[si].Add(int64(queries))
+		b.scoreShard(s.shards[si], si, qterms, k, arena[si*window:si*window:(si+1)*window])
+	})
+	return b
 }
 
 // copyResults clones one query's results for a duplicate occurrence in a
@@ -159,57 +190,36 @@ func copyResults(src []Result) []Result {
 	return dst
 }
 
-// mergeHits merges per-shard hit lists (each sorted best-first under the
-// (score desc, doc asc) order) into the global top-k, preserving that exact
-// total order. Shard counts are small, so an O(k·shards) selection is used.
-func mergeHits(lists [][]hit, k int) []hit {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+// materialize merges query q's per-shard lists into its global top-k and
+// renders it.
+func (s *ShardedIndex) materialize(b scored, q, k int) []Result {
+	found := 0
+	for si := range s.shards {
+		found += len(b.row(si)[q])
 	}
-	if total > k {
-		total = k
-	}
-	out := make([]hit, 0, total)
-	heads := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for si, l := range lists {
-			if heads[si] >= len(l) {
-				continue
-			}
-			if best < 0 || worseHit(lists[best][heads[best]], l[heads[si]]) {
-				best = si
-			}
-		}
-		out = append(out, lists[best][heads[best]])
-		heads[best]++
+	out := make([]Result, min(found, k))
+	for i := range out {
+		h, _ := b.next(q)
+		out[i] = s.render(h, b, q)
 	}
 	return out
 }
 
-// materialize renders globally-merged hits, generating each snippet in the
-// document's owning shard (its snippet windows and positions live there).
-func (s *ShardedIndex) materialize(hits []hit, qterms []string) []Result {
-	out := make([]Result, len(hits))
-	if len(hits) == 0 {
-		return out
+// render generates hit h's snippet in the document's owning shard — its
+// snippet windows and positions live there — anchored at the first position of
+// any of the ids that shard resolved query q to.
+func (s *ShardedIndex) render(h hit, b scored, q int) Result {
+	si, local := h.doc%len(s.shards), h.doc/len(s.shards)
+	sh := s.shards[si]
+	d := sh.docs[local]
+	snippet, start, end := sh.snippetAt(local, sh.col.firstPosOf(b.termIDs(si, q), local))
+	return Result{
+		URL:     d.URL,
+		Title:   d.Title,
+		Snippet: snippet,
+		Terms:   sh.terms.window(local, start, end),
+		Score:   h.score,
 	}
-	n := len(s.shards)
-	for i, h := range hits {
-		sh := s.shards[h.doc%n]
-		local := h.doc / n
-		d := sh.docs[local]
-		snippet, start, end := sh.snippet(local, qterms)
-		out[i] = Result{
-			URL:     d.URL,
-			Title:   d.Title,
-			Snippet: snippet,
-			Terms:   sh.terms.window(local, start, end),
-			Score:   h.score,
-		}
-	}
-	return out
 }
 
 // Search returns the top-k English documents for the query under BM25,
@@ -233,29 +243,23 @@ func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 		return out
 	}
 	qterms := make([][]string, len(queries))
-	dupOf := make([]int, len(queries))
-	seen := make(map[string]int, len(queries))
+	first := make(map[string]int, len(queries)) // a query's first occurrence
 	for i, q := range queries {
-		if j, ok := seen[q]; ok {
-			dupOf[i] = j
+		if _, dup := first[q]; dup {
 			continue
 		}
-		seen[q] = i
-		dupOf[i] = -1
+		first[q] = i
 		if t := textproc.NormalizeTokens(q); len(t) > 0 {
 			qterms[i] = t
 		}
 	}
-	hits := s.topDocsBatch(qterms, k)
-	for i := range queries {
-		if j := dupOf[i]; j >= 0 {
+	b := s.topDocsBatch(qterms, k)
+	for i, q := range queries {
+		if j := first[q]; j < i {
 			out[i] = copyResults(out[j])
-			continue
+		} else if qterms[i] != nil {
+			out[i] = s.materialize(b, i, k)
 		}
-		if qterms[i] == nil {
-			continue
-		}
-		out[i] = s.materialize(hits[i], qterms[i])
 	}
 	return out
 }
@@ -286,10 +290,14 @@ func (s *ShardedIndex) SearchPhrase(query string, k int) []Result {
 	for i, p := range phrases {
 		want[i] = textproc.NormalizeTokens(p)
 	}
-	candidates := s.topDocsBatch([][]string{qterms}, k*4)[0]
+	b := s.topDocsBatch([][]string{qterms}, k*4)
 	n := len(s.shards)
-	var keep []hit
-	for _, h := range candidates {
+	var keep []Result
+	for tried := 0; tried < k*4 && len(keep) < k; tried++ {
+		h, found := b.next(0)
+		if !found {
+			break
+		}
 		sh, local := s.shards[h.doc%n], h.doc/n
 		ok := true
 		for _, w := range want {
@@ -299,14 +307,8 @@ func (s *ShardedIndex) SearchPhrase(query string, k int) []Result {
 			}
 		}
 		if ok {
-			keep = append(keep, h)
-			if len(keep) == k {
-				break
-			}
+			keep = append(keep, s.render(h, b, 0))
 		}
 	}
-	if len(keep) == 0 {
-		return nil
-	}
-	return s.materialize(keep, qterms)
+	return keep
 }
