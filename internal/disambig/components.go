@@ -32,10 +32,11 @@ package disambig
 //     iterations. max() over non-negative deltas is exact in float64, so
 //     splitting the global max into per-component maxima changes nothing.
 //
-// Total iteration work matches the global loop's (components frozen at an
-// exact fixed point stop early — strictly less); the only overhead is
-// re-sorting a resumed component's records, roughly one extra build per
-// resumed component in the common case.
+// Total iteration work is at most the global loop's: components frozen at an
+// exact fixed point stop early, a single-candidate cell's node — the constant
+// 1.0 — is never summed, and a component of such nodes alone is never built.
+// The only overhead is re-sorting a resumed component's records, roughly one
+// extra build per resumed component in the common case.
 
 import (
 	"context"
@@ -52,7 +53,8 @@ import (
 type Options struct {
 	// Workers bounds how many connected components are built and
 	// propagated concurrently (and thereby how many per-component scratch
-	// buffers exist at once); 0 selects min(GOMAXPROCS, 8). Results are
+	// buffers exist at once), and how many chunks a large component's vote
+	// summation is cut into; 0 selects min(GOMAXPROCS, 8). Results are
 	// bit-identical at every setting — only wall-clock and peak scratch
 	// memory change.
 	Workers int
@@ -61,9 +63,8 @@ type Options struct {
 // Stats describes one resolution: the decomposition's shape and the pooled
 // scratch high-water mark.
 type Stats struct {
-	// Nodes and Edges count the voting graph's (cell, candidate) nodes
-	// and directed edges, summed over all components.
-	Nodes, Edges int
+	// Nodes counts the voting graph's (cell, candidate) nodes.
+	Nodes int
 	// Components is the number of connected components; LargestComponent
 	// is the node count of the biggest one.
 	Components       int
@@ -109,10 +110,23 @@ func (p unionFind) union(a, b int32) {
 
 // decomposition is the labeled node table: every node assigned to exactly
 // one connected component, components ordered by their smallest node,
-// member lists ascending.
+// member lists ascending. workers is the resolve's worker count, which a
+// component's vote summation fans out over (0 sums inline).
 type decomposition struct {
-	ns    *nodeSet
-	comps [][]int32
+	ns      *nodeSet
+	comps   [][]int32
+	workers int
+}
+
+// dead reports whether comp holds no live node — no cell with two
+// candidates — so that every score in it is the constant 1.0.
+func (ns *nodeSet) dead(comp []int32) bool {
+	for _, gi := range comp {
+		if !ns.constant(gi) {
+			return false
+		}
+	}
+	return true
 }
 
 // decompose builds the node table and labels its connected components with
@@ -137,9 +151,9 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 	}
 	var b joinBufs
 	for dim := 0; dim < 2; dim++ {
-		recKey, recNode := ns.joinGroups(dim, nil, &b)
+		recKey, recNode := ns.joinGroups(dim, nil, &b, false)
 		for lo := 0; lo < len(recKey); {
-			split, hi, sharedPar := ns.group(recKey, lo)
+			_, split, _, hi, sharedPar := ns.group(recKey, lo)
 			locs, pars := recNode[lo:split], recNode[split:hi]
 			if sharedPar {
 				for k := 1; k < len(pars); k++ {
@@ -188,9 +202,9 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 
 // compScratch is one reusable component workspace: the join-group record
 // buffers, the nodes' cells and voting spans, the local CSR and the score
-// buffers. A worker checks one out of scratchPool per component and regrows it
-// to that component, so a resolve's peak scratch is bounded by the largest
-// component times the worker count — never by the table.
+// buffers. A worker checks one out of scratchPool per live component and
+// regrows it to that component, so a resolve's peak scratch is bounded by the
+// largest component times the worker count — never by the table.
 type compScratch struct {
 	join    joinBufs
 	recCell []int32 // the cell of every sorted join record
@@ -198,7 +212,8 @@ type compScratch struct {
 	inOff   []int32
 	in      []int32
 	fill    []int32
-	cells   []int32 // the component's cell indexes
+	cells   []int32 // the component's live cell indexes
+	live    []int32 // the component's live local node ids, ascending
 	scores  []float64
 	next    []float64
 }
@@ -206,7 +221,7 @@ type compScratch struct {
 // bytes is the workspace's current footprint, by slice capacity.
 func (sc *compScratch) bytes() int64 {
 	i32 := cap(sc.join.recNode) + cap(sc.join.tmpNode) + cap(sc.recCell) + cap(sc.spans) +
-		cap(sc.inOff) + cap(sc.in) + cap(sc.fill) + cap(sc.cells)
+		cap(sc.inOff) + cap(sc.in) + cap(sc.fill) + cap(sc.cells) + cap(sc.live)
 	i64 := cap(sc.join.recKey) + cap(sc.join.tmpKey)
 	f64 := cap(sc.scores) + cap(sc.next)
 	return int64(i32)*4 + int64(i64)*8 + int64(f64)*8
@@ -236,7 +251,6 @@ type compRun struct {
 	frontier  int                         // iterations applied to the saved state
 	firstConv int                         // first sub-eps iteration; 0 = none yet
 	fixedAt   int                         // first iteration whose delta was exactly 0; 0 = none
-	edges     int                         // the component's directed edge count
 }
 
 // convAt reports whether iteration t's max delta is known to be sub-eps.
@@ -263,54 +277,51 @@ func (r *compRun) convAt(t int) bool {
 // Local node ids are assigned in ascending global-node order, so buildCSR's
 // voter-ascending fill leaves in-lists in the reference summation order and
 // each iteration is bitwise identical to the whole-table loop restricted to
-// this component. localOf is the shared global-to-local index table; components
-// are disjoint, so concurrent workers touch disjoint entries. A done ctx stops
-// the run between iterations, its saved state whole but short of until.
+// this component. Only live nodes are summed, normalised and compared: a
+// constant node holds 1.0 throughout (nodeSet.constant) and is read as a
+// voter like any other, so every sum sees the same operands in the same
+// order, and its delta would be 0. localOf is the shared global-to-local
+// index table; components are disjoint, so concurrent workers touch disjoint
+// entries. A done ctx stops the run between iterations, its saved state whole
+// but short of until.
 func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, sc *compScratch, localOf []int32, global []float64, resume, stopAtConv bool, until int) {
 	ns := d.ns
 	m := len(comp)
-	for li, gi := range comp {
-		localOf[gi] = int32(li)
-	}
-	// The component's cells, each discovered via its first node (a cell's
-	// nodes all land in one component, so the first suffices and each cell
-	// appears exactly once).
-	sc.cells = sc.cells[:0]
-	for _, gi := range comp {
-		ci := ns.nodeCell[gi]
-		if ns.cellNodes[ci][0] == gi {
-			sc.cells = append(sc.cells, ci)
-		}
-	}
-
-	inOff, in := ns.buildCSR(comp, sc)
-	r.edges = len(in)
-
 	scores := growF64(sc.scores, m)
 	next := growF64(sc.next, m)
 	sc.scores, sc.next = scores, next
-	if resume {
-		for li, gi := range comp {
-			scores[li] = global[gi]
-		}
-	} else {
-		for _, ci := range sc.cells {
-			idxs := ns.cellNodes[ci]
-			init := 1.0 / float64(len(idxs))
-			for _, gi := range idxs {
-				scores[localOf[gi]] = init
+	// The component's live cells, each discovered via its first node (a
+	// cell's nodes all land in one component, so the first suffices and each
+	// cell appears exactly once), and its live nodes.
+	sc.cells, sc.live = sc.cells[:0], sc.live[:0]
+	for li, gi := range comp {
+		localOf[gi] = int32(li)
+		ci := ns.nodeCell[gi]
+		idxs := ns.cellNodes[ci]
+		if len(idxs) > 1 {
+			sc.live = append(sc.live, int32(li))
+			if idxs[0] == gi {
+				sc.cells = append(sc.cells, ci)
 			}
 		}
+		if resume {
+			scores[li] = global[gi]
+		} else {
+			scores[li] = 1.0 / float64(len(idxs))
+		}
 	}
+	live := sc.live
 
-	// Large components fan each iteration's vote summation out on top of
-	// the component-level parallelism.
+	inOff, in := ns.buildCSR(comp, sc, true)
+
+	// Large components fan each iteration's vote summation out over the
+	// resolve's workers.
 	workers := 1
-	if m >= propagationParallelThreshold {
-		workers = min(runtime.GOMAXPROCS(0), 8)
+	if len(live) >= propagationParallelThreshold {
+		workers = d.workers
 	}
 	for t := r.frontier + 1; t <= until; t++ {
-		if sumVotesCSR(ctx, inOff, in, scores, next, workers) != nil {
+		if sumVotesCSR(ctx, inOff, in, live, scores, next, workers) != nil {
 			break
 		}
 		for _, ci := range sc.cells {
@@ -331,14 +342,14 @@ func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, s
 			}
 		}
 		var delta float64
-		for i := 0; i < m; i++ {
+		for _, i := range live {
 			// Scores are finite and non-negative, so the compare is
 			// math.Max without its NaN/±0 handling (an assembly call).
 			if d := math.Abs(next[i] - scores[i]); d > delta {
 				delta = d
 			}
+			scores[i] = next[i]
 		}
-		copy(scores, next)
 		r.frontier = t
 		if delta < eps {
 			r.conv[(t-1)>>6] |= 1 << uint((t-1)&63)
@@ -360,13 +371,14 @@ func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, s
 
 // resolveComponents runs the full component-parallel resolution and returns
 // the global score array, one score per node. Every phase hands its selected
-// components to the request's one pool (pool.Run): a worker checks one pooled
-// scratch out per component, so at most `workers` components are materialised
-// at any moment, and an empty phase, a single component or Workers: 1 starts
-// no goroutine. Once ctx is done the pool hands out nothing more and runComp
-// stops between iterations, which turns the remaining phases into no-ops; the
-// scores are then partial, and the one check at the end returns ctx.Err()
-// instead of them.
+// live components to the request's one pool (pool.Run): a worker checks one
+// pooled scratch out per component, so at most `workers` components are
+// materialised at any moment, and an empty phase, a single component or
+// Workers: 1 starts no goroutine. A dead component checks nothing out and is
+// never handed to the pool. Once ctx is done the pool hands out nothing more
+// and runComp stops between iterations, which turns the remaining phases into
+// no-ops; the scores are then partial, and the one check at the end returns
+// ctx.Err() instead of them.
 func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]float64, Stats, error) {
 	if len(d.comps) == 0 {
 		// No interpretation carries a candidate: there is nothing to score,
@@ -380,6 +392,19 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), 8)
+	}
+	d.workers = workers
+	// A dead component is resolved where it stands: every score is the
+	// constant 1.0, which is the state the loop reaches at iteration 1 with a
+	// delta of exactly 0 — an exact fixed point, frozen for any T.
+	for ci, comp := range d.comps {
+		if d.ns.dead(comp) {
+			for _, gi := range comp {
+				global[gi] = 1
+			}
+			runs[ci] = compRun{frontier: 1, firstConv: 1, fixedAt: 1}
+			runs[ci].conv[0] = 1
+		}
 	}
 	var curBytes, peakBytes atomic.Int64
 	raise := func(v int64) {
@@ -414,10 +439,10 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 		return sel
 	}
 
-	// Phase 1: every component propagates until its first sub-eps
+	// Phase 1: every live component propagates until its first sub-eps
 	// iteration (or an exact fixed point, or maxIter), recording which
 	// iterations were sub-eps.
-	runPhase(selected(func(*compRun) bool { return true }), false, true, maxIter)
+	runPhase(selected(func(r *compRun) bool { return r.fixedAt == 0 }), false, true, maxIter)
 
 	// Coordinator: the whole-table loop stops after the FIRST iteration
 	// whose global max delta is sub-eps — equivalently, the first t at
@@ -477,7 +502,7 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 		return r.frontier > T
 	})
 	for _, ci := range rerun {
-		runs[ci] = compRun{edges: runs[ci].edges}
+		runs[ci] = compRun{}
 	}
 	runPhase(rerun, false, false, T)
 	// A rerun component now sits at T (or froze on the way), so it is not
@@ -488,9 +513,8 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 	}
 
 	st := Stats{Nodes: n, Components: len(d.comps), PeakScratchBytes: peakBytes.Load()}
-	for i := range d.comps {
-		st.LargestComponent = max(st.LargestComponent, len(d.comps[i]))
-		st.Edges += runs[i].edges
+	for _, comp := range d.comps {
+		st.LargestComponent = max(st.LargestComponent, len(comp))
 	}
 	return global, st, nil
 }

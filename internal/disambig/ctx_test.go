@@ -15,9 +15,10 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestResolveInline: input without a component, a single component, and one
-// worker over many components resolve on the calling goroutine alone. The
-// pool polls the context before every component and runComp before every
+// TestResolveInline: input without a component, a single component, one
+// worker over many components, and one worker on a component whose vote
+// summation would fan out resolve on the calling goroutine alone. The pool
+// polls the context before every live component and runComp before every
 // iteration, so the goroutines that polled are the goroutines that worked.
 func TestResolveInline(t *testing.T) {
 	leakcheck.Goroutines(t)
@@ -26,6 +27,14 @@ func TestResolveInline(t *testing.T) {
 	single := []Interpretation{
 		{Cell: CellRef{Row: 1, Col: 1}, Candidates: g.Lookup("Paris", gazetteer.City)},
 		{Cell: CellRef{Row: 1, Col: 2}, Candidates: g.Lookup("Paris", gazetteer.City)},
+	}
+	// One column of the same homonyms: every row votes for every other, so
+	// the column is one component of live nodes past the fan-out threshold.
+	var wide []Interpretation
+	for nodes := 0; nodes < propagationParallelThreshold; {
+		cands := g.Lookup("Springfield", gazetteer.City)
+		wide = append(wide, Interpretation{Cell: CellRef{Row: len(wide) + 1, Col: 1}, Candidates: cands})
+		nodes += len(cands)
 	}
 	for _, tc := range []struct {
 		name       string
@@ -37,7 +46,15 @@ func TestResolveInline(t *testing.T) {
 		{"no candidate", []Interpretation{{Cell: CellRef{Row: 1, Col: 1}}}, Options{Workers: 8}, func(n int) bool { return n == 0 }},
 		{"single component", single, Options{Workers: 8}, func(n int) bool { return n == 1 }},
 		{"one worker, many components", many, Options{Workers: 1}, func(n int) bool { return n > 8 }},
+		{"one worker, one component past the threshold", wide, Options{Workers: 1}, func(n int) bool { return n == 1 }},
 	} {
+		d := decompose(tc.interps, g)
+		live := 0
+		for _, comp := range d.comps {
+			if !d.ns.dead(comp) {
+				live++
+			}
+		}
 		ctx := leakcheck.NewPollContext(0)
 		before := runtime.NumGoroutine()
 		got, st, err := ResolvePositional(ctx, tc.interps, g, tc.opt)
@@ -50,8 +67,8 @@ func TestResolveInline(t *testing.T) {
 		if n, caller := ctx.Goroutines(); n != 1 || !caller {
 			t.Errorf("%s: %d goroutines polled the context (the caller among them: %v), want the caller alone", tc.name, n, caller)
 		}
-		if st.Components > 0 && ctx.Polls() < 2*st.Components {
-			t.Errorf("%s: %d polls for %d components, want one per component and one per iteration at least", tc.name, ctx.Polls(), st.Components)
+		if ctx.Polls() < 2*live {
+			t.Errorf("%s: %d polls for %d live components, want one per live component and one per iteration at least", tc.name, ctx.Polls(), live)
 		}
 	}
 }

@@ -212,17 +212,26 @@ func (b *joinBufs) ensure(n int) {
 	}
 }
 
+// constant reports whether node gi is its cell's only candidate. Such a node
+// scores exactly 1.0 at every iteration: the prior is 1/1, a positive finite
+// sum x normalises to x/x = 1 and a zero sum to the uniform 1/1. It still
+// votes, but nothing it receives can change it.
+func (ns *nodeSet) constant(gi int32) bool {
+	return len(ns.cellNodes[ns.nodeCell[gi]]) == 1
+}
+
 // joinGroups sorts the join records of one dimension (0 = rows, 1 = columns)
 // over the given ascending global node indexes (nil takes every node): every
 // node contributes two records keyed by (bucket, location id) — one for its
-// own location, one for its direct container, the role in the key's low bit —
-// and is named in them by its position in nodes, its local id. Radix-sorting
-// the flat record arrays groups the bucket's nodes around each location id with
-// zero hash lookups; a group's role-0 (location) records come before its role-1
-// (container) records. It returns the sorted keys, for group to cut, and the
-// sorted records, which are recNode's window for dim and survive the other
-// dimension's sort.
-func (ns *nodeSet) joinGroups(dim int, nodes []int32, b *joinBufs) (recKey []int64, recNode []int32) {
+// own location, one for its direct container — and is named in them by its
+// position in nodes, its local id. The key's two low bits order a group's
+// records as location records of constant nodes, of live nodes, then
+// container records of live nodes, of constant nodes; without markConst every
+// node counts as live. Radix-sorting the flat record arrays groups the
+// bucket's nodes around each location id with zero hash lookups. It returns
+// the sorted keys, for group to cut, and the sorted records, which are
+// recNode's window for dim and survive the other dimension's sort.
+func (ns *nodeSet) joinGroups(dim int, nodes []int32, b *joinBufs, markConst bool) (recKey []int64, recNode []int32) {
 	n := len(ns.locs)
 	if nodes != nil {
 		n = len(nodes)
@@ -238,46 +247,53 @@ func (ns *nodeSet) joinGroups(dim int, nodes []int32, b *joinBufs) (recKey []int
 		if nodes != nil {
 			gi = nodes[k]
 		}
+		c := int64(0)
+		if markConst && ns.constant(gi) {
+			c = 1
+		}
 		base := int64(bucketOf[ns.nodeCell[gi]]) * ns.maxKey
-		recKey[2*k] = (base + int64(ns.locs[gi])) << 1 // role 0: own location
+		recKey[2*k] = (base+int64(ns.locs[gi]))<<2 | (1 - c) // own location: 0 constant, 1 live
 		recNode[2*k] = int32(k)
-		recKey[2*k+1] = (base+int64(ns.parents[gi]))<<1 | 1 // role 1: container
+		recKey[2*k+1] = (base+int64(ns.parents[gi]))<<2 | 2 | c // container: 2 live, 3 constant
 		recNode[2*k+1] = int32(k)
 	}
-	radixSortByKey(recKey, recNode, b.tmpKey[:2*n], b.tmpNode[:2*n], (int64(numBuckets)*ns.maxKey)<<1)
+	radixSortByKey(recKey, recNode, b.tmpKey[:2*n], b.tmpNode[:2*n], (int64(numBuckets)*ns.maxKey)<<2)
 	return recKey, recNode
 }
 
 // group cuts the join group that starts at lo out of the sorted keys: its
-// location records are [lo, split), its container records [split, hi).
-// sharedPar reports whether the group's location id is a real location —
-// NoLocation as a shared "container" does not count, so equal-container voting
-// applies only when it is set.
-func (ns *nodeSet) group(recKey []int64, lo int) (split, hi int, sharedPar bool) {
-	gid := recKey[lo] >> 1
-	hi = lo + 1
-	for hi < len(recKey) && recKey[hi]>>1 == gid {
+// location records are [lo, split), of which the live ones are [locLive,
+// split), and its container records [split, hi), of which the live ones are
+// [split, parLive). sharedPar reports whether the group's location id is a
+// real location — NoLocation as a shared "container" does not count, so
+// equal-container voting applies only when it is set.
+func (ns *nodeSet) group(recKey []int64, lo int) (locLive, split, parLive, hi int, sharedPar bool) {
+	gid := recKey[lo] >> 2
+	var cnt [4]int
+	hi = lo
+	for hi < len(recKey) && recKey[hi]>>2 == gid {
+		cnt[recKey[hi]&3]++
 		hi++
 	}
-	split = lo
-	for split < hi && recKey[split]&1 == 0 {
-		split++
-	}
-	return split, hi, gid%ns.maxKey != 0
+	locLive = lo + cnt[0]
+	split = locLive + cnt[1]
+	parLive = split + cnt[2]
+	return locLive, split, parLive, hi, gid%ns.maxKey != 0
 }
 
 // BuildGraph constructs the whole-table voting graph: the single-component
 // case of the component engine (components.go), whose per-component builder
-// it calls over every node at once. A directed edge v -> w exists iff v and w
-// belong to cells in the same row or the same column (but not the same cell)
-// and their locations share a geographic container in the paper's sense:
-// equal direct containers, or one location being the direct container of the
-// other (the street "Pennsylvania Ave, Washington" votes for the city
-// "Washington, D.C." in the same row, and vice versa).
+// it calls over every node at once, every node live so that every in-list is
+// built. A directed edge v -> w exists iff v and w belong to cells in the same
+// row or the same column (but not the same cell) and their locations share a
+// geographic container in the paper's sense: equal direct containers, or one
+// location being the direct container of the other (the street "Pennsylvania
+// Ave, Washington" votes for the city "Washington, D.C." in the same row, and
+// vice versa).
 func BuildGraph(interps []Interpretation, g *gazetteer.Frozen) *Graph {
 	ns := buildNodes(interps, g)
 	var sc compScratch
-	inOff, in := ns.buildCSR(ns.allNodes(), &sc)
+	inOff, in := ns.buildCSR(ns.allNodes(), &sc, false)
 	return &Graph{nodeSet: ns, inOff: inOff, in: in}
 }
 
@@ -293,42 +309,44 @@ func (ns *nodeSet) allNodes() []int32 {
 
 // buildCSR builds the voting graph among comp's nodes (ascending global ids,
 // so a node's position in comp is its local id) as sc's local CSR arrays,
-// which it returns. No edge is staged or sorted.
+// which it returns. With markConst a constant node's in-list is left empty:
+// it votes, but no sum is ever taken for it. No edge is staged or sorted.
 //
 // Both dimensions' sorted join records stay live, and every node notes the
-// four record spans it votes into — per dimension, the container records of
-// the group keyed by its own location (it is their direct container), and of
-// the group keyed by its container the location records plus, when the
-// container is a real location, the container records (its siblings). Spans
-// name nodes of the voter's own cell too; those are skipped wherever a span is
-// read. The relation is symmetric, its clauses are mutually exclusive (a
-// location is never its own container and containment is acyclic) and a node
-// pair shares at most one bucket, so the spans of v hold each target of v
-// exactly once and v's in-degree is its out-degree: one pass over the voters
-// counts the degrees that size the in-lists, and a second, in ascending voter
-// order, writes v at the tail of each of its targets' lists. Every in-list is
-// therefore in ascending voter order because the loop is — the reference
-// implementation's float summation order.
-func (ns *nodeSet) buildCSR(comp []int32, sc *compScratch) (inOff, in []int32) {
+// four record spans it votes into — per dimension, the live container records
+// of the group keyed by its own location (it is their direct container), and
+// of the group keyed by its container the live location records plus, when
+// the container is a real location, the live container records (its
+// siblings); joinGroups's key order makes each of those one contiguous range.
+// Spans name nodes of the voter's own cell too; those are skipped wherever a
+// span is read. The clauses are mutually exclusive (a location is never its
+// own container and containment is acyclic) and a node pair shares at most one
+// bucket, so the spans of v hold each live target of v exactly once: one pass
+// over the voters counts the in-degrees, and a second, in ascending voter
+// order, writes v at the tail of each of its targets' lists. Both touch only
+// the in-list entries of live targets, and every in-list is in ascending voter
+// order because the loop is — the reference implementation's float summation
+// order.
+func (ns *nodeSet) buildCSR(comp []int32, sc *compScratch, markConst bool) (inOff, in []int32) {
 	m := len(comp)
 	spans := growI32(sc.spans, 8*m) // per node: (lo, hi) into rec × {own location, container} × dimension
 	for dim := 0; dim < 2; dim++ {
-		recKey, recNode := ns.joinGroups(dim, comp, &sc.join)
+		recKey, recNode := ns.joinGroups(dim, comp, &sc.join, markConst)
 		base, at := int32(2*m*dim), int32(4*dim)
 		for lo := 0; lo < len(recKey); {
-			split, hi, sharedPar := ns.group(recKey, lo)
+			locLive, split, parLive, hi, sharedPar := ns.group(recKey, lo)
 			for _, v := range recNode[lo:split] {
 				s := spans[8*v+at:]
-				s[0], s[1] = base+int32(split), base+int32(hi)
+				s[0], s[1] = base+int32(split), base+int32(parLive)
 			}
 			// Without a shared container only the container-of pairs vote.
 			end := split
 			if sharedPar {
-				end = hi
+				end = parLive
 			}
 			for _, v := range recNode[split:hi] {
 				s := spans[8*v+at:]
-				s[2], s[3] = base+int32(lo), base+int32(end)
+				s[2], s[3] = base+int32(locLive), base+int32(end)
 			}
 			lo = hi
 		}
@@ -340,17 +358,20 @@ func (ns *nodeSet) buildCSR(comp []int32, sc *compScratch) (inOff, in []int32) {
 	}
 
 	inOff = growI32(sc.inOff, m+1)
-	inOff[0] = 0
+	clear(inOff)
 	for v, gi := range comp {
-		own, deg := ns.nodeCell[gi], int32(0)
+		own := ns.nodeCell[gi]
 		for s := 8 * v; s < 8*v+8; s += 2 {
-			for _, c := range recCell[spans[s]:spans[s+1]] {
-				if c != own {
-					deg++
+			cells := recCell[spans[s]:spans[s+1]]
+			for p, t := range rec[spans[s]:spans[s+1]] {
+				if cells[p] != own {
+					inOff[t+1]++
 				}
 			}
 		}
-		inOff[v+1] = inOff[v] + deg
+	}
+	for v := 0; v < m; v++ {
+		inOff[v+1] += inOff[v]
 	}
 	in = growI32(sc.in, int(inOff[m]))
 	fill := growI32(sc.fill, m)
@@ -412,9 +433,10 @@ func (ns *nodeSet) best(ci int32, scores []float64) (gazetteer.LocID, float64) {
 	return best, bestScore
 }
 
-// propagationParallelThreshold is the node count above which the per-
-// iteration vote summation fans out over a worker pool. Each node's sum is
-// independent, so the cut-over changes wall-clock only, never results.
+// propagationParallelThreshold is the live-node count above which a
+// component's per-iteration vote summation fans out over the resolve's
+// workers. Each node's sum is independent, so the cut-over changes wall-clock
+// only, never results.
 const propagationParallelThreshold = 2048
 
 // maxIter and eps are the fixed-point iteration's stopping rule: the loop
@@ -427,36 +449,36 @@ const (
 	eps     = 1e-9
 )
 
-// sumVotesCSR computes next[i] = Σ scores[voters of i] for every node of a
-// CSR graph, cutting the node range into one chunk per worker for the pool
-// when the graph is large. Every in-list is summed in ascending voter order
-// regardless of the worker count, so the result is bitwise deterministic. The
-// error is ctx.Err() when ctx is done, and next is then not fully written.
+// sumVotesCSR computes next[i] = Σ scores[voters of i] for every node i in
+// live, cutting live into one chunk per worker for the pool. Every in-list is
+// summed in ascending voter order regardless of the worker count, so the
+// result is bitwise deterministic. The error is ctx.Err() when ctx is done,
+// and next is then not fully written.
 //
 // One worker sums in place rather than through the pool: this runs once per
 // iteration of every component, and a pool call costs four heap allocations
 // (BenchmarkResolve: 695 -> 1540 allocs/op with it, about 10% slower), which
 // the small components that make up most tables would pay ten to thirty times
 // each.
-func sumVotesCSR(ctx context.Context, inOff, in []int32, scores, next []float64, workers int) error {
-	n := len(inOff) - 1
+func sumVotesCSR(ctx context.Context, inOff, in, live []int32, scores, next []float64, workers int) error {
+	n := len(live)
 	if workers <= 1 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sumVotesRange(inOff, in, scores, next, 0, n)
+		sumVotesRange(inOff, in, live, scores, next)
 		return nil
 	}
 	chunk := (n + workers - 1) / workers
 	return pool.Run(ctx, workers, workers, func(k int) {
-		sumVotesRange(inOff, in, scores, next, min(k*chunk, n), min((k+1)*chunk, n))
+		sumVotesRange(inOff, in, live[min(k*chunk, n):min((k+1)*chunk, n)], scores, next)
 	})
 }
 
-// sumVotesRange is sumVotesCSR over the nodes [lo, hi) — a function, not a
+// sumVotesRange is sumVotesCSR over the given nodes — a function, not a
 // closure, so that the one-worker call allocates nothing.
-func sumVotesRange(inOff, in []int32, scores, next []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func sumVotesRange(inOff, in, nodes []int32, scores, next []float64) {
+	for _, i := range nodes {
 		var sum float64
 		for _, v := range in[inOff[i]:inOff[i+1]] {
 			sum += scores[v]

@@ -79,13 +79,45 @@ func (gr *refGraph) edgeCount() int {
 // with per-cell normalisation, smallest-LocID tie-break.
 func refResolveScores(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	gr := refBuildGraph(interps, g)
-	n := len(gr.nodes)
-	scores := make([]float64, n)
+	cellNodes := refCellNodes(gr)
+	scores := refPropagate(gr, cellNodes, nil)
 
+	choice := make(map[CellRef]gazetteer.LocID, len(cellNodes))
+	detail := make(map[CellRef]map[gazetteer.LocID]float64, len(cellNodes))
+	for cell, idxs := range cellNodes {
+		sort.Ints(idxs)
+		best, bestScore := gazetteer.NoLocation, math.Inf(-1)
+		m := make(map[gazetteer.LocID]float64, len(idxs))
+		for _, i := range idxs {
+			nd := gr.nodes[i]
+			m[nd.loc] = scores[i]
+			if scores[i] > bestScore || (scores[i] == bestScore && nd.loc < best) {
+				best, bestScore = nd.loc, scores[i]
+			}
+		}
+		choice[cell] = best
+		detail[cell] = m
+	}
+	return choice, detail
+}
+
+// refCellNodes groups the reference graph's node indexes by cell.
+func refCellNodes(gr *refGraph) map[CellRef][]int {
 	cellNodes := map[CellRef][]int{}
 	for i, nd := range gr.nodes {
 		cellNodes[nd.cell] = append(cellNodes[nd.cell], i)
 	}
+	return cellNodes
+}
+
+// refPropagate is the seed propagation loop: from the per-cell uniform prior,
+// sum the in-lists, normalise per cell, stop after the first iteration whose
+// max delta is below eps or after maxIter. It returns the final scores and,
+// when step is non-nil, hands it every iteration's scores before (prev) and
+// after (cur) the iteration.
+func refPropagate(gr *refGraph, cellNodes map[CellRef][]int, step func(prev, cur []float64)) []float64 {
+	n := len(gr.nodes)
+	scores := make([]float64, n)
 	for _, idxs := range cellNodes {
 		init := 1.0 / float64(len(idxs))
 		for _, i := range idxs {
@@ -126,29 +158,15 @@ func refResolveScores(interps []Interpretation, g *gazetteer.Frozen) (map[CellRe
 		for i := range scores {
 			delta = math.Max(delta, math.Abs(next[i]-scores[i]))
 		}
+		if step != nil {
+			step(scores, next)
+		}
 		copy(scores, next)
 		if delta < eps {
 			break
 		}
 	}
-
-	choice := make(map[CellRef]gazetteer.LocID, len(cellNodes))
-	detail := make(map[CellRef]map[gazetteer.LocID]float64, len(cellNodes))
-	for cell, idxs := range cellNodes {
-		sort.Ints(idxs)
-		best, bestScore := gazetteer.NoLocation, math.Inf(-1)
-		m := make(map[gazetteer.LocID]float64, len(idxs))
-		for _, i := range idxs {
-			nd := gr.nodes[i]
-			m[nd.loc] = scores[i]
-			if scores[i] > bestScore || (scores[i] == bestScore && nd.loc < best) {
-				best, bestScore = nd.loc, scores[i]
-			}
-		}
-		choice[cell] = best
-		detail[cell] = m
-	}
-	return choice, detail
+	return scores
 }
 
 // ---------------------------------------------------------------------------
@@ -159,8 +177,9 @@ func refResolveScores(interps []Interpretation, g *gazetteer.Frozen) (map[CellRe
 // fails on any divergence: edge/node counts, choices, and bitwise scores.
 // Inputs must be canonical (no duplicate candidates within a cell); empty
 // candidate sets are allowed — the production NoLocation entries are peeled
-// off before comparing against the reference's omissions.
-func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Frozen) {
+// off before comparing against the reference's omissions. The production side
+// runs at each of the given worker counts (none: the default).
+func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Frozen, workers ...int) {
 	t.Helper()
 	ref := refBuildGraph(interps, g)
 	gr := BuildGraph(interps, g)
@@ -172,7 +191,19 @@ func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Froze
 	}
 
 	refChoice, refDetail := refResolveScores(interps, g)
-	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
+	if len(workers) == 0 {
+		workers = []int{0}
+	}
+	for _, w := range workers {
+		choice, detail, _ := ResolveScoresOpt(interps, g, Options{Workers: w})
+		sameAsReference(t, refChoice, refDetail, choice, detail)
+	}
+}
+
+// sameAsReference fails on any difference between a production resolution and
+// the reference's: choices, and scores bit for bit.
+func sameAsReference(t *testing.T, refChoice map[CellRef]gazetteer.LocID, refDetail map[CellRef]map[gazetteer.LocID]float64, choice map[CellRef]gazetteer.LocID, detail map[CellRef]map[gazetteer.LocID]float64) {
+	t.Helper()
 	for cell, loc := range choice {
 		if loc == gazetteer.NoLocation {
 			if _, ok := refChoice[cell]; ok {

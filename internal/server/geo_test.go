@@ -15,6 +15,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/gazetteer"
+	"repro/internal/table"
 )
 
 func TestGeocodeWire(t *testing.T) {
@@ -260,15 +263,47 @@ func TestGeocodeBatchAdmission(t *testing.T) {
 	}
 }
 
+// ambiguousTableJSON renders a one-column Location table of two cells that
+// each geocode to several places of one name, in the wire format: a table
+// whose voting graph has a live component, so resolving it checks out scratch
+// (an unambiguous table is resolved without any).
+func ambiguousTableJSON(t *testing.T, g *gazetteer.Frozen) []byte {
+	t.Helper()
+	for _, c := range g.Cities() {
+		name := g.Name(c)
+		if len(g.Geocode(name)) < 2 {
+			continue
+		}
+		tbl := table.New("homonyms", table.Column{Header: "City", Type: table.Location})
+		for range 2 {
+			if err := tbl.AppendRow(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := table.WriteJSON(&buf, tbl); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	t.Fatal("no city name geocodes to two places")
+	return nil
+}
+
 // TestStatzGeo: the /statz geo block reports the frozen gazetteer and the
 // request counters.
 func TestStatzGeo(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.Handler()
-	if rec := post(h, "/v1/geocode", mustMarshal(t, GeocodeRequestJSON{Table: tableJSON(t)})); rec.Code != http.StatusOK {
+	rec := post(h, "/v1/geocode", mustMarshal(t, GeocodeRequestJSON{Table: ambiguousTableJSON(t, s.Service().Geo())}))
+	if rec.Code != http.StatusOK {
 		t.Fatalf("geocode status = %d", rec.Code)
 	}
-	rec := httptest.NewRecorder()
+	var geo GeocodeResponseJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &geo); err != nil || geo.Stats.Ambiguous < 1 {
+		t.Fatalf("the fixture table resolved no ambiguous cell: %+v, error %v", geo.Stats, err)
+	}
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
 	var statz StatzJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &statz); err != nil {
