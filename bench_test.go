@@ -26,7 +26,6 @@ import (
 	"repro/internal/gazetteer"
 	"repro/internal/kb"
 	"repro/internal/qcache"
-	"repro/internal/rdf"
 	"repro/internal/search"
 	"repro/internal/table"
 	"repro/internal/textproc"
@@ -252,31 +251,6 @@ func BenchmarkGeoAnnotateHuge(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKernelVsLinearSVM compares the paper's LibSVM-style RBF
-// C-SVC (trained with SMO plus the grid search of §6.1) against the linear
-// Pegasos SVM used for the large corpora — the classifier substitution
-// DESIGN.md calls out. Reports the held-out accuracy of both.
-func BenchmarkAblationKernelVsLinearSVM(b *testing.B) {
-	l := lab()
-	builder := &kb.TrainingBuilder{
-		KB: l.KB, Engine: l.Engine,
-		SnippetsPerEntity: 4, MaxEntities: 12, Seed: 9,
-	}
-	train, test, _ := builder.Collect([]world.Type{world.Museum, world.Restaurant, world.Hotel})
-	var accK, accL float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best, _ := classify.GridSearchRBF(train, []float64{1, 8}, []float64{1, 8}, 3, 11)
-		kernel := classify.KernelSVMTrainer{C: best.C, Kernel: classify.RBFKernel(best.Gamma), Seed: 11}.Train(train)
-		linear := classify.LinearSVMTrainer{Seed: 11}.Train(train)
-		accK, _ = classify.Evaluate(kernel, test)
-		accL, _ = classify.Evaluate(linear, test)
-	}
-	b.StopTimer()
-	b.ReportMetric(accK, "kernelAcc")
-	b.ReportMetric(accL, "linearAcc")
-}
-
 // BenchmarkAblationQueryCache measures the effect of the per-table query
 // cache (a design choice motivated by §6.4's latency analysis): queries per
 // row with many repeated cell values.
@@ -365,30 +339,6 @@ func BenchmarkIndexPersistence(b *testing.B) {
 		if _, err := search.ReadShardedIndex(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSPARQLSelect measures pattern-join query evaluation over an
-// extracted POI repository.
-func BenchmarkSPARQLSelect(b *testing.B) {
-	l := lab()
-	store := rdf.NewStore()
-	x := &rdf.Extractor{Gazetteer: l.World.Gaz, MinScore: 0.5}
-	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
-	for _, t := range l.GFT.Tables[:6] {
-		x.Extract(t, mustAnnotate(b, a, t).Annotations, store)
-	}
-	q, err := rdf.ParseSPARQL(`SELECT ?name ?city WHERE {
-		?poi rdf:type "restaurant" .
-		?poi rdfs:label ?name .
-		?poi poi:city ?city .
-	}`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store.Select(q)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"repro"
@@ -70,10 +72,14 @@ func main() {
 	fmt.Printf("extracted %d POIs (%d triples) with %d queries, %d cache hits\n",
 		extracted, repo.Len(), queries, hits)
 
-	// Faceted browsing: counts by type, then a conjunctive filter.
+	// Faceted browsing: counts by type, largest first (ties by name), then
+	// a conjunctive filter.
 	fmt.Println("\nfacet rdf:type:")
-	for typ, n := range repo.FacetValues(rdf.PredType) {
-		fmt.Printf("  %-20s %d\n", typ, n)
+	types := repo.FacetValues(rdf.PredType)
+	names := slices.Sorted(maps.Keys(types))
+	slices.SortStableFunc(names, func(a, b string) int { return types[b] - types[a] })
+	for _, typ := range names {
+		fmt.Printf("  %-20s %d\n", typ, types[typ])
 	}
 	cities := repo.FacetValues(rdf.PredCity)
 	var anyCity string

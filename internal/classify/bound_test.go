@@ -17,8 +17,9 @@ func boundFixture() (*LinearSVM, *BoundSVM, []string) {
 	svm := LinearSVMTrainer{Seed: 5}.Train(bayesDataset()).(*LinearSVM)
 	vocab := []string{"unseen", "zebra", "aardvark"}
 	for _, label := range svm.labels {
-		terms, _ := svm.Weights(label)
-		vocab = append(vocab, terms...)
+		for term := range svm.weights[label] {
+			vocab = append(vocab, term)
+		}
 	}
 	slices.Sort(vocab)
 	vocab = slices.Compact(vocab)

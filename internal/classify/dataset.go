@@ -1,10 +1,8 @@
 // Package classify implements the text classifiers evaluated in §6.1 of the
 // paper: a multinomial Naive Bayes classifier (mirroring the LingPipe
-// configuration: prior counts 1.0, no length normalization) and support
-// vector machines — a linear SVM trained with Pegasos for the large snippet
-// corpora and a kernel C-SVC trained with SMO and an RBF kernel, matching the
-// LibSVM setup the paper used, selected by grid search with k-fold cross
-// validation.
+// configuration: prior counts 1.0, no length normalization) and a linear
+// support vector machine trained with Pegasos, which stands in for the
+// LibSVM RBF C-SVC the paper used (DESIGN.md, substitution table).
 package classify
 
 import (
@@ -70,33 +68,6 @@ func (d *Dataset) Split(frac float64) (train, test Dataset) {
 	return train, test
 }
 
-// Folds splits the dataset into k folds for cross validation. Fold i is the
-// i-th of k nearly equal contiguous chunks.
-func (d *Dataset) Folds(k int) []Dataset {
-	if k < 1 {
-		k = 1
-	}
-	folds := make([]Dataset, k)
-	n := len(d.Examples)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		folds[i].Examples = d.Examples[lo:hi]
-	}
-	return folds
-}
-
-// Without returns a dataset containing every fold except fold i; used as the
-// training portion during cross validation.
-func Without(folds []Dataset, i int) Dataset {
-	var out Dataset
-	for j, f := range folds {
-		if j != i {
-			out.Examples = append(out.Examples, f.Examples...)
-		}
-	}
-	return out
-}
-
 // Classifier assigns a label to a feature vector.
 type Classifier interface {
 	Predict(f textproc.Features) string
@@ -111,9 +82,4 @@ type Classifier interface {
 type TermClassifier interface {
 	Classifier
 	PredictTerms(ids []int32) string
-}
-
-// Trainer builds a classifier from a dataset.
-type Trainer interface {
-	Train(d Dataset) Classifier
 }

@@ -3,7 +3,6 @@ package classify
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/textproc"
@@ -194,23 +193,6 @@ func (m *LinearSVM) Predict(f textproc.Features) string {
 		}
 	}
 	return best
-}
-
-// Weights exposes the weight vector of one binary model; terms are returned
-// in sorted order together with their weights. Used by diagnostics to inspect
-// what vocabulary a type classifier latched onto.
-func (m *LinearSVM) Weights(label string) ([]string, []float64) {
-	w := m.weights[label]
-	terms := make([]string, 0, len(w))
-	for t := range w {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	vals := make([]float64, len(terms))
-	for i, t := range terms {
-		vals[i] = w[t]
-	}
-	return terms, vals
 }
 
 // hashString is the FNV-1a hash, used to derive per-label RNG streams.

@@ -99,8 +99,7 @@ func (nb *NaiveBayes) AppendTo(b []byte) []byte {
 
 // AppendClassifier appends c's TCLF stream to b, dispatching on the concrete
 // model behind the Classifier interface; it fails for models without a
-// persistence format (the kernel SVM and logistic baselines are
-// experiment-only).
+// persistence format.
 func AppendClassifier(b []byte, c Classifier) ([]byte, error) {
 	switch m := c.(type) {
 	case *LinearSVM:

@@ -62,9 +62,9 @@ func TestObjectsSubjects(t *testing.T) {
 	if got := s.Objects("poi:1", PredCity); len(got) != 1 || got[0] != "Paris" {
 		t.Errorf("Objects = %v", got)
 	}
-	subj := s.Subjects(PredCity, "Paris")
+	subj := s.FilterSubjects(map[string]string{PredCity: "Paris"})
 	if len(subj) != 2 || subj[0] != "poi:1" || subj[1] != "poi:3" {
-		t.Errorf("Subjects = %v", subj)
+		t.Errorf("FilterSubjects = %v", subj)
 	}
 }
 
@@ -91,19 +91,6 @@ func TestFilterSubjectsConjunction(t *testing.T) {
 	}
 	if got := s.FilterSubjects(map[string]string{PredType: "castle"}); len(got) != 0 {
 		t.Errorf("unsatisfiable constraint returned %v", got)
-	}
-}
-
-func TestDescribeSorted(t *testing.T) {
-	s := seeded()
-	d := s.Describe("poi:1")
-	if len(d) != 3 {
-		t.Fatalf("Describe = %d triples", len(d))
-	}
-	for i := 1; i < len(d); i++ {
-		if d[i-1].P > d[i].P {
-			t.Errorf("Describe not sorted by predicate")
-		}
 	}
 }
 
@@ -190,9 +177,9 @@ func TestExtractFromAnnotatedTable(t *testing.T) {
 
 func s0(t *testing.T, store *Store, pred, obj string) string {
 	t.Helper()
-	subjs := store.Subjects(pred, obj)
+	subjs := store.FilterSubjects(map[string]string{pred: obj})
 	if len(subjs) != 1 {
-		t.Fatalf("Subjects(%s,%s) = %v, want exactly one", pred, obj, subjs)
+		t.Fatalf("FilterSubjects(%s=%s) = %v, want exactly one", pred, obj, subjs)
 	}
 	return subjs[0]
 }

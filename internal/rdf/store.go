@@ -1,8 +1,8 @@
 // Package rdf implements the application substrate the paper's algorithm was
 // built for (§1): an RDF repository of points of interest extracted from
-// annotated tables, served to a faceted browser. It provides an in-memory
-// triple store with S/P/O indexes, wildcard pattern queries, facet counting,
-// and the table→triples extraction step.
+// annotated tables. It provides an in-memory triple store with S/P/O indexes,
+// wildcard pattern queries, facet counting, and the table→triples extraction
+// step.
 package rdf
 
 import (
@@ -104,17 +104,8 @@ func (s *Store) Objects(subj, pred string) []string {
 	return sortedKeys(set)
 }
 
-// Subjects returns the sorted distinct subjects of (?, pred, obj).
-func (s *Store) Subjects(pred, obj string) []string {
-	set := map[string]struct{}{}
-	for _, t := range s.Query("", pred, obj) {
-		set[t.S] = struct{}{}
-	}
-	return sortedKeys(set)
-}
-
 // FacetValues counts subjects per object value of a predicate — one facet of
-// the browser ("restaurants: 287, museums: 240, ...").
+// a faceted browser ("restaurants: 287, museums: 240, ...").
 func (s *Store) FacetValues(pred string) map[string]int {
 	counts := map[string]int{}
 	seen := map[[2]string]struct{}{}
@@ -130,7 +121,7 @@ func (s *Store) FacetValues(pred string) map[string]int {
 }
 
 // FilterSubjects returns the sorted subjects satisfying every pred=obj
-// constraint — the conjunctive facet selection of the browser ("type =
+// constraint — the conjunctive facet selection of a faceted browser ("type =
 // restaurant AND city = Paris").
 func (s *Store) FilterSubjects(constraints map[string]string) []string {
 	if len(constraints) == 0 {
@@ -159,19 +150,6 @@ func (s *Store) FilterSubjects(constraints map[string]string) []string {
 		}
 	}
 	return sortedKeys(result)
-}
-
-// Describe returns every triple with the given subject, sorted by predicate
-// then object — the browser's detail view.
-func (s *Store) Describe(subj string) []Triple {
-	out := s.Query(subj, "", "")
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P < out[j].P
-		}
-		return out[i].O < out[j].O
-	})
-	return out
 }
 
 // WriteNTriples serialises the store in a stable order and returns the text.
