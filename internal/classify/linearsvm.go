@@ -14,9 +14,9 @@ import (
 // with tens of thousands of snippets is where linear SVMs match kernel SVMs
 // while training orders of magnitude faster.
 type LinearSVMTrainer struct {
-	// Lambda is the regularization strength; 0 selects 1e-4.
+	// Lambda is the regularization strength; 0 selects 2e-5.
 	Lambda float64
-	// Epochs is the number of passes over the data; 0 selects 10.
+	// Epochs is the number of passes over the data; 0 selects 18.
 	Epochs int
 	// Seed drives the example sampling order; training is deterministic
 	// for a fixed seed.

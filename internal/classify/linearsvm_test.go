@@ -1,0 +1,77 @@
+package classify
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/textproc"
+)
+
+// TestLinearSVMTrainerDefaults: zero Lambda and Epochs train the same model
+// as the documented defaults spelled out.
+func TestLinearSVMTrainerDefaults(t *testing.T) {
+	d := synthDataset(60, 17)
+	got := LinearSVMTrainer{Seed: 9}.Train(d).(*LinearSVM)
+	want := LinearSVMTrainer{Lambda: 2e-5, Epochs: 18, Seed: 9}.Train(d).(*LinearSVM)
+	if !reflect.DeepEqual(got.weights, want.weights) || !reflect.DeepEqual(got.bias, want.bias) {
+		t.Error("zero Lambda/Epochs trained a different model than Lambda 2e-5, Epochs 18")
+	}
+	other := LinearSVMTrainer{Lambda: 1e-3, Epochs: 18, Seed: 9}.Train(d).(*LinearSVM)
+	if reflect.DeepEqual(other.weights, want.weights) {
+		t.Error("Lambda had no effect on the trained weights")
+	}
+}
+
+// TestLinearSVMPredictIsScoresArgmax: the term-major Predict picks a label
+// whose Scores value is the maximum, up to float re-association.
+func TestLinearSVMPredictIsScoresArgmax(t *testing.T) {
+	d := persistDataset()
+	m := LinearSVMTrainer{Seed: 4}.Train(d).(*LinearSVM)
+	probes := persistFeatures()
+	for _, ex := range d.Examples[:40] {
+		probes = append(probes, ex.Features)
+	}
+	for i, f := range probes {
+		scores := m.Scores(f)
+		best := math.Inf(-1)
+		for _, s := range scores {
+			best = math.Max(best, s)
+		}
+		pred := m.Predict(f)
+		if s, ok := scores[pred]; !ok || s < best-1e-9 {
+			t.Errorf("probe %d: Predict = %q scoring %v, best score %v (%v)", i, pred, s, best, scores)
+		}
+	}
+}
+
+// TestLinearSVMManyLabels: a model with more labels than Predict's stack
+// buffer holds still separates one-term classes.
+func TestLinearSVMManyLabels(t *testing.T) {
+	var d Dataset
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 5; j++ {
+			d.Examples = append(d.Examples, example(fmt.Sprintf("term%02d", i), fmt.Sprintf("label%02d", i)))
+		}
+	}
+	m := LinearSVMTrainer{Seed: 2}.Train(d)
+	for i := 0; i < 20; i++ {
+		if got, want := m.Predict(textproc.Features{fmt.Sprintf("term%02d", i): 1}), fmt.Sprintf("label%02d", i); got != want {
+			t.Errorf("Predict(term%02d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestLinearSVMEmptyDataset: a model trained on nothing knows no label and
+// predicts "".
+func TestLinearSVMEmptyDataset(t *testing.T) {
+	m := LinearSVMTrainer{}.Train(Dataset{}).(*LinearSVM)
+	f := textproc.Extract("museum gallery")
+	if got := m.Predict(f); got != "" {
+		t.Errorf("Predict = %q, want \"\"", got)
+	}
+	if got := m.Scores(f); len(got) != 0 {
+		t.Errorf("Scores = %v, want none", got)
+	}
+}

@@ -116,8 +116,6 @@ func TestClassifierRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteClassifierUnsupported: models without a persistence format fail
-// loudly instead of writing a stream no reader understands.
 // failAfter is an io.Writer that accepts n bytes then fails, driving every
 // write-error return in the TCLF writers.
 type failAfter struct {
@@ -174,6 +172,8 @@ type formatless struct{}
 
 func (formatless) Predict(textproc.Features) string { return "" }
 
+// TestWriteClassifierUnsupported: models without a persistence format fail
+// loudly instead of writing a stream no reader understands.
 func TestWriteClassifierUnsupported(t *testing.T) {
 	if _, err := WriteClassifier(&bytes.Buffer{}, formatless{}); err == nil {
 		t.Error("WriteClassifier accepted a model without a format")
@@ -307,6 +307,51 @@ func TestReadClassifierRejectsCountLieCheaply(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(lie), got)
 		}
+	}
+}
+
+// svmStream is the TCLF stream of an SVM with the given labels, each with a
+// zero bias and no terms.
+func svmStream(labels ...string) []byte {
+	b := codec.AppendU32(appendHeader(nil, clfKindSVM), uint32(len(labels)))
+	for _, label := range labels {
+		b = codec.AppendU32(codec.AppendF64(codec.AppendStr(b, label), 0), 0)
+	}
+	return b
+}
+
+func TestReadClassifierRejectsDuplicateLabel(t *testing.T) {
+	if _, err := ReadClassifier(svmStream("a", "b")); err != nil {
+		t.Fatalf("well-formed stream: %v", err)
+	}
+	if _, err := ReadClassifier(svmStream("a", "a")); err == nil || !strings.Contains(err.Error(), "duplicate label") {
+		t.Errorf("err = %v, want a duplicate label rejection", err)
+	}
+}
+
+// TestReadClassifierRejectsUnsortedLabels: prediction tie-breaks rely on
+// sorted labels, so a stream that lists them out of order is refused.
+func TestReadClassifierRejectsUnsortedLabels(t *testing.T) {
+	if _, err := ReadClassifier(svmStream("b", "a")); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("err = %v, want a label order rejection", err)
+	}
+}
+
+func TestReadClassifierRejectsDuplicateClass(t *testing.T) {
+	b := codec.AppendF64(codec.AppendF64(appendHeader(nil, clfKindBayes), 1), 2)
+	b = codec.AppendU32(b, 2)
+	for i := 0; i < 2; i++ {
+		b = codec.AppendU32(codec.AppendF64(codec.AppendF64(codec.AppendStr(b, "a"), 1), 0), 0)
+	}
+	if _, err := ReadClassifier(b); err == nil || !strings.Contains(err.Error(), "duplicate class") {
+		t.Errorf("err = %v, want a duplicate class rejection", err)
+	}
+}
+
+func TestReadClassifierRejectsTrailingBytes(t *testing.T) {
+	data := BayesTrainer{}.Train(persistDataset()).(*NaiveBayes).AppendTo(nil)
+	if _, err := ReadClassifier(append(data, 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("err = %v, want a trailing bytes rejection", err)
 	}
 }
 
