@@ -19,7 +19,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro"
@@ -96,8 +98,8 @@ func main() {
 		req.Types = strings.Split(*typesArg, ",")
 	}
 
-	// Trace-only mode: Explain pays one engine pass, not the annotate
-	// pass plus a trace pass.
+	// Trace-only mode: Explain is the traced request's one pass, printing
+	// the trace instead of the annotation summary.
 	if *explain {
 		trace, err := svc.Explain(ctx, req)
 		if err != nil {
@@ -125,8 +127,8 @@ func main() {
 		fmt.Printf("%-4d %-4d %-35s %-18s %.2f\n",
 			ann.Row, ann.Col, clip(tbl.Cell(ann.Row, ann.Col), 34), ann.Type, ann.Score)
 	}
-	for reason, n := range resp.Stats.Skipped {
-		fmt.Fprintf(os.Stderr, "skipped %d cells: %s\n", n, reason)
+	for _, reason := range slices.Sorted(maps.Keys(resp.Stats.Skipped)) {
+		fmt.Fprintf(os.Stderr, "skipped %d cells: %s\n", resp.Stats.Skipped[reason], reason)
 	}
 }
 

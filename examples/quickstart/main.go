@@ -8,6 +8,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"repro"
@@ -59,7 +61,7 @@ func main() {
 		fmt.Printf("  T(%d,%d) = %-30q -> %s (score %.2f)\n",
 			ann.Row, ann.Col, tbl.Cell(ann.Row, ann.Col), ann.Type, ann.Score)
 	}
-	for reason, n := range resp.Stats.Skipped {
-		fmt.Printf("  pre-processing skipped %d cells (%s)\n", n, reason)
+	for _, reason := range slices.Sorted(maps.Keys(resp.Stats.Skipped)) {
+		fmt.Printf("  pre-processing skipped %d cells (%s)\n", resp.Stats.Skipped[reason], reason)
 	}
 }

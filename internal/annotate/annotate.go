@@ -3,6 +3,7 @@ package annotate
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -20,12 +21,12 @@ import (
 // Searcher is the one query interface the annotator needs from a search
 // backend (steps 1-2 of the §5 algorithm): the top-k results for each query
 // of a batch, positionally. The execute stage submits a table's deduped cell
-// queries in chunks, amortizing the backend's per-call setup; the trace and
-// baseline paths submit batches of one. A backend should return ctx.Err()
-// once ctx is done, abandoning in-flight work (a simulated or real network
-// round-trip). The built-in *search.Engine implements it; any other backend
-// (a remote API, a mock, a different ranking substrate) plugs in the same
-// way, and SearchFunc adapts a plain per-query function. Implementations
+// queries in chunks, amortizing the backend's per-call setup, traced or not;
+// only the TIS baseline submits batches of one. A backend should return
+// ctx.Err() once ctx is done, abandoning in-flight work (a simulated or real
+// network round-trip). The built-in *search.Engine implements it; any other
+// backend (a remote API, a mock, a different ranking substrate) plugs in the
+// same way, and SearchFunc adapts a plain per-query function. Implementations
 // must be safe for concurrent use — chunks fan out over a worker pool when
 // Parallelism > 1.
 type Searcher interface {
@@ -86,6 +87,10 @@ type Result struct {
 	// containing at least one miss reach the backend, so — like
 	// CacheMisses — the count depends on what earlier tables cached.
 	Batches int
+	// Trace holds one explanation per cell in column-major order when the
+	// run was traced (Run.AnnotateTraced); nil otherwise. It shows the raw
+	// decisions, before post-processing.
+	Trace []CellExplanation
 }
 
 // Config is the immutable configuration of one annotation run — the §5
@@ -172,7 +177,7 @@ func (c Config) typeSet() map[string]struct{} {
 }
 
 // Run is one table's pass through the pipeline under one Config: what
-// Config.For returns. Its Annotate, Explain and GeoAnnotate share a single
+// Config.For returns. Its Annotate, AnnotateTraced and GeoAnnotate share one
 // geocode+vote resolution of the table, computed by whichever of them needs it
 // first and handed to the rest, so a request wanting several of them resolves
 // its table's geography once. The resolution belongs to this table because the
@@ -199,7 +204,14 @@ func (c Config) Annotate(ctx context.Context, t *table.Table) (*Result, error) {
 
 // Annotate is Config.Annotate over the run's table.
 func (r *Run) Annotate(ctx context.Context) (*Result, error) {
-	return r.annotateExcluding(ctx, nil)
+	return r.annotateExcluding(ctx, nil, false)
+}
+
+// AnnotateTraced is Annotate that also explains every cell in Result.Trace,
+// recorded by the same plan, execute and merge. A verdict keeps no votes, so a
+// traced run neither reads nor fills the shared Cache.
+func (r *Run) AnnotateTraced(ctx context.Context) (*Result, error) {
+	return r.annotateExcluding(ctx, nil, true)
 }
 
 // AnnotateBatch annotates a batch of tables, fanning whole tables out over
@@ -207,45 +219,48 @@ func (r *Run) Annotate(ctx context.Context) (*Result, error) {
 // annotations and scores are identical to annotating each table alone. With a
 // shared Cache, the cache's singleflight guarantees one backend query per
 // unique key, so batch-wide query and hit/miss totals are fixed too — though
-// which table's Result records a given miss can vary under concurrency. A
-// context error aborts the batch; otherwise the lowest-indexed table's error
-// fails it.
+// which table's Result records a given miss can vary under concurrency. The
+// batch fails under pool.RunErr's rule: the first failure cancels the rest,
+// the lowest-indexed error that is not a cancellation wins, and otherwise the
+// context's own error comes back.
 func (c Config) AnnotateBatch(ctx context.Context, tables []*table.Table) ([]*Result, error) {
 	out := make([]*Result, len(tables))
-	errs := make([]error, len(tables))
-	if err := pool.Run(ctx, c.Parallelism, len(tables), func(i int) {
-		out[i], errs[i] = c.Annotate(ctx, tables[i])
+	if _, err := pool.RunErr(ctx, c.Parallelism, len(tables), func(ctx context.Context, i int) (err error) {
+		out[i], err = c.Annotate(ctx, tables[i])
+		return err
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
 // annotateExcluding runs the three pipeline stages over the run's table,
 // leaving the given cells untouched (the hybrid annotator uses the exclusion to
-// send only catalogue-unknown cells to the search engine). The error is non-nil
-// only when ctx is cancelled, in which case the partial result is discarded.
-func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool) (*Result, error) {
+// send only catalogue-unknown cells to the search engine), and records the
+// trace when traced is set. The error is non-nil only when ctx is cancelled or
+// the backend fails, in which case the partial result is discarded.
+func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, traced bool) (*Result, error) {
 	// Check up front so cancellation holds even when every query would
 	// be answered by a warm cache and the execute stage never blocks.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := r.plan(ctx, exclude)
+	p, err := r.plan(ctx, exclude, traced)
 	if err != nil {
 		return nil, err
+	}
+	cfg := r.cfg
+	var rec []CellExplanation
+	if traced {
+		cfg.Cache = nil
+		rec = make([]CellExplanation, len(p.unique))
 	}
 	res := &Result{Skipped: p.skipped}
-	verdicts, err := r.cfg.execute(ctx, p.unique, res)
+	verdicts, err := cfg.execute(ctx, p.unique, res, rec)
 	if err != nil {
 		return nil, err
 	}
-	r.cfg.merge(r.t, p, verdicts, res)
+	cfg.merge(r.t, p, verdicts, rec, res)
 	return res, nil
 }
 
@@ -259,12 +274,13 @@ type cellQuery struct {
 
 // tablePlan is the plan stage's output: the annotatable cells in column-major
 // order, the deduplicated queries in first-encounter order (so the execute
-// stage issues them exactly as the original sequential pipeline did), and the
-// pre-processing skip counts.
+// stage issues them exactly as the original sequential pipeline did), the
+// pre-processing skip counts and, traced, every cell's explanation so far.
 type tablePlan struct {
 	cells   []cellQuery
 	unique  []string
 	skipped map[SkipReason]int
+	trace   []CellExplanation
 }
 
 // lowerCities returns each row's city lower-cased, indexed by 1-based row: the
@@ -277,9 +293,9 @@ func lowerCities(cityByRow map[int]string, rows int) []string {
 	return lower
 }
 
-// queryFor is the per-cell step of plan and Explain: the §5.1 verdict on a
-// cell's trimmed content and, when the cell survives, its query — the content,
-// followed by the row's city unless the content already names it.
+// queryFor is the per-cell step of plan: the §5.1 verdict on a cell's trimmed
+// content and, when the cell survives, its query — the content, followed by
+// the row's city unless the content already names it.
 func (c Config) queryFor(content, city, lowerCity string) (string, SkipReason) {
 	if reason := c.Pre.check(content); reason != SkipNone {
 		return "", reason
@@ -294,9 +310,10 @@ func (c Config) queryFor(content, city, lowerCity string) (string, SkipReason) {
 // spatial augmentation, and collects the unique queries to execute. Querying
 // the engine is the dominant cost (§6.4), so identical cell contents share
 // one query; the query string includes the spatial augmentation so different
-// rows stay distinguishable. The error is ctx.Err() when the context cancels
-// while the Location columns geocode and vote.
-func (r *Run) plan(ctx context.Context, exclude map[CellKey]bool) (tablePlan, error) {
+// rows stay distinguishable. A traced plan explains every cell, skipped ones
+// with their reason. The error is ctx.Err() when the context cancels while the
+// Location columns geocode and vote.
+func (r *Run) plan(ctx context.Context, exclude map[CellKey]bool, traced bool) (tablePlan, error) {
 	c, t := r.cfg, r.t
 	p := tablePlan{skipped: map[SkipReason]int{}}
 
@@ -311,13 +328,20 @@ func (r *Run) plan(ctx context.Context, exclude map[CellKey]bool) (tablePlan, er
 	for j := 1; j <= t.NumCols(); j++ {
 		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
 			p.skipped[SkipColumnType] += t.NumRows()
+			for i := 1; traced && i <= t.NumRows(); i++ {
+				p.trace = append(p.trace, CellExplanation{Row: i, Col: j, Content: strings.TrimSpace(t.Cell(i, j)), Skipped: SkipColumnType})
+			}
 			continue
 		}
 		for i := 1; i <= t.NumRows(); i++ {
 			if exclude[CellKey{Row: i, Col: j}] {
 				continue
 			}
-			query, reason := c.queryFor(strings.TrimSpace(t.Cell(i, j)), cityByRow[i], lowerCity[i])
+			content := strings.TrimSpace(t.Cell(i, j))
+			query, reason := c.queryFor(content, cityByRow[i], lowerCity[i])
+			if traced {
+				p.trace = append(p.trace, CellExplanation{Row: i, Col: j, Content: content, Skipped: reason, Query: query})
+			}
 			if reason != SkipNone {
 				p.skipped[reason]++
 				continue
@@ -358,23 +382,25 @@ func chunkSize(n, workers int) int {
 
 // execute resolves every unique query to a verdict, positionally, and sets
 // the Queries, batch and cache counters on res. The queries are cut into
-// chunks sized for the worker count, run over the Parallelism-bounded pool. A
-// chunk costs one backend batch call; with a shared cache it goes through the
-// cache's batched singleflight first, whose compute callback — invoked with
-// only the chunk's genuine misses — is that same call, so one backend query is
-// issued per unique key across all concurrent tables (which table's Result
-// records the miss can vary; totals are fixed by the workload). Verdicts are
-// identical at any chunking.
-func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]qcache.Verdict, error) {
+// chunks sized for the worker count, run over the Parallelism-bounded pool
+// under pool.RunErr's rule: a failed chunk (a backend error) cancels the rest.
+// A chunk costs one backend batch call; with a shared cache it goes through
+// the cache's batched singleflight first, whose compute callback — invoked
+// with only the chunk's genuine misses — is that same call, so one backend
+// query is issued per unique key across all concurrent tables (which table's
+// Result records the miss can vary; totals are fixed by the workload).
+// Verdicts are identical at any chunking. A traced run, which carries no cache,
+// passes rec to receive each query's retrieved count and flat votes.
+func (c Config) execute(ctx context.Context, queries []string, res *Result, rec []CellExplanation) ([]qcache.Verdict, error) {
 	gamma := c.typeSet()
 	var batches, hits atomic.Int64
-	chunk := func(queries []string) ([]qcache.Verdict, error) {
+	chunk := func(ctx context.Context, queries []string, rec []CellExplanation) ([]qcache.Verdict, error) {
 		batches.Add(1)
-		return c.resolveChunk(ctx, queries, gamma)
+		return c.resolveChunk(ctx, queries, gamma, rec)
 	}
 	if c.Cache != nil {
 		resolve, prefix := chunk, c.cacheKeyPrefix()
-		chunk = func(queries []string) ([]qcache.Verdict, error) {
+		chunk = func(ctx context.Context, queries []string, _ []CellExplanation) ([]qcache.Verdict, error) {
 			keys := make([]string, len(queries))
 			for i, q := range queries {
 				keys[i] = prefix + q
@@ -384,7 +410,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]q
 				for i, k := range missKeys {
 					miss[i] = k[len(prefix):]
 				}
-				return resolve(miss)
+				return resolve(ctx, miss, nil)
 			})
 			for _, h := range hit {
 				if h {
@@ -398,19 +424,17 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]q
 	n := len(queries)
 	out := make([]qcache.Verdict, n)
 	size := chunkSize(n, c.Parallelism)
-	errs := make([]error, (n+size-1)/size)
-	if err := pool.Run(ctx, c.Parallelism, len(errs), func(ci int) {
-		lo := ci * size
-		var vs []qcache.Verdict
-		vs, errs[ci] = chunk(queries[lo:min(lo+size, n)])
+	if _, err := pool.RunErr(ctx, c.Parallelism, (n+size-1)/size, func(ctx context.Context, ci int) error {
+		lo, hi := ci*size, min(ci*size+size, n)
+		var chunkRec []CellExplanation
+		if rec != nil {
+			chunkRec = rec[lo:hi]
+		}
+		vs, err := chunk(ctx, queries[lo:hi], chunkRec)
 		copy(out[lo:], vs)
+		return err
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	res.Batches = int(batches.Load())
 	res.CacheHits = int(hits.Load())
@@ -424,8 +448,8 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) ([]q
 // resolveChunk resolves one chunk of queries with a single backend batch
 // call and applies the Eq. 1 decision per query (positional). The
 // per-decision scratch state (see scratch) is checked out of a pool once for
-// the whole chunk.
-func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}) ([]qcache.Verdict, error) {
+// the whole chunk. A non-nil rec, one per query, receives the trace records.
+func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, rec []CellExplanation) ([]qcache.Verdict, error) {
 	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
 		return nil, err
@@ -436,12 +460,17 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 	for i, results := range lists {
 		typ, score, ok := c.decideWith(sc, results, gamma)
 		out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
+		if rec != nil {
+			// The flat counts, whichever rule decided.
+			c.countVotes(sc, results, gamma)
+			rec[i] = CellExplanation{Retrieved: len(results), Votes: maps.Clone(sc.counts)}
+		}
 	}
 	return out, nil
 }
 
-// searchOne is a batch of one, for the trace and baseline paths that decide
-// cell by cell.
+// searchOne is a batch of one, for the TIS baseline that decides cell by
+// cell.
 func (c Config) searchOne(ctx context.Context, query string) ([]search.Result, error) {
 	lists, err := c.Searcher.SearchBatchContext(ctx, []string{query}, c.k())
 	if err != nil {
@@ -460,14 +489,26 @@ func (c Config) cacheKeyPrefix() string {
 }
 
 // merge applies the positional verdicts back to the planned cells —
-// column-major, the order the original sequential pipeline produced — and then
-// runs the §5.3 post-processing when enabled.
-func (c Config) merge(t *table.Table, p tablePlan, verdicts []qcache.Verdict, res *Result) {
+// column-major, the order the original sequential pipeline produced — fills a
+// traced plan's explanations from their queries' verdicts and records, and
+// then runs the §5.3 post-processing when enabled.
+func (c Config) merge(t *table.Table, p tablePlan, verdicts []qcache.Verdict, rec []CellExplanation, res *Result) {
 	for _, cq := range p.cells {
 		if v := verdicts[cq.query]; v.OK {
 			res.Annotations = append(res.Annotations, Annotation{Row: cq.cell.Row, Col: cq.cell.Col, Type: v.Type, Score: v.Score})
 		}
 	}
+	// Both column-major, the trace's queried cells pair off with p.cells.
+	next := 0
+	for i := range p.trace {
+		if e := &p.trace[i]; e.Skipped == SkipNone {
+			q := p.cells[next].query
+			next++
+			e.Retrieved, e.Votes = rec[q].Retrieved, maps.Clone(rec[q].Votes)
+			e.Verdict, e.Score = verdicts[q].Type, verdicts[q].Score
+		}
+	}
+	res.Trace = p.trace
 	if c.Postprocess {
 		c.postprocess(t, res)
 	}
@@ -531,7 +572,7 @@ func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[strin
 }
 
 // countVotes tallies step 3 into sc.counts, one vote per result predicted in
-// Γ: what the flat rule decides on and what Explain displays.
+// Γ: what the flat rule decides on and what a trace displays.
 func (c Config) countVotes(sc *scratch, results []search.Result, gamma map[string]struct{}) {
 	clear(sc.counts)
 	p := c.predictor(sc)

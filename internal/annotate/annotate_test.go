@@ -106,11 +106,7 @@ func annotateTable(c Config, t *table.Table) *Result {
 }
 
 func explainTable(c Config, t *table.Table) []CellExplanation {
-	out, err := c.Explain(context.Background(), t)
-	if err != nil {
-		panic("annotate: background-context explain failed: " + err.Error())
-	}
-	return out
+	return mustResult(c.For(t).AnnotateTraced(context.Background())).Trace
 }
 
 func poiTable(t *testing.T) *table.Table {

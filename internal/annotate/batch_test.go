@@ -2,11 +2,15 @@ package annotate
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/qcache"
 	"repro/internal/search"
 	"repro/internal/table"
@@ -267,5 +271,98 @@ func TestSearchAllAbandonsInFlight(t *testing.T) {
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("cancelled in-flight search did not surface an error")
+	}
+}
+
+var errBackendDown = errors.New("backend down")
+
+// failingBackend fails every batch holding its poison query once release is
+// closed, and holds every other batch until its context is done: a sibling
+// only returns once a failure has cancelled it. Each batch that reaches it is
+// announced on entered while there is room.
+type failingBackend struct {
+	poison  string
+	release chan struct{}
+	entered chan struct{}
+}
+
+func (b *failingBackend) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	if slices.Contains(queries, b.poison) {
+		<-b.release
+		return nil, errBackendDown
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// awaitRun returns what a run started with goRun reports, failing the test
+// when the run never finishes.
+func awaitRun(t *testing.T, done <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s never finished: a failed chunk left its siblings waiting", what)
+		return nil
+	}
+}
+
+func goRun(run func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- run() }()
+	return done
+}
+
+// TestChunkFailureCancelsSiblings: a failed chunk cancels the table's other
+// chunks, and a failed table its batch's other tables, so both return the
+// backend's error instead of waiting on work that cannot finish. A request
+// waiting in the shared cache on keys the failed run held takes them over and
+// gets its answers.
+func TestChunkFailureCancelsSiblings(t *testing.T) {
+	leakcheck.Goroutines(t)
+	ctx := context.Background()
+	tbl, small := wideTable(t, 64), wideTable(t, 3)
+	failing := func(cache *qcache.Cache) (Config, *failingBackend) {
+		// One announcement per chunk of the 64-row table at Parallelism 4.
+		b := &failingBackend{poison: "Louvre Annex 40", release: make(chan struct{}), entered: make(chan struct{}, 4)}
+		return Config{Searcher: b, Classifier: constClassifier("museum"), Types: []string{"museum"}, K: 10, Parallelism: 4, Cache: cache}, b
+	}
+	for _, cache := range []*qcache.Cache{nil, qcache.New()} {
+		cfg, b := failing(cache)
+		close(b.release)
+		err := awaitRun(t, goRun(func() error { _, err := cfg.Annotate(ctx, tbl); return err }), "Annotate")
+		if !errors.Is(err, errBackendDown) {
+			t.Errorf("cache=%v: Annotate error = %v, want the backend's", cache != nil, err)
+		}
+		err = awaitRun(t, goRun(func() error { _, err := cfg.AnnotateBatch(ctx, []*table.Table{small, tbl}); return err }), "AnnotateBatch")
+		if !errors.Is(err, errBackendDown) {
+			t.Errorf("cache=%v: AnnotateBatch error = %v, want the backend's", cache != nil, err)
+		}
+	}
+
+	cache := qcache.New()
+	cfg, b := failing(cache)
+	failed := goRun(func() error { _, err := cfg.Annotate(ctx, tbl); return err })
+	for range 4 { // every chunk in hand, every key pending
+		<-b.entered
+	}
+	other := cfg
+	other.Searcher = batchScript(64)
+	var res *Result
+	answered := goRun(func() (err error) { res, err = other.Annotate(ctx, tbl); return err })
+	close(b.release)
+	if err := awaitRun(t, failed, "the failing request"); !errors.Is(err, errBackendDown) {
+		t.Errorf("failing request error = %v, want the backend's", err)
+	}
+	if err := awaitRun(t, answered, "the waiting request"); err != nil {
+		t.Fatalf("waiting request failed with the other's error: %v", err)
+	}
+	if len(res.Annotations) != 64 || res.CacheMisses+res.CacheHits != 64 {
+		t.Errorf("waiting request: %d annotations, %d misses + %d hits, want 64 annotations from 64 lookups", len(res.Annotations), res.CacheMisses, res.CacheHits)
 	}
 }

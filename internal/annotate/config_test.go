@@ -72,8 +72,8 @@ func TestConfigExplainCancelled(t *testing.T) {
 	s := &scriptedSearcher{results: map[string][]search.Result{"Louvre": snippets(10)}}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := scriptedConfig(s).Explain(cancelled, scriptedTable(t, "Louvre", "Unknown")); err == nil {
-		t.Error("cancelled context did not abort Explain")
+	if _, err := scriptedConfig(s).For(scriptedTable(t, "Louvre", "Unknown")).AnnotateTraced(cancelled); err == nil {
+		t.Error("cancelled context did not abort the traced run")
 	}
 	if s.calls.Load() != 0 {
 		t.Errorf("backend saw %d queries after cancellation, want 0", s.calls.Load())

@@ -53,9 +53,8 @@ type geoResolution struct {
 const geoRangeCells = 64
 
 // resolution returns the run's geocode+vote pass, making it on first use: the
-// §5.2.2 spatial query augmentation, Explain and the GeoAnnotate output all
-// read this one value, so a request wanting several of them never resolves its
-// table twice. The Location columns geocode, then vote through the graph; both
+// §5.2.2 spatial query augmentation and the GeoAnnotate output both read this
+// one value, so a request wanting both never resolves its table twice. The Location columns geocode, then vote through the graph; both
 // steps run over the request's one pool on the same min(GOMAXPROCS, 8)
 // workers, cell ranges first and the graph's components after — tables of
 // every size take the same path, holding one choice per interpretation plus
@@ -143,8 +142,8 @@ func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotatio
 // GeoAnnotate is Config.GeoAnnotate over the run's table, plus the voting
 // graph's decomposition statistics (component counts and the peak
 // pooled-scratch high-water mark) for serving layers that surface them. It
-// costs neither lookups nor propagation when the run's Annotate or Explain
-// already resolved the table.
+// costs neither lookups nor propagation when the run's Annotate already
+// resolved the table.
 func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, disambig.Stats{}, err

@@ -33,7 +33,7 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 	// merged annotation set.
 	cfg := h.Discovery
 	cfg.Postprocess = false
-	discRes := mustResult(cfg.For(t).annotateExcluding(context.Background(), known))
+	discRes := mustResult(cfg.For(t).annotateExcluding(context.Background(), known, false))
 
 	merged := &Result{
 		Annotations: append(append([]Annotation(nil), catRes.Annotations...), discRes.Annotations...),

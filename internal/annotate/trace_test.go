@@ -1,9 +1,14 @@
 package annotate
 
 import (
+	"context"
+	"fmt"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/qcache"
 	"repro/internal/table"
 )
 
@@ -118,6 +123,150 @@ func TestExplainAgreesWithAnnotate(t *testing.T) {
 		}
 		if verdicts == 0 {
 			t.Errorf("threshold %v: nothing was annotated", threshold)
+		}
+	}
+}
+
+// refExplain is the reference a traced run must match: a per-cell walk that
+// searches once per queried cell, with no deduplication and no cache, then
+// counts the flat votes and decides again, cell by cell.
+func refExplain(ctx context.Context, r *Run) ([]CellExplanation, error) {
+	c, t := r.cfg, r.t
+	gamma := c.typeSet()
+	cityByRow, err := r.rowCities(ctx)
+	if err != nil {
+		return nil, err
+	}
+	lowerCity := lowerCities(cityByRow, t.NumRows())
+	sc := getScratch()
+	defer putScratch(sc)
+	var out []CellExplanation
+	for j := 1; j <= t.NumCols(); j++ {
+		colSkipped := c.Pre.SkipColumn(t.Columns[j-1].Type)
+		for i := 1; i <= t.NumRows(); i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			e := CellExplanation{Row: i, Col: j, Content: strings.TrimSpace(t.Cell(i, j)), Skipped: SkipColumnType}
+			if !colSkipped {
+				e.Query, e.Skipped = c.queryFor(e.Content, cityByRow[i], lowerCity[i])
+			}
+			if e.Skipped != SkipNone {
+				out = append(out, e)
+				continue
+			}
+			results, err := c.searchOne(ctx, e.Query)
+			if err != nil {
+				return nil, err
+			}
+			e.Retrieved = len(results)
+			// Votes are the flat counts, for display; the verdict is the
+			// configured decision rule's own.
+			c.countVotes(sc, results, gamma)
+			e.Votes = maps.Clone(sc.counts)
+			e.Verdict, e.Score, _ = c.decideWith(sc, results, gamma)
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+// traceRefTable has every kind of cell a trace explains: repeated names (the
+// same query once, and with Disambiguate on, different queries in different
+// cities), a name that already carries its row's city, a phone number, an
+// empty cell, plain text, and two column-type-skipped columns, one of them the
+// Location column the augmentation reads.
+func traceRefTable(t *testing.T) *table.Table {
+	t.Helper()
+	tbl := table.New("trace-ref",
+		table.Column{Header: "Name", Type: table.Text},
+		table.Column{Header: "Address", Type: table.Location},
+		table.Column{Header: "Notes", Type: table.Text},
+		table.Column{Header: "Founded", Type: table.Number},
+	)
+	for _, row := range [][]string{
+		{"Melisse", "Ocean Drive, Santa Monica", "(410) 555-0101", "1999"},
+		{"Musée Lavande", "1600 Pennsylvania Avenue, Washington", "book ahead", "2001"},
+		{"Melisse", "2 Clarksville Street, Paris", "(410) 555-0101", "1999"},
+		{"Chez Martin", "", "book ahead", ""},
+		{"Musée Lavande", "Ocean Drive, Santa Monica", "", "12"},
+		{"National Museum of Glass Washington", "1600 Pennsylvania Avenue, Washington", "worth a visit", "3"},
+		{"Melisse", "Ocean Drive, Santa Monica", "(410) 555-0101", "1999"},
+	} {
+		if err := tbl.AppendRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// TestTracedPassMatchesReference: the trace a run records while it plans,
+// executes and merges equals the per-cell reference walk field by field and
+// line by line, for both decision rules, both k, spatial augmentation on and
+// off, sequential and chunked execution, and with a warm shared cache on the
+// config, which the traced run must neither read nor fill. The traced run
+// sends each unique query once and returns the untraced run's annotations;
+// the reference sends one query per queried cell.
+func TestTracedPassMatchesReference(t *testing.T) {
+	f := newFixture(t)
+	tbl := traceRefTable(t)
+	ctx := context.Background()
+	for _, disamb := range []bool{false, true} {
+		for _, threshold := range []float64{0, 0.4} {
+			for _, k := range []int{5, 10} {
+				for _, par := range []int{1, 3} {
+					for _, cached := range []bool{false, true} {
+						name := fmt.Sprintf("disambiguate=%v/threshold=%g/k=%d/parallelism=%d/cache=%v", disamb, threshold, k, par, cached)
+						c := f.config()
+						c.Disambiguate, c.Gazetteer = disamb, f.gaz
+						c.ClusterThreshold, c.K, c.Parallelism = threshold, k, par
+						if cached {
+							c.Cache = qcache.New()
+						}
+						untraced := annotateTable(c, tbl)
+						unique := untraced.Queries + untraced.CacheHits
+
+						want, err := refExplain(ctx, c.For(tbl))
+						if err != nil {
+							t.Fatal(err)
+						}
+						queried := 0
+						for _, e := range want {
+							if e.Skipped == SkipNone {
+								queried++
+							}
+						}
+						before := f.engine.Stats().Queries
+						res := mustResult(c.For(tbl).AnnotateTraced(ctx))
+						sent := f.engine.Stats().Queries - before
+
+						if len(res.Trace) != len(want) {
+							t.Fatalf("%s: %d explanations, reference %d", name, len(res.Trace), len(want))
+						}
+						for i := range want {
+							if !reflect.DeepEqual(res.Trace[i], want[i]) {
+								t.Errorf("%s: explanation %d = %+v, reference %+v", name, i, res.Trace[i], want[i])
+							}
+							if got, ref := res.Trace[i].String(), want[i].String(); got != ref {
+								t.Errorf("%s: line %d = %q, reference %q", name, i, got, ref)
+							}
+						}
+						if !reflect.DeepEqual(res.Annotations, untraced.Annotations) {
+							t.Errorf("%s: traced annotations %+v, untraced %+v", name, res.Annotations, untraced.Annotations)
+						}
+						if sent != unique || res.Queries != unique || unique >= queried {
+							t.Errorf("%s: traced run sent %d queries and reported %d; want the %d unique ones, fewer than the %d queried cells",
+								name, sent, res.Queries, unique, queried)
+						}
+						if res.CacheHits != 0 || res.CacheMisses != 0 {
+							t.Errorf("%s: traced run touched the cache: %d hits, %d misses", name, res.CacheHits, res.CacheMisses)
+						}
+						if cached && c.Cache.Len() != unique {
+							t.Errorf("%s: cache holds %d verdicts after the traced run, want the untraced run's %d", name, c.Cache.Len(), unique)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package pool is the one bounded fan-out of a request. Run serves the work
-// that cannot fail: table batches and a table's query chunks (annotate), the
-// search shards of a query batch (search), the geo stage's components and vote
-// chunks (disambig) and the router's /statz fetch (server). RunErr serves the
-// work that can: the service's AnnotateBatch and GeocodeBatch and the router's
-// batch fan-out. It is a leaf package so every layer can call it.
+// that cannot fail: the search shards of a query batch (search), the geo
+// stage's components and vote chunks (disambig) and the router's /statz fetch
+// (server). RunErr serves the work that can: a table's query chunks and a
+// batch of tables (annotate), whose backend or cache compute can fail, the
+// service's AnnotateBatch and GeocodeBatch and the router's batch fan-out. It
+// is a leaf package so every layer can call it.
 package pool
 
 import (

@@ -431,8 +431,10 @@ type AnnotateRequest struct {
 	// (default on).
 	Disambiguate Toggle
 	// Trace additionally returns the per-cell decision explanations
-	// (cmd/annotate's -explain view). The trace pass re-queries the
-	// engine, roughly doubling the request's query cost.
+	// (cmd/annotate's -explain view). The request's one pass records them,
+	// sending no extra query; but a verdict keeps no votes, so a traced
+	// request neither reads nor fills the shared cache: it sends every one
+	// of its unique queries, and its CacheStats are zero.
 	Trace bool
 	// Geocode additionally runs the §5.2.2 geocode+disambiguate stage as
 	// an output product: every Location-column cell resolved against the
@@ -472,8 +474,7 @@ type CacheStats struct {
 
 // Timing is the request's wall-clock breakdown.
 type Timing struct {
-	// Total is the end-to-end service time of the request, including the
-	// trace pass when one was requested.
+	// Total is the end-to-end service time of the request.
 	Total time.Duration
 }
 
@@ -552,10 +553,14 @@ func (s *Service) Annotate(ctx context.Context, req *AnnotateRequest) (*Annotate
 // run executes an already-validated request with its derived config.
 func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateRequest) (*AnnotateResponse, error) {
 	start := time.Now()
-	// One run, so one geocode+vote pass serves the Disambiguate stage, the
-	// trace and the GeoAnnotations output.
+	// One run, so one geocode+vote pass serves the Disambiguate stage and the
+	// GeoAnnotations output.
 	run := cfg.For(req.Table)
-	res, err := run.Annotate(ctx)
+	pass := run.Annotate
+	if req.Trace {
+		pass = run.AnnotateTraced
+	}
+	res, err := pass(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -577,10 +582,8 @@ func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateReq
 			resp.Stats.Skipped[string(reason)] = n
 		}
 	}
-	if req.Trace {
-		if resp.Trace, err = traceLines(run.Explain(ctx)); err != nil {
-			return nil, err
-		}
+	for _, e := range res.Trace {
+		resp.Trace = append(resp.Trace, e.String())
 	}
 	if req.Geocode {
 		gas, _, err := run.GeoAnnotate(ctx)
@@ -704,29 +707,20 @@ func (s *Service) GeocodeBatch(ctx context.Context, reqs []*GeocodeRequest) ([]*
 	})
 }
 
-// Explain runs the request in tracing mode ONLY: one human-readable
-// decision explanation per cell (the view behind cmd/annotate's -explain),
-// without the annotation pass an AnnotateRequest with Trace set would also
-// pay for. The request's knobs apply; Trace itself is ignored. Cancellation
-// is checked between cell queries, like Annotate.
+// Explain is Annotate with Trace set, returning only the trace: one
+// human-readable decision explanation per cell (the view behind
+// cmd/annotate's -explain). The request's knobs apply; its Trace and Geocode
+// are ignored.
 func (s *Service) Explain(ctx context.Context, req *AnnotateRequest) ([]string, error) {
 	cfg, err := s.requestConfig(req)
 	if err != nil {
 		return nil, err
 	}
-	return traceLines(cfg.Explain(ctx, req.Table))
-}
-
-// traceLines renders a trace pass, one line per cell.
-func traceLines(explanations []annotate.CellExplanation, err error) ([]string, error) {
+	resp, err := s.run(ctx, cfg, &AnnotateRequest{Table: req.Table, Trace: true})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(explanations))
-	for i, e := range explanations {
-		out[i] = e.String()
-	}
-	return out, nil
+	return resp.Trace, nil
 }
 
 // AnnotateBatch annotates the requests over the service's worker pool and

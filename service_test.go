@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/qcache"
 	"repro/internal/world"
 )
 
@@ -265,5 +266,65 @@ func TestToggleOf(t *testing.T) {
 	}
 	if !ToggleOn.apply(false) || ToggleOff.apply(true) {
 		t.Error("ToggleOn/ToggleOff must override the default")
+	}
+}
+
+// TestRequestCountsWhatItSends: Stats.Queries is what the request sent the
+// engine, traced or not, on a cold service and through a warm shared cache. A
+// traced request records its trace in its one pass: it sends each unique query
+// once (the duplicated row costs nothing), neither reads nor fills the cache,
+// and returns the untraced request's annotations with one line per cell.
+func TestRequestCountsWhatItSends(t *testing.T) {
+	ctx := context.Background()
+	svc := testService(t)
+	shared, err := New(ctx, WithSnapshot(writeTestSnapshot(t, svc)), WithParallelism(4), WithSharedCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := testTable(t, svc)
+	if err := tbl.AppendRow(tbl.Rows[0]...); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		svc  *Service
+	}{{"cold", svc}, {"shared cache", shared}} {
+		send := func(req *AnnotateRequest) *AnnotateResponse {
+			t.Helper()
+			before := s.svc.Engine().Stats().Queries
+			resp, err := s.svc.Annotate(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sent := s.svc.Engine().Stats().Queries - before; resp.Stats.Queries != sent {
+				t.Errorf("%s, trace=%v: Stats.Queries = %d, engine received %d", s.name, req.Trace, resp.Stats.Queries, sent)
+			}
+			return resp
+		}
+		untraced := send(&AnnotateRequest{Table: tbl})
+		unique := untraced.Stats.Queries + untraced.CacheStats.Hits
+		if again := send(&AnnotateRequest{Table: tbl}); s.svc.Cache() != nil && again.Stats.Queries != 0 {
+			t.Errorf("%s: a repeated untraced request sent %d queries through a warm cache", s.name, again.Stats.Queries)
+		}
+		var cacheBefore qcache.Stats
+		if s.svc.Cache() != nil {
+			cacheBefore = s.svc.Cache().Stats()
+		}
+		traced := send(&AnnotateRequest{Table: tbl, Trace: true})
+		if traced.Stats.Queries != unique {
+			t.Errorf("%s: traced request sent %d queries, want the %d unique ones", s.name, traced.Stats.Queries, unique)
+		}
+		if traced.CacheStats != (CacheStats{}) {
+			t.Errorf("%s: traced request CacheStats = %+v, want zero", s.name, traced.CacheStats)
+		}
+		if s.svc.Cache() != nil && s.svc.Cache().Stats() != cacheBefore {
+			t.Errorf("%s: traced request touched the cache: %+v -> %+v", s.name, cacheBefore, s.svc.Cache().Stats())
+		}
+		if !reflect.DeepEqual(traced.Annotations, untraced.Annotations) {
+			t.Errorf("%s: traced annotations %+v, untraced %+v", s.name, traced.Annotations, untraced.Annotations)
+		}
+		if len(traced.Trace) != tbl.NumRows()*tbl.NumCols() {
+			t.Errorf("%s: %d trace lines, want one per cell (%d)", s.name, len(traced.Trace), tbl.NumRows()*tbl.NumCols())
+		}
 	}
 }
