@@ -49,6 +49,14 @@ func lab() *eval.Lab {
 	return benchLab
 }
 
+// boundSVM is the lab's SVM bound to the index vocabulary, as the service and
+// eval bind it, so a benchmark over it times the decide path a request runs:
+// scoring token ids, not re-extracting each snippet's text.
+var boundSVM = sync.OnceValue(func() classify.Classifier {
+	l := lab()
+	return classify.Bind(l.SVM, l.Engine.ShardedIndex().Vocab())
+})
+
 // mustAnnotate runs one table through cfg under a background context.
 func mustAnnotate(tb testing.TB, cfg annotate.Config, t *table.Table) *annotate.Result {
 	tb.Helper()
@@ -263,7 +271,7 @@ func BenchmarkAblationQueryCache(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings()}
+	a := annotate.Config{Searcher: l.Engine, Classifier: boundSVM(), Types: eval.TypeStrings()}
 	var queries int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -430,7 +438,7 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {
 			a := annotate.Config{
 				Searcher:    l.Engine,
-				Classifier:  l.SVM,
+				Classifier:  boundSVM(),
 				Types:       eval.TypeStrings(),
 				Postprocess: true,
 				Parallelism: p,
@@ -461,7 +469,7 @@ func BenchmarkCrossTableCache(b *testing.B) {
 	newConfig := func(c *qcache.Cache) annotate.Config {
 		return annotate.Config{
 			Searcher:    l.Engine,
-			Classifier:  l.SVM,
+			Classifier:  boundSVM(),
 			Types:       eval.TypeStrings(),
 			Postprocess: true,
 			Cache:       c,
@@ -506,7 +514,7 @@ func BenchmarkRandomTableAnnotation(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pool := append([]*world.Entity{}, l.World.TableEntities(world.Museum)...)
 	pool = append(pool, l.World.TableEntities(world.Restaurant)...)
-	a := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
+	a := annotate.Config{Searcher: l.Engine, Classifier: boundSVM(), Types: eval.TypeStrings(), Postprocess: true}
 	tables := make([]*table.Table, 8)
 	for ti := range tables {
 		tbl := table.New("bench", table.Column{Header: "Name", Type: table.Text})
@@ -540,7 +548,7 @@ func BenchmarkAnnotateTableSteadyState(b *testing.B) {
 	}
 	cfg := annotate.Config{
 		Searcher:    l.Engine,
-		Classifier:  l.SVM,
+		Classifier:  boundSVM(),
 		Types:       eval.TypeStrings(),
 		Postprocess: true,
 	}

@@ -1,8 +1,8 @@
 // Command benchgeo measures the geographic half of the system — voting-graph
 // construction and score propagation over the gazetteer (§5.2.2, Figure 7) —
 // and records the numbers in a JSON trajectory file (BENCH_geo.json). It is
-// the geo counterpart of cmd/benchsearch and cmd/benchannotate: annotation
-// benchmarks exercise small per-table candidate sets, so a regression (or a
+// the geo counterpart of cmd/benchsearch and bench/'s annotate workloads:
+// they exercise small per-table candidate sets, so a regression (or a
 // win) in graph construction at production gazetteer sizes is invisible to
 // them.
 //

@@ -45,8 +45,8 @@ func TIN(t *table.Table, types []string, pre Preprocessor) *Result {
 
 // TIS is the TypeInSnippet baseline of §6.2: query the engine with the cell
 // content and annotate with type t iff the majority of the retrieved
-// snippets contain the name of t; the score follows Eq. 1. The error is
-// non-nil only when ctx is cancelled.
+// snippets contain the name of t; the score follows Eq. 1. It fails on a
+// Searcher error or cancellation; the built-in engine fails only on the latter.
 func (c Config) TIS(ctx context.Context, t *table.Table) (*Result, error) {
 	res := &Result{Skipped: map[SkipReason]int{}}
 	stemmed := make(map[string][]string, len(c.Types))

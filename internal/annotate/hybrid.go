@@ -48,10 +48,10 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 	return merged
 }
 
-// mustResult unwraps a pipeline run that cannot have failed: the only error
-// the pipeline returns is ctx.Err(), and AnnotateTable runs under
-// context.Background(), which never cancels. The panic guards the invariant
-// instead of silently returning a truncated Result.
+// mustResult unwraps a run under context.Background(): the pipeline fails
+// only on cancellation or a Searcher error, and the built-in engine fails
+// only on cancellation. The panic reports a Searcher that failed instead of
+// silently returning a truncated Result.
 func mustResult(res *Result, err error) *Result {
 	if err != nil {
 		panic("annotate: background-context run failed: " + err.Error())

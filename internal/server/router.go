@@ -496,6 +496,9 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 	}
 	var cache CacheFull
 	haveCache := false
+	// The per-shard fan-out adds up only across workers with one shard
+	// count; a fleet mid-rollout to a new shard count leaves it out.
+	shardsAgree := true
 	for i, ws := range r.prober.workers {
 		healthy, ejections, lastErr := ws.snapshotStats()
 		wj := RouterWorkerJSON{
@@ -514,7 +517,15 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 			out.Failed += st.Failed
 			if st.Search != nil {
 				if out.Search == nil {
-					out.Search = &SearchFull{IndexDocs: st.Search.IndexDocs, Shards: st.Search.Shards}
+					out.Search = &SearchFull{IndexDocs: st.Search.IndexDocs, Shards: st.Search.Shards,
+						ShardQueries: make([]int64, len(st.Search.ShardQueries))}
+				}
+				if len(st.Search.ShardQueries) != len(out.Search.ShardQueries) {
+					shardsAgree = false
+				} else {
+					for j, q := range st.Search.ShardQueries {
+						out.Search.ShardQueries[j] += q
+					}
 				}
 				out.Search.Queries += st.Search.Queries
 				out.Search.Batches += st.Search.Batches
@@ -549,8 +560,13 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 		}
 		rf.Workers[i] = wj
 	}
-	if out.Search != nil && out.Search.Batches > 0 {
-		out.Search.AvgBatchSize = float64(out.Search.BatchedQueries) / float64(out.Search.Batches)
+	if out.Search != nil {
+		if out.Search.Batches > 0 {
+			out.Search.AvgBatchSize = float64(out.Search.BatchedQueries) / float64(out.Search.Batches)
+		}
+		if !shardsAgree {
+			out.Search.ShardQueries = nil
+		}
 	}
 	if haveCache {
 		if total := cache.Hits + cache.Misses; total > 0 {

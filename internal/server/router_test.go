@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -482,7 +483,55 @@ func TestRouterStatz(t *testing.T) {
 		t.Errorf("per-worker served sums to %d, want 3", workerServed)
 	}
 	if st.Search == nil || st.Search.Queries == 0 {
-		t.Error("merged search stats missing")
+		t.Fatal("merged search stats missing")
+	}
+
+	// The per-shard fan-out is the element-wise sum of what the workers
+	// report; nothing has been sent since the router's read.
+	if st.Search.Shards < 1 {
+		t.Fatalf("merged shards = %d", st.Search.Shards)
+	}
+	want := make([]int64, st.Search.Shards)
+	for _, u := range urls {
+		resp, err := http.Get(u + "/statz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws StatzJSON
+		err = json.NewDecoder(resp.Body).Decode(&ws)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws.Search == nil || len(ws.Search.ShardQueries) != len(want) {
+			t.Fatalf("worker %s reports search %+v, want %d shard counts", u, ws.Search, len(want))
+		}
+		for j, q := range ws.Search.ShardQueries {
+			want[j] += q
+		}
+	}
+	if !slices.Equal(st.Search.ShardQueries, want) {
+		t.Errorf("merged shard_queries = %v, want the workers' sum %v", st.Search.ShardQueries, want)
+	}
+}
+
+// TestRouterStatzShardCountsDisagree: workers that report different shard
+// counts have no per-shard sum, so the merged /statz leaves it out.
+func TestRouterStatzShardCountsDisagree(t *testing.T) {
+	noLeaks(t)
+	urls := startWorkers(t, 1, Config{})
+	shards := testService(t).Engine().Stats().Shards
+	odd := scriptedWorker(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, StatzJSON{Search: &SearchFull{Shards: shards + 1, ShardQueries: make([]int64, shards+1)}})
+	}), func(string, *http.Request) bool { return true })
+	rec := httptest.NewRecorder()
+	newTestRouter(t, RouterConfig{Workers: []string{urls[0], odd}}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var st StatzJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Search == nil || st.Search.ShardQueries != nil {
+		t.Errorf("merged search over %d- and %d-shard workers = %+v, want no shard_queries", shards, shards+1, st.Search)
 	}
 }
 

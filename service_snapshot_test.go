@@ -31,6 +31,19 @@ func writeTestSnapshot(t *testing.T, svc *Service) string {
 	return path
 }
 
+// TestSnapshotBootBeatsBuild: the bundle exists to beat the rebuild, so even
+// one unwarmed load boots faster than the world it was written from was built.
+func TestSnapshotBootBeatsBuild(t *testing.T) {
+	svc := testService(t)
+	loaded, err := New(context.Background(), WithSnapshot(writeTestSnapshot(t, svc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if load, build := loaded.Snapshot().LoadDuration, svc.BuildDuration(); load >= build {
+		t.Errorf("snapshot load took %v, not less than the world build's %v", load, build)
+	}
+}
+
 // TestServiceSnapshotRoundTrip is the package-level differential: a service
 // booted from a snapshot answers Annotate, Geocode and Explain identically
 // to the service the snapshot was written from, and POI extraction over its

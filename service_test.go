@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/qcache"
 	"repro/internal/world"
@@ -66,6 +67,9 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown scale", WithScale("huge"), "WithScale"},
 		{"unknown classifier", WithClassifier("forest"), "WithClassifier"},
 		{"negative parallelism", WithParallelism(-1), "WithParallelism"},
+		{"negative search shards", WithSearchShards(-1), "WithSearchShards"},
+		{"negative cache entries", WithCacheLimits(-1, 0), "WithCacheLimits"},
+		{"negative cache ttl", WithCacheLimits(0, -time.Second), "WithCacheLimits"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
