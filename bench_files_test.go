@@ -1,12 +1,13 @@
 package repro
 
-// Guard rails for the standing benchmark trajectory files: BENCH_search.json
-// (cmd/benchsearch), BENCH_geo.json (cmd/benchgeo), BENCH_cluster.json
-// (cmd/benchcluster), and BENCH_annotate.json and BENCH_boot.json, frozen
-// history whose writers are gone (bench/ measures both quantities now), must
-// always parse, keep at least their seeded history, and append
-// chronologically — a rebase or hand-edit that reorders or truncates the
-// history should fail CI, not silently rewrite the project's performance
+// Guard rails for the standing benchmark trajectory files: BENCH_cluster.json
+// (cmd/benchcluster), and BENCH_annotate.json, BENCH_boot.json,
+// BENCH_search.json and BENCH_geo.json, frozen history whose writers are gone
+// (bench/ measures annotation throughput and boot time; BenchmarkIndexAdd in
+// internal/search and BenchmarkDisambiguationGraph measure index build and the
+// Figure 7 sweep), must always parse, keep at least their seeded history, and
+// append chronologically — a rebase or hand-edit that reorders or truncates
+// the history should fail CI, not silently rewrite the project's performance
 // record.
 
 import (

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -186,26 +187,120 @@ func BenchmarkEfficiencyPerRow(b *testing.B) {
 	b.ReportMetric(rows[0].QueriesPerRow, "queriesPerRow")
 }
 
-// BenchmarkDisambiguationGraph regenerates Figure 7: resolving a table's
-// worth of ambiguous partial addresses through the voting graph.
+// BenchmarkDisambiguationGraph regenerates Figure 7 at growing gazetteer
+// scale (§5.2.2): resolving a 50 × 4 table, at most eight candidates a cell,
+// through the voting graph over the seed-42 synthetic gazetteer at scales 1, 8
+// and 91 (≈ 100k locations). Reports resolve throughput (cells/s) and the
+// graph's node count.
 func BenchmarkDisambiguationGraph(b *testing.B) {
-	g := gazetteer.Synthetic(1).Freeze()
-	streets := []string{"Pennsylvania Avenue", "Wofford Lane", "Clarksville Street", "Main Street", "Oak Street", "High Street"}
-	cities := []string{"Washington", "Paris", "College Park", "Springfield", "Cambridge", "Richmond"}
+	const seed, rows, cols, cands = 42, 50, 4, 8
+	for _, scale := range []int{1, 8, 91} {
+		b.Run(fmt.Sprintf("gaz=%d", scale), func(b *testing.B) {
+			g := gazetteer.SyntheticScale(seed, scale).Freeze()
+			interps := figure7Interps(g, rand.New(rand.NewSource(seed+rows<<16)), rows, cols, cands)
+			var st disambig.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, st = disambig.ResolveScoresOpt(interps, g, disambig.Options{})
+			}
+			b.ReportMetric(float64(rows*cols*b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(float64(st.Nodes), "nodes")
+		})
+	}
+}
+
+// figure7Interps builds BenchmarkDisambiguationGraph's interpretation grid.
+// Each row has a home city; its first column is an ambiguous street address
+// (the home instance among same-named streets elsewhere) and the others are
+// ambiguous references to the home city, so correct interpretations cohere
+// along rows while wrong ones scatter.
+func figure7Interps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols, cands int) []disambig.Interpretation {
+	cities := g.Cities()
 	var interps []disambig.Interpretation
-	for i := 0; i < 50; i++ {
-		if cands := g.Geocode(streets[i%len(streets)]); len(cands) > 0 {
-			interps = append(interps, disambig.Interpretation{
-				Cell: disambig.CellRef{Row: i + 1, Col: 1}, Candidates: cands})
+	for i := 1; i <= rows; i++ {
+		var home gazetteer.LocID
+		var streets []gazetteer.LocID
+		for len(streets) == 0 {
+			home = cities[rng.Intn(len(cities))]
+			streets = g.StreetsIn(home)
 		}
-		if cands := g.Lookup(cities[i%len(cities)], gazetteer.City); len(cands) > 0 {
+		street := streets[rng.Intn(len(streets))]
+		interps = append(interps, disambig.Interpretation{
+			Cell:       disambig.CellRef{Row: i, Col: 1},
+			Candidates: sampleCandidates(g.Lookup(g.Name(street), gazetteer.Street), street, cands, rng),
+		})
+		for j := 2; j <= cols; j++ {
 			interps = append(interps, disambig.Interpretation{
-				Cell: disambig.CellRef{Row: i + 1, Col: 2}, Candidates: cands})
+				Cell:       disambig.CellRef{Row: i, Col: j},
+				Candidates: sampleCandidates(g.Lookup(g.Name(home), gazetteer.City), home, cands, rng),
+			})
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		disambig.ResolveScoresOpt(interps, g, disambig.Options{})
+	return interps
+}
+
+// sampleCandidates returns up to n distinct candidates drawn from all,
+// always including must, sorted ascending (the order a geocoder returns).
+func sampleCandidates(all []gazetteer.LocID, must gazetteer.LocID, n int, rng *rand.Rand) []gazetteer.LocID {
+	if len(all) <= n {
+		return slices.Clone(all)
+	}
+	out := []gazetteer.LocID{must}
+	for _, i := range rng.Perm(len(all)) {
+		if len(out) == n {
+			break
+		}
+		if all[i] != must {
+			out = append(out, all[i])
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFigure7Nodes pins BenchmarkDisambiguationGraph's grid: the voting graph
+// it resolves has the node counts the Figure 7 sweep has always reported at
+// gazetteer scales 1, 8 and 91, so a changed grid shows before its cells/s
+// are compared with earlier runs.
+func TestFigure7Nodes(t *testing.T) {
+	const seed, rows, cols, cands = 42, 50, 4, 8
+	for _, tc := range []struct{ scale, nodes int }{{1, 611}, {8, 1151}, {91, 1600}} {
+		t.Run(fmt.Sprintf("gaz=%d", tc.scale), func(t *testing.T) {
+			g := gazetteer.SyntheticScale(seed, tc.scale).Freeze()
+			interps := figure7Interps(g, rand.New(rand.NewSource(seed+rows<<16)), rows, cols, cands)
+			if len(interps) != rows*cols {
+				t.Fatalf("%d cells, want %d", len(interps), rows*cols)
+			}
+			for _, in := range interps {
+				if len(in.Candidates) == 0 || len(in.Candidates) > cands {
+					t.Fatalf("cell %v has %d candidates, want 1..%d", in.Cell, len(in.Candidates), cands)
+				}
+			}
+			_, _, st := disambig.ResolveScoresOpt(interps, g, disambig.Options{})
+			if st.Nodes != tc.nodes {
+				t.Errorf("graph has %d nodes, want %d", st.Nodes, tc.nodes)
+			}
+		})
+	}
+}
+
+func TestSampleCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	all := []gazetteer.LocID{3, 5, 9, 11, 20, 31}
+	got := sampleCandidates(all, 11, 4, rng)
+	if len(got) != 4 {
+		t.Fatalf("sampleCandidates returned %d candidates, want 4", len(got))
+	}
+	if !slices.Contains(got, 11) {
+		t.Fatalf("sampleCandidates %v is missing the mandatory candidate", got)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("sampleCandidates not strictly increasing: %v", got)
+		}
+	}
+	if short := sampleCandidates(all[:2], 3, 5, rng); !slices.Equal(short, all[:2]) {
+		t.Fatalf("sampleCandidates of a small list = %v, want the whole list", short)
 	}
 }
 

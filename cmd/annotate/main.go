@@ -132,11 +132,14 @@ func main() {
 	}
 }
 
+// clip shortens s to at most n runes, ending a cut string in "…", so a cell
+// stays valid UTF-8 and fmt's rune-counted padding keeps the column aligned.
 func clip(s string, n int) string {
-	if len(s) <= n {
+	r := []rune(s)
+	if len(r) <= n {
 		return s
 	}
-	return s[:n-1] + "…"
+	return string(r[:n-1]) + "…"
 }
 
 func fatal(err error) {

@@ -280,17 +280,17 @@ func benchmark(cfg benchConfig, stdout io.Writer) error {
 	driver := func(targets []string, n int, rate float64) (*load.Result, error) {
 		return load.Run(load.Config{
 			Targets: targets, N: n, Rate: rate, Concurrency: cfg.maxInflight,
-			Rows: cfg.rows, Seed: cfg.seed, Distinct: true, Timeout: 30 * time.Second,
+			Rows: cfg.rows, Seed: cfg.seed, Timeout: 30 * time.Second,
 		})
 	}
 	toPhase := func(res *load.Result, rate float64) phase {
-		lats := res.Latencies()
+		lats := res.Latencies
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		return phase{
 			OfferedRps: rate,
-			Sent:       res.Annotate.Sent + res.Geocode.Sent,
+			Sent:       res.Sent,
 			OK:         res.OK(),
-			Shed:       res.Annotate.Statuses[http.StatusTooManyRequests] + res.Geocode.Statuses[http.StatusTooManyRequests],
+			Shed:       res.Statuses[http.StatusTooManyRequests],
 			GoodputRps: float64(res.OK()) / res.Wall.Seconds(),
 			P50Ms:      ms(load.Percentile(lats, 500)),
 			P99Ms:      ms(load.Percentile(lats, 990)),

@@ -33,7 +33,6 @@
 // snapshot.reload_epoch.
 //
 // SIGINT/SIGTERM drain in-flight requests and shut down gracefully.
-// cmd/loadgen generates load against a running server.
 //
 // # Router mode
 //

@@ -84,7 +84,7 @@ func TestComponentParallelMatchesSingleGraph(t *testing.T) {
 // holds a home city and addresses of streets inside it, geocoded with the
 // city name as context — so candidate sets only couple rows sharing a city
 // name and the graph splits into many components (one per distinct city
-// name, roughly). This is the cmd/benchgeo huge-table shape.
+// name, roughly): the shape of bench/'s geocode_huge tables.
 func addressInterps(g *gazetteer.Frozen, rng *rand.Rand, rows, cols int) []Interpretation {
 	cities := g.Cities()
 	var interps []Interpretation
@@ -254,7 +254,7 @@ func checkDecomposition(t *testing.T, interps []Interpretation, g *gazetteer.Fro
 	t.Helper()
 	d := decompose(interps, g)
 	gr := BuildGraph(interps, g)
-	n := gr.NodeCount()
+	n := len(gr.locs)
 
 	// Every node in exactly one component; members ascending.
 	compOf := make([]int, n)

@@ -126,7 +126,7 @@ func (c *constantRoutes) all() bool {
 
 func (c *constantRoutes) observe(interps []Interpretation, g *gazetteer.Frozen) {
 	gr := BuildGraph(interps, g)
-	for v := int32(0); v < int32(gr.NodeCount()); v++ {
+	for v := int32(0); v < int32(len(gr.locs)); v++ {
 		voters := gr.in[gr.inOff[v]:gr.inOff[v+1]]
 		if gr.constant(v) || len(voters) == 0 {
 			continue

@@ -392,13 +392,6 @@ func (ns *nodeSet) buildCSR(comp []int32, sc *compScratch, markConst bool) (inOf
 	return inOff, in
 }
 
-// EdgeCount returns the number of directed edges; exposed for tests and
-// benchmarks.
-func (gr *Graph) EdgeCount() int { return len(gr.in) }
-
-// NodeCount returns the number of nodes.
-func (gr *Graph) NodeCount() int { return len(gr.locs) }
-
 // choose picks every cell's winner from the final per-node scores and
 // returns it with the cell's full score distribution. A cell whose every
 // interpretation had an empty (or all-invalid) candidate set maps to

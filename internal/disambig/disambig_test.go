@@ -106,10 +106,10 @@ func TestFigure7Resolution(t *testing.T) {
 func TestGraphStructure(t *testing.T) {
 	g, interps, _ := figure7(t)
 	gr := BuildGraph(interps, g)
-	if gr.NodeCount() != 15 {
-		t.Errorf("node count = %d, want 15 (sum of candidate set sizes)", gr.NodeCount())
+	if len(gr.locs) != 15 {
+		t.Errorf("node count = %d, want 15 (sum of candidate set sizes)", len(gr.locs))
 	}
-	if gr.EdgeCount() == 0 {
+	if len(gr.in) == 0 {
 		t.Error("graph has no edges; voting cannot happen")
 	}
 }
@@ -133,11 +133,11 @@ func TestInListsAscendSymmetric(t *testing.T) {
 	edges := 0
 	for k, in := range inputs {
 		gr, ref := BuildGraph(in.interps, in.g), refBuildGraph(in.interps, in.g)
-		if gr.NodeCount() != len(ref.nodes) {
-			t.Fatalf("input %d: %d nodes, reference %d", k, gr.NodeCount(), len(ref.nodes))
+		if len(gr.locs) != len(ref.nodes) {
+			t.Fatalf("input %d: %d nodes, reference %d", k, len(gr.locs), len(ref.nodes))
 		}
 		votes := map[[2]int32]bool{}
-		for v := 0; v < gr.NodeCount(); v++ {
+		for v := 0; v < len(gr.locs); v++ {
 			list := gr.in[gr.inOff[v]:gr.inOff[v+1]]
 			if len(list) != len(ref.nodes[v].in) {
 				t.Fatalf("input %d, node %d: voters %v, reference %v", k, v, list, ref.nodes[v].in)
@@ -227,8 +227,8 @@ func TestNoCrossCellEdgesWithinSameCell(t *testing.T) {
 	// some may share a container.
 	interps := []Interpretation{{Cell: CellRef{1, 1}, Candidates: streets}}
 	gr := BuildGraph(interps, g)
-	if gr.EdgeCount() != 0 {
-		t.Errorf("edges within a single cell: %d, want 0", gr.EdgeCount())
+	if len(gr.in) != 0 {
+		t.Errorf("edges within a single cell: %d, want 0", len(gr.in))
 	}
 }
 
@@ -241,8 +241,8 @@ func TestDiagonalCellsDoNotVote(t *testing.T) {
 		{Cell: CellRef{2, 2}, Candidates: b}, // different row AND column
 	}
 	gr := BuildGraph(interps, g)
-	if gr.EdgeCount() != 0 {
-		t.Errorf("diagonal cells should not vote: %d edges", gr.EdgeCount())
+	if len(gr.in) != 0 {
+		t.Errorf("diagonal cells should not vote: %d edges", len(gr.in))
 	}
 }
 

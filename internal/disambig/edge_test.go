@@ -153,7 +153,7 @@ func TestDuplicateCandidatesDeduplicated(t *testing.T) {
 		{Cell: CellRef{1, 1}, Candidates: dup},
 		{Cell: CellRef{1, 2}, Candidates: balt},
 	}
-	if got, want := BuildGraph(dirty, g).NodeCount(), BuildGraph(clean, g).NodeCount(); got != want {
+	if got, want := len(BuildGraph(dirty, g).locs), len(BuildGraph(clean, g).locs); got != want {
 		t.Fatalf("duplicated candidates created %d nodes, want %d", got, want)
 	}
 	wantChoice, wantDetail, _ := ResolveScoresOpt(clean, g, Options{})
@@ -166,7 +166,7 @@ func TestDuplicateCandidatesDeduplicated(t *testing.T) {
 	}
 	// NoLocation candidates are invalid input and are ignored.
 	noisy := []Interpretation{{Cell: CellRef{1, 1}, Candidates: append([]gazetteer.LocID{gazetteer.NoLocation}, parises...)}}
-	if got, want := BuildGraph(noisy, g).NodeCount(), len(parises); got != want {
+	if got, want := len(BuildGraph(noisy, g).locs), len(parises); got != want {
 		t.Errorf("NoLocation candidate created a node: %d nodes, want %d", got, want)
 	}
 }

@@ -183,11 +183,11 @@ func checkEquivalence(t *testing.T, interps []Interpretation, g *gazetteer.Froze
 	t.Helper()
 	ref := refBuildGraph(interps, g)
 	gr := BuildGraph(interps, g)
-	if ref.edgeCount() != gr.EdgeCount() {
-		t.Fatalf("edge count: reference %d, sparse %d", ref.edgeCount(), gr.EdgeCount())
+	if ref.edgeCount() != len(gr.in) {
+		t.Fatalf("edge count: reference %d, sparse %d", ref.edgeCount(), len(gr.in))
 	}
-	if len(ref.nodes) != gr.NodeCount() {
-		t.Fatalf("node count: reference %d, sparse %d", len(ref.nodes), gr.NodeCount())
+	if len(ref.nodes) != len(gr.locs) {
+		t.Fatalf("node count: reference %d, sparse %d", len(ref.nodes), len(gr.locs))
 	}
 
 	refChoice, refDetail := refResolveScores(interps, g)

@@ -1,9 +1,10 @@
 package load
 
-// Driver tests against stub HTTP servers: endpoint mix, round-robin target
-// spread, open-loop pacing, and the deterministic workload plan.
+// Driver tests against stub HTTP servers: status accounting, round-robin
+// target spread, open-loop pacing, and the deterministic workload plan.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,65 +14,55 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/table"
+	"repro/internal/world"
 )
 
-func stubTarget(t *testing.T, annotate, geocode *atomic.Int64) *httptest.Server {
+// stubTarget counts the annotate requests it receives and answers every
+// second one with 429, so a run sees two statuses.
+func stubTarget(t *testing.T, annotate *atomic.Int64) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/annotate":
-			annotate.Add(1)
-			_ = json.NewEncoder(w).Encode(server.AnnotateResponseJSON{
-				Stats: server.StatsJSON{Annotated: 2, Queries: 3},
-			})
-		case "/v1/geocode":
-			geocode.Add(1)
-			_ = json.NewEncoder(w).Encode(server.GeocodeResponseJSON{
-				Stats: server.GeoStatsJSON{Resolved: 4},
-			})
-		default:
+		if r.URL.Path != "/v1/annotate" {
 			t.Errorf("unexpected path %s", r.URL.Path)
+		}
+		if annotate.Add(1)%2 == 0 {
+			w.WriteHeader(http.StatusTooManyRequests)
 		}
 	}))
 }
 
-func TestRunClosedLoopMix(t *testing.T) {
-	var ann, geo atomic.Int64
-	ts := stubTarget(t, &ann, &geo)
+func TestRunClosedLoop(t *testing.T) {
+	var ann atomic.Int64
+	ts := stubTarget(t, &ann)
 	defer ts.Close()
 	res, err := Run(Config{
 		Targets: []string{ts.URL}, N: 40, Concurrency: 4,
-		GeocodeFrac: 0.5, Rows: 2, Seed: 42, Timeout: 5 * time.Second,
+		Rows: 2, Seed: 42, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Annotate.Sent != int(ann.Load()) || res.Geocode.Sent != int(geo.Load()) {
-		t.Fatalf("sent (%d, %d) disagrees with server hits (%d, %d)",
-			res.Annotate.Sent, res.Geocode.Sent, ann.Load(), geo.Load())
+	if res.Sent != 40 || ann.Load() != 40 {
+		t.Fatalf("sent %d, server saw %d; want 40 each", res.Sent, ann.Load())
 	}
-	if res.Annotate.Sent+res.Geocode.Sent != 40 {
-		t.Fatalf("total sent = %d, want 40", res.Annotate.Sent+res.Geocode.Sent)
+	if res.OK() != 20 || res.Statuses[http.StatusTooManyRequests] != 20 {
+		t.Errorf("statuses = %v, want 20 × 200 and 20 × 429", res.Statuses)
 	}
-	// A 0.5 mix over 40 seeded draws lands well inside 8..32 per endpoint.
-	if res.Geocode.Sent < 8 || res.Geocode.Sent > 32 {
-		t.Errorf("geocode mix = %d/40, not plausibly a fair 0.5 split", res.Geocode.Sent)
+	if len(res.Latencies) != res.OK() {
+		t.Errorf("%d latencies for %d 200s: only 200s are timed", len(res.Latencies), res.OK())
 	}
-	if res.Annotate.Annotated != 2*res.Annotate.OK() || res.Annotate.Queries != 3*res.Annotate.OK() {
-		t.Errorf("annotate accounting off: %+v", res.Annotate)
-	}
-	if res.Geocode.Resolved != 4*res.Geocode.OK() {
-		t.Errorf("geocode accounting off: %+v", res.Geocode)
-	}
-	if len(res.Latencies()) != 40 {
-		t.Errorf("merged latencies = %d, want 40", len(res.Latencies()))
+	for i := 1; i < len(res.Latencies); i++ {
+		if res.Latencies[i] < res.Latencies[i-1] {
+			t.Fatal("latencies are not sorted")
+		}
 	}
 }
 
 func TestRunRoundRobin(t *testing.T) {
-	var a1, a2, g atomic.Int64
-	t1 := stubTarget(t, &a1, &g)
-	t2 := stubTarget(t, &a2, &g)
+	var a1, a2 atomic.Int64
+	t1 := stubTarget(t, &a1)
+	t2 := stubTarget(t, &a2)
 	defer t1.Close()
 	defer t2.Close()
 	if _, err := Run(Config{
@@ -88,8 +79,8 @@ func TestRunRoundRobin(t *testing.T) {
 // TestRunOpenLoop: the Poisson schedule paces the run — N arrivals at a rate
 // well below the server's speed take about N/rate seconds, not zero.
 func TestRunOpenLoop(t *testing.T) {
-	var ann, geo atomic.Int64
-	ts := stubTarget(t, &ann, &geo)
+	var ann atomic.Int64
+	ts := stubTarget(t, &ann)
 	defer ts.Close()
 	res, err := Run(Config{
 		Targets: []string{ts.URL}, N: 30, Rate: 200,
@@ -98,8 +89,8 @@ func TestRunOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Annotate.Sent != 30 {
-		t.Fatalf("sent = %d, want 30", res.Annotate.Sent)
+	if res.Sent != 30 {
+		t.Fatalf("sent = %d, want 30", res.Sent)
 	}
 	// E[wall] = 30/200s = 150ms; the seeded schedule is fixed, so just
 	// bound it loosely against "no pacing at all".
@@ -108,10 +99,12 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestPlanDeterministic: same config, same workload — bodies, mix and
-// arrival schedule.
+// TestPlanDeterministic: same config, same workload — bodies and arrival
+// schedule — and no cell repeats across the run even when it cycles through
+// the universe's entities, so a shared verdict cache cannot answer one
+// request from another.
 func TestPlanDeterministic(t *testing.T) {
-	cfg := Config{N: 20, Rate: 100, GeocodeFrac: 0.3, Rows: 2, Seed: 7}
+	cfg := Config{N: 20, Rate: 100, Rows: 100, Seed: 7}
 	p1, err := plan(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,18 +116,30 @@ func TestPlanDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(p1, p2) {
 		t.Error("two plans from the same config differ")
 	}
-	geos := 0
-	for _, r := range p1 {
-		if r.geocode {
-			geos++
-		}
-	}
-	if geos == 0 || geos == len(p1) {
-		t.Errorf("geocode mix = %d/%d, want a real split", geos, len(p1))
-	}
 	for i := 1; i < len(p1); i++ {
 		if p1[i].arrival < p1[i-1].arrival {
 			t.Fatal("arrival schedule is not monotone")
+		}
+	}
+	ents := len(world.Generate(world.Config{Seed: cfg.Seed, KBPerType: 60}).TableEntities(world.Restaurant))
+	if cfg.N*cfg.Rows <= ents {
+		t.Fatalf("%d cells over %d entities: the plan never reuses an entity", cfg.N*cfg.Rows, ents)
+	}
+	seen := map[string]bool{}
+	for i, r := range p1 {
+		var req server.AnnotateRequestJSON
+		if err := json.Unmarshal(r.body, &req); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := table.ReadJSON(bytes.NewReader(req.Table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tbl.ColumnValues(1) {
+			if seen[name] {
+				t.Fatalf("request %d repeats the cell %q", i, name)
+			}
+			seen[name] = true
 		}
 	}
 }

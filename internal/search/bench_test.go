@@ -2,8 +2,8 @@ package search
 
 // Micro-benchmarks for the query core, run over a synthetic corpus large
 // enough that accumulator, heap and positional-intersection costs dominate.
-// cmd/benchsearch measures the same operations over the full canonical
-// corpus and records the trajectory in BENCH_search.json.
+// BenchmarkIndexAdd's docs/s is the quantity BENCH_search.json's frozen
+// index_docs_per_sec history recorded over the full canonical corpus.
 
 import (
 	"fmt"
@@ -86,13 +86,15 @@ func benchIndex(b *testing.B, n int) *ShardedIndex {
 }
 
 // BenchmarkIndexAdd measures indexing throughput: Add into a one-shard
-// builder (positional posting construction included) plus the Freeze.
+// builder (positional posting construction included) plus the Freeze,
+// reported in documents per second.
 func BenchmarkIndexAdd(b *testing.B) {
 	docs := benchCorpus(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buildSharded(docs, 1)
 	}
+	b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
 // BenchmarkSearchTerm measures plain BM25 top-k over the dense accumulator
