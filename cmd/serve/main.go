@@ -12,7 +12,7 @@
 //
 //	serve [-addr :8080] [-seed 42] [-scale small|full] [-classifier svm|bayes]
 //	      [-parallel 8] [-shards 0] [-share-cache] [-cache-max-entries 0]
-//	      [-cache-ttl 0] [-max-inflight 64] [-max-cells 100000] [-max-batch 32]
+//	      [-max-inflight 64] [-max-cells 100000] [-max-batch 32]
 //	      [-snapshot-file world.tsnp] [-pprof-addr localhost:6060]
 //
 // The limits shown are internal/server's defaults (server.Config here,
@@ -78,7 +78,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "search index shards (0 = one per CPU, capped at 8; results identical at any count)")
 		shareCache   = flag.Bool("share-cache", true, "share query verdicts across requests (cross-table cache)")
 		cacheMax     = flag.Int("cache-max-entries", 0, "cap the shared cache's entries, evicting oldest first (0 = unbounded)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "expire shared-cache verdicts after this long (0 = never)")
 		maxInflight  = flag.Int("max-inflight", 0, "admission control: max concurrently-served table requests (0 = internal/server's default: 64, as a router 256)")
 		maxCells     = flag.Int("max-cells", 0, "reject tables larger than this many cells (0 = internal/server's default: 100000)")
 		maxBatch     = flag.Int("max-batch", 0, "max requests per /v1/annotate:batch or /v1/geocode:batch call (0 = internal/server's default: 32)")
@@ -131,8 +130,8 @@ func main() {
 	opts = append(opts, repro.WithParallelism(*parallel))
 	if *shareCache {
 		opts = append(opts, repro.WithSharedCache())
-		if *cacheMax != 0 || *cacheTTL != 0 {
-			opts = append(opts, repro.WithCacheLimits(*cacheMax, *cacheTTL))
+		if *cacheMax != 0 {
+			opts = append(opts, repro.WithCacheLimits(*cacheMax, 0))
 		}
 	}
 	if *snapshotFile != "" {

@@ -405,7 +405,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 			for i, q := range queries {
 				keys[i] = prefix + q
 			}
-			vs, hit, err := c.Cache.GetOrComputeBatch(keys, func(missKeys []string) ([]qcache.Verdict, error) {
+			vs, hit, err := c.Cache.GetOrComputeBatch(ctx, keys, func(missKeys []string) ([]qcache.Verdict, error) {
 				miss := make([]string, len(missKeys))
 				for i, k := range missKeys {
 					miss[i] = k[len(prefix):]

@@ -91,8 +91,8 @@ type ClusterAblationRow struct {
 // the macro F per type group. The clustered rule matters most for the
 // ambiguous people names.
 func (l *Lab) ClusterAblation(threshold float64) []ClusterAblationRow {
-	flat := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, l.Cfg.K, 0))
-	clustered := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, l.Cfg.K, threshold))
+	flat := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, annotateK, 0))
+	clustered := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, annotateK, threshold))
 
 	groups := []struct {
 		name  string
@@ -131,7 +131,7 @@ type SubsumptionRow struct {
 // with the full pipeline. The paper reports "no particular problems" with
 // these pairs; the report quantifies that claim.
 func (l *Lab) SubsumptionReport() []SubsumptionRow {
-	results := l.memoRun(l.SVM, true, false, l.Cfg.K, 0)
+	results := l.memoRun(l.SVM, true, false, annotateK, 0)
 	var rows []SubsumptionRow
 	for _, sub := range world.AllTypes {
 		super, ok := world.Supertype(sub)
@@ -229,7 +229,7 @@ func (l *Lab) HybridAnalysis() HybridReport {
 	// memoized result set shared with the other analyses).
 	var discRes map[string]*annotate.Result
 	if l.Cache == nil {
-		discRes = l.memoRun(l.SVM, true, false, l.Cfg.K, 0)
+		discRes = l.memoRun(l.SVM, true, false, annotateK, 0)
 	} else {
 		cfg := l.config(l.SVM, true, false)
 		cfg.Cache = nil

@@ -176,7 +176,7 @@ func TestCatalogueCoverageGapOnGFT(t *testing.T) {
 	if catMicro.Recall() > 0.4 {
 		t.Errorf("catalogue recall on GFT = %.2f, want < 0.4 (coverage gap)", catMicro.Recall())
 	}
-	ourPer := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, l.Cfg.K, 0))
+	ourPer := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, annotateK, 0))
 	ourMicro := MicroAverage(ourPer, types)
 	if ourMicro.Recall() <= catMicro.Recall()+0.2 {
 		t.Errorf("discovery recall %.2f should far exceed catalogue recall %.2f",

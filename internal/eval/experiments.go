@@ -24,7 +24,7 @@ func (l *Lab) config(clf classify.Classifier, postprocess, disambiguate bool) an
 		Searcher:     l.Engine,
 		Classifier:   classify.Bind(clf, l.Engine.ShardedIndex().Vocab()),
 		Types:        TypeStrings(),
-		K:            l.Cfg.K,
+		K:            annotateK,
 		Postprocess:  postprocess,
 		Disambiguate: disambiguate,
 		Gazetteer:    l.Geo,
@@ -142,8 +142,8 @@ type Table1Row struct {
 // group averages.
 func (l *Lab) Table1() []Table1Row {
 	types := TypeStrings()
-	svmRes := l.memoRun(l.SVM, true, false, l.Cfg.K, 0)
-	bayesRes := l.memoRun(l.Bayes, true, false, l.Cfg.K, 0)
+	svmRes := l.memoRun(l.SVM, true, false, annotateK, 0)
+	bayesRes := l.memoRun(l.Bayes, true, false, annotateK, 0)
 	tinRes := runDataset(l.GFT, func(t *table.Table) *annotate.Result {
 		return annotate.TIN(t, types, annotate.Preprocessor{})
 	})
@@ -204,9 +204,9 @@ type Table3Row struct {
 
 // Table3 runs the ablation of §6.2's final experiment.
 func (l *Lab) Table3() []Table3Row {
-	plain := ScoreDataset(l.GFT, l.memoRun(l.SVM, false, false, l.Cfg.K, 0))
-	post := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, l.Cfg.K, 0))
-	dis := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, true, l.Cfg.K, 0))
+	plain := ScoreDataset(l.GFT, l.memoRun(l.SVM, false, false, annotateK, 0))
+	post := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, false, annotateK, 0))
+	dis := ScoreDataset(l.GFT, l.memoRun(l.SVM, true, true, annotateK, 0))
 
 	var rows []Table3Row
 	for _, t := range world.AllTypes {

@@ -9,7 +9,6 @@ package eval
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/annotate"
 	"repro/internal/classify"
@@ -21,6 +20,13 @@ import (
 	"repro/internal/webgen"
 	"repro/internal/world"
 )
+
+// annotateK is the top-k snippet count at annotation time (the paper's
+// k = 10); KSweep varies it per run.
+const annotateK = 10
+
+// svmEpochs is the linear SVM's training epoch count.
+const svmEpochs = 10
 
 // LabConfig scales the experiment. The zero value selects the full-size
 // configuration used by cmd/experiments; tests use smaller settings.
@@ -34,10 +40,6 @@ type LabConfig struct {
 	SnippetsPerEntity int
 	// MaxTrainEntities caps the sampled P set per type (default 0 = all).
 	MaxTrainEntities int
-	// K is the top-k snippet count at annotation time (default 10).
-	K int
-	// SVMEpochs tunes the linear SVM (default 10).
-	SVMEpochs int
 	// AmbiguityRate overrides the universe's confuser-sense rate
 	// (0 keeps the world default of 0.35). Used by the ambiguity sweep.
 	AmbiguityRate float64
@@ -50,11 +52,10 @@ type LabConfig struct {
 	// search-engine round-trips. Off by default because it changes the
 	// reported query counts (quality numbers are unaffected).
 	ShareCache bool
-	// CacheMaxEntries caps the shared cache's entry count (0 = unbounded)
-	// and CacheTTL expires its entries (0 = never); both only matter with
-	// ShareCache set. See qcache.Options for the eviction semantics.
+	// CacheMaxEntries caps the shared cache's entry count (0 = unbounded);
+	// it only matters with ShareCache set. See qcache.Options for the
+	// eviction semantics.
 	CacheMaxEntries int
-	CacheTTL        time.Duration
 	// SearchShards is the shard count of the search index: each query's
 	// scoring fans out across the shards in parallel, with results
 	// byte-identical to a monolithic index (every reported number is
@@ -77,12 +78,6 @@ func (c LabConfig) withDefaults() LabConfig {
 	}
 	if c.SnippetsPerEntity == 0 {
 		c.SnippetsPerEntity = 8
-	}
-	if c.K == 0 {
-		c.K = 10
-	}
-	if c.SVMEpochs == 0 {
-		c.SVMEpochs = 10
 	}
 	if c.SearchShards == 0 {
 		c.SearchShards = min(runtime.GOMAXPROCS(0), 8)
@@ -149,10 +144,7 @@ func NewLab(cfg LabConfig) *Lab {
 	cfg = cfg.withDefaults()
 	l := &Lab{Cfg: cfg, runMemo: map[string]*memoEntry{}}
 	if cfg.ShareCache {
-		l.Cache = qcache.NewWithOptions(qcache.Options{
-			MaxEntries: cfg.CacheMaxEntries,
-			TTL:        cfg.CacheTTL,
-		})
+		l.Cache = qcache.NewWithOptions(qcache.Options{MaxEntries: cfg.CacheMaxEntries})
 	}
 
 	l.World = world.Generate(world.Config{
@@ -181,7 +173,7 @@ func NewLab(cfg LabConfig) *Lab {
 	train, test, stats := builder.Collect(world.AllTypes)
 	l.TrainStats = stats
 
-	l.SVM = classify.LinearSVMTrainer{Epochs: cfg.SVMEpochs, Seed: cfg.Seed + 4}.Train(train)
+	l.SVM = classify.LinearSVMTrainer{Epochs: svmEpochs, Seed: cfg.Seed + 4}.Train(train)
 	l.Bayes = classify.BayesTrainer{}.Train(train)
 
 	l.TestPerType = map[string]struct{ SVM, Bayes float64 }{}

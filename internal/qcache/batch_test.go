@@ -2,10 +2,12 @@ package qcache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGetOrComputeBatchBasics: cached keys hit, fresh keys miss in one
@@ -16,7 +18,7 @@ func TestGetOrComputeBatchBasics(t *testing.T) {
 	c.Put("warm", Verdict{Type: "museum", OK: true})
 
 	var gotMiss []string
-	vs, hits, err := c.GetOrComputeBatch(
+	vs, hits, err := c.GetOrComputeBatch(context.Background(),
 		[]string{"warm", "a", "b", "a", "warm"},
 		func(miss []string) ([]Verdict, error) {
 			gotMiss = append([]string(nil), miss...)
@@ -64,7 +66,7 @@ func TestGetOrComputeBatchSingleflight(t *testing.T) {
 				keys[i] = fmt.Sprintf("k%02d", (w*3+i)%uniqueKeys)
 			}
 			<-start
-			vs, _, err := c.GetOrComputeBatch(keys, func(miss []string) ([]Verdict, error) {
+			vs, _, err := c.GetOrComputeBatch(context.Background(), keys, func(miss []string) ([]Verdict, error) {
 				out := make([]Verdict, len(miss))
 				for i, k := range miss {
 					var idx int
@@ -113,7 +115,7 @@ func TestGetOrComputeBatchComputeError(t *testing.T) {
 	var secondDone sync.WaitGroup
 
 	go func() {
-		_, _, err := c.GetOrComputeBatch(keys, func(miss []string) ([]Verdict, error) {
+		_, _, err := c.GetOrComputeBatch(context.Background(), keys, func(miss []string) ([]Verdict, error) {
 			close(firstEntered)
 			<-releaseFirst
 			return nil, context.Canceled
@@ -128,7 +130,7 @@ func TestGetOrComputeBatchComputeError(t *testing.T) {
 	var secondComputed atomic.Int64
 	go func() {
 		defer secondDone.Done()
-		vs, _, err := c.GetOrComputeBatch(keys, func(miss []string) ([]Verdict, error) {
+		vs, _, err := c.GetOrComputeBatch(context.Background(), keys, func(miss []string) ([]Verdict, error) {
 			out := make([]Verdict, len(miss))
 			for i, k := range miss {
 				secondComputed.Add(1)
@@ -166,7 +168,7 @@ func TestGetOrComputeBatchComputeError(t *testing.T) {
 // surfaced as an error, not silently cached.
 func TestGetOrComputeBatchShortCompute(t *testing.T) {
 	c := New()
-	_, _, err := c.GetOrComputeBatch([]string{"a", "b"}, func(miss []string) ([]Verdict, error) {
+	_, _, err := c.GetOrComputeBatch(context.Background(), []string{"a", "b"}, func(miss []string) ([]Verdict, error) {
 		return []Verdict{{Type: "a", OK: true}}, nil
 	})
 	if err == nil {
@@ -174,5 +176,59 @@ func TestGetOrComputeBatchShortCompute(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("short compute cached %d entries, want 0", c.Len())
+	}
+}
+
+// TestGetOrComputeBatchWaiterCancel: a caller waiting on another caller's
+// compute returns its context's error when that context is cancelled, while
+// the owner's compute carries on; once released, the owner stores its
+// verdict, a later lookup hits, and no pending registration is left behind.
+func TestGetOrComputeBatchWaiterCancel(t *testing.T) {
+	c := New()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrComputeBatch(context.Background(), []string{"k"}, func(miss []string) ([]Verdict, error) {
+			close(entered)
+			<-release
+			return []Verdict{{Type: "museum", OK: true}}, nil
+		})
+		ownerDone <- err
+	}()
+	<-entered // "k" is pending under the owner
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrComputeBatch(ctx, []string{"k"}, func([]string) ([]Verdict, error) {
+			t.Error("waiter computed a key pending under another caller")
+			return []Verdict{{}}, nil
+		})
+		waiterDone <- err
+	}()
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("waiter error = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release) // unblock both callers so the test fails instead of hanging
+		<-waiterDone
+		t.Fatal("cancelled waiter still blocked on the owner's compute")
+	}
+
+	close(release)
+	if err := <-ownerDone; err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+	if v, ok := c.Get("k"); !ok || v.Type != "museum" {
+		t.Errorf("Get after the owner finished = (%+v, %v), want the owner's verdict", v, ok)
+	}
+	for i := range c.shards {
+		if n := len(c.shards[i].pending); n != 0 {
+			t.Errorf("shard %d keeps %d pending registrations", i, n)
+		}
 	}
 }

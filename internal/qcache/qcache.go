@@ -16,14 +16,16 @@
 // decision rule), so callers sharing one Cache between differently-configured
 // annotators must namespace their keys; internal/annotate does this with its
 // cache-key prefix plus the caller-provided salt for the parts it cannot
-// fingerprint (see annotate.Config.Cache).
+// fingerprint (see annotate.Config.Cache). A verdict is a function of its key,
+// so a stored one never changes: the first verdict stored for a key stands,
+// nothing expires, and the only bound is MaxEntries' FIFO eviction.
 package qcache
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // errShortCompute guards against a compute callback returning fewer verdicts
@@ -47,31 +49,15 @@ type Verdict struct {
 	OK bool
 }
 
-// entry is one stored verdict plus the bookkeeping the bounding policies
-// need: an absolute expiry instant (0: never expires) and the insertion
-// sequence number FIFO eviction orders by.
-type entry struct {
-	v   Verdict
-	exp int64 // unix nanos; 0 = no TTL
-	seq uint64
-}
-
-// fifoEnt is one insertion-order record. Overwriting a key leaves its older
-// records stale (their seq no longer matches the live entry); eviction skips
-// them lazily and compaction drops them in bulk.
-type fifoEnt struct {
-	key string
-	seq uint64
-}
-
 type shard struct {
 	mu      sync.RWMutex
-	m       map[string]entry
+	m       map[string]Verdict
 	pending map[string]*call
 	// fifo is the insertion-order queue eviction pops from; maintained only
 	// when the cache is capped, so an unbounded cache pays nothing for it.
-	fifo []fifoEnt
-	seq  uint64
+	// A stored verdict is never replaced or expired, so every key in it is
+	// live in m.
+	fifo []string
 }
 
 // call tracks one in-flight computation so concurrent misses of the same key
@@ -86,35 +72,26 @@ type call struct {
 }
 
 // Options bounds a Cache. The zero value (the New default) is an unbounded
-// cache with no expiry — the pre-bounding behaviour.
+// cache.
 type Options struct {
 	// MaxEntries caps the number of cached verdicts; 0 means unbounded.
 	// The cap is split evenly across the shards (rounded up, so the
 	// effective total can exceed MaxEntries by at most numShards-1), and
 	// each shard evicts its oldest insertion (FIFO) when it overflows.
 	MaxEntries int
-	// TTL expires an entry this long after its insertion; 0 means never.
-	// Expiry is lazy: an expired entry is dropped (and counted) when a
-	// lookup finds it, not by a background sweeper, so Len/Stats.Entries
-	// can include entries past their TTL that nothing has asked for since.
-	TTL time.Duration
 }
 
 // Cache is a sharded, concurrency-safe verdict cache. The zero value is not
 // usable; construct with New or NewWithOptions.
 type Cache struct {
 	shards [numShards]shard
-	opts   Options
 	// perShard is the per-shard entry cap derived from Options.MaxEntries;
 	// 0 = unbounded.
 	perShard int
-	// now is time.Now, swappable by tests to drive TTL expiry.
-	now func() time.Time
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	expirations atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -122,11 +99,9 @@ type Stats struct {
 	Hits    int64
 	Misses  int64
 	Entries int
-	// Evictions counts entries dropped by the MaxEntries cap; Expirations
-	// counts entries dropped because a lookup found them past their TTL.
-	// Both stay 0 on an unbounded cache.
-	Evictions   int64
-	Expirations int64
+	// Evictions counts entries dropped by the MaxEntries cap; it stays 0 on
+	// an unbounded cache.
+	Evictions int64
 }
 
 // HitRate returns hits / lookups, or 0 before the first lookup.
@@ -140,21 +115,15 @@ func (s Stats) HitRate() float64 {
 // New returns an empty, unbounded cache ready for concurrent use.
 func New() *Cache { return NewWithOptions(Options{}) }
 
-// NewWithOptions returns an empty cache bounded per opts. Negative values are
-// treated as 0 (unbounded / no expiry).
+// NewWithOptions returns an empty cache bounded per opts. A negative
+// MaxEntries is treated as 0 (unbounded).
 func NewWithOptions(opts Options) *Cache {
-	if opts.MaxEntries < 0 {
-		opts.MaxEntries = 0
-	}
-	if opts.TTL < 0 {
-		opts.TTL = 0
-	}
-	c := &Cache{opts: opts, now: time.Now}
+	c := &Cache{}
 	if opts.MaxEntries > 0 {
 		c.perShard = (opts.MaxEntries + numShards - 1) / numShards
 	}
 	for i := range c.shards {
-		c.shards[i].m = map[string]entry{}
+		c.shards[i].m = map[string]Verdict{}
 		c.shards[i].pending = map[string]*call{}
 	}
 	return c
@@ -178,54 +147,22 @@ func (c *Cache) shardFor(key string) *shard {
 	return &c.shards[fnv32a(key)%numShards]
 }
 
-// getLocked looks key up in s, enforcing lazy TTL expiry. The caller holds
-// s.mu for writing (expiry deletes). Counters are the caller's job.
-func (c *Cache) getLocked(s *shard, key string) (Verdict, bool) {
-	e, ok := s.m[key]
-	if !ok {
-		return Verdict{}, false
-	}
-	if e.exp != 0 && c.now().UnixNano() >= e.exp {
-		delete(s.m, key)
-		c.expirations.Add(1)
-		return Verdict{}, false
-	}
-	return e.v, true
-}
-
-// putLocked stores key in s, stamping the TTL expiry and enforcing the
-// per-shard cap by FIFO eviction. The caller holds s.mu for writing.
+// putLocked stores key in s unless it is already there — the first verdict
+// stands — and enforces the per-shard cap by evicting the oldest insertion.
+// The caller holds s.mu for writing.
 func (c *Cache) putLocked(s *shard, key string, v Verdict) {
-	s.seq++
-	e := entry{v: v, seq: s.seq}
-	if c.opts.TTL > 0 {
-		e.exp = c.now().Add(c.opts.TTL).UnixNano()
+	if _, ok := s.m[key]; ok {
+		return
 	}
-	s.m[key] = e
+	s.m[key] = v
 	if c.perShard == 0 {
 		return
 	}
-	s.fifo = append(s.fifo, fifoEnt{key: key, seq: s.seq})
+	s.fifo = append(s.fifo, key)
 	for len(s.m) > c.perShard {
-		head := s.fifo[0]
+		delete(s.m, s.fifo[0])
 		s.fifo = s.fifo[1:]
-		// A stale record (its key was overwritten or already expired away)
-		// is skipped without counting; the loop pops until a live entry goes.
-		if live, ok := s.m[head.key]; ok && live.seq == head.seq {
-			delete(s.m, head.key)
-			c.evictions.Add(1)
-		}
-	}
-	if len(s.fifo) > 2*c.perShard+16 {
-		// Overwrites left the queue mostly stale; drop the dead records so
-		// it cannot outgrow the entries it tracks.
-		live := s.fifo[:0]
-		for _, fe := range s.fifo {
-			if e, ok := s.m[fe.key]; ok && e.seq == fe.seq {
-				live = append(live, fe)
-			}
-		}
-		s.fifo = live
+		c.evictions.Add(1)
 	}
 }
 
@@ -233,19 +170,9 @@ func (c *Cache) putLocked(s *shard, key string, v Verdict) {
 // updating the hit/miss counters.
 func (c *Cache) Get(key string) (Verdict, bool) {
 	s := c.shardFor(key)
-	var v Verdict
-	var ok bool
-	if c.opts.TTL > 0 {
-		// Expiry may delete, so the TTL path takes the write lock.
-		s.mu.Lock()
-		v, ok = c.getLocked(s, key)
-		s.mu.Unlock()
-	} else {
-		s.mu.RLock()
-		e, found := s.m[key]
-		s.mu.RUnlock()
-		v, ok = e.v, found
-	}
+	s.mu.RLock()
+	v, ok := s.m[key]
+	s.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -254,7 +181,8 @@ func (c *Cache) Get(key string) (Verdict, bool) {
 	return v, ok
 }
 
-// Put stores the verdict for key, overwriting any previous entry.
+// Put stores the verdict for key if the cache holds none for it; a verdict
+// already stored is kept.
 func (c *Cache) Put(key string, v Verdict) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -281,7 +209,10 @@ func (c *Cache) Put(key string, v Verdict) {
 // callers retry, and the error is returned; no partial verdicts are stored.
 // Waiters whose computing caller failed take the keys over themselves on
 // the next pass, so one cancelled caller never poisons another's lookups.
-func (c *Cache) GetOrComputeBatch(keys []string, compute func(missKeys []string) ([]Verdict, error)) (vs []Verdict, hits []bool, err error) {
+// A caller waiting on another caller's computation returns ctx.Err() once
+// ctx is done; its own computations have been stored by then, and the
+// computation it waited on carries on for whoever else asks.
+func (c *Cache) GetOrComputeBatch(ctx context.Context, keys []string, compute func(missKeys []string) ([]Verdict, error)) (vs []Verdict, hits []bool, err error) {
 	vs = make([]Verdict, len(keys))
 	hits = make([]bool, len(keys))
 	resolved := make([]bool, len(keys))
@@ -304,7 +235,7 @@ func (c *Cache) GetOrComputeBatch(keys []string, compute func(missKeys []string)
 			}
 			s := c.shardFor(key)
 			s.mu.Lock()
-			if v, ok := c.getLocked(s, key); ok {
+			if v, ok := s.m[key]; ok {
 				s.mu.Unlock()
 				vs[i], hits[i], resolved[i] = v, true, true
 				remaining--
@@ -374,7 +305,11 @@ func (c *Cache) GetOrComputeBatch(keys []string, compute func(missKeys []string)
 		// are computed by this caller on the next pass.
 		for j, i := range waitIdx {
 			cl := waitFor[j]
-			<-cl.done
+			select {
+			case <-cl.done:
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			}
 			if !cl.ok {
 				continue
 			}
@@ -401,11 +336,10 @@ func (c *Cache) Len() int {
 // Stats snapshots the hit/miss/eviction counters and entry count.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Entries:     c.Len(),
-		Evictions:   c.evictions.Load(),
-		Expirations: c.expirations.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Entries:   c.Len(),
+		Evictions: c.evictions.Load(),
 	}
 }
 
@@ -414,12 +348,11 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.m = map[string]entry{}
+		s.m = map[string]Verdict{}
 		s.fifo = nil
 		s.mu.Unlock()
 	}
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-	c.expirations.Store(0)
 }

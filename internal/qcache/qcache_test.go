@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -96,7 +97,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			vs, _, err := c.GetOrComputeBatch([]string{"shared-key"}, func([]string) ([]Verdict, error) {
+			vs, _, err := c.GetOrComputeBatch(context.Background(), []string{"shared-key"}, func([]string) ([]Verdict, error) {
 				computes.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
 				return []Verdict{{Type: "museum", Score: 0.9, OK: true}}, nil
@@ -116,7 +117,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss / %d hits", s, workers-1)
 	}
 	// A later call is a plain cached hit.
-	_, hits, _ := c.GetOrComputeBatch([]string{"shared-key"}, func([]string) ([]Verdict, error) {
+	_, hits, _ := c.GetOrComputeBatch(context.Background(), []string{"shared-key"}, func([]string) ([]Verdict, error) {
 		t.Error("recomputed")
 		return []Verdict{{}}, nil
 	})
@@ -168,62 +169,33 @@ func TestMaxEntriesEviction(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", s.Evictions)
 	}
-	// Overwriting a key must not evict anything: the entry count is stable.
+	// Putting a stored key again keeps the first verdict and evicts nothing.
 	c.Put(second, Verdict{Type: "b2", OK: true})
 	if s := c.Stats(); s.Evictions != 1 {
-		t.Errorf("evictions after overwrite = %d, want still 1", s.Evictions)
+		t.Errorf("evictions after a repeated Put = %d, want still 1", s.Evictions)
 	}
-	if v, _ := c.Get(second); v.Type != "b2" {
-		t.Errorf("overwrite lost: got %+v", v)
+	if v, _ := c.Get(second); v.Type != "b" {
+		t.Errorf("repeated Put replaced the stored verdict: got %+v", v)
 	}
 }
 
-// TestFIFOQueueCompaction: repeated overwrites of one key cannot grow the
-// insertion-order queue without bound.
-func TestFIFOQueueCompaction(t *testing.T) {
+// TestFIFOHoldsOnlyLiveKeys: under any mix of new and repeated keys, a
+// capped shard's insertion queue names exactly the keys it stores, so
+// eviction never meets a dead record and the queue cannot outgrow the cap.
+func TestFIFOHoldsOnlyLiveKeys(t *testing.T) {
 	c := NewWithOptions(Options{MaxEntries: numShards * 4})
-	key := "hot-key"
 	for i := 0; i < 10_000; i++ {
-		c.Put(key, Verdict{Score: float64(i)})
+		c.Put(fmt.Sprintf("key-%d", i%700), Verdict{Score: float64(i)})
 	}
-	s := c.shardFor(key)
-	if n := len(s.fifo); n > 2*c.perShard+16 {
-		t.Errorf("fifo grew to %d records for one live key (perShard=%d)", n, c.perShard)
-	}
-	if v, ok := c.Get(key); !ok || v.Score != 9999 {
-		t.Errorf("hot key = %+v, %v; want the last overwrite", v, ok)
-	}
-}
-
-// TestTTLExpiry: entries past their TTL read as misses, are dropped on
-// lookup, and count as expirations (not evictions).
-func TestTTLExpiry(t *testing.T) {
-	c := NewWithOptions(Options{TTL: time.Minute})
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Put("a", Verdict{Type: "museum", OK: true})
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("fresh entry reported as miss")
-	}
-	now = now.Add(time.Minute) // exactly at expiry: gone
-	if _, ok := c.Get("a"); ok {
-		t.Error("expired entry reported as hit")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 expiration / 0 evictions", st)
-	}
-	if st.Entries != 0 {
-		t.Errorf("entries = %d, want 0 after lazy expiry collected the entry", st.Entries)
-	}
-	// GetOrComputeBatch recomputes an expired key instead of serving it.
-	vs, hits, err := c.GetOrComputeBatch([]string{"a"}, func(miss []string) ([]Verdict, error) {
-		if len(miss) != 1 {
-			t.Errorf("batch miss keys = %v, want the expired key", miss)
+	for i := range c.shards {
+		s := &c.shards[i]
+		if len(s.fifo) != len(s.m) || len(s.m) > c.perShard {
+			t.Fatalf("shard %d: %d queued keys, %d entries, cap %d", i, len(s.fifo), len(s.m), c.perShard)
 		}
-		return []Verdict{{Type: "fresher", OK: true}}, nil
-	})
-	if err != nil || hits[0] || vs[0].Type != "fresher" {
-		t.Errorf("batch on expired key = %+v hits=%v err=%v", vs, hits, err)
+		for _, k := range s.fifo {
+			if _, ok := s.m[k]; !ok {
+				t.Fatalf("shard %d queues %q, which it does not store", i, k)
+			}
+		}
 	}
 }

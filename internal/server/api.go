@@ -230,15 +230,13 @@ type SearchFull struct {
 
 // CacheFull is the shared verdict cache's point-in-time state; absent when
 // the service was built without a shared cache. Evictions counts entries
-// dropped by the entry cap, Expirations entries dropped past their TTL; both
-// stay 0 on an unbounded cache (the default).
+// dropped by the entry cap; it stays 0 on an unbounded cache (the default).
 type CacheFull struct {
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Entries     int     `json:"entries"`
-	HitRate     float64 `json:"hit_rate"`
-	Evictions   int64   `json:"evictions"`
-	Expirations int64   `json:"expirations"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Entries   int     `json:"entries"`
+	HitRate   float64 `json:"hit_rate"`
+	Evictions int64   `json:"evictions"`
 }
 
 // HealthJSON is the body of GET /healthz.

@@ -537,7 +537,6 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 				cache.Misses += st.Cache.Misses
 				cache.Entries += st.Cache.Entries
 				cache.Evictions += st.Cache.Evictions
-				cache.Expirations += st.Cache.Expirations
 			}
 			if st.Geo != nil {
 				if out.Geo == nil {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -532,6 +533,53 @@ func TestRouterStatzShardCountsDisagree(t *testing.T) {
 	}
 	if st.Search == nil || st.Search.ShardQueries != nil {
 		t.Errorf("merged search over %d- and %d-shard workers = %+v, want no shard_queries", shards, shards+1, st.Search)
+	}
+}
+
+// TestRouterStatzMerge pins the merge rule of every worker counter the router
+// folds into its /statz: two scripted workers report distinct non-zero values
+// everywhere, and the router sums the counters, keeps the larger component
+// and scratch peaks, and recomputes the hit rate and the average batch size
+// from the sums rather than passing a worker's ratio through.
+func TestRouterStatzMerge(t *testing.T) {
+	noLeaks(t)
+	reports := []StatzJSON{{
+		Served: 11, Rejected: 3, Failed: 2,
+		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 40, Batches: 4, BatchedQueries: 36, AvgBatchSize: 9, ShardQueries: []int64{30, 10}},
+		Cache:  &CacheFull{Hits: 30, Misses: 10, Entries: 10, HitRate: 0.75, Evictions: 4},
+		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 5, CellsResolved: 50, Components: 7, LargestComponent: 90, PeakScratchBytes: 1000},
+	}, {
+		Served: 22, Rejected: 5, Failed: 7,
+		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 60, Batches: 12, BatchedQueries: 48, AvgBatchSize: 4, ShardQueries: []int64{25, 35}},
+		Cache:  &CacheFull{Hits: 2, Misses: 18, Entries: 18, HitRate: 0.1, Evictions: 9},
+		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 8, CellsResolved: 30, Components: 13, LargestComponent: 40, PeakScratchBytes: 3000},
+	}}
+	urls := make([]string, len(reports))
+	for i, st := range reports {
+		urls[i] = scriptedWorker(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, st)
+		}), func(string, *http.Request) bool { return true })
+	}
+	rec := httptest.NewRecorder()
+	newTestRouter(t, RouterConfig{Workers: urls}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var st StatzJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("statz: %v\n%s", err, rec.Body.String())
+	}
+	if st.Served != 33 || st.Rejected != 8 || st.Failed != 9 {
+		t.Errorf("served/rejected/failed = %d/%d/%d, want the sums 33/8/9", st.Served, st.Rejected, st.Failed)
+	}
+	wantSearch := SearchFull{IndexDocs: 900, Shards: 2, Queries: 100, Batches: 16, BatchedQueries: 84, AvgBatchSize: 84.0 / 16, ShardQueries: []int64{55, 45}}
+	if st.Search == nil || !reflect.DeepEqual(*st.Search, wantSearch) {
+		t.Errorf("merged search = %+v, want %+v", st.Search, wantSearch)
+	}
+	wantCache := CacheFull{Hits: 32, Misses: 28, Entries: 28, HitRate: 32.0 / 60, Evictions: 13}
+	if st.Cache == nil || *st.Cache != wantCache {
+		t.Errorf("merged cache = %+v, want %+v", st.Cache, wantCache)
+	}
+	wantGeo := GeoFull{GazetteerLocations: 500, Requests: 13, CellsResolved: 80, Components: 20, LargestComponent: 90, PeakScratchBytes: 3000}
+	if st.Geo == nil || *st.Geo != wantGeo {
+		t.Errorf("merged geo = %+v, want %+v", st.Geo, wantGeo)
 	}
 }
 

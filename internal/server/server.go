@@ -312,12 +312,11 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	if c := svc.Cache(); c != nil {
 		st := c.Stats()
 		out.Cache = &CacheFull{
-			Hits:        st.Hits,
-			Misses:      st.Misses,
-			Entries:     st.Entries,
-			HitRate:     st.HitRate(),
-			Evictions:   st.Evictions,
-			Expirations: st.Expirations,
+			Hits:      st.Hits,
+			Misses:    st.Misses,
+			Entries:   st.Entries,
+			HitRate:   st.HitRate(),
+			Evictions: st.Evictions,
 		}
 	}
 	out.Geo = &GeoFull{

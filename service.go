@@ -50,7 +50,6 @@ type settings struct {
 	parallelism     int
 	shareCache      bool
 	cacheMaxEntries int
-	cacheTTL        time.Duration
 	searchShards    int
 	snapshotPath    string
 
@@ -166,20 +165,20 @@ func WithSharedCache() Option {
 
 // WithCacheLimits bounds the shared cache WithSharedCache enables:
 // maxEntries caps the number of cached verdicts (0 = unbounded; oldest
-// insertions are evicted first) and ttl expires a verdict that long after it
-// was cached (0 = never). Negative values are rejected. The limits have no
-// effect without WithSharedCache; eviction and expiration counts surface on
-// the serving layer's /statz cache section.
+// insertions are evicted first); a negative value is rejected. The limit has
+// no effect without WithSharedCache; the eviction count surfaces on the
+// serving layer's /statz cache section. A cached verdict never expires, so
+// ttl must be 0: any other value is rejected. The argument stays only because
+// the benchmark harness (bench/) passes it, and goes together with that call.
 func WithCacheLimits(maxEntries int, ttl time.Duration) Option {
 	return func(s *settings) error {
 		if maxEntries < 0 {
 			return &OptionError{Option: "WithCacheLimits", Value: fmt.Sprint(maxEntries)}
 		}
-		if ttl < 0 {
+		if ttl != 0 {
 			return &OptionError{Option: "WithCacheLimits", Value: ttl.String()}
 		}
 		s.cacheMaxEntries = maxEntries
-		s.cacheTTL = ttl
 		return nil
 	}
 }
@@ -247,7 +246,6 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		Parallelism:     st.parallelism,
 		ShareCache:      st.shareCache,
 		CacheMaxEntries: st.cacheMaxEntries,
-		CacheTTL:        st.cacheTTL,
 		SearchShards:    st.searchShards,
 	}
 	if st.scale != ScaleFull {
@@ -355,7 +353,7 @@ func newFromSnapshot(ctx context.Context, st settings) (*Service, error) {
 	}
 	var cache *qcache.Cache
 	if st.shareCache {
-		cache = qcache.NewWithOptions(qcache.Options{MaxEntries: st.cacheMaxEntries, TTL: st.cacheTTL})
+		cache = qcache.NewWithOptions(qcache.Options{MaxEntries: st.cacheMaxEntries})
 	}
 	s := newService(st, b, search.NewShardedEngine(b.Index), cache, dur)
 	s.snap = &SnapshotInfo{Path: st.snapshotPath, LoadDuration: dur, Manifest: m}

@@ -70,6 +70,7 @@ func TestOptionValidation(t *testing.T) {
 		{"negative search shards", WithSearchShards(-1), "WithSearchShards"},
 		{"negative cache entries", WithCacheLimits(-1, 0), "WithCacheLimits"},
 		{"negative cache ttl", WithCacheLimits(0, -time.Second), "WithCacheLimits"},
+		{"non-zero cache ttl", WithCacheLimits(32, time.Minute), "WithCacheLimits"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
