@@ -459,22 +459,6 @@ func BenchmarkSearchEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchEnginePhrase measures phrase-query throughput — the shape
-// every training-corpus query takes (§5.2.1), answered since PR 2 by
-// positional-posting intersection instead of per-candidate body re-stemming.
-func BenchmarkSearchEnginePhrase(b *testing.B) {
-	l := lab()
-	ents := l.World.TableEntities(world.Restaurant)[:64]
-	queries := make([]string, 0, len(ents))
-	for _, e := range ents {
-		queries = append(queries, `"`+e.Name+`" `+world.TypeName(world.Restaurant))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Engine.SearchPhrase(queries[i%len(queries)], 10)
-	}
-}
-
 // BenchmarkGeocode measures ambiguous-address geocoding, the per-cell cost
 // of the §5.2.2 spatial pipeline.
 func BenchmarkGeocode(b *testing.B) {
@@ -525,9 +509,9 @@ func BenchmarkSnippetClassification(b *testing.B) {
 func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 	l := lab()
 	tables := l.GFT.Tables[:8]
-	savedLatency, savedSleep := l.Engine.Latency, l.Engine.RealSleep
-	l.Engine.Latency, l.Engine.RealSleep = 2*time.Millisecond, true
-	defer func() { l.Engine.Latency, l.Engine.RealSleep = savedLatency, savedSleep }()
+	saved := l.Engine.Latency
+	l.Engine.Latency = 2 * time.Millisecond
+	defer func() { l.Engine.Latency = saved }()
 
 	for _, p := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {

@@ -12,7 +12,7 @@
 //
 // The workload is distinct-valued (every cell unique), defeating the verdict
 // cache and forcing the full search path per request, with the engine's
-// RealSleep latency model on: the paper's efficiency analysis (§6.4) holds
+// latency model on: the paper's efficiency analysis (§6.4) holds
 // that the remote search API round-trip dominates serving cost, which is
 // exactly the regime where horizontal replication pays.
 //
@@ -240,7 +240,6 @@ func benchmark(cfg benchConfig, stdout io.Writer) error {
 		// The paper's serving regime: every search query pays the modeled
 		// remote round-trip for real, making requests sleep-dominated.
 		svc.Engine().Latency = cfg.latency
-		svc.Engine().RealSleep = true
 		return server.New(server.Config{Service: svc, MaxInFlight: cfg.maxInflight}), nil
 	}
 

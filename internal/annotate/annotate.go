@@ -121,8 +121,6 @@ type Config struct {
 	// K is the number of snippets fetched per query; 0 selects 10, the
 	// paper's setting.
 	K int
-	// Pre is the §5.1 pre-processor.
-	Pre Preprocessor
 	// Postprocess enables the §5.3 spurious-annotation elimination.
 	Postprocess bool
 	// Disambiguate enables the §5.2.2 spatial query augmentation; it
@@ -297,7 +295,7 @@ func lowerCities(cityByRow map[int]string, rows int) []string {
 // content and, when the cell survives, its query — the content, followed by
 // the row's city unless the content already names it.
 func (c Config) queryFor(content, city, lowerCity string) (string, SkipReason) {
-	if reason := c.Pre.check(content); reason != SkipNone {
+	if reason := check(content); reason != SkipNone {
 		return "", reason
 	}
 	if lowerCity != "" && !strings.Contains(strings.ToLower(content), lowerCity) {
@@ -326,7 +324,7 @@ func (r *Run) plan(ctx context.Context, exclude map[CellKey]bool, traced bool) (
 
 	seen := map[string]int{}
 	for j := 1; j <= t.NumCols(); j++ {
-		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
+		if SkipColumn(t.Columns[j-1].Type) {
 			p.skipped[SkipColumnType] += t.NumRows()
 			for i := 1; traced && i <= t.NumRows(); i++ {
 				p.trace = append(p.trace, CellExplanation{Row: i, Col: j, Content: strings.TrimSpace(t.Cell(i, j)), Skipped: SkipColumnType})

@@ -140,7 +140,6 @@ func find(res *Result, row, col int) (Annotation, bool) {
 }
 
 func TestPreprocessorRules(t *testing.T) {
-	var p Preprocessor
 	cases := map[string]SkipReason{
 		"":                     SkipEmpty,
 		"  ":                   SkipEmpty,
@@ -159,23 +158,18 @@ func TestPreprocessorRules(t *testing.T) {
 		"Melisse":         SkipNone,
 	}
 	for in, want := range cases {
-		if got := p.Check(in); got != want {
-			t.Errorf("Check(%q) = %q, want %q", in, got, want)
+		if got := CheckCell(in); got != want {
+			t.Errorf("CheckCell(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
 
 func TestPreprocessorColumnFilter(t *testing.T) {
-	var p Preprocessor
-	if !p.SkipColumn(table.Location) || !p.SkipColumn(table.Date) || !p.SkipColumn(table.Number) {
-		t.Error("default preprocessor must skip Location/Date/Number columns")
+	if !SkipColumn(table.Location) || !SkipColumn(table.Date) || !SkipColumn(table.Number) {
+		t.Error("pre-processing must skip Location/Date/Number columns")
 	}
-	if p.SkipColumn(table.Text) {
+	if SkipColumn(table.Text) {
 		t.Error("Text columns must not be skipped")
-	}
-	custom := Preprocessor{SkipColumnTypes: []table.ColumnType{table.Date}}
-	if custom.SkipColumn(table.Number) {
-		t.Error("custom skip list ignored")
 	}
 }
 
@@ -354,7 +348,7 @@ func TestTINBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := TIN(tbl, []string{"museum", "restaurant"}, Preprocessor{})
+	res := TIN(tbl, []string{"museum", "restaurant"})
 	if ann, ok := find(res, 1, 1); !ok || ann.Type != "museum" || ann.Score != 1.0 {
 		t.Errorf("TIN missed 'Louvre Museum': %+v ok=%v", ann, ok)
 	}

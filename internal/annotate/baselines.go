@@ -14,20 +14,20 @@ import (
 // matching several type names take the first in Γ order, mirroring the
 // baseline's single-annotation output. Pre-processing is applied so the
 // comparison with the full algorithm stays fair.
-func TIN(t *table.Table, types []string, pre Preprocessor) *Result {
+func TIN(t *table.Table, types []string) *Result {
 	res := &Result{Skipped: map[SkipReason]int{}}
 	stemmed := make([][]string, len(types))
 	for i, typ := range types {
 		stemmed[i] = textproc.NormalizeTokens(typ)
 	}
 	for j := 1; j <= t.NumCols(); j++ {
-		if pre.SkipColumn(t.Columns[j-1].Type) {
+		if SkipColumn(t.Columns[j-1].Type) {
 			res.Skipped[SkipColumnType] += t.NumRows()
 			continue
 		}
 		for i := 1; i <= t.NumRows(); i++ {
 			content := t.Cell(i, j)
-			if reason := pre.Check(content); reason != SkipNone {
+			if reason := CheckCell(content); reason != SkipNone {
 				res.Skipped[reason]++
 				continue
 			}
@@ -59,13 +59,13 @@ func (c Config) TIS(ctx context.Context, t *table.Table) (*Result, error) {
 	}
 	cache := map[string]verdict{}
 	for j := 1; j <= t.NumCols(); j++ {
-		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
+		if SkipColumn(t.Columns[j-1].Type) {
 			res.Skipped[SkipColumnType] += t.NumRows()
 			continue
 		}
 		for i := 1; i <= t.NumRows(); i++ {
 			content := strings.TrimSpace(t.Cell(i, j))
-			if reason := c.Pre.Check(content); reason != SkipNone {
+			if reason := CheckCell(content); reason != SkipNone {
 				res.Skipped[reason]++
 				continue
 			}

@@ -18,8 +18,6 @@ type CatalogueAnnotator struct {
 	// cells of that column with it — the "column homogeneity" shortcut
 	// of the introduction, which breaks on mixed-type tables (Figure 2).
 	PropagateColumnType bool
-	// Pre filters cells exactly like the main algorithm.
-	Pre Preprocessor
 }
 
 // AnnotateTable annotates one table against the catalogue, restricted to the
@@ -34,14 +32,14 @@ func (c *CatalogueAnnotator) AnnotateTable(t *table.Table, types []string) *Resu
 	annotated := map[[2]int]bool{}
 
 	for j := 1; j <= t.NumCols(); j++ {
-		if c.Pre.SkipColumn(t.Columns[j-1].Type) {
+		if SkipColumn(t.Columns[j-1].Type) {
 			res.Skipped[SkipColumnType] += t.NumRows()
 			continue
 		}
 		colVotes[j] = map[string]int{}
 		for i := 1; i <= t.NumRows(); i++ {
 			content := t.Cell(i, j)
-			if reason := c.Pre.Check(content); reason != SkipNone {
+			if reason := CheckCell(content); reason != SkipNone {
 				res.Skipped[reason]++
 				continue
 			}
@@ -79,7 +77,7 @@ func (c *CatalogueAnnotator) AnnotateTable(t *table.Table, types []string) *Resu
 				continue
 			}
 			content := t.Cell(i, j)
-			if c.Pre.Check(content) != SkipNone || strings.TrimSpace(content) == "" {
+			if CheckCell(content) != SkipNone || strings.TrimSpace(content) == "" {
 				continue
 			}
 			res.Annotations = append(res.Annotations, Annotation{Row: i, Col: j, Type: best, Score: 0.5})

@@ -39,58 +39,29 @@ var (
 	coordRe = regexp.MustCompile(`^-?\d{1,3}(\.\d+)?[,; NSEW°]\s*-?\d{1,3}(\.\d+)?[NSEW°]?$`)
 )
 
-// DefaultMaxCellWords is the length threshold above which a cell is treated
-// as a verbose description rather than an entity name (§5.1 rules out "cells
+// maxCellWords is the length threshold above which a cell is treated as a
+// verbose description rather than an entity name (§5.1 rules out "cells
 // containing long values, such as verbose descriptions").
-const DefaultMaxCellWords = 8
+const maxCellWords = 8
 
-// Preprocessor implements §5.1: syntactic filters over cell content plus the
-// GFT column-type filter.
-type Preprocessor struct {
-	// MaxCellWords is the verbose-description threshold; 0 selects
-	// DefaultMaxCellWords.
-	MaxCellWords int
-	// SkipColumnTypes lists the GFT column types whose cells cannot name
-	// entities of interest; nil selects Location, Date and Number (§5.1).
-	SkipColumnTypes []table.ColumnType
+// SkipColumn reports whether §5.1's GFT column-type filter rules out the whole
+// column: Location, Date and Number cells cannot name entities of interest.
+func SkipColumn(ct table.ColumnType) bool {
+	return ct == table.Location || ct == table.Date || ct == table.Number
 }
 
-func (p Preprocessor) maxWords() int {
-	if p.MaxCellWords > 0 {
-		return p.MaxCellWords
-	}
-	return DefaultMaxCellWords
+// CheckCell applies §5.1's syntactic filters to a cell's content, returning
+// the reason it cannot contain an entity name, or SkipNone when the cell must
+// be sent to the search engine.
+func CheckCell(content string) SkipReason {
+	return check(strings.TrimSpace(content))
 }
 
-func (p Preprocessor) skippedTypes() []table.ColumnType {
-	if p.SkipColumnTypes != nil {
-		return p.SkipColumnTypes
-	}
-	return []table.ColumnType{table.Location, table.Date, table.Number}
-}
-
-// SkipColumn reports whether the whole column is ruled out by its GFT type.
-func (p Preprocessor) SkipColumn(ct table.ColumnType) bool {
-	for _, t := range p.skippedTypes() {
-		if ct == t {
-			return true
-		}
-	}
-	return false
-}
-
-// Check classifies a cell's content, returning the reason it cannot contain
-// an entity name, or SkipNone when the cell must be sent to the search
-// engine.
-func (p Preprocessor) Check(content string) SkipReason {
-	return p.check(strings.TrimSpace(content))
-}
-
-// check is Check on already-trimmed content. Each regexp runs only behind a
-// necessary condition for it to match — its literal prefix, a byte it
+// check is CheckCell on already-trimmed content. Each regexp runs only behind
+// a necessary condition for it to match — its literal prefix, a byte it
 // requires, or the class of its first byte — so the cascade's outcome is the
 // unguarded one's while an ordinary entity name costs no regexp at all.
-func (p Preprocessor) check(c string) SkipReason {
+func check(c string) SkipReason {
 	if c == "" {
 		return SkipEmpty
 	}
@@ -107,7 +78,7 @@ func (p Preprocessor) check(c string) SkipReason {
 		return SkipNumeric
 	case isPhone(c):
 		return SkipPhone
-	case moreWordsThan(c, p.maxWords()):
+	case moreWordsThan(c, maxCellWords):
 		return SkipLong
 	}
 	return SkipNone

@@ -142,7 +142,7 @@ func refExplain(ctx context.Context, r *Run) ([]CellExplanation, error) {
 	defer putScratch(sc)
 	var out []CellExplanation
 	for j := 1; j <= t.NumCols(); j++ {
-		colSkipped := c.Pre.SkipColumn(t.Columns[j-1].Type)
+		colSkipped := SkipColumn(t.Columns[j-1].Type)
 		for i := 1; i <= t.NumRows(); i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -22,7 +22,7 @@ var phoneRe = regexp.MustCompile(`^\+?[\d() .-]{7,20}$`)
 
 // oracleCheck is the §5.1 cascade with no guard: all five patterns tried in
 // order on every cell, words counted by splitting.
-func oracleCheck(p Preprocessor, content string) SkipReason {
+func oracleCheck(content string) SkipReason {
 	c := strings.TrimSpace(content)
 	switch {
 	case c == "":
@@ -37,7 +37,7 @@ func oracleCheck(p Preprocessor, content string) SkipReason {
 		return SkipNumeric
 	case phoneRe.MatchString(c) && strings.ContainsAny(c, "0123456789"):
 		return SkipPhone
-	case len(strings.Fields(c)) > p.maxWords():
+	case len(strings.Fields(c)) > maxCellWords:
 		return SkipLong
 	}
 	return SkipNone
@@ -61,6 +61,9 @@ var warmSeeds = []string{
 	"\xff", "ok\xffbad", "\xc3", "trunc\xe2\x84", "\xed\xa0\x80", // invalid UTF-8
 	strings.Repeat("long ", 13) + "tail", strings.Repeat("x", 64), strings.Repeat("x", 65), // around the 64-byte stack buffer
 	strings.Repeat("Ab  ", 40), strings.Repeat("w ", 8) + "w", strings.Repeat("w ", 7) + "w", strings.Repeat("w ", 9),
+	strings.Repeat("w\u00a0", 7) + "w", strings.Repeat("w\u00a0", 8) + "w", // 8 and 9 words split by NBSP,
+	strings.Repeat("w\u0085", 7) + "w", strings.Repeat("w\u0085", 8) + "w", // by NEL,
+	strings.Repeat("w\u2003", 7) + "w", strings.Repeat("w\u2003", 8) + "w", // and by EM SPACE
 	"http://example.com/x", "https://e.org", "http", "httpx://e", "http://a b", "HTTP://E.COM", "www.example.com", "www.", "wwwexample", "hello www.x.com",
 	"info@example.com", "a@b", "a@b.c", "@", "a@@b.c", "a b@c.d", "x@y.z trailing",
 	"48.8566, 2.3522", "-48.85;2.35", "48N 2E", "48° 2°", "-", "--1", "1234,5",
@@ -82,9 +85,14 @@ func checkGrid(visit func(string)) {
 
 func requireCheckMatches(t *testing.T, s string) {
 	t.Helper()
-	for _, p := range []Preprocessor{{}, {MaxCellWords: 1}, {MaxCellWords: 3}} {
-		if got, want := p.Check(s), oracleCheck(p, s); got != want {
-			t.Fatalf("Check(%q) with MaxCellWords %d = %q, unguarded cascade says %q", s, p.MaxCellWords, got, want)
+	if got, want := CheckCell(s), oracleCheck(s); got != want {
+		t.Fatalf("CheckCell(%q) = %q, unguarded cascade says %q", s, got, want)
+	}
+	// The word counter at thresholds below the constant too: short seeds split
+	// by Unicode spaces reach a count that only n = 1 or 3 can tell apart.
+	for _, n := range []int{1, 3, maxCellWords} {
+		if got, want := moreWordsThan(s, n), len(strings.Fields(s)) > n; got != want {
+			t.Fatalf("moreWordsThan(%q, %d) = %v, strings.Fields says %v", s, n, got, want)
 		}
 	}
 }
@@ -132,9 +140,8 @@ func FuzzNormCell(f *testing.F) {
 // touching the heap; and the geo stage allocates by the cell only where its
 // output does — a candidate list per cell, a rendered name per distinct place.
 func TestAllocsWarm(t *testing.T) {
-	var p Preprocessor
 	if n := testing.AllocsPerRun(100, func() {
-		if p.Check("National Museum of Glass") != SkipNone {
+		if CheckCell("National Museum of Glass") != SkipNone {
 			t.Fatal("entity name skipped")
 		}
 	}); n != 0 {

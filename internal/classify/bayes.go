@@ -6,22 +6,16 @@ import (
 	"repro/internal/textproc"
 )
 
-// BayesTrainer trains a multinomial Naive Bayes classifier. PriorCount is the
-// additive smoothing mass per (term, class) pair; the paper sets it to 1.0
-// and disables length normalization (§6.1), which this implementation matches
-// by scoring raw normalized frequencies without rescaling by snippet length.
-type BayesTrainer struct {
-	PriorCount float64
-}
+// BayesTrainer trains a multinomial Naive Bayes classifier. The additive
+// smoothing mass per (term, class) pair is 1.0 and length normalization is
+// off, as the paper sets them (§6.1): raw normalized frequencies are scored
+// without rescaling by snippet length.
+type BayesTrainer struct{}
 
-// Train builds the classifier. A zero PriorCount is replaced by 1.0.
+// Train builds the classifier.
 func (t BayesTrainer) Train(d Dataset) Classifier {
-	alpha := t.PriorCount
-	if alpha <= 0 {
-		alpha = 1.0
-	}
 	nb := &NaiveBayes{
-		Alpha:      alpha,
+		Alpha:      1.0,
 		classCount: map[string]float64{},
 		termCount:  map[string]map[string]float64{},
 		classTotal: map[string]float64{},

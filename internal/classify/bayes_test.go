@@ -7,12 +7,10 @@ import (
 	"repro/internal/textproc"
 )
 
-func TestBayesPriorCountDefault(t *testing.T) {
-	d := synthDataset(20, 5)
-	for _, c := range []struct{ prior, want float64 }{{0, 1}, {-2, 1}, {0.25, 0.25}} {
-		if got := (BayesTrainer{PriorCount: c.prior}).Train(d).(*NaiveBayes).Alpha; got != c.want {
-			t.Errorf("PriorCount %v: Alpha = %v, want %v", c.prior, got, c.want)
-		}
+// TestBayesPriorCount: the additive smoothing mass is the paper's 1.0 (§6.1).
+func TestBayesPriorCount(t *testing.T) {
+	if got := (BayesTrainer{}).Train(synthDataset(20, 5)).(*NaiveBayes).Alpha; got != 1 {
+		t.Errorf("Alpha = %v, want 1", got)
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 // with tens of thousands of snippets is where linear SVMs match kernel SVMs
 // while training orders of magnitude faster.
 type LinearSVMTrainer struct {
-	// Lambda is the regularization strength; 0 selects 2e-5.
-	Lambda float64
 	// Epochs is the number of passes over the data; 0 selects 18.
 	Epochs int
 	// Seed drives the example sampling order; training is deterministic
@@ -23,12 +21,11 @@ type LinearSVMTrainer struct {
 	Seed int64
 }
 
+// lambda is the Pegasos regularization strength.
+const lambda = 2e-5
+
 // Train fits one binary SVM per label and returns the multiclass model.
 func (t LinearSVMTrainer) Train(d Dataset) Classifier {
-	lambda := t.Lambda
-	if lambda <= 0 {
-		lambda = 2e-5
-	}
 	epochs := t.Epochs
 	if epochs <= 0 {
 		epochs = 18
@@ -36,7 +33,7 @@ func (t LinearSVMTrainer) Train(d Dataset) Classifier {
 	labels := d.Labels()
 	model := &LinearSVM{weights: make(map[string]map[string]float64, len(labels)), bias: make(map[string]float64, len(labels)), labels: labels}
 	for _, label := range labels {
-		w, b := trainPegasos(d, label, lambda, epochs, t.Seed)
+		w, b := trainPegasos(d, label, epochs, t.Seed)
 		model.weights[label] = w
 		model.bias[label] = b
 	}
@@ -48,7 +45,7 @@ func (t LinearSVMTrainer) Train(d Dataset) Classifier {
 // third of the draws come from the positive class regardless of its share of
 // the dataset, which keeps the one-vs-rest machines usable when one label is
 // a small fraction of a many-class corpus.
-func trainPegasos(d Dataset, positive string, lambda float64, epochs int, seed int64) (map[string]float64, float64) {
+func trainPegasos(d Dataset, positive string, epochs int, seed int64) (map[string]float64, float64) {
 	rng := rand.New(rand.NewSource(seed ^ int64(hashString(positive))))
 	n := len(d.Examples)
 	if n == 0 {

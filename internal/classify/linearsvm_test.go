@@ -9,18 +9,14 @@ import (
 	"repro/internal/textproc"
 )
 
-// TestLinearSVMTrainerDefaults: zero Lambda and Epochs train the same model
-// as the documented defaults spelled out.
+// TestLinearSVMTrainerDefaults: zero Epochs trains the same model as the
+// documented default spelled out.
 func TestLinearSVMTrainerDefaults(t *testing.T) {
 	d := synthDataset(60, 17)
 	got := LinearSVMTrainer{Seed: 9}.Train(d).(*LinearSVM)
-	want := LinearSVMTrainer{Lambda: 2e-5, Epochs: 18, Seed: 9}.Train(d).(*LinearSVM)
+	want := LinearSVMTrainer{Epochs: 18, Seed: 9}.Train(d).(*LinearSVM)
 	if !reflect.DeepEqual(got.weights, want.weights) || !reflect.DeepEqual(got.bias, want.bias) {
-		t.Error("zero Lambda/Epochs trained a different model than Lambda 2e-5, Epochs 18")
-	}
-	other := LinearSVMTrainer{Lambda: 1e-3, Epochs: 18, Seed: 9}.Train(d).(*LinearSVM)
-	if reflect.DeepEqual(other.weights, want.weights) {
-		t.Error("Lambda had no effect on the trained weights")
+		t.Error("zero Epochs trained a different model than Epochs 18")
 	}
 }
 

@@ -6,30 +6,20 @@ import (
 	"repro/internal/world"
 )
 
-// ScenarioOptions shapes the scenario-matrix dataset. The zero value selects
-// the defaults.
+// scenarioTypes are the entity types the scenario tables draw from: a spread
+// of spatial POIs plus two non-spatial types.
+var scenarioTypes = []world.Type{world.Restaurant, world.Museum, world.Hotel, world.Actor, world.Film}
+
+// scenarioRows caps the rows per emitted table: the matrix runs many cells, so
+// tables stay small.
+const scenarioRows = 18
+
+// ScenarioOptions shapes the scenario-matrix dataset.
 type ScenarioOptions struct {
-	// Types are the entity types the tables draw from. Default: a spread
-	// of spatial POIs plus two non-spatial types (Restaurant, Museum,
-	// Hotel, Actor, Film).
-	Types []world.Type
-	// RowsPerTable caps the rows per emitted table (default 18): the
-	// matrix runs many cells, so tables stay small.
-	RowsPerTable int
 	// MixedKinds mixes all spatial POI types into shared Figure 2 style
 	// tables instead of per-type tables, the column-mixing axis of the
 	// adversarial worlds.
 	MixedKinds bool
-}
-
-func (o ScenarioOptions) withDefaults() ScenarioOptions {
-	if len(o.Types) == 0 {
-		o.Types = []world.Type{world.Restaurant, world.Museum, world.Hotel, world.Actor, world.Film}
-	}
-	if o.RowsPerTable == 0 {
-		o.RowsPerTable = 18
-	}
-	return o
 }
 
 // BuildScenario assembles the compact evaluation dataset the scenario matrix
@@ -39,7 +29,6 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 // built on the same emitters as BuildGFT so the tables look like the §6.2
 // dataset, just smaller.
 func BuildScenario(w *world.World, seed int64, opts ScenarioOptions) *Dataset {
-	opts = opts.withDefaults()
 	b := &builder{
 		w:   w,
 		rng: rand.New(rand.NewSource(seed)),
@@ -48,7 +37,7 @@ func BuildScenario(w *world.World, seed int64, opts ScenarioOptions) *Dataset {
 	}
 	if opts.MixedKinds {
 		var spatial, rest []*world.Entity
-		for _, t := range opts.Types {
+		for _, t := range scenarioTypes {
 			es := w.TableEntities(t)
 			if world.HasSpatial(t) {
 				spatial = append(spatial, es...)
@@ -58,26 +47,26 @@ func BuildScenario(w *world.World, seed int64, opts ScenarioOptions) *Dataset {
 		}
 		b.shuffle(spatial)
 		for len(spatial) > 0 {
-			n := min(opts.RowsPerTable, len(spatial))
+			n := min(scenarioRows, len(spatial))
 			b.mixedPOITable(spatial[:n])
 			spatial = spatial[n:]
 		}
-		for _, t := range opts.Types {
+		for _, t := range scenarioTypes {
 			if !world.HasSpatial(t) {
-				b.scenarioTyped(rest, t, opts.RowsPerTable)
+				b.scenarioTyped(rest, t)
 			}
 		}
 		return b.ds
 	}
-	for _, t := range opts.Types {
-		b.scenarioTyped(w.TableEntities(t), t, opts.RowsPerTable)
+	for _, t := range scenarioTypes {
+		b.scenarioTyped(w.TableEntities(t), t)
 	}
 	return b.ds
 }
 
-// scenarioTyped emits one typed table of at most rows entities of type t
-// drawn from es.
-func (b *builder) scenarioTyped(es []*world.Entity, t world.Type, rows int) {
+// scenarioTyped emits one typed table of at most scenarioRows entities of type
+// t drawn from es.
+func (b *builder) scenarioTyped(es []*world.Entity, t world.Type) {
 	var pool []*world.Entity
 	for _, e := range es {
 		if e.Type == t {
@@ -87,5 +76,5 @@ func (b *builder) scenarioTyped(es []*world.Entity, t world.Type, rows int) {
 	if len(pool) == 0 {
 		return
 	}
-	b.typedTable(pool[:min(rows, len(pool))], t)
+	b.typedTable(pool[:min(scenarioRows, len(pool))], t)
 }

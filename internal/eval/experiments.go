@@ -145,7 +145,7 @@ func (l *Lab) Table1() []Table1Row {
 	svmRes := l.memoRun(l.SVM, true, false, annotateK, 0)
 	bayesRes := l.memoRun(l.Bayes, true, false, annotateK, 0)
 	tinRes := runDataset(l.GFT, func(t *table.Table) *annotate.Result {
-		return annotate.TIN(t, types, annotate.Preprocessor{})
+		return annotate.TIN(t, types)
 	})
 	tisCfg := l.config(l.SVM, false, false)
 	tisRes := runDataset(l.GFT, func(t *table.Table) *annotate.Result {

@@ -184,7 +184,10 @@ func TestTrainingBuilderCollect(t *testing.T) {
 	}
 }
 
-func TestTrainingBuilderPhraseQueries(t *testing.T) {
+// TestTrainingBuilderOneQueryPerEntity: §5.2.1 sends one "entity name + type
+// name" query per sampled entity and keeps at most SnippetsPerEntity snippets
+// of each.
+func TestTrainingBuilderOneQueryPerEntity(t *testing.T) {
 	w, kb := testKB(t)
 	docs := webgen.BuildCorpus(w, webgen.Config{Seed: 11, NoiseDocs: 50})
 	ib := search.NewBuilder(1)
@@ -192,15 +195,16 @@ func TestTrainingBuilderPhraseQueries(t *testing.T) {
 		ib.Add(d)
 	}
 	engine := search.NewShardedEngine(ib.Freeze())
-	b := &TrainingBuilder{
-		KB: kb, Engine: engine,
-		SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11,
-		PhraseQueries: true,
+	b := &TrainingBuilder{KB: kb, Engine: engine, SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11}
+	entities := len(kb.PositiveEntities(world.Museum, 10, rand.New(rand.NewSource(11))))
+	if entities == 0 {
+		t.Fatal("no museum entities sampled")
 	}
 	train, test, _ := b.Collect([]world.Type{world.Museum})
-	// Phrase queries are stricter; they must still find snippets for KB
-	// entities (whose names appear verbatim in their pages).
-	if train.Len()+test.Len() == 0 {
-		t.Fatal("phrase-query collection found no snippets")
+	if got := engine.QueryCount(); got != entities {
+		t.Errorf("QueryCount = %d, want one per sampled entity (%d)", got, entities)
+	}
+	if n := train.Len() + test.Len(); n == 0 || n > 5*entities {
+		t.Errorf("collected %d snippets from %d entities, want 1..%d", n, entities, 5*entities)
 	}
 }

@@ -23,12 +23,6 @@ type TrainingBuilder struct {
 	MaxEntities int
 	// Seed drives sampling and the split shuffle.
 	Seed int64
-	// PhraseQueries submits the entity name as a quoted phrase
-	// ("\"Chez Martin\" restaurant"), the strict reading of §5.2.1's
-	// "query ... is a phrase". Off by default: the loose AND query is
-	// what the evaluation was tuned on, and phrase verification costs an
-	// extra candidate re-scan per query.
-	PhraseQueries bool
 }
 
 // CorpusStats reports the per-type training/test sizes, the |TR| and |TE|
@@ -49,13 +43,7 @@ func (b *TrainingBuilder) Collect(types []world.Type) (train, test classify.Data
 	for _, t := range types {
 		var typed classify.Dataset
 		for _, name := range b.KB.PositiveEntities(t, b.MaxEntities, rng) {
-			var results []search.Result
-			if b.PhraseQueries {
-				results = b.Engine.SearchPhrase(`"`+name+`" `+world.TypeName(t), per)
-			} else {
-				results = b.Engine.Search(name+" "+world.TypeName(t), per)
-			}
-			for _, res := range results {
+			for _, res := range b.Engine.Search(name+" "+world.TypeName(t), per) {
 				typed.Add(res.Snippet, string(t))
 			}
 		}

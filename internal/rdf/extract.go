@@ -29,8 +29,6 @@ type Extractor struct {
 	Gazetteer *gazetteer.Frozen
 	// MinScore drops annotations below this Eq. 1 confidence.
 	MinScore float64
-
-	pre annotate.Preprocessor
 }
 
 // Extract appends triples for every annotation of the table to the store and
@@ -73,7 +71,7 @@ func (x *Extractor) rowContext(tbl *table.Table, row int, subj string, store *St
 					}
 				}
 			}
-		case x.pre.Check(cell) == annotate.SkipPhone:
+		case annotate.CheckCell(cell) == annotate.SkipPhone:
 			store.Add(Triple{subj, PredPhone, cell})
 		}
 	}

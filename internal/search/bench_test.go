@@ -124,22 +124,6 @@ func BenchmarkSearchAugmented(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchPhrase measures phrase queries — candidate scoring plus
-// positional verification.
-func BenchmarkSearchPhrase(b *testing.B) {
-	ix := benchIndex(b, 5000)
-	queries := []string{
-		`"grand hotel" suites`,
-		`"chez martin" restaurant`,
-		`"national collection"`,
-		`"seasonal menu" chef`,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.SearchPhrase(queries[i%len(queries)], 10)
-	}
-}
-
 // BenchmarkSnippet isolates snippet generation from precomputed stems.
 func BenchmarkSnippet(b *testing.B) {
 	ix := benchIndex(b, 100).shards[0]

@@ -15,8 +15,8 @@ type posting struct {
 
 // posPosting records the body positions of a term within one document. The
 // positions count content words only: body words whose normalization yields
-// exactly one stem, in body order — the same sequence phrase adjacency is
-// defined over (see containsPhrase).
+// exactly one stem, in body order — the sequence snippet anchoring and the
+// term-id column are defined over.
 type posPosting struct {
 	doc int
 	pos []int32
@@ -75,7 +75,7 @@ func (sb *shardBuilder) add(doc Document) {
 	// Normalize the body word by word: the concatenation equals
 	// NormalizeTokens(doc.Body) (whitespace always separates tokens), and
 	// the per-word view additionally yields the content-word positions that
-	// phrase search and snippet anchoring match against.
+	// snippet anchoring matches against.
 	bodyTerms, stems := textproc.NormalizeWords(words)
 	tf := map[string]int{}
 	for _, t := range textproc.NormalizeTokens(doc.Title) {

@@ -82,7 +82,7 @@ type columns struct {
 	// exactly the ones whose positional lists make that search long.
 	firstPos [][]int32
 
-	// Positional CSR, what phrase verification and snippet anchoring read:
+	// Positional CSR, what snippet anchoring and the term-id column read:
 	// term id t has one position list per doc at index l in
 	// posOff[t]:posOff[t+1] (empty for terms that are no body content word),
 	// posDoc[l] ascending, and list l's content positions are

@@ -138,7 +138,7 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 				byDoc[pp.doc] = pp.pos
 			}
 			for d := range sb.docs {
-				if got := ix.positionsIn(term, d); !reflect.DeepEqual(got, byDoc[d]) {
+				if got := c.positionsIn(tid, d); !reflect.DeepEqual(got, byDoc[d]) {
 					fatalf("positionsIn(%q, %d) = %v, want %v", term, d, got, byDoc[d])
 				}
 				first := int32(-1)

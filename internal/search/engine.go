@@ -6,34 +6,30 @@ import (
 	"time"
 )
 
-// Engine wraps the index behind the query interface the annotator uses, and
-// models the dominant cost the paper measures in §6.4: the latency
-// of talking to a remote search API. Latency is accounted virtually by
-// default (no real sleeping), so experiments can report wall-clock estimates
-// without slowing the test suite; RealSleep enables actual sleeping for
-// demos.
+// Engine wraps the index behind the query interface the annotator uses and
+// counts the queries it answers: the dominant cost the paper measures in §6.4
+// is the latency of talking to a remote search API, so the analysis
+// multiplies query counts by a latency. A positive Latency makes each query
+// actually block for it, to model a remote engine under load.
 //
 // Concurrency: every query and counter method is safe for concurrent use —
-// accounting is mutex-protected and the index is immutable. Latency and RealSleep are
-// configuration, not synchronised; set them before sharing the engine
-// across goroutines.
+// accounting is mutex-protected and the index is immutable. Latency is
+// configuration, not synchronised; set it before sharing the engine across
+// goroutines.
 type Engine struct {
 	index *ShardedIndex
 
-	// Latency is the simulated round-trip time per query. The paper
-	// observes ~0.5 s per processed row dominated by this cost.
+	// Latency is the simulated round-trip time per query, which Search
+	// actually blocks for. The paper observes ~0.5 s per processed row
+	// dominated by this cost. A batch of n queries blocks n×Latency: the
+	// engine models per-query round-trip cost, and batching amortizes our
+	// CPU setup, not the simulated network.
 	Latency time.Duration
-	// RealSleep makes Search actually block for Latency. A batch of n
-	// queries blocks n×Latency: the engine models per-query round-trip
-	// cost, and batching amortizes our CPU setup, not the simulated
-	// network.
-	RealSleep bool
 
 	mu             sync.Mutex
 	queries        int
 	batches        int
 	batchedQueries int
-	simulated      time.Duration
 }
 
 // Stats is a point-in-time snapshot of the engine's serving counters.
@@ -46,8 +42,6 @@ type Stats struct {
 	// the average batch size.
 	Batches        int
 	BatchedQueries int
-	// SimulatedTime is the total virtual round-trip latency accrued.
-	SimulatedTime time.Duration
 	// Shards is the shard count of the underlying index.
 	Shards int
 	// ShardQueries is the per-shard query count.
@@ -65,7 +59,7 @@ func NewShardedEngine(six *ShardedIndex) *Engine {
 // persists the serving index through it.
 func (e *Engine) ShardedIndex() *ShardedIndex { return e.index }
 
-// Search returns the top-k results for query, accruing simulated latency.
+// Search returns the top-k results for query and counts it.
 func (e *Engine) Search(query string, k int) []Result {
 	e.account(1, false)
 	e.sleep(1)
@@ -76,7 +70,7 @@ func (e *Engine) Search(query string, k int) []Result {
 // exactly Search(queries[i], k). Accounting matches issuing each query
 // separately — the batch amortizes per-query CPU setup and fans the whole
 // batch out to the shards in one parallel pass. Cancellation is checked
-// before the batch is issued and (for RealSleep engines) during the simulated
+// before the batch is issued and (when Latency is set) during the simulated
 // round-trips, which abort mid-sleep; the queries are counted once issued,
 // even if the caller abandons them.
 func (e *Engine) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]Result, error) {
@@ -90,20 +84,10 @@ func (e *Engine) SearchBatchContext(ctx context.Context, queries []string, k int
 	return e.index.SearchBatch(queries, k), nil
 }
 
-// SearchPhrase is Search with phrase semantics for double-quoted segments
-// (see ShardedIndex.SearchPhrase); the paper submits its training queries as
-// phrases (§5.2.1).
-func (e *Engine) SearchPhrase(query string, k int) []Result {
-	e.account(1, false)
-	e.sleep(1)
-	return e.index.SearchPhrase(query, k)
-}
-
 // account records n issued queries (as one batch when batch is set).
 func (e *Engine) account(n int, batch bool) {
 	e.mu.Lock()
 	e.queries += n
-	e.simulated += time.Duration(n) * e.Latency
 	if batch {
 		e.batches++
 		e.batchedQueries += n
@@ -111,7 +95,7 @@ func (e *Engine) account(n int, batch bool) {
 	e.mu.Unlock()
 }
 
-// sleep blocks for n simulated round-trips when RealSleep is enabled.
+// sleep blocks for n simulated round-trips.
 func (e *Engine) sleep(n int) {
 	_ = e.sleepCtx(context.Background(), n) // Background is never done
 }
@@ -119,7 +103,7 @@ func (e *Engine) sleep(n int) {
 // sleepCtx is sleep with cancellation: it returns ctx.Err() as soon as ctx
 // is done, abandoning the rest of the simulated round-trip time.
 func (e *Engine) sleepCtx(ctx context.Context, n int) error {
-	if !e.RealSleep || e.Latency <= 0 {
+	if e.Latency <= 0 {
 		return nil
 	}
 	t := time.NewTimer(time.Duration(n) * e.Latency)
@@ -139,14 +123,6 @@ func (e *Engine) QueryCount() int {
 	return e.queries
 }
 
-// SimulatedTime returns the total latency the queries would have cost
-// against a real remote engine.
-func (e *Engine) SimulatedTime() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.simulated
-}
-
 // Stats snapshots the serving counters, including the shard fan-out.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -155,21 +131,19 @@ func (e *Engine) Stats() Stats {
 		Queries:        e.queries,
 		Batches:        e.batches,
 		BatchedQueries: e.batchedQueries,
-		SimulatedTime:  e.simulated,
 		Shards:         e.index.NumShards(),
 		ShardQueries:   e.index.ShardQueryCounts(),
 	}
 }
 
-// ResetCounters zeroes the query and latency accounting, including the
-// per-shard counters, so serving-time statistics do not carry
-// construction-time (classifier training) queries.
+// ResetCounters zeroes the query accounting, including the per-shard
+// counters, so serving-time statistics do not carry construction-time
+// (classifier training) queries.
 func (e *Engine) ResetCounters() {
 	e.mu.Lock()
 	e.queries = 0
 	e.batches = 0
 	e.batchedQueries = 0
-	e.simulated = 0
 	e.mu.Unlock()
 	e.index.ResetQueryCounts()
 }

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/textproc"
 )
 
 // TestExhaustiveSmallScope checks the frozen index over a complete small
@@ -17,11 +15,10 @@ import (
 // them a stopword, one stemming to something other than itself), all English
 // or with one document non-English, at 1, 2 and 3 shards. For each, the
 // columns — positions and first positions included — must equal the builder's
-// maps, every phrase verdict must equal the reference adjacency scan, and
-// Search/SearchPhrase must equal refSearch/refSearchPhrase; all of it both on
-// the freshly frozen index and on one loaded from its persisted bytes, which
-// must in turn persist to the same bytes. Every hit's Terms must decode to its
-// snippet's normalised tokens.
+// maps and Search must equal refSearch, both on the freshly frozen index and
+// on one loaded from its persisted bytes, which must in turn persist to the
+// same bytes. Every hit's Terms must decode to its snippet's normalised
+// tokens.
 func TestExhaustiveSmallScope(t *testing.T) {
 	vocab := []string{"museum", "paintings", "the"}
 	maxDocs := 3
@@ -39,25 +36,8 @@ func TestExhaustiveSmallScope(t *testing.T) {
 		}
 		lo = hi
 	}
-	// The phrases to look for: every one- and two-word body, and the
-	// three-word ones without the stopword. refContainsPhrase depends on the
-	// body alone: decide each (body, phrase) pair once, not once per corpus
-	// containing the body.
-	var phrases []string
-	for _, b := range bodies[1:] {
-		if strings.Count(b, " ") < 2 || !strings.Contains(b, "the") {
-			phrases = append(phrases, b)
-		}
-	}
-	stems := make(map[string][]string, len(phrases))
-	verdict := make(map[[2]string]bool, len(bodies)*len(phrases))
-	for _, p := range phrases {
-		stems[p] = textproc.NormalizeTokens(p)
-		for _, b := range bodies {
-			verdict[[2]string{b, p}] = refContainsPhrase(Document{Body: b}, p)
-		}
-	}
-	// SearchPhrase without quotes is Search, so one entry point covers both.
+	// Quotes are punctuation to Search: the quoted queries rank as their
+	// terms do.
 	queries := []string{
 		"museum", "paintings museum the",
 		`"museum paintings"`, `"paintings museum" museum`, `"museum museum"`,
@@ -81,7 +61,7 @@ func TestExhaustiveSmallScope(t *testing.T) {
 		want := make([][]Result, 0, len(queries)*len(ks))
 		for _, q := range queries {
 			for _, k := range ks {
-				want = append(want, refSearchPhrase(docs, q, k))
+				want = append(want, refSearch(docs, q, k))
 			}
 		}
 		for shards := 1; shards <= 3; shards++ {
@@ -101,19 +81,11 @@ func TestExhaustiveSmallScope(t *testing.T) {
 			for which, six := range []*ShardedIndex{fresh, loaded} {
 				label := corpus + [2]string{" fresh x", " loaded x"}[which] + strconv.Itoa(shards)
 				checkColumnsRoundTrip(t, label, b, six)
-				for g, d := range docs {
-					sh, local := six.shards[g%shards], g/shards
-					for _, p := range phrases {
-						if got, want := sh.containsPhrase(local, stems[p]), verdict[[2]string{d.Body, p}]; got != want {
-							t.Fatalf("%s: doc %d contains %q = %v, reference %v", label, g, p, got, want)
-						}
-					}
-				}
 				for qi, q := range queries {
 					for ki, k := range ks {
-						got := six.SearchPhrase(q, k)
+						got := six.Search(q, k)
 						if !same(got, want[qi*len(ks)+ki]) {
-							checkSameResults(t, fmt.Sprintf("%s SearchPhrase(%q, %d)", label, q, k), got, want[qi*len(ks)+ki])
+							checkSameResults(t, fmt.Sprintf("%s Search(%q, %d)", label, q, k), got, want[qi*len(ks)+ki])
 						}
 						checkTerms(t, label, six, docs, got)
 					}

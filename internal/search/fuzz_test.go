@@ -6,87 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzSplitPhrases checks the quoted-segment splitter on arbitrary input:
-// it must never panic, never leak a '"' into the phrases or the remainder
-// (a dangling unbalanced quote is dropped), never produce empty phrases,
-// and be deterministic.
-func FuzzSplitPhrases(f *testing.F) {
-	for _, seed := range []string{
-		`"Chez Martin" restaurant`,
-		`melisse`,
-		`"a" "b c" d`,
-		`"unterminated phrase`,
-		`""`,
-		`"""`,
-		`""""`,
-		`a"b"c"d`,
-		` " spaced " phrase " `,
-		`"nested ""quotes"" here"`,
-		"\"\x00\" weird",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, query string) {
-		phrases, remainder := splitPhrases(query)
-		if strings.ContainsRune(remainder, '"') {
-			t.Fatalf("remainder %q leaks a quote (query %q)", remainder, query)
-		}
-		for _, p := range phrases {
-			if p == "" {
-				t.Fatalf("empty phrase extracted from %q", query)
-			}
-			if strings.ContainsRune(p, '"') {
-				t.Fatalf("phrase %q contains a quote (query %q)", p, query)
-			}
-			if p != strings.TrimSpace(p) {
-				t.Fatalf("phrase %q not trimmed (query %q)", p, query)
-			}
-		}
-		p2, r2 := splitPhrases(query)
-		if !reflect.DeepEqual(phrases, p2) || remainder != r2 {
-			t.Fatalf("splitPhrases(%q) not deterministic", query)
-		}
-	})
-}
-
-// FuzzSearchPhrase drives the full phrase-query path with arbitrary query
-// strings over a fixed small index: no input may panic it or return more
-// than k results.
-func FuzzSearchPhrase(f *testing.F) {
-	for _, seed := range []string{
-		`"chez martin" restaurant`,
-		`"melisse"`,
-		`"the of and"`,
-		`"`,
-		`"" "" ""`,
-		"plain terms only",
-		`"a b`,
-	} {
-		f.Add(seed)
-	}
-	ix := buildSharded([]Document{
-		{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu"},
-		{URL: "p2", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"},
-		{URL: "p3", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
-	}, 1)
-	f.Fuzz(func(t *testing.T, query string) {
-		const k = 3
-		if res := ix.SearchPhrase(query, k); len(res) > k {
-			t.Fatalf("SearchPhrase(%q, %d) returned %d results", query, k, len(res))
-		}
-	})
-}
-
 // FuzzShardedSearchEquivalence drives the sharded and monolithic engines
 // with arbitrary query strings over two corpora — six documents, and
 // deferralCorpus, whose common words are long enough columns in every shard
-// for the kernel to defer them: every query — term or phrase — must produce
-// identical results (order, bytes and score bits) at every shard count.
+// for the kernel to defer them: every query must produce identical results
+// (order, bytes and score bits) at every shard count.
 func FuzzShardedSearchEquivalence(f *testing.F) {
 	for _, seed := range []string{
 		`melisse restaurant`,
@@ -95,6 +23,23 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 		`"`,
 		"",
 		"santa monica museum gallery",
+		// Quotes are punctuation to the tokenizer: balanced, dangling,
+		// empty, nested or glued to words, they only separate terms.
+		`"Chez Martin" restaurant`,
+		`melisse`,
+		`"melisse"`,
+		`"a" "b c" d`,
+		`"unterminated phrase`,
+		`"a b`,
+		`""`,
+		`"""`,
+		`""""`,
+		`"" "" ""`,
+		`a"b"c"d`,
+		` " spaced " phrase " `,
+		`"nested ""quotes"" here"`,
+		"\"\x00\" weird",
+		"plain terms only",
 	} {
 		f.Add(seed)
 	}
@@ -117,11 +62,9 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, query string) {
 		const k = 4
 		for _, c := range corpora {
-			wantTerm := c.ix.Search(query, k)
-			wantPhrase := c.ix.SearchPhrase(query, k)
+			want := c.ix.Search(query, k)
 			for _, six := range c.sharded {
-				checkBitIdentical(t, fmt.Sprintf("%d docs shards=%d Search(%q)", c.ix.Len(), six.NumShards(), query), six.Search(query, k), wantTerm)
-				checkBitIdentical(t, fmt.Sprintf("%d docs shards=%d SearchPhrase(%q)", c.ix.Len(), six.NumShards(), query), six.SearchPhrase(query, k), wantPhrase)
+				checkBitIdentical(t, fmt.Sprintf("%d docs shards=%d Search(%q)", c.ix.Len(), six.NumShards(), query), six.Search(query, k), want)
 			}
 		}
 	})
@@ -165,9 +108,8 @@ func indexStreamSeeds(t testing.TB) map[string][]byte {
 
 // FuzzReadShardedIndex feeds arbitrary bytes to the TIDX reader. It must
 // reject with an error — never panic, never size anything from an unchecked
-// count — or accept; an accepted index must answer term, batch and phrase
-// queries without panicking and persist to bytes that load and persist to
-// themselves.
+// count — or accept; an accepted index must answer single and batch queries
+// without panicking and persist to bytes that load and persist to themselves.
 func FuzzReadShardedIndex(f *testing.F) {
 	queries := []string{"melisse restaurant", `"santa monica" menu`, "museum", `"fine dining"`, ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -177,7 +119,6 @@ func FuzzReadShardedIndex(f *testing.F) {
 		}
 		for _, q := range queries {
 			six.Search(q, 3)
-			six.SearchPhrase(q, 3)
 		}
 		six.SearchBatch(queries, 3)
 		first := tidx(t, six)

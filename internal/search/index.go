@@ -533,12 +533,3 @@ func (ix *Index) snippetAt(doc int, first int32) (s string, start, end int) {
 	}
 	return joined[off[start]:stop], start, end
 }
-
-// positionsIn returns the content positions of term within doc, or nil.
-func (ix *Index) positionsIn(term string, doc int) []int32 {
-	tid, ok := ix.col.termID[term]
-	if !ok {
-		return nil
-	}
-	return ix.col.positionsIn(tid, doc)
-}

@@ -4,7 +4,7 @@ package search
 // semantics, property-checked against the optimized Index on randomized
 // seeded corpora. The reference recomputes everything per query from the raw
 // document texts — whole-text normalization, map accumulators, a full sort,
-// per-word body re-stemming for phrase adjacency and snippets — i.e. it is
+// per-word body re-stemming for snippets — i.e. it is
 // the seed implementation this package's query core replaced, kept here as
 // the executable specification the fast path must match: identical result
 // ordering, identical URL/title/snippet bytes, scores within 1e-9.
@@ -147,63 +147,6 @@ func refSnippet(d Document, qterms []string) string {
 	return strings.Join(words[start:end], " ")
 }
 
-// refContainsPhrase is the reference adjacency check: re-normalize the body
-// word by word, keep single-token words, scan for the contiguous run.
-func refContainsPhrase(d Document, phrase string) bool {
-	want := textproc.NormalizeTokens(phrase)
-	if len(want) == 0 {
-		return true
-	}
-	var body []string
-	for _, w := range strings.Fields(d.Body) {
-		norm := textproc.NormalizeTokens(w)
-		if len(norm) == 1 {
-			body = append(body, norm[0])
-		}
-	}
-outer:
-	for i := 0; i+len(want) <= len(body); i++ {
-		for j, w := range want {
-			if body[i+j] != w {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// refSearchPhrase mirrors SearchPhrase on top of refSearch.
-func refSearchPhrase(docs []Document, query string, k int) []Result {
-	phrases, remainder := splitPhrases(query)
-	if len(phrases) == 0 {
-		return refSearch(docs, query, k)
-	}
-	candidates := refSearch(docs, remainder+" "+strings.Join(phrases, " "), k*4)
-	byURL := map[string]Document{}
-	for _, d := range docs {
-		byURL[d.URL] = d
-	}
-	var out []Result
-	for _, r := range candidates {
-		d := byURL[r.URL]
-		ok := true
-		for _, p := range phrases {
-			if !refContainsPhrase(d, p) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-			if len(out) == k {
-				break
-			}
-		}
-	}
-	return out
-}
-
 // randomCorpus builds a randomized document set stressing the indexer's
 // normalization edge cases: stopwords, numerics, hyphenated words (multiple
 // tokens per raw word), apostrophes, duplicated documents (score ties) and
@@ -296,8 +239,6 @@ func TestSearchMatchesReference(t *testing.T) {
 				for _, k := range []int{1, 3, 10, 1000} {
 					checkSameResults(t, fmt.Sprintf("Search(%q, %d)", q, k),
 						ix.Search(q, k), refSearch(docs, q, k))
-					checkSameResults(t, fmt.Sprintf("SearchPhrase(%q, %d)", q, k),
-						ix.SearchPhrase(q, k), refSearchPhrase(docs, q, k))
 				}
 			}
 		})
@@ -326,6 +267,5 @@ func TestSearchMatchesReferenceOnLabCorpusShape(t *testing.T) {
 		"melisse restaurant", `"melisse"`, `"chez martin" "grand hotel"`,
 	} {
 		checkSameResults(t, "Search "+q, ix.Search(q, 10), refSearch(docs, q, 10))
-		checkSameResults(t, "SearchPhrase "+q, ix.SearchPhrase(q, 10), refSearchPhrase(docs, q, 10))
 	}
 }

@@ -80,6 +80,75 @@ func TestSearchEmptyAndUnknown(t *testing.T) {
 	}
 }
 
+// quoteIndex holds the words "chez" and "martin" adjacent in one document
+// only; the other two have both words apart.
+func quoteIndex() *ShardedIndex {
+	return buildSharded([]Document{
+		{URL: "p1", Title: "Chez Martin", Body: "chez martin is a dining restaurant with a seasonal menu and chef specials"},
+		{URL: "p2", Title: "Martin Chez", Body: "martin chez writes about restaurant kitchens and menu design for chefs"},
+		{URL: "p3", Title: "Chez place", Body: "chez nothing here martin appears far away restaurant menu"},
+	}, 1)
+}
+
+// TestSearchQuotesArePunctuation: a quote, balanced or not, separates terms
+// like any other punctuation, so a quoted query returns exactly what its
+// unquoted words return.
+func TestSearchQuotesArePunctuation(t *testing.T) {
+	ix := quoteIndex()
+	for _, c := range []struct{ name, quoted, plain string }{
+		{"phrase-and-term", `"Chez Martin" restaurant`, "Chez Martin restaurant"},
+		{"single-word", `"menu"`, "menu"},
+		{"two-phrases", `"chez" "martin restaurant" menu`, "chez martin restaurant menu"},
+		{"dangling-quote", `"chez martin`, "chez martin"},
+		{"dangling-after-term", `martin "restaurant`, "martin restaurant"},
+		{"glued", `chez"menu`, "chez menu"},
+		{"empty-quotes", `""`, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := ix.Search(c.plain, 10)
+			if c.plain != "" && len(want) == 0 {
+				t.Fatalf("Search(%q) matched nothing", c.plain)
+			}
+			checkBitIdentical(t, c.quoted, ix.Search(c.quoted, 10), want)
+		})
+	}
+}
+
+// TestSearchQuotedWordsNeedNotBeAdjacent: Search is a conjunction of terms;
+// quoting two words does not require them to be neighbours.
+func TestSearchQuotedWordsNeedNotBeAdjacent(t *testing.T) {
+	ix := quoteIndex()
+	if res := ix.Search(`"chez martin" restaurant`, 10); len(res) != 3 {
+		t.Errorf("quoted query matched %d documents, want all 3", len(res))
+	}
+	if res := ix.Search(`"martin restaurant"`, 10); len(res) != 3 {
+		t.Errorf("non-adjacent quoted words matched %d documents, want all 3", len(res))
+	}
+	if res := ix.Search(`"zzz yyy"`, 10); len(res) != 0 {
+		t.Errorf("unknown quoted words matched: %v", res)
+	}
+}
+
+// TestSearchStemsQuotedWords: words inside quotes are stemmed like the rest.
+func TestSearchStemsQuotedWords(t *testing.T) {
+	ix := buildSharded([]Document{{URL: "p1", Title: "x", Body: "national museums collection hosts paintings"}}, 1)
+	if res := ix.Search(`"national museum"`, 5); len(res) != 1 {
+		t.Errorf("stemmed quoted query matched %d documents, want 1", len(res))
+	}
+}
+
+// TestSearchQuotedRespectsK: a quoted query over twenty equal documents
+// returns k of them.
+func TestSearchQuotedRespectsK(t *testing.T) {
+	b := NewBuilder(1)
+	for i := 0; i < 20; i++ {
+		b.Add(Document{URL: fmt.Sprint(i), Title: "x", Body: "grand hotel lobby with rooms and suites"})
+	}
+	if res := b.Freeze().Search(`"grand hotel"`, 3); len(res) != 3 {
+		t.Errorf("k ignored: %d results", len(res))
+	}
+}
+
 func TestSnippetContainsQueryContext(t *testing.T) {
 	ix := smallIndex()
 	res := ix.Search("tasting menu", 1)
@@ -129,17 +198,13 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 
 func TestEngineCounters(t *testing.T) {
 	e := NewShardedEngine(smallIndex())
-	e.Latency = 50 * time.Millisecond
 	e.Search("museum", 3)
 	e.Search("restaurant", 3)
 	if e.QueryCount() != 2 {
 		t.Errorf("QueryCount = %d, want 2", e.QueryCount())
 	}
-	if e.SimulatedTime() != 100*time.Millisecond {
-		t.Errorf("SimulatedTime = %v, want 100ms", e.SimulatedTime())
-	}
 	e.ResetCounters()
-	if e.QueryCount() != 0 || e.SimulatedTime() != 0 {
+	if e.QueryCount() != 0 || e.Stats().Queries != 0 {
 		t.Errorf("counters not reset")
 	}
 }
@@ -147,11 +212,10 @@ func TestEngineCounters(t *testing.T) {
 func TestEngineRealSleep(t *testing.T) {
 	e := NewShardedEngine(smallIndex())
 	e.Latency = 10 * time.Millisecond
-	e.RealSleep = true
 	start := time.Now()
 	e.Search("museum", 1)
 	if took := time.Since(start); took < 10*time.Millisecond {
-		t.Errorf("RealSleep search returned in %v, want >= 10ms", took)
+		t.Errorf("search at 10ms latency returned in %v, want >= 10ms", took)
 	}
 }
 

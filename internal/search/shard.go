@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/pool"
@@ -128,22 +127,20 @@ func (b scored) scoreShard(ix *Index, si int, qterms [][]string, k int, arena []
 	}
 }
 
-// next removes and returns the best hit left for query q: the head of one of
-// its per-shard lists, each sorted best-first under the (score desc, doc asc)
-// order, so successive calls yield the global ranking in that exact order.
-func (b scored) next(q int) (hit, bool) {
+// next removes and returns the best hit left for query q, which must have
+// one: the head of one of its per-shard lists, each sorted best-first under
+// the (score desc, doc asc) order, so successive calls yield the global
+// ranking in that exact order.
+func (b scored) next(q int) hit {
 	var best *[]hit
 	for si := 0; si < b.shards; si++ {
 		if l := &b.row(si)[q]; len(*l) > 0 && (best == nil || worseHit((*best)[0], (*l)[0])) {
 			best = l
 		}
 	}
-	if best == nil {
-		return hit{}, false
-	}
 	h := (*best)[0]
 	*best = (*best)[1:]
-	return h, true
+	return h
 }
 
 // topDocsBatch is the only shard fan-out: each shard scores the whole query
@@ -191,7 +188,9 @@ func copyResults(src []Result) []Result {
 }
 
 // materialize merges query q's per-shard lists into its global top-k and
-// renders it.
+// renders each hit in the document's owning shard — its snippet windows and
+// positions live there — anchored at the first position of any of the ids
+// that shard resolved query q to.
 func (s *ShardedIndex) materialize(b scored, q, k int) []Result {
 	found := 0
 	for si := range s.shards {
@@ -199,27 +198,20 @@ func (s *ShardedIndex) materialize(b scored, q, k int) []Result {
 	}
 	out := make([]Result, min(found, k))
 	for i := range out {
-		h, _ := b.next(q)
-		out[i] = s.render(h, b, q)
+		h := b.next(q)
+		si, local := h.doc%len(s.shards), h.doc/len(s.shards)
+		sh := s.shards[si]
+		d := sh.docs[local]
+		snippet, start, end := sh.snippetAt(local, sh.col.firstPosOf(b.termIDs(si, q), local))
+		out[i] = Result{
+			URL:     d.URL,
+			Title:   d.Title,
+			Snippet: snippet,
+			Terms:   sh.terms.window(local, start, end),
+			Score:   h.score,
+		}
 	}
 	return out
-}
-
-// render generates hit h's snippet in the document's owning shard — its
-// snippet windows and positions live there — anchored at the first position of
-// any of the ids that shard resolved query q to.
-func (s *ShardedIndex) render(h hit, b scored, q int) Result {
-	si, local := h.doc%len(s.shards), h.doc/len(s.shards)
-	sh := s.shards[si]
-	d := sh.docs[local]
-	snippet, start, end := sh.snippetAt(local, sh.col.firstPosOf(b.termIDs(si, q), local))
-	return Result{
-		URL:     d.URL,
-		Title:   d.Title,
-		Snippet: snippet,
-		Terms:   sh.terms.window(local, start, end),
-		Score:   h.score,
-	}
 }
 
 // Search returns the top-k English documents for the query under BM25,
@@ -262,53 +254,4 @@ func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 		}
 	}
 	return out
-}
-
-// SearchPhrase is Search with phrase semantics for double-quoted segments
-// (the paper submits training queries as phrases, "Melisse restaurant",
-// §5.2.1): segments wrapped in double quotes must occur as adjacent stemmed
-// tokens in the document body, the rest of the query ranks as usual. The
-// 4k-candidate BM25 list (merged globally) is verified in candidate order
-// against each owning shard's positional postings — a position-list
-// intersection per candidate rather than a re-tokenization of its body —
-// and truncated to the first k survivors.
-//
-//	SearchPhrase(`"Chez Martin" restaurant`, 10)
-func (s *ShardedIndex) SearchPhrase(query string, k int) []Result {
-	phrases, remainder := splitPhrases(query)
-	if len(phrases) == 0 {
-		return s.Search(query, k)
-	}
-	if k <= 0 || s.nDocs == 0 {
-		return nil
-	}
-	qterms := textproc.NormalizeTokens(remainder + " " + strings.Join(phrases, " "))
-	if len(qterms) == 0 {
-		return nil
-	}
-	want := make([][]string, len(phrases))
-	for i, p := range phrases {
-		want[i] = textproc.NormalizeTokens(p)
-	}
-	b := s.topDocsBatch([][]string{qterms}, k*4)
-	n := len(s.shards)
-	var keep []Result
-	for tried := 0; tried < k*4 && len(keep) < k; tried++ {
-		h, found := b.next(0)
-		if !found {
-			break
-		}
-		sh, local := s.shards[h.doc%n], h.doc/n
-		ok := true
-		for _, w := range want {
-			if !sh.containsPhrase(local, w) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep = append(keep, s.render(h, b, 0))
-		}
-	}
-	return keep
 }

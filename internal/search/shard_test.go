@@ -55,9 +55,6 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 						label := fmt.Sprintf("shards=%d Search(%q, %d)", shards, q, k)
 						checkBitIdentical(t, label, six.Search(q, k), ix.Search(q, k))
 						checkSameResults(t, label+" vs reference", six.Search(q, k), refSearch(docs, q, k))
-						label = fmt.Sprintf("shards=%d SearchPhrase(%q, %d)", shards, q, k)
-						checkBitIdentical(t, label, six.SearchPhrase(q, k), ix.SearchPhrase(q, k))
-						checkSameResults(t, label+" vs reference", six.SearchPhrase(q, k), refSearchPhrase(docs, q, k))
 					}
 				}
 				// The batch path must agree with the single-query path.
@@ -88,8 +85,8 @@ func TestShardedReFreezeAfterAdd(t *testing.T) {
 	early := b.Freeze()
 	before := make([][]Result, len(queries))
 	for i, q := range queries {
-		before[i] = early.SearchPhrase(q, 10)
-		checkBitIdentical(t, "before re-add "+q, before[i], buildSharded(docs[:30], 1).SearchPhrase(q, 10))
+		before[i] = early.Search(q, 10)
+		checkBitIdentical(t, "before re-add "+q, before[i], buildSharded(docs[:30], 1).Search(q, 10))
 	}
 	for _, d := range docs[30:] {
 		b.Add(d)
@@ -100,8 +97,8 @@ func TestShardedReFreezeAfterAdd(t *testing.T) {
 	}
 	mono := buildSharded(docs, 1)
 	for i, q := range queries {
-		checkBitIdentical(t, "after re-add "+q, late.SearchPhrase(q, 10), mono.SearchPhrase(q, 10))
-		checkBitIdentical(t, "earlier index after re-add "+q, early.SearchPhrase(q, 10), before[i])
+		checkBitIdentical(t, "after re-add "+q, late.Search(q, 10), mono.Search(q, 10))
+		checkBitIdentical(t, "earlier index after re-add "+q, early.Search(q, 10), before[i])
 	}
 }
 
@@ -160,7 +157,6 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	for _, q := range randomQueries(rng, 30) {
 		checkBitIdentical(t, "loaded "+q, loaded.Search(q, 10), six.Search(q, 10))
-		checkBitIdentical(t, "loaded phrase "+q, loaded.SearchPhrase(q, 10), six.SearchPhrase(q, 10))
 	}
 	// The loaded index writes from its decoded columns: the same bytes.
 	if !bytes.Equal(tidx(t, loaded), data) {
@@ -220,7 +216,7 @@ func TestShardedEngineCounters(t *testing.T) {
 }
 
 // TestEngineSearchContext: the context-aware batch call refuses an
-// already-done context, and a RealSleep engine abandons the simulated
+// already-done context, and an engine with a latency abandons the simulated
 // round-trip mid-sleep on cancellation instead of sleeping it out.
 func TestEngineSearchContext(t *testing.T) {
 	e := NewShardedEngine(smallIndex())
@@ -240,7 +236,6 @@ func TestEngineSearchContext(t *testing.T) {
 	// 10 queries x 50ms simulated latency would sleep half a second; the
 	// cancellation must cut that short.
 	e.Latency = 50 * time.Millisecond
-	e.RealSleep = true
 	ctx, cancelSoon := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancelSoon()
 	start := time.Now()

@@ -75,7 +75,7 @@ func adversarialCorpus() []Document {
 
 // TestTermsMatchExtract is the search half of the id-path differential: on
 // randomized corpora and on the adversarial one, at every shard count, freshly
-// frozen and loaded from bytes, through Search, SearchPhrase and SearchBatch,
+// frozen and loaded from bytes, through Search and SearchBatch,
 // a hit's Terms are its snippet's normalised tokens, and they are the same ids
 // whatever the shard count and however the index came to be.
 func TestTermsMatchExtract(t *testing.T) {
@@ -101,7 +101,7 @@ func TestTermsMatchExtract(t *testing.T) {
 				label := fmt.Sprintf("%s x%d %s", name, shards, [2]string{"fresh", "loaded"}[which])
 				var got [][]Result
 				for _, q := range queries {
-					got = append(got, six.Search(q, 10), six.SearchPhrase(q, 10))
+					got = append(got, six.Search(q, 10))
 				}
 				got = append(got, six.SearchBatch(queries, 10)...)
 				for i, results := range got {

@@ -100,7 +100,7 @@ func appendNormalized(dst []string, s string) []string {
 // sequence in one pass. It returns the concatenated normalized tokens —
 // identical to NormalizeTokens(strings.Join(words, " ")) — plus, per input
 // word, its single normalized stem when the word yields exactly one content
-// token and "" otherwise (the per-word view the indexer's snippet and phrase
+// token and "" otherwise (the per-word view the indexer's positional
 // structures are built from). One scratch buffer is reused across words, so
 // indexing a document costs two allocations instead of two per word.
 func NormalizeWords(words []string) (tokens []string, stems []string) {

@@ -13,35 +13,27 @@ import (
 // Config controls corpus generation. The zero value selects the defaults.
 type Config struct {
 	Seed int64
-	// PagesPerEntity is the number of descriptive pages per entity
-	// (default 5). More pages give the engine more top-k depth.
-	PagesPerEntity int
-	// ReviewFraction is the expected number of extra review pages per
-	// entity (default 0.5).
-	ReviewFraction float64
-	// PagesPerConfuser is the number of pages per confuser sense
-	// (default 5; enough for the alternate sense to crowd the top-k of
-	// an ambiguous query until spatial disambiguation kicks in).
-	PagesPerConfuser int
 	// NoiseDocs is the number of unrelated background pages (default 400).
 	NoiseDocs int
 	// ConfuserBoost adds extra pages per confuser sense on top of
-	// PagesPerConfuser. The scenario matrix's adversarial worlds use it to
+	// pagesPerConfuser. The scenario matrix's adversarial worlds use it to
 	// let alternate senses drown entity pages in the top-k; 0 (the
 	// default) leaves the corpus byte-identical to the unboosted one.
 	ConfuserBoost int
 }
 
+// The corpus's fixed shape: descriptive pages per entity (more pages give the
+// engine more top-k depth), the expected number of extra review pages per
+// entity, and pages per confuser sense (enough for the alternate sense to
+// crowd the top-k of an ambiguous query until spatial disambiguation kicks
+// in).
+const (
+	pagesPerEntity   = 5
+	reviewFraction   = 0.5
+	pagesPerConfuser = 5
+)
+
 func (c Config) withDefaults() Config {
-	if c.PagesPerEntity == 0 {
-		c.PagesPerEntity = 5
-	}
-	if c.ReviewFraction == 0 {
-		c.ReviewFraction = 0.5
-	}
-	if c.PagesPerConfuser == 0 {
-		c.PagesPerConfuser = 5
-	}
 	if c.NoiseDocs == 0 {
 		c.NoiseDocs = 400
 	}
@@ -74,7 +66,7 @@ func BuildCorpus(w *world.World, cfg Config) []search.Document {
 		if e.City != gazetteer.NoLocation {
 			city = w.Gaz.Name(e.City)
 		}
-		pages := cfg.PagesPerEntity
+		pages := pagesPerEntity
 		key := strings.ToLower(e.Name)
 		if seenName[key] {
 			pages = 1 + pages/3
@@ -85,7 +77,7 @@ func BuildCorpus(w *world.World, cfg Config) []search.Document {
 		for p := 0; p < pages; p++ {
 			add(entityTitle(e, rng), entityBody(e, city, w.Gaz, rng))
 		}
-		if rng.Float64() < cfg.ReviewFraction {
+		if rng.Float64() < reviewFraction {
 			add("Review of "+e.Name, reviewBody(e, city, rng))
 		}
 	}
@@ -95,7 +87,7 @@ func BuildCorpus(w *world.World, cfg Config) []search.Document {
 		if vocab == nil {
 			vocab = reviewVocab
 		}
-		for p := 0; p < cfg.PagesPerConfuser+cfg.ConfuserBoost; p++ {
+		for p := 0; p < pagesPerConfuser+cfg.ConfuserBoost; p++ {
 			add(c.Name+" — "+c.Kind,
 				themedBody(c.Name, vocab, nil, rng, 60))
 		}

@@ -17,7 +17,7 @@ const (
 	// classifiers; they never occur in evaluation tables (DBpedia knows
 	// *some* restaurants, just not the ones in your table).
 	KBPool Pool = iota
-	// TablePool entities appear in the evaluation tables; only KBCoverage
+	// TablePool entities appear in the evaluation tables; only kbCoverage
 	// of them are also in the knowledge base, reproducing the paper's
 	// observation that just 22% of table entities exist in
 	// Yago/DBpedia/Freebase.
@@ -25,7 +25,7 @@ const (
 	// WikiPool entities appear in the Wiki Manual comparison dataset
 	// (§6.3). Wikipedia-table entities are overwhelmingly known to
 	// catalogues (that dataset was built to evaluate a catalogue-based
-	// annotator), so their KB coverage is high (WikiKBCoverage).
+	// annotator), so their KB coverage is high (wikiKBCoverage).
 	WikiPool
 )
 
@@ -77,20 +77,12 @@ type Config struct {
 	// train+test snippets per type; we scale the corpus down by ~15x and
 	// report the actual sizes in Table 2.)
 	KBPerType int
-	// TableCounts overrides the per-type evaluation-entity counts;
-	// defaults to TableEntityCounts (the paper's §6.2 dataset).
-	TableCounts map[Type]int
-	// KBCoverage is the fraction of table entities also present in the
-	// knowledge base. Default 0.22 (§1).
-	KBCoverage float64
 	// AmbiguityRate is the probability that a person or single-word-POI
 	// name gains a confuser sense. Default 0.35.
 	AmbiguityRate float64
 	// WikiPerType is the number of Wiki-Manual entities per type.
 	// Default 20 (the paper's Wiki Manual has 36 tables of modest size).
 	WikiPerType int
-	// WikiKBCoverage is the KB coverage of Wiki entities. Default 0.85.
-	WikiKBCoverage float64
 
 	// Adversarial knobs for the scenario matrix. All default to off, and
 	// when off they consume no rng draws, so the generated universe —
@@ -114,24 +106,23 @@ type Config struct {
 	DiacriticRate float64
 }
 
+// The evaluation tables hold TableEntityCounts entities per type (the paper's
+// §6.2 dataset); kbCoverage of them are also in the knowledge base (§1), and
+// wikiKBCoverage of the Wiki entities.
+const (
+	kbCoverage     = 0.22
+	wikiKBCoverage = 0.85
+)
+
 func (c Config) withDefaults() Config {
 	if c.KBPerType == 0 {
 		c.KBPerType = 240
-	}
-	if c.TableCounts == nil {
-		c.TableCounts = TableEntityCounts
-	}
-	if c.KBCoverage == 0 {
-		c.KBCoverage = 0.22
 	}
 	if c.AmbiguityRate == 0 {
 		c.AmbiguityRate = 0.35
 	}
 	if c.WikiPerType == 0 {
 		c.WikiPerType = 20
-	}
-	if c.WikiKBCoverage == 0 {
-		c.WikiKBCoverage = 0.85
 	}
 	return c
 }
@@ -174,7 +165,7 @@ func Generate(cfg Config) *World {
 	// training labels for knowledge-base people remain mostly clean.
 	people := 0
 	for _, t := range PeopleTypes {
-		people += cfg.KBPerType + cfg.TableCounts[t] + cfg.WikiPerType
+		people += cfg.KBPerType + TableEntityCounts[t] + cfg.WikiPerType
 	}
 	first := int(math.Sqrt(1.5 * float64(people)))
 	if first < 8 {
@@ -258,12 +249,12 @@ func Generate(cfg Config) *World {
 		for i := 0; i < kbCount; i++ {
 			spawn(t, KBPool, true)
 		}
-		for i := 0; i < cfg.TableCounts[t]; i++ {
-			inKB := rng.Float64() < cfg.KBCoverage
+		for i := 0; i < TableEntityCounts[t]; i++ {
+			inKB := rng.Float64() < kbCoverage
 			spawn(t, TablePool, inKB)
 		}
 		for i := 0; i < cfg.WikiPerType; i++ {
-			inKB := rng.Float64() < cfg.WikiKBCoverage
+			inKB := rng.Float64() < wikiKBCoverage
 			spawn(t, WikiPool, inKB)
 		}
 	}
