@@ -26,6 +26,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/gazetteer"
 	"repro/internal/kb"
+	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/search"
 	"repro/internal/table"
@@ -343,7 +344,8 @@ func BenchmarkGeoAnnotateHuge(b *testing.B) {
 		}
 	}
 	cfg := annotate.Config{Gazetteer: g}
-	ctx := context.Background()
+	rec := obs.New()
+	ctx := obs.With(context.Background(), rec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -351,6 +353,11 @@ func BenchmarkGeoAnnotateHuge(b *testing.B) {
 		if err != nil || len(gas) != rows*cols {
 			b.Fatalf("%d annotations, error %v; want every one of the %d cells", len(gas), err, rows*cols)
 		}
+	}
+	// The work vector, from the request's counters.
+	work := rec.Work()
+	for _, c := range []obs.Counter{obs.GeocodeCalls, obs.Nodes, obs.Components} {
+		b.ReportMetric(float64(work[c])/float64(b.N), c.String()+"/op")
 	}
 }
 

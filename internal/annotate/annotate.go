@@ -8,9 +8,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/classify"
 	"repro/internal/gazetteer"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/qcache"
 	"repro/internal/search"
@@ -243,7 +245,10 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	clock := obs.From(ctx)
+	stop := clock.Start(obs.Plan)
 	p, err := r.plan(ctx, exclude, traced)
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +263,9 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 	if err != nil {
 		return nil, err
 	}
+	stop = clock.Start(obs.Merge)
 	cfg.merge(r.t, p, verdicts, rec, res)
+	stop()
 	return res, nil
 }
 
@@ -389,12 +396,17 @@ func chunkSize(n, workers int) int {
 // Result records the miss can vary; totals are fixed by the workload).
 // Verdicts are identical at any chunking. A traced run, which carries no cache,
 // passes rec to receive each query's retrieved count and flat votes.
+//
+// On the request's obs record the fan-out is the Search stage, of which the
+// chunks' measured decision share then moves to Decide; it counts the queries
+// sent and the results decided.
 func (c Config) execute(ctx context.Context, queries []string, res *Result, rec []CellExplanation) ([]qcache.Verdict, error) {
 	gamma := c.typeSet()
 	var batches, hits atomic.Int64
+	var work chunkWork
 	chunk := func(ctx context.Context, queries []string, rec []CellExplanation) ([]qcache.Verdict, error) {
 		batches.Add(1)
-		return c.resolveChunk(ctx, queries, gamma, rec)
+		return c.resolveChunk(ctx, queries, gamma, rec, &work)
 	}
 	if c.Cache != nil {
 		resolve, prefix := chunk, c.cacheKeyPrefix()
@@ -422,7 +434,9 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 	n := len(queries)
 	out := make([]qcache.Verdict, n)
 	size := chunkSize(n, c.Parallelism)
-	if _, err := pool.RunErr(ctx, c.Parallelism, (n+size-1)/size, func(ctx context.Context, ci int) error {
+	clock := obs.From(ctx)
+	stop := clock.Start(obs.Search)
+	_, err := pool.RunErr(ctx, c.Parallelism, (n+size-1)/size, func(ctx context.Context, ci int) error {
 		lo, hi := ci*size, min(ci*size+size, n)
 		var chunkRec []CellExplanation
 		if rec != nil {
@@ -431,7 +445,11 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 		vs, err := chunk(ctx, queries[lo:hi], chunkRec)
 		copy(out[lo:], vs)
 		return err
-	}); err != nil {
+	})
+	stop()
+	searched, decided := time.Duration(work.search.Load()), time.Duration(work.decide.Load())
+	clock.Apportion(obs.Search, obs.Decide, decided, searched+decided)
+	if err != nil {
 		return nil, err
 	}
 	res.Batches = int(batches.Load())
@@ -440,28 +458,46 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 	if c.Cache != nil {
 		res.CacheMisses = res.Queries
 	}
+	clock.Add(obs.Queries, int64(res.Queries))
+	clock.Add(obs.Results, work.results.Load())
 	return out, nil
+}
+
+// chunkWork is what execute's chunks measure, each adding once: the results
+// decided, and the nanoseconds spent waiting on the backend and deciding.
+type chunkWork struct {
+	results, search, decide atomic.Int64
 }
 
 // resolveChunk resolves one chunk of queries with a single backend batch
 // call and applies the Eq. 1 decision per query (positional). The
 // per-decision scratch state (see scratch) is checked out of a pool once for
 // the whole chunk. A non-nil rec, one per query, receives the trace records.
-func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, rec []CellExplanation) ([]qcache.Verdict, error) {
+// The chunk's results and its time in each step are added to work.
+func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, rec []CellExplanation, work *chunkWork) ([]qcache.Verdict, error) {
+	start := time.Now()
 	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
 		return nil, err
 	}
+	searched := time.Now()
 	sc := getScratch()
 	defer putScratch(sc)
 	out := make([]qcache.Verdict, len(lists))
-	for i, results := range lists {
-		typ, score, ok := c.decideWith(sc, results, gamma)
+	results := 0
+	defer func() {
+		work.results.Add(int64(results))
+		work.search.Add(int64(searched.Sub(start)))
+		work.decide.Add(int64(time.Since(searched)))
+	}()
+	for i, list := range lists {
+		results += len(list)
+		typ, score, ok := c.decideWith(sc, list, gamma)
 		out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
 		if rec != nil {
 			// The flat counts, whichever rule decided.
-			c.countVotes(sc, results, gamma)
-			rec[i] = CellExplanation{Retrieved: len(results), Votes: maps.Clone(sc.counts)}
+			c.countVotes(sc, list, gamma)
+			rec[i] = CellExplanation{Retrieved: len(list), Votes: maps.Clone(sc.counts)}
 		}
 	}
 	return out, nil

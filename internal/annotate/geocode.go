@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/table"
 )
@@ -95,26 +96,33 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) (
 	if c.Gazetteer == nil {
 		return nil, nil
 	}
+	clock := obs.From(ctx)
+	defer clock.Start(obs.Geocode)()
 	cols, rows := t.ColumnIndexesOfType(table.Location), t.NumRows()
 	slots := make([]disambig.Interpretation, len(cols)*rows)
 	ranges := (len(slots) + geoRangeCells - 1) / geoRangeCells
 	if err := pool.Run(ctx, workers, ranges, func(r int) {
-		for k := r * geoRangeCells; k < min((r+1)*geoRangeCells, len(slots)); k++ {
+		lo, hi := r*geoRangeCells, min((r+1)*geoRangeCells, len(slots))
+		for k := lo; k < hi; k++ {
 			i, j := k%rows+1, cols[k/rows]
 			if cands := c.Gazetteer.Geocode(t.Cell(i, j)); len(cands) > 0 {
 				slots[k] = disambig.Interpretation{Cell: disambig.CellRef{Row: i, Col: j}, Candidates: cands}
 			}
 		}
+		clock.Add(obs.GeocodeCalls, int64(hi-lo))
 	}); err != nil {
 		return nil, err
 	}
-	n := 0
+	n, cands := 0, 0
 	for _, it := range slots {
 		if it.Candidates != nil {
 			slots[n] = it
 			n++
+			cands += len(it.Candidates)
 		}
 	}
+	clock.Add(obs.CellsGeocoded, int64(n))
+	clock.Add(obs.Candidates, int64(cands))
 	if n == 0 {
 		return nil, nil
 	}
@@ -152,6 +160,7 @@ func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats,
 	if err != nil || len(res.interps) == 0 {
 		return nil, disambig.Stats{}, err
 	}
+	defer obs.From(ctx).Start(obs.Render)()
 	gaz := r.cfg.Gazetteer
 	out := make([]GeoAnnotation, len(res.interps))
 	// A table names few places many times: each is rendered once.

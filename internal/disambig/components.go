@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/gazetteer"
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -200,6 +201,20 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 	return &decomposition{ns: ns, comps: comps}
 }
 
+// count adds the decomposition's shape to clock: nodes, live nodes and
+// components.
+func (d *decomposition) count(clock *obs.Record) {
+	live := 0
+	for _, idxs := range d.ns.cellNodes {
+		if len(idxs) > 1 {
+			live += len(idxs)
+		}
+	}
+	clock.Add(obs.Nodes, int64(len(d.ns.locs)))
+	clock.Add(obs.LiveNodes, int64(live))
+	clock.Add(obs.Components, int64(len(d.comps)))
+}
+
 // compScratch is one reusable component workspace: the join-group record
 // buffers, the nodes' cells and voting spans, the local CSR and the score
 // buffers. A worker checks one out of scratchPool per live component and
@@ -320,6 +335,18 @@ func (d *decomposition) runComp(ctx context.Context, comp []int32, r *compRun, s
 	if len(live) >= propagationParallelThreshold {
 		workers = d.workers
 	}
+	from := r.frontier
+	defer func() {
+		clock := obs.From(ctx)
+		clock.Add(obs.ComponentsBuilt, 1)
+		if resume {
+			clock.Add(obs.ComponentsResumed, 1)
+		}
+		iters := int64(r.frontier - from)
+		clock.Add(obs.InListBuilt, int64(len(in)))
+		clock.Add(obs.InListSummed, iters*int64(len(in)))
+		clock.Add(obs.Iterations, iters)
+	}()
 	for t := r.frontier + 1; t <= until; t++ {
 		if sumVotesCSR(ctx, inOff, in, live, scores, next, workers) != nil {
 			break
@@ -397,6 +424,7 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 	// A dead component is resolved where it stands: every score is the
 	// constant 1.0, which is the state the loop reaches at iteration 1 with a
 	// delta of exactly 0 — an exact fixed point, frozen for any T.
+	dead := 0
 	for ci, comp := range d.comps {
 		if d.ns.dead(comp) {
 			for _, gi := range comp {
@@ -404,8 +432,10 @@ func (d *decomposition) resolveComponents(ctx context.Context, opt Options) ([]f
 			}
 			runs[ci] = compRun{frontier: 1, firstConv: 1, fixedAt: 1}
 			runs[ci].conv[0] = 1
+			dead++
 		}
 	}
+	obs.From(ctx).Add(obs.ComponentsDead, int64(dead))
 	var curBytes, peakBytes atomic.Int64
 	raise := func(v int64) {
 		for {
@@ -557,8 +587,17 @@ type Choice struct {
 // Components are independent; the request's ctx is checked between them and
 // between propagation iterations, and once it is done the error is ctx.Err()
 // and no choice is returned: a table is scored whole or not at all.
+//
+// On the request's obs record, the node table and its components are the
+// Decompose stage and everything after them Resolve; the graph's nodes, live
+// nodes and components are counted, and every component build.
 func ResolvePositional(ctx context.Context, interps []Interpretation, g *gazetteer.Frozen, opt Options) ([]Choice, Stats, error) {
+	clock := obs.From(ctx)
+	stop := clock.Start(obs.Decompose)
 	d := decompose(interps, g)
+	stop()
+	defer clock.Start(obs.Resolve)()
+	d.count(clock)
 	scores, st, err := d.resolveComponents(ctx, opt)
 	if err != nil {
 		return nil, Stats{}, err

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/gazetteer"
+	"repro/internal/obs"
 )
 
 // resolveUndecomposed runs the component engine over a single component
@@ -391,18 +392,34 @@ func BenchmarkResolveAddress(b *testing.B) {
 	interps := addressInterps(g, rand.New(rand.NewSource(1)), 2000, 4)
 	b.Run("decompose", func(b *testing.B) {
 		b.ReportAllocs()
+		var d *decomposition
 		for i := 0; i < b.N; i++ {
-			decompose(interps, g)
+			d = decompose(interps, g)
 		}
+		rec := obs.New()
+		d.count(rec)
+		reportWork(b, rec, 1, obs.Nodes, obs.LiveNodes, obs.Components)
 	})
 	b.Run("resolve", func(b *testing.B) {
 		d := decompose(interps, g)
+		rec := obs.New()
+		ctx := obs.With(context.Background(), rec)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := d.resolveComponents(context.Background(), Options{}); err != nil {
+			if _, _, err := d.resolveComponents(ctx, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportWork(b, rec, b.N, obs.ComponentsBuilt, obs.InListSummed, obs.Iterations)
 	})
+}
+
+// reportWork reports the given counters of rec, divided by n, as per-op
+// metrics of b.
+func reportWork(b *testing.B, rec *obs.Record, n int, counters ...obs.Counter) {
+	work := rec.Work()
+	for _, c := range counters {
+		b.ReportMetric(float64(work[c])/float64(n), c.String()+"/op")
+	}
 }

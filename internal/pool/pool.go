@@ -4,7 +4,7 @@
 // (server). RunErr serves the work that can: a table's query chunks and a
 // batch of tables (annotate), whose backend or cache compute can fail, the
 // service's AnnotateBatch and GeocodeBatch and the router's batch fan-out. It
-// is a leaf package so every layer can call it.
+// depends on internal/obs alone, so every layer can call it.
 package pool
 
 import (
@@ -12,13 +12,18 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Run runs work(0..n-1) over a bounded pool of workers. Every worker takes the
 // next index while ctx is live, and the calling goroutine is the last worker,
 // so one worker or fewer (or a single item, or none) is a loop that starts no
 // goroutine. Work taken completes; the context error, if any, is returned once
-// it has.
+// it has. Every goroutine Run starts adds its busy time, once, to the stage
+// the caller has open on ctx's obs record; the caller's own time is already
+// that stage's wall time.
 func Run(ctx context.Context, workers, n int, work func(int)) error {
 	var next atomic.Int64
 	worker := func() {
@@ -30,12 +35,16 @@ func Run(ctx context.Context, workers, n int, work func(int)) error {
 			work(i)
 		}
 	}
+	rec := obs.From(ctx)
+	stage := rec.Open()
 	var wg sync.WaitGroup
 	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			start := time.Now()
 			worker()
+			rec.Busy(stage, time.Since(start))
 		}()
 	}
 	worker()

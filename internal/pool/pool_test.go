@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 )
 
 // TestRunPoolInline: the calling goroutine is the pool's last worker, so with
@@ -169,5 +170,25 @@ func TestBatchCancelledBeforeDispatch(t *testing.T) {
 		if i != -1 || err != context.Canceled {
 			t.Errorf("workers=%d: caller cancelled mid-run, RunErr = (%d, %v), want (-1, the bare context.Canceled)", workers, i, err)
 		}
+	}
+}
+
+// TestRunAddsBusyTime: the goroutines Run starts add their busy time to the
+// stage the caller has open on ctx's record; the caller's own time is that
+// stage's wall time, so a loop on the caller adds none.
+func TestRunAddsBusyTime(t *testing.T) {
+	leakcheck.Goroutines(t)
+	rec := obs.New()
+	ctx := obs.With(context.Background(), rec)
+	stop := rec.Start(obs.Resolve)
+	_ = Run(ctx, 1, 4, func(int) { time.Sleep(time.Millisecond) })
+	if busy := rec.BusyTimes().Sum(); busy != 0 {
+		t.Errorf("one worker added %v of busy time, want none", busy)
+	}
+	_ = Run(ctx, 4, 4, func(int) { time.Sleep(time.Millisecond) })
+	stop()
+	busy := rec.BusyTimes()
+	if busy[obs.Resolve] <= 0 || busy.Sum() != busy[obs.Resolve] {
+		t.Errorf("busy %v, want it all on resolve", busy)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // Wire format of the v1 HTTP API. The JSON schema is versioned with the
@@ -63,9 +64,38 @@ type CacheJSON struct {
 	Misses int `json:"misses"`
 }
 
-// TimingJSON reports the request's wall-clock cost in milliseconds.
+// TimingJSON reports the request's wall-clock cost in milliseconds, whole
+// and split by stage.
 type TimingJSON struct {
-	TotalMs float64 `json:"total_ms"`
+	TotalMs float64    `json:"total_ms"`
+	Stages  StagesJSON `json:"stages"`
+}
+
+// StagesJSON maps every stage of internal/obs to its milliseconds, keyed
+// "<stage>_ms".
+type StagesJSON map[string]float64
+
+// WorkJSON maps every counter of internal/obs to its count.
+type WorkJSON map[string]int64
+
+func stagesToWire(t obs.Times) StagesJSON {
+	out := make(StagesJSON, obs.NumStages)
+	for s, d := range t {
+		out[obs.Stage(s).String()+"_ms"] = float64(d) / float64(time.Millisecond)
+	}
+	return out
+}
+
+func workToWire(c obs.Counts) WorkJSON {
+	out := make(WorkJSON, obs.NumCounters)
+	for i, n := range c {
+		out[obs.Counter(i).String()] = n
+	}
+	return out
+}
+
+func timingToWire(t repro.Timing) TimingJSON {
+	return TimingJSON{TotalMs: float64(t.Total) / float64(time.Millisecond), Stages: stagesToWire(t.Stages)}
 }
 
 // GeoAnnotationJSON is one Location-column cell resolved against the
@@ -89,6 +119,8 @@ type AnnotateResponseJSON struct {
 	Stats          StatsJSON           `json:"stats"`
 	Cache          CacheJSON           `json:"cache"`
 	Timing         TimingJSON          `json:"timing"`
+	// Work is the request's work counters; present only when it set trace.
+	Work WorkJSON `json:"work,omitempty"`
 }
 
 // GeocodeRequestJSON is the body of POST /v1/geocode.
@@ -153,7 +185,14 @@ type StatzJSON struct {
 	Search      *SearchFull   `json:"search,omitempty"`
 	Cache       *CacheFull    `json:"cache,omitempty"`
 	Geo         *GeoFull      `json:"geo,omitempty"`
-	Router      *RouterFull   `json:"router,omitempty"`
+	// Stages, Busy and Work sum every served request's obs record: the wall
+	// time of each stage (decode and encode are the server's own), the busy
+	// time the goroutines of its fan-outs added beside that, and the work
+	// counters. A router sums its workers'.
+	Stages StagesJSON  `json:"stages,omitempty"`
+	Busy   StagesJSON  `json:"busy,omitempty"`
+	Work   WorkJSON    `json:"work,omitempty"`
+	Router *RouterFull `json:"router,omitempty"`
 }
 
 // RouterFull is the router tier's own /statz section, absent from a worker's
@@ -296,7 +335,7 @@ func geocodeToWire(resp *repro.GeocodeResponse) GeocodeResponseJSON {
 			Resolved:      resp.Stats.Resolved,
 			Ambiguous:     resp.Stats.Ambiguous,
 		},
-		Timing: TimingJSON{TotalMs: float64(resp.Timing.Total) / float64(time.Millisecond)},
+		Timing: timingToWire(resp.Timing),
 	}
 	if out.Annotations == nil {
 		out.Annotations = []GeoAnnotationJSON{}
@@ -321,7 +360,10 @@ func toWire(resp *repro.AnnotateResponse) AnnotateResponseJSON {
 			Skipped:   resp.Stats.Skipped,
 		},
 		Cache:  CacheJSON{Hits: resp.CacheStats.Hits, Misses: resp.CacheStats.Misses},
-		Timing: TimingJSON{TotalMs: float64(resp.Timing.Total) / float64(time.Millisecond)},
+		Timing: timingToWire(resp.Timing),
+	}
+	if resp.Work != nil {
+		out.Work = workToWire(*resp.Work)
 	}
 	for i, ann := range resp.Annotations {
 		out.Annotations[i] = AnnotationJSON{Row: ann.Row, Col: ann.Col, Type: ann.Type, Score: ann.Score}

@@ -117,7 +117,7 @@ func TestAnnotateGeocodeWire(t *testing.T) {
 // goldenCompare locks one response body byte-for-byte (timing masked).
 func goldenCompare(t *testing.T, name string, body []byte) {
 	t.Helper()
-	got := timingRe.ReplaceAll(body, []byte(`"total_ms": <wall-clock>`))
+	got := timingRe.ReplaceAll(body, []byte(`"$1": <wall-clock>`))
 	path := filepath.Join("testdata", "golden", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

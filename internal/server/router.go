@@ -459,6 +459,20 @@ func (r *Router) fetchStatz(ctx context.Context, ws *workerState) (statz StatzJS
 	return statz, ok
 }
 
+// addWire adds a worker's stage or counter map into the fleet's, key by key.
+func addWire[M ~map[string]V, V int64 | float64](sum, add M) M {
+	if add == nil {
+		return sum
+	}
+	if sum == nil {
+		sum = make(M, len(add))
+	}
+	for k, v := range add {
+		sum[k] += v
+	}
+	return sum
+}
+
 // handleStatz merges the fleet's /statz into one view: per-worker snapshots
 // fetched concurrently, counters summed, plus the router's own section
 // (hedges fired/won, retries, per-worker inflight, ejections). A worker that
@@ -552,6 +566,9 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 					out.Geo.PeakScratchBytes = st.Geo.PeakScratchBytes
 				}
 			}
+			out.Stages = addWire(out.Stages, st.Stages)
+			out.Busy = addWire(out.Busy, st.Busy)
+			out.Work = addWire(out.Work, st.Work)
 			if out.Snapshot == nil && st.Snapshot != nil {
 				snap := *st.Snapshot
 				out.Snapshot = &snap

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // Config configures a Server. The zero value of every limit selects a
@@ -61,6 +62,10 @@ type Server struct {
 	geoComponents  atomic.Int64 // disambiguation components resolved, cumulative
 	geoLargestComp atomic.Int64 // largest component seen, in nodes
 	geoPeakScratch atomic.Int64 // pooled per-component scratch high-water mark, bytes
+
+	// totals sums the obs record of every v1 request: stage times and work
+	// counters, for /statz.
+	totals obs.Record
 }
 
 // raiseMax lifts the atomic to v when v is larger, keeping the running
@@ -159,11 +164,17 @@ func (s *Server) Handler() http.Handler {
 func serveOne[W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
 	table func(*W) json.RawMessage, request func(*W, *repro.Table) *Q,
 	run func(*repro.Service, context.Context, *Q) (*R, error), toWire func(*R) O) {
+	clock := obs.New()
+	defer s.totals.Merge(clock)
+	stop := clock.Start(obs.Decode)
 	var wire W
-	if !s.decodeBody(w, r, &wire) {
+	if !s.decodeBody(w, r, &wire, clock) {
+		stop()
 		return
 	}
 	tbl, bad := s.table(table(&wire))
+	clock.Add(obs.TableParses, 1)
+	stop()
 	if bad != nil {
 		s.reject(w, -1, bad)
 		return
@@ -172,11 +183,12 @@ func serveOne[W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
 		return
 	}
 	defer s.release(1)
-	resp, err := run(s.Service(), r.Context(), request(&wire, tbl))
+	resp, err := run(s.Service(), obs.With(r.Context(), clock), request(&wire, tbl))
 	if err != nil {
 		s.writeServiceError(w, err)
 		return
 	}
+	defer clock.Start(obs.Encode)()
 	writeJSON(w, http.StatusOK, toWire(resp))
 }
 
@@ -194,14 +206,19 @@ func serveBatch[B ~struct {
 }, W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
 	table func(*W) json.RawMessage, request func(*W, *repro.Table) *Q,
 	run func(*repro.Service, context.Context, []*Q) ([]*R, error), toWire func(*R) O) {
+	clock := obs.New()
+	defer s.totals.Merge(clock)
+	stop := clock.Start(obs.Decode)
 	var body B
-	if !s.decodeBody(w, r, &body) {
+	if !s.decodeBody(w, r, &body, clock) {
+		stop()
 		return
 	}
 	items := (struct {
 		Requests []W `json:"requests"`
 	})(body).Requests
 	if !s.checkBatch(w, len(items)) {
+		stop()
 		return
 	}
 	reqs := make([]*Q, len(items))
@@ -209,21 +226,25 @@ func serveBatch[B ~struct {
 	for i := range items {
 		tables[i] = table(&items[i])
 		tbl, bad := s.table(tables[i])
+		clock.Add(obs.TableParses, 1)
 		if bad != nil {
+			stop()
 			s.reject(w, i, bad)
 			return
 		}
 		reqs[i] = request(&items[i], tbl)
 	}
+	stop()
 	if !s.admit(w, len(reqs), hashBytes(tables...)) {
 		return
 	}
 	defer s.release(len(reqs))
-	resps, err := run(s.Service(), r.Context(), reqs)
+	resps, err := run(s.Service(), obs.With(r.Context(), clock), reqs)
 	if err != nil {
 		s.writeServiceError(w, err)
 		return
 	}
+	defer clock.Start(obs.Encode)()
 	var out struct {
 		Responses []O `json:"responses"`
 	}
@@ -327,15 +348,21 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		LargestComponent:   s.geoLargestComp.Load(),
 		PeakScratchBytes:   s.geoPeakScratch.Load(),
 	}
+	out.Stages = stagesToWire(s.totals.Wall())
+	out.Busy = stagesToWire(s.totals.BusyTimes())
+	out.Work = workToWire(s.totals.Work())
 	writeJSON(w, http.StatusOK, out)
 }
 
 // decodeBody strictly decodes the bounded JSON body into dst, writing the
-// typed error response itself when decoding fails.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+// typed error response itself when decoding fails, and counts the bytes
+// decoded on clock.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, clock *obs.Record) bool {
 	dec := json.NewDecoder(limitBody(w, r))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	clock.Add(obs.BodyBytes, dec.InputOffset())
+	if err != nil {
 		s.writeBodyError(w, err)
 		return false
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/eval"
 	"repro/internal/gazetteer"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/qcache"
 	"repro/internal/search"
@@ -474,6 +475,12 @@ type CacheStats struct {
 type Timing struct {
 	// Total is the end-to-end service time of the request.
 	Total time.Duration
+	// Stages splits Total by stage (indexed by internal/obs's Stage): every
+	// instant of the request is charged to the innermost stage open at it, a
+	// stage nested in another subtracted from it, so the stages add up to
+	// Total. Render holds the response and what no other stage does. Decode
+	// and Encode are the HTTP server's and read 0 here.
+	Stages obs.Times
 }
 
 // AnnotateResponse is the result of one AnnotateRequest.
@@ -495,6 +502,9 @@ type AnnotateResponse struct {
 	Stats      Stats
 	CacheStats CacheStats
 	Timing     Timing
+	// Work is the request's work counters (indexed by internal/obs's
+	// Counter) when the request set Trace; nil otherwise.
+	Work *obs.Counts
 }
 
 // requestConfig validates the request and derives its immutable pipeline
@@ -548,9 +558,26 @@ func (s *Service) Annotate(ctx context.Context, req *AnnotateRequest) (*Annotate
 	return s.run(ctx, cfg, req)
 }
 
+// clock starts one table's obs record on ctx, opened on Render, and returns
+// the context carrying it and the func that ends the request: it closes the
+// record, adds it to the caller's record (the server's, when ctx carries one)
+// and returns the request's Timing.
+func clock(ctx context.Context) (context.Context, *obs.Record, func() Timing) {
+	parent, rec := obs.From(ctx), obs.New()
+	ctx = obs.With(ctx, rec)
+	start := time.Now()
+	stop := rec.Start(obs.Render)
+	return ctx, rec, func() Timing {
+		stop()
+		t := Timing{Total: time.Since(start), Stages: rec.Wall()}
+		parent.Merge(rec)
+		return t
+	}
+}
+
 // run executes an already-validated request with its derived config.
 func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateRequest) (*AnnotateResponse, error) {
-	start := time.Now()
+	ctx, rec, done := clock(ctx)
 	// One run, so one geocode+vote pass serves the Disambiguate stage and the
 	// GeoAnnotations output.
 	run := cfg.For(req.Table)
@@ -560,6 +587,7 @@ func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateReq
 	}
 	res, err := pass(ctx)
 	if err != nil {
+		done()
 		return nil, err
 	}
 	resp := &AnnotateResponse{
@@ -586,11 +614,16 @@ func (s *Service) run(ctx context.Context, cfg annotate.Config, req *AnnotateReq
 	if req.Geocode {
 		gas, _, err := run.GeoAnnotate(ctx)
 		if err != nil {
+			done()
 			return nil, err
 		}
 		resp.GeoAnnotations = gas
 	}
-	resp.Timing = Timing{Total: time.Since(start)}
+	if req.Trace {
+		work := rec.Work()
+		resp.Work = &work
+	}
+	resp.Timing = done()
 	return resp, nil
 }
 
@@ -654,13 +687,14 @@ func (s *Service) Geocode(ctx context.Context, req *GeocodeRequest) (*GeocodeRes
 	if err := validateGeocode(req); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	ctx, _, done := clock(ctx)
 	gas, stage, err := s.base.For(req.Table).GeoAnnotate(ctx)
 	if err != nil {
+		done()
 		return nil, err
 	}
 	resp := &GeocodeResponse{Annotations: gas, Stats: geoStats(req.Table, gas, stage)}
-	resp.Timing = Timing{Total: time.Since(start)}
+	resp.Timing = done()
 	return resp, nil
 }
 
