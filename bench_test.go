@@ -354,10 +354,14 @@ func BenchmarkGeoAnnotateHuge(b *testing.B) {
 			b.Fatalf("%d annotations, error %v; want every one of the %d cells", len(gas), err, rows*cols)
 		}
 	}
-	// The work vector, from the request's counters.
-	work := rec.Work()
+	// The work vector from the request's counters, and the geo split from
+	// its stage clock.
+	work, wall := rec.Work(), rec.Wall()
 	for _, c := range []obs.Counter{obs.GeocodeCalls, obs.Nodes, obs.Components} {
 		b.ReportMetric(float64(work[c])/float64(b.N), c.String()+"/op")
+	}
+	for _, s := range []obs.Stage{obs.Geocode, obs.Decompose, obs.Resolve, obs.Render} {
+		b.ReportMetric(float64(wall[s])/float64(time.Millisecond)/float64(b.N), s.String()+"_ms/op")
 	}
 }
 

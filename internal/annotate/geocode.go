@@ -49,8 +49,10 @@ type geoResolution struct {
 	stats   disambig.Stats
 }
 
-// geoRangeCells is how many Location cells one item of the geocoding fan-out
-// holds, and so how often geocoding observes the request's context.
+// geoRangeCells is how many distinct Location texts one item of the
+// geocoding fan-out looks up, and so how often geocoding observes the
+// request's context: a table of many repeated texts polls it as often as
+// one of its distinct texts alone.
 const geoRangeCells = 64
 
 // resolution returns the run's geocode+vote pass, making it on first use: the
@@ -61,7 +63,7 @@ const geoRangeCells = 64
 // every size take the same path, holding one choice per interpretation plus
 // pooled per-component scratch. Without a gazetteer, or when nothing geocodes,
 // the resolution is empty. Cancellation is checked before every range of
-// geoRangeCells cells, between components and between propagation iterations
+// geoRangeCells distinct texts, between components and between propagation iterations
 // — an abandoned request should release its admission slot instead of
 // finishing work nobody reads — and the error is then ctx.Err(), with nothing
 // kept: a table is resolved whole or not at all.
@@ -87,11 +89,14 @@ func (r *Run) resolution(ctx context.Context) (*geoResolution, error) {
 
 // geocodeCells geocodes the table's Location columns into the
 // interpretation list disambiguation consumes, in column-major cell order.
-// Every cell has a slot at its column-major position, ranges of cells fan out
-// over the pool, each filling its own slots, and the slots that geocoded are
-// then closed up in place: order and bytes are those of the sequential loop
-// whatever the schedule, and a table of one range starts no goroutine. Nil
-// when the config has no gazetteer or nothing geocodes.
+// A table names few places many times, so each distinct cell text is looked
+// up once: a request-local index numbers the texts in first-appearance order
+// and gives every cell its text's number, ranges of distinct texts fan out
+// over the pool, each filling its own slots, and cells with equal text then
+// share the one read-only candidate slice. Order and bytes are those of the
+// per-cell sequential loop whatever the schedule, and a table of one range
+// starts no goroutine. Nil when the config has no gazetteer or nothing
+// geocodes.
 func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) ([]disambig.Interpretation, error) {
 	if c.Gazetteer == nil {
 		return nil, nil
@@ -99,34 +104,49 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) (
 	clock := obs.From(ctx)
 	defer clock.Start(obs.Geocode)()
 	cols, rows := t.ColumnIndexesOfType(table.Location), t.NumRows()
-	slots := make([]disambig.Interpretation, len(cols)*rows)
-	ranges := (len(slots) + geoRangeCells - 1) / geoRangeCells
+	textOf := make([]int32, len(cols)*rows) // column-major cell -> its text's number
+	index := map[string]int32{}
+	var texts []string
+	for k := range textOf {
+		text := t.Cell(k%rows+1, cols[k/rows])
+		d, ok := index[text]
+		if !ok {
+			d = int32(len(texts))
+			index[text] = d
+			texts = append(texts, text)
+		}
+		textOf[k] = d
+	}
+	cands := make([][]gazetteer.LocID, len(texts))
+	ranges := (len(texts) + geoRangeCells - 1) / geoRangeCells
 	if err := pool.Run(ctx, workers, ranges, func(r int) {
-		lo, hi := r*geoRangeCells, min((r+1)*geoRangeCells, len(slots))
-		for k := lo; k < hi; k++ {
-			i, j := k%rows+1, cols[k/rows]
-			if cands := c.Gazetteer.Geocode(t.Cell(i, j)); len(cands) > 0 {
-				slots[k] = disambig.Interpretation{Cell: disambig.CellRef{Row: i, Col: j}, Candidates: cands}
-			}
+		lo, hi := r*geoRangeCells, min((r+1)*geoRangeCells, len(texts))
+		for d := lo; d < hi; d++ {
+			cands[d] = c.Gazetteer.Geocode(texts[d])
 		}
 		clock.Add(obs.GeocodeCalls, int64(hi-lo))
 	}); err != nil {
 		return nil, err
 	}
-	n, cands := 0, 0
-	for _, it := range slots {
-		if it.Candidates != nil {
-			slots[n] = it
+	n, total := 0, 0
+	for _, d := range textOf {
+		if len(cands[d]) > 0 {
 			n++
-			cands += len(it.Candidates)
+			total += len(cands[d])
 		}
 	}
 	clock.Add(obs.CellsGeocoded, int64(n))
-	clock.Add(obs.Candidates, int64(cands))
+	clock.Add(obs.Candidates, int64(total))
 	if n == 0 {
 		return nil, nil
 	}
-	return slots[:n], nil
+	out := make([]disambig.Interpretation, 0, n)
+	for k, d := range textOf {
+		if len(cands[d]) > 0 {
+			out = append(out, disambig.Interpretation{Cell: disambig.CellRef{Row: k%rows + 1, Col: cols[k/rows]}, Candidates: cands[d]})
+		}
+	}
+	return out, nil
 }
 
 // GeoAnnotate runs the opt-in geocode+disambiguate stage over one table:
@@ -140,7 +160,7 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) (
 // stage: it mutates nothing, so one Config may run any number of concurrent
 // GeoAnnotate calls, and it costs no search-engine queries — only gazetteer
 // lookups and graph propagation. Cancellation is observed between ranges of
-// geocoded cells and throughout propagation; the error is then ctx.Err(),
+// distinct cell texts and throughout propagation; the error is then ctx.Err(),
 // never a truncated result.
 func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotation, error) {
 	gas, _, err := c.For(t).GeoAnnotate(ctx)

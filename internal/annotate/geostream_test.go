@@ -10,6 +10,7 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -92,12 +93,13 @@ func TestGeoAnnotateWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestGeocodeCellsWorkerInvariance: geocoding fans cell ranges out over the
-// pool into positional slots, so whatever the worker count the interpretations
-// are the sequential loop's — same cells, same order, same candidates — also
-// when cells fail to geocode inside and at the edges of ranges, when there is
-// no Location column and when the table is one row. A context that expires
-// mid-table yields its error and nothing else, and no goroutine outlives it.
+// TestGeocodeCellsWorkerInvariance: geocoding fans ranges of distinct cell
+// texts out over the pool into positional slots, so whatever the worker count
+// the interpretations are the sequential loop's — same cells, same order, same
+// candidates — also when cells fail to geocode inside and at the edges of
+// ranges, when there is no Location column and when the table is one row. A
+// context that expires mid-table yields its error and nothing else, and no
+// goroutine outlives it.
 func TestGeocodeCellsWorkerInvariance(t *testing.T) {
 	g := gazetteer.SyntheticScale(42, 6).Freeze()
 	cfg := Config{Gazetteer: g}
@@ -136,7 +138,17 @@ func TestGeocodeCellsWorkerInvariance(t *testing.T) {
 		}
 	}
 
-	ranges := (holes.NumRows()*holes.NumCols() + geoRangeCells - 1) / geoRangeCells
+	// The fan-out polls once per range of distinct texts, not of cells.
+	distinct := map[string]bool{}
+	for _, row := range holes.Rows {
+		for _, cell := range row {
+			distinct[cell] = true
+		}
+	}
+	ranges := (len(distinct) + geoRangeCells - 1) / geoRangeCells
+	if ranges < 4 {
+		t.Fatalf("%d distinct texts make %d ranges; the expiry needs more", len(distinct), ranges)
+	}
 	for _, w := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(w)
 		ctx := leakcheck.NewPollContext(ranges / 2)
@@ -179,5 +191,106 @@ func TestRunGeoStatsSmallTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gas2, gas) {
 		t.Fatal("resolved run's annotations diverge from a fresh resolution")
+	}
+}
+
+// repeatsTable is a Location table of few texts, each repeated in many rows
+// and in every column: real addresses, a blank and a whitespace cell, and an
+// address no gazetteer knows, mixed so that every range edge falls somewhere
+// different.
+func repeatsTable(t *testing.T, g *gazetteer.Frozen) *table.Table {
+	t.Helper()
+	pool := []string{"", "   ", "99 Nowhere Boulevard, Atlantis"}
+	src := addressTable(t, g, 12, 1)
+	for _, row := range src.Rows {
+		pool = append(pool, row[0])
+	}
+	tbl := table.New("repeats",
+		table.Column{Header: "A", Type: table.Location},
+		table.Column{Header: "Name", Type: table.Text},
+		table.Column{Header: "B", Type: table.Location},
+		table.Column{Header: "C", Type: table.Location})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		if err := tbl.AppendRow(pool[rng.Intn(len(pool))], "x", pool[rng.Intn(len(pool))], pool[(i*5)%len(pool)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// sequentialInterps is geocodeCells as a per-cell sequential loop: one lookup
+// per cell, column-major.
+func sequentialInterps(g *gazetteer.Frozen, tbl *table.Table) []disambig.Interpretation {
+	var out []disambig.Interpretation
+	for _, j := range tbl.ColumnIndexesOfType(table.Location) {
+		for i := 1; i <= tbl.NumRows(); i++ {
+			if cands := g.Geocode(tbl.Cell(i, j)); len(cands) > 0 {
+				out = append(out, disambig.Interpretation{Cell: disambig.CellRef{Row: i, Col: j}, Candidates: cands})
+			}
+		}
+	}
+	return out
+}
+
+// TestGeocodeRepeatedTexts: a table whose cells repeat a few texts — across
+// rows and columns, blank and ungeocodable ones included — geocodes to the
+// per-cell sequential loop's interpretations at every worker count, with one
+// gazetteer lookup per distinct text and one shared candidate slice per text;
+// and GeoAnnotate answers what geocoding every cell, then voting and rendering,
+// answers.
+func TestGeocodeRepeatedTexts(t *testing.T) {
+	g := gazetteer.SyntheticScale(42, 6).Freeze()
+	cfg := Config{Gazetteer: g}
+	tbl := repeatsTable(t, g)
+	want := sequentialInterps(g, tbl)
+	distinct := map[string]bool{}
+	for _, row := range tbl.Rows {
+		distinct[row[0]], distinct[row[2]], distinct[row[3]] = true, true, true
+	}
+	if len(want) >= 900-900/10 || len(want) < 900/2 || len(distinct) > 15 {
+		t.Fatalf("%d of 900 cells geocode, %d distinct texts: the table does not repeat texts with holes", len(want), len(distinct))
+	}
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{1, 2, 8} {
+			rec := obs.New()
+			got, err := cfg.geocodeCells(obs.With(ctx, rec), tbl, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS %d, %d workers: %d interpretations diverge from the per-cell loop's %d", procs, w, len(got), len(want))
+			}
+			if calls := rec.Work()[obs.GeocodeCalls]; calls != int64(len(distinct)) {
+				t.Errorf("GOMAXPROCS %d, %d workers: %d lookups for %d distinct texts", procs, w, calls, len(distinct))
+			}
+			shared := map[string]*gazetteer.LocID{}
+			for _, it := range got {
+				text, first := tbl.Cell(it.Cell.Row, it.Cell.Col), &it.Candidates[0]
+				if p, ok := shared[text]; ok && p != first {
+					t.Fatalf("text %q: cells hold separate candidate slices", text)
+				}
+				shared[text] = first
+			}
+		}
+	}
+
+	// The per-cell path end to end: geocode every cell, vote, render.
+	ref := cfg.For(tbl)
+	choices, stats, err := disambig.ResolvePositional(ctx, want, g, disambig.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.geo = &geoResolution{interps: want, choices: choices, stats: stats}
+	wantGas, _, err := ref.GeoAnnotate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotGas, err := cfg.GeoAnnotate(ctx, tbl)
+	if err != nil || !reflect.DeepEqual(gotGas, wantGas) {
+		t.Fatalf("GeoAnnotate: %d annotations (error %v), the per-cell path %d, or they differ", len(gotGas), err, len(wantGas))
 	}
 }

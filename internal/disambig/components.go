@@ -140,7 +140,8 @@ func (ns *nodeSet) dead(comp []int32) bool {
 // two chained segments unions all their cells), and same-cell pairs — the
 // only pairs the edge loops skip — are already unioned through their cell.
 func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
-	ns := buildNodes(interps, g)
+	var b joinBufs
+	ns := buildNodes(interps, g, &b)
 	n := len(ns.locs)
 	uf := newUnionFind(n)
 	// Per-cell normalisation couples every node of a cell, so a cell's
@@ -150,7 +151,6 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 			uf.union(idxs[0], idxs[k])
 		}
 	}
-	var b joinBufs
 	for dim := 0; dim < 2; dim++ {
 		recKey, recNode := ns.joinGroups(dim, nil, &b, false)
 		for lo := 0; lo < len(recKey); {

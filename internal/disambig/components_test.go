@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -24,7 +25,7 @@ import (
 // resolveUndecomposed runs the component engine over a single component
 // holding every node: one graph, one propagation loop, one stop decision.
 func resolveUndecomposed(interps []Interpretation, g *gazetteer.Frozen) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
-	ns := buildNodes(interps, g)
+	ns := buildNodes(interps, g, new(joinBufs))
 	d := &decomposition{ns: ns, comps: [][]int32{ns.allNodes()}}
 	scores, _, _ := d.resolveComponents(context.Background(), Options{Workers: 1})
 	return ns.choose(scores)
@@ -421,5 +422,87 @@ func reportWork(b *testing.B, rec *obs.Record, n int, counters ...obs.Counter) {
 	work := rec.Work()
 	for _, c := range counters {
 		b.ReportMetric(float64(work[c])/float64(n), c.String()+"/op")
+	}
+}
+
+// TestDecomposeCellKeysExtreme: rows and columns are any int. Cell, row and
+// column ids come from sorting offset keys, so the extremes of int, zero and
+// negatives — with a cell's candidates split over several interpretations,
+// given out of order — must resolve exactly as the reference does, bit for
+// bit, and decompose into the graph's components. fuzzInterps alone keys
+// rows 1–12 and columns 1–6, which no offset can get wrong.
+func TestDecomposeCellKeysExtreme(t *testing.T) {
+	g := gazetteer.Synthetic(23).Freeze()
+	rows := []int{math.MinInt, math.MaxInt, 0, -1, math.MinInt + 1, math.MaxInt - 1, -7, 3, 1 << 40, -(1 << 40), 2, math.MinInt / 2}
+	cols := []int{math.MaxInt, math.MinInt, -3, 0, 1, math.MaxInt - 2}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 40; round++ {
+		data := make([]byte, 3+rng.Intn(120))
+		rng.Read(data)
+		var interps []Interpretation
+		for _, it := range fuzzInterps(data, g) {
+			cell := CellRef{Row: rows[it.Cell.Row-1], Col: cols[it.Cell.Col-1]}
+			// A cell's candidates in two interpretations: the same cell
+			// again, later in the input.
+			half := len(it.Candidates) / 2
+			interps = append(interps, Interpretation{Cell: cell, Candidates: it.Candidates[:half]},
+				Interpretation{Cell: cell, Candidates: it.Candidates[half:]})
+		}
+		rng.Shuffle(len(interps), func(i, j int) { interps[i], interps[j] = interps[j], interps[i] })
+		checkEquivalence(t, interps, g, 1, 2, 8)
+		checkDecomposition(t, interps, g)
+
+		ns := buildNodes(interps, g, new(joinBufs))
+		for i, it := range interps {
+			if ns.cells[ns.interpCell[i]] != it.Cell {
+				t.Fatalf("interpretation %d of cell %v numbered as cell %v", i, it.Cell, ns.cells[ns.interpCell[i]])
+			}
+		}
+		for a := range ns.cells {
+			for b := range ns.cells {
+				ca, cb := ns.cells[a], ns.cells[b]
+				if a != b && ca == cb {
+					t.Fatalf("cell %v has two ids", ca)
+				}
+				if (ca.Row == cb.Row) != (ns.cellRowB[a] == ns.cellRowB[b]) || (ca.Col == cb.Col) != (ns.cellColB[a] == ns.cellColB[b]) {
+					t.Fatalf("cells %v and %v: row ids %d/%d, column ids %d/%d", ca, cb, ns.cellRowB[a], ns.cellRowB[b], ns.cellColB[a], ns.cellColB[b])
+				}
+			}
+		}
+	}
+}
+
+// TestRadixSortByKeyUnsigned: the sort orders keys as unsigned 64-bit
+// values, stably, over the full range, on short and long record arrays.
+func TestRadixSortByKeyUnsigned(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 7, 300, 5000} {
+		keys := make([]int64, n)
+		nodes := make([]int32, n)
+		for i := range keys {
+			switch rng.Intn(4) {
+			case 0:
+				keys[i] = math.MinInt64 + rng.Int63n(3)
+			case 1:
+				keys[i] = math.MaxInt64 - rng.Int63n(3)
+			case 2:
+				keys[i] = rng.Int63n(5)
+			default:
+				keys[i] = int64(rng.Uint64())
+			}
+			nodes[i] = int32(i)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return uint64(keys[want[a]]) < uint64(keys[want[b]]) })
+		orig := append([]int64(nil), keys...)
+		radixSortByKey(keys, nodes, make([]int64, n), make([]int32, n), -1)
+		for i := range want {
+			if int(nodes[i]) != want[i] || keys[i] != orig[want[i]] {
+				t.Fatalf("n=%d: position %d holds record %d (key %#x), want %d", n, i, nodes[i], uint64(keys[i]), want[i])
+			}
+		}
 	}
 }

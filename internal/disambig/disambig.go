@@ -7,11 +7,11 @@
 // The voting graph is built sparsely: instead of testing every ordered node
 // pair (the O(n²) construction the paper implies, kept as an executable
 // specification in reference_test.go), nodes are bucketed by row and by
-// column and, within each bucket, indexed by their location and by their
+// column and, within each bucket, grouped by their location and by their
 // direct container. The three ways two locations can cohere — equal direct
 // containers, or one being the direct container of the other — are then
-// answered by hash lookups, so construction costs O(nodes + edges) instead
-// of O(nodes²). Adjacency is stored as CSR arrays and score propagation
+// read off radix-sorted join groups, with no hash map from cell to node, so
+// construction costs O(nodes + edges) instead of O(nodes²). Adjacency is stored as CSR arrays and score propagation
 // parallelises over nodes for large tables. Results are bit-identical to the
 // reference: the same choices and the same float64 scores (differential and
 // fuzz enforced).
@@ -55,34 +55,50 @@ type Graph struct {
 }
 
 // radixSortByKey stable-sorts the parallel (keys, nodes) record arrays by
-// key, least-significant byte first, using as many 8-bit passes as max
-// needs. All buffers are caller-allocated, so sorting allocates nothing.
+// key read as unsigned, least-significant digit first, using as many passes
+// as max (the largest key, read as unsigned) needs: 11-bit digits on record
+// arrays long enough that fewer passes pay for the wider count, 8-bit ones
+// otherwise. A pass whose digit is the same in every key is skipped, and the
+// passes alternate between the records and the tmp arrays, copying back only
+// when they end in tmp. All buffers are caller-allocated, so sorting
+// allocates nothing.
 func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max int64) {
-	var cnt [256]int32
-	for shift := uint(0); max>>shift > 0; shift += 8 {
-		for i := range cnt {
-			cnt[i] = 0
+	n := len(keys)
+	if n == 0 {
+		return
+	}
+	width := uint(8)
+	if n >= 1<<12 {
+		width = 11
+	}
+	mask := uint64(1)<<width - 1
+	var cnt [1 << 11]int32
+	c := cnt[:1<<width]
+	srcK, srcN, dstK, dstN := keys, nodes[:n], tmpK[:n], tmpN[:n]
+	for shift := uint(0); shift < 64 && uint64(max)>>shift > 0; shift += width {
+		clear(c)
+		for _, k := range srcK {
+			c[uint64(k)>>shift&mask]++
 		}
-		for _, k := range keys {
-			cnt[(k>>shift)&0xff]++
+		if c[uint64(srcK[0])>>shift&mask] == int32(n) {
+			continue // every key holds the same digit here: the pass would move nothing
 		}
-		if len(keys) > 0 && cnt[(keys[0]>>shift)&0xff] == int32(len(keys)) {
-			continue // every key holds the same byte here: the pass would move nothing
+		sum := int32(0)
+		for d := range c {
+			c[d], sum = sum, sum+c[d]
 		}
-		s := int32(0)
-		for b := 0; b < 256; b++ {
-			c := cnt[b]
-			cnt[b] = s
-			s += c
+		for i, k := range srcK {
+			d := uint64(k) >> shift & mask
+			at := c[d]
+			dstK[at] = k
+			dstN[at] = srcN[i]
+			c[d] = at + 1
 		}
-		for i, k := range keys {
-			b := (k >> shift) & 0xff
-			tmpK[cnt[b]] = k
-			tmpN[cnt[b]] = nodes[i]
-			cnt[b]++
-		}
-		copy(keys, tmpK)
-		copy(nodes, tmpN)
+		srcK, srcN, dstK, dstN = dstK, dstN, srcK, srcN
+	}
+	if &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(nodes, srcN)
 	}
 }
 
@@ -94,7 +110,7 @@ func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max
 type nodeSet struct {
 	g *gazetteer.Frozen
 
-	cells      []CellRef // deduplicated cells, first-appearance order
+	cells      []CellRef // deduplicated cells, ascending by (row, column)
 	interpCell []int32   // interpretation -> index into cells
 	cellNodes  [][]int32 // node indexes per cell, ascending
 	nodeCell   []int32   // node -> index into cells
@@ -110,7 +126,8 @@ type nodeSet struct {
 // candidate) pair in input order, duplicates and NoLocation candidates
 // dropped, plus the per-cell bucket ids. A node pair shares at most one
 // bucket (same row and same column would mean the same cell).
-func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
+// The cells are numbered in b's record arrays.
+func buildNodes(interps []Interpretation, g *gazetteer.Frozen, b *joinBufs) *nodeSet {
 	ns := &nodeSet{g: g, maxKey: int64(g.Len()) + 1}
 	capHint := 0
 	for _, it := range interps {
@@ -119,20 +136,12 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 	ns.locs = make([]gazetteer.LocID, 0, capHint)
 	ns.parents = make([]gazetteer.LocID, 0, capHint)
 	ns.nodeCell = make([]int32, 0, capHint)
-	ns.interpCell = make([]int32, len(interps))
-	cellIdx := make(map[CellRef]int32, len(interps))
-	ns.cells = make([]CellRef, 0, len(interps))
-	room := make([]int32, 0, len(interps)) // per cell: its candidates over all its interpretations, a bound on its nodes
+	// Sized for the join-group sorts too: the nodes number at most capHint.
+	b.ensure(max(len(interps), capHint))
+	ns.numberCells(interps, b)
+	room := make([]int32, len(ns.cells)) // per cell: its candidates over all its interpretations, a bound on its nodes
 	for i, it := range interps {
-		ci, ok := cellIdx[it.Cell]
-		if !ok {
-			ci = int32(len(ns.cells))
-			cellIdx[it.Cell] = ci
-			ns.cells = append(ns.cells, it.Cell)
-			room = append(room, 0)
-		}
-		ns.interpCell[i] = ci
-		room[ci] += int32(len(it.Candidates))
+		room[ns.interpCell[i]] += int32(len(it.Candidates))
 	}
 	// Every cell's node list is a window of one flat array, filled below.
 	flat := make([]int32, capHint)
@@ -172,27 +181,79 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen) *nodeSet {
 		}
 		ns.cellNodes[ci] = nodes
 	}
-
-	rowIdx := make(map[int]int32, len(ns.cells))
-	colIdx := map[int]int32{}
-	ns.cellRowB = make([]int32, len(ns.cells))
-	ns.cellColB = make([]int32, len(ns.cells))
-	for ci, cell := range ns.cells {
-		ri, ok := rowIdx[cell.Row]
-		if !ok {
-			ri = int32(len(rowIdx))
-			rowIdx[cell.Row] = ri
-		}
-		ns.cellRowB[ci] = ri
-		cj, ok := colIdx[cell.Col]
-		if !ok {
-			cj = int32(len(colIdx))
-			colIdx[cell.Col] = cj
-		}
-		ns.cellColB[ci] = cj
-	}
-	ns.numRowB, ns.numColB = len(rowIdx), len(colIdx)
 	return ns
+}
+
+// numberCells gives every interpretation its cell's dense id and every cell
+// its dense row and column bucket ids, without a map: the interpretations are
+// radix-sorted by column, then stably by row, each key offset by its smallest
+// value so that any int sorts without overflow, and the ids are counted off
+// the sorted order — cells and rows ascending by (row, column), columns
+// ascending. Equal cells, whatever their order in the input, sort next to
+// each other and share one id. The sort runs in b's record arrays, which the
+// join-group sorts reuse after it.
+func (ns *nodeSet) numberCells(interps []Interpretation, b *joinBufs) {
+	n := len(interps)
+	b.ensure(n)
+	keys, tmpK := b.recKey[:n], b.tmpKey[:n]
+	order, tmpN, colOf := b.recNode[:n], b.tmpNode[:n], b.recNode[n:2*n] // colOf: interpretation -> column bucket id
+	ns.interpCell = make([]int32, n)
+	ns.cells = make([]CellRef, 0, n)
+	ns.cellRowB, ns.cellColB = make([]int32, 0, n), make([]int32, 0, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	radixSortByKey(keys, order, tmpK, tmpN, offsetKeys(interps, order, keys, false))
+	col := int32(-1)
+	for p, i := range order {
+		if p == 0 || keys[p] != keys[p-1] {
+			col++
+		}
+		colOf[i] = col
+	}
+	radixSortByKey(keys, order, tmpK, tmpN, offsetKeys(interps, order, keys, true))
+	row, cell := int32(-1), int32(-1)
+	for p, i := range order {
+		newRow := p == 0 || keys[p] != keys[p-1]
+		if newRow {
+			row++
+		}
+		if newRow || colOf[i] != colOf[order[p-1]] {
+			cell++
+			ns.cells = append(ns.cells, interps[i].Cell)
+			ns.cellRowB = append(ns.cellRowB, row)
+			ns.cellColB = append(ns.cellColB, colOf[i])
+		}
+		ns.interpCell[i] = cell
+	}
+	ns.numRowB, ns.numColB = int(row+1), int(col+1)
+}
+
+// offsetKeys keys the interpretations, in the given order, by their cell's
+// row (or column) minus the smallest one, as unsigned — so every int, the
+// extremes included, keys in order without overflow — and returns the
+// largest key.
+func offsetKeys(interps []Interpretation, order []int32, keys []int64, row bool) int64 {
+	at := func(c CellRef) int {
+		if row {
+			return c.Row
+		}
+		return c.Col
+	}
+	lo, hi := 0, 0
+	for i, it := range interps {
+		v := at(it.Cell)
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if i == 0 || v > hi {
+			hi = v
+		}
+	}
+	for p, i := range order {
+		keys[p] = int64(uint64(at(interps[i].Cell)) - uint64(lo))
+	}
+	return int64(uint64(hi) - uint64(lo))
 }
 
 // joinBufs holds the reusable record arrays of the join-group sorts: the keys
@@ -291,8 +352,8 @@ func (ns *nodeSet) group(recKey []int64, lo int) (locLive, split, parLive, hi in
 // Ave, Washington" votes for the city "Washington, D.C." in the same row, and
 // vice versa).
 func BuildGraph(interps []Interpretation, g *gazetteer.Frozen) *Graph {
-	ns := buildNodes(interps, g)
 	var sc compScratch
+	ns := buildNodes(interps, g, &sc.join)
 	inOff, in := ns.buildCSR(ns.allNodes(), &sc, false)
 	return &Graph{nodeSet: ns, inOff: inOff, in: in}
 }

@@ -211,7 +211,7 @@ func geoTables(t *testing.T, svc *Service) (addresses, barren *Table) {
 // TestRequestResolvesGeographyOnce: whatever a request asks for — the trace,
 // the geo annotations, both — its table is geocoded and voted on once, also
 // when nothing geocodes. The probe is the context: geocoding polls it every 64
-// cells, the vote before every component and every iteration, so the polls a
+// distinct cell texts, the vote before every component and every iteration, so the polls a
 // request makes beyond those of its twin with the geo stage off, measured in
 // units of one standalone Geocode of the same table, count the passes.
 func TestRequestResolvesGeographyOnce(t *testing.T) {
