@@ -246,9 +246,9 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 		return nil, err
 	}
 	clock := obs.From(ctx)
-	stop := clock.Start(obs.Plan)
+	span := clock.Start(obs.Plan)
 	p, err := r.plan(ctx, exclude, traced)
-	stop()
+	span.Stop()
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +263,9 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 	if err != nil {
 		return nil, err
 	}
-	stop = clock.Start(obs.Merge)
+	span = clock.Start(obs.Merge)
 	cfg.merge(r.t, p, verdicts, rec, res)
-	stop()
+	span.Stop()
 	return res, nil
 }
 
@@ -435,7 +435,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 	out := make([]qcache.Verdict, n)
 	size := chunkSize(n, c.Parallelism)
 	clock := obs.From(ctx)
-	stop := clock.Start(obs.Search)
+	span := clock.Start(obs.Search)
 	_, err := pool.RunErr(ctx, c.Parallelism, (n+size-1)/size, func(ctx context.Context, ci int) error {
 		lo, hi := ci*size, min(ci*size+size, n)
 		var chunkRec []CellExplanation
@@ -446,7 +446,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 		copy(out[lo:], vs)
 		return err
 	})
-	stop()
+	span.Stop()
 	searched, decided := time.Duration(work.search.Load()), time.Duration(work.decide.Load())
 	clock.Apportion(obs.Search, obs.Decide, decided, searched+decided)
 	if err != nil {

@@ -102,7 +102,7 @@ func (c Config) geocodeCells(ctx context.Context, t *table.Table, workers int) (
 		return nil, nil
 	}
 	clock := obs.From(ctx)
-	defer clock.Start(obs.Geocode)()
+	defer clock.Start(obs.Geocode).Stop()
 	cols, rows := t.ColumnIndexesOfType(table.Location), t.NumRows()
 	textOf := make([]int32, len(cols)*rows) // column-major cell -> its text's number
 	index := map[string]int32{}
@@ -180,7 +180,7 @@ func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats,
 	if err != nil || len(res.interps) == 0 {
 		return nil, disambig.Stats{}, err
 	}
-	defer obs.From(ctx).Start(obs.Render)()
+	defer obs.From(ctx).Start(obs.Render).Stop()
 	gaz := r.cfg.Gazetteer
 	out := make([]GeoAnnotation, len(res.interps))
 	// A table names few places many times: each is rendered once.

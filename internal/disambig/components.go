@@ -593,10 +593,10 @@ type Choice struct {
 // nodes and components are counted, and every component build.
 func ResolvePositional(ctx context.Context, interps []Interpretation, g *gazetteer.Frozen, opt Options) ([]Choice, Stats, error) {
 	clock := obs.From(ctx)
-	stop := clock.Start(obs.Decompose)
+	span := clock.Start(obs.Decompose)
 	d := decompose(interps, g)
-	stop()
-	defer clock.Start(obs.Resolve)()
+	span.Stop()
+	defer clock.Start(obs.Resolve).Stop()
 	d.count(clock)
 	scores, st, err := d.resolveComponents(ctx, opt)
 	if err != nil {

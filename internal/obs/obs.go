@@ -6,8 +6,8 @@
 // goroutine and no global state, so every layer can import it.
 //
 // Time. A fixed set of stages splits a request's wall time. Start opens a
-// stage on the goroutine that owns the record and returns the func that closes
-// it; a stage opened inside another is subtracted from it, so every instant is
+// stage on the goroutine that owns the record and returns the span whose Stop
+// closes it; a stage opened inside another is subtracted from it, so every instant is
 // charged to exactly one stage, the innermost open, and the parts add up to
 // the whole. A fan-out's wall time belongs to the stage its caller has open;
 // the goroutines pool.Run starts for it add their busy time beside that, once
@@ -145,8 +145,8 @@ func (t Times) Sum() time.Duration {
 // Counts is a value per counter.
 type Counts [NumCounters]int64
 
-// Record is one request's clock and counters. Start and the func it returns
-// belong to the goroutine that owns the record; every other method is safe
+// Record is one request's clock and counters. Start and Stop belong to the
+// goroutine that owns the record; every other method is safe
 // for concurrent use.
 type Record struct {
 	wall, busy [NumStages]atomic.Int64
@@ -172,8 +172,6 @@ func From(ctx context.Context) *Record {
 	return r
 }
 
-func noop() {}
-
 // now is the record's monotonic clock.
 func (r *Record) now() int64 { return int64(time.Since(r.base)) }
 
@@ -185,19 +183,29 @@ func (r *Record) charge(at int64) {
 	r.mark = at
 }
 
-// Start opens stage s inside whatever stage is open and returns the func that
-// closes it, reopening the enclosing one. Until then the time is s's, minus
+// Span is a stage Start opened; Stop closes it.
+type Span struct {
+	r      *Record
+	parent int32
+}
+
+// Start opens stage s inside whatever stage is open and returns its span,
+// whose Stop reopens the enclosing one. Until then the time is s's, minus
 // what stages opened inside it take. Only the owning goroutine calls Start,
-// and it closes stages in the reverse order it opened them.
-func (r *Record) Start(s Stage) (stop func()) {
+// and it stops spans in the reverse order it started them.
+func (r *Record) Start(s Stage) Span {
 	if r == nil {
-		return noop
+		return Span{}
 	}
 	r.charge(r.now())
-	parent := r.open.Swap(int32(s) + 1)
-	return func() {
-		r.charge(r.now())
-		r.open.Store(parent)
+	return Span{r: r, parent: r.open.Swap(int32(s) + 1)}
+}
+
+// Stop closes the span's stage.
+func (sp Span) Stop() {
+	if sp.r != nil {
+		sp.r.charge(sp.r.now())
+		sp.r.open.Store(sp.parent)
 	}
 }
 

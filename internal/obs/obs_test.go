@@ -9,7 +9,7 @@ import (
 
 func TestNilRecordIsNoop(t *testing.T) {
 	var r *Record
-	r.Start(Plan)()
+	r.Start(Plan).Stop()
 	r.Busy(Plan, time.Second)
 	r.Add(Nodes, 3)
 	r.Apportion(Search, Decide, 1, 2)
@@ -40,12 +40,12 @@ func TestNestedStagesPartitionTheSpan(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	stopGeo := r.Start(Geocode)
 	time.Sleep(2 * time.Millisecond)
-	stopGeo()
-	stopPlan()
+	stopGeo.Stop()
+	stopPlan.Stop()
 	if r.Open() != Render {
 		t.Fatalf("open stage %v after closing plan, want render", r.Open())
 	}
-	stopRender()
+	stopRender.Stop()
 	span := time.Since(start)
 	wall := r.Wall()
 	for s, d := range wall {
@@ -68,9 +68,9 @@ func TestNestedStagesPartitionTheSpan(t *testing.T) {
 
 func TestApportionKeepsSums(t *testing.T) {
 	r := New()
-	stop := r.Start(Search)
+	span := r.Start(Search)
 	time.Sleep(time.Millisecond)
-	stop()
+	span.Stop()
 	r.Busy(Search, 400)
 	before, busy := r.Wall(), r.BusyTimes()
 	r.Apportion(Search, Decide, 1, 4)

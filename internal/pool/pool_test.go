@@ -180,13 +180,13 @@ func TestRunAddsBusyTime(t *testing.T) {
 	leakcheck.Goroutines(t)
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	stop := rec.Start(obs.Resolve)
+	span := rec.Start(obs.Resolve)
 	_ = Run(ctx, 1, 4, func(int) { time.Sleep(time.Millisecond) })
 	if busy := rec.BusyTimes().Sum(); busy != 0 {
 		t.Errorf("one worker added %v of busy time, want none", busy)
 	}
 	_ = Run(ctx, 4, 4, func(int) { time.Sleep(time.Millisecond) })
-	stop()
+	span.Stop()
 	busy := rec.BusyTimes()
 	if busy[obs.Resolve] <= 0 || busy.Sum() != busy[obs.Resolve] {
 		t.Errorf("busy %v, want it all on resolve", busy)

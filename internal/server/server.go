@@ -166,15 +166,15 @@ func serveOne[W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
 	run func(*repro.Service, context.Context, *Q) (*R, error), toWire func(*R) O) {
 	clock := obs.New()
 	defer s.totals.Merge(clock)
-	stop := clock.Start(obs.Decode)
+	decode := clock.Start(obs.Decode)
 	var wire W
 	if !s.decodeBody(w, r, &wire, clock) {
-		stop()
+		decode.Stop()
 		return
 	}
 	tbl, bad := s.table(table(&wire))
 	clock.Add(obs.TableParses, 1)
-	stop()
+	decode.Stop()
 	if bad != nil {
 		s.reject(w, -1, bad)
 		return
@@ -188,7 +188,7 @@ func serveOne[W, Q, R, O any](s *Server, w http.ResponseWriter, r *http.Request,
 		s.writeServiceError(w, err)
 		return
 	}
-	defer clock.Start(obs.Encode)()
+	defer clock.Start(obs.Encode).Stop()
 	writeJSON(w, http.StatusOK, toWire(resp))
 }
 
@@ -208,17 +208,17 @@ func serveBatch[B ~struct {
 	run func(*repro.Service, context.Context, []*Q) ([]*R, error), toWire func(*R) O) {
 	clock := obs.New()
 	defer s.totals.Merge(clock)
-	stop := clock.Start(obs.Decode)
+	decode := clock.Start(obs.Decode)
 	var body B
 	if !s.decodeBody(w, r, &body, clock) {
-		stop()
+		decode.Stop()
 		return
 	}
 	items := (struct {
 		Requests []W `json:"requests"`
 	})(body).Requests
 	if !s.checkBatch(w, len(items)) {
-		stop()
+		decode.Stop()
 		return
 	}
 	reqs := make([]*Q, len(items))
@@ -228,13 +228,13 @@ func serveBatch[B ~struct {
 		tbl, bad := s.table(tables[i])
 		clock.Add(obs.TableParses, 1)
 		if bad != nil {
-			stop()
+			decode.Stop()
 			s.reject(w, i, bad)
 			return
 		}
 		reqs[i] = request(&items[i], tbl)
 	}
-	stop()
+	decode.Stop()
 	if !s.admit(w, len(reqs), hashBytes(tables...)) {
 		return
 	}
@@ -244,7 +244,7 @@ func serveBatch[B ~struct {
 		s.writeServiceError(w, err)
 		return
 	}
-	defer clock.Start(obs.Encode)()
+	defer clock.Start(obs.Encode).Stop()
 	var out struct {
 		Responses []O `json:"responses"`
 	}

@@ -566,9 +566,9 @@ func clock(ctx context.Context) (context.Context, *obs.Record, func() Timing) {
 	parent, rec := obs.From(ctx), obs.New()
 	ctx = obs.With(ctx, rec)
 	start := time.Now()
-	stop := rec.Start(obs.Render)
+	render := rec.Start(obs.Render)
 	return ctx, rec, func() Timing {
-		stop()
+		render.Stop()
 		t := Timing{Total: time.Since(start), Stages: rec.Wall()}
 		parent.Merge(rec)
 		return t
