@@ -43,29 +43,11 @@ const (
 
 // String is the stage's wire name.
 func (s Stage) String() string {
-	switch s {
-	case Decode:
-		return "decode"
-	case Plan:
-		return "plan"
-	case Search:
-		return "search"
-	case Decide:
-		return "decide"
-	case Merge:
-		return "merge"
-	case Geocode:
-		return "geocode"
-	case Decompose:
-		return "decompose"
-	case Resolve:
-		return "resolve"
-	case Render:
-		return "render"
-	case Encode:
-		return "encode"
+	names := [NumStages]string{"decode", "plan", "search", "decide", "merge", "geocode", "decompose", "resolve", "render", "encode"}
+	if s < 0 || s >= NumStages {
+		return "none"
 	}
-	return "none"
+	return names[s]
 }
 
 // Counter is one kind of work a request does.
@@ -93,41 +75,13 @@ const (
 
 // String is the counter's wire name.
 func (c Counter) String() string {
-	switch c {
-	case Queries:
-		return "queries"
-	case Results:
-		return "results"
-	case GeocodeCalls:
-		return "geocode_calls"
-	case CellsGeocoded:
-		return "cells_geocoded"
-	case Candidates:
-		return "candidates"
-	case Nodes:
-		return "nodes"
-	case LiveNodes:
-		return "live_nodes"
-	case Components:
-		return "components"
-	case ComponentsDead:
-		return "components_dead"
-	case ComponentsBuilt:
-		return "components_built"
-	case ComponentsResumed:
-		return "components_resumed"
-	case InListBuilt:
-		return "in_list_built"
-	case InListSummed:
-		return "in_list_summed"
-	case Iterations:
-		return "iterations"
-	case BodyBytes:
-		return "body_bytes"
-	case TableParses:
-		return "table_parses"
+	names := [NumCounters]string{"queries", "results", "geocode_calls", "cells_geocoded", "candidates",
+		"nodes", "live_nodes", "components", "components_dead", "components_built", "components_resumed",
+		"in_list_built", "in_list_summed", "iterations", "body_bytes", "table_parses"}
+	if c < 0 || c >= NumCounters {
+		return "none"
 	}
-	return "none"
+	return names[c]
 }
 
 // Times is a duration per stage.
@@ -146,18 +100,17 @@ func (t Times) Sum() time.Duration {
 type Counts [NumCounters]int64
 
 // Record is one request's clock and counters. Start and Stop belong to the
-// goroutine that owns the record; every other method is safe
-// for concurrent use.
+// goroutine that owns the record; every other method is safe for concurrent
+// use.
 type Record struct {
 	wall, busy [NumStages]atomic.Int64
 	work       [NumCounters]atomic.Int64
 	open       atomic.Int32 // the innermost open stage + 1; 0 when none is
-	mark       int64        // owner only: when the open stage was last charged, in ns since base
-	base       time.Time
+	mark       time.Time    // owner only: when the open stage was last charged
 }
 
 // New starts an empty record.
-func New() *Record { return &Record{base: time.Now()} }
+func New() *Record { return new(Record) }
 
 type ctxKey struct{}
 
@@ -172,15 +125,13 @@ func From(ctx context.Context) *Record {
 	return r
 }
 
-// now is the record's monotonic clock.
-func (r *Record) now() int64 { return int64(time.Since(r.base)) }
-
-// charge bills the time up to at, since the last switch, to the open stage.
-func (r *Record) charge(at int64) {
+// charge bills the time since the last switch to the open stage.
+func (r *Record) charge() {
+	now := time.Now()
 	if open := r.open.Load(); open > 0 {
-		r.wall[open-1].Add(at - r.mark)
+		r.wall[open-1].Add(int64(now.Sub(r.mark)))
 	}
-	r.mark = at
+	r.mark = now
 }
 
 // Span is a stage Start opened; Stop closes it.
@@ -197,14 +148,14 @@ func (r *Record) Start(s Stage) Span {
 	if r == nil {
 		return Span{}
 	}
-	r.charge(r.now())
+	r.charge()
 	return Span{r: r, parent: r.open.Swap(int32(s) + 1)}
 }
 
 // Stop closes the span's stage.
 func (sp Span) Stop() {
 	if sp.r != nil {
-		sp.r.charge(sp.r.now())
+		sp.r.charge()
 		sp.r.open.Store(sp.parent)
 	}
 }
@@ -253,18 +204,22 @@ func (r *Record) Apportion(from, to Stage, part, whole time.Duration) {
 }
 
 // Merge adds o's times and counts to r: a request's tables into the request,
-// requests into a server's totals.
+// requests into a server's totals. What o never charged adds nothing, so a
+// shared total takes only the writes a request's own stages and counters need.
 func (r *Record) Merge(o *Record) {
 	if r == nil || o == nil {
 		return
 	}
-	for s := range o.wall {
-		r.wall[s].Add(o.wall[s].Load())
-		r.busy[s].Add(o.busy[s].Load())
+	add := func(dst, src []atomic.Int64) {
+		for i := range src {
+			if v := src[i].Load(); v != 0 {
+				dst[i].Add(v)
+			}
+		}
 	}
-	for c := range o.work {
-		r.work[c].Add(o.work[c].Load())
-	}
+	add(r.wall[:], o.wall[:])
+	add(r.busy[:], o.busy[:])
+	add(r.work[:], o.work[:])
 }
 
 // Wall is the wall time charged to each stage so far.

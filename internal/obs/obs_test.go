@@ -117,14 +117,14 @@ func TestConcurrentAddsAndMerge(t *testing.T) {
 func TestNamesAreDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for s := Stage(0); s < NumStages; s++ {
-		if n := s.String(); n == "none" || seen[n] {
+		if n := s.String(); n == "none" || n == "" || seen[n] {
 			t.Errorf("stage %d: name %q missing or repeated", s, n)
 		} else {
 			seen[n] = true
 		}
 	}
 	for c := Counter(0); c < NumCounters; c++ {
-		if n := c.String(); n == "none" || seen[n] {
+		if n := c.String(); n == "none" || n == "" || seen[n] {
 			t.Errorf("counter %d: name %q missing or repeated", c, n)
 		} else {
 			seen[n] = true
