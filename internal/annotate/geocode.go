@@ -57,16 +57,17 @@ const geoRangeCells = 64
 
 // resolution returns the run's geocode+vote pass, making it on first use: the
 // §5.2.2 spatial query augmentation and the GeoAnnotate output both read this
-// one value, so a request wanting both never resolves its table twice. The Location columns geocode, then vote through the graph; both
-// steps run over the request's one pool on the same min(GOMAXPROCS, 8)
-// workers, cell ranges first and the graph's components after — tables of
+// one value, so a request wanting both never resolves its table twice. The
+// Location columns geocode, then vote through the graph; both steps run over
+// the request's one pool on the same min(GOMAXPROCS, 8) workers, ranges of
+// distinct cell texts first and the graph's components after — tables of
 // every size take the same path, holding one choice per interpretation plus
 // pooled per-component scratch. Without a gazetteer, or when nothing geocodes,
 // the resolution is empty. Cancellation is checked before every range of
-// geoRangeCells distinct texts, between components and between propagation iterations
-// — an abandoned request should release its admission slot instead of
-// finishing work nobody reads — and the error is then ctx.Err(), with nothing
-// kept: a table is resolved whole or not at all.
+// geoRangeCells distinct texts, between components and between propagation
+// iterations — an abandoned request should release its admission slot instead
+// of finishing work nobody reads — and the error is then ctx.Err(), with
+// nothing kept: a table is resolved whole or not at all.
 func (r *Run) resolution(ctx context.Context) (*geoResolution, error) {
 	if r.geo != nil {
 		return r.geo, nil

@@ -185,7 +185,7 @@ type StatzJSON struct {
 	Search      *SearchFull   `json:"search,omitempty"`
 	Cache       *CacheFull    `json:"cache,omitempty"`
 	Geo         *GeoFull      `json:"geo,omitempty"`
-	// Stages, Busy and Work sum every served request's obs record: the wall
+	// Stages, Busy and Work sum the obs record of every v1 request: the wall
 	// time of each stage (decode and encode are the server's own), the busy
 	// time the goroutines of its fan-outs added beside that, and the work
 	// counters. A router sums its workers'.
