@@ -248,8 +248,8 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 	clock := obs.From(ctx)
 	span := clock.Start(obs.Plan)
 	p, err := r.plan(ctx, exclude, traced)
-	span.Stop()
 	if err != nil {
+		span.Stop()
 		return nil, err
 	}
 	cfg := r.cfg
@@ -259,11 +259,18 @@ func (r *Run) annotateExcluding(ctx context.Context, exclude map[CellKey]bool, t
 		rec = make([]CellExplanation, len(p.unique))
 	}
 	res := &Result{Skipped: p.skipped}
-	verdicts, err := cfg.execute(ctx, p.unique, res, rec)
+	// The fan-out is the Search stage, of which the chunks' measured decision
+	// share then moves to Decide.
+	span = span.Next(obs.Search)
+	var work chunkWork
+	verdicts, err := cfg.execute(ctx, p.unique, res, rec, &work)
+	span = span.Next(obs.Merge)
+	searched, decided := time.Duration(work.search.Load()), time.Duration(work.decide.Load())
+	clock.Apportion(obs.Search, obs.Decide, decided, searched+decided)
 	if err != nil {
+		span.Stop()
 		return nil, err
 	}
-	span = clock.Start(obs.Merge)
 	cfg.merge(r.t, p, verdicts, rec, res)
 	span.Stop()
 	return res, nil
@@ -397,16 +404,15 @@ func chunkSize(n, workers int) int {
 // Verdicts are identical at any chunking. A traced run, which carries no cache,
 // passes rec to receive each query's retrieved count and flat votes.
 //
-// On the request's obs record the fan-out is the Search stage, of which the
-// chunks' measured decision share then moves to Decide; it counts the queries
-// sent and the results decided.
-func (c Config) execute(ctx context.Context, queries []string, res *Result, rec []CellExplanation) ([]qcache.Verdict, error) {
+// The chunks add their results and their time in each step to work; on the
+// request's obs record execute counts the queries sent and the results
+// decided.
+func (c Config) execute(ctx context.Context, queries []string, res *Result, rec []CellExplanation, work *chunkWork) ([]qcache.Verdict, error) {
 	gamma := c.typeSet()
 	var batches, hits atomic.Int64
-	var work chunkWork
 	chunk := func(ctx context.Context, queries []string, rec []CellExplanation) ([]qcache.Verdict, error) {
 		batches.Add(1)
-		return c.resolveChunk(ctx, queries, gamma, rec, &work)
+		return c.resolveChunk(ctx, queries, gamma, rec, work)
 	}
 	if c.Cache != nil {
 		resolve, prefix := chunk, c.cacheKeyPrefix()
@@ -434,8 +440,6 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 	n := len(queries)
 	out := make([]qcache.Verdict, n)
 	size := chunkSize(n, c.Parallelism)
-	clock := obs.From(ctx)
-	span := clock.Start(obs.Search)
 	_, err := pool.RunErr(ctx, c.Parallelism, (n+size-1)/size, func(ctx context.Context, ci int) error {
 		lo, hi := ci*size, min(ci*size+size, n)
 		var chunkRec []CellExplanation
@@ -446,9 +450,6 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 		copy(out[lo:], vs)
 		return err
 	})
-	span.Stop()
-	searched, decided := time.Duration(work.search.Load()), time.Duration(work.decide.Load())
-	clock.Apportion(obs.Search, obs.Decide, decided, searched+decided)
 	if err != nil {
 		return nil, err
 	}
@@ -458,6 +459,7 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result, rec 
 	if c.Cache != nil {
 		res.CacheMisses = res.Queries
 	}
+	clock := obs.From(ctx)
 	clock.Add(obs.Queries, int64(res.Queries))
 	clock.Add(obs.Results, work.results.Load())
 	return out, nil
@@ -485,11 +487,6 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 	defer putScratch(sc)
 	out := make([]qcache.Verdict, len(lists))
 	results := 0
-	defer func() {
-		work.results.Add(int64(results))
-		work.search.Add(int64(searched.Sub(start)))
-		work.decide.Add(int64(time.Since(searched)))
-	}()
 	for i, list := range lists {
 		results += len(list)
 		typ, score, ok := c.decideWith(sc, list, gamma)
@@ -500,6 +497,9 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 			rec[i] = CellExplanation{Retrieved: len(list), Votes: maps.Clone(sc.counts)}
 		}
 	}
+	work.results.Add(int64(results))
+	work.search.Add(int64(searched.Sub(start)))
+	work.decide.Add(int64(time.Since(searched)))
 	return out, nil
 }
 

@@ -181,7 +181,6 @@ func (r *Run) GeoAnnotate(ctx context.Context) ([]GeoAnnotation, disambig.Stats,
 	if err != nil || len(res.interps) == 0 {
 		return nil, disambig.Stats{}, err
 	}
-	defer obs.From(ctx).Start(obs.Render).Stop()
 	gaz := r.cfg.Gazetteer
 	out := make([]GeoAnnotation, len(res.interps))
 	// A table names few places many times: each is rendered once.

@@ -202,8 +202,11 @@ func decompose(interps []Interpretation, g *gazetteer.Frozen) *decomposition {
 }
 
 // count adds the decomposition's shape to clock: nodes, live nodes and
-// components.
+// components. Without a record it walks nothing.
 func (d *decomposition) count(clock *obs.Record) {
+	if clock == nil {
+		return
+	}
 	live := 0
 	for _, idxs := range d.ns.cellNodes {
 		if len(idxs) > 1 {
@@ -595,8 +598,8 @@ func ResolvePositional(ctx context.Context, interps []Interpretation, g *gazette
 	clock := obs.From(ctx)
 	span := clock.Start(obs.Decompose)
 	d := decompose(interps, g)
-	span.Stop()
-	defer clock.Start(obs.Resolve).Stop()
+	span = span.Next(obs.Resolve)
+	defer span.Stop()
 	d.count(clock)
 	scores, st, err := d.resolveComponents(ctx, opt)
 	if err != nil {

@@ -55,44 +55,36 @@ type Graph struct {
 }
 
 // radixSortByKey stable-sorts the parallel (keys, nodes) record arrays by
-// key read as unsigned, least-significant digit first, using as many passes
-// as max (the largest key, read as unsigned) needs: 11-bit digits on record
-// arrays long enough that fewer passes pay for the wider count, 8-bit ones
-// otherwise. A pass whose digit is the same in every key is skipped, and the
-// passes alternate between the records and the tmp arrays, copying back only
-// when they end in tmp. All buffers are caller-allocated, so sorting
-// allocates nothing.
+// key read as unsigned, least-significant byte first, using as many 8-bit
+// passes as max (the largest key, read as unsigned) needs. A pass whose byte
+// is the same in every key is skipped, and the passes alternate between the
+// records and the tmp arrays, copying back only when they end in tmp. All
+// buffers are caller-allocated, so sorting allocates nothing.
 func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max int64) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
-	width := uint(8)
-	if n >= 1<<12 {
-		width = 11
-	}
-	mask := uint64(1)<<width - 1
-	var cnt [1 << 11]int32
-	c := cnt[:1<<width]
+	var cnt [256]int32
 	srcK, srcN, dstK, dstN := keys, nodes[:n], tmpK[:n], tmpN[:n]
-	for shift := uint(0); shift < 64 && uint64(max)>>shift > 0; shift += width {
-		clear(c)
+	for shift := uint(0); shift < 64 && uint64(max)>>shift > 0; shift += 8 {
+		clear(cnt[:])
 		for _, k := range srcK {
-			c[uint64(k)>>shift&mask]++
+			cnt[uint64(k)>>shift&0xff]++
 		}
-		if c[uint64(srcK[0])>>shift&mask] == int32(n) {
-			continue // every key holds the same digit here: the pass would move nothing
+		if cnt[uint64(srcK[0])>>shift&0xff] == int32(n) {
+			continue // every key holds the same byte here: the pass would move nothing
 		}
 		sum := int32(0)
-		for d := range c {
-			c[d], sum = sum, sum+c[d]
+		for b := range cnt {
+			cnt[b], sum = sum, sum+cnt[b]
 		}
 		for i, k := range srcK {
-			d := uint64(k) >> shift & mask
-			at := c[d]
+			b := uint64(k) >> shift & 0xff
+			at := cnt[b]
 			dstK[at] = k
 			dstN[at] = srcN[i]
-			c[d] = at + 1
+			cnt[b] = at + 1
 		}
 		srcK, srcN, dstK, dstN = dstK, dstN, srcK, srcN
 	}
@@ -191,10 +183,10 @@ func buildNodes(interps []Interpretation, g *gazetteer.Frozen, b *joinBufs) *nod
 // the sorted order — cells and rows ascending by (row, column), columns
 // ascending. Equal cells, whatever their order in the input, sort next to
 // each other and share one id. The sort runs in b's record arrays, which the
-// join-group sorts reuse after it.
+// caller has sized for the interpretations and the join-group sorts reuse
+// after it.
 func (ns *nodeSet) numberCells(interps []Interpretation, b *joinBufs) {
 	n := len(interps)
-	b.ensure(n)
 	keys, tmpK := b.recKey[:n], b.tmpKey[:n]
 	order, tmpN, colOf := b.recNode[:n], b.tmpNode[:n], b.recNode[n:2*n] // colOf: interpretation -> column bucket id
 	ns.interpCell = make([]int32, n)

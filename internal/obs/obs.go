@@ -160,6 +160,17 @@ func (sp Span) Stop() {
 	}
 }
 
+// Next closes the span's stage and opens s in its place, inside the same
+// enclosing stage, reading the clock once: for a stage that ends just as the
+// next begins.
+func (sp Span) Next(s Stage) Span {
+	if sp.r != nil {
+		sp.r.charge()
+		sp.r.open.Store(int32(s) + 1)
+	}
+	return sp
+}
+
 // Open is the innermost open stage; NumStages when none is, and for a nil
 // record.
 func (r *Record) Open() Stage {

@@ -9,7 +9,7 @@ import (
 
 func TestNilRecordIsNoop(t *testing.T) {
 	var r *Record
-	r.Start(Plan).Stop()
+	r.Start(Plan).Next(Merge).Stop()
 	r.Busy(Plan, time.Second)
 	r.Add(Nodes, 3)
 	r.Apportion(Search, Decide, 1, 2)
@@ -24,7 +24,8 @@ func TestNilRecordIsNoop(t *testing.T) {
 }
 
 // TestNestedStagesPartitionTheSpan: a stage opened inside another is
-// subtracted from it, so the stages add up to the outermost span exactly.
+// subtracted from it, and one a span's Next opens takes over its place, so
+// the stages add up to the outermost span exactly.
 func TestNestedStagesPartitionTheSpan(t *testing.T) {
 	r := New()
 	if From(With(context.Background(), r)) != r {
@@ -41,6 +42,11 @@ func TestNestedStagesPartitionTheSpan(t *testing.T) {
 	stopGeo := r.Start(Geocode)
 	time.Sleep(2 * time.Millisecond)
 	stopGeo.Stop()
+	stopPlan = stopPlan.Next(Merge)
+	if r.Open() != Merge {
+		t.Fatalf("open stage %v after plan's next, want merge", r.Open())
+	}
+	time.Sleep(2 * time.Millisecond)
 	stopPlan.Stop()
 	if r.Open() != Render {
 		t.Fatalf("open stage %v after closing plan, want render", r.Open())
@@ -53,7 +59,7 @@ func TestNestedStagesPartitionTheSpan(t *testing.T) {
 			t.Errorf("%v: negative share %v", Stage(s), d)
 		}
 	}
-	for _, s := range []Stage{Render, Plan, Geocode} {
+	for _, s := range []Stage{Render, Plan, Geocode, Merge} {
 		if wall[s] < 2*time.Millisecond {
 			t.Errorf("%v: %v, want at least the 2ms it slept", s, wall[s])
 		}
