@@ -482,7 +482,7 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 	if err != nil {
 		return nil, err
 	}
-	searched := time.Now()
+	searched := time.Since(start)
 	sc := getScratch()
 	defer putScratch(sc)
 	out := make([]qcache.Verdict, len(lists))
@@ -498,8 +498,8 @@ func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[st
 		}
 	}
 	work.results.Add(int64(results))
-	work.search.Add(int64(searched.Sub(start)))
-	work.decide.Add(int64(time.Since(searched)))
+	work.search.Add(int64(searched))
+	work.decide.Add(int64(time.Since(start) - searched))
 	return out, nil
 }
 

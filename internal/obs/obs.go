@@ -125,13 +125,19 @@ func From(ctx context.Context) *Record {
 	return r
 }
 
-// charge bills the time since the last switch to the open stage.
+// charge bills the time since the last switch to the open stage. Only the
+// first charge reads the wall clock: the mark then keeps its monotonic
+// reading, so every later one costs a single monotonic read (time.Since).
 func (r *Record) charge() {
-	now := time.Now()
-	if open := r.open.Load(); open > 0 {
-		r.wall[open-1].Add(int64(now.Sub(r.mark)))
+	if r.mark.IsZero() {
+		r.mark = time.Now()
+		return
 	}
-	r.mark = now
+	d := time.Since(r.mark)
+	r.mark = r.mark.Add(d)
+	if open := r.open.Load(); open > 0 {
+		r.wall[open-1].Add(int64(d))
+	}
 }
 
 // Span is a stage Start opened; Stop closes it.
