@@ -70,8 +70,10 @@ func mustAnnotate(tb testing.TB, cfg annotate.Config, t *table.Table) *annotate.
 }
 
 // BenchmarkLabConstruction measures the one-off cost of building the whole
-// apparatus: universe, corpus, index, knowledge base, classifier training.
+// apparatus: universe, corpus, index, knowledge base, classifier training,
+// with allocations per build.
 func BenchmarkLabConstruction(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eval.NewLab(eval.LabConfig{
 			Seed:              int64(i + 1),

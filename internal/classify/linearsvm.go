@@ -1,10 +1,14 @@
 package classify
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 
+	"repro/internal/pool"
 	"repro/internal/textproc"
 )
 
@@ -24,28 +28,61 @@ type LinearSVMTrainer struct {
 // lambda is the Pegasos regularization strength.
 const lambda = 2e-5
 
-// Train fits one binary SVM per label and returns the multiclass model.
+// Train fits one binary SVM per label, the labels on the pool, and returns
+// the multiclass model. Each label's run reads the dataset only and is seeded
+// by its label, so the model is the same on any schedule.
 func (t LinearSVMTrainer) Train(d Dataset) Classifier {
 	epochs := t.Epochs
 	if epochs <= 0 {
 		epochs = 18
 	}
 	labels := d.Labels()
+	vocab, xs := flattenFeatures(d)
+	weights, bias := make([]map[string]float64, len(labels)), make([]float64, len(labels))
+	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(labels)), len(labels), func(i int) {
+		weights[i], bias[i] = trainPegasos(d, vocab, xs, labels[i], epochs, t.Seed)
+	})
 	model := &LinearSVM{weights: make(map[string]map[string]float64, len(labels)), bias: make(map[string]float64, len(labels)), labels: labels}
-	for _, label := range labels {
-		w, b := trainPegasos(d, label, epochs, t.Seed)
-		model.weights[label] = w
-		model.bias[label] = b
+	for i, label := range labels {
+		model.weights[label], model.bias[label] = weights[i], bias[i]
 	}
 	return model
 }
 
+// feature is an example's term, as its id in the training vocabulary, and value.
+type feature struct {
+	id int32
+	v  float64
+}
+
+// flattenFeatures returns the dataset's sorted vocabulary and every example's
+// features as ids into it, in term order — the order a margin is summed in.
+func flattenFeatures(d Dataset) (vocab []string, xs [][]feature) {
+	for _, ex := range d.Examples {
+		for term := range ex.Features {
+			vocab = append(vocab, term)
+		}
+	}
+	slices.Sort(vocab)
+	vocab = slices.Compact(vocab)
+	xs = make([][]feature, len(d.Examples))
+	for i, ex := range d.Examples {
+		for _, term := range ex.Features.Terms() {
+			id, _ := slices.BinarySearch(vocab, term)
+			xs[i] = append(xs[i], feature{int32(id), ex.Features[term]})
+		}
+	}
+	return vocab, xs
+}
+
 // trainPegasos fits a binary hinge-loss SVM separating examples labelled
-// `positive` (y=+1) from all others (y=-1). Sampling is class-balanced: a
-// third of the draws come from the positive class regardless of its share of
-// the dataset, which keeps the one-vs-rest machines usable when one label is
-// a small fraction of a many-class corpus.
-func trainPegasos(d Dataset, positive string, epochs int, seed int64) (map[string]float64, float64) {
+// `positive` (y=+1) from all others (y=-1), over xs, the examples' features
+// flattened into vocab. Sampling is class-balanced: a third of the draws come
+// from the positive class regardless of its share of the dataset, which keeps
+// the one-vs-rest machines usable when one label is a small fraction of a
+// many-class corpus. The weights are dense; the returned map holds every term
+// an update touched.
+func trainPegasos(d Dataset, vocab []string, xs [][]feature, positive string, epochs int, seed int64) (map[string]float64, float64) {
 	rng := rand.New(rand.NewSource(seed ^ int64(hashString(positive))))
 	n := len(d.Examples)
 	if n == 0 {
@@ -57,21 +94,22 @@ func trainPegasos(d Dataset, positive string, epochs int, seed int64) (map[strin
 			posIdx = append(posIdx, i)
 		}
 	}
-	w := map[string]float64{}
+	w := make([]float64, len(vocab))
+	touched := make([]bool, len(vocab))
 	var bias float64
 	scale := 1.0
 	step := 0
 	for epoch := 0; epoch < epochs; epoch++ {
 		for i := 0; i < n; i++ {
 			step++
-			var ex Example
+			e := 0
 			if len(posIdx) > 0 && rng.Float64() < 1.0/3 {
-				ex = d.Examples[posIdx[rng.Intn(len(posIdx))]]
+				e = posIdx[rng.Intn(len(posIdx))]
 			} else {
-				ex = d.Examples[rng.Intn(n)]
+				e = rng.Intn(n)
 			}
 			y := -1.0
-			if ex.Label == positive {
+			if d.Examples[e].Label == positive {
 				y = 1.0
 			}
 			eta := 1.0 / (lambda * float64(step))
@@ -87,22 +125,26 @@ func trainPegasos(d Dataset, positive string, epochs int, seed int64) (map[strin
 				scale = 1.0
 			}
 			margin := bias
-			for term, v := range ex.Features {
-				margin += w[term] * v * scale
+			for _, f := range xs[e] {
+				margin += w[f.id] * f.v * scale
 			}
 			if y*margin < 1 {
 				inv := eta * y / scale
-				for term, v := range ex.Features {
-					w[term] += inv * v
+				for _, f := range xs[e] {
+					w[f.id] += inv * f.v
+					touched[f.id] = true
 				}
 				bias += eta * y * 0.01
 			}
 		}
 	}
-	for k := range w {
-		w[k] *= scale
+	out := map[string]float64{}
+	for k, ok := range touched {
+		if ok {
+			out[vocab[k]] = w[k] * scale
+		}
 	}
-	return w, bias
+	return out, bias
 }
 
 // LinearSVM is a trained one-vs-rest linear SVM.

@@ -1,9 +1,11 @@
 package classify
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/textproc"
@@ -69,5 +71,23 @@ func TestLinearSVMEmptyDataset(t *testing.T) {
 	}
 	if got := m.Scores(f); len(got) != 0 {
 		t.Errorf("Scores = %v, want none", got)
+	}
+}
+
+// TestSVMTrainScheduleIndependent: the one-vs-rest machines train on the pool,
+// and the model — its TCLF bytes — is the same at GOMAXPROCS 1, 2 and 8.
+func TestSVMTrainScheduleIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, d := range map[string]Dataset{"synth": synthDataset(60, 17), "persist": persistDataset()} {
+		var want []byte
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := LinearSVMTrainer{Seed: 3}.Train(d).(*LinearSVM).AppendTo(nil)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: GOMAXPROCS=%d trains other TCLF bytes than GOMAXPROCS=1", name, procs)
+			}
+		}
 	}
 }

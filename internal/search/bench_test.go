@@ -85,16 +85,20 @@ func benchIndex(b *testing.B, n int) *ShardedIndex {
 	return buildSharded(benchCorpus(n), 1)
 }
 
-// BenchmarkIndexAdd measures indexing throughput: Add into a one-shard
-// builder (positional posting construction included) plus the Freeze,
-// reported in documents per second.
+// BenchmarkIndexAdd measures indexing throughput: Add into a builder of one
+// and of two shards plus the Freeze (which indexes the shards on the pool),
+// reported in documents per second, with allocations per build.
 func BenchmarkIndexAdd(b *testing.B) {
 	docs := benchCorpus(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildSharded(docs, 1)
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSharded(docs, shards)
+			}
+			b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
+		})
 	}
-	b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
 // BenchmarkSearchTerm measures plain BM25 top-k over the dense accumulator

@@ -1,42 +1,50 @@
 package search
 
 import (
-	"sort"
+	"context"
+	"maps"
+	"runtime"
+	"slices"
 	"strings"
 
+	"repro/internal/pool"
 	"repro/internal/textproc"
 )
 
-// posting records one document containing a term.
-type posting struct {
-	doc int // shard-local doc id
-	tf  int
-}
-
-// posPosting records the body positions of a term within one document. The
-// positions count content words only: body words whose normalization yields
-// exactly one stem, in body order — the sequence snippet anchoring and the
-// term-id column are defined over.
-type posPosting struct {
-	doc int
-	pos []int32
-}
-
-// Builder is the write side of the index: Add tokenises documents into
-// per-shard postings and positional maps, Freeze compiles what has been added
-// into an immutable ShardedIndex. It answers no queries. Not safe for
-// concurrent use.
+// Builder is the write side of the index: Add queues a document on its
+// round-robin shard, Freeze indexes what the shards have queued — the shards
+// in parallel — and compiles everything added so far into an immutable
+// ShardedIndex. It answers no queries. Not safe for concurrent use.
 type Builder struct {
 	shards []*shardBuilder
 	nDocs  int
 }
 
-// shardBuilder is one shard under construction: the document table the frozen
-// shard will share, plus the term maps only the compiler reads.
+// shardBuilder is one shard under construction, in interned term ids: the
+// document table the frozen shard shares, plus the streams flatten lays out.
 type shardBuilder struct {
 	docTable
-	postings  map[string][]posting
-	positions map[string][]posPosting // sorted by doc (Add order)
+	queued []Document
+
+	// termID interns terms in first-seen order. forms maps a raw word form to
+	// its tokens formToks[lo:hi], so each distinct form is normalised once per
+	// shard.
+	termID   map[string]int32
+	forms    map[string][2]int32
+	formToks []int32
+
+	// tf counts the document being indexed per term id; touched lists the ids
+	// it counted.
+	tf      []int32
+	touched []int32
+
+	// Per document in id order: its length in terms, its (term id, tf)
+	// postings post[postEnd[d-1]:postEnd[d]], and its content words' term ids
+	// in content, len(contentToRaw[d]) of them.
+	docLen  []int
+	post    [][2]int32
+	postEnd []int
+	content []int32
 }
 
 // NewBuilder returns an empty builder over max(1, shards) shards. Documents
@@ -48,140 +56,188 @@ func NewBuilder(shards int) *Builder {
 	}
 	b := &Builder{shards: make([]*shardBuilder, shards)}
 	for i := range b.shards {
-		b.shards[i] = &shardBuilder{
-			postings:  map[string][]posting{},
-			positions: map[string][]posPosting{},
-		}
+		b.shards[i] = &shardBuilder{termID: map[string]int32{}, forms: map[string][2]int32{}}
 	}
 	return b
 }
 
-// Add indexes a document into its round-robin shard. Title terms are indexed
-// alongside body terms (with the title counted twice, approximating field
-// weighting).
+// Add queues a document on its round-robin shard; Freeze indexes it.
 func (b *Builder) Add(doc Document) {
-	b.shards[b.nDocs%len(b.shards)].add(doc)
+	sb := b.shards[b.nDocs%len(b.shards)]
+	sb.queued = append(sb.queued, doc)
 	b.nDocs++
 }
 
-func (sb *shardBuilder) add(doc Document) {
-	if doc.Lang == "" {
-		doc.Lang = "en"
-	}
-	id := len(sb.docs)
-	doc.ID = id
-	words := strings.Fields(doc.Body)
-
-	// Normalize the body word by word: the concatenation equals
-	// NormalizeTokens(doc.Body) (whitespace always separates tokens), and
-	// the per-word view additionally yields the content-word positions that
-	// snippet anchoring matches against.
-	bodyTerms, stems := textproc.NormalizeWords(words)
-	tf := map[string]int{}
-	for _, t := range textproc.NormalizeTokens(doc.Title) {
-		tf[t] += 2
-	}
-	for _, t := range bodyTerms {
-		tf[t]++
-	}
-	var c2r []int32
-	for i, s := range stems {
-		if s != "" {
-			sb.addPosition(s, id, int32(len(c2r)))
-			c2r = append(c2r, int32(i))
-		}
-	}
-	joined := strings.Join(words, " ")
-	if joined == doc.Body {
-		joined = doc.Body // drop the duplicate allocation, share the body
-	}
-	sb.appendDoc(doc, joined, words, c2r)
-	for t, n := range tf {
-		sb.postings[t] = append(sb.postings[t], posting{doc: id, tf: n})
-	}
-}
-
-// addPosition appends one content-word position for term in doc. Documents
-// are added in increasing id order, so each term's posting list stays sorted
-// by doc and the last entry is the only one that can belong to doc.
-func (sb *shardBuilder) addPosition(term string, doc int, pos int32) {
-	plist := sb.positions[term]
-	if n := len(plist); n > 0 && plist[n-1].doc == doc {
-		plist[n-1].pos = append(plist[n-1].pos, pos)
-		return
-	}
-	sb.positions[term] = append(plist, posPosting{doc: doc, pos: []int32{pos}})
-}
-
-// Freeze compiles everything added so far into an immutable index: the
-// corpus-wide ranking state is derived once and every shard gets its columnar
-// form. The builder stays usable — Add more and Freeze again for a new,
-// independent index; one frozen earlier keeps answering as before.
+// Freeze indexes the queued documents, each shard on the pool, and compiles
+// everything added so far into an immutable index. The builder stays usable —
+// Add more and Freeze again for a new, independent index; one frozen earlier
+// keeps answering as before.
 func (b *Builder) Freeze() *ShardedIndex {
 	s := newShardedIndex(len(b.shards), b.nDocs)
 	docLen := make([][]int, len(b.shards))
-	for si, sb := range b.shards {
+	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(b.shards)), len(b.shards), func(si int) {
+		sb := b.shards[si]
+		for _, doc := range sb.queued {
+			sb.add(doc)
+		}
+		sb.queued = nil
 		s.shards[si].docTable = sb.docTable.clip()
-		s.shards[si].col, docLen[si] = sb.flatten()
-	}
-	rank(s.shards, docLen, b.nDocs)
-	for _, sh := range s.shards {
-		sh.col.sortOrd()
-		sh.col.scatterDense(len(sh.docs))
-	}
-	if err := s.deriveTerms(); err != nil {
+		s.shards[si].col = sb.flatten()
+		docLen[si] = slices.Clip(sb.docLen)
+	})
+	if err := s.finish(docLen, false); err != nil {
 		panic(err) // a Builder's positions claim every content word exactly once
 	}
 	return s
 }
 
-// flatten lays the term maps out as columns — sorted dictionary, postings
-// split by language, positional CSR — everything but the contribution column
-// rank fills. docLen[d] is doc d's length in terms, the sum of its tf mass.
-func (sb *shardBuilder) flatten() (c *columns, docLen []int) {
-	terms := make([]string, 0, len(sb.postings))
-	for t := range sb.postings {
-		terms = append(terms, t)
+// add indexes one document. Title terms are indexed alongside body terms
+// (with the title counted twice, approximating field weighting). Whitespace
+// always separates tokens, so the tokens of a text's words are exactly its
+// NormalizeTokens; a body word with one token is a content word, the sequence
+// snippet anchoring is defined over.
+func (sb *shardBuilder) add(doc Document) {
+	if doc.Lang == "" {
+		doc.Lang = "en"
 	}
-	sort.Strings(terms)
-	english := sb.english()
-	nEng, nOth, nLists, nPos := 0, 0, 0, 0
-	for _, plist := range sb.postings {
-		for _, p := range plist {
-			if english[p.doc] {
-				nEng++
-			} else {
-				nOth++
+	doc.ID = len(sb.docs)
+	n := 0
+	for w := range strings.FieldsSeq(doc.Title) {
+		n += sb.count(sb.tokens(w), 2)
+	}
+	words := strings.Fields(doc.Body)
+	var c2r []int32
+	for i, w := range words {
+		toks := sb.tokens(w)
+		if n += sb.count(toks, 1); len(toks) == 1 {
+			sb.content = append(sb.content, toks[0])
+			c2r = append(c2r, int32(i))
+		}
+	}
+	sb.appendDoc(doc, joinFields(doc.Body, words), words, c2r)
+	for _, t := range sb.touched {
+		sb.post = append(sb.post, [2]int32{t, sb.tf[t]})
+		sb.tf[t] = 0
+	}
+	sb.touched = sb.touched[:0]
+	sb.docLen = append(sb.docLen, n)
+	sb.postEnd = append(sb.postEnd, len(sb.post))
+}
+
+// tokens returns the interned ids of word form w's normalised tokens.
+func (sb *shardBuilder) tokens(w string) []int32 {
+	f, ok := sb.forms[w]
+	if !ok {
+		f[0] = int32(len(sb.formToks))
+		for _, t := range textproc.NormalizeTokens(w) {
+			id, ok := sb.termID[t]
+			if !ok {
+				id = int32(len(sb.termID))
+				sb.termID[t], sb.tf = id, append(sb.tf, 0)
 			}
+			sb.formToks = append(sb.formToks, id)
 		}
+		f[1] = int32(len(sb.formToks))
+		sb.forms[w] = f
 	}
-	for _, plist := range sb.positions {
-		nLists += len(plist)
-		for _, pp := range plist {
-			nPos += len(pp.pos)
+	return sb.formToks[f[0]:f[1]]
+}
+
+// count adds k to the current document's count of each of toks and returns
+// the term mass added.
+func (sb *shardBuilder) count(toks []int32, k int32) int {
+	for _, t := range toks {
+		if sb.tf[t] == 0 {
+			sb.touched = append(sb.touched, t)
 		}
+		sb.tf[t] += k
 	}
-	c = newColumns(terms, nEng, nOth, nLists, nPos)
-	docLen = make([]int, len(sb.docs))
-	e, o, l, p := 0, 0, 0, 0
-	for tid, term := range terms {
-		for _, pt := range sb.postings[term] {
-			docLen[pt.doc] += pt.tf
-			if english[pt.doc] {
-				c.engDoc[e], c.engTF[e] = int32(pt.doc), int32(pt.tf)
-				e++
-			} else {
-				c.othDoc[o], c.othTF[o] = int32(pt.doc), int32(pt.tf)
-				o++
+	return int(k) * len(toks)
+}
+
+// joinFields returns strings.Join(words, " ") for words = strings.Fields(body),
+// without building it when body already is that join: then body is the words
+// plus one byte per gap, and each gap byte is a space.
+func joinFields(body string, words []string) string {
+	n := len(words) - 1
+	for _, w := range words {
+		n += len(w)
+	}
+	if n == len(body) && strings.Count(body, " ") == len(words)-1 {
+		return body
+	}
+	return strings.Join(words, " ")
+}
+
+// flatten lays the streams out as columns — sorted dictionary, postings split
+// by language, positional CSR — everything but what finish derives. A counting
+// pass over the streams sizes every term's sections, a second fills them;
+// documents come in id order, so every section is doc-ascending.
+func (sb *shardBuilder) flatten() *columns {
+	terms := slices.Sorted(maps.Keys(sb.termID))
+	colOf := make([]int32, len(terms)) // interned id -> column id
+	for t, term := range terms {
+		colOf[sb.termID[term]] = int32(t)
+	}
+
+	// Per column id: its English (0) and other (1) postings, position lists
+	// and positions — counted, then turned into fill cursors.
+	lang := sb.sections()
+	cur := make([][4]int32, len(terms))
+	last := make([]int32, len(terms)) // per column id, 1 + the doc of its last position list
+	nLang, nLists := [2]int{}, 0
+	sb.eachDoc(func(d int, post [][2]int32, content []int32) {
+		for _, p := range post {
+			cur[colOf[p[0]]][lang[d]]++
+		}
+		nLang[lang[d]] += len(post)
+		for _, id := range content {
+			if t := colOf[id]; last[t] != int32(d)+1 {
+				last[t] = int32(d) + 1
+				cur[t][2]++
+				nLists++
 			}
+			cur[colOf[id]][3]++
 		}
-		for _, pp := range sb.positions[term] {
-			c.posDoc[l] = int32(pp.doc)
-			p += copy(c.posArena[p:], pp.pos)
-			l++
-			c.posStart[l] = int32(p)
+	})
+	c := newColumns(terms, nLang[0], nLang[1], nLists, len(sb.content))
+	offs := [3][]int32{c.engOff, c.othOff, c.posOff}
+	pos := int32(0)
+	for t, n := range cur {
+		for k, off := range offs {
+			off[t+1] = off[t] + n[k]
+			cur[t][k] = off[t]
 		}
-		c.engOff[tid+1], c.othOff[tid+1], c.posOff[tid+1] = int32(e), int32(o), int32(l)
+		cur[t][3], pos = pos, pos+n[3]
 	}
-	return c, docLen
+	postDoc, postTF := [2][]int32{c.engDoc, c.othDoc}, [2][]int32{c.engTF, c.othTF}
+	sb.eachDoc(func(d int, post [][2]int32, content []int32) {
+		for _, p := range post {
+			k := &cur[colOf[p[0]]][lang[d]]
+			postDoc[lang[d]][*k], postTF[lang[d]][*k] = int32(d), p[1]
+			*k++
+		}
+		for p, id := range content {
+			t := colOf[id]
+			k := &cur[t]
+			if k[2] == c.posOff[t] || c.posDoc[k[2]-1] != int32(d) { // a new list
+				c.posDoc[k[2]], c.posStart[k[2]] = int32(d), k[3]
+				k[2]++
+			}
+			c.posArena[k[3]] = int32(p)
+			k[3]++
+		}
+	})
+	c.posStart[nLists] = int32(len(sb.content))
+	return c
+}
+
+// eachDoc calls f with every document's postings and content words' term ids,
+// in doc order.
+func (sb *shardBuilder) eachDoc(f func(d int, post [][2]int32, content []int32)) {
+	p, w := 0, 0
+	for d, c2r := range sb.contentToRaw {
+		f(d, sb.post[p:sb.postEnd[d]], sb.content[w:w+len(c2r)])
+		p, w = sb.postEnd[d], w+len(c2r)
+	}
 }

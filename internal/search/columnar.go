@@ -1,8 +1,13 @@
 package search
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
+
+	"repro/internal/pool"
 )
 
 // Columnar scoring kernel. A frozen shard holds its postings in a flat
@@ -11,8 +16,7 @@ import (
 // loop the batched annotate path bottoms out in is a block-at-a-time walk
 // over contiguous arrays instead of a map lookup plus per-posting
 // floating-point pipeline. Two producers lay the columns out, the Builder's
-// flatten and the TIDX decoder; rank, the ordAll step and scatterDense finish
-// them identically.
+// flatten and the TIDX decoder; finish completes them identically.
 //
 // Bit-identity. The scalar loop this kernel replaced computed, per posting,
 //
@@ -164,6 +168,33 @@ func rank(shards []*Index, docLen [][]int, nDocs int) {
 			}
 		}
 	}
+}
+
+// finish derives what neither producer stores, for Builder.Freeze and
+// ReadShardedIndex alike: rank, the index-wide vocabulary, then per shard on
+// the pool ordAll (sorted on a build, checked on a load), the dense sidecars
+// and the term-id column. Only a load can fail; the lowest failing shard says.
+func (s *ShardedIndex) finish(docLen [][]int, loaded bool) error {
+	rank(s.shards, docLen, s.nDocs)
+	for _, sh := range s.shards {
+		s.vocab = append(s.vocab, sh.col.terms...)
+	}
+	slices.Sort(s.vocab)
+	s.vocab = slices.Clip(slices.Compact(s.vocab))
+	si, err := pool.RunErr(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(_ context.Context, si int) error {
+		sh := s.shards[si]
+		if !loaded {
+			sh.col.sortOrd()
+		} else if err := sh.col.checkOrd(); err != nil {
+			return err
+		}
+		sh.col.scatterDense(len(sh.docs))
+		return sh.deriveTerms(s.vocab)
+	})
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", si, err)
+	}
+	return nil
 }
 
 // sortOrd derives the ordAll permutation from the English sections: per term,

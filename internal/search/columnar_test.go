@@ -1,35 +1,39 @@
 package search
 
 // Tests of the columnar compiler itself (columnar.go): the flat CSR form must
-// be a lossless compilation of the builder's postings and positional maps,
+// be a lossless compilation of the reference's postings and positional maps,
 // and the batch kernel built on it must stay bit-identical to the monolithic
 // reference at every shard count × batch size the serving layer uses.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// checkColumnsRoundTrip asserts every shard of six — frozen from b, or loaded
-// from what such an index persisted — holds an exact compilation of b's maps:
-// dictionary, postings split by language, contributions bit-equal to the
-// scalar BM25 expression over ranking constants re-derived here from the
-// maps, ordAll, dense sidecars, and the positional CSR.
-func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedIndex) {
+// checkColumnsRoundTrip asserts every shard of six — frozen by a Builder, or
+// loaded from what such an index persisted — holds an exact compilation of
+// the reference's maps over the same documents: dictionary, postings split by
+// language, contributions bit-equal to the scalar BM25 expression over ranking
+// constants re-derived here from the maps, ordAll, dense sidecars, and the
+// positional CSR.
+func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *ShardedIndex) {
 	t.Helper()
-	if six.Len() != b.nDocs || len(six.shards) != len(b.shards) {
-		t.Fatalf("%s: index has %d docs in %d shards, builder %d in %d",
-			label, six.Len(), len(six.shards), b.nDocs, len(b.shards))
+	if six.Len() != ref.nDocs || len(six.shards) != len(ref.shards) {
+		t.Fatalf("%s: index has %d docs in %d shards, reference %d in %d",
+			label, six.Len(), len(six.shards), ref.nDocs, len(ref.shards))
 	}
 	// The oracle's ranking constants, straight from the maps.
 	df := map[string]int{}
 	totalLen := 0
-	docLen := make([][]int, len(b.shards))
-	for si, sb := range b.shards {
+	docLen := make([][]int, len(ref.shards))
+	for si, sb := range ref.shards {
 		docLen[si] = make([]int, len(sb.docs))
 		for term, plist := range sb.postings {
 			df[term] += len(plist)
@@ -39,10 +43,10 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 			}
 		}
 	}
-	n := float64(b.nDocs)
+	n := float64(ref.nDocs)
 	avgLen := float64(totalLen) / n
 
-	for si, sb := range b.shards {
+	for si, sb := range ref.shards {
 		// The exhaustive suite comes through here several hundred thousand
 		// times: the label is only put together on failure.
 		fatalf := func(format string, args ...any) {
@@ -54,8 +58,8 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 		if c == nil {
 			fatalf("no columns")
 		}
-		if !reflect.DeepEqual(ix.docs, sb.docs) {
-			fatalf("docs differ from the builder's")
+		if !reflect.DeepEqual(ix.docTable, sb.docTable) {
+			fatalf("document table differs from the reference's")
 		}
 
 		// Term dictionary: a bijection onto the postings keys, in sorted order.
@@ -131,7 +135,7 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 				}
 			}
 
-			// Positional CSR: per doc exactly the builder's position list
+			// Positional CSR: per doc exactly the reference's position list
 			// (nil where the term has none), first position included.
 			byDoc := map[int][]int32{}
 			for _, pp := range sb.positions[term] {
@@ -174,22 +178,71 @@ func checkColumnsRoundTrip(t *testing.T, label string, b *Builder, six *ShardedI
 	}
 }
 
-// TestColumnarRoundTripProperty: on randomized corpora, Freeze compiles
-// columns that round-trip to the exact builder state — and after more
-// documents are added, a second Freeze compiles the grown state into new
-// columns while the first index keeps the ones it was frozen with.
+// shapedCorpus is randomCorpus's sibling for the word-form memo: every shape
+// a raw word form can take in it, each repeated within and across documents —
+// punctuation-split multi-token words, words that normalise to nothing
+// (stopwords, numerics, bare punctuation), case and inflection variants of one
+// stem, non-English words and pages — in bodies that are their own
+// single-space join and bodies that are not (tabs, newlines, runs of spaces,
+// a no-break space, leading and trailing blanks), some empty.
+func shapedCorpus(rng *rand.Rand, nDocs int) []Document {
+	forms := []string{
+		"jazz-club", "rock/pop", "state-of-the-art", "e-mail", "U.S.A.", "l'atelier", "Müller-Straße",
+		"the", "of", "And", "12", "3.5", "2,000", "--", "—", "...", "'",
+		"museum", "Museum", "MUSEUMS", "museum's", "museums.", "Museum,",
+		"café", "Café", "naïve", "straße", "ÉCOLE", "über", "東京",
+		"gallery", "hotel", "grand",
+	}
+	seps := []string{" ", " ", " ", " ", "  ", "\t", "\n", "\u00a0"}
+	docs := make([]Document, 0, nDocs)
+	for i := 0; i < nDocs; i++ {
+		var body strings.Builder
+		if rng.Intn(10) == 0 {
+			body.WriteString(" ")
+		}
+		for j, n := 0, rng.Intn(30); j < n; j++ {
+			if j > 0 {
+				sep := " "
+				if rng.Intn(6) == 0 {
+					sep = seps[rng.Intn(len(seps))]
+				}
+				body.WriteString(sep)
+			}
+			body.WriteString(forms[rng.Intn(len(forms))])
+		}
+		if rng.Intn(10) == 0 {
+			body.WriteString("\n")
+		}
+		lang := [...]string{"en", "en", "", "fr", "de"}[rng.Intn(5)]
+		d := Document{
+			URL:   fmt.Sprintf("s%d", i),
+			Title: forms[rng.Intn(len(forms))] + " " + forms[rng.Intn(len(forms))],
+			Body:  body.String(),
+			Lang:  lang,
+		}
+		if rng.Intn(5) == 0 && i > 0 {
+			d.Body = docs[rng.Intn(i)].Body
+		}
+		docs = append(docs, d)
+	}
+	return docs
+}
+
+// TestColumnarRoundTripProperty: on randomized corpora at 1, 2 and 3 shards,
+// Freeze compiles columns that round-trip to the exact reference state and
+// persist to the reference's TIDX bytes — and after more documents are added,
+// a second Freeze compiles the grown state into new columns while the first
+// index keeps the ones it was frozen with.
 func TestColumnarRoundTripProperty(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			docs := randomCorpus(rng, 20+rng.Intn(150))
-			split := len(docs) * 2 / 3
-			b := NewBuilder(1)
+	check := func(t *testing.T, docs []Document) {
+		split := len(docs) * 2 / 3
+		for shards := 1; shards <= 3; shards++ {
+			b := NewBuilder(shards)
 			for _, d := range docs[:split] {
 				b.Add(d)
 			}
 			first := b.Freeze()
-			checkColumnsRoundTrip(t, "first freeze", b, first)
+			checkFrozen(t, fmt.Sprintf("first freeze x%d", shards), docs[:split], shards, first)
 			old := first.shards[0].col
 			want := first.Search("museum restaurant", 3)
 
@@ -200,11 +253,21 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 			if second.shards[0].col == old || first.shards[0].col != old {
 				t.Fatal("the second freeze shares columns with the first index")
 			}
-			checkColumnsRoundTrip(t, "second freeze", b, second)
+			checkFrozen(t, fmt.Sprintf("second freeze x%d", shards), docs, shards, second)
 			if first.Len() != split {
 				t.Fatalf("first index grew to %d docs, frozen with %d", first.Len(), split)
 			}
 			checkBitIdentical(t, "first index after the second freeze", first.Search("museum restaurant", 3), want)
+		}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			check(t, randomCorpus(rng, 20+rng.Intn(150)))
+		})
+		t.Run(fmt.Sprint("shaped", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			check(t, shapedCorpus(rng, 20+rng.Intn(150)))
 		})
 	}
 
@@ -212,11 +275,8 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 	// first-position sidecars (nil on the small seeds above) round-trip too.
 	t.Run("big-terms", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
-		b := NewBuilder(1)
-		for _, d := range randomCorpus(rng, bigTermDF*4) {
-			b.Add(d)
-		}
-		six := b.Freeze()
+		docs := randomCorpus(rng, bigTermDF*4)
+		six := buildSharded(docs, 1)
 		col := six.shards[0].col
 		big := 0
 		for tid := range col.terms {
@@ -227,8 +287,49 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 		if big == 0 {
 			t.Fatal("no term crossed bigTermDF; the corpus no longer exercises the dense sidecars")
 		}
-		checkColumnsRoundTrip(t, "big-term corpus", b, six)
+		checkFrozen(t, "big-term corpus", docs, 1, six)
 	})
+}
+
+// checkFrozen checks an index a Builder froze from docs over shards shards
+// against the reference over the same documents: its columns, and its TIDX
+// bytes against the bytes of the reference's own compilation.
+func checkFrozen(t *testing.T, label string, docs []Document, shards int, six *ShardedIndex) {
+	t.Helper()
+	ref := newRefIndex(docs, shards)
+	checkColumnsRoundTrip(t, label, ref, six)
+	if !bytes.Equal(six.AppendTo(nil), ref.freeze().AppendTo(nil)) {
+		t.Fatalf("%s: TIDX bytes differ from the reference's", label)
+	}
+}
+
+// TestFreezeScheduleIndependent: the TIDX bytes a Builder writes are the same
+// at GOMAXPROCS 1, 2 and 8 — the shards are indexed and finished on the pool —
+// and equal the reference's at every shard count; and Add → Freeze → Add →
+// Freeze writes what one Freeze over all the documents writes.
+func TestFreezeScheduleIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	docs := append(shapedCorpus(rng, 300), randomCorpus(rng, 300)...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for shards := 1; shards <= 3; shards++ {
+		want := newRefIndex(docs, shards).freeze().AppendTo(nil)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			if got := buildSharded(docs, shards).AppendTo(nil); !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: TIDX bytes differ from the reference's", shards, procs)
+			}
+			b := NewBuilder(shards)
+			for i, d := range docs {
+				b.Add(d)
+				if i == len(docs)/3 {
+					b.Freeze()
+				}
+			}
+			if got := b.Freeze().AppendTo(nil); !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: Add, Freeze, Add, Freeze writes other bytes than one Freeze", shards, procs)
+			}
+		}
+	}
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar

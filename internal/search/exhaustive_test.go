@@ -78,9 +78,10 @@ func TestExhaustiveSmallScope(t *testing.T) {
 			if !bytes.Equal(tidx(t, loaded), data) {
 				t.Fatalf("%s x%d: loaded index persists to different bytes", corpus, shards)
 			}
+			ref := newRefIndex(docs, shards)
 			for which, six := range []*ShardedIndex{fresh, loaded} {
 				label := corpus + [2]string{" fresh x", " loaded x"}[which] + strconv.Itoa(shards)
-				checkColumnsRoundTrip(t, label, b, six)
+				checkColumnsRoundTrip(t, label, ref, six)
 				for qi, q := range queries {
 					for ki, k := range ks {
 						got := six.Search(q, k)

@@ -89,11 +89,14 @@ func (t *docTable) clip() docTable {
 	}
 }
 
-// english reports per doc whether it can surface in results (Lang "en").
-func (t *docTable) english() []bool {
-	out := make([]bool, len(t.docs))
+// sections returns per doc the posting section its postings go to: 0 when it
+// can surface in results (Lang "en"), 1 otherwise.
+func (t *docTable) sections() []int {
+	out := make([]int, len(t.docs))
 	for i, d := range t.docs {
-		out[i] = d.Lang == "en"
+		if d.Lang != "en" {
+			out[i] = 1
+		}
 	}
 	return out
 }

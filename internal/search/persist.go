@@ -140,31 +140,6 @@ func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// splitCanonical splits a body that is its own single-space join into its
-// words (substrings of body, like strings.Fields). ok is false when the body
-// violates the canonical property (leading/trailing/double spaces).
-func splitCanonical(body string) (words []string, ok bool) {
-	if body == "" {
-		return nil, true
-	}
-	words = make([]string, 0, strings.Count(body, " ")+1)
-	start := 0
-	for i := 0; i < len(body); i++ {
-		if body[i] != ' ' {
-			continue
-		}
-		if i == start {
-			return nil, false
-		}
-		words = append(words, body[start:i])
-		start = i + 1
-	}
-	if start == len(body) {
-		return nil, false
-	}
-	return append(words, body[start:]), true
-}
-
 // readDoc decodes one document record into shard ix, deriving the
 // snippet-serving state (word offsets, joined body, content-to-raw mapping)
 // from the stored body and bitmap.
@@ -179,16 +154,10 @@ func readDoc(br *codec.Reader, ix *Index) error {
 	if err := br.Err(); err != nil {
 		return err
 	}
-	var words []string
-	joined := body
-	if flags&1 != 0 {
-		var ok bool
-		if words, ok = splitCanonical(body); !ok {
-			return br.Corrupt("body is not its own single-space join")
-		}
-	} else {
-		words = strings.Fields(body)
-		joined = strings.Join(words, " ")
+	words := strings.Fields(body)
+	joined := joinFields(body, words)
+	if flags&1 != 0 && joined != body {
+		return br.Corrupt("body is not its own single-space join")
 	}
 	if len(words) != nWords {
 		return br.Corrupt("doc stores %d words, body has %d", nWords, len(words))
@@ -219,7 +188,7 @@ func readDoc(br *codec.Reader, ix *Index) error {
 // the sum of its tf mass), for rank.
 func readShard(br *codec.Reader, data []byte, ix *Index) (docLen []int, err error) {
 	nDocs := len(ix.docs)
-	english := ix.english()
+	lang := ix.sections()
 	le := binary.LittleEndian
 
 	nTerms := br.Count("postings term", minTermRecord)
@@ -249,11 +218,7 @@ func readShard(br *codec.Reader, data []byte, ix *Index) (docLen []int, err erro
 				return nil, br.Corrupt("posting %d of %q: doc %d, tf %d", j, term, doc, tf)
 			}
 			prevDoc = doc
-			if english[doc] {
-				counts[t][0]++
-			} else {
-				counts[t][1]++
-			}
+			counts[t][lang[doc]]++
 		}
 		nEng += int(counts[t][0])
 		nOth += int(counts[t][1])
@@ -334,7 +299,7 @@ func readShard(br *codec.Reader, data []byte, ix *Index) (docLen []int, err erro
 			doc, tf := int32(le.Uint32(data[at:])), int32(le.Uint32(data[at+4:]))
 			at += 8
 			docLen[doc] += int(tf)
-			if english[doc] {
+			if lang[doc] == 0 {
 				c.engDoc[e], c.engTF[e] = doc, tf
 				e++
 			} else {
@@ -428,17 +393,7 @@ func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 		return nil, err
 	}
 
-	// Finish as Builder.Freeze does, but with each shard's stored ordAll
-	// checked instead of sorted, and with the term-id column's scatter as the
-	// check that the positions tile the content words.
-	rank(s.shards, docLen, s.nDocs)
-	for si, sh := range s.shards {
-		if err := sh.col.checkOrd(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-		sh.col.scatterDense(len(sh.docs))
-	}
-	if err := s.deriveTerms(); err != nil {
+	if err := s.finish(docLen, true); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -147,6 +147,156 @@ func refSnippet(d Document, qterms []string) string {
 	return strings.Join(words[start:end], " ")
 }
 
+// posting records one document containing a term.
+type posting struct {
+	doc int // shard-local doc id
+	tf  int
+}
+
+// posPosting records the content positions of a term within one document.
+type posPosting struct {
+	doc int
+	pos []int32
+}
+
+// refIndex is the map-based index builder the Builder replaced, kept as the
+// oracle of what Freeze compiles: per round-robin shard, the document table
+// plus term maps filled straight from the documents — term frequencies from
+// whole-text normalization, content positions from word-by-word
+// normalization — with no interning, no word memo and no streams.
+type refIndex struct {
+	shards []*refShard
+	nDocs  int
+}
+
+type refShard struct {
+	docTable
+	docLen    []int
+	postings  map[string][]posting
+	positions map[string][]posPosting // sorted by doc
+}
+
+func newRefIndex(docs []Document, shards int) *refIndex {
+	ri := &refIndex{shards: make([]*refShard, shards), nDocs: len(docs)}
+	for i := range ri.shards {
+		ri.shards[i] = &refShard{postings: map[string][]posting{}, positions: map[string][]posPosting{}}
+	}
+	for g, d := range docs {
+		ri.shards[g%shards].add(d)
+	}
+	return ri
+}
+
+func (sb *refShard) add(doc Document) {
+	if doc.Lang == "" {
+		doc.Lang = "en"
+	}
+	id := len(sb.docs)
+	doc.ID = id
+	words := strings.Fields(doc.Body)
+	tf := map[string]int{}
+	n := 0
+	for _, t := range textproc.NormalizeTokens(doc.Title) {
+		tf[t] += 2
+		n += 2
+	}
+	for _, t := range textproc.NormalizeTokens(doc.Body) {
+		tf[t]++
+		n++
+	}
+	var c2r []int32
+	for i, w := range words {
+		if norm := textproc.NormalizeTokens(w); len(norm) == 1 {
+			sb.addPosition(norm[0], id, int32(len(c2r)))
+			c2r = append(c2r, int32(i))
+		}
+	}
+	joined := strings.Join(words, " ")
+	if joined == doc.Body {
+		joined = doc.Body
+	}
+	sb.appendDoc(doc, joined, words, c2r)
+	sb.docLen = append(sb.docLen, n)
+	for t, n := range tf {
+		sb.postings[t] = append(sb.postings[t], posting{doc: id, tf: n})
+	}
+}
+
+func (sb *refShard) addPosition(term string, doc int, pos int32) {
+	plist := sb.positions[term]
+	if n := len(plist); n > 0 && plist[n-1].doc == doc {
+		plist[n-1].pos = append(plist[n-1].pos, pos)
+		return
+	}
+	sb.positions[term] = append(plist, posPosting{doc: doc, pos: []int32{pos}})
+}
+
+// freeze compiles the maps as the Builder's former flatten did and finishes
+// the index through the shared finish, so its TIDX bytes are what a Builder
+// over the same documents must write.
+func (ri *refIndex) freeze() *ShardedIndex {
+	s := newShardedIndex(len(ri.shards), ri.nDocs)
+	docLen := make([][]int, len(ri.shards))
+	for si, sb := range ri.shards {
+		s.shards[si].docTable = sb.docTable.clip()
+		s.shards[si].col = sb.flatten()
+		docLen[si] = sb.docLen
+	}
+	if err := s.finish(docLen, false); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func (sb *refShard) flatten() *columns {
+	terms := make([]string, 0, len(sb.postings))
+	for t := range sb.postings {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	english := make([]bool, len(sb.docs))
+	for d, doc := range sb.docs {
+		english[d] = doc.Lang == "en"
+	}
+	nEng, nOth, nLists, nPos := 0, 0, 0, 0
+	for _, plist := range sb.postings {
+		for _, p := range plist {
+			if english[p.doc] {
+				nEng++
+			} else {
+				nOth++
+			}
+		}
+	}
+	for _, plist := range sb.positions {
+		nLists += len(plist)
+		for _, pp := range plist {
+			nPos += len(pp.pos)
+		}
+	}
+	c := newColumns(terms, nEng, nOth, nLists, nPos)
+	e, o, l, p := 0, 0, 0, 0
+	for tid, term := range terms {
+		for _, pt := range sb.postings[term] {
+			if english[pt.doc] {
+				c.engDoc[e], c.engTF[e] = int32(pt.doc), int32(pt.tf)
+				e++
+			} else {
+				c.othDoc[o], c.othTF[o] = int32(pt.doc), int32(pt.tf)
+				o++
+			}
+		}
+		for _, pp := range sb.positions[term] {
+			c.posDoc[l] = int32(pp.doc)
+			p += copy(c.posArena[p:], pp.pos)
+			l++
+			c.posStart[l] = int32(p)
+		}
+		c.engOff[tid+1], c.othOff[tid+1], c.posOff[tid+1] = int32(e), int32(o), int32(l)
+	}
+	return c
+}
+
 // randomCorpus builds a randomized document set stressing the indexer's
 // normalization edge cases: stopwords, numerics, hyphenated words (multiple
 // tokens per raw word), apostrophes, duplicated documents (score ties) and

@@ -18,7 +18,7 @@ import (
 //
 // The column is derived state, like the BM25 contributions and the dense
 // sidecars: nothing of it is persisted, Builder.Freeze and ReadShardedIndex
-// call the same deriveTerms, and the ids are index-wide (the shard
+// derive it in the same finish, and the ids are index-wide (the shard
 // dictionaries merged and sorted), so a hit's Terms are the same numbers at
 // every shard count and after a write → read round trip.
 
@@ -75,30 +75,12 @@ func (tc *termColumn) expand(w []int32) []int32 {
 	return out
 }
 
-// deriveTerms builds the index-wide vocabulary and every shard's term-id
-// column from the compiled columns. It is the last step of Builder.Freeze and
-// of ReadShardedIndex; only the latter can see it fail.
-func (s *ShardedIndex) deriveTerms() error {
-	var vocab []string
-	for _, sh := range s.shards {
-		vocab = append(vocab, sh.col.terms...)
-	}
-	slices.Sort(vocab)
-	s.vocab = slices.Clip(slices.Compact(vocab))
-	for si, sh := range s.shards {
-		if err := sh.deriveTerms(s.vocab); err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
-	}
-	return nil
-}
-
 // deriveTerms fills ix.terms. Content words — the words the positional CSR
 // addresses through contentToRaw — are scattered from posArena: each must be
 // claimed by exactly one term, which a Builder guarantees and a loaded stream
-// has to prove. The remaining words are the ones normalisation dropped or
-// split; only they are normalised again, and every token they yield must be a
-// term of the vocabulary (a body token always has a posting).
+// has to prove. The remaining words, dropped or split by normalisation, are
+// normalised again, once per distinct form, and every token they yield must
+// be a term of the vocabulary (a body token always has a posting).
 func (ix *Index) deriveTerms(vocab []string) error {
 	c := ix.col
 	// Both dictionaries are sorted and vocab contains c.terms: one merge walk
@@ -134,6 +116,9 @@ func (ix *Index) deriveTerms(vocab []string) error {
 		}
 	}
 
+	// forms memoises what a non-content word form stores in the column, so
+	// each distinct form is normalised once per shard.
+	forms := map[string]int32{}
 	for d, off := range ix.wordOff {
 		c2r := ix.contentToRaw[d]
 		joined := ix.bodyJoined[d]
@@ -151,20 +136,25 @@ func (ix *Index) deriveTerms(vocab []string) error {
 			if raw+1 < len(off) {
 				end = int(off[raw+1]) - 1 // the space before the next word
 			}
-			toks := textproc.NormalizeTokens(joined[off[raw]:end])
-			if len(toks) == 0 {
-				tc.ids[w] = noToken
-				continue
-			}
-			for _, tok := range toks {
-				id, ok := slices.BinarySearch(vocab, tok)
-				if !ok {
-					return fmt.Errorf("search: corrupt index (token %q of word %d of doc %d has no postings)", tok, raw, d)
+			form := joined[off[raw]:end]
+			id, ok := forms[form]
+			if !ok {
+				toks := textproc.NormalizeTokens(form)
+				id = noToken
+				if len(toks) > 0 {
+					for _, tok := range toks {
+						v, ok := slices.BinarySearch(vocab, tok)
+						if !ok {
+							return fmt.Errorf("search: corrupt index (token %q of word %d of doc %d has no postings)", tok, raw, d)
+						}
+						tc.multiIDs = append(tc.multiIDs, int32(v))
+					}
+					id = -int32(len(tc.multiOff)-1) - 2
+					tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))
 				}
-				tc.multiIDs = append(tc.multiIDs, int32(id))
+				forms[form] = id
 			}
-			tc.ids[w] = -int32(len(tc.multiOff)-1) - 2
-			tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))
+			tc.ids[w] = id
 		}
 	}
 	ix.terms = tc

@@ -95,31 +95,3 @@ func appendNormalized(dst []string, s string) []string {
 	}
 	return out
 }
-
-// NormalizeWords applies the NormalizeTokens pipeline to a pre-split word
-// sequence in one pass. It returns the concatenated normalized tokens —
-// identical to NormalizeTokens(strings.Join(words, " ")) — plus, per input
-// word, its single normalized stem when the word yields exactly one content
-// token and "" otherwise (the per-word view the indexer's positional
-// structures are built from). One scratch buffer is reused across words, so
-// indexing a document costs two allocations instead of two per word.
-func NormalizeWords(words []string) (tokens []string, stems []string) {
-	tokens = make([]string, 0, len(words))
-	stems = make([]string, len(words))
-	var scratch [8]string
-	for i, w := range words {
-		raw := appendTokens(scratch[:0], w)
-		n := 0
-		for _, tok := range raw {
-			if IsStopword(tok) || IsNumericToken(tok) {
-				continue
-			}
-			tokens = append(tokens, Stem(tok))
-			n++
-		}
-		if n == 1 {
-			stems[i] = tokens[len(tokens)-1]
-		}
-	}
-	return tokens, stems
-}
