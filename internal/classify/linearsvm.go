@@ -41,7 +41,7 @@ func (t LinearSVMTrainer) Train(d Dataset) Classifier {
 	weights, bias := make([]map[string]float64, len(labels)), make([]float64, len(labels))
 	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(labels)), len(labels), func(i int) {
 		weights[i], bias[i] = trainPegasos(d, vocab, xs, labels[i], epochs, t.Seed)
-	})
+	}) // Background is never done, so Run cannot fail
 	model := &LinearSVM{weights: make(map[string]map[string]float64, len(labels)), bias: make(map[string]float64, len(labels)), labels: labels}
 	for i, label := range labels {
 		model.weights[label], model.bias[label] = weights[i], bias[i]

@@ -84,7 +84,7 @@ func (b *Builder) Freeze() *ShardedIndex {
 		s.shards[si].docTable = sb.docTable.clip()
 		s.shards[si].col = sb.flatten()
 		docLen[si] = slices.Clip(sb.docLen)
-	})
+	}) // Background is never done, so Run cannot fail
 	if err := s.finish(docLen, false); err != nil {
 		panic(err) // a Builder's positions claim every content word exactly once
 	}
