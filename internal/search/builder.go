@@ -181,7 +181,7 @@ func (sb *shardBuilder) flatten() *columns {
 	}
 
 	// Per column id: its English (0) and other (1) postings, position lists
-	// and positions — counted, then turned into fill cursors.
+	// (2) and positions (3) — counted, then turned into fill cursors.
 	lang := sb.sections()
 	cur := make([][4]int32, len(terms))
 	last := make([]int32, len(terms)) // per column id, 1 + the doc of its last position list
@@ -192,12 +192,13 @@ func (sb *shardBuilder) flatten() *columns {
 		}
 		nLang[lang[d]] += len(post)
 		for _, id := range content {
-			if t := colOf[id]; last[t] != int32(d)+1 {
+			t := colOf[id]
+			if last[t] != int32(d)+1 {
 				last[t] = int32(d) + 1
 				cur[t][2]++
 				nLists++
 			}
-			cur[colOf[id]][3]++
+			cur[t][3]++
 		}
 	})
 	c := newColumns(terms, nLang[0], nLang[1], nLists, len(sb.content))
