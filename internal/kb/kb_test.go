@@ -179,7 +179,7 @@ func TestTrainingBuilderCollect(t *testing.T) {
 	if len(labels) != 2 {
 		t.Errorf("labels = %v, want museum+restaurant", labels)
 	}
-	if engine.QueryCount() == 0 {
+	if engine.Stats().Queries == 0 {
 		t.Error("builder did not query the engine")
 	}
 }
@@ -201,8 +201,8 @@ func TestTrainingBuilderOneQueryPerEntity(t *testing.T) {
 		t.Fatal("no museum entities sampled")
 	}
 	train, test, _ := b.Collect([]world.Type{world.Museum})
-	if got := engine.QueryCount(); got != entities {
-		t.Errorf("QueryCount = %d, want one per sampled entity (%d)", got, entities)
+	if got := engine.Stats().Queries; got != entities {
+		t.Errorf("Queries = %d, want one per sampled entity (%d)", got, entities)
 	}
 	if n := train.Len() + test.Len(); n == 0 || n > 5*entities {
 		t.Errorf("collected %d snippets from %d entities, want 1..%d", n, entities, 5*entities)

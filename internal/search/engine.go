@@ -44,8 +44,6 @@ type Stats struct {
 	BatchedQueries int
 	// Shards is the shard count of the underlying index.
 	Shards int
-	// ShardQueries is the per-shard query count.
-	ShardQueries []int64
 }
 
 // NewShardedEngine builds an engine over a frozen or loaded index. Results are
@@ -116,14 +114,7 @@ func (e *Engine) sleepCtx(ctx context.Context, n int) error {
 	}
 }
 
-// QueryCount returns the number of queries issued so far.
-func (e *Engine) QueryCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queries
-}
-
-// Stats snapshots the serving counters, including the shard fan-out.
+// Stats snapshots the serving counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -132,20 +123,17 @@ func (e *Engine) Stats() Stats {
 		Batches:        e.batches,
 		BatchedQueries: e.batchedQueries,
 		Shards:         e.index.NumShards(),
-		ShardQueries:   e.index.ShardQueryCounts(),
 	}
 }
 
-// ResetCounters zeroes the query accounting, including the per-shard
-// counters, so serving-time statistics do not carry construction-time
-// (classifier training) queries.
+// ResetCounters zeroes the query accounting, so serving-time statistics do
+// not carry construction-time (classifier training) queries.
 func (e *Engine) ResetCounters() {
 	e.mu.Lock()
 	e.queries = 0
 	e.batches = 0
 	e.batchedQueries = 0
 	e.mu.Unlock()
-	e.index.ResetQueryCounts()
 }
 
 // IndexSize returns the number of documents behind the engine.

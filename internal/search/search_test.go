@@ -200,11 +200,11 @@ func TestEngineCounters(t *testing.T) {
 	e := NewShardedEngine(smallIndex())
 	e.Search("museum", 3)
 	e.Search("restaurant", 3)
-	if e.QueryCount() != 2 {
-		t.Errorf("QueryCount = %d, want 2", e.QueryCount())
+	if n := e.Stats().Queries; n != 2 {
+		t.Errorf("Queries = %d, want 2", n)
 	}
 	e.ResetCounters()
-	if e.QueryCount() != 0 || e.Stats().Queries != 0 {
+	if e.Stats().Queries != 0 {
 		t.Errorf("counters not reset")
 	}
 }
@@ -233,7 +233,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		<-done
 	}
-	if e.QueryCount() != 400 {
-		t.Errorf("QueryCount = %d, want 400", e.QueryCount())
+	if n := e.Stats().Queries; n != 400 {
+		t.Errorf("Queries = %d, want 400", n)
 	}
 }

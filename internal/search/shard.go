@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/pool"
 	"repro/internal/textproc"
@@ -22,27 +21,21 @@ import (
 // shard, every float operation matches the one-shard engine's and scores are
 // bit-identical, not merely close.
 //
-// Concurrency: queries are safe for any number of concurrent readers; only
-// the per-shard query counters change.
+// Concurrency: queries are safe for any number of concurrent readers; nothing
+// in the index changes after it is built.
 type ShardedIndex struct {
 	shards []*Index
 	nDocs  int
 	// vocab is every shard's dictionary merged and sorted: the id space of
 	// Result.Terms.
 	vocab []string
-
-	// queries[s] counts queries scored by shard s (every query fans out to
-	// all shards, so the counts advance together; they are exposed on
-	// /statz to make the fan-out observable).
-	queries []atomic.Int64
 }
 
 // newShardedIndex returns the shell the Builder and the TIDX decoder fill.
 func newShardedIndex(shards, nDocs int) *ShardedIndex {
 	s := &ShardedIndex{
-		shards:  make([]*Index, shards),
-		nDocs:   nDocs,
-		queries: make([]atomic.Int64, shards),
+		shards: make([]*Index, shards),
+		nDocs:  nDocs,
 	}
 	for i := range s.shards {
 		s.shards[i] = &Index{}
@@ -59,22 +52,6 @@ func (s *ShardedIndex) Len() int { return s.nDocs }
 // Vocab returns the index-wide sorted vocabulary Result.Terms index into. The
 // slice is shared with the index: read-only.
 func (s *ShardedIndex) Vocab() []string { return s.vocab }
-
-// ShardQueryCounts returns a snapshot of per-shard query counts.
-func (s *ShardedIndex) ShardQueryCounts() []int64 {
-	out := make([]int64, len(s.queries))
-	for i := range s.queries {
-		out[i] = s.queries[i].Load()
-	}
-	return out
-}
-
-// ResetQueryCounts zeroes the per-shard query counters.
-func (s *ShardedIndex) ResetQueryCounts() {
-	for i := range s.queries {
-		s.queries[i].Store(0)
-	}
-}
 
 // global converts a shard-local hit list to global doc ids in place.
 func global(hits []hit, shard, n int) []hit {
@@ -169,7 +146,6 @@ func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) scored {
 	// Scoring cannot be abandoned half way — the merge reads every shard's
 	// lists — so the pool runs under a context that is never done.
 	_ = pool.Run(context.Background(), n, n, func(si int) {
-		s.queries[si].Add(int64(queries))
 		b.scoreShard(s.shards[si], si, qterms, k, arena[si*window:si*window:(si+1)*window])
 	})
 	return b
@@ -227,8 +203,7 @@ func (s *ShardedIndex) Search(query string, k int) []Result {
 // materialized once (later occurrences copy the first's results), and every
 // shard scores the deduplicated batch in a single parallel pass with
 // batch-shared term-id resolution, so the per-query fan-out and setup cost is
-// amortized across the batch. Per-shard query counters count scored (unique)
-// queries.
+// amortized across the batch.
 func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 	out := make([][]Result, len(queries))
 	if k <= 0 || s.nDocs == 0 {

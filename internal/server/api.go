@@ -173,31 +173,42 @@ type ErrorBodyJSON struct {
 	Message string `json:"message"`
 }
 
-// StatzJSON is the body of GET /statz.
+// StatzJSON is the body of GET /statz. Every field of it and of its summed
+// sections carries the rule by which a router folds its workers' reports into
+// the fleet's (mergeStatz):
+//
+//	sum    numbers add; maps add key by key; a section pointer is allocated
+//	       the first time a worker reports it and merges field by field
+//	max    the largest value any worker reports
+//	first  the first non-zero value a worker reports, a section taken whole
+//	-      not merged: the router's own fields and the ratios, which are
+//	       derived from the summed counts (ratios)
 type StatzJSON struct {
-	UptimeMs    float64       `json:"uptime_ms"`
-	InFlight    int           `json:"in_flight"`
-	MaxInFlight int           `json:"max_in_flight"`
-	Served      int64         `json:"served"`
-	Rejected    int64         `json:"rejected"`
-	Failed      int64         `json:"failed"`
-	Snapshot    *SnapshotFull `json:"snapshot,omitempty"`
-	Search      *SearchFull   `json:"search,omitempty"`
-	Cache       *CacheFull    `json:"cache,omitempty"`
-	Geo         *GeoFull      `json:"geo,omitempty"`
+	UptimeMs    float64 `json:"uptime_ms" merge:"-"`
+	InFlight    int     `json:"in_flight" merge:"-"`
+	MaxInFlight int     `json:"max_in_flight" merge:"-"`
+	// Served counts annotate tables; geocode tables are counted in
+	// geo.requests.
+	Served   int64         `json:"served" merge:"sum"`
+	Rejected int64         `json:"rejected" merge:"sum"`
+	Failed   int64         `json:"failed" merge:"sum"`
+	Snapshot *SnapshotFull `json:"snapshot,omitempty" merge:"first"`
+	Search   *SearchFull   `json:"search,omitempty" merge:"sum"`
+	Cache    *CacheFull    `json:"cache,omitempty" merge:"sum"`
+	Geo      *GeoFull      `json:"geo,omitempty" merge:"sum"`
 	// Stages, Busy and Work sum the obs record of every v1 request: the wall
 	// time of each stage (decode and encode are the server's own), the busy
 	// time the goroutines of its fan-outs added beside that, and the work
-	// counters. A router sums its workers'.
-	Stages StagesJSON  `json:"stages,omitempty"`
-	Busy   StagesJSON  `json:"busy,omitempty"`
-	Work   WorkJSON    `json:"work,omitempty"`
-	Router *RouterFull `json:"router,omitempty"`
+	// counters.
+	Stages StagesJSON  `json:"stages,omitempty" merge:"sum"`
+	Busy   StagesJSON  `json:"busy,omitempty" merge:"sum"`
+	Work   WorkJSON    `json:"work,omitempty" merge:"sum"`
+	Router *RouterFull `json:"router,omitempty" merge:"-"`
 }
 
 // RouterFull is the router tier's own /statz section, absent from a worker's
-// statz. The surrounding StatzJSON counters are the fleet-wide sums of every
-// reachable worker's counters (rejected additionally includes edge sheds);
+// statz. The surrounding StatzJSON fields merge every reachable worker's
+// report by their merge tags (rejected additionally includes edge sheds);
 // Workers carries the per-worker breakdown.
 type RouterFull struct {
 	WorkersTotal   int                `json:"workers_total"`
@@ -240,42 +251,38 @@ type SnapshotFull struct {
 }
 
 // GeoFull is the geo subsystem's point-in-time serving state: the frozen
-// gazetteer's size, the number of POST /v1/geocode requests served, the
-// cells resolved across both that endpoint and annotate requests that
-// carried the geocode flag, and the component-parallel resolver's
-// decomposition counters — components resolved cumulatively, the largest
-// component seen, and the high-water mark of pooled per-component scratch
-// bytes held at once (the stage's bounded working memory).
+// gazetteer's size, the number of POST /v1/geocode tables served, the largest
+// disambiguation component seen, and the high-water mark of pooled
+// per-component scratch bytes held at once (the stage's bounded working
+// memory). The cumulative counts of the geo stage — cells geocoded,
+// components resolved — are work counters, in StatzJSON.Work.
 type GeoFull struct {
-	GazetteerLocations int   `json:"gazetteer_locations"`
-	Requests           int64 `json:"requests"`
-	CellsResolved      int64 `json:"cells_resolved"`
-	Components         int64 `json:"components"`
-	LargestComponent   int64 `json:"largest_component"`
-	PeakScratchBytes   int64 `json:"peak_scratch_bytes"`
+	GazetteerLocations int   `json:"gazetteer_locations" merge:"first"`
+	Requests           int64 `json:"requests" merge:"sum"`
+	LargestComponent   int64 `json:"largest_component" merge:"max"`
+	PeakScratchBytes   int64 `json:"peak_scratch_bytes" merge:"max"`
 }
 
 // SearchFull is the search engine's point-in-time serving state: total and
-// batched query counts, and the per-shard fan-out when the index is sharded.
+// batched query counts over an index of IndexDocs documents in Shards shards.
 type SearchFull struct {
-	IndexDocs      int     `json:"index_docs"`
-	Queries        int     `json:"queries"`
-	Batches        int     `json:"batches"`
-	BatchedQueries int     `json:"batched_queries"`
-	AvgBatchSize   float64 `json:"avg_batch_size"`
-	Shards         int     `json:"shards"`
-	ShardQueries   []int64 `json:"shard_queries,omitempty"`
+	IndexDocs      int     `json:"index_docs" merge:"first"`
+	Queries        int     `json:"queries" merge:"sum"`
+	Batches        int     `json:"batches" merge:"sum"`
+	BatchedQueries int     `json:"batched_queries" merge:"sum"`
+	AvgBatchSize   float64 `json:"avg_batch_size" merge:"-"`
+	Shards         int     `json:"shards" merge:"first"`
 }
 
 // CacheFull is the shared verdict cache's point-in-time state; absent when
 // the service was built without a shared cache. Evictions counts entries
 // dropped by the entry cap; it stays 0 on an unbounded cache (the default).
 type CacheFull struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Entries   int     `json:"entries"`
-	HitRate   float64 `json:"hit_rate"`
-	Evictions int64   `json:"evictions"`
+	Hits      int64   `json:"hits" merge:"sum"`
+	Misses    int64   `json:"misses" merge:"sum"`
+	Entries   int     `json:"entries" merge:"sum"`
+	HitRate   float64 `json:"hit_rate" merge:"-"`
+	Evictions int64   `json:"evictions" merge:"sum"`
 }
 
 // HealthJSON is the body of GET /healthz.

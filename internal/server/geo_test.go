@@ -290,8 +290,9 @@ func ambiguousTableJSON(t *testing.T, g *gazetteer.Frozen) []byte {
 	return nil
 }
 
-// TestStatzGeo: the /statz geo block reports the frozen gazetteer and the
-// request counters.
+// TestStatzGeo: the /statz geo block reports the frozen gazetteer, the request
+// count and the decomposition's maxima, and the work counters count the
+// resolution.
 func TestStatzGeo(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.Handler()
@@ -315,22 +316,23 @@ func TestStatzGeo(t *testing.T) {
 	if statz.Geo.GazetteerLocations != s.Service().Geo().Len() {
 		t.Errorf("gazetteer_locations = %d, want %d", statz.Geo.GazetteerLocations, s.Service().Geo().Len())
 	}
-	if statz.Geo.Requests < 1 || statz.Geo.CellsResolved < 1 {
+	if statz.Geo.Requests < 1 || statz.Geo.LargestComponent < 1 || statz.Geo.PeakScratchBytes < 1 {
 		t.Errorf("geo counters not advancing: %+v", statz.Geo)
 	}
-	if statz.Geo.Components < 1 || statz.Geo.LargestComponent < 1 || statz.Geo.PeakScratchBytes < 1 {
-		t.Errorf("decomposition counters not advancing: %+v", statz.Geo)
+	if statz.Work["cells_geocoded"] < 1 || statz.Work["components"] < 1 {
+		t.Errorf("geo work counters not advancing: %v", statz.Work)
 	}
 }
 
-// TestStatzGeoBatch: geo annotations served through /v1/annotate:batch
-// advance the cells_resolved counter like the other two routes.
+// TestStatzGeoBatch: the geocoding of tables served through
+// /v1/annotate:batch reaches /statz's work.cells_geocoded like the other two
+// routes': the server's count is the sum of what each traced response did.
 func TestStatzGeoBatch(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.Handler()
 	body := mustMarshal(t, BatchRequestJSON{Requests: []AnnotateRequestJSON{
-		{Table: tableJSON(t), Geocode: true},
-		{Table: tableJSON(t)},
+		{Table: tableJSON(t), Geocode: true, Trace: true},
+		{Table: tableJSON(t), Trace: true},
 	}})
 	rec := post(h, "/v1/annotate:batch", body)
 	if rec.Code != http.StatusOK {
@@ -346,7 +348,16 @@ func TestStatzGeoBatch(t *testing.T) {
 	if len(batch.Responses[1].GeoAnnotations) != 0 {
 		t.Errorf("geo annotations on a request without the flag: %+v", batch.Responses[1].GeoAnnotations)
 	}
-	if got, want := s.geoResolved.Load(), int64(len(batch.Responses[0].GeoAnnotations)); got != want {
-		t.Errorf("geoResolved counter = %d, want %d", got, want)
+	if n := batch.Responses[0].Work["cells_geocoded"]; n < int64(len(batch.Responses[0].GeoAnnotations)) {
+		t.Errorf("work.cells_geocoded = %d on a response with %d geo annotations", n, len(batch.Responses[0].GeoAnnotations))
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var statz StatzJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &statz); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := statz.Work["cells_geocoded"], batch.Responses[0].Work["cells_geocoded"]+batch.Responses[1].Work["cells_geocoded"]; got != want {
+		t.Errorf("statz work.cells_geocoded = %d, want the responses' sum %d", got, want)
 	}
 }

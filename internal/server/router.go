@@ -459,22 +459,8 @@ func (r *Router) fetchStatz(ctx context.Context, ws *workerState) (statz StatzJS
 	return statz, ok
 }
 
-// addWire adds a worker's stage or counter map into the fleet's, key by key.
-func addWire[M ~map[string]V, V int64 | float64](sum, add M) M {
-	if add == nil {
-		return sum
-	}
-	if sum == nil {
-		sum = make(M, len(add))
-	}
-	for k, v := range add {
-		sum[k] += v
-	}
-	return sum
-}
-
 // handleStatz merges the fleet's /statz into one view: per-worker snapshots
-// fetched concurrently, counters summed, plus the router's own section
+// fetched concurrently and merged by mergeStatz, plus the router's own section
 // (hedges fired/won, retries, per-worker inflight, ejections). A worker that
 // cannot be reached contributes its router-side state only.
 func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
@@ -489,11 +475,6 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 		snapshots[i].statz, snapshots[i].ok = r.fetchStatz(req.Context(), workers[i])
 	})
 
-	out := StatzJSON{
-		UptimeMs:    float64(time.Since(r.start)) / float64(time.Millisecond),
-		InFlight:    len(r.sem),
-		MaxInFlight: r.maxInFlight,
-	}
 	rf := &RouterFull{
 		WorkersTotal:   len(r.prober.workers),
 		WorkersHealthy: r.prober.healthyCount(),
@@ -508,14 +489,10 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 		UpstreamErrors: r.upstreamErrors.Load(),
 		Workers:        make([]RouterWorkerJSON, len(r.prober.workers)),
 	}
-	var cache CacheFull
-	haveCache := false
-	// The per-shard fan-out adds up only across workers with one shard
-	// count; a fleet mid-rollout to a new shard count leaves it out.
-	shardsAgree := true
+	var out StatzJSON
 	for i, ws := range r.prober.workers {
 		healthy, ejections, lastErr := ws.snapshotStats()
-		wj := RouterWorkerJSON{
+		rf.Workers[i] = RouterWorkerJSON{
 			URL:       ws.url,
 			Healthy:   healthy,
 			InFlight:  ws.inflight.Load(),
@@ -523,73 +500,15 @@ func (r *Router) handleStatz(w http.ResponseWriter, req *http.Request) {
 			LastError: lastErr,
 		}
 		if snapshots[i].ok {
-			st := snapshots[i].statz
-			wj.Reachable = true
-			wj.Served = st.Served
-			out.Served += st.Served
-			out.Rejected += st.Rejected
-			out.Failed += st.Failed
-			if st.Search != nil {
-				if out.Search == nil {
-					out.Search = &SearchFull{IndexDocs: st.Search.IndexDocs, Shards: st.Search.Shards,
-						ShardQueries: make([]int64, len(st.Search.ShardQueries))}
-				}
-				if len(st.Search.ShardQueries) != len(out.Search.ShardQueries) {
-					shardsAgree = false
-				} else {
-					for j, q := range st.Search.ShardQueries {
-						out.Search.ShardQueries[j] += q
-					}
-				}
-				out.Search.Queries += st.Search.Queries
-				out.Search.Batches += st.Search.Batches
-				out.Search.BatchedQueries += st.Search.BatchedQueries
-			}
-			if st.Cache != nil {
-				haveCache = true
-				cache.Hits += st.Cache.Hits
-				cache.Misses += st.Cache.Misses
-				cache.Entries += st.Cache.Entries
-				cache.Evictions += st.Cache.Evictions
-			}
-			if st.Geo != nil {
-				if out.Geo == nil {
-					out.Geo = &GeoFull{GazetteerLocations: st.Geo.GazetteerLocations}
-				}
-				out.Geo.Requests += st.Geo.Requests
-				out.Geo.CellsResolved += st.Geo.CellsResolved
-				out.Geo.Components += st.Geo.Components
-				if st.Geo.LargestComponent > out.Geo.LargestComponent {
-					out.Geo.LargestComponent = st.Geo.LargestComponent
-				}
-				if st.Geo.PeakScratchBytes > out.Geo.PeakScratchBytes {
-					out.Geo.PeakScratchBytes = st.Geo.PeakScratchBytes
-				}
-			}
-			out.Stages = addWire(out.Stages, st.Stages)
-			out.Busy = addWire(out.Busy, st.Busy)
-			out.Work = addWire(out.Work, st.Work)
-			if out.Snapshot == nil && st.Snapshot != nil {
-				snap := *st.Snapshot
-				out.Snapshot = &snap
-			}
-		}
-		rf.Workers[i] = wj
-	}
-	if out.Search != nil {
-		if out.Search.Batches > 0 {
-			out.Search.AvgBatchSize = float64(out.Search.BatchedQueries) / float64(out.Search.Batches)
-		}
-		if !shardsAgree {
-			out.Search.ShardQueries = nil
+			rf.Workers[i].Reachable = true
+			rf.Workers[i].Served = snapshots[i].statz.Served
+			mergeStatz(&out, &snapshots[i].statz)
 		}
 	}
-	if haveCache {
-		if total := cache.Hits + cache.Misses; total > 0 {
-			cache.HitRate = float64(cache.Hits) / float64(total)
-		}
-		out.Cache = &cache
-	}
+	out.ratios()
+	out.UptimeMs = float64(time.Since(r.start)) / float64(time.Millisecond)
+	out.InFlight = len(r.sem)
+	out.MaxInFlight = r.maxInFlight
 	out.Rejected += r.rejected.Load()
 	out.Router = rf
 	writeJSON(w, http.StatusOK, out)

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -486,54 +485,6 @@ func TestRouterStatz(t *testing.T) {
 	if st.Search == nil || st.Search.Queries == 0 {
 		t.Fatal("merged search stats missing")
 	}
-
-	// The per-shard fan-out is the element-wise sum of what the workers
-	// report; nothing has been sent since the router's read.
-	if st.Search.Shards < 1 {
-		t.Fatalf("merged shards = %d", st.Search.Shards)
-	}
-	want := make([]int64, st.Search.Shards)
-	for _, u := range urls {
-		resp, err := http.Get(u + "/statz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ws StatzJSON
-		err = json.NewDecoder(resp.Body).Decode(&ws)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ws.Search == nil || len(ws.Search.ShardQueries) != len(want) {
-			t.Fatalf("worker %s reports search %+v, want %d shard counts", u, ws.Search, len(want))
-		}
-		for j, q := range ws.Search.ShardQueries {
-			want[j] += q
-		}
-	}
-	if !slices.Equal(st.Search.ShardQueries, want) {
-		t.Errorf("merged shard_queries = %v, want the workers' sum %v", st.Search.ShardQueries, want)
-	}
-}
-
-// TestRouterStatzShardCountsDisagree: workers that report different shard
-// counts have no per-shard sum, so the merged /statz leaves it out.
-func TestRouterStatzShardCountsDisagree(t *testing.T) {
-	noLeaks(t)
-	urls := startWorkers(t, 1, Config{})
-	shards := testService(t).Engine().Stats().Shards
-	odd := scriptedWorker(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, StatzJSON{Search: &SearchFull{Shards: shards + 1, ShardQueries: make([]int64, shards+1)}})
-	}), func(string, *http.Request) bool { return true })
-	rec := httptest.NewRecorder()
-	newTestRouter(t, RouterConfig{Workers: []string{urls[0], odd}}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
-	var st StatzJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Search == nil || st.Search.ShardQueries != nil {
-		t.Errorf("merged search over %d- and %d-shard workers = %+v, want no shard_queries", shards, shards+1, st.Search)
-	}
 }
 
 // TestRouterStatzMerge pins the merge rule of every worker counter the router
@@ -545,14 +496,14 @@ func TestRouterStatzMerge(t *testing.T) {
 	noLeaks(t)
 	reports := []StatzJSON{{
 		Served: 11, Rejected: 3, Failed: 2,
-		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 40, Batches: 4, BatchedQueries: 36, AvgBatchSize: 9, ShardQueries: []int64{30, 10}},
+		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 40, Batches: 4, BatchedQueries: 36, AvgBatchSize: 9},
 		Cache:  &CacheFull{Hits: 30, Misses: 10, Entries: 10, HitRate: 0.75, Evictions: 4},
-		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 5, CellsResolved: 50, Components: 7, LargestComponent: 90, PeakScratchBytes: 1000},
+		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 5, LargestComponent: 90, PeakScratchBytes: 1000},
 	}, {
 		Served: 22, Rejected: 5, Failed: 7,
-		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 60, Batches: 12, BatchedQueries: 48, AvgBatchSize: 4, ShardQueries: []int64{25, 35}},
+		Search: &SearchFull{IndexDocs: 900, Shards: 2, Queries: 60, Batches: 12, BatchedQueries: 48, AvgBatchSize: 4},
 		Cache:  &CacheFull{Hits: 2, Misses: 18, Entries: 18, HitRate: 0.1, Evictions: 9},
-		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 8, CellsResolved: 30, Components: 13, LargestComponent: 40, PeakScratchBytes: 3000},
+		Geo:    &GeoFull{GazetteerLocations: 500, Requests: 8, LargestComponent: 40, PeakScratchBytes: 3000},
 	}}
 	urls := make([]string, len(reports))
 	for i, st := range reports {
@@ -569,7 +520,7 @@ func TestRouterStatzMerge(t *testing.T) {
 	if st.Served != 33 || st.Rejected != 8 || st.Failed != 9 {
 		t.Errorf("served/rejected/failed = %d/%d/%d, want the sums 33/8/9", st.Served, st.Rejected, st.Failed)
 	}
-	wantSearch := SearchFull{IndexDocs: 900, Shards: 2, Queries: 100, Batches: 16, BatchedQueries: 84, AvgBatchSize: 84.0 / 16, ShardQueries: []int64{55, 45}}
+	wantSearch := SearchFull{IndexDocs: 900, Shards: 2, Queries: 100, Batches: 16, BatchedQueries: 84, AvgBatchSize: 84.0 / 16}
 	if st.Search == nil || !reflect.DeepEqual(*st.Search, wantSearch) {
 		t.Errorf("merged search = %+v, want %+v", st.Search, wantSearch)
 	}
@@ -577,7 +528,7 @@ func TestRouterStatzMerge(t *testing.T) {
 	if st.Cache == nil || *st.Cache != wantCache {
 		t.Errorf("merged cache = %+v, want %+v", st.Cache, wantCache)
 	}
-	wantGeo := GeoFull{GazetteerLocations: 500, Requests: 13, CellsResolved: 80, Components: 20, LargestComponent: 90, PeakScratchBytes: 3000}
+	wantGeo := GeoFull{GazetteerLocations: 500, Requests: 13, LargestComponent: 90, PeakScratchBytes: 3000}
 	if st.Geo == nil || *st.Geo != wantGeo {
 		t.Errorf("merged geo = %+v, want %+v", st.Geo, wantGeo)
 	}

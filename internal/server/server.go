@@ -56,10 +56,7 @@ type Server struct {
 
 	served atomic.Int64
 
-	geoRequests atomic.Int64 // POST /v1/geocode calls served
-	geoResolved atomic.Int64 // cells resolved, geocode + annotate paths
-
-	geoComponents  atomic.Int64 // disambiguation components resolved, cumulative
+	geoRequests    atomic.Int64 // POST /v1/geocode tables served
 	geoLargestComp atomic.Int64 // largest component seen, in nodes
 	geoPeakScratch atomic.Int64 // pooled per-component scratch high-water mark, bytes
 
@@ -77,15 +74,6 @@ func raiseMax(a *atomic.Int64, v int64) {
 			return
 		}
 	}
-}
-
-// recordGeoStats folds one geocode response's decomposition statistics into
-// the server's cumulative geo counters.
-func (s *Server) recordGeoStats(st repro.GeoStats) {
-	s.geoResolved.Add(int64(st.Resolved))
-	s.geoComponents.Add(int64(st.Components))
-	raiseMax(&s.geoLargestComp, int64(st.LargestComponent))
-	raiseMax(&s.geoPeakScratch, st.PeakScratchBytes)
 }
 
 // New builds a Server; it panics when cfg.Service is nil (a wiring bug, not
@@ -275,13 +263,13 @@ func (s *Server) handleGeocodeBatch(w http.ResponseWriter, r *http.Request) {
 // its geocode twin.
 func (s *Server) annotated(resp *repro.AnnotateResponse) AnnotateResponseJSON {
 	s.served.Add(1)
-	s.geoResolved.Add(int64(len(resp.GeoAnnotations)))
 	return toWire(resp)
 }
 
 func (s *Server) geocoded(resp *repro.GeocodeResponse) GeocodeResponseJSON {
 	s.geoRequests.Add(1)
-	s.recordGeoStats(resp.Stats)
+	raiseMax(&s.geoLargestComp, int64(resp.Stats.LargestComponent))
+	raiseMax(&s.geoPeakScratch, resp.Stats.PeakScratchBytes)
 	return geocodeToWire(resp)
 }
 
@@ -325,10 +313,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		Batches:        es.Batches,
 		BatchedQueries: es.BatchedQueries,
 		Shards:         es.Shards,
-		ShardQueries:   es.ShardQueries,
-	}
-	if es.Batches > 0 {
-		out.Search.AvgBatchSize = float64(es.BatchedQueries) / float64(es.Batches)
 	}
 	if c := svc.Cache(); c != nil {
 		st := c.Stats()
@@ -336,21 +320,19 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			Hits:      st.Hits,
 			Misses:    st.Misses,
 			Entries:   st.Entries,
-			HitRate:   st.HitRate(),
 			Evictions: st.Evictions,
 		}
 	}
 	out.Geo = &GeoFull{
 		GazetteerLocations: svc.Geo().Len(),
 		Requests:           s.geoRequests.Load(),
-		CellsResolved:      s.geoResolved.Load(),
-		Components:         s.geoComponents.Load(),
 		LargestComponent:   s.geoLargestComp.Load(),
 		PeakScratchBytes:   s.geoPeakScratch.Load(),
 	}
 	out.Stages = stagesToWire(s.totals.Wall())
 	out.Busy = stagesToWire(s.totals.BusyTimes())
 	out.Work = workToWire(s.totals.Work())
+	out.ratios()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -204,9 +204,8 @@ func TestRouting(t *testing.T) {
 	if statz.Search == nil {
 		t.Fatal("statz missing the search section")
 	}
-	if statz.Search.Shards < 1 || len(statz.Search.ShardQueries) != statz.Search.Shards {
-		t.Errorf("statz search shards = %d with %d shard counters, want matching >= 1",
-			statz.Search.Shards, len(statz.Search.ShardQueries))
+	if statz.Search.Shards < 1 {
+		t.Errorf("statz search shards = %d, want >= 1", statz.Search.Shards)
 	}
 	if statz.Search.IndexDocs == 0 {
 		t.Error("statz search index_docs = 0, want the corpus size")
@@ -546,9 +545,9 @@ func statzService(t *testing.T) *repro.Service {
 }
 
 // TestStatzGoldenWire locks the GET /statz JSON body byte-for-byte (uptime
-// masked — it measures the host) after one canonical annotate request, so the
-// statz wire format, including the cache section's eviction and expiration
-// counters, cannot drift unreviewed.
+// and stage times masked — they measure the host) after one canonical annotate
+// request, so the statz wire format, including the cache section's eviction
+// counter, cannot drift unreviewed.
 func TestStatzGoldenWire(t *testing.T) {
 	svc := statzService(t)
 	// The service outlives the test: under -count or -cpu lists every run
