@@ -85,9 +85,7 @@ func (b *Builder) Freeze() *ShardedIndex {
 		s.shards[si].col = sb.flatten()
 		docLen[si] = slices.Clip(sb.docLen)
 	}) // Background is never done, so Run cannot fail
-	if err := s.finish(docLen, false); err != nil {
-		panic(err) // a Builder's positions claim every content word exactly once
-	}
+	s.finish(docLen)
 	return s
 }
 
@@ -169,10 +167,11 @@ func joinFields(body string, words []string) string {
 	return strings.Join(words, " ")
 }
 
-// flatten lays the streams out as columns — sorted dictionary, postings split
-// by language, positional CSR — everything but what finish derives. A counting
-// pass over the streams sizes every term's sections, a second fills them;
-// documents come in id order, so every section is doc-ascending.
+// flatten lays the streams out as columns — sorted dictionary, English
+// postings, each term's count of other postings, positional CSR — everything
+// but what finish derives. A counting pass over the streams sizes every term's
+// sections, a second fills them; documents come in id order, so every section
+// is doc-ascending.
 func (sb *shardBuilder) flatten() *columns {
 	terms := slices.Sorted(maps.Keys(sb.termID))
 	colOf := make([]int32, len(terms)) // interned id -> column id
@@ -185,12 +184,14 @@ func (sb *shardBuilder) flatten() *columns {
 	lang := sb.sections()
 	cur := make([][4]int32, len(terms))
 	last := make([]int32, len(terms)) // per column id, 1 + the doc of its last position list
-	nLang, nLists := [2]int{}, 0
+	nEng, nLists := 0, 0
 	sb.eachDoc(func(d int, post [][2]int32, content []int32) {
 		for _, p := range post {
 			cur[colOf[p[0]]][lang[d]]++
 		}
-		nLang[lang[d]] += len(post)
+		if lang[d] == 0 {
+			nEng += len(post)
+		}
 		for _, id := range content {
 			t := colOf[id]
 			if last[t] != int32(d)+1 {
@@ -201,22 +202,21 @@ func (sb *shardBuilder) flatten() *columns {
 			cur[t][3]++
 		}
 	})
-	c := newColumns(terms, nLang[0], nLang[1], nLists, len(sb.content))
-	offs := [3][]int32{c.engOff, c.othOff, c.posOff}
+	c := newColumns(terms, nEng, nLists, len(sb.content))
 	pos := int32(0)
 	for t, n := range cur {
-		for k, off := range offs {
-			off[t+1] = off[t] + n[k]
-			cur[t][k] = off[t]
-		}
+		c.engOff[t+1], cur[t][0] = c.engOff[t]+n[0], c.engOff[t]
+		c.othDF[t] = n[1]
+		c.posOff[t+1], cur[t][2] = c.posOff[t]+n[2], c.posOff[t]
 		cur[t][3], pos = pos, pos+n[3]
 	}
-	postDoc, postTF := [2][]int32{c.engDoc, c.othDoc}, [2][]int32{c.engTF, c.othTF}
 	sb.eachDoc(func(d int, post [][2]int32, content []int32) {
-		for _, p := range post {
-			k := &cur[colOf[p[0]]][lang[d]]
-			postDoc[lang[d]][*k], postTF[lang[d]][*k] = int32(d), p[1]
-			*k++
+		if lang[d] == 0 {
+			for _, p := range post {
+				k := &cur[colOf[p[0]]][0]
+				c.engDoc[*k], c.engTF[*k] = int32(d), p[1]
+				*k++
+			}
 		}
 		for p, id := range content {
 			t := colOf[id]

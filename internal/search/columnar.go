@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -15,8 +14,8 @@ import (
 // per-posting partial-score column and a positional CSR — so the BM25 hot
 // loop the batched annotate path bottoms out in is a block-at-a-time walk
 // over contiguous arrays instead of a map lookup plus per-posting
-// floating-point pipeline. Two producers lay the columns out, the Builder's
-// flatten and the TIDX decoder; finish completes them identically.
+// floating-point pipeline. One producer lays the columns out, the Builder's
+// flatten, and finish completes them; a loaded index is a Freeze too.
 //
 // Bit-identity. The scalar loop this kernel replaced computed, per posting,
 //
@@ -37,10 +36,9 @@ import (
 // Language pre-filter. Only English documents can ever surface in results
 // (the paper's algorithm requests English pages), and the scalar path
 // filtered them at heap-push time after paying to score them. The compiled
-// form splits each term's postings into an English section (doc + tf +
-// contribution — what the kernel scores) and a non-English section (doc +
-// tf only — never scored, kept because WriteTo persists every posting; see
-// eachPosting).
+// form keeps each term's English postings (doc + tf + contribution — what the
+// kernel scores) and only a count of its non-English ones, which are never
+// scored: rank's document frequency is all that reads them.
 // Dropping non-English docs from the accumulator is invisible in the output:
 // the top-k heap order is a strict total order (score desc, doc asc), so the
 // returned hits are a function of the scored candidate set, which loses only
@@ -61,11 +59,9 @@ type columns struct {
 	engTF      []int32
 	engContrib []float64
 
-	// Non-English CSR sections, never scored: term id t's postings live at
-	// othDoc/othTF[othOff[t]:othOff[t+1]], in ascending doc order.
-	othOff []int32
-	othDoc []int32
-	othTF  []int32
+	// othDF[t] is term id t's count of non-English postings, which are never
+	// scored: idf counts documents of every language.
+	othDF []int32
 
 	// ordAll shares engOff's offsets: term t's section holds a permutation
 	// of its local posting indices sorted by (contribution desc, doc asc) —
@@ -99,7 +95,7 @@ type columns struct {
 
 // newColumns allocates the columns at their exact sizes for a sorted
 // dictionary; the producer fills sections and offsets.
-func newColumns(terms []string, nEng, nOth, nLists, nPos int) *columns {
+func newColumns(terms []string, nEng, nLists, nPos int) *columns {
 	c := &columns{
 		termID:     make(map[string]int32, len(terms)),
 		terms:      terms,
@@ -107,9 +103,7 @@ func newColumns(terms []string, nEng, nOth, nLists, nPos int) *columns {
 		engDoc:     make([]int32, nEng),
 		engTF:      make([]int32, nEng),
 		engContrib: make([]float64, nEng),
-		othOff:     make([]int32, len(terms)+1),
-		othDoc:     make([]int32, nOth),
-		othTF:      make([]int32, nOth),
+		othDF:      make([]int32, len(terms)),
 		posOff:     make([]int32, len(terms)+1),
 		posDoc:     make([]int32, nLists),
 		posStart:   make([]int32, nLists+1),
@@ -131,16 +125,15 @@ const bigTermDF = 1024
 // document frequencies, average document length, per-doc BM25 length
 // normalizers — and fills every shard's contribution column from them, so each
 // shard scores with exactly the constants a single shard holding the whole
-// corpus would use. Contributions are computed here, and only here: a built
-// and a loaded index get bit-identical columns. docLen[shard][doc] is the
-// doc's length in terms.
+// corpus would use. Contributions are computed here, and only here.
+// docLen[shard][doc] is the doc's length in terms.
 func rank(shards []*Index, docLen [][]int, nDocs int) {
 	df := make(map[string]int)
 	totalLen := 0
 	for si, sh := range shards {
 		c := sh.col
 		for tid, t := range c.terms {
-			df[t] += int(c.engOff[tid+1]-c.engOff[tid]) + int(c.othOff[tid+1]-c.othOff[tid])
+			df[t] += int(c.engOff[tid+1]-c.engOff[tid]) + int(c.othDF[tid])
 		}
 		for _, dl := range docLen[si] {
 			totalLen += dl
@@ -170,31 +163,22 @@ func rank(shards []*Index, docLen [][]int, nDocs int) {
 	}
 }
 
-// finish derives what neither producer stores, for Builder.Freeze and
-// ReadShardedIndex alike: rank, the index-wide vocabulary, then per shard on
-// the pool ordAll (sorted on a build, checked on a load), the dense sidecars
-// and the term-id column. Only a load can fail; the lowest failing shard says.
-func (s *ShardedIndex) finish(docLen [][]int, loaded bool) error {
+// finish derives what flatten does not lay out: rank, the index-wide
+// vocabulary, then per shard on the pool ordAll, the dense sidecars and the
+// term-id column.
+func (s *ShardedIndex) finish(docLen [][]int) {
 	rank(s.shards, docLen, s.nDocs)
 	for _, sh := range s.shards {
 		s.vocab = append(s.vocab, sh.col.terms...)
 	}
 	slices.Sort(s.vocab)
 	s.vocab = slices.Clip(slices.Compact(s.vocab))
-	si, err := pool.RunErr(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(_ context.Context, si int) error {
+	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(si int) {
 		sh := s.shards[si]
-		if !loaded {
-			sh.col.sortOrd()
-		} else if err := sh.col.checkOrd(); err != nil {
-			return err
-		}
+		sh.col.sortOrd()
 		sh.col.scatterDense(len(sh.docs))
-		return sh.deriveTerms(s.vocab)
-	})
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", si, err)
-	}
-	return nil
+		sh.deriveTerms(s.vocab)
+	}) // Background is never done, so Run cannot fail
 }
 
 // sortOrd derives the ordAll permutation from the English sections: per term,
@@ -309,23 +293,6 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 		scores[d] = s + contribs[i]
 	}
 	acc.touched = touched[:n]
-}
-
-// eachPosting calls emit for every posting of term id tid, merging the English
-// and non-English sections back into ascending doc order — the order the
-// postings were added in and TIDX stores them in.
-func (c *columns) eachPosting(tid int, emit func(doc, tf int32)) {
-	e, eEnd := c.engOff[tid], c.engOff[tid+1]
-	o, oEnd := c.othOff[tid], c.othOff[tid+1]
-	for e < eEnd || o < oEnd {
-		if o == oEnd || (e < eEnd && c.engDoc[e] < c.othDoc[o]) {
-			emit(c.engDoc[e], c.engTF[e])
-			e++
-		} else {
-			emit(c.othDoc[o], c.othTF[o])
-			o++
-		}
-	}
 }
 
 // positionsIn returns the content positions of term id tid within doc, or

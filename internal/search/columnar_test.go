@@ -19,10 +19,10 @@ import (
 
 // checkColumnsRoundTrip asserts every shard of six — frozen by a Builder, or
 // loaded from what such an index persisted — holds an exact compilation of
-// the reference's maps over the same documents: dictionary, postings split by
-// language, contributions bit-equal to the scalar BM25 expression over ranking
-// constants re-derived here from the maps, ordAll, dense sidecars, and the
-// positional CSR.
+// the reference's maps over the same documents: dictionary, English postings
+// and the count of the others, contributions bit-equal to the scalar BM25
+// expression over ranking constants re-derived here from the maps, ordAll,
+// dense sidecars, and the positional CSR.
 func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *ShardedIndex) {
 	t.Helper()
 	if six.Len() != ref.nDocs || len(six.shards) != len(ref.shards) {
@@ -78,22 +78,13 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 		for term, want := range sb.postings {
 			tid := c.termID[term]
 
-			// CSR round-trip: merging the English and non-English sections
-			// back into doc order must reproduce the exact posting list.
-			var got []posting
-			c.eachPosting(int(tid), func(doc, tf int32) {
-				got = append(got, posting{doc: int(doc), tf: int(tf)})
-			})
-			if !reflect.DeepEqual(got, want) {
-				fatalf("postings of %q = %v, want %v", term, got, want)
-			}
-
-			// The split itself must follow the language flags, and every
-			// stored contribution must be the bitwise-identical float the
+			// The English section is exactly the reference's English
+			// postings in doc order, the other postings are only counted, and
+			// every stored contribution must be the bitwise-identical float the
 			// scalar loop would have computed from idf/tf/normK.
 			dff := float64(df[term])
 			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
-			e, o := c.engOff[tid], c.othOff[tid]
+			e, o := c.engOff[tid], int32(0)
 			for _, p := range want {
 				if sb.docs[p.doc].Lang == "en" {
 					if int(c.engDoc[e]) != p.doc || int(c.engTF[e]) != p.tf {
@@ -106,14 +97,11 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 					}
 					e++
 				} else {
-					if int(c.othDoc[o]) != p.doc || int(c.othTF[o]) != p.tf {
-						fatalf("%q oth posting %d = (%d,%d), want (%d,%d)", term, o, c.othDoc[o], c.othTF[o], p.doc, p.tf)
-					}
 					o++
 				}
 			}
-			if e != c.engOff[tid+1] || o != c.othOff[tid+1] {
-				fatalf("%q section lengths eng %d/%d oth %d/%d", term, e, c.engOff[tid+1], o, c.othOff[tid+1])
+			if e != c.engOff[tid+1] || o != c.othDF[tid] {
+				fatalf("%q eng section length %d/%d, other postings %d/%d", term, e, c.engOff[tid+1], c.othDF[tid], o)
 			}
 
 			// ordAll: a permutation of the term's English section sorted by
@@ -291,32 +279,59 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 	})
 }
 
+// sameIndex reports whether two indexes hold equal state: per shard the
+// document table, the columns and the term-id column, and the vocabulary —
+// everything Freeze derives, which TIDX no longer stores.
+func sameIndex(a, b *ShardedIndex) bool {
+	if a.nDocs != b.nDocs || len(a.shards) != len(b.shards) || !reflect.DeepEqual(a.vocab, b.vocab) {
+		return false
+	}
+	for si, x := range a.shards {
+		y := b.shards[si]
+		if !reflect.DeepEqual(x.docTable, y.docTable) || !reflect.DeepEqual(x.col, y.col) || !reflect.DeepEqual(x.terms, y.terms) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkFrozen checks an index a Builder froze from docs over shards shards
-// against the reference over the same documents: its columns, and its TIDX
-// bytes against the bytes of the reference's own compilation.
+// against the reference over the same documents: its columns, its TIDX bytes
+// against the bytes of the reference's own compilation, and its whole derived
+// state against the reference's.
 func checkFrozen(t *testing.T, label string, docs []Document, shards int, six *ShardedIndex) {
 	t.Helper()
 	ref := newRefIndex(docs, shards)
 	checkColumnsRoundTrip(t, label, ref, six)
-	if !bytes.Equal(six.AppendTo(nil), ref.freeze().AppendTo(nil)) {
+	want := ref.freeze()
+	if !bytes.Equal(six.AppendTo(nil), want.AppendTo(nil)) {
 		t.Fatalf("%s: TIDX bytes differ from the reference's", label)
+	}
+	if !sameIndex(six, want) {
+		t.Fatalf("%s: derived state differs from the reference's", label)
 	}
 }
 
-// TestFreezeScheduleIndependent: the TIDX bytes a Builder writes are the same
-// at GOMAXPROCS 1, 2 and 8 — the shards are indexed and finished on the pool —
-// and equal the reference's at every shard count; and Add → Freeze → Add →
-// Freeze writes what one Freeze over all the documents writes.
+// TestFreezeScheduleIndependent: the TIDX bytes a Builder writes, and the
+// state it derives, are the same at GOMAXPROCS 1, 2 and 8 — the shards are
+// indexed and finished on the pool — and equal the reference's at every shard
+// count; and Add → Freeze → Add → Freeze writes and derives what one Freeze
+// over all the documents does.
 func TestFreezeScheduleIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	docs := append(shapedCorpus(rng, 300), randomCorpus(rng, 300)...)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for shards := 1; shards <= 3; shards++ {
-		want := newRefIndex(docs, shards).freeze().AppendTo(nil)
+		ref := newRefIndex(docs, shards).freeze()
+		want := ref.AppendTo(nil)
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			if got := buildSharded(docs, shards).AppendTo(nil); !bytes.Equal(got, want) {
+			six := buildSharded(docs, shards)
+			if got := six.AppendTo(nil); !bytes.Equal(got, want) {
 				t.Fatalf("shards=%d GOMAXPROCS=%d: TIDX bytes differ from the reference's", shards, procs)
+			}
+			if !sameIndex(six, ref) {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: derived state differs from the reference's", shards, procs)
 			}
 			b := NewBuilder(shards)
 			for i, d := range docs {
@@ -325,8 +340,12 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 					b.Freeze()
 				}
 			}
-			if got := b.Freeze().AppendTo(nil); !bytes.Equal(got, want) {
+			again := b.Freeze()
+			if got := again.AppendTo(nil); !bytes.Equal(got, want) {
 				t.Fatalf("shards=%d GOMAXPROCS=%d: Add, Freeze, Add, Freeze writes other bytes than one Freeze", shards, procs)
+			}
+			if !sameIndex(again, ref) {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: Add, Freeze, Add, Freeze derives other state than one Freeze", shards, procs)
 			}
 		}
 	}

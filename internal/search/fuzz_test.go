@@ -2,7 +2,6 @@ package search
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,45 +70,29 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 }
 
 // indexStreamSeeds are FuzzReadShardedIndex's starting points, checked in under
-// testdata/fuzz by name: valid one- and two-shard streams, the term-count lie,
-// one-shard streams with a single count, doc, tf, position or ordAll
-// field flipped, and the three ways stored positions can fail to tile a
-// document's content words, which only the term-id scatter sees: the first
-// term's position moved onto another term's word, the first document's leading
-// stop-word flagged as a content word (every position stays in range, the last
-// content word is left over), and that stop-word respelled into a word no
-// postings list knows.
+// testdata/fuzz by name: valid one- and two-shard streams, and one-shard
+// streams with a doc count the bytes cannot hold, a doc count short of the
+// records (trailing bytes), a zero shard count, the first body's length
+// claiming more than the stream holds, and a record cut inside its body.
 func indexStreamSeeds(t testing.TB) map[string][]byte {
 	one := tidx(t, smallIndex())
 	f := locateFields(t, one)
-	le := binary.LittleEndian
-	elsewhere := uint32(0)
-	if le.Uint32(one[f.position:]) == 0 {
-		elsewhere = 1
-	}
 	return map[string][]byte{
-		"position-claimed-twice": patched(one, f.position, elsewhere),
-		"position-unclaimed":     patched(one, f.bitmap, le.Uint32(one[f.bitmap:])|1),
-		"token-without-postings": patched(one, f.body, le.Uint32([]byte("thx "))),
-		"valid-1-shard":          one,
-		"valid-2-shards":         tidx(t, buildSharded(smallDocs(), 2)),
-		"term-count-lie":         patched(one, f.termCount, 1<<22),
-		"pos-term-count-lie":     patched(one, f.posTermCount, 1<<22),
-		"term-count-short":       patched(one, f.termCount, 3),
-		"posting-doc":            patched(one, f.doc, 4),
-		"posting-tf-zero":        patched(one, f.tf, 0),
-		"posting-tf-huge":        patched(one, f.tf, 1<<31),
-		"position-list-doc":      patched(one, f.posDoc, 1<<30),
-		"position-past-end":      patched(one, f.position, 1000),
-		"ord-out-of-range":       patched(one, f.ord, 7),
-		"ord-swapped":            patched(one, f.ord, 1),
+		"valid-1-shard":     one,
+		"valid-2-shards":    tidx(t, buildSharded(smallDocs(), 2)),
+		"doc-count-lie":     patched(one, f.docCount, 1<<22),
+		"doc-count-short":   patched(one, f.docCount, 1),
+		"shard-count-zero":  patched(one, f.shards, 0),
+		"string-length-lie": patched(one, f.bodyLen, 1<<30),
+		"record-cut":        one[:f.body+2],
 	}
 }
 
 // FuzzReadShardedIndex feeds arbitrary bytes to the TIDX reader. It must
 // reject with an error — never panic, never size anything from an unchecked
 // count — or accept; an accepted index must answer single and batch queries
-// without panicking and persist to bytes that load and persist to themselves.
+// without panicking and persist to bytes that load to the same state and
+// persist to themselves.
 func FuzzReadShardedIndex(f *testing.F) {
 	queries := []string{"melisse restaurant", `"santa monica" menu`, "museum", `"fine dining"`, ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -129,13 +112,15 @@ func FuzzReadShardedIndex(f *testing.F) {
 		if !bytes.Equal(tidx(t, again), first) {
 			t.Fatal("WriteTo -> Read -> WriteTo is not a byte fixed point")
 		}
+		if !sameIndex(again, six) {
+			t.Fatal("reloading an accepted index derives other state")
+		}
 	})
 }
 
 // TestIndexStreamCorpusCheckedIn: the checked-in corpus is exactly what
-// indexStreamSeeds produces — so the valid streams, written before the columns
-// became the only state, also pin the writer — and the reader accepts the
-// valid streams and rejects every patched one.
+// indexStreamSeeds produces — so the valid streams also pin the writer — and
+// the reader accepts the valid streams and rejects every patched one.
 func TestIndexStreamCorpusCheckedIn(t *testing.T) {
 	for name, data := range indexStreamSeeds(t) {
 		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadShardedIndex", name))

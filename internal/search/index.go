@@ -6,9 +6,8 @@
 //
 // The lifecycle has two types. A Builder is written: Add tokenises documents
 // into postings and positional maps, Freeze compiles them. A ShardedIndex is
-// read: immutable, columnar, safe for concurrent queries, and the only form
-// that persists (WriteTo / ReadShardedIndex) — a loaded index never had a
-// Builder.
+// read: immutable, columnar and safe for concurrent queries. It persists its
+// documents (WriteTo), and ReadShardedIndex freezes them again.
 package search
 
 import (
@@ -45,8 +44,8 @@ type Result struct {
 }
 
 // docTable is the per-document state of one shard, appended to by the
-// Builder and the TIDX decoder and read by snippets and WriteTo: the stored
-// fields and the snippet windows.
+// Builder and read by snippets and WriteTo: the stored fields and the snippet
+// windows.
 type docTable struct {
 	docs []Document
 	// bodyJoined[doc] is the body's words joined by single spaces — the

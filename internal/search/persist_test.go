@@ -25,74 +25,66 @@ func tidx(t testing.TB, six *ShardedIndex) []byte {
 	return buf.Bytes()
 }
 
-// TestTIDXBytesLocked pins the format: the sha256 of WriteTo over three fixed
-// corpora, recorded from the writer that emitted from the postings maps
-// (commit 8ba8cf8) before the columns became the only state.
+// v5Stream is the TIDX v5 format written out by hand from its definition —
+// header, shard count, doc count, then each document's four length-prefixed
+// fields in global order — independently of the writer, the doc table and the
+// codec.
+func v5Stream(docs []Document, shards int) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("TIDX"), 5)
+	b = le.AppendUint32(le.AppendUint32(b, uint32(shards)), uint32(len(docs)))
+	for _, d := range docs {
+		if d.Lang == "" {
+			d.Lang = "en"
+		}
+		for _, f := range []string{d.URL, d.Title, d.Body, d.Lang} {
+			b = append(le.AppendUint32(b, uint32(len(f))), f...)
+		}
+	}
+	return b
+}
+
+// TestTIDXBytesLocked pins the format: WriteTo over three fixed corpora writes
+// exactly the stream v5Stream generates from the documents, and the sha256 of
+// each is the one recorded when v5 replaced the direct-image v4.
 func TestTIDXBytesLocked(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		six  *ShardedIndex
-		want string
+		name   string
+		docs   []Document
+		shards int
+		want   string
 	}{
-		{"smallDocs x1", buildSharded(smallDocs(), 1), "15625ba8aec355d8ab488f4baf69a8872cffae0274ce3eef095bb9706efff6d5"},
-		{"smallDocs x2", buildSharded(smallDocs(), 2), "d81a69c7705cc6ba10323dc38e9550ce5b7201c3ffcaaf167d1a1b89c59de210"},
-		{"randomCorpus(11, 50) x4", buildSharded(randomCorpus(rand.New(rand.NewSource(11)), 50), 4), "abdf68ff12df328b9ea7d21819f2bdf6c0f531f47513d82caa3ead84cfdbe109"},
+		{"smallDocs x1", smallDocs(), 1, "75325ec7789dc03d6d2d09205b5d1235ec540a1af80fd7ce95a5280db442f4ae"},
+		{"smallDocs x2", smallDocs(), 2, "71bec35257cc5e1581c3bdafb0f8cda195caf522a5c426f9ce14167eabf0a5e8"},
+		{"randomCorpus(11, 50) x4", randomCorpus(rand.New(rand.NewSource(11)), 50), 4, "69cc389a037757c07b47503472148402604efc62863ab1cb3184079e9be88545"},
 	} {
-		sum := sha256.Sum256(tidx(t, c.six))
+		data := tidx(t, buildSharded(c.docs, c.shards))
+		if !bytes.Equal(data, v5Stream(c.docs, c.shards)) {
+			t.Errorf("%s: WriteTo differs from the generated v5 stream", c.name)
+		}
+		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: sha256 %s, recorded %s", c.name, got, c.want)
 		}
 	}
 }
 
-// tidxFields walks a valid one-shard stream and returns the byte offsets of
-// the fields the corruption tests and the fuzz corpus patch: the first doc's
-// body text and content-word bitmap, the two term counts, the first posting's
-// doc and tf, the first position list's doc, the first stored position, and
-// the first ordAll entry.
+// tidxFields are the byte offsets in a valid stream of the fields the
+// corruption tests and the fuzz corpus patch: the shard count, the doc count,
+// and the first document's body length and body text.
 type tidxFields struct {
-	body, bitmap, termCount, doc, tf, posTermCount, posDoc, position, ord int
+	shards, docCount, bodyLen, body int
 }
 
 func locateFields(t testing.TB, data []byte) tidxFields {
 	t.Helper()
 	br := codec.NewReader("locateFields", data)
-	br.Bytes(12)
-	scratch := newShardedIndex(1, 0)
-	var f tidxFields
-	for n := br.U32(); n > 0; n-- {
-		first := br.Offset()
-		if err := readDoc(br, scratch.shards[0]); err != nil {
-			t.Fatal(err)
-		}
-		if f.body == 0 {
-			d := scratch.shards[0].docs[0]
-			f.body = first + 4 + len(d.URL) + 4 + len(d.Title) + 4
-			f.bitmap = br.Offset() - (len(scratch.shards[0].wordOff[0])+7)/8
-		}
-	}
-	f.termCount = br.Offset()
-	for n := br.U32(); n > 0; n-- {
-		br.Str()
-		np := int(br.U32())
-		if f.doc == 0 {
-			f.doc, f.tf = br.Offset(), br.Offset()+4
-		}
-		br.Bytes(8 * np)
-	}
-	f.posTermCount = br.Offset()
-	for n := br.U32(); n > 0; n-- {
-		br.Str()
-		nd := int(br.U32())
-		hdr := br.Bytes(8 * nd)
-		if f.posDoc == 0 {
-			f.posDoc, f.position = br.Offset()-8*nd, br.Offset()
-		}
-		for j := 0; j < nd; j++ {
-			br.Bytes(4 * int(binary.LittleEndian.Uint32(hdr[8*j+4:])))
-		}
-	}
-	f.ord = br.Offset() + 4
+	f := tidxFields{shards: 8, docCount: 12}
+	br.Bytes(16)
+	br.Str() // url
+	br.Str() // title
+	f.bodyLen = br.Offset()
+	f.body = f.bodyLen + 4
 	if err := br.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +98,22 @@ func patched(data []byte, off int, v uint32) []byte {
 	return out
 }
 
-// TestReadRejectsCountLieCheaply: a term count the remaining bytes cannot
-// hold is refused before anything is sized from it. 1<<22 is the largest
-// value the former pre-sized-map cap let through; on this 3 KB stream it cost
+// TestReadRejectsCountLieCheaply: a doc count the remaining bytes cannot hold
+// is refused before anything is sized from it. 1<<22 is the largest value the
+// former pre-sized-map cap let through a term count; on a 3 KB stream it cost
 // 384 MB and 300 ms before the rejection.
 func TestReadRejectsCountLieCheaply(t *testing.T) {
 	data := tidx(t, smallIndex())
-	f := locateFields(t, data)
-	for name, off := range map[string]int{"postings": f.termCount, "positional": f.posTermCount} {
-		lie := patched(data, off, 1<<22)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := ReadShardedIndex(lie)
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), name+" term count") {
-			t.Fatalf("%s: err = %v, want a term count rejection", name, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(lie), got)
-		}
+	lie := patched(data, locateFields(t, data).docCount, 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadShardedIndex(lie)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "doc count") {
+		t.Fatalf("err = %v, want a doc count rejection", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting a %d-byte stream allocated %d bytes", len(lie), got)
 	}
 }
 
@@ -226,9 +215,9 @@ func TestWriteToPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestReadV4TruncationSweep: every proper prefix of a v4 stream must be
+// TestReadV5TruncationSweep: every proper prefix of a v5 stream must be
 // rejected with an error — no prefix may load and none may panic.
-func TestReadV4TruncationSweep(t *testing.T) {
+func TestReadV5TruncationSweep(t *testing.T) {
 	sharded := buildSharded(smallDocs(), 2)
 	var buf bytes.Buffer
 	if _, err := sharded.WriteTo(&buf); err != nil {
@@ -242,11 +231,11 @@ func TestReadV4TruncationSweep(t *testing.T) {
 	}
 }
 
-// TestReadIndexRejectsWrongVersion: version 4 is the only format. A stream
-// whose header names any other version — including 2 and 3, which no writer
-// has produced since the direct-image format replaced them — is refused by
-// version, whatever follows; a version-4 header with nothing behind it is
-// refused as truncated.
+// TestReadIndexRejectsWrongVersion: version 5 is the only format. A stream
+// whose header names any other version — including 2, 3 and 4, which no
+// writer has produced since the document-only format replaced them — is
+// refused by version, whatever follows; a version-5 header with nothing
+// behind it is refused as truncated.
 func TestReadIndexRejectsWrongVersion(t *testing.T) {
 	ix := smallIndex()
 	var buf bytes.Buffer
@@ -254,7 +243,7 @@ func TestReadIndexRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, version := range []byte{2, 3, 99} {
+	for _, version := range []byte{2, 3, 4, 99} {
 		data[4] = version
 		for _, stream := range [][]byte{data, data[:8]} {
 			_, err := ReadShardedIndex(stream)
@@ -265,6 +254,6 @@ func TestReadIndexRejectsWrongVersion(t *testing.T) {
 	}
 	data[4] = indexVersion
 	if _, err := ReadShardedIndex(data[:8]); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Errorf("bare v4 header: err = %v, want a truncation error", err)
+		t.Errorf("bare v5 header: err = %v, want a truncation error", err)
 	}
 }

@@ -232,8 +232,8 @@ func (sb *refShard) addPosition(term string, doc int, pos int32) {
 }
 
 // freeze compiles the maps as the Builder's former flatten did and finishes
-// the index through the shared finish, so its TIDX bytes are what a Builder
-// over the same documents must write.
+// the index through the shared finish, so its state is what a Builder's
+// Freeze over the same documents must derive (sameIndex).
 func (ri *refIndex) freeze() *ShardedIndex {
 	s := newShardedIndex(len(ri.shards), ri.nDocs)
 	docLen := make([][]int, len(ri.shards))
@@ -242,9 +242,7 @@ func (ri *refIndex) freeze() *ShardedIndex {
 		s.shards[si].col = sb.flatten()
 		docLen[si] = sb.docLen
 	}
-	if err := s.finish(docLen, false); err != nil {
-		panic(err)
-	}
+	s.finish(docLen)
 	return s
 }
 
@@ -258,13 +256,11 @@ func (sb *refShard) flatten() *columns {
 	for d, doc := range sb.docs {
 		english[d] = doc.Lang == "en"
 	}
-	nEng, nOth, nLists, nPos := 0, 0, 0, 0
+	nEng, nLists, nPos := 0, 0, 0
 	for _, plist := range sb.postings {
 		for _, p := range plist {
 			if english[p.doc] {
 				nEng++
-			} else {
-				nOth++
 			}
 		}
 	}
@@ -274,16 +270,15 @@ func (sb *refShard) flatten() *columns {
 			nPos += len(pp.pos)
 		}
 	}
-	c := newColumns(terms, nEng, nOth, nLists, nPos)
-	e, o, l, p := 0, 0, 0, 0
+	c := newColumns(terms, nEng, nLists, nPos)
+	e, l, p := 0, 0, 0
 	for tid, term := range terms {
 		for _, pt := range sb.postings[term] {
 			if english[pt.doc] {
 				c.engDoc[e], c.engTF[e] = int32(pt.doc), int32(pt.tf)
 				e++
 			} else {
-				c.othDoc[o], c.othTF[o] = int32(pt.doc), int32(pt.tf)
-				o++
+				c.othDF[tid]++
 			}
 		}
 		for _, pp := range sb.positions[term] {
@@ -292,7 +287,7 @@ func (sb *refShard) flatten() *columns {
 			l++
 			c.posStart[l] = int32(p)
 		}
-		c.engOff[tid+1], c.othOff[tid+1], c.posOff[tid+1] = int32(e), int32(o), int32(l)
+		c.engOff[tid+1], c.posOff[tid+1] = int32(e), int32(l)
 	}
 	return c
 }

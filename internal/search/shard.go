@@ -31,7 +31,7 @@ type ShardedIndex struct {
 	vocab []string
 }
 
-// newShardedIndex returns the shell the Builder and the TIDX decoder fill.
+// newShardedIndex returns the shell Freeze fills.
 func newShardedIndex(shards, nDocs int) *ShardedIndex {
 	s := &ShardedIndex{
 		shards: make([]*Index, shards),

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/textproc"
@@ -17,19 +15,13 @@ import (
 // to be tokenised, stop-worded and stemmed again.
 //
 // The column is derived state, like the BM25 contributions and the dense
-// sidecars: nothing of it is persisted, Builder.Freeze and ReadShardedIndex
-// derive it in the same finish, and the ids are index-wide (the shard
+// sidecars: Freeze derives it in finish, and the ids are index-wide (the shard
 // dictionaries merged and sorted), so a hit's Terms are the same numbers at
 // every shard count and after a write → read round trip.
 
-const (
-	// noToken marks a raw word that normalises to nothing (a stop-word, a
-	// number, bare punctuation). Consumers of Result.Terms skip it.
-	noToken = -1
-	// unclaimed is the scatter's transient "no term has claimed this word
-	// yet"; no finished column contains it.
-	unclaimed = math.MinInt32
-)
+// noToken marks a raw word that normalises to nothing (a stop-word, a number,
+// bare punctuation). Consumers of Result.Terms skip it.
+const noToken = -1
 
 // termColumn is one shard's per-raw-word token table: ids[base[doc]+i]
 // describes word i of doc's body — a vocabulary id when the word normalises to
@@ -76,12 +68,11 @@ func (tc *termColumn) expand(w []int32) []int32 {
 }
 
 // deriveTerms fills ix.terms. Content words — the words the positional CSR
-// addresses through contentToRaw — are scattered from posArena: each must be
-// claimed by exactly one term, which a Builder guarantees and a loaded stream
-// has to prove. The remaining words, dropped or split by normalisation, are
-// normalised again, once per distinct form, and every token they yield must
-// be a term of the vocabulary (a body token always has a posting).
-func (ix *Index) deriveTerms(vocab []string) error {
+// addresses through contentToRaw, each claimed by exactly one term — are
+// scattered from posArena. The remaining words, dropped or split by
+// normalisation, are normalised again, once per distinct form; every token
+// they yield is a term of the vocabulary (a body token always has a posting).
+func (ix *Index) deriveTerms(vocab []string) {
 	c := ix.col
 	// Both dictionaries are sorted and vocab contains c.terms: one merge walk
 	// maps shard-local term ids to vocabulary ids.
@@ -99,19 +90,12 @@ func (ix *Index) deriveTerms(vocab []string) error {
 		tc.base[d+1] = tc.base[d] + len(off)
 	}
 	tc.ids = make([]int32, tc.base[len(ix.docs)])
-	for i := range tc.ids {
-		tc.ids[i] = unclaimed
-	}
-	for t, term := range c.terms {
+	for t := range c.terms {
 		for l := c.posOff[t]; l < c.posOff[t+1]; l++ {
 			doc := c.posDoc[l]
 			c2r := ix.contentToRaw[doc]
 			for _, p := range c.posArena[c.posStart[l]:c.posStart[l+1]] {
-				w := tc.base[doc] + int(c2r[p])
-				if tc.ids[w] != unclaimed {
-					return fmt.Errorf("search: corrupt index (content position %d of doc %d claimed by %q and %q)", p, doc, vocab[tc.ids[w]], term)
-				}
-				tc.ids[w] = global[t]
+				tc.ids[tc.base[doc]+int(c2r[p])] = global[t]
 			}
 		}
 	}
@@ -124,11 +108,7 @@ func (ix *Index) deriveTerms(vocab []string) error {
 		joined := ix.bodyJoined[d]
 		p := 0
 		for raw := range off {
-			w := tc.base[d] + raw
 			if p < len(c2r) && int(c2r[p]) == raw {
-				if tc.ids[w] == unclaimed {
-					return fmt.Errorf("search: corrupt index (content position %d of doc %d claimed by no term)", p, d)
-				}
 				p++
 				continue
 			}
@@ -143,10 +123,7 @@ func (ix *Index) deriveTerms(vocab []string) error {
 				id = noToken
 				if len(toks) > 0 {
 					for _, tok := range toks {
-						v, ok := slices.BinarySearch(vocab, tok)
-						if !ok {
-							return fmt.Errorf("search: corrupt index (token %q of word %d of doc %d has no postings)", tok, raw, d)
-						}
+						v, _ := slices.BinarySearch(vocab, tok)
 						tc.multiIDs = append(tc.multiIDs, int32(v))
 					}
 					id = -int32(len(tc.multiOff)-1) - 2
@@ -154,9 +131,8 @@ func (ix *Index) deriveTerms(vocab []string) error {
 				}
 				forms[form] = id
 			}
-			tc.ids[w] = id
+			tc.ids[tc.base[d]+raw] = id
 		}
 	}
 	ix.terms = tc
-	return nil
 }

@@ -129,19 +129,3 @@ func TestTermWindowIsClipped(t *testing.T) {
 		t.Errorf("Terms has spare capacity %d over length %d: an append would write index memory", cap(terms), len(terms))
 	}
 }
-
-// TestReadRejectsUntiledPositions: each way a stream's positions can fail to
-// tile a document's content words is refused by the check that owns it.
-func TestReadRejectsUntiledPositions(t *testing.T) {
-	seeds := indexStreamSeeds(t)
-	for name, want := range map[string]string{
-		"position-claimed-twice": "claimed by \"",
-		"position-unclaimed":     "claimed by no term",
-		"token-without-postings": "token \"thx\" of word 0 of doc 0 has no postings",
-	} {
-		_, err := ReadShardedIndex(seeds[name])
-		if err == nil || !strings.Contains(err.Error(), "corrupt index") || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: err = %v, want a corrupt-index rejection mentioning %q", name, err, want)
-		}
-	}
-}

@@ -1,5 +1,5 @@
 // Package snapshot implements the TSNP v1 bundle: one file carrying every
-// heavy serving artifact — the sharded search index (TIDX v4), the frozen
+// heavy serving artifact — the sharded search index (TIDX v5), the frozen
 // gazetteer (TGAZ v1) and both trained snippet classifiers (TCLF v1) — so a
 // fleet of replicas loads one prebuilt artifact instead of performing N full
 // world rebuilds at boot. Layout (little-endian):
@@ -55,7 +55,7 @@ const (
 
 // Canonical section names, in file order.
 const (
-	SectionSearch    = "search"    // TIDX v4 sharded index stream
+	SectionSearch    = "search"    // TIDX v5 sharded index stream
 	SectionGazetteer = "gazetteer" // TGAZ v1 frozen gazetteer stream
 	SectionSVM       = "svm"       // TCLF v1 linear SVM stream
 	SectionBayes     = "bayes"     // TCLF v1 Naive Bayes stream

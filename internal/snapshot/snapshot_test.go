@@ -69,16 +69,30 @@ var tinyBundleBytes = sync.OnceValue(func() []byte {
 
 // TestTSNPHeaderBytesLocked pins the bundle framing: the sha256 of the tiny
 // bundle's magic, version, header length, header (fixed manifest + section
-// table, so every component stream's length and CRC) and header CRC,
-// recorded from the headerWriter + bufio writer (commit 2fd69de) before the
-// shared codec replaced them.
+// table, so every component stream's length and CRC) and header CRC. The
+// sha256 was recorded when the search section became TIDX v5; the gazetteer,
+// SVM and bayes entries of the section table are the ones the frame held
+// before (commit 2fd69de onwards), so that move changed the search entry only.
 func TestTSNPHeaderBytesLocked(t *testing.T) {
 	data := tinyBundleBytes()
 	frame := 12 + int(binary.LittleEndian.Uint32(data[8:])) + 4
 	sum := sha256.Sum256(data[:frame])
-	const want = "5b43c6c34ad860100ddbf2f577dde31c3936fabc31f757b155278bd18d635e74"
+	const want = "ec21a47d1d3dd2841dde4ed943506978a931564329043bb7522745ba3af63f04"
 	if got := hex.EncodeToString(sum[:]); frame != 176 || got != want {
 		t.Errorf("%d-byte frame, sha256 %s; recorded 176 bytes, %s", frame, got, want)
+	}
+	_, infos, err := Inspect(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInfos := []SectionInfo{
+		{SectionSearch, 511, 1063736062},
+		{SectionGazetteer, 5116, 2793490760},
+		{SectionSVM, 347, 2360527285},
+		{SectionBayes, 241, 980533605},
+	}
+	if !reflect.DeepEqual(infos, wantInfos) {
+		t.Errorf("section table %+v, recorded %+v", infos, wantInfos)
 	}
 }
 

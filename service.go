@@ -561,17 +561,18 @@ func (s *Service) Annotate(ctx context.Context, req *AnnotateRequest) (*Annotate
 // clock starts one table's obs record on ctx, opened on Render, and returns
 // the context carrying it and the func that ends the request: it closes the
 // record, adds it to the caller's record (the server's, when ctx carries one)
-// and returns the request's Timing.
+// and returns the request's Timing. Total is the record's own span, from the
+// clock read that opens Render to the one that closes it, so the stages
+// partition it exactly.
 func clock(ctx context.Context) (context.Context, *obs.Record, func() Timing) {
 	parent, rec := obs.From(ctx), obs.New()
 	ctx = obs.With(ctx, rec)
-	start := time.Now()
 	render := rec.Start(obs.Render)
 	return ctx, rec, func() Timing {
 		render.Stop()
-		t := Timing{Total: time.Since(start), Stages: rec.Wall()}
+		stages := rec.Wall()
 		parent.Merge(rec)
-		return t
+		return Timing{Total: stages.Sum(), Stages: stages}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestStagesSumToTotal: a request's stages partition its wall time — no
-// stage is negative, and they add up to Total within 2 % — for an annotate
+// stage is negative, and they add up to Total exactly — for an annotate
 // request that geocodes and for a geocode request.
 func TestStagesSumToTotal(t *testing.T) {
 	svc := testService(t)
@@ -23,7 +23,7 @@ func TestStagesSumToTotal(t *testing.T) {
 				t.Errorf("%s: stage %v is negative: %v", name, obs.Stage(s), d)
 			}
 		}
-		if diff := tm.Total - sum; diff < 0 || diff > tm.Total/50 {
+		if sum != tm.Total || sum <= 0 {
 			t.Errorf("%s: stages sum to %v of a %v total", name, sum, tm.Total)
 		}
 		if tm.Stages[obs.Decode] != 0 || tm.Stages[obs.Encode] != 0 {
