@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,19 @@ func indexStreamSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
+// v4StreamSeeds name the rest of FuzzReadShardedIndex's corpus: one-shard
+// streams the v4 writer produced, each with one count, doc, tf, position or
+// ordAll field flipped. No writer makes them any more, so they are checked in
+// as recorded. Bundles written before v5 hold such streams; the reader must
+// refuse each by version, and each still seeds the fuzzer with a stream whose
+// documents are followed by the v4 sections.
+var v4StreamSeeds = []string{
+	"ord-out-of-range", "ord-swapped", "pos-term-count-lie",
+	"position-claimed-twice", "position-list-doc", "position-past-end",
+	"position-unclaimed", "posting-doc", "posting-tf-huge", "posting-tf-zero",
+	"term-count-lie", "term-count-short", "token-without-postings",
+}
+
 // FuzzReadShardedIndex feeds arbitrary bytes to the TIDX reader. It must
 // reject with an error — never panic, never size anything from an unchecked
 // count — or accept; an accepted index must answer single and batch queries
@@ -119,11 +133,22 @@ func FuzzReadShardedIndex(f *testing.F) {
 }
 
 // TestIndexStreamCorpusCheckedIn: the checked-in corpus is exactly what
-// indexStreamSeeds produces — so the valid streams also pin the writer — and
-// the reader accepts the valid streams and rejects every patched one.
+// indexStreamSeeds produces — so the valid streams also pin the writer — plus
+// the v4 streams; the reader accepts the valid streams and rejects every
+// patched one. A v4 stream is refused by version, and relabelled v5 it is
+// still refused: its v4 sections are never loaded or skipped.
 func TestIndexStreamCorpusCheckedIn(t *testing.T) {
-	for name, data := range indexStreamSeeds(t) {
-		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadShardedIndex", name))
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadShardedIndex")
+	seeds := indexStreamSeeds(t)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(seeds) + len(v4StreamSeeds); len(entries) != want {
+		t.Errorf("corpus holds %d files, want %d", len(entries), want)
+	}
+	for name, data := range seeds {
+		file, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +158,27 @@ func TestIndexStreamCorpusCheckedIn(t *testing.T) {
 		_, err = ReadShardedIndex(data)
 		if valid := strings.HasPrefix(name, "valid-"); valid != (err == nil) {
 			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+	for _, name := range v4StreamSeeds {
+		file, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
+		quoted, ok2 := strings.CutSuffix(quoted, ")\n")
+		data, err := strconv.Unquote(quoted)
+		if !ok || !ok2 || err != nil || !strings.HasPrefix(data, "TIDX\x04\x00\x00\x00") {
+			t.Errorf("%s: not a corpus file holding a TIDX v4 stream (unquote: %v)", name, err)
+			continue
+		}
+		if _, err := ReadShardedIndex([]byte(data)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("%s: err = %v, want unsupported version", name, err)
+		}
+		relabelled := []byte(data)
+		relabelled[4] = indexVersion
+		if _, err := ReadShardedIndex(relabelled); err == nil {
+			t.Errorf("%s relabelled v5: loaded without error", name)
 		}
 	}
 }
