@@ -3,10 +3,10 @@ package search
 import "testing"
 
 // TestAllocsSearchBatch bounds the batch bookkeeping: a batch allocates its
-// scored (lists, offsets, ids) and one hit arena, whatever the shard count, and
-// a query adds its normalised terms and its results. At the parent commit the
-// batch below made 218 allocations (6.8 a query) and the lone Search 23; now
-// 84 and 13.
+// scored lists and one hit arena, whatever the shard count, and a query adds
+// its normalised terms and its results. The batch below once made 218
+// allocations (6.8 a query) and the lone Search 23; with the scored term ids
+// gone (snippets anchor on the term-id column) 82 and 11.
 func TestAllocsSearchBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -1,13 +1,14 @@
 package search
 
 // Micro-benchmarks for the query core, run over a synthetic corpus large
-// enough that accumulator, heap and positional-intersection costs dominate.
+// enough that accumulator, heap and snippet-anchoring costs dominate.
 // BenchmarkIndexAdd's docs/s is the quantity BENCH_search.json's frozen
 // index_docs_per_sec history recorded over the full canonical corpus.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,13 +129,19 @@ func BenchmarkSearchAugmented(b *testing.B) {
 	}
 }
 
-// BenchmarkSnippet isolates snippet generation from precomputed stems.
+// BenchmarkSnippet isolates snippet generation from precomputed stems: the
+// anchor's scan of the term-id column and the window.
 func BenchmarkSnippet(b *testing.B) {
-	ix := benchIndex(b, 100).shards[0]
-	tids := []int32{ix.col.termID["museum"], ix.col.termID["galleri"]}
+	six := benchIndex(b, 100)
+	ix := six.shards[0]
+	var want []int32
+	for _, t := range []string{"museum", "galleri"} {
+		v, _ := slices.BinarySearch(six.vocab, t)
+		want = append(want, int32(v))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doc := i % len(ix.docs)
-		ix.snippetAt(doc, ix.col.firstPosOf(tids, doc))
+		ix.snippetAt(doc, ix.terms.anchor(ix.base[doc], ix.base[doc+1], want))
 	}
 }

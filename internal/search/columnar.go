@@ -10,22 +10,23 @@ import (
 )
 
 // Columnar scoring kernel. A frozen shard holds its postings in a flat
-// columnar form — a term-id dictionary, CSR posting columns, a precomputed
-// per-posting partial-score column and a positional CSR — so the BM25 hot
-// loop the batched annotate path bottoms out in is a block-at-a-time walk
-// over contiguous arrays instead of a map lookup plus per-posting
-// floating-point pipeline. One producer lays the columns out, the Builder's
-// flatten, and finish completes them; a loaded index is a Freeze too.
+// columnar form — a term-id dictionary, CSR posting columns and a precomputed
+// per-posting partial-score column — so the BM25 hot loop the batched
+// annotate path bottoms out in is a block-at-a-time walk over contiguous
+// arrays instead of a map lookup plus per-posting floating-point pipeline. One
+// producer lays the columns out, the Builder's flatten, and finish completes
+// them; a loaded index is a Freeze too. Snippets do not read these columns:
+// they anchor on the term-id column (termcol.go).
 //
 // Bit-identity. The scalar loop this kernel replaced computed, per posting,
 //
 //	acc.scores[p.doc] += idf * tf * (bm25K1 + 1) / (tf + normK[p.doc])
 //
 // Every operand of that expression is frozen state: idf and normK are derived
-// from the whole corpus, tf is stored in the posting. rank therefore evaluates
+// from the whole corpus, tf is counted in the posting. rank therefore evaluates
 // the exact expression — same operand order, same operations — once per
-// posting and stores the result in the contribution column; the query-time
-// kernel only replays the additions. Because (a) the
+// posting and stores the result in the contribution column, and tf is dropped;
+// the query-time kernel only replays the additions. Because (a) the
 // stored contribution is the identical float64 the scalar loop would have
 // produced, (b) postings within a term stay in doc order and terms are
 // scored in query-term order, every accumulator receives the same additions
@@ -36,7 +37,7 @@ import (
 // Language pre-filter. Only English documents can ever surface in results
 // (the paper's algorithm requests English pages), and the scalar path
 // filtered them at heap-push time after paying to score them. The compiled
-// form keeps each term's English postings (doc + tf + contribution — what the
+// form keeps each term's English postings (doc + contribution — what the
 // kernel scores) and only a count of its non-English ones, which are never
 // scored: rank's document frequency is all that reads them.
 // Dropping non-English docs from the accumulator is invisible in the output:
@@ -51,12 +52,11 @@ type columns struct {
 	terms []string
 
 	// English CSR sections, the scoring kernel's only inputs: term id t's
-	// postings live at engDoc/engTF/engContrib[engOff[t]:engOff[t+1]],
-	// in ascending doc order. engContrib[i] is the posting's full
-	// precomputed BM25 contribution.
+	// postings live at engDoc/engContrib[engOff[t]:engOff[t+1]], in ascending
+	// doc order. engContrib[i] is the posting's full precomputed BM25
+	// contribution.
 	engOff     []int32
 	engDoc     []int32
-	engTF      []int32
 	engContrib []float64
 
 	// othDF[t] is term id t's count of non-English postings, which are never
@@ -75,39 +75,18 @@ type columns struct {
 	// instead of a binary search over the term's postings. Indexed by term
 	// id, not a map: the scoring path tests it per query term.
 	contribDense [][]float64
-	// firstPos[t], non-nil for the same big terms, holds per doc the term's
-	// first content position plus one (0: the term has no content position in
-	// the doc). Snippet anchoring reads it in one load where a small term
-	// costs a binary search over its positional postings — and big terms are
-	// exactly the ones whose positional lists make that search long.
-	firstPos [][]int32
-
-	// Positional CSR, what snippet anchoring and the term-id column read:
-	// term id t has one position list per doc at index l in
-	// posOff[t]:posOff[t+1] (empty for terms that are no body content word),
-	// posDoc[l] ascending, and list l's content positions are
-	// posArena[posStart[l]:posStart[l+1]], ascending.
-	posOff   []int32
-	posDoc   []int32
-	posStart []int32
-	posArena []int32
 }
 
 // newColumns allocates the columns at their exact sizes for a sorted
 // dictionary; the producer fills sections and offsets.
-func newColumns(terms []string, nEng, nLists, nPos int) *columns {
+func newColumns(terms []string, nEng int) *columns {
 	c := &columns{
 		termID:     make(map[string]int32, len(terms)),
 		terms:      terms,
 		engOff:     make([]int32, len(terms)+1),
 		engDoc:     make([]int32, nEng),
-		engTF:      make([]int32, nEng),
 		engContrib: make([]float64, nEng),
 		othDF:      make([]int32, len(terms)),
-		posOff:     make([]int32, len(terms)+1),
-		posDoc:     make([]int32, nLists),
-		posStart:   make([]int32, nLists+1),
-		posArena:   make([]int32, nPos),
 	}
 	for id, term := range terms {
 		c.termID[term] = int32(id)
@@ -116,9 +95,9 @@ func newColumns(terms []string, nEng, nLists, nPos int) *columns {
 }
 
 // bigTermDF is the english document frequency at or above which a term is big:
-// it gets the dense contribution and first-position sidecars, and a query may
-// defer it (deferredTerms). Below it, walking the column is cheap enough that
-// the extra memory buys nothing.
+// it gets the dense contribution sidecar, and a query may defer it
+// (deferredTerms). Below it, walking the column is cheap enough that the extra
+// memory buys nothing.
 const bigTermDF = 1024
 
 // rank derives the corpus-wide ranking constants — per-term idf over global
@@ -126,8 +105,9 @@ const bigTermDF = 1024
 // normalizers — and fills every shard's contribution column from them, so each
 // shard scores with exactly the constants a single shard holding the whole
 // corpus would use. Contributions are computed here, and only here.
-// docLen[shard][doc] is the doc's length in terms.
-func rank(shards []*Index, docLen [][]int, nDocs int) {
+// docLen[shard][doc] is the doc's length in terms, tf[shard][i] the term
+// frequency of English posting i.
+func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) {
 	df := make(map[string]int)
 	totalLen := 0
 	for si, sh := range shards {
@@ -154,7 +134,7 @@ func rank(shards []*Index, docLen [][]int, nDocs int) {
 			dff := float64(df[t])
 			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
 			for i := c.engOff[tid]; i < c.engOff[tid+1]; i++ {
-				tf := float64(c.engTF[i])
+				tf := float64(tf[si][i])
 				// The exact expression of the former scalar loop; see the
 				// bit-identity note above before changing its shape.
 				c.engContrib[i] = idf * tf * (bm25K1 + 1) / (tf + normK[c.engDoc[i]])
@@ -165,9 +145,9 @@ func rank(shards []*Index, docLen [][]int, nDocs int) {
 
 // finish derives what flatten does not lay out: rank, the index-wide
 // vocabulary, then per shard on the pool ordAll, the dense sidecars and the
-// term-id column.
-func (s *ShardedIndex) finish(docLen [][]int) {
-	rank(s.shards, docLen, s.nDocs)
+// term-id column in vocabulary ids. docLen and tf are rank's input (see rank).
+func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
+	rank(s.shards, docLen, tf, s.nDocs)
 	for _, sh := range s.shards {
 		s.vocab = append(s.vocab, sh.col.terms...)
 	}
@@ -177,7 +157,7 @@ func (s *ShardedIndex) finish(docLen [][]int) {
 		sh := s.shards[si]
 		sh.col.sortOrd()
 		sh.col.scatterDense(len(sh.docs))
-		sh.deriveTerms(s.vocab)
+		sh.terms.toVocab(sh.col.terms, s.vocab)
 	}) // Background is never done, so Run cannot fail
 }
 
@@ -205,12 +185,11 @@ func (c *columns) sortOrd() {
 	}
 }
 
-// scatterDense materializes the big-term dense contribution and first-position
-// arrays of an nDocs-document shard. Pure scatter from already-built columns,
-// no ordering dependency.
+// scatterDense materializes the big-term dense contribution arrays of an
+// nDocs-document shard. Pure scatter from already-built columns, no ordering
+// dependency.
 func (c *columns) scatterDense(nDocs int) {
 	c.contribDense = make([][]float64, len(c.terms))
-	c.firstPos = make([][]int32, len(c.terms))
 	for tid := range c.terms {
 		lo, hi := c.engOff[tid], c.engOff[tid+1]
 		if int(hi-lo) < bigTermDF {
@@ -223,11 +202,6 @@ func (c *columns) scatterDense(nDocs int) {
 			dense[d] = contribs[i]
 		}
 		c.contribDense[tid] = dense
-		fp := make([]int32, nDocs)
-		for l := c.posOff[tid]; l < c.posOff[tid+1]; l++ {
-			fp[c.posDoc[l]] = c.posArena[c.posStart[l]] + 1
-		}
-		c.firstPos[tid] = fp
 	}
 }
 
@@ -295,54 +269,10 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 	acc.touched = touched[:n]
 }
 
-// positionsIn returns the content positions of term id tid within doc, or
-// nil. The binary search is hand-rolled: sort.Search's per-probe closure call
-// is measurable on the snippet path, which probes once per (query term, hit).
-func (c *columns) positionsIn(tid int32, doc int) []int32 {
-	lo, hi := int(c.posOff[tid]), int(c.posOff[tid+1])
-	end := hi
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(c.posDoc[mid]) < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == end || int(c.posDoc[lo]) != doc {
-		return nil
-	}
-	return c.posArena[c.posStart[lo]:c.posStart[lo+1]]
-}
-
-// firstPosOf returns the first content position any of the query's terms
-// (ids as the shard resolved them, -1 = absent) occupies in doc, or -1: the
-// snippet anchor. Big terms answer in one load from firstPos; small terms —
-// whose positional lists are short — binary-search the positional columns.
-func (c *columns) firstPosOf(tids []int32, doc int) int32 {
-	first := int32(-1)
-	for _, tid := range tids {
-		if tid < 0 {
-			continue
-		}
-		p := int32(-1)
-		if fp := c.firstPos[tid]; fp != nil {
-			p = fp[doc] - 1
-		} else if pos := c.positionsIn(tid, doc); len(pos) > 0 {
-			p = pos[0]
-		}
-		if p >= 0 && (first < 0 || p < first) {
-			first = p
-		}
-	}
-	return first
-}
-
 // termResolver memoizes term -> column-id lookups across one query batch, so
 // a term shared by many queries in the batch (a table's cells share their
 // type words and, augmented per §5.2.2, their few cities) resolves against
-// the dictionary once per batch instead of once per query. The ids outlive the
-// scoring: materialize anchors snippets through them.
+// the dictionary once per batch instead of once per query.
 type termResolver struct {
 	col  *columns
 	memo map[string]int32 // -1: term not in the index

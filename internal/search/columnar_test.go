@@ -1,7 +1,7 @@
 package search
 
 // Tests of the columnar compiler itself (columnar.go): the flat CSR form must
-// be a lossless compilation of the reference's postings and positional maps,
+// be a lossless compilation of the reference's postings map,
 // and the batch kernel built on it must stay bit-identical to the monolithic
 // reference at every shard count × batch size the serving layer uses.
 
@@ -12,9 +12,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
 // checkColumnsRoundTrip asserts every shard of six — frozen by a Builder, or
@@ -22,7 +25,7 @@ import (
 // the reference's maps over the same documents: dictionary, English postings
 // and the count of the others, contributions bit-equal to the scalar BM25
 // expression over ranking constants re-derived here from the maps, ordAll,
-// dense sidecars, and the positional CSR.
+// the dense sidecars, and the term-id column.
 func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *ShardedIndex) {
 	t.Helper()
 	if six.Len() != ref.nDocs || len(six.shards) != len(ref.shards) {
@@ -81,14 +84,16 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 			// The English section is exactly the reference's English
 			// postings in doc order, the other postings are only counted, and
 			// every stored contribution must be the bitwise-identical float the
-			// scalar loop would have computed from idf/tf/normK.
+			// scalar loop would have computed from idf/tf/normK. For a fixed doc
+			// that expression strictly increases with tf, so the contribution
+			// also pins the tf the index no longer keeps.
 			dff := float64(df[term])
 			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
 			e, o := c.engOff[tid], int32(0)
 			for _, p := range want {
 				if sb.docs[p.doc].Lang == "en" {
-					if int(c.engDoc[e]) != p.doc || int(c.engTF[e]) != p.tf {
-						fatalf("%q eng posting %d = (%d,%d), want (%d,%d)", term, e, c.engDoc[e], c.engTF[e], p.doc, p.tf)
+					if int(c.engDoc[e]) != p.doc {
+						fatalf("%q eng posting %d is doc %d, want %d", term, e, c.engDoc[e], p.doc)
 					}
 					tf := float64(p.tf)
 					normK := bm25K1 * (1 - bm25B + bm25B*float64(docLen[si][p.doc])/avgLen)
@@ -123,30 +128,11 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 				}
 			}
 
-			// Positional CSR: per doc exactly the reference's position list
-			// (nil where the term has none), first position included.
-			byDoc := map[int][]int32{}
-			for _, pp := range sb.positions[term] {
-				byDoc[pp.doc] = pp.pos
-			}
-			for d := range sb.docs {
-				if got := c.positionsIn(tid, d); !reflect.DeepEqual(got, byDoc[d]) {
-					fatalf("positionsIn(%q, %d) = %v, want %v", term, d, got, byDoc[d])
-				}
-				first := int32(-1)
-				if len(byDoc[d]) > 0 {
-					first = byDoc[d][0]
-				}
-				if got := c.firstPosOf([]int32{tid}, d); got != first {
-					fatalf("firstPosOf(%q, %d) = %d, want %d", term, d, got, first)
-				}
-			}
-
-			// Dense sidecars exist exactly for big terms and scatter the same
-			// contribution values the sparse form holds.
+			// The dense sidecar exists exactly for big terms and scatters the
+			// same contribution values the sparse form holds.
 			big := int(hi-lo) >= bigTermDF
-			if (c.contribDense[tid] != nil) != big || (c.firstPos[tid] != nil) != big {
-				fatalf("%q dense sidecars present=%v/%v, want %v (df %d)", term, c.contribDense[tid] != nil, c.firstPos[tid] != nil, big, hi-lo)
+			if (c.contribDense[tid] != nil) != big {
+				fatalf("%q dense sidecar present=%v, want %v (df %d)", term, c.contribDense[tid] != nil, big, hi-lo)
 			}
 			if big {
 				dense := make([]float64, len(ix.docs))
@@ -158,9 +144,23 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 				}
 			}
 		}
-		for term := range sb.positions {
-			if _, ok := sb.postings[term]; !ok {
-				fatalf("positional term %q has no postings", term)
+
+		// Term-id column: per body word exactly the word's normalised tokens,
+		// through the vocabulary.
+		if len(ix.terms.ids) != ix.base[len(ix.docs)] {
+			fatalf("term column holds %d words, the doc table %d", len(ix.terms.ids), ix.base[len(ix.docs)])
+		}
+		for d, doc := range sb.docs {
+			for i, w := range strings.Fields(doc.Body) {
+				got := []string{}
+				for _, id := range ix.terms.window(ix.base[d]+i, ix.base[d]+i+1) {
+					if id != noToken {
+						got = append(got, six.vocab[id])
+					}
+				}
+				if want := textproc.NormalizeTokens(w); !slices.Equal(got, want) {
+					fatalf("doc %d word %d %q: term column holds %q, want %q", d, i, w, got, want)
+				}
 			}
 		}
 	}
@@ -259,8 +259,8 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 		})
 	}
 
-	// A corpus past the bigTermDF threshold, so the dense contribution and
-	// first-position sidecars (nil on the small seeds above) round-trip too.
+	// A corpus past the bigTermDF threshold, so the dense contribution
+	// sidecars (nil on the small seeds above) round-trip too.
 	t.Run("big-terms", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		docs := randomCorpus(rng, bigTermDF*4)

@@ -14,7 +14,7 @@ import (
 // documents whose bodies are at most 3 words over a 3-word vocabulary (one of
 // them a stopword, one stemming to something other than itself), all English
 // or with one document non-English, at 1, 2 and 3 shards. For each, the
-// columns — positions and first positions included — must equal the builder's
+// columns — the term-id column included — must equal the builder's
 // maps, both on the freshly frozen index and on one loaded from its persisted
 // bytes, which must in turn persist to the same bytes. A loaded index is a
 // Freeze over the same documents, so the query sweep runs on the fresh index

@@ -11,7 +11,8 @@ import (
 )
 
 // FuzzShardedSearchEquivalence drives the sharded and monolithic engines
-// with arbitrary query strings over two corpora — six documents, and
+// with arbitrary query strings over two corpora — seven documents, one with
+// hyphenated words a query term hides in before its plain occurrence, and
 // deferralCorpus, whose common words are long enough columns in every shard
 // for the kernel to defer them: every query must produce identical results
 // (order, bytes and score bits) at every shard count.
@@ -40,6 +41,8 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 		`"nested ""quotes"" here"`,
 		"\"\x00\" weird",
 		"plain terms only",
+		"jazz museum",
+		"rock roll",
 	} {
 		f.Add(seed)
 	}
@@ -55,6 +58,7 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 		{URL: "s4", Title: "Harbor Gallery", Body: "the harbor gallery shows paintings sculpture and a museum shop"},
 		{URL: "s5", Title: "Ailleurs", Body: "un restaurant qui ne parle pas anglais", Lang: "fr"},
 		{URL: "s6", Title: "Melisse", Body: "melisse is a fine dining restaurant in santa monica"}, // duplicate: ties
+		{URL: "s7", Title: "Blue Note", Body: "the blue-note jazz-club by the museum hosts jazz nights and a rock-n-roll brunch"},
 	}, deferralCorpus()} {
 		corpora = append(corpora, engines{buildSharded(docs, 1),
 			[]*ShardedIndex{buildSharded(docs, 2), buildSharded(docs, 3), buildSharded(docs, 5)}})
@@ -71,10 +75,11 @@ func FuzzShardedSearchEquivalence(f *testing.F) {
 }
 
 // indexStreamSeeds are FuzzReadShardedIndex's starting points, checked in under
-// testdata/fuzz by name: valid one- and two-shard streams, and one-shard
-// streams with a doc count the bytes cannot hold, a doc count short of the
-// records (trailing bytes), a zero shard count, the first body's length
-// claiming more than the stream holds, and a record cut inside its body.
+// testdata/fuzz by name: valid one- and two-shard streams, one-shard streams
+// with a doc count the bytes cannot hold, a doc count short of the records
+// (trailing bytes), a zero shard count, the first body's length claiming more
+// than the stream holds, and a record cut inside its body, and a stream of no
+// documents in maxShards shards.
 func indexStreamSeeds(t testing.TB) map[string][]byte {
 	one := tidx(t, smallIndex())
 	f := locateFields(t, one)
@@ -86,6 +91,7 @@ func indexStreamSeeds(t testing.TB) map[string][]byte {
 		"shard-count-zero":  patched(one, f.shards, 0),
 		"string-length-lie": patched(one, f.bodyLen, 1<<30),
 		"record-cut":        one[:f.body+2],
+		"shard-count-huge":  v5Stream(nil, maxShards),
 	}
 }
 

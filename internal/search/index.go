@@ -4,10 +4,11 @@
 // snippet) triples, with per-query latency accounting so the efficiency
 // analysis of §6.4 can be reproduced without real network calls.
 //
-// The lifecycle has two types. A Builder is written: Add tokenises documents
-// into postings and positional maps, Freeze compiles them. A ShardedIndex is
-// read: immutable, columnar and safe for concurrent queries. It persists its
-// documents (WriteTo), and ReadShardedIndex freezes them again.
+// The lifecycle has two types. A Builder is written: Add queues documents,
+// Freeze tokenises them into postings and a per-word term-id column and
+// compiles both. A ShardedIndex is read: immutable, columnar and safe for
+// concurrent queries. It persists its documents (WriteTo), and
+// ReadShardedIndex freezes them again.
 package search
 
 import (
@@ -49,42 +50,41 @@ type Result struct {
 type docTable struct {
 	docs []Document
 	// bodyJoined[doc] is the body's words joined by single spaces — the
-	// string every snippet of the doc is a substring of — and wordOff[doc][i]
-	// is the byte offset of word i within it, so snippet windows are
-	// zero-copy slices instead of per-query joins. When the body already is
-	// its own single-space join (the common case), bodyJoined shares its
-	// memory.
+	// string every snippet of the doc is a substring of. When the body already
+	// is its own single-space join (the common case), it shares its memory.
 	bodyJoined []string
-	wordOff    [][]int32
-	// contentToRaw[doc][p] is the raw word index of content position p, so
-	// snippet selection can translate a positional hit back to a window
-	// anchor.
-	contentToRaw [][]int32
+	// base[doc]:base[doc+1] are doc's body words in the shard's per-word
+	// arenas, this one and the term column's ids: wordOff[base[doc]+i] is the
+	// byte offset of word i within bodyJoined[doc], so snippet windows are
+	// zero-copy slices instead of per-query joins.
+	base    []int
+	wordOff []int32
 }
 
+// newDocTable returns an empty table.
+func newDocTable() docTable { return docTable{base: []int{0}} }
+
 // appendDoc adds one document whose body splits into words (joined is their
-// single-space join) with content positions c2r.
-func (t *docTable) appendDoc(doc Document, joined string, words []string, c2r []int32) {
-	off := make([]int32, len(words))
+// single-space join).
+func (t *docTable) appendDoc(doc Document, joined string, words []string) {
 	b := int32(0)
-	for i, w := range words {
-		off[i] = b
+	for _, w := range words {
+		t.wordOff = append(t.wordOff, b)
 		b += int32(len(w)) + 1
 	}
 	t.docs = append(t.docs, doc)
 	t.bodyJoined = append(t.bodyJoined, joined)
-	t.wordOff = append(t.wordOff, off)
-	t.contentToRaw = append(t.contentToRaw, c2r)
+	t.base = append(t.base, len(t.wordOff))
 }
 
 // clip returns a view of the table that later appends cannot grow into.
 func (t *docTable) clip() docTable {
-	n := len(t.docs)
+	n, w := len(t.docs), len(t.wordOff)
 	return docTable{
-		docs:         t.docs[:n:n],
-		bodyJoined:   t.bodyJoined[:n:n],
-		wordOff:      t.wordOff[:n:n],
-		contentToRaw: t.contentToRaw[:n:n],
+		docs:       t.docs[:n:n],
+		bodyJoined: t.bodyJoined[:n:n],
+		base:       t.base[: n+1 : n+1],
+		wordOff:    t.wordOff[:w:w],
 	}
 }
 
@@ -101,15 +101,15 @@ func (t *docTable) sections() []int {
 }
 
 // Index is one frozen shard of a ShardedIndex: the document table, the
-// columnar compilation of its postings and positions (see columnar.go), and
-// the scoring and snippet kernels the sharded query surface drives. Nothing
+// columnar compilation of its postings (see columnar.go), the term-id column,
+// and the scoring and snippet kernels the sharded query surface drives. Nothing
 // in it changes after construction, so it is safe for any number of
 // concurrent readers.
 type Index struct {
 	docTable
 	col *columns
-	// terms is the per-raw-word token table snippets hand out as
-	// Result.Terms, derived from col and docTable (see termcol.go).
+	// terms is the per-raw-word token table snippets anchor on and hand out
+	// as Result.Terms (see termcol.go), indexed by docTable.base.
 	terms termColumn
 
 	// accPool recycles per-query dense score accumulators across queries
@@ -502,20 +502,16 @@ func (s *selector) complete(scores []float64, touched []int32, dense []float64) 
 	}
 }
 
-// snippetAt renders the SnippetWords-word window anchored at content position
-// first — columns.firstPosOf of the query's term ids; -1: no query term in the
-// body (a title-only hit), use the leading window — and returns its raw word
-// range; a document without a body yields its title and the empty range. The
-// window is a zero-copy slice of the precomputed joined body, byte-identical
-// to joining the window's words with spaces.
-func (ix *Index) snippetAt(doc int, first int32) (s string, start, end int) {
-	off := ix.wordOff[doc]
+// snippetAt renders the SnippetWords-word window anchored at raw word at of
+// doc's body — the first word that is a query term, or 0 when none is (a
+// title-only hit), see termColumn.anchor — and returns its raw word range; a
+// document without a body yields its title and the empty range. The window is
+// a zero-copy slice of the precomputed joined body, byte-identical to joining
+// the window's words with spaces.
+func (ix *Index) snippetAt(doc, at int) (s string, start, end int) {
+	off := ix.wordOff[ix.base[doc]:ix.base[doc+1]]
 	if len(off) == 0 {
 		return ix.docs[doc].Title, 0, 0
-	}
-	at := 0
-	if first >= 0 {
-		at = int(ix.contentToRaw[doc][first])
 	}
 	start = at - SnippetWords/3
 	if start < 0 {

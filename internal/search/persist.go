@@ -13,15 +13,18 @@ import (
 //	    (u32-length-prefixed strings)
 //
 // The stream holds the documents and nothing else. Everything a query reads —
-// postings, positions, ordAll, contributions, the dense sidecars and the
-// term-id column — is state Freeze derives from the documents, so
+// postings, ordAll, contributions, the dense sidecars and the term-id column —
+// is state Freeze derives from the documents, so
 // ReadShardedIndex Adds the decoded documents to a Builder over the stored
 // shard count and returns its Freeze: build and load are one code path, a
 // loaded index is the index a build over the same documents freezes, and no
 // stream can carry derived state that disagrees with its documents. The
 // document count and every string length are refused unless the bytes that
-// remain can hold them, so a corrupt or adversarial stream yields an error
-// before anything is indexed, never a panic. Any other version is rejected.
+// remain can hold them, and the shard count unless the document count or
+// fewShards covers it, so a corrupt or adversarial stream yields an error
+// before anything is indexed, never a panic, and the shards a stream makes
+// the reader build stay in proportion to its bytes. Any other version is
+// rejected.
 
 const (
 	indexMagic   = "TIDX"
@@ -30,8 +33,11 @@ const (
 	// minDocRecord is the least a doc record occupies (four string lengths):
 	// the codec refuses a doc count the bytes that remain cannot hold.
 	minDocRecord = 16
-	// maxShards bounds the stored shard count.
+	// maxShards bounds the stored shard count. Past fewShards it may not
+	// exceed the document count either: even an empty shard costs about a
+	// kilobyte to freeze.
 	maxShards = 1 << 16
+	fewShards = 64
 )
 
 // AppendTo appends the index's TIDX stream to b: the shard count, then the
@@ -66,12 +72,12 @@ func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 		return nil, err
 	}
 	shards := int(br.U32())
-	if shards == 0 || shards > maxShards {
-		return nil, br.Corrupt("shard count %d", shards)
-	}
 	n := br.Count("doc", minDocRecord)
 	if err := br.Err(); err != nil {
 		return nil, err
+	}
+	if shards == 0 || shards > maxShards || shards > max(n, fewShards) {
+		return nil, br.Corrupt("shard count %d for %d docs", shards, n)
 	}
 	b := NewBuilder(shards)
 	for ; n > 0; n-- {

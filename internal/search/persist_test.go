@@ -98,22 +98,43 @@ func patched(data []byte, off int, v uint32) []byte {
 	return out
 }
 
-// TestReadRejectsCountLieCheaply: a doc count the remaining bytes cannot hold
-// is refused before anything is sized from it. 1<<22 is the largest value the
-// former pre-sized-map cap let through a term count; on a 3 KB stream it cost
-// 384 MB and 300 ms before the rejection.
+// TestReadRejectsCountLieCheaply: a doc count the remaining bytes cannot hold,
+// and a shard count beyond both the doc count and fewShards, are refused
+// before anything is sized from them. 1<<22 is the largest value the former
+// pre-sized-map cap let through a term count; on a 3 KB stream it cost 384 MB
+// and 300 ms before the rejection. A 16-byte stream of no documents in 2^16
+// shards loaded, building every empty shard: 72 MB.
 func TestReadRejectsCountLieCheaply(t *testing.T) {
 	data := tidx(t, smallIndex())
-	lie := patched(data, locateFields(t, data).docCount, 1<<22)
+	for _, c := range []struct {
+		lie  []byte
+		want string
+	}{
+		{patched(data, locateFields(t, data).docCount, 1<<22), "doc count"},
+		{v5Stream(nil, maxShards), "shard count"},
+		{v5Stream(smallDocs(), fewShards+1), "shard count"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadShardedIndex(c.lie)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("err = %v, want a %s rejection", err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("rejecting a %d-byte stream allocated %d bytes", len(c.lie), got)
+		}
+	}
+	// At the bound a stream of no documents still loads, cheaply.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadShardedIndex(lie)
+	six, err := ReadShardedIndex(v5Stream(nil, fewShards))
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "doc count") {
-		t.Fatalf("err = %v, want a doc count rejection", err)
+	if err != nil || six.NumShards() != fewShards {
+		t.Fatalf("no documents in %d shards: err = %v", fewShards, err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("rejecting a %d-byte stream allocated %d bytes", len(lie), got)
+		t.Errorf("loading no documents in %d shards allocated %d bytes", fewShards, got)
 	}
 }
 

@@ -153,17 +153,11 @@ type posting struct {
 	tf  int
 }
 
-// posPosting records the content positions of a term within one document.
-type posPosting struct {
-	doc int
-	pos []int32
-}
-
 // refIndex is the map-based index builder the Builder replaced, kept as the
 // oracle of what Freeze compiles: per round-robin shard, the document table
-// plus term maps filled straight from the documents — term frequencies from
-// whole-text normalization, content positions from word-by-word
-// normalization — with no interning, no word memo and no streams.
+// plus a term map filled straight from the documents — term frequencies from
+// whole-text normalization — and the body words, which flatten normalises one
+// by one into the term-id column, with no interning and no streams.
 type refIndex struct {
 	shards []*refShard
 	nDocs  int
@@ -171,15 +165,15 @@ type refIndex struct {
 
 type refShard struct {
 	docTable
-	docLen    []int
-	postings  map[string][]posting
-	positions map[string][]posPosting // sorted by doc
+	docLen   []int
+	postings map[string][]posting
+	words    []string // every body word of the shard, in doc order
 }
 
 func newRefIndex(docs []Document, shards int) *refIndex {
 	ri := &refIndex{shards: make([]*refShard, shards), nDocs: len(docs)}
 	for i := range ri.shards {
-		ri.shards[i] = &refShard{postings: map[string][]posting{}, positions: map[string][]posPosting{}}
+		ri.shards[i] = &refShard{docTable: newDocTable(), postings: map[string][]posting{}}
 	}
 	for g, d := range docs {
 		ri.shards[g%shards].add(d)
@@ -204,31 +198,16 @@ func (sb *refShard) add(doc Document) {
 		tf[t]++
 		n++
 	}
-	var c2r []int32
-	for i, w := range words {
-		if norm := textproc.NormalizeTokens(w); len(norm) == 1 {
-			sb.addPosition(norm[0], id, int32(len(c2r)))
-			c2r = append(c2r, int32(i))
-		}
-	}
 	joined := strings.Join(words, " ")
 	if joined == doc.Body {
 		joined = doc.Body
 	}
-	sb.appendDoc(doc, joined, words, c2r)
+	sb.appendDoc(doc, joined, words)
+	sb.words = append(sb.words, words...)
 	sb.docLen = append(sb.docLen, n)
 	for t, n := range tf {
 		sb.postings[t] = append(sb.postings[t], posting{doc: id, tf: n})
 	}
-}
-
-func (sb *refShard) addPosition(term string, doc int, pos int32) {
-	plist := sb.positions[term]
-	if n := len(plist); n > 0 && plist[n-1].doc == doc {
-		plist[n-1].pos = append(plist[n-1].pos, pos)
-		return
-	}
-	sb.positions[term] = append(plist, posPosting{doc: doc, pos: []int32{pos}})
 }
 
 // freeze compiles the maps as the Builder's former flatten did and finishes
@@ -237,16 +216,18 @@ func (sb *refShard) addPosition(term string, doc int, pos int32) {
 func (ri *refIndex) freeze() *ShardedIndex {
 	s := newShardedIndex(len(ri.shards), ri.nDocs)
 	docLen := make([][]int, len(ri.shards))
+	tf := make([][]int32, len(ri.shards))
 	for si, sb := range ri.shards {
-		s.shards[si].docTable = sb.docTable.clip()
-		s.shards[si].col = sb.flatten()
+		ix := s.shards[si]
+		ix.docTable = sb.docTable.clip()
+		ix.col, tf[si], ix.terms = sb.flatten()
 		docLen[si] = sb.docLen
 	}
-	s.finish(docLen)
+	s.finish(docLen, tf)
 	return s
 }
 
-func (sb *refShard) flatten() *columns {
+func (sb *refShard) flatten() (*columns, []int32, termColumn) {
 	terms := make([]string, 0, len(sb.postings))
 	for t := range sb.postings {
 		terms = append(terms, t)
@@ -256,7 +237,7 @@ func (sb *refShard) flatten() *columns {
 	for d, doc := range sb.docs {
 		english[d] = doc.Lang == "en"
 	}
-	nEng, nLists, nPos := 0, 0, 0
+	nEng := 0
 	for _, plist := range sb.postings {
 		for _, p := range plist {
 			if english[p.doc] {
@@ -264,32 +245,47 @@ func (sb *refShard) flatten() *columns {
 			}
 		}
 	}
-	for _, plist := range sb.positions {
-		nLists += len(plist)
-		for _, pp := range plist {
-			nPos += len(pp.pos)
-		}
-	}
-	c := newColumns(terms, nEng, nLists, nPos)
-	e, l, p := 0, 0, 0
+	c := newColumns(terms, nEng)
+	tf := make([]int32, nEng)
+	e := 0
 	for tid, term := range terms {
 		for _, pt := range sb.postings[term] {
 			if english[pt.doc] {
-				c.engDoc[e], c.engTF[e] = int32(pt.doc), int32(pt.tf)
+				c.engDoc[e], tf[e] = int32(pt.doc), int32(pt.tf)
 				e++
 			} else {
 				c.othDF[tid]++
 			}
 		}
-		for _, pp := range sb.positions[term] {
-			c.posDoc[l] = int32(pp.doc)
-			p += copy(c.posArena[p:], pp.pos)
-			l++
-			c.posStart[l] = int32(p)
-		}
-		c.engOff[tid+1], c.posOff[tid+1] = int32(e), int32(l)
+		c.engOff[tid+1] = int32(e)
 	}
-	return c
+
+	// The term-id column in column ids: a word's one token, noToken, or an
+	// entry of the side list, which holds each multi-token form once, in order
+	// of its first occurrence.
+	tc := termColumn{ids: make([]int32, 0, len(sb.words)), multiOff: []int32{0}}
+	multi := map[string]int32{}
+	for _, w := range sb.words {
+		norm := textproc.NormalizeTokens(w)
+		switch len(norm) {
+		case 0:
+			tc.ids = append(tc.ids, noToken)
+		case 1:
+			tc.ids = append(tc.ids, c.termID[norm[0]])
+		default:
+			m, ok := multi[w]
+			if !ok {
+				for _, t := range norm {
+					tc.multiIDs = append(tc.multiIDs, c.termID[t])
+				}
+				m = -int32(len(tc.multiOff)-1) - 2
+				tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))
+				multi[w] = m
+			}
+			tc.ids = append(tc.ids, m)
+		}
+	}
+	return c, tf, tc
 }
 
 // randomCorpus builds a randomized document set stressing the indexer's

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/pool"
 	"repro/internal/textproc"
@@ -61,28 +62,17 @@ func global(hits []hit, shard, n int) []hit {
 	return hits
 }
 
-// scored is what one topDocsBatch call hands to materialize, in three flat
-// allocations a batch: per shard and query the shard's top-k, and the ids each
-// shard resolved the queries' terms to — so snippet anchoring reads the
-// positional columns without hashing a term string again.
+// scored is what one topDocsBatch call hands to materialize: per shard and
+// query the shard's top-k, in one flat allocation a batch.
 type scored struct {
 	shards, queries int
 	// lists has one row of queries hit lists per shard: global doc ids, best
 	// first, nil for a nil query.
 	lists [][]hit
-	// tids has one row of off[queries] column ids per shard (-1: term not in
-	// the shard); query q's terms are slots off[q]:off[q+1] of a row.
-	off  []int
-	tids []int32
 }
 
 // row returns shard si's hit lists.
 func (b scored) row(si int) [][]hit { return b.lists[si*b.queries:][:b.queries] }
-
-// termIDs returns query q's term ids in shard si.
-func (b scored) termIDs(si, q int) []int32 {
-	return b.tids[si*b.off[b.queries]:][b.off[q]:b.off[q+1]]
-}
 
 // scoreShard scores a whole batch of pre-normalized queries against shard si
 // into its row of b: term ids are resolved once per batch through a shared
@@ -94,12 +84,15 @@ func (b scored) scoreShard(ix *Index, si int, qterms [][]string, k int, arena []
 	defer ix.putAccumulator(acc)
 	r := newTermResolver(ix.col, len(qterms))
 	lists := b.row(si)
+	var buf [8]int32 // term ids of the query being scored
+	tids := buf[:0]
 	for q, terms := range qterms {
 		if terms == nil {
 			continue
 		}
 		n := len(arena)
-		arena = append(arena, ix.topDocsResolved(acc, r.resolve(terms, b.termIDs(si, q)[:0]), k)...)
+		tids = r.resolve(terms, tids)
+		arena = append(arena, ix.topDocsResolved(acc, tids, k)...)
 		lists[q] = global(arena[n:len(arena):len(arena)], si, b.shards)
 	}
 }
@@ -130,15 +123,13 @@ func (b scored) next(q int) hit {
 // one-shard index starts none.
 func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) scored {
 	n := len(s.shards)
-	off := make([]int, len(qterms)+1)
 	queries := 0
-	for q, terms := range qterms {
-		off[q+1] = off[q] + len(terms)
+	for _, terms := range qterms {
 		if terms != nil {
 			queries++
 		}
 	}
-	b := scored{shards: n, queries: len(qterms), lists: make([][]hit, n*len(qterms)), off: off, tids: make([]int32, n*off[len(qterms)])}
+	b := scored{shards: n, queries: len(qterms), lists: make([][]hit, n*len(qterms))}
 	// Shard 0 is the largest (documents go round-robin), so no shard returns
 	// more than window hits for the batch.
 	window := queries * min(k, len(s.shards[0].docs))
@@ -163,27 +154,37 @@ func copyResults(src []Result) []Result {
 	return dst
 }
 
-// materialize merges query q's per-shard lists into its global top-k and
-// renders each hit in the document's owning shard — its snippet windows and
-// positions live there — anchored at the first position of any of the ids
-// that shard resolved query q to.
-func (s *ShardedIndex) materialize(b scored, q, k int) []Result {
+// materialize merges the per-shard lists of query q (normalised terms qterms)
+// into its global top-k and renders each hit in the document's owning shard —
+// its snippet windows and term-id column live there — anchored at the first
+// body word that is one of the query's terms.
+func (s *ShardedIndex) materialize(b scored, q int, qterms []string, k int) []Result {
 	found := 0
 	for si := range s.shards {
 		found += len(b.row(si)[q])
 	}
 	out := make([]Result, min(found, k))
+	// The terms' vocabulary ids, what the column stores; a term no document
+	// holds cannot anchor and is left out.
+	var buf [8]int32
+	want := buf[:0]
+	for _, t := range qterms {
+		if v, ok := slices.BinarySearch(s.vocab, t); ok {
+			want = append(want, int32(v))
+		}
+	}
 	for i := range out {
 		h := b.next(q)
 		si, local := h.doc%len(s.shards), h.doc/len(s.shards)
 		sh := s.shards[si]
 		d := sh.docs[local]
-		snippet, start, end := sh.snippetAt(local, sh.col.firstPosOf(b.termIDs(si, q), local))
+		lo, hi := sh.base[local], sh.base[local+1]
+		snippet, start, end := sh.snippetAt(local, sh.terms.anchor(lo, hi, want))
 		out[i] = Result{
 			URL:     d.URL,
 			Title:   d.Title,
 			Snippet: snippet,
-			Terms:   sh.terms.window(local, start, end),
+			Terms:   sh.terms.window(lo+start, lo+end),
 			Score:   h.score,
 		}
 	}
@@ -225,7 +226,7 @@ func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 		if j := first[q]; j < i {
 			out[i] = copyResults(out[j])
 		} else if qterms[i] != nil {
-			out[i] = s.materialize(b, i, k)
+			out[i] = s.materialize(b, i, qterms[i], k)
 		}
 	}
 	return out

@@ -1,50 +1,44 @@
 package search
 
-import (
-	"slices"
-
-	"repro/internal/textproc"
-)
-
 // Term-id column. A snippet is a window of a document's raw words, and the
-// classifier wants that window's normalised tokens. The index already knows
-// them: the positional CSR records, per term, the content positions it
-// occupies in each document — the per-document token table, transposed. The
-// column transposes it back once, after the index is compiled or loaded, so a
-// hit can hand out its tokens as a slice of vocabulary ids instead of a string
-// to be tokenised, stop-worded and stemmed again.
+// classifier wants that window's normalised tokens. The Builder tokenises
+// every body word anyway, so it records them, per raw word in document order:
+// the shard's one per-word table. A hit hands out its tokens as a slice of
+// vocabulary ids instead of a string to be tokenised, stop-worded and stemmed
+// again, and its snippet anchors on the same column: the first word whose id
+// is a query term's.
 //
-// The column is derived state, like the BM25 contributions and the dense
-// sidecars: Freeze derives it in finish, and the ids are index-wide (the shard
-// dictionaries merged and sorted), so a hit's Terms are the same numbers at
-// every shard count and after a write → read round trip.
+// The ids are index-wide (the shard dictionaries merged and sorted), so a
+// hit's Terms are the same numbers at every shard count and after a write →
+// read round trip. A producer lays the column out in its shard's column ids
+// (flatten) and finish rewrites it in vocabulary ids.
 
 // noToken marks a raw word that normalises to nothing (a stop-word, a number,
 // bare punctuation). Consumers of Result.Terms skip it.
 const noToken = -1
 
-// termColumn is one shard's per-raw-word token table: ids[base[doc]+i]
-// describes word i of doc's body — a vocabulary id when the word normalises to
-// one token (a content word), noToken when to none, and -(m+2) otherwise: the
-// word's tokens are then multiIDs[multiOff[m]:multiOff[m+1]] (hyphenated and
-// slash-joined words: rare, hence the side list rather than a second arena).
+// termColumn is one shard's per-raw-word token table, indexed by
+// docTable.base: ids[base[doc]+i] describes word i of doc's body — a
+// vocabulary id when the word normalises to one token (a content word),
+// noToken when to none, and -(m+2) otherwise: the word's tokens are then
+// multiIDs[multiOff[m]:multiOff[m+1]] (hyphenated and slash-joined words:
+// rare, hence the side list rather than a second arena; one entry per distinct
+// word form, in order of its first body occurrence).
 type termColumn struct {
-	base     []int
 	ids      []int32
 	multiOff []int32
 	multiIDs []int32
 }
 
-// window returns the normalised tokens of doc's raw words [start, end) as
-// vocabulary ids, noToken entries included; nil for an empty window. Unless a
+// window returns the normalised tokens of the words ids[lo:hi] as vocabulary
+// ids, noToken entries included; nil for an empty window. Unless a
 // multi-token word falls inside it the result is a capacity-clipped slice of
 // the column itself.
-func (tc *termColumn) window(doc, start, end int) []int32 {
-	if start == end {
+func (tc *termColumn) window(lo, hi int) []int32 {
+	if lo == hi {
 		return nil
 	}
-	hi := tc.base[doc] + end
-	w := tc.ids[tc.base[doc]+start : hi : hi]
+	w := tc.ids[lo:hi:hi]
 	for _, id := range w {
 		if id < noToken {
 			return tc.expand(w)
@@ -67,72 +61,39 @@ func (tc *termColumn) expand(w []int32) []int32 {
 	return out
 }
 
-// deriveTerms fills ix.terms. Content words — the words the positional CSR
-// addresses through contentToRaw, each claimed by exactly one term — are
-// scattered from posArena. The remaining words, dropped or split by
-// normalisation, are normalised again, once per distinct form; every token
-// they yield is a term of the vocabulary (a body token always has a posting).
-func (ix *Index) deriveTerms(vocab []string) {
-	c := ix.col
-	// Both dictionaries are sorted and vocab contains c.terms: one merge walk
-	// maps shard-local term ids to vocabulary ids.
-	global := make([]int32, len(c.terms))
+// anchor returns the index, relative to lo, of the first word of ids[lo:hi]
+// whose entry is one of want — the vocabulary ids of a query's terms — or 0
+// when there is none. Only a content word can match: the entries of the other
+// words are negative.
+func (tc *termColumn) anchor(lo, hi int, want []int32) int {
+	for i, id := range tc.ids[lo:hi] {
+		for _, v := range want {
+			if id == v {
+				return i
+			}
+		}
+	}
+	return 0
+}
+
+// toVocab rewrites the column from the shard's column ids to vocabulary ids.
+// Both dictionaries are sorted and vocab contains terms, so one merge walk
+// maps one to the other.
+func (tc *termColumn) toVocab(terms, vocab []string) {
+	global := make([]int32, len(terms))
 	g := 0
-	for t, term := range c.terms {
+	for t, term := range terms {
 		for vocab[g] != term {
 			g++
 		}
 		global[t] = int32(g)
 	}
-
-	tc := termColumn{base: make([]int, len(ix.docs)+1), multiOff: []int32{0}}
-	for d, off := range ix.wordOff {
-		tc.base[d+1] = tc.base[d] + len(off)
-	}
-	tc.ids = make([]int32, tc.base[len(ix.docs)])
-	for t := range c.terms {
-		for l := c.posOff[t]; l < c.posOff[t+1]; l++ {
-			doc := c.posDoc[l]
-			c2r := ix.contentToRaw[doc]
-			for _, p := range c.posArena[c.posStart[l]:c.posStart[l+1]] {
-				tc.ids[tc.base[doc]+int(c2r[p])] = global[t]
-			}
+	for i, id := range tc.ids {
+		if id >= 0 {
+			tc.ids[i] = global[id]
 		}
 	}
-
-	// forms memoises what a non-content word form stores in the column, so
-	// each distinct form is normalised once per shard.
-	forms := map[string]int32{}
-	for d, off := range ix.wordOff {
-		c2r := ix.contentToRaw[d]
-		joined := ix.bodyJoined[d]
-		p := 0
-		for raw := range off {
-			if p < len(c2r) && int(c2r[p]) == raw {
-				p++
-				continue
-			}
-			end := len(joined)
-			if raw+1 < len(off) {
-				end = int(off[raw+1]) - 1 // the space before the next word
-			}
-			form := joined[off[raw]:end]
-			id, ok := forms[form]
-			if !ok {
-				toks := textproc.NormalizeTokens(form)
-				id = noToken
-				if len(toks) > 0 {
-					for _, tok := range toks {
-						v, _ := slices.BinarySearch(vocab, tok)
-						tc.multiIDs = append(tc.multiIDs, int32(v))
-					}
-					id = -int32(len(tc.multiOff)-1) - 2
-					tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))
-				}
-				forms[form] = id
-			}
-			tc.ids[tc.base[d]+raw] = id
-		}
+	for i, id := range tc.multiIDs {
+		tc.multiIDs[i] = global[id]
 	}
-	ix.terms = tc
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,5 +128,55 @@ func TestTermWindowIsClipped(t *testing.T) {
 	}
 	if terms := res[0].Terms; cap(terms) != len(terms) {
 		t.Errorf("Terms has spare capacity %d over length %d: an append would write index memory", cap(terms), len(terms))
+	}
+}
+
+// TestSnippetAnchor pins where a hit's snippet anchors — the first body word
+// that is, whole, one of the query's terms — on hand-picked bodies, checking
+// each snippet literally and against refSearch, and its Terms against the
+// snippet's tokens, at one and two shards.
+func TestSnippetAnchor(t *testing.T) {
+	greek := strings.Fields("alpha beta gamma delta epsilon zeta eta theta iota kappa lambda " +
+		"mu nu xi omicron pi rho sigma tau upsilon phi chi psi omega")
+	// body is the first n greek words with word i replaced by w for each
+	// (i, w) of at.
+	body := func(n int, at map[int]string) string {
+		words := slices.Clone(greek[:n])
+		for i, w := range at {
+			words[i] = w
+		}
+		return strings.Join(words, " ")
+	}
+	// window is words [start, end) of b.
+	window := func(b string, start, end int) string {
+		return strings.Join(strings.Fields(b)[start:end], " ")
+	}
+	for _, c := range []struct {
+		name, title, body, query string
+		start, end               int // the snippet's words
+	}{
+		// jazz-club normalises to two tokens: it matches the query, but it is
+		// no content word, so the window leads.
+		{"term only inside a hyphenated word", "Club", body(16, map[int]string{8: "jazz-club"}), "jazz", 0, 11},
+		{"hyphenated before a plain occurrence", "Club", body(22, map[int]string{4: "jazz-club", 12: "jazz"}), "jazz", 9, 20},
+		{"earliest of several query terms", "Gallery", body(24, map[int]string{9: "gallery", 14: "museum"}), "museum gallery", 6, 17},
+		{"hit on the last word", "End", body(20, map[int]string{19: "museum"}), "museum", 9, 20},
+		{"title-only hit", "Museum", body(15, nil), "museum", 0, 11},
+	} {
+		docs := []Document{
+			{URL: "hit", Title: c.title, Body: c.body},
+			{URL: "other", Title: "Other", Body: "unrelated words only"},
+		}
+		want := window(c.body, c.start, c.end)
+		for _, shards := range []int{1, 2} {
+			label := fmt.Sprintf("%s x%d", c.name, shards)
+			six := buildSharded(docs, shards)
+			got := six.Search(c.query, 1)
+			if len(got) != 1 || got[0].Snippet != want {
+				t.Fatalf("%s: Search(%q) = %+v, want snippet %q", label, c.query, got, want)
+			}
+			checkSameResults(t, label, got, refSearch(docs, c.query, 1))
+			checkTerms(t, label, six, docs, got)
+		}
 	}
 }
