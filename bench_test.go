@@ -443,12 +443,12 @@ func BenchmarkKSweep(b *testing.B) {
 func BenchmarkIndexPersistence(b *testing.B) {
 	l := lab()
 	names := l.World.TableEntities(world.Museum)
-	sb := search.NewBuilder(1)
-	for i := 0; i < 2000; i++ {
+	docs := make([]search.Document, 2000)
+	for i := range docs {
 		e := names[i%len(names)]
-		sb.Add(search.Document{URL: e.URL, Title: e.Name, Body: e.Description})
+		docs[i] = search.Document{URL: e.URL, Title: e.Name, Body: e.Description}
 	}
-	src := sb.Freeze()
+	src := search.Build(1, slices.Values(docs))
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,10 +18,10 @@ import (
 // do not pay a full world build.
 func writeTinyBundle(t *testing.T) string {
 	t.Helper()
-	sb := search.NewBuilder(1)
-	sb.Add(search.Document{URL: "http://t.test/a", Title: "Museum", Body: "a museum", Lang: "en"})
-	sb.Add(search.Document{URL: "http://t.test/b", Title: "Diner", Body: "a restaurant", Lang: "en"})
-	six := sb.Freeze()
+	six := search.Build(1, slices.Values([]search.Document{
+		{URL: "http://t.test/a", Title: "Museum", Body: "a museum", Lang: "en"},
+		{URL: "http://t.test/b", Title: "Diner", Body: "a restaurant", Lang: "en"},
+	}))
 	var d classify.Dataset
 	d.Add("museum art", "museum")
 	d.Add("restaurant menu", "restaurant")

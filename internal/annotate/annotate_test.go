@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,11 +44,9 @@ func themed(rng *rand.Rand, name string, vocab []string, extra ...string) string
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	ix := search.NewBuilder(1)
-	docs := 0
+	var docs []search.Document
 	add := func(title, body string) {
-		ix.Add(search.Document{URL: fmt.Sprintf("u%d", docs), Title: title, Body: body})
-		docs++
+		docs = append(docs, search.Document{URL: fmt.Sprintf("u%d", len(docs)), Title: title, Body: body})
 	}
 	museums := []string{"Musée Lavande", "National Museum of Glass", "Harbor Gallery of Art"}
 	restaurants := []string{"Chez Martin", "The Golden Fig", "Melisse"}
@@ -77,7 +76,7 @@ func newFixture(t testing.TB) *fixture {
 		train.Add(themed(rng, "", restVocab), "restaurant")
 	}
 	clf := classify.LinearSVMTrainer{Seed: 2}.Train(train)
-	six := ix.Freeze()
+	six := search.Build(1, slices.Values(docs))
 
 	return &fixture{
 		engine: search.NewShardedEngine(six),

@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/classify"
@@ -46,7 +47,7 @@ func TestAnnotateAgainstEmptyEngine(t *testing.T) {
 	// A search engine with no corpus: every query returns nothing, so no
 	// cell can clear the majority rule — the pipeline degrades to "no
 	// annotations", never to a panic.
-	engine := search.NewShardedEngine(search.NewBuilder(1).Freeze())
+	engine := search.NewShardedEngine(search.Build(1, slices.Values([]search.Document(nil))))
 	var train classify.Dataset
 	train.Add("museum gallery", "museum")
 	a := Config{

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,11 +155,7 @@ func TestDescendantsNoDuplicates(t *testing.T) {
 func TestTrainingBuilderCollect(t *testing.T) {
 	w, kb := testKB(t)
 	docs := webgen.BuildCorpus(w, webgen.Config{Seed: 11, NoiseDocs: 50})
-	ib := search.NewBuilder(1)
-	for _, d := range docs {
-		ib.Add(d)
-	}
-	engine := search.NewShardedEngine(ib.Freeze())
+	engine := search.NewShardedEngine(search.Build(1, slices.Values(docs)))
 	b := &TrainingBuilder{KB: kb, Engine: engine, SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11}
 	train, test, stats := b.Collect([]world.Type{world.Museum, world.Restaurant})
 	if train.Len() == 0 || test.Len() == 0 {
@@ -190,11 +187,7 @@ func TestTrainingBuilderCollect(t *testing.T) {
 func TestTrainingBuilderOneQueryPerEntity(t *testing.T) {
 	w, kb := testKB(t)
 	docs := webgen.BuildCorpus(w, webgen.Config{Seed: 11, NoiseDocs: 50})
-	ib := search.NewBuilder(1)
-	for _, d := range docs {
-		ib.Add(d)
-	}
-	engine := search.NewShardedEngine(ib.Freeze())
+	engine := search.NewShardedEngine(search.Build(1, slices.Values(docs)))
 	b := &TrainingBuilder{KB: kb, Engine: engine, SnippetsPerEntity: 5, MaxEntities: 10, Seed: 11}
 	entities := len(kb.PositiveEntities(world.Museum, 10, rand.New(rand.NewSource(11))))
 	if entities == 0 {

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/classify"
@@ -33,7 +34,9 @@ type CorpusStats struct {
 	Test  int
 }
 
-// Collect builds the multiclass train/test sets over the given types.
+// Collect builds the multiclass train/test sets over the given types. A
+// type's queries go to the engine as one batch, whose every answer is the one
+// a lone query gets.
 func (b *TrainingBuilder) Collect(types []world.Type) (train, test classify.Dataset, stats []CorpusStats) {
 	per := b.SnippetsPerEntity
 	if per <= 0 {
@@ -41,9 +44,16 @@ func (b *TrainingBuilder) Collect(types []world.Type) (train, test classify.Data
 	}
 	rng := rand.New(rand.NewSource(b.Seed))
 	for _, t := range types {
+		names := b.KB.PositiveEntities(t, b.MaxEntities, rng)
+		queries := make([]string, len(names))
+		for i, name := range names {
+			queries[i] = name + " " + world.TypeName(t)
+		}
+		// Background is never done, so the batch cannot fail.
+		results, _ := b.Engine.SearchBatchContext(context.Background(), queries, per)
 		var typed classify.Dataset
-		for _, name := range b.KB.PositiveEntities(t, b.MaxEntities, rng) {
-			for _, res := range b.Engine.Search(name+" "+world.TypeName(t), per) {
+		for _, hits := range results {
+			for _, res := range hits {
 				typed.Add(res.Snippet, string(t))
 			}
 		}

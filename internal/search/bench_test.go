@@ -86,9 +86,9 @@ func benchIndex(b *testing.B, n int) *ShardedIndex {
 	return buildSharded(benchCorpus(n), 1)
 }
 
-// BenchmarkIndexAdd measures indexing throughput: Add into a builder of one
-// and of two shards plus the Freeze (which indexes the shards on the pool),
-// reported in documents per second, with allocations per build.
+// BenchmarkIndexAdd measures indexing throughput: Build over one and two
+// shards, each shard indexing its documents as they arrive on the build's
+// pool, reported in documents per second, with allocations per build.
 func BenchmarkIndexAdd(b *testing.B) {
 	docs := benchCorpus(2000)
 	for _, shards := range []int{1, 2} {

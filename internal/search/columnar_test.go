@@ -20,8 +20,8 @@ import (
 	"repro/internal/textproc"
 )
 
-// checkColumnsRoundTrip asserts every shard of six — frozen by a Builder, or
-// loaded from what such an index persisted — holds an exact compilation of
+// checkColumnsRoundTrip asserts every shard of six — made by Build, or loaded
+// from what such an index persisted — holds an exact compilation of
 // the reference's maps over the same documents: dictionary, English postings
 // and the count of the others, contributions bit-equal to the scalar BM25
 // expression over ranking constants re-derived here from the maps, ordAll,
@@ -217,35 +217,12 @@ func shapedCorpus(rng *rand.Rand, nDocs int) []Document {
 }
 
 // TestColumnarRoundTripProperty: on randomized corpora at 1, 2 and 3 shards,
-// Freeze compiles columns that round-trip to the exact reference state and
-// persist to the reference's TIDX bytes — and after more documents are added,
-// a second Freeze compiles the grown state into new columns while the first
-// index keeps the ones it was frozen with.
+// Build compiles columns that round-trip to the exact reference state and
+// persist to the reference's TIDX bytes.
 func TestColumnarRoundTripProperty(t *testing.T) {
 	check := func(t *testing.T, docs []Document) {
-		split := len(docs) * 2 / 3
 		for shards := 1; shards <= 3; shards++ {
-			b := NewBuilder(shards)
-			for _, d := range docs[:split] {
-				b.Add(d)
-			}
-			first := b.Freeze()
-			checkFrozen(t, fmt.Sprintf("first freeze x%d", shards), docs[:split], shards, first)
-			old := first.shards[0].col
-			want := first.Search("museum restaurant", 3)
-
-			for _, d := range docs[split:] {
-				b.Add(d)
-			}
-			second := b.Freeze()
-			if second.shards[0].col == old || first.shards[0].col != old {
-				t.Fatal("the second freeze shares columns with the first index")
-			}
-			checkFrozen(t, fmt.Sprintf("second freeze x%d", shards), docs, shards, second)
-			if first.Len() != split {
-				t.Fatalf("first index grew to %d docs, frozen with %d", first.Len(), split)
-			}
-			checkBitIdentical(t, "first index after the second freeze", first.Search("museum restaurant", 3), want)
+			checkFrozen(t, fmt.Sprintf("x%d", shards), docs, shards, buildSharded(docs, shards))
 		}
 	}
 	for seed := int64(0); seed < 8; seed++ {
@@ -281,7 +258,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 
 // sameIndex reports whether two indexes hold equal state: per shard the
 // document table, the columns and the term-id column, and the vocabulary —
-// everything Freeze derives, which TIDX no longer stores.
+// everything Build derives, which TIDX no longer stores.
 func sameIndex(a, b *ShardedIndex) bool {
 	if a.nDocs != b.nDocs || len(a.shards) != len(b.shards) || !reflect.DeepEqual(a.vocab, b.vocab) {
 		return false
@@ -295,7 +272,7 @@ func sameIndex(a, b *ShardedIndex) bool {
 	return true
 }
 
-// checkFrozen checks an index a Builder froze from docs over shards shards
+// checkFrozen checks an index Build made from docs over shards shards
 // against the reference over the same documents: its columns, its TIDX bytes
 // against the bytes of the reference's own compilation, and its whole derived
 // state against the reference's.
@@ -312,11 +289,11 @@ func checkFrozen(t *testing.T, label string, docs []Document, shards int, six *S
 	}
 }
 
-// TestFreezeScheduleIndependent: the TIDX bytes a Builder writes, and the
-// state it derives, are the same at GOMAXPROCS 1, 2 and 8 — the shards are
-// indexed and finished on the pool — and equal the reference's at every shard
-// count; and Add → Freeze → Add → Freeze writes and derives what one Freeze
-// over all the documents does.
+// TestFreezeScheduleIndependent: the TIDX bytes Build writes, and the state it
+// derives, are the same at GOMAXPROCS 1, 2 and 8 — the producer and every shard
+// each hold a worker of the build's pool, which must not deadlock on one
+// processor, and the shards are finished on the pool — and equal the
+// reference's at every shard count.
 func TestFreezeScheduleIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	docs := append(shapedCorpus(rng, 300), randomCorpus(rng, 300)...)
@@ -333,22 +310,95 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 			if !sameIndex(six, ref) {
 				t.Fatalf("shards=%d GOMAXPROCS=%d: derived state differs from the reference's", shards, procs)
 			}
-			b := NewBuilder(shards)
-			for i, d := range docs {
-				b.Add(d)
-				if i == len(docs)/3 {
-					b.Freeze()
-				}
-			}
-			again := b.Freeze()
-			if got := again.AppendTo(nil); !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d GOMAXPROCS=%d: Add, Freeze, Add, Freeze writes other bytes than one Freeze", shards, procs)
-			}
-			if !sameIndex(again, ref) {
-				t.Fatalf("shards=%d GOMAXPROCS=%d: Add, Freeze, Add, Freeze derives other state than one Freeze", shards, procs)
+		}
+	}
+}
+
+// TestOrdAllMatchesSort: the ordAll permutation mergeOrd derives without a
+// comparison sort equals the one sortOrd sorts, per shard and term: on every
+// corpus of the small scope, on shapedCorpus and randomCorpus at 1 to 3 shards,
+// on a corpus where one term takes six tf values over documents of equal and of
+// different lengths with equal contributions across tf groups (only doc order
+// can break those ties), and on hand-laid columns where a run of equal
+// contributions spans lengths.
+func TestOrdAllMatchesSort(t *testing.T) {
+	// The small scope comes through here a few hundred thousand times: the
+	// label is only put together on failure.
+	check := func(t *testing.T, label func() string, six *ShardedIndex) {
+		t.Helper()
+		for si, sh := range six.shards {
+			want := *sh.col
+			want.sortOrd()
+			if !slices.Equal(sh.col.ordAll, want.ordAll) {
+				t.Fatalf("%s shard %d: ordAll %v, sortOrd %v", label(), si, sh.col.ordAll, want.ordAll)
 			}
 		}
 	}
+
+	t.Run("tf-groups", func(t *testing.T) {
+		// "museum" tf times in a body of length words; with an average length
+		// of exactly 12, normK(2L+4) = 2·normK(L) bit for bit, so a doc of tf
+		// 2a and length 2L+4 scores exactly what one of tf a and length L does.
+		spec := [][2]int{
+			{2, 8}, {1, 4}, {3, 6}, {1, 2}, {4, 12}, {2, 12},
+			{6, 16}, {2, 4}, {3, 6}, {4, 12}, {5, 9}, {1, 2},
+			{0, 63}, // brings the average to 12
+		}
+		var docs []Document
+		for i, tl := range spec {
+			words := slices.Repeat([]string{"museum"}, tl[0])
+			words = append(words, slices.Repeat([]string{"gallery"}, tl[1]-tl[0])...)
+			docs = append(docs, Document{URL: fmt.Sprint("h", i), Body: strings.Join(words, " ")})
+		}
+		col := buildSharded(docs, 1).shards[0].col
+		contrib := func(d int32) float64 {
+			tid := col.termID["museum"]
+			i, _ := slices.BinarySearch(col.engDoc[col.engOff[tid]:col.engOff[tid+1]], d)
+			return col.engContrib[int(col.engOff[tid])+i]
+		}
+		// The tie pairs, each once with the smaller tf on the smaller doc and
+		// once on the larger.
+		for _, pair := range [][2]int32{{0, 3}, {1, 5}, {2, 6}, {4, 7}} {
+			if contrib(pair[0]) != contrib(pair[1]) {
+				t.Fatalf("docs %d and %d no longer tie; the corpus does not exercise the tie rule", pair[0], pair[1])
+			}
+		}
+		for shards := 1; shards <= 3; shards++ {
+			check(t, func() string { return fmt.Sprintf("x%d", shards) }, buildSharded(docs, shards))
+		}
+	})
+
+	t.Run("ties-across-lengths", func(t *testing.T) {
+		// One tf: in (length, doc) order — 1, 2, 0, 3 — contributions do not
+		// increase, and the run of 1.5 spans lengths 3 and 5 out of doc order.
+		c := &columns{
+			terms:      []string{"t"},
+			engOff:     []int32{0, 4},
+			engDoc:     []int32{0, 1, 2, 3},
+			engContrib: []float64{1.5, 2, 1.5, 1},
+		}
+		c.mergeOrd([]int{5, 3, 3, 7}, []int32{1, 1, 1, 1})
+		want := *c
+		want.sortOrd()
+		if !slices.Equal(c.ordAll, want.ordAll) {
+			t.Fatalf("ordAll %v, sortOrd %v", c.ordAll, want.ordAll)
+		}
+	})
+
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shaped, random := shapedCorpus(rng, 20+rng.Intn(300)), randomCorpus(rng, 20+rng.Intn(300))
+		for shards := 1; shards <= 3; shards++ {
+			check(t, func() string { return fmt.Sprintf("shaped seed %d x%d", seed, shards) }, buildSharded(shaped, shards))
+			check(t, func() string { return fmt.Sprintf("random seed %d x%d", seed, shards) }, buildSharded(random, shards))
+		}
+	}
+
+	eachSmallCorpus(t, func(t *testing.T, docs []Document) {
+		for shards := 1; shards <= 3; shards++ {
+			check(t, func() string { return fmt.Sprint(docs, " x", shards) }, buildSharded(docs, shards))
+		}
+	})
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar

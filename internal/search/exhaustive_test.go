@@ -9,34 +9,15 @@ import (
 	"testing"
 )
 
-// TestExhaustiveSmallScope checks the frozen index over a complete small
-// space instead of a random sample of a large one: every corpus of at most 3
-// documents whose bodies are at most 3 words over a 3-word vocabulary (one of
-// them a stopword, one stemming to something other than itself), all English
-// or with one document non-English, at 1, 2 and 3 shards. For each, the
-// columns — the term-id column included — must equal the builder's
-// maps, both on the freshly frozen index and on one loaded from its persisted
-// bytes, which must in turn persist to the same bytes. A loaded index is a
-// Freeze over the same documents, so the query sweep runs on the fresh index
-// only: Search must equal refSearch, and every hit's Terms must decode to its
+// TestExhaustiveSmallScope checks the built index over a complete small space
+// instead of a random sample of a large one: every corpus of eachSmallCorpus,
+// at 1, 2 and 3 shards. For each, the columns — the term-id column included —
+// must equal the reference's maps, both on the freshly built index and on one
+// loaded from its persisted bytes, which must in turn persist to the same
+// bytes. A loaded index is a Build over the same documents, so the query sweep
+// runs on the fresh index only: Search must equal refSearch, and every hit's Terms must decode to its
 // snippet's normalised tokens.
 func TestExhaustiveSmallScope(t *testing.T) {
-	vocab := []string{"museum", "paintings", "the"}
-	maxDocs := 3
-	if testing.Short() || raceEnabled {
-		maxDocs = 2
-	}
-
-	bodies := []string{""}
-	for lo, n := 0, 0; n < 3; n++ {
-		hi := len(bodies)
-		for _, b := range bodies[lo:hi] {
-			for _, w := range vocab {
-				bodies = append(bodies, strings.TrimSpace(b+" "+w))
-			}
-		}
-		lo = hi
-	}
 	// Quotes are punctuation to Search: the quoted queries rank as their
 	// terms do.
 	queries := []string{
@@ -66,11 +47,7 @@ func TestExhaustiveSmallScope(t *testing.T) {
 			}
 		}
 		for shards := 1; shards <= 3; shards++ {
-			b := NewBuilder(shards)
-			for _, d := range docs {
-				b.Add(d)
-			}
-			fresh := b.Freeze()
+			fresh := buildSharded(docs, shards)
 			data := tidx(t, fresh)
 			loaded, err := ReadShardedIndex(data)
 			if err != nil {
@@ -95,8 +72,32 @@ func TestExhaustiveSmallScope(t *testing.T) {
 		}
 	}
 
-	// Enumerate corpora depth-first; the first document's body partitions the
-	// space into parallel subtests.
+	eachSmallCorpus(t, check)
+}
+
+// eachSmallCorpus calls check on every corpus of the small scope, the first
+// document's body partitioning the space into parallel subtests: at most 3
+// documents (2 under -short or -race) whose bodies are at most 3 words over a
+// 3-word vocabulary (one of them a stopword, one stemming to something other
+// than itself), all English or with one document non-English.
+func eachSmallCorpus(t *testing.T, check func(t *testing.T, docs []Document)) {
+	vocab := []string{"museum", "paintings", "the"}
+	maxDocs := 3
+	if testing.Short() || raceEnabled {
+		maxDocs = 2
+	}
+	bodies := []string{""}
+	for lo, n := 0, 0; n < 3; n++ {
+		hi := len(bodies)
+		for _, b := range bodies[lo:hi] {
+			for _, w := range vocab {
+				bodies = append(bodies, strings.TrimSpace(b+" "+w))
+			}
+		}
+		lo = hi
+	}
+
+	// Enumerate corpora depth-first.
 	var extend func(t *testing.T, docs []Document)
 	extend = func(t *testing.T, docs []Document) {
 		// The second document (the only one, of one) is the one that may be

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzShardedSearchEquivalence drives the sharded and monolithic engines
@@ -185,6 +187,101 @@ func TestIndexStreamCorpusCheckedIn(t *testing.T) {
 		relabelled[4] = indexVersion
 		if _, err := ReadShardedIndex(relabelled); err == nil {
 			t.Errorf("%s relabelled v5: loaded without error", name)
+		}
+	}
+}
+
+// bodyScanSeeds are FuzzBodyScan's starting points, checked in under
+// testdata/fuzz by name: every kind of gap strings.Fields splits at (tab, CR
+// and LF, vertical tab and form feed, U+0085, U+00A0, U+3000, runs), bytes it
+// does not split at (invalid UTF-8: a lone continuation byte that would be
+// U+0085's second, a truncated U+3000), leading and trailing blanks (after one
+// word, whose join is a prefix of the body), a body of blanks only, and the
+// empty string.
+func bodyScanSeeds() map[string]string {
+	return map[string]string{
+		"empty":             "",
+		"canonical":         "grand hotel lobby",
+		"tab":               "grand\thotel",
+		"crlf":              "grand hotel\r\nlobby",
+		"vt-ff":             "grand\vhotel\flobby",
+		"run":               "grand  hotel",
+		"nel":               "grand\u0085hotel",
+		"nbsp":              "caf\u00e9\u00a0hotel",
+		"ideographic-space": "\u6771\u4eac\u3000hotel",
+		"invalid-utf8":      "grand\x85hotel \xe3\x80 lobby\xff",
+		"leading-blank":     " grand hotel",
+		"trailing-blank":    "grand hotel\n",
+		"one-word-trailing": "0 ",
+		"blanks-only":       " \t\u00a0",
+	}
+}
+
+// FuzzBodyScan: bodies come out of TIDX streams, so the one pass of
+// shardBuilder.add sees arbitrary strings. For any body its words must be
+// strings.Fields', each recorded at its byte offset in the single-space join,
+// with one term-id column entry each, the memo entry of the word's own form;
+// the stored body must be strings.Join(words, " "), and the body itself exactly
+// when the body is that join.
+func FuzzBodyScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body string) {
+		words := strings.Fields(body)
+		join := strings.Join(words, " ")
+		sc := fieldScanner{s: body}
+		var got []string
+		for w := sc.next(); w != ""; w = sc.next() {
+			got = append(got, w)
+		}
+		if !slices.Equal(got, words) {
+			t.Fatalf("scan words %q, strings.Fields %q", got, words)
+		}
+		sb := newShardBuilder()
+		sb.add(Document{Body: body})
+		if sb.bodyJoined[0] != join {
+			t.Fatalf("joined body %q, want %q", sb.bodyJoined[0], join)
+		}
+		// Stored as the body itself: the same bytes at the same address. (A
+		// join of one word is a substring of the body, so it may share a
+		// prefix of the body's memory without being the body.)
+		itself := body != "" && unsafe.StringData(sb.bodyJoined[0]) == unsafe.StringData(body) && len(sb.bodyJoined[0]) == len(body)
+		if itself != (body != "" && body == join) {
+			t.Fatalf("body %q is its own join: %v, stored as itself: %v", body, body == join, itself)
+		}
+		if len(sb.wordOff) != len(words) || len(sb.ids) != len(words) || sb.base[1] != len(words) {
+			t.Fatalf("%d offsets, %d column entries, base %d for %d words", len(sb.wordOff), len(sb.ids), sb.base[1], len(words))
+		}
+		off := 0
+		for i, w := range words {
+			if int(sb.wordOff[i]) != off || join[off:off+len(w)] != w {
+				t.Fatalf("word %d %q at offset %d, want %d", i, w, sb.wordOff[i], off)
+			}
+			if f, ok := sb.forms[w]; !ok || sb.ids[i] != f.entry {
+				t.Fatalf("word %d %q: column entry %d, its form's %v (memoised %v)", i, w, sb.ids[i], f.entry, ok)
+			}
+			off += len(w) + 1
+		}
+	})
+}
+
+// TestBodyScanCorpusCheckedIn: FuzzBodyScan's checked-in corpus is exactly
+// what bodyScanSeeds produces.
+func TestBodyScanCorpusCheckedIn(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzBodyScan")
+	seeds := bodyScanSeeds()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(seeds) {
+		t.Errorf("corpus holds %d files, want %d", len(entries), len(seeds))
+	}
+	for name, body := range seeds {
+		file, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\nstring(%q)\n", body); string(file) != want {
+			t.Errorf("%s: checked-in corpus file differs from the generated seed", name)
 		}
 	}
 }

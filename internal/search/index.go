@@ -4,11 +4,12 @@
 // snippet) triples, with per-query latency accounting so the efficiency
 // analysis of §6.4 can be reproduced without real network calls.
 //
-// The lifecycle has two types. A Builder is written: Add queues documents,
-// Freeze tokenises them into postings and a per-word term-id column and
-// compiles both. A ShardedIndex is read: immutable, columnar and safe for
-// concurrent queries. It persists its documents (WriteTo), and
-// ReadShardedIndex freezes them again.
+// An index is made once, by Build over a sequence of documents: each shard
+// tokenises its documents into postings and a per-word term-id column as they
+// arrive, and the shards are compiled together at the end. What Build returns,
+// a ShardedIndex, is read only: immutable, columnar and safe for concurrent
+// queries. It persists its documents (WriteTo), and ReadShardedIndex builds
+// over them again.
 package search
 
 import (
@@ -44,9 +45,9 @@ type Result struct {
 	Score float64
 }
 
-// docTable is the per-document state of one shard, appended to by the
-// Builder and read by snippets and WriteTo: the stored fields and the snippet
-// windows.
+// docTable is the per-document state of one shard, appended to by its
+// shardBuilder and read by snippets and WriteTo: the stored fields and the
+// snippet windows.
 type docTable struct {
 	docs []Document
 	// bodyJoined[doc] is the body's words joined by single spaces — the
@@ -64,28 +65,12 @@ type docTable struct {
 // newDocTable returns an empty table.
 func newDocTable() docTable { return docTable{base: []int{0}} }
 
-// appendDoc adds one document whose body splits into words (joined is their
-// single-space join).
-func (t *docTable) appendDoc(doc Document, joined string, words []string) {
-	b := int32(0)
-	for _, w := range words {
-		t.wordOff = append(t.wordOff, b)
-		b += int32(len(w)) + 1
-	}
+// appendDoc adds one document whose body's words joined by single spaces are
+// joined; the words' offsets in it are the caller's to append to wordOff.
+func (t *docTable) appendDoc(doc Document, joined string) {
 	t.docs = append(t.docs, doc)
 	t.bodyJoined = append(t.bodyJoined, joined)
 	t.base = append(t.base, len(t.wordOff))
-}
-
-// clip returns a view of the table that later appends cannot grow into.
-func (t *docTable) clip() docTable {
-	n, w := len(t.docs), len(t.wordOff)
-	return docTable{
-		docs:       t.docs[:n:n],
-		bodyJoined: t.bodyJoined[:n:n],
-		base:       t.base[: n+1 : n+1],
-		wordOff:    t.wordOff[:w:w],
-	}
 }
 
 // sections returns per doc the posting section its postings go to: 0 when it

@@ -2,6 +2,7 @@ package search
 
 import (
 	"io"
+	"slices"
 
 	"repro/internal/codec"
 )
@@ -9,22 +10,21 @@ import (
 // Index persistence. TIDX version 5, the one format (little-endian):
 //
 //	magic "TIDX" | version u32 | shardCount u32 | docCount u32
-//	then per doc in global Add order: url, title, body, lang
+//	then per doc in global order: url, title, body, lang
 //	    (u32-length-prefixed strings)
 //
 // The stream holds the documents and nothing else. Everything a query reads —
 // postings, ordAll, contributions, the dense sidecars and the term-id column —
-// is state Freeze derives from the documents, so
-// ReadShardedIndex Adds the decoded documents to a Builder over the stored
-// shard count and returns its Freeze: build and load are one code path, a
-// loaded index is the index a build over the same documents freezes, and no
-// stream can carry derived state that disagrees with its documents. The
-// document count and every string length are refused unless the bytes that
-// remain can hold them, and the shard count unless the document count or
-// fewShards covers it, so a corrupt or adversarial stream yields an error
-// before anything is indexed, never a panic, and the shards a stream makes
-// the reader build stay in proportion to its bytes. Any other version is
-// rejected.
+// is state Build derives from the documents, so ReadShardedIndex decodes the
+// documents and returns Build over them at the stored shard count: build and
+// load are one code path, a loaded index is the index a build over the same
+// documents makes, and no stream can carry derived state that disagrees with
+// its documents. The document count and every string length are refused
+// unless the bytes that remain can hold them, and the shard count unless the
+// document count or fewShards covers it, so a corrupt or adversarial stream
+// yields an error before anything is indexed, never a panic, and the shards a
+// stream makes the reader build stay in proportion to its bytes. Any other
+// version is rejected.
 
 const (
 	indexMagic   = "TIDX"
@@ -64,8 +64,8 @@ func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadShardedIndex loads the TIDX stream data (written by WriteTo, held in
-// memory by the caller): it decodes the documents and freezes them over the
-// stored shard count, ready to serve queries.
+// memory by the caller): it decodes the documents and builds the index over
+// them at the stored shard count, ready to serve queries.
 func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 	br := codec.NewReader("search: corrupt index", data)
 	if err := br.Header(indexMagic, indexVersion); err != nil {
@@ -79,13 +79,12 @@ func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 	if shards == 0 || shards > maxShards || shards > max(n, fewShards) {
 		return nil, br.Corrupt("shard count %d for %d docs", shards, n)
 	}
-	b := NewBuilder(shards)
-	for ; n > 0; n-- {
-		url, title, body, lang := br.Str(), br.Str(), br.Str(), br.Str()
-		b.Add(Document{URL: url, Title: title, Body: body, Lang: lang})
+	docs := make([]Document, n)
+	for i := range docs {
+		docs[i] = Document{URL: br.Str(), Title: br.Str(), Body: br.Str(), Lang: br.Str()}
 	}
 	if err := br.Done(); err != nil {
 		return nil, err
 	}
-	return b.Freeze(), nil
+	return Build(shards, slices.Values(docs)), nil
 }

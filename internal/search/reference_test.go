@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -153,8 +154,8 @@ type posting struct {
 	tf  int
 }
 
-// refIndex is the map-based index builder the Builder replaced, kept as the
-// oracle of what Freeze compiles: per round-robin shard, the document table
+// refIndex is the map-based index builder the shardBuilder replaced, kept as
+// the oracle of what Build compiles: per round-robin shard, the document table
 // plus a term map filled straight from the documents — term frequencies from
 // whole-text normalization — and the body words, which flatten normalises one
 // by one into the term-id column, with no interning and no streams.
@@ -202,7 +203,12 @@ func (sb *refShard) add(doc Document) {
 	if joined == doc.Body {
 		joined = doc.Body
 	}
-	sb.appendDoc(doc, joined, words)
+	b := int32(0)
+	for _, w := range words {
+		sb.wordOff = append(sb.wordOff, b)
+		b += int32(len(w)) + 1
+	}
+	sb.appendDoc(doc, joined)
 	sb.words = append(sb.words, words...)
 	sb.docLen = append(sb.docLen, n)
 	for t, n := range tf {
@@ -210,21 +216,51 @@ func (sb *refShard) add(doc Document) {
 	}
 }
 
-// freeze compiles the maps as the Builder's former flatten did and finishes
-// the index through the shared finish, so its state is what a Builder's
-// Freeze over the same documents must derive (sameIndex).
+// freeze compiles the maps as the builder's former flatten did and finishes
+// the index through the shared finish, so its state is what Build over the
+// same documents must derive (sameIndex); its ordAll is then replaced by
+// sortOrd's, the reference order mergeOrd must equal.
 func (ri *refIndex) freeze() *ShardedIndex {
-	s := newShardedIndex(len(ri.shards), ri.nDocs)
+	s := newShardedIndex(len(ri.shards))
+	s.nDocs = ri.nDocs
 	docLen := make([][]int, len(ri.shards))
 	tf := make([][]int32, len(ri.shards))
 	for si, sb := range ri.shards {
 		ix := s.shards[si]
-		ix.docTable = sb.docTable.clip()
+		ix.docTable = sb.docTable
 		ix.col, tf[si], ix.terms = sb.flatten()
 		docLen[si] = sb.docLen
 	}
 	s.finish(docLen, tf)
+	for _, sh := range s.shards {
+		sh.col.sortOrd()
+	}
 	return s
+}
+
+// sortOrd derives the ordAll permutation by a comparison sort: per term, its
+// local posting indices sorted by (contribution desc, doc asc). It is the
+// order mergeOrd derives without one.
+func (c *columns) sortOrd() {
+	c.ordAll = make([]int32, len(c.engDoc))
+	for tid := range c.terms {
+		lo, hi := c.engOff[tid], c.engOff[tid+1]
+		docs := c.engDoc[lo:hi]
+		contribs := c.engContrib[lo:hi]
+		ord := c.ordAll[lo:hi]
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(a, b int32) int {
+			if contribs[a] != contribs[b] {
+				if contribs[a] > contribs[b] {
+					return -1
+				}
+				return 1
+			}
+			return int(docs[a]) - int(docs[b])
+		})
+	}
 }
 
 func (sb *refShard) flatten() (*columns, []int32, termColumn) {

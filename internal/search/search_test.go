@@ -140,11 +140,11 @@ func TestSearchStemsQuotedWords(t *testing.T) {
 // TestSearchQuotedRespectsK: a quoted query over twenty equal documents
 // returns k of them.
 func TestSearchQuotedRespectsK(t *testing.T) {
-	b := NewBuilder(1)
+	var docs []Document
 	for i := 0; i < 20; i++ {
-		b.Add(Document{URL: fmt.Sprint(i), Title: "x", Body: "grand hotel lobby with rooms and suites"})
+		docs = append(docs, Document{URL: fmt.Sprint(i), Title: "x", Body: "grand hotel lobby with rooms and suites"})
 	}
-	if res := b.Freeze().Search(`"grand hotel"`, 3); len(res) != 3 {
+	if res := buildSharded(docs, 1).Search(`"grand hotel"`, 3); len(res) != 3 {
 		t.Errorf("k ignored: %d results", len(res))
 	}
 }
@@ -167,11 +167,11 @@ func TestSnippetContainsQueryContext(t *testing.T) {
 // TestSearchTopKBound: the engine never returns more than k results, for any
 // k and corpus size.
 func TestSearchTopKBound(t *testing.T) {
-	b := NewBuilder(1)
+	var docs []Document
 	for i := 0; i < 40; i++ {
-		b.Add(Document{URL: fmt.Sprint(i), Title: "museum", Body: "museum gallery art"})
+		docs = append(docs, Document{URL: fmt.Sprint(i), Title: "museum", Body: "museum gallery art"})
 	}
-	ix := b.Freeze()
+	ix := buildSharded(docs, 1)
 	f := func(k uint8) bool {
 		res := ix.Search("museum", int(k%20))
 		return len(res) <= int(k%20)
@@ -182,11 +182,11 @@ func TestSearchTopKBound(t *testing.T) {
 }
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
-	b := NewBuilder(1)
+	var docs []Document
 	for i := 0; i < 10; i++ {
-		b.Add(Document{URL: fmt.Sprint(i), Title: "hotel", Body: "hotel rooms suites"})
+		docs = append(docs, Document{URL: fmt.Sprint(i), Title: "hotel", Body: "hotel rooms suites"})
 	}
-	ix := b.Freeze()
+	ix := buildSharded(docs, 1)
 	r1 := ix.Search("hotel", 5)
 	r2 := ix.Search("hotel", 5)
 	for i := range r1 {

@@ -9,17 +9,17 @@ import (
 )
 
 // ShardedIndex is the query engine, the read side of the index: an immutable
-// inverted index with BM25 ranking, obtained from Builder.Freeze or
-// ReadShardedIndex, partitioned across N shard Indexes so one query's scoring
-// work can run on N cores, with results byte-identical at every N (N = 1 is
-// the monolithic index): documents are assigned round-robin (global doc id g
-// lives in shard g%N at local id g/N — a monotonic mapping, so per-shard doc
-// order equals global order restricted to the shard), ranking constants
-// (per-term idf, average document length) are derived corpus-wide when the
-// index is compiled, and per-shard bounded top-k results merge under the
-// exact (score desc, global doc asc) total order. Because a document's BM25
-// score accumulates per query term in query order within its one owning
-// shard, every float operation matches the one-shard engine's and scores are
+// inverted index with BM25 ranking, obtained from Build or ReadShardedIndex,
+// partitioned across N shard Indexes so one query's scoring work can run on N
+// cores, with results byte-identical at every N (N = 1 is the monolithic
+// index): documents are assigned round-robin (global doc id g lives in shard
+// g%N at local id g/N — a monotonic mapping, so per-shard doc order equals
+// global order restricted to the shard), ranking constants (per-term idf,
+// average document length) are derived corpus-wide when the index is
+// compiled, and per-shard bounded top-k results merge under the exact (score
+// desc, global doc asc) total order. Because a document's BM25 score
+// accumulates per query term in query order within its one owning shard,
+// every float operation matches the one-shard engine's and scores are
 // bit-identical, not merely close.
 //
 // Concurrency: queries are safe for any number of concurrent readers; nothing
@@ -32,12 +32,9 @@ type ShardedIndex struct {
 	vocab []string
 }
 
-// newShardedIndex returns the shell Freeze fills.
-func newShardedIndex(shards, nDocs int) *ShardedIndex {
-	s := &ShardedIndex{
-		shards: make([]*Index, shards),
-		nDocs:  nDocs,
-	}
+// newShardedIndex returns the shell a build fills.
+func newShardedIndex(shards int) *ShardedIndex {
+	s := &ShardedIndex{shards: make([]*Index, shards)}
 	for i := range s.shards {
 		s.shards[i] = &Index{}
 	}

@@ -6,17 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
-// buildSharded indexes docs across n shards and freezes.
+// buildSharded indexes docs across n shards.
 func buildSharded(docs []Document, n int) *ShardedIndex {
-	b := NewBuilder(n)
-	for _, d := range docs {
-		b.Add(d)
-	}
-	return b.Freeze()
+	return Build(n, slices.Values(docs))
 }
 
 // checkBitIdentical asserts got matches want exactly — including score
@@ -67,38 +64,6 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedReFreezeAfterAdd: a builder that has been frozen keeps
-// building. Add more and Freeze again yields a new independent index over the
-// grown corpus, ranked with its global state — never shard-local statistics —
-// while the index frozen earlier still answers exactly as before.
-func TestShardedReFreezeAfterAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	docs := randomCorpus(rng, 60)
-	queries := randomQueries(rng, 20)
-	b := NewBuilder(3)
-	for _, d := range docs[:30] {
-		b.Add(d)
-	}
-	early := b.Freeze()
-	before := make([][]Result, len(queries))
-	for i, q := range queries {
-		before[i] = early.Search(q, 10)
-		checkBitIdentical(t, "before re-add "+q, before[i], buildSharded(docs[:30], 1).Search(q, 10))
-	}
-	for _, d := range docs[30:] {
-		b.Add(d)
-	}
-	late := b.Freeze()
-	if early.Len() != 30 || late.Len() != 60 {
-		t.Fatalf("Len: early %d, late %d, want 30 and 60", early.Len(), late.Len())
-	}
-	mono := buildSharded(docs, 1)
-	for i, q := range queries {
-		checkBitIdentical(t, "after re-add "+q, late.Search(q, 10), mono.Search(q, 10))
-		checkBitIdentical(t, "earlier index after re-add "+q, early.Search(q, 10), before[i])
 	}
 }
 

@@ -1,7 +1,7 @@
 package search
 
 // Term-id column. A snippet is a window of a document's raw words, and the
-// classifier wants that window's normalised tokens. The Builder tokenises
+// classifier wants that window's normalised tokens. A build tokenises
 // every body word anyway, so it records them, per raw word in document order:
 // the shard's one per-word table. A hit hands out its tokens as a slice of
 // vocabulary ids instead of a string to be tokenised, stop-worded and stemmed

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,17 +22,13 @@ import (
 // scale-1 synthetic gazetteer and two classifiers trained on a toy corpus —
 // shared by every test and the fuzz seed corpus.
 var tinyBundle = sync.OnceValue(func() *Bundle {
-	sb := search.NewBuilder(2)
-	for _, d := range []search.Document{
+	six := search.Build(2, slices.Values([]search.Document{
 		{URL: "http://example.test/a", Title: "Museum of Modern Art", Body: "The museum exhibits modern art in the city centre.", Lang: "en"},
 		{URL: "http://example.test/b", Title: "Chez Testeur", Body: "A restaurant serving dinner; the chef changes the menu daily.", Lang: "en"},
 		{URL: "http://example.test/c", Title: "Oakton High School", Body: "A school campus with students and a library.", Lang: "en"},
 		{URL: "http://example.test/d", Title: "Hotel du Lac", Body: "Hotel rooms with a lobby and a view of the lake.", Lang: "en"},
 		{URL: "http://example.test/e", Title: "Stadtmuseum", Body: "Ein Museum in der Stadt.", Lang: "de"},
-	} {
-		sb.Add(d)
-	}
-	six := sb.Freeze()
+	}))
 
 	var d classify.Dataset
 	for i := 0; i < 8; i++ {

@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,11 +133,7 @@ func TestPOIPagesMentionCity(t *testing.T) {
 
 func TestEndToEndSearchFindsEntity(t *testing.T) {
 	w, docs := testCorpus(t)
-	b := search.NewBuilder(1)
-	for _, d := range docs {
-		b.Add(d)
-	}
-	ix := b.Freeze()
+	ix := search.Build(1, slices.Values(docs))
 	e := w.OfType(world.Museum)[0]
 	res := ix.Search(e.Name, 10)
 	if len(res) == 0 {
