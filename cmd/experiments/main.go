@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/search"
 )
 
 func main() {
@@ -43,13 +44,17 @@ func main() {
 		latency    = flag.Duration("latency", 250*time.Millisecond, "simulated search latency for the efficiency analysis")
 		only       = flag.String("only", "", "run a single experiment: table1 | table2 | table3 | wiki | efficiency | coverage | ksweep | cluster | hybrid")
 		parallel   = flag.Int("parallel", 1, "annotation parallelism (tables annotated concurrently; results identical at any setting)")
-		shards     = flag.Int("shards", 0, "search index shards (0 = one per CPU, capped at 8; results identical at any count)")
+		shards     = flag.Int("shards", 0, fmt.Sprintf("search index shards, at most %d (0 = one per CPU, capped at 8; results identical at any count)", search.FewShards))
 		shareCache = flag.Bool("share-cache", false, "share query verdicts across tables and analyses (reduces query counts, quality unchanged)")
 		scenarios  = flag.Bool("scenarios", false, "run the scenario matrix (ingestion variants x adversarial worlds) instead of the §6 report")
 		scnWorlds  = flag.String("scenario-worlds", "", "comma-separated world-scenario filter for -scenarios (default: all)")
 		scnIngests = flag.String("scenario-ingests", "", "comma-separated ingestion-variant filter for -scenarios (default: all)")
 	)
 	flag.Parse()
+	if *shards < 0 || *shards > search.FewShards {
+		fmt.Fprintf(os.Stderr, "error: -shards %d: want 0..%d\n", *shards, search.FewShards)
+		os.Exit(2)
+	}
 
 	cfg := eval.LabConfig{Seed: *seed, Parallelism: *parallel, ShareCache: *shareCache, SearchShards: *shards}
 	if *scale == "small" {

@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/search"
 	"repro/internal/server"
 )
 
@@ -75,7 +76,7 @@ func main() {
 		scale        = flag.String("scale", repro.ScaleSmall, "system scale: small | full")
 		classifier   = flag.String("classifier", repro.ClassifierSVM, "snippet classifier: svm | bayes")
 		parallel     = flag.Int("parallel", 8, "annotation parallelism (cell queries and batch tables)")
-		shards       = flag.Int("shards", 0, "search index shards (0 = one per CPU, capped at 8; results identical at any count)")
+		shards       = flag.Int("shards", 0, fmt.Sprintf("search index shards, at most %d (0 = one per CPU, capped at 8; results identical at any count)", search.FewShards))
 		shareCache   = flag.Bool("share-cache", true, "share query verdicts across requests (cross-table cache)")
 		cacheMax     = flag.Int("cache-max-entries", 0, "cap the shared cache's entries, evicting oldest first (0 = unbounded)")
 		maxInflight  = flag.Int("max-inflight", 0, "admission control: max concurrently-served table requests (0 = internal/server's default: 64, as a router 256)")

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/search"
 	"repro/internal/snapshot"
 )
 
@@ -58,7 +59,7 @@ func runBuild(args []string, stdout io.Writer) error {
 		seed       = fs.Int64("seed", 42, "system seed")
 		scale      = fs.String("scale", repro.ScaleSmall, "system scale: small | full")
 		classifier = fs.String("classifier", repro.ClassifierSVM, "snippet classifier recorded in the manifest: svm | bayes")
-		shards     = fs.Int("shards", 0, "search index shards (0 = one per CPU, capped at 8)")
+		shards     = fs.Int("shards", 0, fmt.Sprintf("search index shards, at most %d (0 = one per CPU, capped at 8)", search.FewShards))
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

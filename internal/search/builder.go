@@ -308,8 +308,8 @@ func (sb *shardBuilder) count(f form, k int32) int {
 // postings with their term frequencies (rank's input, which nothing keeps),
 // each term's count of other postings, the term-id column in column ids —
 // everything but what finish derives. A counting pass over the postings sizes
-// every term's sections, a second fills them; documents come in id order, so
-// every section is doc-ascending.
+// every term's sections, a second fills them, visiting the documents in
+// (length, doc) order: the order bestFirst takes each section in.
 func (sb *shardBuilder) flatten() (*columns, []int32, termColumn) {
 	terms := slices.Sorted(maps.Keys(sb.termID))
 	colOf := make([]int32, len(terms)) // interned id -> column id
@@ -322,39 +322,61 @@ func (sb *shardBuilder) flatten() (*columns, []int32, termColumn) {
 	lang := sb.sections()
 	cur := make([][2]int32, len(terms))
 	nEng := 0
-	sb.eachDoc(func(d int, post [][2]int32) {
+	for d := range sb.postEnd {
+		post := sb.postings(d)
 		for _, p := range post {
 			cur[colOf[p[0]]][lang[d]]++
 		}
 		if lang[d] == 0 {
 			nEng += len(post)
 		}
-	})
+	}
 	c := newColumns(terms, nEng)
 	tf := make([]int32, nEng)
 	for t, n := range cur {
 		c.engOff[t+1], cur[t][0] = c.engOff[t]+n[0], c.engOff[t]
 		c.othDF[t] = n[1]
 	}
-	sb.eachDoc(func(d int, post [][2]int32) {
+	for _, d := range sb.byLength() {
 		if lang[d] == 0 {
-			for _, p := range post {
+			for _, p := range sb.postings(d) {
 				k := &cur[colOf[p[0]]][0]
 				c.engDoc[*k], tf[*k] = int32(d), p[1]
 				*k++
 			}
 		}
-	})
+	}
 	return c, tf, sb.column(colOf)
 }
 
-// eachDoc calls f with every document's postings, in doc order.
-func (sb *shardBuilder) eachDoc(f func(d int, post [][2]int32)) {
-	p := 0
-	for d, end := range sb.postEnd {
-		f(d, sb.post[p:end])
-		p = end
+// postings returns document d's (term id, tf) postings.
+func (sb *shardBuilder) postings(d int) [][2]int32 {
+	lo := 0
+	if d > 0 {
+		lo = sb.postEnd[d-1]
 	}
+	return sb.post[lo:sb.postEnd[d]]
+}
+
+// byLength returns the document ids in (length, doc) order, by a counting
+// sort over their lengths.
+func (sb *shardBuilder) byLength() []int {
+	if len(sb.docLen) == 0 {
+		return nil
+	}
+	at := make([]int32, slices.Max(sb.docLen)+2)
+	for _, l := range sb.docLen {
+		at[l+1]++
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	order := make([]int, len(sb.docLen))
+	for d, l := range sb.docLen {
+		order[at[l]] = d
+		at[l]++
+	}
+	return order
 }
 
 // column copies the term-id column into column ids (colOf maps an interned id

@@ -28,9 +28,12 @@ import (
 // posting and stores the result in the contribution column, and tf is dropped;
 // the query-time kernel only replays the additions. Because (a) the
 // stored contribution is the identical float64 the scalar loop would have
-// produced, (b) postings within a term stay in doc order and terms are
-// scored in query-term order, every accumulator receives the same additions
-// in the same order and final scores are bit-identical, not merely close.
+// produced, and (b) a term has at most one posting per doc and terms are
+// scored in query-term order, every doc's sum receives its terms'
+// contributions in query-term order whatever order a section lists its docs
+// in; and the top-k heap order is total, so the order in which candidates are
+// offered cannot change the output. Final scores are therefore bit-identical,
+// not merely close.
 // The reference differential suite, FuzzShardedSearchEquivalence and the
 // cmd/experiments goldens all enforce this.
 //
@@ -52,9 +55,13 @@ type columns struct {
 	terms []string
 
 	// English CSR sections, the scoring kernel's only inputs: term id t's
-	// postings live at engDoc/engContrib[engOff[t]:engOff[t+1]], in ascending
-	// doc order. engContrib[i] is the posting's full precomputed BM25
-	// contribution.
+	// postings live at engDoc/engContrib[engOff[t]:engOff[t+1]], best-first —
+	// in (contribution desc, doc asc) order, the top-k total order restricted
+	// to docs whose whole score is that one term. engContrib[i] is the
+	// posting's full precomputed BM25 contribution. Threshold-algorithm
+	// selection reads a section's prefix (kthContrib, deferredTerms, seed),
+	// touching only the postings that can still reach the top-k; scoring reads
+	// all of it, in any order (see the bit-identity note).
 	engOff     []int32
 	engDoc     []int32
 	engContrib []float64
@@ -63,13 +70,6 @@ type columns struct {
 	// scored: idf counts documents of every language.
 	othDF []int32
 
-	// ordAll shares engOff's offsets: term t's section holds a permutation
-	// of its local posting indices in (contribution desc, doc asc) order —
-	// the top-k total order restricted to docs whose whole score is that one
-	// term; mergeOrd derives it without a comparison sort. Threshold-algorithm
-	// selection walks these instead of the doc columns, touching only the
-	// postings that can still reach the top-k.
-	ordAll []int32
 	// contribDense[t], non-nil for big terms (english df >= bigTermDF), is
 	// term t's contribution column scattered into a dense per-doc array (0
 	// for docs the term does not contain), so exact rescoring costs one load
@@ -145,9 +145,9 @@ func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) {
 }
 
 // finish derives what flatten does not lay out: rank, the index-wide
-// vocabulary, then per shard on the pool ordAll (mergeOrd), the dense sidecars
-// and the term-id column in vocabulary ids. docLen and tf are the input of rank
-// and of mergeOrd (see rank).
+// vocabulary, then per shard on the pool the best-first sections (bestFirst),
+// the dense sidecars and the term-id column in vocabulary ids. docLen is the
+// input of rank, tf of rank and of bestFirst (see rank).
 func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
 	rank(s.shards, docLen, tf, s.nDocs)
 	for _, sh := range s.shards {
@@ -157,110 +157,70 @@ func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
 	s.vocab = slices.Clip(slices.Compact(s.vocab))
 	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(si int) {
 		sh := s.shards[si]
-		sh.col.mergeOrd(docLen[si], tf[si])
+		sh.col.bestFirst(tf[si])
 		sh.col.scatterDense(len(sh.docs))
 		sh.terms.toVocab(sh.col.terms, s.vocab)
 	}) // Background is never done, so Run cannot fail
 }
 
-// mergeOrd derives the ordAll permutation from the English sections, per term
-// its local posting indices in (contribution desc, doc asc) order, without a
-// comparison sort. For one term and one tf, rank's numerator idf·tf·(k1+1) is
-// a constant, and its denominator tf+normK[d] does not decrease as document d
-// gets longer (normK is monotone in the length, and IEEE + × / are monotone in
-// each operand): the term's postings of one tf, taken in (length, doc) order,
-// come in non-increasing contribution order already, and only a run of equal
-// contributions that spans lengths can be out of doc order. So the documents
-// are ranked by (length, doc) with a counting sort (docLen[d] is d's length);
-// one pass over the postings bucketed by that rank transposes every term's
-// section into it; and per term the postings are partitioned stably by tf
-// (tf[i] is English posting i's), each group's runs of equal contribution are
-// put in doc order, and the groups are merged by (contribution desc, doc asc).
-func (c *columns) mergeOrd(docLen []int, tf []int32) {
-	c.ordAll = make([]int32, len(c.engDoc))
-	if len(c.engDoc) == 0 {
+// bestFirst puts every English section in (contribution desc, doc asc) order
+// without a comparison sort. It relies on flatten's layout: each section in
+// the (length, doc) order of its documents, tf[i] English posting i's. For one
+// term and one tf, rank's numerator idf·tf·(k1+1) is a constant, and its
+// denominator tf+normK[d] does not decrease as document d gets longer (normK
+// is monotone in the length, and IEEE + × / are monotone in each operand): the
+// term's postings of one tf, taken in (length, doc) order, come in
+// non-increasing contribution order already, and only a run of equal
+// contributions that spans lengths can be out of doc order. So per term the
+// postings are partitioned stably by tf, each group's runs of equal
+// contribution are put in doc order, and the groups are merged by
+// (contribution desc, doc asc) back into the section.
+func (c *columns) bestFirst(tf []int32) {
+	if len(tf) == 0 {
 		return
 	}
-
-	// rank[d] is d's position in (length, doc) order.
-	at := make([]int32, slices.Max(docLen)+2)
-	for _, l := range docLen {
-		at[l+1]++
-	}
-	for l := 1; l < len(at); l++ {
-		at[l] += at[l-1]
-	}
-	rank := make([]int32, len(docLen))
-	for d, l := range docLen {
-		rank[d] = at[l]
-		at[l]++
-	}
-
-	// Bucket every English posting, as (term, local index), by its doc's rank;
-	// then deal the buckets out in rank order, each posting to the end of its
-	// term's section.
-	at = make([]int32, len(docLen)+1)
-	for _, d := range c.engDoc {
-		at[rank[d]+1]++
-	}
-	for r := 1; r < len(at); r++ {
-		at[r] += at[r-1]
-	}
-	byRank := make([][2]int32, len(c.engDoc))
-	for t := range c.terms {
-		lo, hi := c.engOff[t], c.engOff[t+1]
-		for i := lo; i < hi; i++ {
-			r := rank[c.engDoc[i]]
-			byRank[at[r]] = [2]int32{int32(t), i - lo}
-			at[r]++
-		}
-	}
-	end := slices.Clone(c.engOff[:len(c.terms)])
-	for _, p := range byRank {
-		c.ordAll[end[p[0]]] = p[1]
-		end[p[0]]++
-	}
-
 	m := tfMerger{count: make([]int32, slices.Max(tf)+1)}
 	for t := range c.terms {
 		lo, hi := c.engOff[t], c.engOff[t+1]
 		if hi-lo > 1 {
-			m.order(c.ordAll[lo:hi], c.engDoc[lo:hi], c.engContrib[lo:hi], tf[lo:hi])
+			m.order(c.engDoc[lo:hi], c.engContrib[lo:hi], tf[lo:hi])
 		}
 	}
 }
 
-// tfMerger is mergeOrd's per-term step, with scratch that serves every term of
-// a shard.
+// tfMerger is bestFirst's per-term step, with scratch that serves every term
+// of a shard.
 type tfMerger struct {
 	count []int32 // per tf value: its postings, then its group's fill cursor
 	tfs   []int32 // the term's distinct tf values, in order of first posting
-	part  []int32 // the term's postings partitioned by tf
-	// Per tf group: its next posting in part, its end, and the contribution
-	// and doc of its next posting (-Inf once the group is spent).
+	// The term's postings partitioned by tf; per tf group its next posting in
+	// them, its end, and that posting's contribution and doc (-Inf once the
+	// group is spent).
+	docs      []int32
+	contribs  []float64
 	next, end []int32
 	headC     []float64
 	headD     []int32
 }
 
-// order rewrites one term's section ord, local posting indices into docs,
-// contribs and tfs in (length, doc) order, into (contribution desc, doc asc)
-// order.
-func (m *tfMerger) order(ord, docs []int32, contribs []float64, tfs []int32) {
+// order rewrites one term's section, docs and contribs with their tfs in
+// (length, doc) order, in place into (contribution desc, doc asc) order.
+func (m *tfMerger) order(docs []int32, contribs []float64, tfs []int32) {
 	m.tfs = m.tfs[:0]
-	for _, e := range ord {
-		if m.count[tfs[e]] == 0 {
-			m.tfs = append(m.tfs, tfs[e])
+	for _, v := range tfs {
+		if m.count[v] == 0 {
+			m.tfs = append(m.tfs, v)
 		}
-		m.count[tfs[e]]++
+		m.count[v]++
 	}
 	if len(m.tfs) == 1 {
 		m.count[m.tfs[0]] = 0
-		docOrderTies(ord, docs, contribs)
+		docOrderTies(docs, contribs)
 		return
 	}
 
-	m.part = slices.Grow(m.part[:0], len(ord))[:len(ord)]
+	m.docs = slices.Grow(m.docs[:0], len(docs))[:len(docs)]
+	m.contribs = slices.Grow(m.contribs[:0], len(docs))[:len(docs)]
 	m.next, m.end = m.next[:0], m.end[:0]
 	n := int32(0)
 	for _, v := range m.tfs {
@@ -268,53 +228,49 @@ func (m *tfMerger) order(ord, docs []int32, contribs []float64, tfs []int32) {
 		n, m.count[v] = n+m.count[v], n
 		m.end = append(m.end, n)
 	}
-	for _, e := range ord {
-		m.part[m.count[tfs[e]]] = e
-		m.count[tfs[e]]++
+	for i, v := range tfs {
+		m.docs[m.count[v]], m.contribs[m.count[v]] = docs[i], contribs[i]
+		m.count[v]++
 	}
 	m.headC, m.headD = m.headC[:0], m.headD[:0]
 	for g, v := range m.tfs {
 		m.count[v] = 0
-		docOrderTies(m.part[m.next[g]:m.end[g]], docs, contribs)
-		e := m.part[m.next[g]]
-		m.headC, m.headD = append(m.headC, contribs[e]), append(m.headD, docs[e])
+		lo, hi := m.next[g], m.end[g]
+		docOrderTies(m.docs[lo:hi], m.contribs[lo:hi])
+		m.headC, m.headD = append(m.headC, m.contribs[lo]), append(m.headD, m.docs[lo])
 	}
 
 	next, end, headC, headD := m.next, m.end[:len(m.next)], m.headC[:len(m.next)], m.headD[:len(m.next)]
-	for k := range ord {
+	for k := range docs {
 		best := 0
 		for g := 1; g < len(headC); g++ {
 			if headC[g] > headC[best] || headC[g] == headC[best] && headD[g] < headD[best] {
 				best = g
 			}
 		}
-		ord[k] = m.part[next[best]]
+		docs[k], contribs[k] = headD[best], headC[best]
 		if next[best]++; next[best] < end[best] {
-			e := m.part[next[best]]
-			headC[best], headD[best] = contribs[e], docs[e]
+			headC[best], headD[best] = m.contribs[next[best]], m.docs[next[best]]
 		} else {
 			headC[best] = math.Inf(-1)
 		}
 	}
 }
 
-// docOrderTies puts every run of equal contributions in ord, a tf group in
+// docOrderTies puts every run of equal contributions in a tf group, in
 // non-increasing contribution order, in doc order. A run's docs of one length
 // already are: this costs one compare per posting unless a run spans lengths.
-func docOrderTies(ord, docs []int32, contribs []float64) {
-	prevC, prevD := contribs[ord[0]], docs[ord[0]]
-	for i := 1; i < len(ord); i++ {
-		e := ord[i]
-		c, d := contribs[e], docs[e]
-		if c != prevC || d > prevD {
-			prevC, prevD = c, d
+func docOrderTies(docs []int32, contribs []float64) {
+	for i := 1; i < len(docs); i++ {
+		c, d := contribs[i], docs[i]
+		if c != contribs[i-1] || d > docs[i-1] {
 			continue
 		}
 		j := i
-		for ; j > 0 && contribs[ord[j-1]] == c && docs[ord[j-1]] > d; j-- {
-			ord[j] = ord[j-1]
+		for ; j > 0 && contribs[j-1] == c && docs[j-1] > d; j-- {
+			docs[j], contribs[j] = docs[j-1], contribs[j-1]
 		}
-		ord[j] = e
+		docs[j], contribs[j] = d, c
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // from what such an index persisted — holds an exact compilation of
 // the reference's maps over the same documents: dictionary, English postings
 // and the count of the others, contributions bit-equal to the scalar BM25
-// expression over ranking constants re-derived here from the maps, ordAll,
-// the dense sidecars, and the term-id column.
+// expression over ranking constants re-derived here from the maps, each
+// section best-first, the dense sidecars, and the term-id column.
 func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *ShardedIndex) {
 	t.Helper()
 	if six.Len() != ref.nDocs || len(six.shards) != len(ref.shards) {
@@ -78,53 +78,38 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 			}
 		}
 
+		var eng []engPosting // one term's expected section; reused
 		for term, want := range sb.postings {
 			tid := c.termID[term]
 
 			// The English section is exactly the reference's English
-			// postings in doc order, the other postings are only counted, and
-			// every stored contribution must be the bitwise-identical float the
-			// scalar loop would have computed from idf/tf/normK. For a fixed doc
-			// that expression strictly increases with tf, so the contribution
-			// also pins the tf the index no longer keeps.
+			// postings in the one-term top-k order (contribution desc, doc
+			// asc), the other postings are only counted, and every stored
+			// contribution must be the bitwise-identical float the scalar loop
+			// would have computed from idf/tf/normK. For a fixed doc that
+			// expression strictly increases with tf, so the contribution also
+			// pins the tf the index no longer keeps.
 			dff := float64(df[term])
 			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
-			e, o := c.engOff[tid], int32(0)
+			eng = eng[:0]
+			o := int32(0)
 			for _, p := range want {
 				if sb.docs[p.doc].Lang == "en" {
-					if int(c.engDoc[e]) != p.doc {
-						fatalf("%q eng posting %d is doc %d, want %d", term, e, c.engDoc[e], p.doc)
-					}
 					tf := float64(p.tf)
 					normK := bm25K1 * (1 - bm25B + bm25B*float64(docLen[si][p.doc])/avgLen)
-					if want := idf * tf * (bm25K1 + 1) / (tf + normK); c.engContrib[e] != want {
-						fatalf("%q contrib for doc %d = %v, want exactly %v", term, p.doc, c.engContrib[e], want)
-					}
-					e++
+					eng = append(eng, engPosting{int32(p.doc), idf * tf * (bm25K1 + 1) / (tf + normK)})
 				} else {
 					o++
 				}
 			}
-			if e != c.engOff[tid+1] || o != c.othDF[tid] {
-				fatalf("%q eng section length %d/%d, other postings %d/%d", term, e, c.engOff[tid+1], c.othDF[tid], o)
-			}
-
-			// ordAll: a permutation of the term's English section sorted by
-			// the one-term top-k order (contribution desc, doc asc).
 			lo, hi := c.engOff[tid], c.engOff[tid+1]
-			ord := c.ordAll[lo:hi]
-			seen := make([]bool, hi-lo)
-			for i, e := range ord {
-				if e < 0 || int(e) >= len(seen) || seen[e] {
-					fatalf("%q ordAll is not a permutation at %d", term, i)
-				}
-				seen[e] = true
-				if i > 0 {
-					prev, cur := ord[i-1], e
-					if c.engContrib[lo+prev] < c.engContrib[lo+cur] ||
-						(c.engContrib[lo+prev] == c.engContrib[lo+cur] && c.engDoc[lo+prev] > c.engDoc[lo+cur]) {
-						fatalf("%q ordAll out of order at %d", term, i)
-					}
+			if int(hi-lo) != len(eng) || o != c.othDF[tid] {
+				fatalf("%q eng section length %d/%d, other postings %d/%d", term, hi-lo, len(eng), c.othDF[tid], o)
+			}
+			slices.SortFunc(eng, bestFirstCmp)
+			for i, p := range eng {
+				if got := (engPosting{c.engDoc[int(lo)+i], c.engContrib[int(lo)+i]}); got != p {
+					fatalf("%q eng posting %d is doc %d contrib %v, want doc %d contrib exactly %v", term, i, got.doc, got.contrib, p.doc, p.contrib)
 				}
 			}
 
@@ -314,23 +299,24 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 	}
 }
 
-// TestOrdAllMatchesSort: the ordAll permutation mergeOrd derives without a
-// comparison sort equals the one sortOrd sorts, per shard and term: on every
-// corpus of the small scope, on shapedCorpus and randomCorpus at 1 to 3 shards,
-// on a corpus where one term takes six tf values over documents of equal and of
-// different lengths with equal contributions across tf groups (only doc order
-// can break those ties), and on hand-laid columns where a run of equal
-// contributions spans lengths.
-func TestOrdAllMatchesSort(t *testing.T) {
-	// The small scope comes through here a few hundred thousand times: the
-	// label is only put together on failure.
-	check := func(t *testing.T, label func() string, six *ShardedIndex) {
+// TestSectionsMatchSort: every English section bestFirst lays out without a
+// comparison sort equals the one sortOrd sorts, per shard and term: on
+// shapedCorpus and randomCorpus at 1 to 3 shards, on a corpus where one term
+// takes six tf values over documents of equal and of different lengths with
+// equal contributions across tf groups (only doc order can break those ties),
+// and on hand-laid columns where a run of equal contributions spans lengths.
+// TestExhaustiveSmallScope holds every corpus of the small scope to the same
+// order (checkColumnsRoundTrip).
+func TestSectionsMatchSort(t *testing.T) {
+	check := func(t *testing.T, label string, six *ShardedIndex) {
 		t.Helper()
 		for si, sh := range six.shards {
 			want := *sh.col
+			want.engDoc, want.engContrib = slices.Clone(want.engDoc), slices.Clone(want.engContrib)
 			want.sortOrd()
-			if !slices.Equal(sh.col.ordAll, want.ordAll) {
-				t.Fatalf("%s shard %d: ordAll %v, sortOrd %v", label(), si, sh.col.ordAll, want.ordAll)
+			if !slices.Equal(sh.col.engDoc, want.engDoc) || !slices.Equal(sh.col.engContrib, want.engContrib) {
+				t.Fatalf("%s shard %d: sections %v %v, sortOrd %v %v", label, si,
+					sh.col.engDoc, sh.col.engContrib, want.engDoc, want.engContrib)
 			}
 		}
 	}
@@ -353,8 +339,8 @@ func TestOrdAllMatchesSort(t *testing.T) {
 		col := buildSharded(docs, 1).shards[0].col
 		contrib := func(d int32) float64 {
 			tid := col.termID["museum"]
-			i, _ := slices.BinarySearch(col.engDoc[col.engOff[tid]:col.engOff[tid+1]], d)
-			return col.engContrib[int(col.engOff[tid])+i]
+			lo, hi := col.engOff[tid], col.engOff[tid+1]
+			return col.engContrib[int(lo)+slices.Index(col.engDoc[lo:hi], d)]
 		}
 		// The tie pairs, each once with the smaller tf on the smaller doc and
 		// once on the larger.
@@ -364,24 +350,26 @@ func TestOrdAllMatchesSort(t *testing.T) {
 			}
 		}
 		for shards := 1; shards <= 3; shards++ {
-			check(t, func() string { return fmt.Sprintf("x%d", shards) }, buildSharded(docs, shards))
+			check(t, fmt.Sprintf("x%d", shards), buildSharded(docs, shards))
 		}
 	})
 
 	t.Run("ties-across-lengths", func(t *testing.T) {
-		// One tf: in (length, doc) order — 1, 2, 0, 3 — contributions do not
-		// increase, and the run of 1.5 spans lengths 3 and 5 out of doc order.
+		// One tf, docs of lengths 5, 3, 3, 7 laid out in (length, doc) order —
+		// 1, 2, 0, 3 — as flatten lays them: contributions do not increase,
+		// and the run of 1.5 spans lengths 3 and 5 out of doc order.
 		c := &columns{
 			terms:      []string{"t"},
 			engOff:     []int32{0, 4},
-			engDoc:     []int32{0, 1, 2, 3},
-			engContrib: []float64{1.5, 2, 1.5, 1},
+			engDoc:     []int32{1, 2, 0, 3},
+			engContrib: []float64{2, 1.5, 1.5, 1},
 		}
-		c.mergeOrd([]int{5, 3, 3, 7}, []int32{1, 1, 1, 1})
 		want := *c
+		want.engDoc, want.engContrib = slices.Clone(c.engDoc), slices.Clone(c.engContrib)
 		want.sortOrd()
-		if !slices.Equal(c.ordAll, want.ordAll) {
-			t.Fatalf("ordAll %v, sortOrd %v", c.ordAll, want.ordAll)
+		c.bestFirst([]int32{1, 1, 1, 1})
+		if !slices.Equal(c.engDoc, want.engDoc) || !slices.Equal(c.engContrib, want.engContrib) {
+			t.Fatalf("section %v %v, sortOrd %v %v", c.engDoc, c.engContrib, want.engDoc, want.engContrib)
 		}
 	})
 
@@ -389,16 +377,10 @@ func TestOrdAllMatchesSort(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shaped, random := shapedCorpus(rng, 20+rng.Intn(300)), randomCorpus(rng, 20+rng.Intn(300))
 		for shards := 1; shards <= 3; shards++ {
-			check(t, func() string { return fmt.Sprintf("shaped seed %d x%d", seed, shards) }, buildSharded(shaped, shards))
-			check(t, func() string { return fmt.Sprintf("random seed %d x%d", seed, shards) }, buildSharded(random, shards))
+			check(t, fmt.Sprintf("shaped seed %d x%d", seed, shards), buildSharded(shaped, shards))
+			check(t, fmt.Sprintf("random seed %d x%d", seed, shards), buildSharded(random, shards))
 		}
 	}
-
-	eachSmallCorpus(t, func(t *testing.T, docs []Document) {
-		for shards := 1; shards <= 3; shards++ {
-			check(t, func() string { return fmt.Sprint(docs, " x", shards) }, buildSharded(docs, shards))
-		}
-	})
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar

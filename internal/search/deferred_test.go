@@ -160,7 +160,8 @@ func TestDeferredTermsMatchReference(t *testing.T) {
 }
 
 // handColumns builds columns holding only what deferredTerms reads: per term
-// its contributions (docs 0..n-1), ordAll, and a dense column when big is set.
+// its contributions (docs 0..n-1) laid out best-first, and a dense column when
+// big is set.
 func handColumns(contribs [][]float64, big []bool) *columns {
 	c := &columns{engOff: []int32{0}, contribDense: make([][]float64, len(contribs))}
 	for tid, cs := range contribs {

@@ -99,7 +99,7 @@ func indexStreamSeeds(t testing.TB) map[string][]byte {
 
 // v4StreamSeeds name the rest of FuzzReadShardedIndex's corpus: one-shard
 // streams the v4 writer produced, each with one count, doc, tf, position or
-// ordAll field flipped. No writer makes them any more, so they are checked in
+// best-first permutation field flipped. No writer makes them any more, so they are checked in
 // as recorded. Bundles written before v5 hold such streams; the reader must
 // refuse each by version, and each still seeds the fuzzer with a stream whose
 // documents are followed by the v4 sections.

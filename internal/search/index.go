@@ -248,9 +248,9 @@ func (t *topK) drain() []hit {
 //   - deferred: complete every touched doc with one load from its dense
 //     column; docs it alone holds are never seen.
 //   - essential and big, nothing deferred: the docs no earlier term touched
-//     come best-first from ordAll, the touched ones complete as above.
-//   - essential, nothing deferred: walk its column in doc order, then offer
-//     the touched docs it did not cover.
+//     come best-first from its section, the touched ones complete as above.
+//   - essential, nothing deferred: walk its column, then offer the touched
+//     docs it did not cover.
 //   - essential after a deferred term: it accumulates like any earlier
 //     essential term (its fresh docs need their deferred start), then the
 //     touched docs are offered as they stand.
@@ -319,9 +319,7 @@ func (c *columns) kthContrib(tid int32, k int) float64 {
 	if k < 1 || int(hi-lo) < k {
 		return math.Inf(-1)
 	}
-	// ordAll ranks the term's postings best-first; its entries are local to
-	// the section.
-	return c.engContrib[lo+c.ordAll[lo+int32(k-1)]]
+	return c.engContrib[lo+int32(k-1)] // the section is best-first
 }
 
 // deferredTerms is a query's scoring plan, a function of the query and the
@@ -351,8 +349,7 @@ func (c *columns) deferredTerms(tids []int32, k int) (theta float64, deferred ui
 		}
 		theta = max(theta, c.kthContrib(tid, k))
 		if c.contribDense[tid] != nil {
-			lo := c.engOff[tid]
-			sum += c.engContrib[lo+c.ordAll[lo]] // the term's best posting
+			sum += c.engContrib[c.engOff[tid]] // the term's best posting
 			deferred |= 1 << uint(i)
 		}
 	}
@@ -414,8 +411,8 @@ func (s *selector) cacheRoot() {
 	}
 }
 
-// seed starts the heap from big final term tid's ordAll permutation: the first
-// k entries no earlier term touched. Their whole score is that one
+// seed starts the heap from big final term tid's best-first section: the
+// first k postings no earlier term touched. Their whole score is that one
 // contribution and they arrive already sorted in the total order (contrib
 // desc, doc asc), so the rest of the untouched docs are dominated by them —
 // and written in reverse they are sorted worst-first, hence a valid min-heap.
@@ -424,12 +421,12 @@ func (s *selector) seed(c *columns, scores []float64, tid int32) {
 	docs := c.engDoc[lo:hi]
 	contribs := c.engContrib[lo:hi][:len(docs)]
 	h := s.top.h
-	for _, e := range c.ordAll[lo:hi] {
-		if len(h) >= s.top.k || contribs[e] < s.floor {
+	for i, d := range docs {
+		if len(h) >= s.top.k || contribs[i] < s.floor {
 			break
 		}
-		if d := int(docs[e]); scores[d] == 0 { // touched docs: complete computes their full score
-			h = append(h, hit{doc: d, score: contribs[e]})
+		if scores[d] == 0 { // touched docs: complete computes their full score
+			h = append(h, hit{doc: int(d), score: contribs[i]})
 		}
 	}
 	slices.Reverse(h)
@@ -437,10 +434,10 @@ func (s *selector) seed(c *columns, scores []float64, tid int32) {
 	s.cacheRoot()
 }
 
-// walk offers every doc of final term tid's column, in doc order: after the
-// earlier terms have been accumulated, a doc reaches its final sum the moment
-// this term's contribution lands, so each posting is computed, consumed and
-// offered in one step.
+// walk offers every doc of final term tid's column: after the earlier terms
+// have been accumulated, a doc reaches its final sum the moment this term's
+// contribution lands, so each posting is computed, consumed and offered in one
+// step.
 func (s *selector) walk(c *columns, scores []float64, tid int32) {
 	lo, hi := c.engOff[tid], c.engOff[tid+1]
 	docs := c.engDoc[lo:hi]

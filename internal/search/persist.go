@@ -14,14 +14,14 @@ import (
 //	    (u32-length-prefixed strings)
 //
 // The stream holds the documents and nothing else. Everything a query reads —
-// postings, ordAll, contributions, the dense sidecars and the term-id column —
-// is state Build derives from the documents, so ReadShardedIndex decodes the
-// documents and returns Build over them at the stored shard count: build and
-// load are one code path, a loaded index is the index a build over the same
-// documents makes, and no stream can carry derived state that disagrees with
-// its documents. The document count and every string length are refused
+// postings in their best-first order, contributions, the dense sidecars and
+// the term-id column — is state Build derives from the documents, so
+// ReadShardedIndex decodes the documents and returns Build over them at the
+// stored shard count: build and load are one code path, a loaded index is the
+// index a build over the same documents makes, and no stream can carry derived
+// state that disagrees with its documents. The document count and every string length are refused
 // unless the bytes that remain can hold them, and the shard count unless the
-// document count or fewShards covers it, so a corrupt or adversarial stream
+// document count or FewShards covers it, so a corrupt or adversarial stream
 // yields an error before anything is indexed, never a panic, and the shards a
 // stream makes the reader build stay in proportion to its bytes. Any other
 // version is rejected.
@@ -33,12 +33,15 @@ const (
 	// minDocRecord is the least a doc record occupies (four string lengths):
 	// the codec refuses a doc count the bytes that remain cannot hold.
 	minDocRecord = 16
-	// maxShards bounds the stored shard count. Past fewShards it may not
-	// exceed the document count either: even an empty shard costs about a
-	// kilobyte to freeze.
+	// maxShards bounds the stored shard count. Past FewShards it may not
+	// exceed the document count either.
 	maxShards = 1 << 16
-	fewShards = 64
 )
+
+// FewShards is the most shards a TIDX stream may claim whatever its document
+// count, and the most a service builds on request (repro.WithSearchShards):
+// even an empty shard costs about a kilobyte to freeze.
+const FewShards = 64
 
 // AppendTo appends the index's TIDX stream to b: the shard count, then the
 // documents in global order.
@@ -76,7 +79,7 @@ func ReadShardedIndex(data []byte) (*ShardedIndex, error) {
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	if shards == 0 || shards > maxShards || shards > max(n, fewShards) {
+	if shards == 0 || shards > maxShards || shards > max(n, FewShards) {
 		return nil, br.Corrupt("shard count %d for %d docs", shards, n)
 	}
 	docs := make([]Document, n)

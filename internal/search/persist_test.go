@@ -99,7 +99,7 @@ func patched(data []byte, off int, v uint32) []byte {
 }
 
 // TestReadRejectsCountLieCheaply: a doc count the remaining bytes cannot hold,
-// and a shard count beyond both the doc count and fewShards, are refused
+// and a shard count beyond both the doc count and FewShards, are refused
 // before anything is sized from them. 1<<22 is the largest value the former
 // pre-sized-map cap let through a term count; on a 3 KB stream it cost 384 MB
 // and 300 ms before the rejection. A 16-byte stream of no documents in 2^16
@@ -112,7 +112,7 @@ func TestReadRejectsCountLieCheaply(t *testing.T) {
 	}{
 		{patched(data, locateFields(t, data).docCount, 1<<22), "doc count"},
 		{v5Stream(nil, maxShards), "shard count"},
-		{v5Stream(smallDocs(), fewShards+1), "shard count"},
+		{v5Stream(smallDocs(), FewShards+1), "shard count"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -128,13 +128,13 @@ func TestReadRejectsCountLieCheaply(t *testing.T) {
 	// At the bound a stream of no documents still loads, cheaply.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	six, err := ReadShardedIndex(v5Stream(nil, fewShards))
+	six, err := ReadShardedIndex(v5Stream(nil, FewShards))
 	runtime.ReadMemStats(&after)
-	if err != nil || six.NumShards() != fewShards {
-		t.Fatalf("no documents in %d shards: err = %v", fewShards, err)
+	if err != nil || six.NumShards() != FewShards {
+		t.Fatalf("no documents in %d shards: err = %v", FewShards, err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("loading no documents in %d shards allocated %d bytes", fewShards, got)
+		t.Errorf("loading no documents in %d shards allocated %d bytes", FewShards, got)
 	}
 }
 

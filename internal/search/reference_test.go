@@ -10,6 +10,7 @@ package search
 // ordering, identical URL/title/snippet bytes, scores within 1e-9.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -216,10 +217,11 @@ func (sb *refShard) add(doc Document) {
 	}
 }
 
-// freeze compiles the maps as the builder's former flatten did and finishes
-// the index through the shared finish, so its state is what Build over the
-// same documents must derive (sameIndex); its ordAll is then replaced by
-// sortOrd's, the reference order mergeOrd must equal.
+// freeze compiles the maps as the builder's former flatten did, each section
+// in doc order, finishes the index through the shared finish, and then sorts
+// every section with sortOrd: its state is what Build over the same documents
+// must derive (sameIndex), with the section order bestFirst derives taken from
+// a comparison sort.
 func (ri *refIndex) freeze() *ShardedIndex {
 	s := newShardedIndex(len(ri.shards))
 	s.nDocs = ri.nDocs
@@ -238,28 +240,33 @@ func (ri *refIndex) freeze() *ShardedIndex {
 	return s
 }
 
-// sortOrd derives the ordAll permutation by a comparison sort: per term, its
-// local posting indices sorted by (contribution desc, doc asc). It is the
-// order mergeOrd derives without one.
+// engPosting is an English posting with its contribution.
+type engPosting struct {
+	doc     int32
+	contrib float64
+}
+
+// bestFirstCmp is the one-term top-k order: contribution desc, doc asc.
+func bestFirstCmp(a, b engPosting) int {
+	if c := cmp.Compare(b.contrib, a.contrib); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.doc, b.doc)
+}
+
+// sortOrd sorts every English section in place by (contribution desc, doc
+// asc) with a comparison sort: the order bestFirst derives without one.
 func (c *columns) sortOrd() {
-	c.ordAll = make([]int32, len(c.engDoc))
 	for tid := range c.terms {
 		lo, hi := c.engOff[tid], c.engOff[tid+1]
-		docs := c.engDoc[lo:hi]
-		contribs := c.engContrib[lo:hi]
-		ord := c.ordAll[lo:hi]
-		for i := range ord {
-			ord[i] = int32(i)
+		sec := make([]engPosting, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			sec = append(sec, engPosting{c.engDoc[i], c.engContrib[i]})
 		}
-		slices.SortFunc(ord, func(a, b int32) int {
-			if contribs[a] != contribs[b] {
-				if contribs[a] > contribs[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(docs[a]) - int(docs[b])
-		})
+		slices.SortFunc(sec, bestFirstCmp)
+		for i, p := range sec {
+			c.engDoc[int(lo)+i], c.engContrib[int(lo)+i] = p.doc, p.contrib
+		}
 	}
 }
 

@@ -141,6 +141,8 @@ func TestAnnotateHandlerValidation(t *testing.T) {
 			nil, http.StatusBadRequest, "invalid_request", "starship"},
 		{"negative k", req(func(m map[string]any) { m["k"] = -2 }),
 			nil, http.StatusBadRequest, "invalid_request", "k"},
+		{"k above the ceiling", req(func(m map[string]any) { m["k"] = repro.MaxK + 1 }),
+			nil, http.StatusBadRequest, "invalid_request", "k"},
 		{"oversized table", req(nil), hSmall, http.StatusRequestEntityTooLarge, "table_too_large", "cells"},
 	}
 	for _, tc := range cases {
@@ -161,6 +163,9 @@ func TestAnnotateHandlerValidation(t *testing.T) {
 				t.Errorf("error message %q does not mention %q", e.Message, tc.wantInMsg)
 			}
 		})
+	}
+	if rec := post(h, "/v1/annotate", req(func(m map[string]any) { m["k"] = repro.MaxK })); rec.Code != http.StatusOK {
+		t.Errorf("k at the ceiling: status = %d, want 200\n%s", rec.Code, rec.Body.String())
 	}
 }
 

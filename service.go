@@ -120,10 +120,11 @@ func WithParallelism(n int) Option {
 // query's BM25 scoring fans out across the shards in parallel, with results
 // byte-identical to a monolithic index at any count. 0 (the default)
 // selects one shard per available CPU, capped at 8; 1 disables sharding;
-// negative values are rejected.
+// negative values and values above search.FewShards (64, the most a
+// persisted index of few documents may claim) are rejected.
 func WithSearchShards(n int) Option {
 	return func(s *settings) error {
-		if n < 0 {
+		if n < 0 || n > search.FewShards {
 			return &OptionError{Option: "WithSearchShards", Value: fmt.Sprint(n)}
 		}
 		s.searchShards = n
@@ -411,6 +412,11 @@ func ToggleOf(b *bool) Toggle {
 	return ToggleOff
 }
 
+// MaxK bounds AnnotateRequest.K: well above the paper's 10 and the k sweep's
+// 15, and a bound on what one request can make the engine select and keep
+// (each distinct k is also a shared-cache key of its own).
+const MaxK = 100
+
 // AnnotateRequest asks the service to annotate one table. The zero value of
 // every knob selects the paper's canonical setting, so
 // &AnnotateRequest{Table: tbl} reproduces the full §5 pipeline.
@@ -421,7 +427,7 @@ type AnnotateRequest struct {
 	// twelve. Unknown names are rejected with a *RequestError.
 	Types []string
 	// K is the number of snippets fetched per query; 0 selects 10, the
-	// paper's setting.
+	// paper's setting. At most MaxK; more is a *RequestError.
 	K int
 	// Postprocess toggles the §5.3 spurious-annotation elimination
 	// (default on).
@@ -519,8 +525,8 @@ func (s *Service) requestConfig(req *AnnotateRequest) (annotate.Config, error) {
 	if req.Table.NumCols() == 0 {
 		return zero, &RequestError{Field: "table", Reason: "has no columns"}
 	}
-	if req.K < 0 {
-		return zero, &RequestError{Field: "k", Reason: fmt.Sprintf("must be >= 0, got %d", req.K)}
+	if req.K < 0 || req.K > MaxK {
+		return zero, &RequestError{Field: "k", Reason: fmt.Sprintf("must be in 0..%d, got %d", MaxK, req.K)}
 	}
 	cfg := s.base
 	if req.Types != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/qcache"
+	"repro/internal/search"
 	"repro/internal/world"
 )
 
@@ -68,6 +69,7 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown classifier", WithClassifier("forest"), "WithClassifier"},
 		{"negative parallelism", WithParallelism(-1), "WithParallelism"},
 		{"negative search shards", WithSearchShards(-1), "WithSearchShards"},
+		{"search shards above the ceiling", WithSearchShards(search.FewShards + 1), "WithSearchShards"},
 		{"negative cache entries", WithCacheLimits(-1, 0), "WithCacheLimits"},
 		{"negative cache ttl", WithCacheLimits(0, -time.Second), "WithCacheLimits"},
 		{"non-zero cache ttl", WithCacheLimits(32, time.Minute), "WithCacheLimits"},
