@@ -300,22 +300,23 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 }
 
 // TestSectionsMatchSort: every English section bestFirst lays out without a
-// comparison sort equals the one sortOrd sorts, per shard and term: on
-// shapedCorpus and randomCorpus at 1 to 3 shards, on a corpus where one term
-// takes six tf values over documents of equal and of different lengths with
-// equal contributions across tf groups (only doc order can break those ties),
-// and on hand-laid columns where a run of equal contributions spans lengths.
-// TestExhaustiveSmallScope holds every corpus of the small scope to the same
-// order (checkColumnsRoundTrip).
+// comparison sort equals the one sortOrd sorts, per shard and term: on every
+// corpus of the small scope, on shapedCorpus and randomCorpus at 1 to 3 shards,
+// on a corpus where one term takes six tf values over documents of equal and of
+// different lengths with equal contributions across tf groups (only doc order
+// can break those ties), and on hand-laid columns where a run of equal
+// contributions spans lengths.
 func TestSectionsMatchSort(t *testing.T) {
-	check := func(t *testing.T, label string, six *ShardedIndex) {
+	// The small scope comes through here a few hundred thousand times: the
+	// label is only put together on failure.
+	check := func(t *testing.T, label func() string, six *ShardedIndex) {
 		t.Helper()
 		for si, sh := range six.shards {
 			want := *sh.col
 			want.engDoc, want.engContrib = slices.Clone(want.engDoc), slices.Clone(want.engContrib)
 			want.sortOrd()
 			if !slices.Equal(sh.col.engDoc, want.engDoc) || !slices.Equal(sh.col.engContrib, want.engContrib) {
-				t.Fatalf("%s shard %d: sections %v %v, sortOrd %v %v", label, si,
+				t.Fatalf("%s shard %d: sections %v %v, sortOrd %v %v", label(), si,
 					sh.col.engDoc, sh.col.engContrib, want.engDoc, want.engContrib)
 			}
 		}
@@ -350,7 +351,7 @@ func TestSectionsMatchSort(t *testing.T) {
 			}
 		}
 		for shards := 1; shards <= 3; shards++ {
-			check(t, fmt.Sprintf("x%d", shards), buildSharded(docs, shards))
+			check(t, func() string { return fmt.Sprintf("x%d", shards) }, buildSharded(docs, shards))
 		}
 	})
 
@@ -377,10 +378,16 @@ func TestSectionsMatchSort(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shaped, random := shapedCorpus(rng, 20+rng.Intn(300)), randomCorpus(rng, 20+rng.Intn(300))
 		for shards := 1; shards <= 3; shards++ {
-			check(t, fmt.Sprintf("shaped seed %d x%d", seed, shards), buildSharded(shaped, shards))
-			check(t, fmt.Sprintf("random seed %d x%d", seed, shards), buildSharded(random, shards))
+			check(t, func() string { return fmt.Sprintf("shaped seed %d x%d", seed, shards) }, buildSharded(shaped, shards))
+			check(t, func() string { return fmt.Sprintf("random seed %d x%d", seed, shards) }, buildSharded(random, shards))
 		}
 	}
+
+	eachSmallCorpus(t, func(t *testing.T, docs []Document) {
+		for shards := 1; shards <= 3; shards++ {
+			check(t, func() string { return fmt.Sprint(docs, " x", shards) }, buildSharded(docs, shards))
+		}
+	})
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar
