@@ -2,7 +2,9 @@ package disambig
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gazetteer"
@@ -26,7 +28,9 @@ import (
 // a stop iteration off by one changes bits here. What four cells cannot hold
 // is two components that each take several iterations and stop at different
 // ones — the resume phases — which TestComponentParallelMultiComponent and the
-// fuzz corpus reach. Under -short or -race the pool drops the streets.
+// fuzz corpus reach. Under -short or -race the pool drops the streets. The
+// tables run as parallel subtests, one per shape and candidate set of the
+// last cell; the count is logged once all of them are done.
 func TestExhaustiveSmallInterpretations(t *testing.T) {
 	b := gazetteer.New()
 	country := b.Add("Freedonia", gazetteer.Country, gazetteer.NoLocation)
@@ -58,7 +62,10 @@ func TestExhaustiveSmallInterpretations(t *testing.T) {
 		}
 	}
 
-	tables := 0
+	// One parallel subtest per shape and candidate set of the last cell, each
+	// running the odometer over the other cells.
+	var tables atomic.Int64
+	t.Cleanup(func() { t.Logf("%d tables over %d candidate sets per cell", tables.Load(), len(sets)) })
 	for _, shape := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
 		var cells []CellRef
 		for r := 1; r <= shape[0]; r++ {
@@ -66,30 +73,38 @@ func TestExhaustiveSmallInterpretations(t *testing.T) {
 				cells = append(cells, CellRef{Row: r, Col: c})
 			}
 		}
-		raw := make([]Interpretation, len(cells))
-		clean := make([]Interpretation, len(cells))
-		pick := make([]int, len(cells)) // odometer over sets, one digit per cell
-		for {
-			for i, cell := range cells {
-				raw[i] = Interpretation{Cell: cell, Candidates: sets[pick[i]]}
-				clean[i] = Interpretation{Cell: cell, Candidates: canon[pick[i]]}
+		t.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(t *testing.T) {
+			t.Parallel()
+			for last := range sets {
+				t.Run(fmt.Sprint("last=", last), func(t *testing.T) {
+					t.Parallel()
+					raw := make([]Interpretation, len(cells))
+					clean := make([]Interpretation, len(cells))
+					pick := make([]int, len(cells)) // odometer over sets, one digit per cell
+					pick[len(pick)-1] = last
+					for {
+						for i, cell := range cells {
+							raw[i] = Interpretation{Cell: cell, Candidates: sets[pick[i]]}
+							clean[i] = Interpretation{Cell: cell, Candidates: canon[pick[i]]}
+						}
+						tables.Add(1)
+						checkSmallTable(t, g, raw, clean)
+						k := 0
+						for k < len(pick)-1 {
+							if pick[k]++; pick[k] < len(sets) {
+								break
+							}
+							pick[k] = 0
+							k++
+						}
+						if k == len(pick)-1 {
+							break
+						}
+					}
+				})
 			}
-			tables++
-			checkSmallTable(t, g, raw, clean)
-			k := 0
-			for k < len(pick) {
-				if pick[k]++; pick[k] < len(sets) {
-					break
-				}
-				pick[k] = 0
-				k++
-			}
-			if k == len(pick) {
-				break
-			}
-		}
+		})
 	}
-	t.Logf("%d tables over %d candidate sets per cell", tables, len(sets))
 }
 
 // checkSmallTable resolves one table every way and fails on the first

@@ -260,6 +260,21 @@ func (m *tfMerger) order(docs []int32, contribs []float64, tfs []int32) {
 // docOrderTies puts every run of equal contributions in a tf group, in
 // non-increasing contribution order, in doc order. A run's docs of one length
 // already are: this costs one compare per posting unless a run spans lengths.
+//
+// A run spans lengths only when normK's step per extra word, k1·b/avgLen,
+// falls below a few ulps of tf + normK. Each of the five rounded operations
+// from dl/avgLen to tf + normK[d] errs, carried through to that denominator,
+// by at most u·(tf + normK) with u = 2^-53. So for lengths L < L' of one tf
+// group the computed denominators differ by more than 4u of their size, which
+// the rounded division cannot merge, whenever k1·b/avgLen > 15u·(tf +
+// normK(L')): the contributions tie only if avgLen·(tf + 0.3) + 0.9·L' ≥
+// 0.9/(15u) ≈ 5.4·10^14 (k1 = 1.2, b = 0.75). With tf ≥ 1 and avgLen no
+// larger than the longest document, a tie across lengths needs a document of
+// at least 2·10^14 words, some 400 TB of text, where the int32 word offsets
+// address bodies of 2 GB; a random sweep of the expression finds the first
+// such ties near avgLen·(tf + normK) ≈ 2·10^15. So no built index holds one,
+// and TestSectionsMatchSort's hand-laid ties-across-lengths columns are this
+// loop's coverage.
 func docOrderTies(docs []int32, contribs []float64) {
 	for i := 1; i < len(docs); i++ {
 		c, d := contribs[i], docs[i]

@@ -16,8 +16,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/textproc"
 )
 
 // checkColumnsRoundTrip asserts every shard of six — made by Build, or loaded
@@ -25,12 +23,14 @@ import (
 // the reference's maps over the same documents: dictionary, English postings
 // and the count of the others, contributions bit-equal to the scalar BM25
 // expression over ranking constants re-derived here from the maps, each
-// section best-first, the dense sidecars, and the term-id column.
-func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *ShardedIndex) {
+// section best-first, the dense sidecars, and the term-id column. The
+// exhaustive suite comes through here several hundred thousand times: label
+// is only called on failure.
+func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six *ShardedIndex) {
 	t.Helper()
 	if six.Len() != ref.nDocs || len(six.shards) != len(ref.shards) {
 		t.Fatalf("%s: index has %d docs in %d shards, reference %d in %d",
-			label, six.Len(), len(six.shards), ref.nDocs, len(ref.shards))
+			label(), six.Len(), len(six.shards), ref.nDocs, len(ref.shards))
 	}
 	// The oracle's ranking constants, straight from the maps.
 	df := map[string]int{}
@@ -50,11 +50,9 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 	avgLen := float64(totalLen) / n
 
 	for si, sb := range ref.shards {
-		// The exhaustive suite comes through here several hundred thousand
-		// times: the label is only put together on failure.
 		fatalf := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("%s shard %d: "+format, append([]any{label, si}, args...)...)
+			t.Fatalf("%s shard %d: "+format, append([]any{label(), si}, args...)...)
 		}
 		ix := six.shards[si]
 		c := ix.col
@@ -143,7 +141,7 @@ func checkColumnsRoundTrip(t *testing.T, label string, ref *refIndex, six *Shard
 						got = append(got, six.vocab[id])
 					}
 				}
-				if want := textproc.NormalizeTokens(w); !slices.Equal(got, want) {
+				if want := normTokens(w); !slices.Equal(got, want) {
 					fatalf("doc %d word %d %q: term column holds %q, want %q", d, i, w, got, want)
 				}
 			}
@@ -264,7 +262,7 @@ func sameIndex(a, b *ShardedIndex) bool {
 func checkFrozen(t *testing.T, label string, docs []Document, shards int, six *ShardedIndex) {
 	t.Helper()
 	ref := newRefIndex(docs, shards)
-	checkColumnsRoundTrip(t, label, ref, six)
+	checkColumnsRoundTrip(t, func() string { return label }, ref, six)
 	want := ref.freeze()
 	if !bytes.Equal(six.AppendTo(nil), want.AppendTo(nil)) {
 		t.Fatalf("%s: TIDX bytes differ from the reference's", label)
@@ -300,15 +298,15 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 }
 
 // TestSectionsMatchSort: every English section bestFirst lays out without a
-// comparison sort equals the one sortOrd sorts, per shard and term: on every
-// corpus of the small scope, on shapedCorpus and randomCorpus at 1 to 3 shards,
-// on a corpus where one term takes six tf values over documents of equal and of
-// different lengths with equal contributions across tf groups (only doc order
-// can break those ties), and on hand-laid columns where a run of equal
-// contributions spans lengths.
+// comparison sort equals the one sortOrd sorts, per shard and term: on
+// shapedCorpus and randomCorpus at 1 to 3 shards, on a corpus where one term
+// takes six tf values over documents of equal and of different lengths with
+// equal contributions across tf groups (only doc order can break those ties),
+// and on hand-laid columns where a run of equal contributions spans lengths.
+// On every corpus of the small scope, TestExhaustiveSmallScope holds the same
+// sections to a comparison sort of the reference's postings
+// (checkColumnsRoundTrip).
 func TestSectionsMatchSort(t *testing.T) {
-	// The small scope comes through here a few hundred thousand times: the
-	// label is only put together on failure.
 	check := func(t *testing.T, label func() string, six *ShardedIndex) {
 		t.Helper()
 		for si, sh := range six.shards {
@@ -358,7 +356,9 @@ func TestSectionsMatchSort(t *testing.T) {
 	t.Run("ties-across-lengths", func(t *testing.T) {
 		// One tf, docs of lengths 5, 3, 3, 7 laid out in (length, doc) order —
 		// 1, 2, 0, 3 — as flatten lays them: contributions do not increase,
-		// and the run of 1.5 spans lengths 3 and 5 out of doc order.
+		// and the run of 1.5 spans lengths 3 and 5 out of doc order. No
+		// built corpus can hold such a run (docOrderTies derives the bound),
+		// so these columns are laid by hand.
 		c := &columns{
 			terms:      []string{"t"},
 			engOff:     []int32{0, 4},
@@ -382,12 +382,6 @@ func TestSectionsMatchSort(t *testing.T) {
 			check(t, func() string { return fmt.Sprintf("random seed %d x%d", seed, shards) }, buildSharded(random, shards))
 		}
 	}
-
-	eachSmallCorpus(t, func(t *testing.T, docs []Document) {
-		for shards := 1; shards <= 3; shards++ {
-			check(t, func() string { return fmt.Sprint(docs, " x", shards) }, buildSharded(docs, shards))
-		}
-	})
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar

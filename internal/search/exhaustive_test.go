@@ -4,19 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestExhaustiveSmallScope checks the built index over a complete small space
-// instead of a random sample of a large one: every corpus of eachSmallCorpus,
-// at 1, 2 and 3 shards. For each, the columns — the term-id column included —
-// must equal the reference's maps, both on the freshly built index and on one
-// loaded from its persisted bytes, which must in turn persist to the same
-// bytes. A loaded index is a Build over the same documents, so the query sweep
-// runs on the fresh index only: Search must equal refSearch, and every hit's Terms must decode to its
-// snippet's normalised tokens.
+// instead of a random sample of a large one, and is the one pass over it:
+// every corpus of eachSmallCorpus, at 1, 2 and 3 shards. For each, the fresh
+// index's columns — each section best-first, the term-id column included —
+// must equal the reference's maps (checkColumnsRoundTrip, which orders the
+// expected sections by a comparison sort), and the index loaded from its
+// persisted bytes must persist to the same bytes and equal the fresh one field
+// for field (sameIndex, which compares everything the round trip reads; so
+// the loaded index equals the reference too). A loaded index is a Build over
+// the same documents, so the query sweep runs on the fresh index only: Search
+// must equal refSearch, and every hit's Terms must decode to its snippet's
+// normalised tokens. The labels are only put together on failure: the scope
+// comes through here a few hundred thousand times.
 func TestExhaustiveSmallScope(t *testing.T) {
 	// Quotes are punctuation to Search: the quoted queries rank as their
 	// terms do.
@@ -39,32 +43,36 @@ func TestExhaustiveSmallScope(t *testing.T) {
 		return true
 	}
 	check := func(t *testing.T, docs []Document) {
-		corpus := fmt.Sprint(docs)
-		want := make([][]Result, 0, len(queries)*len(ks))
-		for _, q := range queries {
-			for _, k := range ks {
-				want = append(want, refSearch(docs, q, k))
+		// refSearch over one refCorpus: the corpus is tokenised once.
+		want := make([][]Result, len(queries)*len(ks))
+		if len(docs) > 0 {
+			rc := newRefCorpus(docs)
+			for qi, q := range queries {
+				for ki, k := range ks {
+					want[qi*len(ks)+ki] = rc.search(q, k)
+				}
 			}
 		}
 		for shards := 1; shards <= 3; shards++ {
+			label := func() string { return fmt.Sprint(docs, " x", shards) }
 			fresh := buildSharded(docs, shards)
 			data := tidx(t, fresh)
 			loaded, err := ReadShardedIndex(data)
 			if err != nil {
-				t.Fatalf("%s x%d: persisted index rejected: %v", corpus, shards, err)
+				t.Fatalf("%s: persisted index rejected: %v", label(), err)
 			}
 			if !bytes.Equal(tidx(t, loaded), data) {
-				t.Fatalf("%s x%d: loaded index persists to different bytes", corpus, shards)
+				t.Fatalf("%s: loaded index persists to different bytes", label())
 			}
-			ref := newRefIndex(docs, shards)
-			label := corpus + " x" + strconv.Itoa(shards)
-			checkColumnsRoundTrip(t, label+" loaded", ref, loaded)
-			checkColumnsRoundTrip(t, label, ref, fresh)
+			checkColumnsRoundTrip(t, label, newRefIndex(docs, shards), fresh)
+			if !sameIndex(loaded, fresh) {
+				t.Fatalf("%s: loaded index differs from the fresh one", label())
+			}
 			for qi, q := range queries {
 				for ki, k := range ks {
 					got := fresh.Search(q, k)
 					if !same(got, want[qi*len(ks)+ki]) {
-						checkSameResults(t, fmt.Sprintf("%s Search(%q, %d)", label, q, k), got, want[qi*len(ks)+ki])
+						checkSameResults(t, fmt.Sprintf("%s Search(%q, %d)", label(), q, k), got, want[qi*len(ks)+ki])
 					}
 					checkTerms(t, label, fresh, docs, got)
 				}
@@ -75,11 +83,15 @@ func TestExhaustiveSmallScope(t *testing.T) {
 	eachSmallCorpus(t, check)
 }
 
-// eachSmallCorpus calls check on every corpus of the small scope, the first
-// document's body partitioning the space into parallel subtests: at most 3
-// documents (2 under -short or -race) whose bodies are at most 3 words over a
-// 3-word vocabulary (one of them a stopword, one stemming to something other
-// than itself), all English or with one document non-English.
+// eachSmallCorpus calls check once on every corpus of the small scope: at
+// most 3 documents (2 under -short or -race) whose bodies are at most 3 words
+// over a 3-word vocabulary (one of them a stopword, one stemming to something
+// other than itself), all English or with one document non-English. The
+// empty corpus is checked first; the rest are parallel subtests, by the first
+// document's body and then by language: first=<body>/en holds the all-English
+// corpora, first=<body>/fr each of them with its second document (the only
+// one, of one) non-English — in a three-document shard that puts English
+// postings on both sides of it, at two shards it has a shard to itself.
 func eachSmallCorpus(t *testing.T, check func(t *testing.T, docs []Document)) {
 	vocab := []string{"museum", "paintings", "the"}
 	maxDocs := 3
@@ -97,33 +109,38 @@ func eachSmallCorpus(t *testing.T, check func(t *testing.T, docs []Document)) {
 		lo = hi
 	}
 
-	// Enumerate corpora depth-first.
-	var extend func(t *testing.T, docs []Document)
-	extend = func(t *testing.T, docs []Document) {
-		// The second document (the only one, of one) is the one that may be
-		// non-English: in a three-document shard that puts English postings on
-		// both sides of it, at two shards it has a shard to itself.
-		check(t, docs)
-		variant := append([]Document(nil), docs...)
-		variant[min(1, len(docs)-1)].Lang = "fr"
-		check(t, variant)
+	// Enumerate the English corpora depth-first, checking each or its
+	// non-English variant.
+	var extend func(t *testing.T, docs []Document, fr bool)
+	extend = func(t *testing.T, docs []Document, fr bool) {
+		if fr {
+			variant := append([]Document(nil), docs...)
+			variant[min(1, len(docs)-1)].Lang = "fr"
+			check(t, variant)
+		} else {
+			check(t, docs)
+		}
 		if len(docs) == maxDocs {
 			return
 		}
 		for _, body := range bodies {
 			d := Document{URL: fmt.Sprint("u", len(docs)), Body: body}
-			if len(docs) == 0 {
-				d.Title = "paintings" // one title-only term source
-			}
-			extend(t, append(docs[:len(docs):len(docs)], d))
+			extend(t, append(docs[:len(docs):len(docs)], d), fr)
 		}
 	}
 	check(t, nil)
 	for _, body := range bodies {
+		// The first document's title is the scope's one title-only term
+		// source.
 		first := Document{URL: "u0", Title: "paintings", Body: body}
 		t.Run(fmt.Sprintf("first=%q", body), func(t *testing.T) {
 			t.Parallel()
-			extend(t, []Document{first})
+			for _, lang := range []string{"en", "fr"} {
+				t.Run(lang, func(t *testing.T) {
+					t.Parallel()
+					extend(t, []Document{first}, lang == "fr")
+				})
+			}
 		})
 	}
 }

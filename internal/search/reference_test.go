@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/textproc"
@@ -45,9 +46,8 @@ func newRefCorpus(docs []Document) *refCorpus {
 	rc := &refCorpus{docs: docs, tfs: make([]map[string]int, len(docs)), docLen: make([]int, len(docs)), df: map[string]int{}}
 	totalLen := 0
 	for i, d := range docs {
-		terms := textproc.NormalizeTokens(d.Title)
-		terms = append(terms, textproc.NormalizeTokens(d.Title)...)
-		terms = append(terms, textproc.NormalizeTokens(d.Body)...)
+		title := normTokens(d.Title)
+		terms := slices.Concat(title, title, normTokens(d.Body))
 		tf := map[string]int{}
 		for _, t := range terms {
 			tf[t]++
@@ -66,7 +66,7 @@ func newRefCorpus(docs []Document) *refCorpus {
 // search scores every document of a non-empty corpus for k > 0.
 func (rc *refCorpus) search(query string, k int) []Result {
 	docs, tfs, docLen, avgLen, df := rc.docs, rc.tfs, rc.docLen, rc.avgLen, rc.df
-	qterms := textproc.NormalizeTokens(query)
+	qterms := normTokens(query)
 	if len(qterms) == 0 {
 		return nil
 	}
@@ -114,6 +114,42 @@ func (rc *refCorpus) search(query string, k int) []Result {
 	return out
 }
 
+// tokenMemoMax bounds the token memo: far above the few dozen strings the
+// exhaustive small scope normalises, while the large random corpora of other
+// tests only make it start over.
+const tokenMemoMax = 1 << 12
+
+// tokenMemo is normTokens' memo. Reads are lock-free; the lock orders the
+// inserts, which empty the memo first when it holds tokenMemoMax strings, so
+// it never holds more.
+var tokenMemo struct {
+	sync.Mutex
+	m sync.Map // string → []string
+	n int
+}
+
+// normTokens is textproc.NormalizeTokens memoised for the reference side of
+// the checks, which the exhaustive small scope runs a few hundred thousand
+// times over a few dozen distinct bodies, words, queries and snippets. Every
+// caller only reads the slice it gets, which is shared with later callers;
+// it is clipped, so an append copies it.
+func normTokens(s string) []string {
+	if norm, ok := tokenMemo.m.Load(s); ok {
+		return norm.([]string)
+	}
+	norm := slices.Clip(textproc.NormalizeTokens(s))
+	tokenMemo.Lock()
+	if tokenMemo.n == tokenMemoMax {
+		tokenMemo.m.Clear()
+		tokenMemo.n = 0
+	}
+	if _, loaded := tokenMemo.m.LoadOrStore(s, norm); !loaded {
+		tokenMemo.n++
+	}
+	tokenMemo.Unlock()
+	return norm
+}
+
 // refSnippet is the reference snippet window: re-normalize the body word by
 // word and find the first word stemming to a query term.
 func refSnippet(d Document, qterms []string) string {
@@ -127,7 +163,7 @@ func refSnippet(d Document, qterms []string) string {
 	}
 	at := 0
 	for i, w := range words {
-		norm := textproc.NormalizeTokens(w)
+		norm := normTokens(w)
 		if len(norm) == 1 {
 			if _, ok := qset[norm[0]]; ok {
 				at = i
@@ -192,11 +228,11 @@ func (sb *refShard) add(doc Document) {
 	words := strings.Fields(doc.Body)
 	tf := map[string]int{}
 	n := 0
-	for _, t := range textproc.NormalizeTokens(doc.Title) {
+	for _, t := range normTokens(doc.Title) {
 		tf[t] += 2
 		n += 2
 	}
-	for _, t := range textproc.NormalizeTokens(doc.Body) {
+	for _, t := range normTokens(doc.Body) {
 		tf[t]++
 		n++
 	}
@@ -309,7 +345,7 @@ func (sb *refShard) flatten() (*columns, []int32, termColumn) {
 	tc := termColumn{ids: make([]int32, 0, len(sb.words)), multiOff: []int32{0}}
 	multi := map[string]int32{}
 	for _, w := range sb.words {
-		norm := textproc.NormalizeTokens(w)
+		norm := normTokens(w)
 		switch len(norm) {
 		case 0:
 			tc.ids = append(tc.ids, noToken)

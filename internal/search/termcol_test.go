@@ -7,18 +7,17 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/textproc"
 )
 
 // checkTerms asserts that every result's Terms decode, through six's
 // vocabulary and with the token-less words skipped, to exactly the tokens
 // textproc derives from the snippet text, and that Terms is nil exactly when
 // the hit — a document of docs, found by URL — has no body to take a window
-// from.
-func checkTerms(t *testing.T, label string, six *ShardedIndex, docs []Document, results []Result) {
-	t.Helper()
+// from. The exhaustive suite comes through here millions of times: label is
+// only called, and the helper only marked, on failure.
+func checkTerms(t *testing.T, label func() string, six *ShardedIndex, docs []Document, results []Result) {
 	vocab := six.Vocab()
+	var got []string // reused across results
 	for i, r := range results {
 		var body string
 		for _, d := range docs {
@@ -26,20 +25,22 @@ func checkTerms(t *testing.T, label string, six *ShardedIndex, docs []Document, 
 				body = d.Body
 			}
 		}
-		if noBody := len(strings.Fields(body)) == 0; noBody || r.Terms == nil {
+		if noBody := strings.TrimSpace(body) == ""; noBody || r.Terms == nil {
 			if !noBody || r.Terms != nil || r.Snippet != r.Title {
-				t.Fatalf("%s result %d: body %q gives Terms %v, snippet %q", label, i, body, r.Terms, r.Snippet)
+				t.Helper()
+				t.Fatalf("%s result %d: body %q gives Terms %v, snippet %q", label(), i, body, r.Terms, r.Snippet)
 			}
 			continue
 		}
-		got := []string{}
+		got = got[:0]
 		for _, id := range r.Terms {
 			if id >= 0 {
 				got = append(got, vocab[id])
 			}
 		}
-		if want := textproc.NormalizeTokens(r.Snippet); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s result %d: Terms %v decode to %q, snippet %q normalises to %q", label, i, r.Terms, got, r.Snippet, want)
+		if want := normTokens(r.Snippet); !slices.Equal(got, want) {
+			t.Helper()
+			t.Fatalf("%s result %d: Terms %v decode to %q, snippet %q normalises to %q", label(), i, r.Terms, got, r.Snippet, want)
 		}
 	}
 }
@@ -106,7 +107,7 @@ func TestTermsMatchExtract(t *testing.T) {
 				}
 				got = append(got, six.SearchBatch(queries, 10)...)
 				for i, results := range got {
-					checkTerms(t, fmt.Sprintf("%s list %d", label, i), six, docs, results)
+					checkTerms(t, func() string { return fmt.Sprintf("%s list %d", label, i) }, six, docs, results)
 				}
 				if want == nil {
 					want = got
@@ -176,7 +177,7 @@ func TestSnippetAnchor(t *testing.T) {
 				t.Fatalf("%s: Search(%q) = %+v, want snippet %q", label, c.query, got, want)
 			}
 			checkSameResults(t, label, got, refSearch(docs, c.query, 1))
-			checkTerms(t, label, six, docs, got)
+			checkTerms(t, func() string { return label }, six, docs, got)
 		}
 	}
 }
