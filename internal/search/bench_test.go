@@ -118,7 +118,7 @@ func BenchmarkSearchTerm(b *testing.B) {
 // middle of the name, where only deferral keeps it from being walked.
 func BenchmarkSearchAugmented(b *testing.B) {
 	ix := buildSharded(augmentedCorpus(6000), 1)
-	if col := ix.shards[0].col; col.contribDense[col.termID["restaur"]] == nil {
+	if col := ix.shards[0].col; col.dense[col.termID["restaur"]] == nil {
 		b.Fatal("'restaurant' did not cross bigTermDF")
 	}
 	queries := augmentedQueries(32)

@@ -10,11 +10,11 @@ import (
 )
 
 // Columnar scoring kernel. A frozen shard holds its postings in a flat
-// columnar form — a term-id dictionary, CSR posting columns and a precomputed
-// per-posting partial-score column — so the BM25 hot loop the batched
-// annotate path bottoms out in is a block-at-a-time walk over contiguous
-// arrays instead of a map lookup plus per-posting floating-point pipeline. One
-// producer lays the columns out, a shard builder's flatten, and finish
+// columnar form — a term-id dictionary, CSR posting columns and each term's
+// precomputed partial scores, held once per distinct value — so the BM25 hot
+// loop the batched annotate path bottoms out in is a walk over contiguous
+// arrays instead of a map lookup plus per-posting floating-point pipeline.
+// One producer lays the columns out, a shard builder's flatten, and finish
 // completes them; a loaded index is a Build too. Snippets do not read these
 // columns: they anchor on the term-id column (termcol.go).
 //
@@ -25,15 +25,17 @@ import (
 // Every operand of that expression is frozen state: idf and normK are derived
 // from the whole corpus, tf is counted in the posting. rank therefore evaluates
 // the exact expression — same operand order, same operations — once per
-// posting and stores the result in the contribution column, and tf is dropped;
-// the query-time kernel only replays the additions. Because (a) the
-// stored contribution is the identical float64 the scalar loop would have
-// produced, and (b) a term has at most one posting per doc and terms are
-// scored in query-term order, every doc's sum receives its terms'
-// contributions in query-term order whatever order a section lists its docs
-// in; and the top-k heap order is total, so the order in which candidates are
-// offered cannot change the output. Final scores are therefore bit-identical,
-// not merely close.
+// posting into a transient contribution column, and tf is dropped. That value
+// depends only on the term, the tf and the document's length, so a best-first
+// section is a sequence of runs of one value; compress keeps each run's value
+// once, the identical float64 each of its postings held, and the query-time
+// kernel only replays the additions. Because (a) the value added for a posting
+// is the identical float64 the scalar loop would have produced, and (b) a term
+// has at most one posting per doc and terms are scored in query-term order,
+// every doc's sum receives its terms' contributions in query-term order
+// whatever order a section lists its docs in; and the top-k heap order is
+// total, so the order in which candidates are offered cannot change the
+// output. Final scores are therefore bit-identical, not merely close.
 // The reference differential suite, FuzzShardedSearchEquivalence and the
 // cmd/experiments goldens all enforce this.
 //
@@ -55,39 +57,61 @@ type columns struct {
 	terms []string
 
 	// English CSR sections, the scoring kernel's only inputs: term id t's
-	// postings live at engDoc/engContrib[engOff[t]:engOff[t+1]], best-first —
-	// in (contribution desc, doc asc) order, the top-k total order restricted
-	// to docs whose whole score is that one term. engContrib[i] is the
-	// posting's full precomputed BM25 contribution. Threshold-algorithm
-	// selection reads a section's prefix (kthContrib, deferredTerms, seed),
-	// touching only the postings that can still reach the top-k; scoring reads
-	// all of it, in any order (see the bit-identity note).
-	engOff     []int32
-	engDoc     []int32
-	engContrib []float64
+	// postings live at engDoc[engOff[t]:engOff[t+1]], best-first — in
+	// (contribution desc, doc asc) order, the top-k total order restricted to
+	// docs whose whole score is that one term. Threshold-algorithm selection
+	// reads a section's prefix (kthContrib, deferredTerms, seed), touching only
+	// the postings that can still reach the top-k; scoring reads all of it, in
+	// any order (see the bit-identity note).
+	engOff []int32
+	engDoc []int32
+
+	// Runs of one contribution: term id t's section is cut into the runs
+	// runOff[t]:runOff[t+1]. Run r ends at engDoc offset runEnd[r] and starts
+	// where the run before it ends (engOff[t] for a term's first), and
+	// runVal[r] is the full precomputed BM25 contribution of each of its
+	// postings. Runs are maximal, so a term's run values strictly decrease:
+	// there is one run per distinct contribution.
+	runOff []int32
+	runVal []float64
+	runEnd []int32
 
 	// othDF[t] is term id t's count of non-English postings, which are never
 	// scored: idf counts documents of every language.
 	othDF []int32
 
-	// contribDense[t], non-nil for big terms (english df >= bigTermDF), is
-	// term t's contribution column scattered into a dense per-doc array (0
-	// for docs the term does not contain), so exact rescoring costs one load
-	// instead of a binary search over the term's postings. Indexed by term
-	// id, not a map: the scoring path tests it per query term.
-	contribDense [][]float64
+	// dense[t], non-nil for big terms (english df >= bigTermDF) of at most
+	// math.MaxUint16 runs, is term t's runs scattered into a per-doc code
+	// column, so exact rescoring costs two loads instead of a binary search
+	// over the term's postings. Indexed by term id, not a map: the scoring
+	// path tests it per query term. A big term with more runs has none and is
+	// scored as an essential term (deferredTerms), which every plan does
+	// exactly.
+	dense []*denseCol
 }
 
-// newColumns allocates the columns at their exact sizes for a sorted
-// dictionary; the producer fills sections and offsets.
+// denseCol is a big term's dense sidecar: code[d] is 0 when the term misses
+// doc d and c when d's posting is in the term's c-th run (1-based), and
+// val[c] is that run's contribution, val[0] = 0. Reading val[code[d]] is
+// branch-free, and adding the 0.0 of a doc the term misses is bitwise
+// identity on a positive partial.
+type denseCol struct {
+	code []uint16
+	val  []float64
+}
+
+// contrib returns doc d's contribution, 0 when the term misses it.
+func (dc *denseCol) contrib(d int32) float64 { return dc.val[dc.code[d]] }
+
+// newColumns allocates the sections at their exact sizes for a sorted
+// dictionary; the producer fills sections and offsets, compress the runs.
 func newColumns(terms []string, nEng int) *columns {
 	c := &columns{
-		termID:     make(map[string]int32, len(terms)),
-		terms:      terms,
-		engOff:     make([]int32, len(terms)+1),
-		engDoc:     make([]int32, nEng),
-		engContrib: make([]float64, nEng),
-		othDF:      make([]int32, len(terms)),
+		termID: make(map[string]int32, len(terms)),
+		terms:  terms,
+		engOff: make([]int32, len(terms)+1),
+		engDoc: make([]int32, nEng),
+		othDF:  make([]int32, len(terms)),
 	}
 	for id, term := range terms {
 		c.termID[term] = int32(id)
@@ -103,12 +127,12 @@ const bigTermDF = 1024
 
 // rank derives the corpus-wide ranking constants — per-term idf over global
 // document frequencies, average document length, per-doc BM25 length
-// normalizers — and fills every shard's contribution column from them, so each
-// shard scores with exactly the constants a single shard holding the whole
-// corpus would use. Contributions are computed here, and only here.
-// docLen[shard][doc] is the doc's length in terms, tf[shard][i] the term
-// frequency of English posting i.
-func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) {
+// normalizers — and returns every shard's contribution column from them,
+// contrib[shard][i] English posting i's, so each shard scores with exactly the
+// constants a single shard holding the whole corpus would use. Contributions
+// are computed here, and only here. docLen[shard][doc] is the doc's length in
+// terms, tf[shard][i] the term frequency of English posting i.
+func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) (contrib [][]float64) {
 	df := make(map[string]int)
 	totalLen := 0
 	for si, sh := range shards {
@@ -125,8 +149,10 @@ func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) {
 	if n > 0 {
 		avgLen = float64(totalLen) / n
 	}
+	contrib = make([][]float64, len(shards))
 	for si, sh := range shards {
 		c := sh.col
+		contrib[si] = make([]float64, len(c.engDoc))
 		normK := make([]float64, len(docLen[si]))
 		for d, dl := range docLen[si] {
 			normK[d] = bm25K1 * (1 - bm25B + bm25B*float64(dl)/avgLen)
@@ -138,18 +164,20 @@ func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) {
 				tf := float64(tf[si][i])
 				// The exact expression of the former scalar loop; see the
 				// bit-identity note above before changing its shape.
-				c.engContrib[i] = idf * tf * (bm25K1 + 1) / (tf + normK[c.engDoc[i]])
+				contrib[si][i] = idf * tf * (bm25K1 + 1) / (tf + normK[c.engDoc[i]])
 			}
 		}
 	}
+	return contrib
 }
 
 // finish derives what flatten does not lay out: rank, the index-wide
 // vocabulary, then per shard on the pool the best-first sections (bestFirst),
-// the dense sidecars and the term-id column in vocabulary ids. docLen is the
-// input of rank, tf of rank and of bestFirst (see rank).
+// their runs (compress, after which the shard's contribution column is
+// dropped), the dense sidecars and the term-id column in vocabulary ids.
+// docLen is the input of rank, tf of rank and of bestFirst (see rank).
 func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
-	rank(s.shards, docLen, tf, s.nDocs)
+	contrib := rank(s.shards, docLen, tf, s.nDocs)
 	for _, sh := range s.shards {
 		s.vocab = append(s.vocab, sh.col.terms...)
 	}
@@ -157,15 +185,18 @@ func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
 	s.vocab = slices.Clip(slices.Compact(s.vocab))
 	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(si int) {
 		sh := s.shards[si]
-		sh.col.bestFirst(tf[si])
+		sh.col.bestFirst(tf[si], contrib[si])
+		sh.col.compress(contrib[si])
+		contrib[si] = nil
 		sh.col.scatterDense(len(sh.docs))
 		sh.terms.toVocab(sh.col.terms, s.vocab)
 	}) // Background is never done, so Run cannot fail
 }
 
-// bestFirst puts every English section in (contribution desc, doc asc) order
-// without a comparison sort. It relies on flatten's layout: each section in
-// the (length, doc) order of its documents, tf[i] English posting i's. For one
+// bestFirst puts every English section, with contrib[i] English posting i's
+// contribution, in (contribution desc, doc asc) order without a comparison
+// sort. It relies on flatten's layout: each section in the (length, doc) order
+// of its documents, tf[i] English posting i's. For one
 // term and one tf, rank's numerator idf·tf·(k1+1) is a constant, and its
 // denominator tf+normK[d] does not decrease as document d gets longer (normK
 // is monotone in the length, and IEEE + × / are monotone in each operand): the
@@ -175,7 +206,7 @@ func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
 // postings are partitioned stably by tf, each group's runs of equal
 // contribution are put in doc order, and the groups are merged by
 // (contribution desc, doc asc) back into the section.
-func (c *columns) bestFirst(tf []int32) {
+func (c *columns) bestFirst(tf []int32, contrib []float64) {
 	if len(tf) == 0 {
 		return
 	}
@@ -183,7 +214,7 @@ func (c *columns) bestFirst(tf []int32) {
 	for t := range c.terms {
 		lo, hi := c.engOff[t], c.engOff[t+1]
 		if hi-lo > 1 {
-			m.order(c.engDoc[lo:hi], c.engContrib[lo:hi], tf[lo:hi])
+			m.order(c.engDoc[lo:hi], contrib[lo:hi], tf[lo:hi])
 		}
 	}
 }
@@ -289,46 +320,87 @@ func docOrderTies(docs []int32, contribs []float64) {
 	}
 }
 
-// scatterDense materializes the big-term dense contribution arrays of an
-// nDocs-document shard. Pure scatter from already-built columns, no ordering
-// dependency.
-func (c *columns) scatterDense(nDocs int) {
-	c.contribDense = make([][]float64, len(c.terms))
-	for tid := range c.terms {
-		lo, hi := c.engOff[tid], c.engOff[tid+1]
-		if int(hi-lo) < bigTermDF {
-			continue
+// compress cuts every section into its runs of one contribution, contrib[i]
+// being English posting i's: a run ends where the next posting's contribution
+// differs, so a best-first section gets one run per distinct value. A pass
+// counts the runs, so the run columns are allocated at their exact sizes.
+func (c *columns) compress(contrib []float64) {
+	n := 0
+	for t := range c.terms {
+		lo, hi := c.engOff[t], c.engOff[t+1]
+		for i := lo; i < hi; i++ {
+			if i == lo || contrib[i] != contrib[i-1] {
+				n++
+			}
 		}
-		docs := c.engDoc[lo:hi]
-		contribs := c.engContrib[lo:hi]
-		dense := make([]float64, nDocs)
-		for i, d := range docs {
-			dense[d] = contribs[i]
+	}
+	c.runOff = make([]int32, len(c.terms)+1)
+	c.runVal, c.runEnd = make([]float64, n), make([]int32, n)
+	r := int32(-1)
+	for t := range c.terms {
+		lo, hi := c.engOff[t], c.engOff[t+1]
+		for i := lo; i < hi; i++ {
+			if i == lo || contrib[i] != contrib[i-1] {
+				r++
+				c.runVal[r] = contrib[i]
+			}
+			c.runEnd[r] = i + 1
 		}
-		c.contribDense[tid] = dense
+		c.runOff[t+1] = r + 1
 	}
 }
 
+// scatterDense materializes the big-term dense sidecars of an nDocs-document
+// shard. Pure scatter from already-built runs, no ordering dependency.
+func (c *columns) scatterDense(nDocs int) {
+	c.dense = make([]*denseCol, len(c.terms))
+	for tid := range c.terms {
+		if c.engOff[tid+1]-c.engOff[tid] >= bigTermDF {
+			c.dense[tid] = c.denseCodes(int32(tid), nDocs)
+		}
+	}
+}
+
+// denseCodes scatters term tid's runs into a code per doc of nDocs; nil when
+// the term has more runs than a uint16 code can name.
+func (c *columns) denseCodes(tid int32, nDocs int) *denseCol {
+	ro, rhi := c.runOff[tid], c.runOff[tid+1]
+	if rhi-ro > math.MaxUint16 {
+		return nil
+	}
+	dc := &denseCol{code: make([]uint16, nDocs), val: append([]float64{0}, c.runVal[ro:rhi]...)}
+	start := c.engOff[tid]
+	for r := ro; r < rhi; r++ {
+		code := uint16(r - ro + 1)
+		for _, d := range c.engDoc[start:c.runEnd[r]] {
+			dc.code[d] = code
+		}
+		start = c.runEnd[r]
+	}
+	return dc
+}
+
 // scoreTerm adds term id tid's precomputed posting contributions into the
-// dense accumulator, recording each first-touched doc so selection can
-// enumerate and reset the sparse partials. Only a query's essential terms come
-// through here (see deferredTerms; the final term's pass is usually fused with
-// selection) — for a served "<cell> <city>" query the rare name terms and the
-// city, not the long type column among them; a training "<name> <type>" query
-// ends in its long column, which selection completes from the dense sidecar.
-// The block body is hand-unrolled 4 wide: a term's
-// postings are distinct docs, so the four loads never alias the four stores
-// and the additions (plus the dependent scores[] bounds checks, the only
-// ones the compiler cannot eliminate) overlap instead of serialising.
+// dense accumulator, each posting its run's value, recording each
+// first-touched doc so selection can enumerate and reset the sparse partials.
+// Only a query's essential terms come through here (see deferredTerms; the
+// final term's pass is usually fused with selection) — for a served "<cell>
+// <city>" query the rare name terms and the city, not the long type column
+// among them; a training "<name> <type>" query ends in its long column, which
+// selection completes from the dense sidecar. The section is walked in order
+// with a run cursor, whose one branch, at a run's end, is the only per-run
+// cost: a medium term of a seed-42 shard averages three to four postings per
+// run, where a loop per run (unrolled or not) mispredicts its exit about once
+// a run and measured slower.
 func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 	lo, hi := c.engOff[tid], c.engOff[tid+1]
-	docs := c.engDoc[lo:hi]
-	if len(docs) == 0 {
+	if lo == hi {
 		return
 	}
-	// Reslice to a common length so the contribs indexing below is
-	// provably in bounds wherever docs indexing is.
-	contribs := c.engContrib[lo:hi][:len(docs)]
+	docs := c.engDoc[lo:hi]
+	ro, rhi := c.runOff[tid], c.runOff[tid+1]
+	runVal, runEnd := c.runVal[ro:rhi], c.runEnd[ro:rhi]
+	runEnd = runEnd[:len(runVal)]
 	scores := acc.scores
 	// First-touch recording writes through the touched window
 	// unconditionally and advances n only when the store counted — no
@@ -336,39 +408,18 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 	// preallocates one slot per doc, so the window cannot overflow).
 	n := len(acc.touched)
 	touched := acc.touched[:cap(acc.touched)]
-	i := 0
-	for ; i+3 < len(docs); i += 4 {
-		d0, d1, d2, d3 := docs[i], docs[i+1], docs[i+2], docs[i+3]
-		s0, s1, s2, s3 := scores[d0], scores[d1], scores[d2], scores[d3]
-		touched[n] = d0
-		if s0 == 0 {
-			n++
+	r, end, v := 0, runEnd[0]-lo, runVal[0]
+	for i, d := range docs {
+		if int32(i) == end { // posting i starts the next run
+			r++
+			end, v = runEnd[r]-lo, runVal[r]
 		}
-		touched[n] = d1
-		if s1 == 0 {
-			n++
-		}
-		touched[n] = d2
-		if s2 == 0 {
-			n++
-		}
-		touched[n] = d3
-		if s3 == 0 {
-			n++
-		}
-		scores[d0] = s0 + contribs[i]
-		scores[d1] = s1 + contribs[i+1]
-		scores[d2] = s2 + contribs[i+2]
-		scores[d3] = s3 + contribs[i+3]
-	}
-	for ; i < len(docs); i++ {
-		d := docs[i]
 		s := scores[d]
 		touched[n] = d
 		if s == 0 {
 			n++
 		}
-		scores[d] = s + contribs[i]
+		scores[d] = s + v
 	}
 	acc.touched = touched[:n]
 }

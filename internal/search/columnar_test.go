@@ -21,9 +21,10 @@ import (
 // checkColumnsRoundTrip asserts every shard of six — made by Build, or loaded
 // from what such an index persisted — holds an exact compilation of
 // the reference's maps over the same documents: dictionary, English postings
-// and the count of the others, contributions bit-equal to the scalar BM25
-// expression over ranking constants re-derived here from the maps, each
-// section best-first, the dense sidecars, and the term-id column. The
+// and the count of the others, contributions — expanded from the runs, which
+// are maximal — bit-equal to the scalar BM25 expression over ranking constants
+// re-derived here from the maps, each section best-first, the dense sidecars,
+// and the term-id column. The
 // exhaustive suite comes through here several hundred thousand times: label
 // is only called on failure.
 func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six *ShardedIndex) {
@@ -76,7 +77,14 @@ func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six
 			}
 		}
 
-		var eng []engPosting // one term's expected section; reused
+		if len(c.runOff) != len(c.terms)+1 || c.runOff[0] != 0 || int(c.runOff[len(c.terms)]) != len(c.runVal) || len(c.runEnd) != len(c.runVal) {
+			fatalf("run offsets of length %d (first %v) for %d terms, %d run values, %d run ends", len(c.runOff), c.runOff[:min(1, len(c.runOff))], len(c.terms), len(c.runVal), len(c.runEnd))
+		}
+		if len(c.dense) != len(c.terms) {
+			fatalf("%d dense sidecar slots for %d terms", len(c.dense), len(c.terms))
+		}
+		var eng []engPosting   // one term's expected section; reused
+		var contribs []float64 // its contributions expanded from the runs; reused
 		for term, want := range sb.postings {
 			tid := c.termID[term]
 
@@ -105,25 +113,57 @@ func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six
 				fatalf("%q eng section length %d/%d, other postings %d/%d", term, hi-lo, len(eng), c.othDF[tid], o)
 			}
 			slices.SortFunc(eng, bestFirstCmp)
+
+			// The runs tile the section, each non-empty, with strictly
+			// decreasing values — maximal, one per distinct contribution —
+			// and expand to one contribution per posting.
+			ro, rhi := c.runOff[tid], c.runOff[tid+1]
+			if ro > rhi {
+				fatalf("%q runs %d:%d", term, ro, rhi)
+			}
+			contribs = contribs[:0]
+			start := lo
+			for r := ro; r < rhi; r++ {
+				if c.runEnd[r] <= start || c.runEnd[r] > hi {
+					fatalf("%q run %d ends at %d, after %d, in section %d:%d", term, r-ro, c.runEnd[r], start, lo, hi)
+				}
+				if r > ro && !(c.runVal[r] < c.runVal[r-1]) {
+					fatalf("%q run %d value %v after %v: runs are not maximal and strictly decreasing", term, r-ro, c.runVal[r], c.runVal[r-1])
+				}
+				for ; start < c.runEnd[r]; start++ {
+					contribs = append(contribs, c.runVal[r])
+				}
+			}
+			if start != hi {
+				fatalf("%q runs cover %d:%d of section %d:%d", term, lo, start, lo, hi)
+			}
 			for i, p := range eng {
-				if got := (engPosting{c.engDoc[int(lo)+i], c.engContrib[int(lo)+i]}); got != p {
+				if got := (engPosting{c.engDoc[int(lo)+i], contribs[i]}); got != p {
 					fatalf("%q eng posting %d is doc %d contrib %v, want doc %d contrib exactly %v", term, i, got.doc, got.contrib, p.doc, p.contrib)
 				}
 			}
 
-			// The dense sidecar exists exactly for big terms and scatters the
-			// same contribution values the sparse form holds.
-			big := int(hi-lo) >= bigTermDF
-			if (c.contribDense[tid] != nil) != big {
-				fatalf("%q dense sidecar present=%v, want %v (df %d)", term, c.contribDense[tid] != nil, big, hi-lo)
+			// The dense sidecar exists exactly for big terms whose runs a
+			// uint16 code can name, and each doc's code decodes to the
+			// contribution the section holds for it — bitwise — or 0.
+			big := int(hi-lo) >= bigTermDF && rhi-ro <= math.MaxUint16
+			dc := c.dense[tid]
+			if (dc != nil) != big {
+				fatalf("%q dense sidecar present=%v, want %v (df %d, %d runs)", term, dc != nil, big, hi-lo, rhi-ro)
 			}
 			if big {
-				dense := make([]float64, len(ix.docs))
-				for i := lo; i < hi; i++ {
-					dense[c.engDoc[i]] = c.engContrib[i]
+				if len(dc.code) != len(ix.docs) || len(dc.val) != int(rhi-ro)+1 {
+					fatalf("%q dense sidecar holds %d codes for %d docs, %d values for %d runs",
+						term, len(dc.code), len(ix.docs), len(dc.val), rhi-ro)
 				}
-				if !reflect.DeepEqual(c.contribDense[tid], dense) {
-					fatalf("%q contribDense does not match scattered contribs", term)
+				dense := make([]float64, len(ix.docs))
+				for _, p := range eng {
+					dense[p.doc] = p.contrib
+				}
+				for d, want := range dense {
+					if got := dc.contrib(int32(d)); math.Float64bits(got) != math.Float64bits(want) {
+						fatalf("%q dense code of doc %d decodes to %v, the section holds %v", term, d, got, want)
+					}
 				}
 			}
 		}
@@ -228,7 +268,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 		col := six.shards[0].col
 		big := 0
 		for tid := range col.terms {
-			if col.contribDense[tid] != nil {
+			if col.dense[tid] != nil {
 				big++
 			}
 		}
@@ -298,7 +338,8 @@ func TestFreezeScheduleIndependent(t *testing.T) {
 }
 
 // TestSectionsMatchSort: every English section bestFirst lays out without a
-// comparison sort equals the one sortOrd sorts, per shard and term: on
+// comparison sort, and the runs compress cuts it into, equal the ones sortOrd
+// derives from a comparison sort, per shard and term: on
 // shapedCorpus and randomCorpus at 1 to 3 shards, on a corpus where one term
 // takes six tf values over documents of equal and of different lengths with
 // equal contributions across tf groups (only doc order can break those ties),
@@ -311,11 +352,10 @@ func TestSectionsMatchSort(t *testing.T) {
 		t.Helper()
 		for si, sh := range six.shards {
 			want := *sh.col
-			want.engDoc, want.engContrib = slices.Clone(want.engDoc), slices.Clone(want.engContrib)
-			want.sortOrd()
-			if !slices.Equal(sh.col.engDoc, want.engDoc) || !slices.Equal(sh.col.engContrib, want.engContrib) {
-				t.Fatalf("%s shard %d: sections %v %v, sortOrd %v %v", label(), si,
-					sh.col.engDoc, sh.col.engContrib, want.engDoc, want.engContrib)
+			want.sortOrd(len(sh.docs))
+			if !sameSections(sh.col, &want) {
+				t.Fatalf("%s shard %d: sections %v runs %v %v, sortOrd %v runs %v %v", label(), si,
+					sh.col.engDoc, sh.col.runVal, sh.col.runEnd, want.engDoc, want.runVal, want.runEnd)
 			}
 		}
 	}
@@ -336,10 +376,11 @@ func TestSectionsMatchSort(t *testing.T) {
 			docs = append(docs, Document{URL: fmt.Sprint("h", i), Body: strings.Join(words, " ")})
 		}
 		col := buildSharded(docs, 1).shards[0].col
+		contribs := col.contribColumn()
 		contrib := func(d int32) float64 {
 			tid := col.termID["museum"]
 			lo, hi := col.engOff[tid], col.engOff[tid+1]
-			return col.engContrib[int(lo)+slices.Index(col.engDoc[lo:hi], d)]
+			return contribs[int(lo)+slices.Index(col.engDoc[lo:hi], d)]
 		}
 		// The tie pairs, each once with the smaller tf on the smaller doc and
 		// once on the larger.
@@ -359,18 +400,17 @@ func TestSectionsMatchSort(t *testing.T) {
 		// and the run of 1.5 spans lengths 3 and 5 out of doc order. No
 		// built corpus can hold such a run (docOrderTies derives the bound),
 		// so these columns are laid by hand.
-		c := &columns{
-			terms:      []string{"t"},
-			engOff:     []int32{0, 4},
-			engDoc:     []int32{1, 2, 0, 3},
-			engContrib: []float64{2, 1.5, 1.5, 1},
-		}
+		contrib := []float64{2, 1.5, 1.5, 1}
+		c := &columns{terms: []string{"t"}, engOff: []int32{0, 4}, engDoc: []int32{1, 2, 0, 3}}
 		want := *c
-		want.engDoc, want.engContrib = slices.Clone(c.engDoc), slices.Clone(c.engContrib)
-		want.sortOrd()
-		c.bestFirst([]int32{1, 1, 1, 1})
-		if !slices.Equal(c.engDoc, want.engDoc) || !slices.Equal(c.engContrib, want.engContrib) {
-			t.Fatalf("section %v %v, sortOrd %v %v", c.engDoc, c.engContrib, want.engDoc, want.engContrib)
+		want.engDoc = slices.Clone(c.engDoc)
+		wantContrib := slices.Clone(contrib)
+		want.sortSections(wantContrib)
+		want.compress(wantContrib)
+		c.bestFirst([]int32{1, 1, 1, 1}, contrib)
+		c.compress(contrib)
+		if !sameSections(c, &want) {
+			t.Fatalf("section %v runs %v %v, sortOrd %v runs %v %v", c.engDoc, c.runVal, c.runEnd, want.engDoc, want.runVal, want.runEnd)
 		}
 	})
 
@@ -382,6 +422,12 @@ func TestSectionsMatchSort(t *testing.T) {
 			check(t, func() string { return fmt.Sprintf("random seed %d x%d", seed, shards) }, buildSharded(random, shards))
 		}
 	}
+}
+
+// sameSections reports whether two columns hold the same sections and runs.
+func sameSections(a, b *columns) bool {
+	return slices.Equal(a.engOff, b.engOff) && slices.Equal(a.engDoc, b.engDoc) &&
+		slices.Equal(a.runOff, b.runOff) && slices.Equal(a.runVal, b.runVal) && slices.Equal(a.runEnd, b.runEnd)
 }
 
 // TestKernelVsReferenceMatrix is the CI differential matrix: the columnar
@@ -426,7 +472,7 @@ func TestKernelVsReferenceMatrixBigTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	docs := randomCorpus(rng, bigTermDF*4)
 	ix := buildSharded(docs, 1)
-	if col := ix.shards[0].col; col.contribDense[col.termID["museum"]] == nil {
+	if col := ix.shards[0].col; col.dense[col.termID["museum"]] == nil {
 		t.Fatal("'museum' did not cross bigTermDF; the corpus no longer exercises sparse selection")
 	}
 	queries := randomQueries(rng, 32)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,23 +160,30 @@ func TestDeferredTermsMatchReference(t *testing.T) {
 	}
 }
 
-// handColumns builds columns holding only what deferredTerms reads: per term
-// its contributions (docs 0..n-1) laid out best-first, and a dense column when
-// big is set.
+// handColumns builds columns holding only what the scoring plan and kernel
+// read: per term its contributions (docs 0..n-1) laid out best-first, cut into
+// runs by the production compress, and a dense sidecar (denseCodes) when big
+// is set.
 func handColumns(contribs [][]float64, big []bool) *columns {
-	c := &columns{engOff: []int32{0}, contribDense: make([][]float64, len(contribs))}
-	for tid, cs := range contribs {
-		c.terms = append(c.terms, fmt.Sprint("t", tid))
+	c := &columns{engOff: []int32{0}, dense: make([]*denseCol, len(contribs))}
+	var contrib []float64
+	nDocs := 0
+	for _, cs := range contribs {
+		c.terms = append(c.terms, fmt.Sprint("t", len(c.terms)))
 		for d := range cs {
 			c.engDoc = append(c.engDoc, int32(d))
 		}
-		c.engContrib = append(c.engContrib, cs...)
-		c.engOff = append(c.engOff, int32(len(c.engContrib)))
-		if big[tid] {
-			c.contribDense[tid] = cs
+		contrib = append(contrib, cs...)
+		c.engOff = append(c.engOff, int32(len(contrib)))
+		nDocs = max(nDocs, len(cs))
+	}
+	c.sortSections(contrib)
+	c.compress(contrib)
+	for tid, b := range big {
+		if b {
+			c.dense[tid] = c.denseCodes(int32(tid), nDocs)
 		}
 	}
-	c.sortOrd()
 	return c
 }
 
@@ -216,4 +224,150 @@ func TestDeferredTermsBound(t *testing.T) {
 			t.Errorf("%s: deferredTerms(%v, %d) = (%v, %b), want (%v, %b)", tc.name, tc.tids, tc.k, theta, deferred, tc.theta, tc.deferred)
 		}
 	}
+}
+
+// TestKthContribRunEdges holds kthContrib and deferredTerms' best-posting read
+// to the expanded contribution column — itself held to each term's
+// contributions sorted best-first — on hand columns for every k from -1 to
+// one past the section: runs of length 1, a single-run term, a lone posting,
+// and k exactly at a run's end and one past it. A short probe term beside each
+// big one moves theta across the big term's best posting as k grows, so the
+// deferral decision reads that posting at every k.
+func TestKthContribRunEdges(t *testing.T) {
+	contribs := [][]float64{
+		{3, 3, 3, 3},                     // one run
+		{5, 4, 3, 2, 1},                  // runs of length 1
+		{9, 9, 7, 5, 5, 5, 2},            // runs ending at postings 2, 3, 6 and 7
+		{4},                              // a lone posting
+		{10, 8, 6, 5, 4.5, 4, 3, 2.5, 1}, // the probe
+	}
+	const probe = 4
+	c := handColumns(contribs, []bool{true, true, true, true, false})
+	expanded := c.contribColumn()
+	kth := func(tid int32, k int) float64 {
+		lo, hi := c.engOff[tid], c.engOff[tid+1]
+		if k < 1 || k > int(hi-lo) {
+			return math.Inf(-1)
+		}
+		return expanded[lo+int32(k)-1]
+	}
+	for tid := range contribs {
+		lo, hi := c.engOff[tid], c.engOff[tid+1]
+		want := slices.Sorted(slices.Values(contribs[tid]))
+		slices.Reverse(want)
+		if !slices.Equal(expanded[lo:hi], want) {
+			t.Fatalf("t%d: runs expand to %v, want the section %v", tid, expanded[lo:hi], want)
+		}
+	}
+	for tid := int32(0); tid < probe; tid++ {
+		lo, hi := c.engOff[tid], c.engOff[tid+1]
+		for k := -1; k <= int(hi-lo)+1; k++ {
+			if got, want := c.kthContrib(tid, k), kth(tid, k); got != want {
+				t.Errorf("t%d: kthContrib(%d) = %v, the expanded column holds %v", tid, k, got, want)
+			}
+			theta, deferred := c.deferredTerms([]int32{probe, tid}, k)
+			wantTheta := max(kth(probe, k), kth(tid, k))
+			wantDeferred := uint64(0)
+			if expanded[lo] < wantTheta {
+				wantDeferred = 0b10
+			}
+			if theta != wantTheta || deferred != wantDeferred {
+				t.Errorf("t%d: deferredTerms(probe t%d, k %d) = (%v, %b), want (%v, %b) from best posting %v",
+					tid, tid, k, theta, deferred, wantTheta, wantDeferred, expanded[lo])
+			}
+		}
+	}
+}
+
+// TestBigTermPastCodeRange: a big term with more runs than a uint16 code can
+// name gets no dense sidecar from the production scatterDense, is never
+// deferred even where its best posting is under the bound, and every plan over
+// it still scores exactly what summing the expanded columns in query-term
+// order does.
+func TestBigTermPastCodeRange(t *testing.T) {
+	const nDocs = math.MaxUint16 + 4465 // 70 000
+	huge := make([]float64, nDocs)
+	for d := range huge {
+		huge[d] = float64(d+1) / 65536 // all distinct: one run per posting
+	}
+	two := make([]float64, 2*bigTermDF)
+	for d := range two {
+		two[d] = 0.25 * float64(1+d%2)
+	}
+	const rare, hugeTerm, twoRuns = 0, 1, 2
+	c := handColumns([][]float64{{100, 90, 80}, huge, two}, nil)
+	c.scatterDense(nDocs)
+	if n := c.runOff[hugeTerm+1] - c.runOff[hugeTerm]; n <= math.MaxUint16 {
+		t.Fatalf("the huge term has %d runs, not past a uint16 code", n)
+	}
+	if c.dense[hugeTerm] != nil || c.dense[twoRuns] == nil {
+		t.Fatalf("dense sidecars: huge term %v, two-run term %v; want none and one", c.dense[hugeTerm] != nil, c.dense[twoRuns] != nil)
+	}
+	for _, tc := range []struct {
+		tids     []int32
+		deferred uint64
+	}{
+		{[]int32{rare, hugeTerm}, 0},
+		{[]int32{rare, twoRuns}, 0b10}, // the bound the huge term would meet
+		{[]int32{rare, hugeTerm, twoRuns}, 0b100},
+		{[]int32{twoRuns, rare, hugeTerm}, 0b001},
+	} {
+		if _, deferred := c.deferredTerms(tc.tids, 2); deferred != tc.deferred {
+			t.Errorf("deferredTerms(%v, 2) defers %b, want %b", tc.tids, deferred, tc.deferred)
+		}
+	}
+
+	ix := &Index{col: c}
+	ix.docs = make([]Document, nDocs)
+	expanded := c.contribColumn()
+	for _, tids := range [][]int32{
+		{rare, hugeTerm}, {hugeTerm, rare}, {hugeTerm}, {rare, hugeTerm, twoRuns},
+		{twoRuns, rare, hugeTerm}, {hugeTerm, twoRuns}, {twoRuns, hugeTerm}, {-1, hugeTerm, -1},
+	} {
+		for _, k := range []int{1, 2, 10, 5000} {
+			want := handSearch(c, expanded, nDocs, tids, k)
+			acc := ix.getAccumulator()
+			got := ix.topDocsResolved(acc, tids, k)
+			if len(got) != len(want) {
+				t.Fatalf("%v k %d: %d hits, want %d", tids, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].doc != want[i].doc || math.Float64bits(got[i].score) != math.Float64bits(want[i].score) {
+					t.Fatalf("%v k %d: hit %d is %+v, want %+v", tids, k, i, got[i], want[i])
+				}
+			}
+			ix.putAccumulator(acc)
+		}
+	}
+}
+
+// handSearch is the scalar top-k over hand columns: every doc's contributions
+// summed from the expanded column in query-term order, sorted by (score desc,
+// doc asc).
+func handSearch(c *columns, expanded []float64, nDocs int, tids []int32, k int) []hit {
+	scores := make([]float64, nDocs)
+	for _, tid := range tids {
+		if tid < 0 {
+			continue
+		}
+		for i := c.engOff[tid]; i < c.engOff[tid+1]; i++ {
+			scores[c.engDoc[i]] += expanded[i]
+		}
+	}
+	var hits []hit
+	for d, s := range scores {
+		if s > 0 {
+			hits = append(hits, hit{doc: d, score: s})
+		}
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		switch {
+		case worseHit(b, a):
+			return -1
+		case worseHit(a, b):
+			return 1
+		}
+		return 0
+	})
+	return hits[:min(k, len(hits))]
 }

@@ -232,7 +232,7 @@ func (t *topK) drain() []hit {
 // query, so cost has to follow the short posting lists. deferredTerms picks
 // the big terms whose docs cannot place on their own; only the other,
 // essential terms enumerate docs (scoreTerm), and a deferred term is one
-// dense load per doc touched so far. Every surviving doc still receives its
+// dense sidecar read per doc touched so far. Every surviving doc still receives its
 // terms' contributions in query-term order: a doc a later essential term
 // touches first starts from the in-order sum of the earlier deferred terms'
 // dense entries, and adding the 0.0 of a term the doc lacks is bitwise
@@ -245,8 +245,8 @@ func (t *topK) drain() []hit {
 //
 // Routing of the final present term, whose pass is fused with selection (each
 // body leaves the accumulator clean: scores all zero, touched empty):
-//   - deferred: complete every touched doc with one load from its dense
-//     column; docs it alone holds are never seen.
+//   - deferred: complete every touched doc with one read of its dense
+//     sidecar; docs it alone holds are never seen.
 //   - essential and big, nothing deferred: the docs no earlier term touched
 //     come best-first from its section, the touched ones complete as above.
 //   - essential, nothing deferred: walk its column, then offer the touched
@@ -275,9 +275,9 @@ func (ix *Index) topDocsResolved(acc *accumulator, tids []int32, k int) []hit {
 		switch {
 		case tid < 0:
 		case isDeferred(i):
-			dense := col.contribDense[tid]
+			code, val := col.dense[tid].code, col.dense[tid].val
 			for _, d := range acc.touched {
-				acc.scores[d] += dense[d]
+				acc.scores[d] += val[code[d]]
 			}
 		default:
 			n := len(acc.touched)
@@ -295,10 +295,10 @@ func (ix *Index) topDocsResolved(acc *accumulator, tids []int32, k int) []hit {
 	case fused > last:
 		sel.complete(acc.scores, acc.touched, nil)
 	case deferred != 0:
-		sel.complete(acc.scores, acc.touched, col.contribDense[tids[last]])
-	case col.contribDense[tids[last]] != nil:
+		sel.complete(acc.scores, acc.touched, col.dense[tids[last]])
+	case col.dense[tids[last]] != nil:
 		sel.seed(col, acc.scores, tids[last])
-		sel.complete(acc.scores, acc.touched, col.contribDense[tids[last]])
+		sel.complete(acc.scores, acc.touched, col.dense[tids[last]])
 	default:
 		sel.walk(col, acc.scores, tids[last])
 		sel.complete(acc.scores, acc.touched, nil)
@@ -313,13 +313,19 @@ func (ix *Index) topDocsResolved(acc *accumulator, tids []int32, k int) []hit {
 // lower bound on the k-th best score of any query holding the term: its k best
 // postings alone already give k docs whose final scores are at least this
 // value (additions only increase a score — contributions are positive).
-// Returns -Inf when the column is shorter than k (no bound).
+// Returns -Inf when the column is shorter than k (no bound). The section is
+// best-first, so that posting is k-1: the value of the first run ending past
+// it.
 func (c *columns) kthContrib(tid int32, k int) float64 {
 	lo, hi := c.engOff[tid], c.engOff[tid+1]
 	if k < 1 || int(hi-lo) < k {
 		return math.Inf(-1)
 	}
-	return c.engContrib[lo+int32(k-1)] // the section is best-first
+	r := c.runOff[tid]
+	for c.runEnd[r] < lo+int32(k) { // each run holds a posting: at most k-1 steps
+		r++
+	}
+	return c.runVal[r]
 }
 
 // deferredTerms is a query's scoring plan, a function of the query and the
@@ -327,15 +333,16 @@ func (c *columns) kthContrib(tid int32, k int) float64 {
 // is a lower bound on the k-th best final score, so a candidate strictly below
 // it can never place: every selection body rejects on that one compare before
 // any heap work. deferred has bit i set when slot i of tids is a term whose
-// docs need not be enumerated: the big terms (the ones with a contribDense
-// column), when the query-order floating-point sum of their best postings is
+// docs need not be enumerated: the big terms with a dense sidecar (one past
+// the code range has none and stays essential), when the query-order
+// floating-point sum of their best postings is
 // strictly below theta. IEEE addition is monotone in each operand, so that sum
 // bounds the score of any doc holding only deferred terms — such a doc cannot
 // place. Strictly: a tie at the k-th score is decided by doc id, and a doc
 // holding only deferred terms could win it. The term theta comes from cannot
 // be under the bound (its best posting alone reaches theta), so some term
 // always stays essential; theta = -Inf (k <= 0, or no column as long as k)
-// defers nothing. All big terms or none: a deferred term costs a dense load per
+// defers nothing. All big terms or none: a deferred term costs a dense read per
 // doc the essential terms touch, which under a big essential term is no
 // cheaper than walking the deferred column, so deferral pays only when the
 // terms left to enumerate are short. A query of more than 64 terms defers
@@ -348,8 +355,8 @@ func (c *columns) deferredTerms(tids []int32, k int) (theta float64, deferred ui
 			continue
 		}
 		theta = max(theta, c.kthContrib(tid, k))
-		if c.contribDense[tid] != nil {
-			sum += c.engContrib[c.engOff[tid]] // the term's best posting
+		if c.dense[tid] != nil {
+			sum += c.runVal[c.runOff[tid]] // the term's best posting: its first run
 			deferred |= 1 << uint(i)
 		}
 	}
@@ -369,7 +376,7 @@ func (c *columns) startDeferred(scores []float64, fresh []int32, earlier []int32
 		start := 0.0
 		for i, tid := range earlier {
 			if deferred>>uint(i)&1 != 0 {
-				start += c.contribDense[tid][d]
+				start += c.dense[tid].contrib(d)
 			}
 		}
 		scores[d] = start + scores[d]
@@ -417,17 +424,20 @@ func (s *selector) cacheRoot() {
 // desc, doc asc), so the rest of the untouched docs are dominated by them —
 // and written in reverse they are sorted worst-first, hence a valid min-heap.
 func (s *selector) seed(c *columns, scores []float64, tid int32) {
-	lo, hi := c.engOff[tid], c.engOff[tid+1]
-	docs := c.engDoc[lo:hi]
-	contribs := c.engContrib[lo:hi][:len(docs)]
 	h := s.top.h
-	for i, d := range docs {
-		if len(h) >= s.top.k || contribs[i] < s.floor {
-			break
+	start := c.engOff[tid]
+runs:
+	for r := c.runOff[tid]; r < c.runOff[tid+1] && c.runVal[r] >= s.floor; r++ {
+		v, end := c.runVal[r], c.runEnd[r]
+		for _, d := range c.engDoc[start:end] {
+			if len(h) >= s.top.k {
+				break runs
+			}
+			if scores[d] == 0 { // touched docs: complete computes their full score
+				h = append(h, hit{doc: int(d), score: v})
+			}
 		}
-		if scores[d] == 0 { // touched docs: complete computes their full score
-			h = append(h, hit{doc: int(d), score: contribs[i]})
-		}
+		start = end
 	}
 	slices.Reverse(h)
 	s.top.h = h
@@ -436,25 +446,35 @@ func (s *selector) seed(c *columns, scores []float64, tid int32) {
 
 // walk offers every doc of final term tid's column: after the earlier terms
 // have been accumulated, a doc reaches its final sum the moment this term's
-// contribution lands, so each posting is computed, consumed and offered in one
-// step.
+// contribution, its run's value, lands, so each posting is computed, consumed
+// and offered in one step. The run cursor is scoreTerm's.
 func (s *selector) walk(c *columns, scores []float64, tid int32) {
 	lo, hi := c.engOff[tid], c.engOff[tid+1]
+	if lo == hi {
+		return
+	}
 	docs := c.engDoc[lo:hi]
-	contribs := c.engContrib[lo:hi][:len(docs)]
+	ro, rhi := c.runOff[tid], c.runOff[tid+1]
+	runVal, runEnd := c.runVal[ro:rhi], c.runEnd[ro:rhi]
+	runEnd = runEnd[:len(runVal)]
+	r, end, v := 0, runEnd[0]-lo, runVal[0]
 	for i, d := range docs {
-		score := scores[d] + contribs[i]
+		if int32(i) == end {
+			r++
+			end, v = runEnd[r]-lo, runVal[r]
+		}
+		score := scores[d] + v
 		scores[d] = 0
 		s.offer(int(d), score)
 	}
 }
 
 // complete offers every touched doc not consumed yet, first adding the final
-// term's dense column when there is one (zero when the term misses the doc,
+// term's dense sidecar when there is one (zero when the term misses the doc,
 // and adding 0.0 is bitwise identity on the positive partial). Touched docs
 // are unique, so the 4-wide block's loads and zeroing stores never alias and
 // the (usually missing) cache lines overlap.
-func (s *selector) complete(scores []float64, touched []int32, dense []float64) {
+func (s *selector) complete(scores []float64, touched []int32, dense *denseCol) {
 	if dense == nil {
 		for _, d := range touched {
 			if score := scores[d]; score != 0 { // zero: walk consumed it
@@ -464,13 +484,14 @@ func (s *selector) complete(scores []float64, touched []int32, dense []float64) 
 		}
 		return
 	}
+	code, val := dense.code, dense.val
 	j := 0
 	for ; j+3 < len(touched); j += 4 {
 		d0, d1, d2, d3 := touched[j], touched[j+1], touched[j+2], touched[j+3]
-		s0 := scores[d0] + dense[d0]
-		s1 := scores[d1] + dense[d1]
-		s2 := scores[d2] + dense[d2]
-		s3 := scores[d3] + dense[d3]
+		s0 := scores[d0] + val[code[d0]]
+		s1 := scores[d1] + val[code[d1]]
+		s2 := scores[d2] + val[code[d2]]
+		s3 := scores[d3] + val[code[d3]]
 		scores[d0], scores[d1], scores[d2], scores[d3] = 0, 0, 0, 0
 		s.offer(int(d0), s0)
 		s.offer(int(d1), s1)
@@ -478,7 +499,7 @@ func (s *selector) complete(scores []float64, touched []int32, dense []float64) 
 		s.offer(int(d3), s3)
 	}
 	for _, d := range touched[j:] {
-		score := scores[d] + dense[d]
+		score := scores[d] + val[code[d]]
 		scores[d] = 0
 		s.offer(int(d), score)
 	}

@@ -256,8 +256,8 @@ func (sb *refShard) add(doc Document) {
 // freeze compiles the maps as the builder's former flatten did, each section
 // in doc order, finishes the index through the shared finish, and then sorts
 // every section with sortOrd: its state is what Build over the same documents
-// must derive (sameIndex), with the section order bestFirst derives taken from
-// a comparison sort.
+// must derive (sameIndex), with the section order bestFirst derives, and so
+// the runs and dense sidecars, taken from a comparison sort.
 func (ri *refIndex) freeze() *ShardedIndex {
 	s := newShardedIndex(len(ri.shards))
 	s.nDocs = ri.nDocs
@@ -271,7 +271,7 @@ func (ri *refIndex) freeze() *ShardedIndex {
 	}
 	s.finish(docLen, tf)
 	for _, sh := range s.shards {
-		sh.col.sortOrd()
+		sh.col.sortOrd(len(sh.docs))
 	}
 	return s
 }
@@ -290,20 +290,47 @@ func bestFirstCmp(a, b engPosting) int {
 	return cmp.Compare(a.doc, b.doc)
 }
 
-// sortOrd sorts every English section in place by (contribution desc, doc
-// asc) with a comparison sort: the order bestFirst derives without one.
-func (c *columns) sortOrd() {
+// sortSections sorts every English section, contrib[i] English posting i's
+// contribution, in place by (contribution desc, doc asc) with a comparison
+// sort: the order bestFirst derives without one.
+func (c *columns) sortSections(contrib []float64) {
 	for tid := range c.terms {
 		lo, hi := c.engOff[tid], c.engOff[tid+1]
 		sec := make([]engPosting, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			sec = append(sec, engPosting{c.engDoc[i], c.engContrib[i]})
+			sec = append(sec, engPosting{c.engDoc[i], contrib[i]})
 		}
 		slices.SortFunc(sec, bestFirstCmp)
 		for i, p := range sec {
-			c.engDoc[int(lo)+i], c.engContrib[int(lo)+i] = p.doc, p.contrib
+			c.engDoc[int(lo)+i], contrib[int(lo)+i] = p.doc, p.contrib
 		}
 	}
+}
+
+// sortOrd re-lays the finished columns of an nDocs-document shard with
+// sortSections and derives their runs and dense sidecars again, through the
+// production compress and scatterDense. It replaces the engDoc and run
+// columns, so a copy of another shard's columns may call it.
+func (c *columns) sortOrd(nDocs int) {
+	contrib := c.contribColumn()
+	c.engDoc = slices.Clone(c.engDoc)
+	c.sortSections(contrib)
+	c.compress(contrib)
+	c.scatterDense(nDocs)
+}
+
+// contribColumn expands the runs into one contribution per English posting:
+// the column compress took.
+func (c *columns) contribColumn() []float64 {
+	contrib := make([]float64, len(c.engDoc))
+	start := int32(0)
+	for r, end := range c.runEnd {
+		for i := start; i < end; i++ {
+			contrib[i] = c.runVal[r]
+		}
+		start = end
+	}
+	return contrib
 }
 
 func (sb *refShard) flatten() (*columns, []int32, termColumn) {
