@@ -31,6 +31,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/table"
 	"repro/internal/textproc"
+	"repro/internal/webgen"
 	"repro/internal/world"
 )
 
@@ -474,6 +475,74 @@ func BenchmarkSearchEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Engine.Search(names[i%len(names)], 10)
 	}
+}
+
+// replayBatch is one SearchBatchContext call as the pipeline made it.
+type replayBatch struct {
+	queries []string
+	k       int
+}
+
+// batchRecorder is a Searcher that records every batch it forwards.
+type batchRecorder struct {
+	next    annotate.Searcher
+	mu      sync.Mutex
+	batches []replayBatch
+}
+
+func (r *batchRecorder) SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
+	r.mu.Lock()
+	r.batches = append(r.batches, replayBatch{slices.Clone(queries), k})
+	r.mu.Unlock()
+	return r.next.SearchBatchContext(ctx, queries, k)
+}
+
+// replay is the index and the batches BenchmarkSearchReplay replays: the
+// lab's corpus over two shards, as the seed-42 service builds it on two cores
+// (the lab's own shard count follows GOMAXPROCS when it is built), and the
+// batches one pass over the GFT tables sends through the service's pipeline
+// configuration at Parallelism 2, without a shared cache: 39 tables, 78
+// batches.
+var replay = sync.OnceValues(func() (*search.ShardedIndex, []replayBatch) {
+	l := lab()
+	six := webgen.BuildShardedIndex(l.World, webgen.Config{Seed: l.Cfg.Seed + 1, ConfuserBoost: l.Cfg.ConfuserBoost}, 2)
+	rec := &batchRecorder{next: search.NewShardedEngine(six)}
+	cfg := annotate.Config{
+		Searcher:     rec,
+		Classifier:   boundSVM(),
+		Types:        eval.TypeStrings(),
+		Postprocess:  true,
+		Disambiguate: true,
+		Gazetteer:    l.Geo,
+		Parallelism:  2,
+	}
+	for _, t := range l.GFT.Tables {
+		if _, err := cfg.Annotate(context.Background(), t); err != nil {
+			panic(err)
+		}
+	}
+	return six, rec.batches
+})
+
+// BenchmarkSearchReplay replays the recorded GFT batches (replay) against the
+// index, one op a pass over all of them: the search layer on the real index
+// and the real query mix, without the pipeline around it. Compare two commits
+// at -cpu 1 and -cpu 2, alternating their test binaries.
+func BenchmarkSearchReplay(b *testing.B) {
+	six, batches := replay()
+	queries := 0
+	for _, rb := range batches {
+		queries += len(rb.queries)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rb := range batches {
+			six.SearchBatch(rb.queries, rb.k)
+		}
+	}
+	b.ReportMetric(float64(len(batches)), "batches")
+	b.ReportMetric(float64(queries), "queries")
 }
 
 // BenchmarkGeocode measures ambiguous-address geocoding, the per-cell cost

@@ -8,7 +8,6 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -118,7 +117,7 @@ func BenchmarkSearchTerm(b *testing.B) {
 // middle of the name, where only deferral keeps it from being walked.
 func BenchmarkSearchAugmented(b *testing.B) {
 	ix := buildSharded(augmentedCorpus(6000), 1)
-	if col := ix.shards[0].col; col.dense[col.termID["restaur"]] == nil {
+	if ix.shards[0].col.dense[ix.termID("restaur")] == nil {
 		b.Fatal("'restaurant' did not cross bigTermDF")
 	}
 	queries := augmentedQueries(32)
@@ -134,11 +133,7 @@ func BenchmarkSearchAugmented(b *testing.B) {
 func BenchmarkSnippet(b *testing.B) {
 	six := benchIndex(b, 100)
 	ix := six.shards[0]
-	var want []int32
-	for _, t := range []string{"museum", "galleri"} {
-		v, _ := slices.BinarySearch(six.vocab, t)
-		want = append(want, int32(v))
-	}
+	want := []int32{six.termID("museum"), six.termID("galleri")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doc := i % len(ix.docs)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"unicode"
@@ -19,11 +20,11 @@ import (
 // id g/N. Each shard is indexed as its documents arrive: the build is one
 // pool.Run whose task 0 runs the sequence and hands each shard its documents
 // in batches over a bounded channel, while tasks 1..N each index their own
-// shard's channel in order and lay the shard out (flatten); finish then
-// derives the rest. The producer blocks while a shard's channel is full and a
-// shard blocks while its channel is empty, so every task needs a worker of
-// its own: a pool of fewer than shards+1 workers would deadlock, whatever
-// GOMAXPROCS is.
+// shard's channel in order; layout then lays the shards out in one id space
+// and finish derives the rest. The producer blocks while a shard's channel is
+// full and a shard blocks while its channel is empty, so every task needs a
+// worker of its own: a pool of fewer than shards+1 workers would deadlock,
+// whatever GOMAXPROCS is.
 func Build(shards int, docs iter.Seq[Document]) *ShardedIndex {
 	shards = max(shards, 1)
 	feeds := make([]chan []Document, shards)
@@ -31,28 +32,44 @@ func Build(shards int, docs iter.Seq[Document]) *ShardedIndex {
 		feeds[i] = make(chan []Document, feedDepth)
 	}
 	s := newShardedIndex(shards)
-	docLen := make([][]int, shards)
-	tf := make([][]int32, shards)
+	sbs := make([]*shardBuilder, shards)
 	_ = pool.Run(context.Background(), shards+1, shards+1, func(task int) {
 		if task == 0 {
 			s.nDocs = deal(docs, feeds)
 			return
 		}
-		si := task - 1
 		sb := newShardBuilder()
-		for batch := range feeds[si] {
+		for batch := range feeds[task-1] {
 			for _, doc := range batch {
 				sb.add(doc)
 			}
 		}
-		ix := s.shards[si]
+		sbs[task-1] = sb
+	}) // Background is never done, so Run cannot fail
+	s.layout(sbs)
+	return s
+}
+
+// layout merges the shards' dictionaries into the index-wide vocabulary, lays
+// every shard out in its ids (flatten; see "One id space" in columnar.go), per
+// shard on the pool, and finishes the index.
+func (s *ShardedIndex) layout(sbs []*shardBuilder) {
+	var vocab []string
+	for _, sb := range sbs {
+		vocab = slices.AppendSeq(vocab, maps.Keys(sb.intern))
+	}
+	slices.Sort(vocab)
+	s.setVocab(slices.Clip(slices.Compact(vocab)))
+	docLen := make([][]int, len(sbs))
+	tf := make([][]int32, len(sbs))
+	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(sbs)), len(sbs), func(si int) {
+		sb, ix := sbs[si], s.shards[si]
+		sb.clip() // the index keeps the table: no doubling slack
 		ix.docTable = sb.docTable
-		ix.wordOff = slices.Clone(sb.wordOff) // the index keeps it: no doubling slack
-		ix.col, tf[si], ix.terms = sb.flatten()
+		ix.col, tf[si], ix.terms = sb.flatten(s.id, len(s.vocab))
 		docLen[si] = sb.docLen
 	}) // Background is never done, so Run cannot fail
 	s.finish(docLen, tf)
-	return s
 }
 
 // The producer's hand-off: documents go to a shard feedBatch at a time, so a
@@ -98,10 +115,11 @@ func deal(docs iter.Seq[Document], feeds []chan []Document) int {
 type shardBuilder struct {
 	docTable
 
-	// termID interns terms in first-seen order. forms maps a raw word form to
-	// its memo entry, so each distinct form is normalised once per shard;
-	// multi lists the forms of more than one token, in first-seen order.
-	termID   map[string]int32
+	// intern maps a term to its interned id, in first-seen order. forms maps a
+	// raw word form to its memo entry, so each distinct form is normalised once
+	// per shard; multi lists the forms of more than one token, in first-seen
+	// order.
+	intern   map[string]int32
 	forms    map[string]form
 	formToks []int32
 	multi    [][2]int32
@@ -132,7 +150,7 @@ func reserve[T any](s []T, n int) []T {
 }
 
 func newShardBuilder() *shardBuilder {
-	return &shardBuilder{docTable: newDocTable(), termID: map[string]int32{}, forms: map[string]form{}}
+	return &shardBuilder{docTable: newDocTable(), intern: map[string]int32{}, forms: map[string]form{}}
 }
 
 // form is a word form's memo entry: its interned token ids formToks[lo:hi],
@@ -145,8 +163,9 @@ type form struct{ lo, hi, entry int32 }
 // (with the title counted twice, approximating field weighting). Whitespace
 // always separates tokens, so the tokens of a text's words are exactly its
 // NormalizeTokens. The body is walked once: per word its form's tokens are
-// counted, its column entry and its byte offset in the joined body recorded,
-// and the walk tells whether the body already is its own join.
+// counted and its column entry recorded — with its byte offset in the joined
+// body when it is a marked word (docTable.marks) — and the walk tells whether
+// the body already is its own join.
 func (sb *shardBuilder) add(doc Document) {
 	if doc.Lang == "" {
 		doc.Lang = "en"
@@ -159,18 +178,19 @@ func (sb *shardBuilder) add(doc Document) {
 	sc := fieldScanner{s: doc.Body}
 	w := sc.next()
 	if w != "" {
-		words := (len(doc.Body) + 1) / 2 // at most
-		sb.ids, sb.wordOff = reserve(sb.ids, words), reserve(sb.wordOff, words)
+		sb.ids = reserve(sb.ids, (len(doc.Body)+1)/2) // at most a word per two bytes
 	}
-	off := int32(0)
+	first, off := len(sb.ids), int32(0)
 	for ; w != ""; w = sc.next() {
 		f := sb.form(w)
 		n += sb.count(f, 1)
+		if len(sb.ids)%markStride == 0 {
+			sb.marks = append(sb.marks, off)
+		}
 		sb.ids = append(sb.ids, f.entry)
-		sb.wordOff = append(sb.wordOff, off)
 		off += int32(len(w)) + 1
 	}
-	sb.appendDoc(doc, sc.joined())
+	sb.appendDoc(doc, sc.joined(), len(sb.ids)-first)
 	sb.post = reserve(sb.post, len(sb.touched))
 	for _, t := range sb.touched {
 		sb.post = append(sb.post, [2]int32{t, sb.tf[t]})
@@ -269,10 +289,10 @@ func (sb *shardBuilder) form(w string) form {
 	if !ok {
 		f.lo = int32(len(sb.formToks))
 		for _, t := range textproc.NormalizeTokens(w) {
-			id, ok := sb.termID[t]
+			id, ok := sb.intern[t]
 			if !ok {
-				id = int32(len(sb.termID))
-				sb.termID[t], sb.tf = id, append(sb.tf, 0)
+				id = int32(len(sb.intern))
+				sb.intern[t], sb.tf = id, append(sb.tf, 0)
 			}
 			sb.formToks = append(sb.formToks, id)
 		}
@@ -304,34 +324,38 @@ func (sb *shardBuilder) count(f form, k int32) int {
 	return int(k) * len(toks)
 }
 
-// flatten lays the streams out as columns — sorted dictionary, English
-// postings with their term frequencies (rank's input, which nothing keeps),
-// each term's count of other postings, the term-id column in column ids —
-// everything but what finish derives. A counting pass over the postings sizes
-// every term's sections, a second fills them, visiting the documents in
-// (length, doc) order: the order bestFirst takes each section in.
-func (sb *shardBuilder) flatten() (*columns, []int32, termColumn) {
-	terms := slices.Sorted(maps.Keys(sb.termID))
-	colOf := make([]int32, len(terms)) // interned id -> column id
-	for t, term := range terms {
-		colOf[sb.termID[term]] = int32(t)
+// flatten lays the streams out keyed by vocabulary id (id maps each term to
+// its id among nVocab) — English postings with their term frequencies (rank's
+// input, which nothing keeps), each term's count of other postings, the
+// term-id column — everything but what finish derives. A counting pass over
+// the postings sizes every term's sections, a second fills them, visiting the
+// documents in (length, doc) order: the order bestFirst takes each section in.
+func (sb *shardBuilder) flatten(id map[string]int32, nVocab int) (*columns, []int32, termColumn) {
+	vid := make([]int32, len(sb.intern)) // interned id -> vocabulary id
+	for term, t := range sb.intern {
+		vid[t] = id[term]
 	}
 
-	// Per column id: its English (0) and other (1) postings — counted, then
-	// the English count turned into a fill cursor.
-	lang := sb.sections()
-	cur := make([][2]int32, len(terms))
+	// Per doc its section, 0 (English) or 1; per vocabulary id its English and
+	// other postings, counted, then the English count turned into a cursor.
+	lang := make([]int, len(sb.docs))
+	for d, doc := range sb.docs {
+		if doc.Lang != "en" {
+			lang[d] = 1
+		}
+	}
+	cur := make([][2]int32, nVocab)
 	nEng := 0
 	for d := range sb.postEnd {
 		post := sb.postings(d)
 		for _, p := range post {
-			cur[colOf[p[0]]][lang[d]]++
+			cur[vid[p[0]]][lang[d]]++
 		}
 		if lang[d] == 0 {
 			nEng += len(post)
 		}
 	}
-	c := newColumns(terms, nEng)
+	c := newColumns(nVocab, nEng)
 	tf := make([]int32, nEng)
 	for t, n := range cur {
 		c.engOff[t+1], cur[t][0] = c.engOff[t]+n[0], c.engOff[t]
@@ -340,13 +364,13 @@ func (sb *shardBuilder) flatten() (*columns, []int32, termColumn) {
 	for _, d := range sb.byLength() {
 		if lang[d] == 0 {
 			for _, p := range sb.postings(d) {
-				k := &cur[colOf[p[0]]][0]
+				k := &cur[vid[p[0]]][0]
 				c.engDoc[*k], tf[*k] = int32(d), p[1]
 				*k++
 			}
 		}
 	}
-	return c, tf, sb.column(colOf)
+	return c, tf, sb.column(vid)
 }
 
 // postings returns document d's (term id, tf) postings.
@@ -379,21 +403,21 @@ func (sb *shardBuilder) byLength() []int {
 	return order
 }
 
-// column copies the term-id column into column ids (colOf maps an interned id
-// to its column id), with a side list of its own: one entry per multi-token
-// form, in order of the form's first body occurrence.
-func (sb *shardBuilder) column(colOf []int32) termColumn {
+// column copies the term-id column into vocabulary ids (vid maps an interned
+// id to its vocabulary id), with a side list of its own: one entry per
+// multi-token form, in order of the form's first body occurrence.
+func (sb *shardBuilder) column(vid []int32) termColumn {
 	tc := termColumn{ids: make([]int32, len(sb.ids)), multiOff: []int32{0}}
 	side := make([]int32, len(sb.multi)) // per multi form, its entry in tc; 0: none yet
 	for i, id := range sb.ids {
 		switch {
 		case id >= 0:
-			id = colOf[id]
+			id = vid[id]
 		case id < noToken:
 			m := -id - 2
 			if side[m] == 0 {
 				for _, t := range sb.formToks[sb.multi[m][0]:sb.multi[m][1]] {
-					tc.multiIDs = append(tc.multiIDs, colOf[t])
+					tc.multiIDs = append(tc.multiIDs, vid[t])
 				}
 				side[m] = -int32(len(tc.multiOff)-1) - 2
 				tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))

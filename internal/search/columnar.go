@@ -49,13 +49,13 @@ import (
 // the top-k heap order is a strict total order (score desc, doc asc), so the
 // returned hits are a function of the scored candidate set, which loses only
 // documents the old path filtered anyway.
+//
+// One id space. A term id is the term's index in the index-wide vocabulary
+// (ShardedIndex.Vocab) in every shard, which flatten lays out in those ids
+// once every shard is indexed (layout): a term the shard lacks has an empty
+// section, no other postings and no runs. A batch resolves its terms to ids
+// once and every shard scores the same ids.
 type columns struct {
-	// termID maps a term to its column id; ids are assigned in sorted term
-	// order so compilation is deterministic for a given corpus.
-	termID map[string]int32
-	// terms is the inverse mapping (column id -> term).
-	terms []string
-
 	// English CSR sections, the scoring kernel's only inputs: term id t's
 	// postings live at engDoc[engOff[t]:engOff[t+1]], best-first — in
 	// (contribution desc, doc asc) order, the top-k total order restricted to
@@ -103,20 +103,32 @@ type denseCol struct {
 // contrib returns doc d's contribution, 0 when the term misses it.
 func (dc *denseCol) contrib(d int32) float64 { return dc.val[dc.code[d]] }
 
-// newColumns allocates the sections at their exact sizes for a sorted
-// dictionary; the producer fills sections and offsets, compress the runs.
-func newColumns(terms []string, nEng int) *columns {
-	c := &columns{
-		termID: make(map[string]int32, len(terms)),
-		terms:  terms,
-		engOff: make([]int32, len(terms)+1),
+// newColumns allocates the sections of nTerms terms at their exact sizes; the
+// producer fills sections and offsets, compress the runs.
+func newColumns(nTerms, nEng int) *columns {
+	return &columns{
+		engOff: make([]int32, nTerms+1),
 		engDoc: make([]int32, nEng),
-		othDF:  make([]int32, len(terms)),
+		othDF:  make([]int32, nTerms),
 	}
-	for id, term := range terms {
-		c.termID[term] = int32(id)
+}
+
+// nTerms returns the number of term ids the columns are keyed by.
+func (c *columns) nTerms() int { return len(c.engOff) - 1 }
+
+// plan appends ids — a query's vocabulary ids, -1 for a term no document
+// holds — to tids[:0] with every term the shard has no posting of, in any
+// language, as -1 too, and returns it: the ids the shard scores, planned
+// exactly as over the shard's own dictionary.
+func (c *columns) plan(ids, tids []int32) []int32 {
+	tids = tids[:0]
+	for _, tid := range ids {
+		if tid >= 0 && c.engOff[tid] == c.engOff[tid+1] && c.othDF[tid] == 0 {
+			tid = -1
+		}
+		tids = append(tids, tid)
 	}
-	return c
+	return tids
 }
 
 // bigTermDF is the english document frequency at or above which a term is big:
@@ -132,33 +144,33 @@ const bigTermDF = 1024
 // constants a single shard holding the whole corpus would use. Contributions
 // are computed here, and only here. docLen[shard][doc] is the doc's length in
 // terms, tf[shard][i] the term frequency of English posting i.
-func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) (contrib [][]float64) {
-	df := make(map[string]int)
+func (s *ShardedIndex) rank(docLen [][]int, tf [][]int32) (contrib [][]float64) {
+	df := make([]int, len(s.vocab))
 	totalLen := 0
-	for si, sh := range shards {
+	for si, sh := range s.shards {
 		c := sh.col
-		for tid, t := range c.terms {
-			df[t] += int(c.engOff[tid+1]-c.engOff[tid]) + int(c.othDF[tid])
+		for tid := range df {
+			df[tid] += int(c.engOff[tid+1]-c.engOff[tid]) + int(c.othDF[tid])
 		}
 		for _, dl := range docLen[si] {
 			totalLen += dl
 		}
 	}
-	n := float64(nDocs)
+	n := float64(s.nDocs)
 	avgLen := 0.0
 	if n > 0 {
 		avgLen = float64(totalLen) / n
 	}
-	contrib = make([][]float64, len(shards))
-	for si, sh := range shards {
+	contrib = make([][]float64, len(s.shards))
+	for si, sh := range s.shards {
 		c := sh.col
 		contrib[si] = make([]float64, len(c.engDoc))
 		normK := make([]float64, len(docLen[si]))
 		for d, dl := range docLen[si] {
 			normK[d] = bm25K1 * (1 - bm25B + bm25B*float64(dl)/avgLen)
 		}
-		for tid, t := range c.terms {
-			dff := float64(df[t])
+		for tid := range df {
+			dff := float64(df[tid])
 			idf := math.Log((n-dff+0.5)/(dff+0.5) + 1)
 			for i := c.engOff[tid]; i < c.engOff[tid+1]; i++ {
 				tf := float64(tf[si][i])
@@ -171,25 +183,18 @@ func rank(shards []*Index, docLen [][]int, tf [][]int32, nDocs int) (contrib [][
 	return contrib
 }
 
-// finish derives what flatten does not lay out: rank, the index-wide
-// vocabulary, then per shard on the pool the best-first sections (bestFirst),
-// their runs (compress, after which the shard's contribution column is
-// dropped), the dense sidecars and the term-id column in vocabulary ids.
+// finish derives what flatten does not lay out: rank, then per shard
+// on the pool the best-first sections (bestFirst), their runs (compress, after
+// which the shard's contribution column is dropped) and the dense sidecars.
 // docLen is the input of rank, tf of rank and of bestFirst (see rank).
 func (s *ShardedIndex) finish(docLen [][]int, tf [][]int32) {
-	contrib := rank(s.shards, docLen, tf, s.nDocs)
-	for _, sh := range s.shards {
-		s.vocab = append(s.vocab, sh.col.terms...)
-	}
-	slices.Sort(s.vocab)
-	s.vocab = slices.Clip(slices.Compact(s.vocab))
+	contrib := s.rank(docLen, tf)
 	_ = pool.Run(context.Background(), min(runtime.GOMAXPROCS(0), len(s.shards)), len(s.shards), func(si int) {
 		sh := s.shards[si]
 		sh.col.bestFirst(tf[si], contrib[si])
 		sh.col.compress(contrib[si])
 		contrib[si] = nil
 		sh.col.scatterDense(len(sh.docs))
-		sh.terms.toVocab(sh.col.terms, s.vocab)
 	}) // Background is never done, so Run cannot fail
 }
 
@@ -211,7 +216,7 @@ func (c *columns) bestFirst(tf []int32, contrib []float64) {
 		return
 	}
 	m := tfMerger{count: make([]int32, slices.Max(tf)+1)}
-	for t := range c.terms {
+	for t := range c.nTerms() {
 		lo, hi := c.engOff[t], c.engOff[t+1]
 		if hi-lo > 1 {
 			m.order(c.engDoc[lo:hi], contrib[lo:hi], tf[lo:hi])
@@ -326,7 +331,7 @@ func docOrderTies(docs []int32, contribs []float64) {
 // counts the runs, so the run columns are allocated at their exact sizes.
 func (c *columns) compress(contrib []float64) {
 	n := 0
-	for t := range c.terms {
+	for t := range c.nTerms() {
 		lo, hi := c.engOff[t], c.engOff[t+1]
 		for i := lo; i < hi; i++ {
 			if i == lo || contrib[i] != contrib[i-1] {
@@ -334,10 +339,10 @@ func (c *columns) compress(contrib []float64) {
 			}
 		}
 	}
-	c.runOff = make([]int32, len(c.terms)+1)
+	c.runOff = make([]int32, c.nTerms()+1)
 	c.runVal, c.runEnd = make([]float64, n), make([]int32, n)
 	r := int32(-1)
-	for t := range c.terms {
+	for t := range c.nTerms() {
 		lo, hi := c.engOff[t], c.engOff[t+1]
 		for i := lo; i < hi; i++ {
 			if i == lo || contrib[i] != contrib[i-1] {
@@ -353,8 +358,8 @@ func (c *columns) compress(contrib []float64) {
 // scatterDense materializes the big-term dense sidecars of an nDocs-document
 // shard. Pure scatter from already-built runs, no ordering dependency.
 func (c *columns) scatterDense(nDocs int) {
-	c.dense = make([]*denseCol, len(c.terms))
-	for tid := range c.terms {
+	c.dense = make([]*denseCol, c.nTerms())
+	for tid := range c.dense {
 		if c.engOff[tid+1]-c.engOff[tid] >= bigTermDF {
 			c.dense[tid] = c.denseCodes(int32(tid), nDocs)
 		}
@@ -422,37 +427,4 @@ func (c *columns) scoreTerm(acc *accumulator, tid int32) {
 		scores[d] = s + v
 	}
 	acc.touched = touched[:n]
-}
-
-// termResolver memoizes term -> column-id lookups across one query batch, so
-// a term shared by many queries in the batch (a table's cells share their
-// type words and, augmented per §5.2.2, their few cities) resolves against
-// the dictionary once per batch instead of once per query.
-type termResolver struct {
-	col  *columns
-	memo map[string]int32 // -1: term not in the index
-}
-
-// newTermResolver sizes the memo for a batch of n queries — about two new
-// terms each, the rest shared.
-func newTermResolver(col *columns, n int) termResolver {
-	return termResolver{col: col, memo: make(map[string]int32, 2*n)}
-}
-
-// resolve maps qterms to column ids (absent terms -1), appending into tids'
-// storage so one scratch slice serves the whole batch.
-func (r *termResolver) resolve(qterms []string, tids []int32) []int32 {
-	tids = tids[:0]
-	for _, t := range qterms {
-		id, ok := r.memo[t]
-		if !ok {
-			id, ok = r.col.termID[t]
-			if !ok {
-				id = -1
-			}
-			r.memo[t] = id
-		}
-		tids = append(tids, id)
-	}
-	return tids
 }

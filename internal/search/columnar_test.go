@@ -8,12 +8,12 @@ package search
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -49,6 +49,15 @@ func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six
 	}
 	n := float64(ref.nDocs)
 	avgLen := float64(totalLen) / n
+	// The vocabulary: every shard's terms, sorted; a term's id is its index.
+	vocab := slices.Sorted(maps.Keys(df))
+	if !slices.Equal(six.vocab, vocab) {
+		t.Fatalf("%s: vocabulary %q, the reference's terms %q", label(), six.vocab, vocab)
+	}
+	vocabID := make(map[string]int32, len(vocab))
+	for v, term := range vocab {
+		vocabID[term] = int32(v)
+	}
 
 	for si, sb := range ref.shards {
 		fatalf := func(format string, args ...any) {
@@ -64,29 +73,32 @@ func checkColumnsRoundTrip(t *testing.T, label func() string, ref *refIndex, six
 			fatalf("document table differs from the reference's")
 		}
 
-		// Term dictionary: a bijection onto the postings keys, in sorted order.
-		if len(c.terms) != len(sb.postings) || len(c.termID) != len(sb.postings) {
-			fatalf("%d column terms / %d ids for %d postings terms", len(c.terms), len(c.termID), len(sb.postings))
+		// One id space: every per-term array has one entry per vocabulary
+		// term, and a term the reference shard lacks has an empty section, no
+		// other postings, no runs and no sidecar.
+		nV := len(vocab)
+		if len(c.engOff) != nV+1 || c.engOff[0] != 0 || int(c.engOff[nV]) != len(c.engDoc) || len(c.othDF) != nV {
+			fatalf("section offsets of length %d (ending at %d of %d postings), %d other counts, for %d vocabulary terms", len(c.engOff), c.engOff[len(c.engOff)-1], len(c.engDoc), len(c.othDF), nV)
 		}
-		if !sort.StringsAreSorted(c.terms) {
-			fatalf("column terms are not sorted")
+		if len(c.runOff) != nV+1 || c.runOff[0] != 0 || int(c.runOff[nV]) != len(c.runVal) || len(c.runEnd) != len(c.runVal) {
+			fatalf("run offsets of length %d (first %v) for %d terms, %d run values, %d run ends", len(c.runOff), c.runOff[:min(1, len(c.runOff))], nV, len(c.runVal), len(c.runEnd))
 		}
-		for id, term := range c.terms {
-			if got, ok := c.termID[term]; !ok || got != int32(id) {
-				fatalf("termID[%q] = %d,%v, want %d", term, got, ok, id)
+		if len(c.dense) != nV {
+			fatalf("%d dense sidecar slots for %d terms", len(c.dense), nV)
+		}
+		for tid, term := range vocab {
+			if _, ok := sb.postings[term]; ok {
+				continue
 			}
-		}
-
-		if len(c.runOff) != len(c.terms)+1 || c.runOff[0] != 0 || int(c.runOff[len(c.terms)]) != len(c.runVal) || len(c.runEnd) != len(c.runVal) {
-			fatalf("run offsets of length %d (first %v) for %d terms, %d run values, %d run ends", len(c.runOff), c.runOff[:min(1, len(c.runOff))], len(c.terms), len(c.runVal), len(c.runEnd))
-		}
-		if len(c.dense) != len(c.terms) {
-			fatalf("%d dense sidecar slots for %d terms", len(c.dense), len(c.terms))
+			if c.engOff[tid] != c.engOff[tid+1] || c.othDF[tid] != 0 || c.runOff[tid] != c.runOff[tid+1] || c.dense[tid] != nil {
+				fatalf("%q, which the shard lacks, has section %d:%d, %d other postings, runs %d:%d, a sidecar: %v",
+					term, c.engOff[tid], c.engOff[tid+1], c.othDF[tid], c.runOff[tid], c.runOff[tid+1], c.dense[tid] != nil)
+			}
 		}
 		var eng []engPosting   // one term's expected section; reused
 		var contribs []float64 // its contributions expanded from the runs; reused
 		for term, want := range sb.postings {
-			tid := c.termID[term]
+			tid := vocabID[term]
 
 			// The English section is exactly the reference's English
 			// postings in the one-term top-k order (contribution desc, doc
@@ -267,8 +279,8 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 		six := buildSharded(docs, 1)
 		col := six.shards[0].col
 		big := 0
-		for tid := range col.terms {
-			if col.dense[tid] != nil {
+		for _, dc := range col.dense {
+			if dc != nil {
 				big++
 			}
 		}
@@ -375,10 +387,11 @@ func TestSectionsMatchSort(t *testing.T) {
 			words = append(words, slices.Repeat([]string{"gallery"}, tl[1]-tl[0])...)
 			docs = append(docs, Document{URL: fmt.Sprint("h", i), Body: strings.Join(words, " ")})
 		}
-		col := buildSharded(docs, 1).shards[0].col
+		six := buildSharded(docs, 1)
+		col := six.shards[0].col
 		contribs := col.contribColumn()
 		contrib := func(d int32) float64 {
-			tid := col.termID["museum"]
+			tid := six.termID("museum")
 			lo, hi := col.engOff[tid], col.engOff[tid+1]
 			return contribs[int(lo)+slices.Index(col.engDoc[lo:hi], d)]
 		}
@@ -401,7 +414,7 @@ func TestSectionsMatchSort(t *testing.T) {
 		// built corpus can hold such a run (docOrderTies derives the bound),
 		// so these columns are laid by hand.
 		contrib := []float64{2, 1.5, 1.5, 1}
-		c := &columns{terms: []string{"t"}, engOff: []int32{0, 4}, engDoc: []int32{1, 2, 0, 3}}
+		c := &columns{engOff: []int32{0, 4}, engDoc: []int32{1, 2, 0, 3}}
 		want := *c
 		want.engDoc = slices.Clone(c.engDoc)
 		wantContrib := slices.Clone(contrib)
@@ -472,7 +485,7 @@ func TestKernelVsReferenceMatrixBigTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	docs := randomCorpus(rng, bigTermDF*4)
 	ix := buildSharded(docs, 1)
-	if col := ix.shards[0].col; col.dense[col.termID["museum"]] == nil {
+	if ix.shards[0].col.dense[ix.termID("museum")] == nil {
 		t.Fatal("'museum' did not cross bigTermDF; the corpus no longer exercises sparse selection")
 	}
 	queries := randomQueries(rng, 32)

@@ -101,8 +101,11 @@ func TestDeferredTermsMatchReference(t *testing.T) {
 		finalDeferred, essentialAfter := 0, 0
 		col := fresh.shards[0].col
 		for _, q := range queries {
-			r := newTermResolver(col, 1)
-			ids := r.resolve(textproc.NormalizeTokens(q), nil)
+			var ids []int32
+			for _, term := range textproc.NormalizeTokens(q) {
+				ids = append(ids, fresh.termID(term))
+			}
+			ids = col.plan(ids, ids)
 			_, deferred := col.deferredTerms(ids, 10)
 			n, last := 0, -1
 			for i, tid := range ids {
@@ -169,7 +172,6 @@ func handColumns(contribs [][]float64, big []bool) *columns {
 	var contrib []float64
 	nDocs := 0
 	for _, cs := range contribs {
-		c.terms = append(c.terms, fmt.Sprint("t", len(c.terms)))
 		for d := range cs {
 			c.engDoc = append(c.engDoc, int32(d))
 		}

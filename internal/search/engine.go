@@ -60,7 +60,7 @@ func (e *Engine) ShardedIndex() *ShardedIndex { return e.index }
 // Search returns the top-k results for query and counts it.
 func (e *Engine) Search(query string, k int) []Result {
 	e.account(1, false)
-	e.sleep(1)
+	_ = e.sleepCtx(context.Background(), 1) // Background is never done
 	return e.index.Search(query, k)
 }
 
@@ -93,13 +93,8 @@ func (e *Engine) account(n int, batch bool) {
 	e.mu.Unlock()
 }
 
-// sleep blocks for n simulated round-trips.
-func (e *Engine) sleep(n int) {
-	_ = e.sleepCtx(context.Background(), n) // Background is never done
-}
-
-// sleepCtx is sleep with cancellation: it returns ctx.Err() as soon as ctx
-// is done, abandoning the rest of the simulated round-trip time.
+// sleepCtx blocks for n simulated round-trips, or returns ctx.Err() as soon
+// as ctx is done, abandoning the rest of the simulated round-trip time.
 func (e *Engine) sleepCtx(ctx context.Context, n int) error {
 	if e.Latency <= 0 {
 		return nil

@@ -219,10 +219,13 @@ func bodyScanSeeds() map[string]string {
 
 // FuzzBodyScan: bodies come out of TIDX streams, so the one pass of
 // shardBuilder.add sees arbitrary strings. For any body its words must be
-// strings.Fields', each recorded at its byte offset in the single-space join,
-// with one term-id column entry each, the memo entry of the word's own form;
-// the stored body must be strings.Join(words, " "), and the body itself exactly
-// when the body is that join.
+// strings.Fields', with one term-id column entry each, the memo entry of the
+// word's own form, and a mark at each markStride-th word holding its byte
+// offset in the single-space join; the stored body must be
+// strings.Join(words, " "), and the body itself exactly when the body is that
+// join. In the one-document index over the body, every window [start, end) of
+// up to SnippetWords words, and the whole body, renders exactly
+// strings.Join(words[start:end], " ").
 func FuzzBodyScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		words := strings.Fields(body)
@@ -247,18 +250,33 @@ func FuzzBodyScan(f *testing.F) {
 		if itself != (body != "" && body == join) {
 			t.Fatalf("body %q is its own join: %v, stored as itself: %v", body, body == join, itself)
 		}
-		if len(sb.wordOff) != len(words) || len(sb.ids) != len(words) || sb.base[1] != len(words) {
-			t.Fatalf("%d offsets, %d column entries, base %d for %d words", len(sb.wordOff), len(sb.ids), sb.base[1], len(words))
+		if len(sb.ids) != len(words) || sb.base[1] != len(words) || len(sb.marks) != (len(words)+markStride-1)/markStride {
+			t.Fatalf("%d column entries, base %d, %d marks for %d words", len(sb.ids), sb.base[1], len(sb.marks), len(words))
 		}
 		off := 0
 		for i, w := range words {
-			if int(sb.wordOff[i]) != off || join[off:off+len(w)] != w {
-				t.Fatalf("word %d %q at offset %d, want %d", i, w, sb.wordOff[i], off)
+			if i%markStride == 0 && int(sb.marks[i/markStride]) != off {
+				t.Fatalf("word %d %q: mark %d, want offset %d", i, w, sb.marks[i/markStride], off)
 			}
 			if f, ok := sb.forms[w]; !ok || sb.ids[i] != f.entry {
 				t.Fatalf("word %d %q: column entry %d, its form's %v (memoised %v)", i, w, sb.ids[i], f.entry, ok)
 			}
 			off += len(w) + 1
+		}
+
+		ix := buildSharded([]Document{{Body: body}}, 1).shards[0]
+		check := func(start, end int) {
+			if got, want := ix.text(0, start, end), strings.Join(words[start:end], " "); got != want {
+				t.Fatalf("window [%d, %d) of %d words renders %q, want %q", start, end, len(words), got, want)
+			}
+		}
+		for start := range words {
+			for end := start + 1; end <= min(start+SnippetWords, len(words)); end++ {
+				check(start, end)
+			}
+		}
+		if len(words) > 0 {
+			check(0, len(words))
 		}
 	})
 }

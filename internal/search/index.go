@@ -14,7 +14,9 @@ package search
 
 import (
 	"math"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -54,35 +56,35 @@ type docTable struct {
 	// string every snippet of the doc is a substring of. When the body already
 	// is its own single-space join (the common case), it shares its memory.
 	bodyJoined []string
-	// base[doc]:base[doc+1] are doc's body words in the shard's per-word
-	// arenas, this one and the term column's ids: wordOff[base[doc]+i] is the
-	// byte offset of word i within bodyJoined[doc], so snippet windows are
-	// zero-copy slices instead of per-query joins.
-	base    []int
-	wordOff []int32
+	// base[doc]:base[doc+1] are doc's body words among the shard's words (and
+	// the term column's ids). marks[m] is the byte offset of shard word
+	// m·markStride in its document's bodyJoined: a snippet window's bytes are
+	// found by counting spaces from the nearest mark (Index.text).
+	base  []int
+	marks []int32
 }
+
+// markStride is the shard words per entry of docTable.marks: a power of two,
+// so the mark of a word is a shift away.
+const markStride = 16
 
 // newDocTable returns an empty table.
 func newDocTable() docTable { return docTable{base: []int{0}} }
 
-// appendDoc adds one document whose body's words joined by single spaces are
-// joined; the words' offsets in it are the caller's to append to wordOff.
-func (t *docTable) appendDoc(doc Document, joined string) {
+// appendDoc adds one document of words body words, whose single-space join is
+// joined; the marks among its words are the caller's to append.
+func (t *docTable) appendDoc(doc Document, joined string, words int) {
 	t.docs = append(t.docs, doc)
 	t.bodyJoined = append(t.bodyJoined, joined)
-	t.base = append(t.base, len(t.wordOff))
+	t.base = append(t.base, t.base[len(t.base)-1]+words)
 }
 
-// sections returns per doc the posting section its postings go to: 0 when it
-// can surface in results (Lang "en"), 1 otherwise.
-func (t *docTable) sections() []int {
-	out := make([]int, len(t.docs))
-	for i, d := range t.docs {
-		if d.Lang != "en" {
-			out[i] = 1
-		}
-	}
-	return out
+// clip drops the slack of the table's appends, for the frozen shard.
+func (t *docTable) clip() {
+	t.docs = slices.Clone(t.docs)
+	t.bodyJoined = slices.Clone(t.bodyJoined)
+	t.base = slices.Clone(t.base)
+	t.marks = slices.Clone(t.marks)
 }
 
 // Index is one frozen shard of a ShardedIndex: the document table, the
@@ -509,28 +511,60 @@ func (s *selector) complete(scores []float64, touched []int32, dense *denseCol) 
 // doc's body — the first word that is a query term, or 0 when none is (a
 // title-only hit), see termColumn.anchor — and returns its raw word range; a
 // document without a body yields its title and the empty range. The window is
-// a zero-copy slice of the precomputed joined body, byte-identical to joining
-// the window's words with spaces.
+// a zero-copy slice of the joined body (text).
 func (ix *Index) snippetAt(doc, at int) (s string, start, end int) {
-	off := ix.wordOff[ix.base[doc]:ix.base[doc+1]]
-	if len(off) == 0 {
+	n := ix.base[doc+1] - ix.base[doc]
+	if n == 0 {
 		return ix.docs[doc].Title, 0, 0
 	}
-	start = at - SnippetWords/3
-	if start < 0 {
-		start = 0
-	}
-	end = start + SnippetWords
-	if end > len(off) {
-		end = len(off)
-		if start = end - SnippetWords; start < 0 {
-			start = 0
-		}
-	}
-	joined := ix.bodyJoined[doc]
+	start = max(0, min(at-SnippetWords/3, n-SnippetWords))
+	end = min(start+SnippetWords, n)
+	return ix.text(doc, start, end), start, end
+}
+
+// text returns body words [start, end) of doc, start < end, as a slice of its
+// joined body: byte-identical to joining them with spaces.
+func (ix *Index) text(doc, start, end int) string {
+	lo, joined := ix.base[doc], ix.bodyJoined[doc]
+	i := ix.wordStart(joined, lo+start, lo, 0)
 	stop := len(joined)
-	if end < len(off) {
-		stop = int(off[end]) - 1 // the space before word end
+	if lo+end < ix.base[doc+1] {
+		stop = ix.wordStart(joined, lo+end, lo+start, i) - 1 // the space before word end
 	}
-	return joined[off[start]:stop], start, end
+	return joined[i:stop]
+}
+
+// wordStart returns where shard word w starts in joined, its document's joined
+// body, counting on from word from at byte i, or from w's mark when that is
+// past from: words are separated by exactly one ' ', a byte no word holds.
+func (ix *Index) wordStart(joined string, w, from, i int) int {
+	if m := w / markStride; m*markStride > from {
+		from, i = m*markStride, int(ix.marks[m])
+	}
+	return skipWords(joined, i, w-from)
+}
+
+// skipWords returns where the word n words after the one at byte i of the
+// single-space join s starts: one past the n-th space from i. It counts the
+// spaces of eight bytes at a time, a zero byte once each is xored with ' '.
+func skipWords(s string, i, n int) int {
+	const ones, lows = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
+	for ; n > 0 && i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		x := (uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56) ^ ' '*ones
+		spaces := ^((x&lows + lows) | x | lows) // the top bit of each zero byte
+		if c := bits.OnesCount64(spaces); c < n {
+			n -= c
+			continue
+		}
+		for ; n > 1; n-- {
+			spaces &= spaces - 1
+		}
+		return i + bits.TrailingZeros64(spaces)/8 + 1
+	}
+	for ; n > 0; n-- {
+		i += strings.IndexByte(s[i:], ' ') + 1
+	}
+	return i
 }

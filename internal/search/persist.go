@@ -14,12 +14,13 @@ import (
 //	    (u32-length-prefixed strings)
 //
 // The stream holds the documents and nothing else. Everything a query reads —
-// postings in their best-first order, contributions, the dense sidecars and
-// the term-id column — is state Build derives from the documents, so
-// ReadShardedIndex decodes the documents and returns Build over them at the
-// stored shard count: build and load are one code path, a loaded index is the
-// index a build over the same documents makes, and no stream can carry derived
-// state that disagrees with its documents. The document count and every string length are refused
+// the vocabulary keying every shard's columns, best-first postings, runs of
+// contributions, dense sidecars, the term-id column and the window marks — is
+// state Build derives from the documents, so ReadShardedIndex decodes the
+// documents and returns Build over them at the stored shard count: build and
+// load are one code path, a loaded index is the index a build over the same
+// documents makes, and no stream can carry derived state that disagrees with
+// its documents. The document count and every string length are refused
 // unless the bytes that remain can hold them, and the shard count unless the
 // document count or FewShards covers it, so a corrupt or adversarial stream
 // yields an error before anything is indexed, never a panic, and the shards a

@@ -195,7 +195,9 @@ type posting struct {
 // the oracle of what Build compiles: per round-robin shard, the document table
 // plus a term map filled straight from the documents — term frequencies from
 // whole-text normalization — and the body words, which flatten normalises one
-// by one into the term-id column, with no interning and no streams.
+// by one into the term-id column, with no interning and no streams. Its
+// columns are laid out by vocabulary id from the start: it never goes through
+// the production layout.
 type refIndex struct {
 	shards []*refShard
 	nDocs  int
@@ -242,11 +244,13 @@ func (sb *refShard) add(doc Document) {
 	}
 	b := int32(0)
 	for _, w := range words {
-		sb.wordOff = append(sb.wordOff, b)
+		if len(sb.words)%markStride == 0 {
+			sb.marks = append(sb.marks, b)
+		}
+		sb.words = append(sb.words, w)
 		b += int32(len(w)) + 1
 	}
-	sb.appendDoc(doc, joined)
-	sb.words = append(sb.words, words...)
+	sb.appendDoc(doc, joined, len(words))
 	sb.docLen = append(sb.docLen, n)
 	for t, n := range tf {
 		sb.postings[t] = append(sb.postings[t], posting{doc: id, tf: n})
@@ -254,19 +258,32 @@ func (sb *refShard) add(doc Document) {
 }
 
 // freeze compiles the maps as the builder's former flatten did, each section
-// in doc order, finishes the index through the shared finish, and then sorts
-// every section with sortOrd: its state is what Build over the same documents
-// must derive (sameIndex), with the section order bestFirst derives, and so
-// the runs and dense sidecars, taken from a comparison sort.
+// in doc order and keyed by vocabulary id (the sorted union of the shards'
+// terms), finishes the index through the shared finish, and then sorts every
+// section with sortOrd: its state is what Build over the same documents must
+// derive (sameIndex), with the section order bestFirst derives, and so the
+// runs and dense sidecars, taken from a comparison sort.
 func (ri *refIndex) freeze() *ShardedIndex {
 	s := newShardedIndex(len(ri.shards))
 	s.nDocs = ri.nDocs
+	seen := map[string]bool{}
+	var vocab []string
+	for _, sb := range ri.shards {
+		for t := range sb.postings {
+			if !seen[t] {
+				seen[t] = true
+				vocab = append(vocab, t)
+			}
+		}
+	}
+	sort.Strings(vocab)
+	s.setVocab(vocab)
 	docLen := make([][]int, len(ri.shards))
 	tf := make([][]int32, len(ri.shards))
 	for si, sb := range ri.shards {
 		ix := s.shards[si]
 		ix.docTable = sb.docTable
-		ix.col, tf[si], ix.terms = sb.flatten()
+		ix.col, tf[si], ix.terms = sb.flatten(s.vocab)
 		docLen[si] = sb.docLen
 	}
 	s.finish(docLen, tf)
@@ -294,7 +311,7 @@ func bestFirstCmp(a, b engPosting) int {
 // contribution, in place by (contribution desc, doc asc) with a comparison
 // sort: the order bestFirst derives without one.
 func (c *columns) sortSections(contrib []float64) {
-	for tid := range c.terms {
+	for tid := range c.nTerms() {
 		lo, hi := c.engOff[tid], c.engOff[tid+1]
 		sec := make([]engPosting, 0, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -333,12 +350,13 @@ func (c *columns) contribColumn() []float64 {
 	return contrib
 }
 
-func (sb *refShard) flatten() (*columns, []int32, termColumn) {
-	terms := make([]string, 0, len(sb.postings))
-	for t := range sb.postings {
-		terms = append(terms, t)
+// flatten lays the shard's columns and term-id column out by the ids of vocab,
+// which holds every term of the shard.
+func (sb *refShard) flatten(vocab []string) (*columns, []int32, termColumn) {
+	id := make(map[string]int32, len(vocab))
+	for v, t := range vocab {
+		id[t] = int32(v)
 	}
-	sort.Strings(terms)
 	english := make([]bool, len(sb.docs))
 	for d, doc := range sb.docs {
 		english[d] = doc.Lang == "en"
@@ -351,10 +369,10 @@ func (sb *refShard) flatten() (*columns, []int32, termColumn) {
 			}
 		}
 	}
-	c := newColumns(terms, nEng)
+	c := newColumns(len(vocab), nEng)
 	tf := make([]int32, nEng)
 	e := 0
-	for tid, term := range terms {
+	for tid, term := range vocab {
 		for _, pt := range sb.postings[term] {
 			if english[pt.doc] {
 				c.engDoc[e], tf[e] = int32(pt.doc), int32(pt.tf)
@@ -366,7 +384,7 @@ func (sb *refShard) flatten() (*columns, []int32, termColumn) {
 		c.engOff[tid+1] = int32(e)
 	}
 
-	// The term-id column in column ids: a word's one token, noToken, or an
+	// The term-id column in vocabulary ids: a word's one token, noToken, or an
 	// entry of the side list, which holds each multi-token form once, in order
 	// of its first occurrence.
 	tc := termColumn{ids: make([]int32, 0, len(sb.words)), multiOff: []int32{0}}
@@ -377,12 +395,12 @@ func (sb *refShard) flatten() (*columns, []int32, termColumn) {
 		case 0:
 			tc.ids = append(tc.ids, noToken)
 		case 1:
-			tc.ids = append(tc.ids, c.termID[norm[0]])
+			tc.ids = append(tc.ids, id[norm[0]])
 		default:
 			m, ok := multi[w]
 			if !ok {
 				for _, t := range norm {
-					tc.multiIDs = append(tc.multiIDs, c.termID[t])
+					tc.multiIDs = append(tc.multiIDs, id[t])
 				}
 				m = -int32(len(tc.multiOff)-1) - 2
 				tc.multiOff = append(tc.multiOff, int32(len(tc.multiIDs)))

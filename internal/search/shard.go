@@ -28,8 +28,9 @@ type ShardedIndex struct {
 	shards []*Index
 	nDocs  int
 	// vocab is every shard's dictionary merged and sorted: the id space of
-	// Result.Terms.
+	// Result.Terms and of every shard's columns. id is its inverse.
 	vocab []string
+	id    map[string]int32
 }
 
 // newShardedIndex returns the shell a build fills.
@@ -51,12 +52,12 @@ func (s *ShardedIndex) Len() int { return s.nDocs }
 // slice is shared with the index: read-only.
 func (s *ShardedIndex) Vocab() []string { return s.vocab }
 
-// global converts a shard-local hit list to global doc ids in place.
-func global(hits []hit, shard, n int) []hit {
-	for i := range hits {
-		hits[i].doc = hits[i].doc*n + shard
+// setVocab makes the sorted vocab the index's id space.
+func (s *ShardedIndex) setVocab(vocab []string) {
+	s.vocab, s.id = vocab, make(map[string]int32, len(vocab))
+	for v, term := range vocab {
+		s.id[term] = int32(v)
 	}
-	return hits
 }
 
 // scored is what one topDocsBatch call hands to materialize: per shard and
@@ -71,26 +72,28 @@ type scored struct {
 // row returns shard si's hit lists.
 func (b scored) row(si int) [][]hit { return b.lists[si*b.queries:][:b.queries] }
 
-// scoreShard scores a whole batch of pre-normalized queries against shard si
-// into its row of b: term ids are resolved once per batch through a shared
-// resolver, one pooled accumulator serves every query, and the list of a nil
-// query stays nil. The lists are windows of arena, not aliases of accumulator
-// storage — a batch needs all of them alive at once.
-func (b scored) scoreShard(ix *Index, si int, qterms [][]string, k int, arena []hit) {
+// scoreShard scores a whole batch of queries, given as vocabulary ids (qids,
+// see SearchBatch), against shard si into its row of b: each query planned
+// over the shard (columns.plan), one pooled accumulator serving every query,
+// and the list of a nil query left nil. The lists are windows of arena, not
+// aliases of accumulator storage — a batch needs all of them alive at once.
+func (b scored) scoreShard(ix *Index, si int, qids [][]int32, k int, arena []hit) {
 	acc := ix.getAccumulator()
 	defer ix.putAccumulator(acc)
-	r := newTermResolver(ix.col, len(qterms))
 	lists := b.row(si)
 	var buf [8]int32 // term ids of the query being scored
 	tids := buf[:0]
-	for q, terms := range qterms {
-		if terms == nil {
+	for q, ids := range qids {
+		if ids == nil {
 			continue
 		}
 		n := len(arena)
-		tids = r.resolve(terms, tids)
+		tids = ix.col.plan(ids, tids)
 		arena = append(arena, ix.topDocsResolved(acc, tids, k)...)
-		lists[q] = global(arena[n:len(arena):len(arena)], si, b.shards)
+		for i := n; i < len(arena); i++ {
+			arena[i].doc = arena[i].doc*b.shards + si // the global doc id
+		}
+		lists[q] = arena[n:len(arena):len(arena)]
 	}
 }
 
@@ -111,22 +114,21 @@ func (b scored) next(q int) hit {
 }
 
 // topDocsBatch is the only shard fan-out: each shard scores the whole query
-// batch through its columnar kernel (normalized query terms are shared across
-// shards, term-id resolution is shared across the batch within each shard)
-// into its own top-k per query; scored.next merges them under the exact
-// monolithic order. A batch allocates its bookkeeping once — the scored and one
-// hit arena the shards share a window each of — and the shards are the items
-// of one pool.Run with a worker each, the calling goroutine among them, so a
+// batch, resolved once for all of them, through its columnar kernel into its
+// own top-k per query; scored.next merges them under the exact monolithic
+// order. A batch allocates its bookkeeping once — the scored and one hit arena
+// the shards share a window each of — and the shards are the items of one
+// pool.Run with a worker each, the calling goroutine among them, so a
 // one-shard index starts none.
-func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) scored {
+func (s *ShardedIndex) topDocsBatch(qids [][]int32, k int) scored {
 	n := len(s.shards)
 	queries := 0
-	for _, terms := range qterms {
-		if terms != nil {
+	for _, ids := range qids {
+		if ids != nil {
 			queries++
 		}
 	}
-	b := scored{shards: n, queries: len(qterms), lists: make([][]hit, n*len(qterms))}
+	b := scored{shards: n, queries: len(qids), lists: make([][]hit, n*len(qids))}
 	// Shard 0 is the largest (documents go round-robin), so no shard returns
 	// more than window hits for the batch.
 	window := queries * min(k, len(s.shards[0].docs))
@@ -134,49 +136,28 @@ func (s *ShardedIndex) topDocsBatch(qterms [][]string, k int) scored {
 	// Scoring cannot be abandoned half way — the merge reads every shard's
 	// lists — so the pool runs under a context that is never done.
 	_ = pool.Run(context.Background(), n, n, func(si int) {
-		b.scoreShard(s.shards[si], si, qterms, k, arena[si*window:si*window:(si+1)*window])
+		b.scoreShard(s.shards[si], si, qids, k, arena[si*window:si*window:(si+1)*window])
 	})
 	return b
 }
 
-// copyResults clones one query's results for a duplicate occurrence in a
-// batch, preserving nil-ness so a duplicate's results match byte-for-byte
-// what re-running the query would have returned.
-func copyResults(src []Result) []Result {
-	if src == nil {
-		return nil
-	}
-	dst := make([]Result, len(src))
-	copy(dst, src)
-	return dst
-}
-
-// materialize merges the per-shard lists of query q (normalised terms qterms)
-// into its global top-k and renders each hit in the document's owning shard —
-// its snippet windows and term-id column live there — anchored at the first
-// body word that is one of the query's terms.
-func (s *ShardedIndex) materialize(b scored, q int, qterms []string, k int) []Result {
+// materialize merges the per-shard lists of query q (vocabulary ids ids) into
+// its global top-k and renders each hit in the document's owning shard — its
+// snippet windows and term-id column live there — anchored at the first body
+// word that is one of the query's terms.
+func (s *ShardedIndex) materialize(b scored, q int, ids []int32, k int) []Result {
 	found := 0
 	for si := range s.shards {
 		found += len(b.row(si)[q])
 	}
 	out := make([]Result, min(found, k))
-	// The terms' vocabulary ids, what the column stores; a term no document
-	// holds cannot anchor and is left out.
-	var buf [8]int32
-	want := buf[:0]
-	for _, t := range qterms {
-		if v, ok := slices.BinarySearch(s.vocab, t); ok {
-			want = append(want, int32(v))
-		}
-	}
 	for i := range out {
 		h := b.next(q)
 		si, local := h.doc%len(s.shards), h.doc/len(s.shards)
 		sh := s.shards[si]
 		d := sh.docs[local]
 		lo, hi := sh.base[local], sh.base[local+1]
-		snippet, start, end := sh.snippetAt(local, sh.terms.anchor(lo, hi, want))
+		snippet, start, end := sh.snippetAt(local, sh.terms.anchor(lo, hi, ids))
 		out[i] = Result{
 			URL:     d.URL,
 			Title:   d.Title,
@@ -197,17 +178,18 @@ func (s *ShardedIndex) Search(query string, k int) []Result {
 
 // SearchBatch resolves a batch of queries: out[i] is the top-k of queries[i]
 // alone, nil when k <= 0, the index is empty or the query normalizes to
-// nothing. Queries are normalized once, duplicate queries are scored and
-// materialized once (later occurrences copy the first's results), and every
-// shard scores the deduplicated batch in a single parallel pass with
-// batch-shared term-id resolution, so the per-query fan-out and setup cost is
-// amortized across the batch.
+// nothing. Queries are normalized and their terms resolved to vocabulary ids
+// once, duplicate queries are scored and materialized once (later occurrences
+// copy the first's results), and every shard scores the deduplicated batch in
+// a single parallel pass, so the per-query fan-out and setup cost is amortized
+// across the batch.
 func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 	out := make([][]Result, len(queries))
 	if k <= 0 || s.nDocs == 0 {
 		return out
 	}
-	qterms := make([][]string, len(queries))
+	qids := make([][]int32, len(queries))
+	ids := make([]int32, 0, 4*len(queries))     // every query's ids: one allocation for short queries
 	first := make(map[string]int, len(queries)) // a query's first occurrence
 	for i, q := range queries {
 		if _, dup := first[q]; dup {
@@ -215,16 +197,27 @@ func (s *ShardedIndex) SearchBatch(queries []string, k int) [][]Result {
 		}
 		first[q] = i
 		if t := textproc.NormalizeTokens(q); len(t) > 0 {
-			qterms[i] = t
+			for _, term := range t {
+				ids = append(ids, s.termID(term))
+			}
+			qids[i] = ids[len(ids)-len(t) : len(ids) : len(ids)]
 		}
 	}
-	b := s.topDocsBatch(qterms, k)
+	b := s.topDocsBatch(qids, k)
 	for i, q := range queries {
 		if j := first[q]; j < i {
-			out[i] = copyResults(out[j])
-		} else if qterms[i] != nil {
-			out[i] = s.materialize(b, i, qterms[i], k)
+			out[i] = slices.Clone(out[j]) // nil stays nil: what re-running the query returns
+		} else if qids[i] != nil {
+			out[i] = s.materialize(b, i, qids[i], k)
 		}
 	}
 	return out
+}
+
+// termID returns term's vocabulary id, -1 when no document holds it.
+func (s *ShardedIndex) termID(term string) int32 {
+	if v, ok := s.id[term]; ok {
+		return v
+	}
+	return -1
 }

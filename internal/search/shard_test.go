@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/textproc"
 )
 
 // buildSharded indexes docs across n shards.
@@ -205,5 +207,64 @@ func TestEngineSearchContext(t *testing.T) {
 	}
 	if took := time.Since(start); took > 300*time.Millisecond {
 		t.Errorf("cancellation took %v, want well under the 500ms sleep", took)
+	}
+}
+
+// TestOneIDSpaceMatchesReference: every shard scores the ids the batch resolved
+// once against the vocabulary, a term the shard lacks planned as absent. On a
+// hand-built corpus where a query term lives in one shard only, another only in
+// a non-English page, and queries end in a term some shard lacks, SearchBatch
+// at 1, 2 and 3 shards equals — terms, snippet and score bits — SearchBatch
+// over the reference's columns, which lay themselves out by vocabulary id
+// without the production layout, and the scalar reference's snippets and
+// scores.
+func TestOneIDSpaceMatchesReference(t *testing.T) {
+	docs := []Document{
+		{URL: "d0", Title: "Lisbon trams", Body: "the lisbon museum of trams by the river"},
+		{URL: "d1", Title: "Oslo fjord", Body: "oslo museum of the fjord and its ships"},
+		{URL: "d2", Title: "Lisbon gallery", Body: "a gallery in lisbon near the tram stop"},
+		{URL: "d3", Title: "Oslo gallery", Body: "oslo gallery of modern paintings"},
+		{URL: "d4", Title: "Zanzibar", Body: "zanzibar spice museum and gallery"},
+		{URL: "d5", Title: "Ailleurs", Body: "un musée à lisbonne ailleurs", Lang: "fr"},
+		{URL: "d6", Title: "Museum", Body: " "},
+		{URL: "d7", Title: "Harbor", Body: "the of and a in the of and a in the of and a in harbor lights by night"},
+	}
+	// A term no document holds resolves to -1, the entry of a word without a
+	// token: "zzzz harbor" anchors on harbor, not on the leading stop-words.
+	queries := []string{
+		"museum lisbon", "lisbon museum", "oslo", "museum zanzibar", "zanzibar museum",
+		"museum ailleurs", "ailleurs", "gallery zzzz", "zzzz", "oslo lisbon zanzibar", "museum lisbon",
+		"zzzz harbor", "harbor zzzz",
+	}
+	for shards := 1; shards <= 3; shards++ {
+		six, ref := buildSharded(docs, shards), newRefIndex(docs, shards).freeze()
+		holders := func(term string) int {
+			n, tid := 0, six.termID(textproc.NormalizeTokens(term)[0])
+			for _, sh := range six.shards {
+				if tid >= 0 && sh.col.plan([]int32{tid}, nil)[0] >= 0 {
+					n++
+				}
+			}
+			return n
+		}
+		if holders("zanzibar") != 1 || holders("ailleurs") != 1 {
+			t.Fatalf("x%d: zanzibar in %d shards, ailleurs in %d: the corpus no longer has terms in one shard only",
+				shards, holders("zanzibar"), holders("ailleurs"))
+		}
+		for _, k := range []int{1, 3, 10} {
+			got, want := six.SearchBatch(queries, k), ref.SearchBatch(queries, k)
+			for i, q := range queries {
+				label := fmt.Sprintf("x%d SearchBatch[%d](%q, %d)", shards, i, q, k)
+				checkBitIdentical(t, label+" vs the reference's columns", got[i], want[i])
+				scalar := refSearch(docs, q, k)
+				checkSameResults(t, label+" vs the scalar reference", got[i], scalar)
+				for j := range scalar {
+					if got[i][j].Score != scalar[j].Score {
+						t.Fatalf("%s: result %d score %v, the scalar reference's %v", label, j, got[i][j].Score, scalar[j].Score)
+					}
+				}
+				checkTerms(t, func() string { return label }, six, docs, got[i])
+			}
+		}
 	}
 }

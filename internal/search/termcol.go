@@ -10,8 +10,7 @@ package search
 //
 // The ids are index-wide (the shard dictionaries merged and sorted), so a
 // hit's Terms are the same numbers at every shard count and after a write →
-// read round trip. A producer lays the column out in its shard's column ids
-// (flatten) and finish rewrites it in vocabulary ids.
+// read round trip. A producer lays the column out in them (flatten).
 
 // noToken marks a raw word that normalises to nothing (a stop-word, a number,
 // bare punctuation). Consumers of Result.Terms skip it.
@@ -62,11 +61,14 @@ func (tc *termColumn) expand(w []int32) []int32 {
 }
 
 // anchor returns the index, relative to lo, of the first word of ids[lo:hi]
-// whose entry is one of want — the vocabulary ids of a query's terms — or 0
-// when there is none. Only a content word can match: the entries of the other
-// words are negative.
+// whose entry is one of want — the vocabulary ids of a query's terms, -1 for a
+// term no document holds — or 0 when there is none. Only a content word can
+// match: the entries of the other words are negative.
 func (tc *termColumn) anchor(lo, hi int, want []int32) int {
 	for i, id := range tc.ids[lo:hi] {
+		if id < 0 {
+			continue
+		}
 		for _, v := range want {
 			if id == v {
 				return i
@@ -74,26 +76,4 @@ func (tc *termColumn) anchor(lo, hi int, want []int32) int {
 		}
 	}
 	return 0
-}
-
-// toVocab rewrites the column from the shard's column ids to vocabulary ids.
-// Both dictionaries are sorted and vocab contains terms, so one merge walk
-// maps one to the other.
-func (tc *termColumn) toVocab(terms, vocab []string) {
-	global := make([]int32, len(terms))
-	g := 0
-	for t, term := range terms {
-		for vocab[g] != term {
-			g++
-		}
-		global[t] = int32(g)
-	}
-	for i, id := range tc.ids {
-		if id >= 0 {
-			tc.ids[i] = global[id]
-		}
-	}
-	for i, id := range tc.multiIDs {
-		tc.multiIDs[i] = global[id]
-	}
 }

@@ -181,3 +181,78 @@ func TestSnippetAnchor(t *testing.T) {
 		}
 	}
 }
+
+// TestSnippetWindowsAcrossMarks: a window's bytes are found by counting the
+// spaces of the joined body from the nearest mark (one per markStride shard
+// words), so in shards of several documents — documents that begin mid-stride,
+// windows that start just before, at and just after a mark, a one-word body, a
+// blank body and a body of irregular white space — every window [start, end)
+// of up to SnippetWords words renders exactly strings.Join(words[start:end],
+// " "), and the snippet anchored at each word is the reference's window.
+func TestSnippetWindowsAcrossMarks(t *testing.T) {
+	counted := func(prefix string, n int) string {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return strings.Join(words, " ")
+	}
+	docs := []Document{
+		{URL: "stride-and-a-half", Title: "First", Body: counted("a", 24)},
+		{URL: "mid-stride", Title: "Second", Body: counted("b", 13)},
+		{URL: "one-word", Title: "Third", Body: "solo"},
+		{URL: "blank", Title: "Blank body", Body: " \t\n "},
+		{URL: "irregular", Title: "Spacing", Body: "  café\tmuseum  gallery\n\nrock-n-roll   la　scala " + strings.ReplaceAll(counted("c", 20), " ", "\t ")},
+		{URL: "long", Title: "Last", Body: counted("d", 40)},
+	}
+	for shards := 1; shards <= 3; shards++ {
+		var before, at, after, midStride int // windows and documents covered
+		for si, ix := range buildSharded(docs, shards).shards {
+			for d, doc := range ix.docs {
+				label := fmt.Sprintf("x%d shard %d %s", shards, si, doc.URL)
+				words := strings.Fields(doc.Body)
+				lo := ix.base[d]
+				if n := ix.base[d+1] - lo; n != len(words) {
+					t.Fatalf("%s: %d words in the table, %d in the body", label, n, len(words))
+				}
+				if lo%markStride != 0 && lo/markStride != (lo+len(words)-1)/markStride {
+					midStride++
+				}
+				for start := range words {
+					switch (lo + start) % markStride {
+					case markStride - 1:
+						before++
+					case 0:
+						at++
+					case 1:
+						after++
+					}
+					for end := start + 1; end <= min(start+SnippetWords, len(words)); end++ {
+						if got, want := ix.text(d, start, end), strings.Join(words[start:end], " "); got != want {
+							t.Fatalf("%s: window [%d, %d) renders %q, want %q", label, start, end, got, want)
+						}
+					}
+				}
+				for anchor := range max(len(words), 1) {
+					got, start, end := ix.snippetAt(d, anchor)
+					want := doc.Title
+					if len(words) > 0 {
+						wantStart := max(0, min(anchor-SnippetWords/3, len(words)-SnippetWords))
+						wantEnd := min(wantStart+SnippetWords, len(words))
+						if start != wantStart || end != wantEnd {
+							t.Fatalf("%s: window at %d is [%d, %d), want [%d, %d)", label, anchor, start, end, wantStart, wantEnd)
+						}
+						want = strings.Join(words[start:end], " ")
+					}
+					if got != want {
+						t.Fatalf("%s: snippet at %d is %q, want %q", label, anchor, got, want)
+					}
+				}
+			}
+		}
+		if before == 0 || at == 0 || after == 0 || midStride == 0 {
+			t.Fatalf("x%d: windows start before/at/after a mark %d/%d/%d times, %d documents begin mid-stride across a mark: the corpus no longer covers them",
+				shards, before, at, after, midStride)
+		}
+	}
+}
